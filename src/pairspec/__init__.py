@@ -17,6 +17,7 @@ from .core import (
     find_property_n,
     height,
     heights,
+    is_distributively_central,
     validate_negation_map,
     validate_pair,
     validate_structure,

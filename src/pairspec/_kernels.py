@@ -1,52 +1,72 @@
 """Hot inner loops: exhaustive table scans and congruence closure.
 
-Two interchangeable backends produce identical results:
-
-* ``numba`` -- ``@njit``-compiled loops with early exit (default when numba
-  imports cleanly),
-* ``numpy`` -- vectorized scans plus a plain-python union-find for closure.
-
-Set ``PAIRSPEC_NO_NUMBA=1`` to force the numpy path; ``set_backend()``
-switches at runtime (used by tests and the benchmark).
-
-All tables are dense ``int64`` Cayley tables; relations over the doubled
+Tables are dense ``int64`` Cayley tables whose entries are element indices
+in ``0..n-1`` (``core._as_table`` checks this); relations over the doubled
 carrier A x A are boolean ``(n, n)`` matrices.
+
+The n^3 axiom scans run over slabs of the index cube in row-major order:
+a range of first indices, or for large n one first index and a range of
+second indices, so that no temporary holds more than ``_SCAN_CELLS`` cells
+whatever n is.  Values are gathered from a compact copy of each table
+(``uint8`` up to 256 elements, ``uint16`` above) through flat ``int64``
+offsets, which numpy takes without a cast.  A scan returns at the first slab
+that holds a violation, with the first violation in row-major order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NO_NUMBA_ENV = "PAIRSPEC_NO_NUMBA"
-
-try:  # pragma: no cover - exercised via the numba backend tests
-    if os.environ.get(NO_NUMBA_ENV, "") not in ("", "0"):
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    HAVE_NUMBA = False
+# Most cells one temporary of an n^3 scan may hold.
+_SCAN_CELLS = 1 << 16
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _first_nonassoc_np(op):
-    lhs = op[op, :]          # lhs[i,j,k] = op[op[i,j], k]
-    rhs = op[:, op]          # rhs[i,j,k] = op[i, op[j,k]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad) == 0:
-        return (-1, -1, -1)
-    i, j, k = bad[0]
-    return (int(i), int(j), int(k))
+def _compact(t):
+    """Copy of a table in the smallest unsigned dtype that holds 0..n-1."""
+    return t.astype(np.uint8 if t.shape[0] <= 256 else np.uint16)
 
 
-def _first_noncomm_np(op):
+def _slabs(n):
+    """(i, j) slice pairs covering the first two indices in row-major order;
+    each slab of the n^3 cube, with every third index, has at most
+    ``_SCAN_CELLS`` cells."""
+    rows = _SCAN_CELLS // (n * n)
+    if rows:
+        for lo in range(0, n, rows):
+            yield slice(lo, min(lo + rows, n)), slice(0, n)
+        return
+    step = max(1, _SCAN_CELLS // n)
+    for i in range(n):
+        for lo in range(0, n, step):
+            yield slice(i, i + 1), slice(lo, min(lo + step, n))
+
+
+def _row_offsets(i, n):
+    """Flat offsets of the rows in slice ``i``, shaped to broadcast over a slab."""
+    return (np.arange(i.start, i.stop) * n)[:, None, None]
+
+
+def _first(bad, i, j):
+    """Index triple of the first True in the slab ``bad`` at (i, j), or None."""
+    if not bad.any():
+        return None
+    r, c, k = np.unravel_index(int(bad.argmax()), bad.shape)
+    return (i.start + int(r), j.start + int(c), int(k))
+
+
+def first_nonassoc(op):
+    """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1)."""
+    n = op.shape[0]
+    t = _compact(op)
+    flat = t.ravel()
+    for i, j in _slabs(n):
+        hit = _first(t[op[i, j]] != flat[_row_offsets(i, n) + op[j]], i, j)
+        if hit:
+            return hit
+    return (-1, -1, -1)
+
+
+def first_noncomm(op):
     bad = np.argwhere(op != op.T)
     if len(bad) == 0:
         return (-1, -1)
@@ -54,25 +74,37 @@ def _first_noncomm_np(op):
     return (int(i), int(j))
 
 
-def _first_nondistrib_np(add, mul):
-    # side 0: a(b+c) != ab + ac, indexed [a,b,c]
-    left = mul[:, add]
-    left_sum = add[mul[:, :, None], mul[:, None, :]]
-    bad = np.argwhere(left != left_sum)
-    if len(bad):
-        a, b, c = bad[0]
-        return (0, int(a), int(b), int(c))
-    # side 1: (b+c)a != ba + ca, indexed [b,c,a]
-    right = mul[add, :]
-    right_sum = add[mul[:, None, :], mul[None, :, :]]
-    bad = np.argwhere(right != right_sum)
-    if len(bad):
-        b, c, a = bad[0]
-        return (1, int(a), int(b), int(c))
+def first_nondistrib(add, mul):
+    """First distributivity violation as (side, a, b, c); side 0 is a(b+c), side 1 is (b+c)a.
+
+    Side 0 is scanned in [a,b,c] order, then side 1 in [b,c,a] order.
+    """
+    n = add.shape[0]
+    s, m = _compact(add), _compact(mul)
+    sflat, mflat = s.ravel(), m.ravel()
+    # side 0: a(b+c) against ab + ac, indexed [a,b,c]
+    for a, b in _slabs(n):
+        prod = sflat[(mul[a, b] * n)[:, :, None] + mul[a][:, None, :]]
+        hit = _first(mflat[_row_offsets(a, n) + add[b]] != prod, a, b)
+        if hit:
+            return (0, *hit)
+    # side 1: (b+c)a against ba + ca, indexed [b,c,a]
+    for b, c in _slabs(n):
+        prod = sflat[(mul[b] * n)[:, None, :] + mul[c]]
+        hit = _first(m[add[b, c]] != prod, b, c)
+        if hit:
+            b, c, a = hit
+            return (1, a, b, c)
     return (-1, -1, -1, -1)
 
 
-def _closure_py(add, mul, init_block, gen_xs, gen_ys):
+def closure_roots(add, mul, init_block, gen_xs, gen_ys):
+    """Union-find roots of the least congruence refining nothing coarser.
+
+    Starts from the partition ``init_block`` plus generator pairs, then closes
+    under x ~ y  =>  x+c ~ y+c, xc ~ yc, cx ~ cy for every c.  Each successful
+    merge is pushed once; merges are bounded by n-1, so the scan is O(n^2).
+    """
     n = add.shape[0]
     parent = list(range(n))
 
@@ -116,7 +148,11 @@ def _closure_py(add, mul, init_block, gen_xs, gen_ys):
     return np.array([find(i) for i in range(n)], dtype=np.int64)
 
 
-def _congruence_violation_py(add, mul, block_of):
+def congruence_violation(add, mul, block_of):
+    """First (x, y, c, kind) witnessing that the partition is not a congruence.
+
+    kind 0: x+c / y+c land in different blocks; kind 1: xc / yc; kind 2: cx / cy.
+    """
     n = add.shape[0]
     blocks = {}
     for i in range(n):
@@ -139,7 +175,8 @@ def _congruence_violation_py(add, mul, block_of):
 _CHUNK = 1 << 14
 
 
-def _twist_fill_np(add, mul, xs1, ys1, xs2, ys2):
+def twist_fill(add, mul, xs1, ys1, xs2, ys2):
+    """Boolean matrix of all twist products of members1 x members2."""
     out = np.zeros(add.shape, dtype=bool)
     for lo in range(0, len(xs1), _CHUNK):
         x1 = xs1[lo:lo + _CHUNK, None]
@@ -150,7 +187,8 @@ def _twist_fill_np(add, mul, xs1, ys1, xs2, ys2):
     return out
 
 
-def _twist_subset_violation_np(add, mul, xs1, ys1, xs2, ys2, target):
+def twist_subset_violation(add, mul, xs1, ys1, xs2, ys2, target):
+    """First (i, j) member indices whose twist product escapes ``target``."""
     for lo in range(0, len(xs1), _CHUNK):
         x1 = xs1[lo:lo + _CHUNK, None]
         y1 = ys1[lo:lo + _CHUNK, None]
@@ -163,7 +201,8 @@ def _twist_subset_violation_np(add, mul, xs1, ys1, xs2, ys2, target):
     return (-1, -1)
 
 
-def _radical_violation_np(add, mul, member):
+def radical_violation(add, mul, member):
+    """First pair b with b twist-squared inside the relation but b outside."""
     n = add.shape[0]
     b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     sq1 = add[mul[b1, b1], mul[b2, b2]]
@@ -175,7 +214,8 @@ def _radical_violation_np(add, mul, member):
     return (-1, -1)
 
 
-def _strongly_prime_violation_np(add, mul, member, nxs, nys):
+def strongly_prime_violation(add, mul, member, nxs, nys):
+    """First non-member pair indices whose twist product lands in the relation."""
     for lo in range(0, len(nxs), _CHUNK):
         x1 = nxs[lo:lo + _CHUNK, None]
         y1 = nys[lo:lo + _CHUNK, None]
@@ -188,7 +228,8 @@ def _strongly_prime_violation_np(add, mul, member, nxs, nys):
     return (-1, -1)
 
 
-def _t_cancel_violation_np(mul, member, t_idx):
+def t_cancel_violation(mul, member, t_idx):
+    """First (a, b1, b2) with a tangible, (a*b1, a*b2) related but (b1, b2) not."""
     for a in t_idx:
         img = member[mul[a][:, None], mul[a][None, :]]
         bad = np.argwhere(img & ~member)
@@ -198,361 +239,10 @@ def _t_cancel_violation_np(mul, member, t_idx):
     return (-1, -1, -1)
 
 
-def _sqrt_step_np(add, mul, cur):
+def sqrt_step(add, mul, cur):
+    """One step of the twist-square preimage iteration."""
     n = add.shape[0]
     b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     sq1 = add[mul[b1, b1], mul[b2, b2]]
     sq2 = add[mul[b1, b2], mul[b2, b1]]
     return cur[sq1, sq2]
-
-
-_NUMPY_IMPL = {
-    "first_nonassoc": _first_nonassoc_np,
-    "first_noncomm": _first_noncomm_np,
-    "first_nondistrib": _first_nondistrib_np,
-    "closure_roots": _closure_py,
-    "congruence_violation": _congruence_violation_py,
-    "twist_fill": _twist_fill_np,
-    "twist_subset_violation": _twist_subset_violation_np,
-    "radical_violation": _radical_violation_np,
-    "strongly_prime_violation": _strongly_prime_violation_np,
-    "t_cancel_violation": _t_cancel_violation_np,
-    "sqrt_step": _sqrt_step_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _first_nonassoc_nb(op):
-        n = op.shape[0]
-        for i in range(n):
-            for j in range(n):
-                oij = op[i, j]
-                for k in range(n):
-                    if op[oij, k] != op[i, op[j, k]]:
-                        return (i, j, k)
-        return (-1, -1, -1)
-
-    @njit(cache=True)
-    def _first_noncomm_nb(op):
-        n = op.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if op[i, j] != op[j, i]:
-                    return (i, j)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def _first_nondistrib_nb(add, mul):
-        n = add.shape[0]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]:
-                        return (0, a, b, c)
-        for b in range(n):
-            for c in range(n):
-                for a in range(n):
-                    if mul[add[b, c], a] != add[mul[b, a], mul[c, a]]:
-                        return (1, a, b, c)
-        return (-1, -1, -1, -1)
-
-    @njit(cache=True)
-    def _uf_find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    @njit(cache=True)
-    def _closure_nb(add, mul, init_block, gen_xs, gen_ys):
-        n = add.shape[0]
-        parent = np.arange(n)
-        stack_x = np.empty(n + 1, dtype=np.int64)
-        stack_y = np.empty(n + 1, dtype=np.int64)
-        top = 0
-
-        rep = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            b = init_block[i]
-            if rep[b] < 0:
-                rep[b] = i
-            else:
-                rx = _uf_find(parent, rep[b])
-                ry = _uf_find(parent, i)
-                if rx != ry:
-                    if rx > ry:
-                        rx, ry = ry, rx
-                    parent[ry] = rx
-                    stack_x[top] = rep[b]
-                    stack_y[top] = i
-                    top += 1
-        for g in range(len(gen_xs)):
-            rx = _uf_find(parent, gen_xs[g])
-            ry = _uf_find(parent, gen_ys[g])
-            if rx != ry:
-                if rx > ry:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-                stack_x[top] = gen_xs[g]
-                stack_y[top] = gen_ys[g]
-                top += 1
-
-        while top > 0:
-            top -= 1
-            x = stack_x[top]
-            y = stack_y[top]
-            for c in range(n):
-                for which in range(3):
-                    if which == 0:
-                        u = add[x, c]
-                        v = add[y, c]
-                    elif which == 1:
-                        u = mul[x, c]
-                        v = mul[y, c]
-                    else:
-                        u = mul[c, x]
-                        v = mul[c, y]
-                    ru = _uf_find(parent, u)
-                    rv = _uf_find(parent, v)
-                    if ru != rv:
-                        if ru > rv:
-                            ru, rv = rv, ru
-                        parent[rv] = ru
-                        stack_x[top] = u
-                        stack_y[top] = v
-                        top += 1
-
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = _uf_find(parent, i)
-        return out
-
-    @njit(cache=True)
-    def _congruence_violation_nb(add, mul, block_of):
-        n = add.shape[0]
-        for x in range(n):
-            for y in range(x + 1, n):
-                if block_of[x] != block_of[y]:
-                    continue
-                for c in range(n):
-                    if block_of[add[x, c]] != block_of[add[y, c]]:
-                        return (x, y, c, 0)
-                    if block_of[mul[x, c]] != block_of[mul[y, c]]:
-                        return (x, y, c, 1)
-                    if block_of[mul[c, x]] != block_of[mul[c, y]]:
-                        return (x, y, c, 2)
-        return (-1, -1, -1, -1)
-
-    @njit(cache=True)
-    def _twist_fill_nb(add, mul, xs1, ys1, xs2, ys2):
-        n = add.shape[0]
-        out = np.zeros((n, n), dtype=np.bool_)
-        for i in range(len(xs1)):
-            x1 = xs1[i]
-            y1 = ys1[i]
-            for j in range(len(xs2)):
-                x2 = xs2[j]
-                y2 = ys2[j]
-                p = add[mul[x1, x2], mul[y1, y2]]
-                q = add[mul[x1, y2], mul[y1, x2]]
-                out[p, q] = True
-        return out
-
-    @njit(cache=True)
-    def _twist_subset_violation_nb(add, mul, xs1, ys1, xs2, ys2, target):
-        for i in range(len(xs1)):
-            x1 = xs1[i]
-            y1 = ys1[i]
-            for j in range(len(xs2)):
-                x2 = xs2[j]
-                y2 = ys2[j]
-                p = add[mul[x1, x2], mul[y1, y2]]
-                q = add[mul[x1, y2], mul[y1, x2]]
-                if not target[p, q]:
-                    return (i, j)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def _radical_violation_nb(add, mul, member):
-        n = add.shape[0]
-        for b1 in range(n):
-            for b2 in range(n):
-                if member[b1, b2]:
-                    continue
-                sq1 = add[mul[b1, b1], mul[b2, b2]]
-                sq2 = add[mul[b1, b2], mul[b2, b1]]
-                if member[sq1, sq2]:
-                    return (b1, b2)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def _strongly_prime_violation_nb(add, mul, member, nxs, nys):
-        m = len(nxs)
-        for i in range(m):
-            x1 = nxs[i]
-            y1 = nys[i]
-            for j in range(m):
-                x2 = nxs[j]
-                y2 = nys[j]
-                p = add[mul[x1, x2], mul[y1, y2]]
-                q = add[mul[x1, y2], mul[y1, x2]]
-                if member[p, q]:
-                    return (i, j)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def _t_cancel_violation_nb(mul, member, t_idx):
-        n = mul.shape[0]
-        for ti in range(len(t_idx)):
-            a = t_idx[ti]
-            for b1 in range(n):
-                for b2 in range(n):
-                    if member[b1, b2]:
-                        continue
-                    if member[mul[a, b1], mul[a, b2]]:
-                        return (a, b1, b2)
-        return (-1, -1, -1)
-
-    @njit(cache=True)
-    def _sqrt_step_nb(add, mul, cur):
-        n = add.shape[0]
-        out = np.zeros((n, n), dtype=np.bool_)
-        for b1 in range(n):
-            for b2 in range(n):
-                sq1 = add[mul[b1, b1], mul[b2, b2]]
-                sq2 = add[mul[b1, b2], mul[b2, b1]]
-                out[b1, b2] = cur[sq1, sq2]
-        return out
-
-    _NUMBA_IMPL = {
-        "first_nonassoc": _first_nonassoc_nb,
-        "first_noncomm": _first_noncomm_nb,
-        "first_nondistrib": _first_nondistrib_nb,
-        "closure_roots": _closure_nb,
-        "congruence_violation": _congruence_violation_nb,
-        "twist_fill": _twist_fill_nb,
-        "twist_subset_violation": _twist_subset_violation_nb,
-        "radical_violation": _radical_violation_nb,
-        "strongly_prime_violation": _strongly_prime_violation_nb,
-        "t_cancel_violation": _t_cancel_violation_nb,
-        "sqrt_step": _sqrt_step_nb,
-    }
-else:  # pragma: no cover
-    _NUMBA_IMPL = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {"numpy": _NUMPY_IMPL}
-if _NUMBA_IMPL is not None:
-    _BACKENDS["numba"] = _NUMBA_IMPL
-
-_active = "numba" if "numba" in _BACKENDS else "numpy"
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown or unavailable backend {name!r}; have {available_backends()}")
-    _active = name
-
-
-def _dispatch(name):
-    return _BACKENDS[_active][name]
-
-
-def first_nonassoc(op):
-    """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1)."""
-    return _dispatch("first_nonassoc")(op)
-
-
-def first_noncomm(op):
-    return _dispatch("first_noncomm")(op)
-
-
-def first_nondistrib(add, mul):
-    """First distributivity violation as (side, a, b, c); side 0 is a(b+c), side 1 is (b+c)a."""
-    return _dispatch("first_nondistrib")(add, mul)
-
-
-def closure_roots(add, mul, init_block, gen_xs, gen_ys):
-    """Union-find roots of the least congruence refining nothing coarser.
-
-    Starts from the partition ``init_block`` plus generator pairs, then closes
-    under x ~ y  =>  x+c ~ y+c, xc ~ yc, cx ~ cy for every c.  Each successful
-    merge is pushed once; merges are bounded by n-1, so the scan is O(n^2).
-    """
-    return _dispatch("closure_roots")(add, mul, init_block, gen_xs, gen_ys)
-
-
-def congruence_violation(add, mul, block_of):
-    """First (x, y, c, kind) witnessing that the partition is not a congruence.
-
-    kind 0: x+c / y+c land in different blocks; kind 1: xc / yc; kind 2: cx / cy.
-    """
-    return _dispatch("congruence_violation")(add, mul, block_of)
-
-
-def twist_fill(add, mul, xs1, ys1, xs2, ys2):
-    """Boolean matrix of all twist products of members1 x members2."""
-    return _dispatch("twist_fill")(add, mul, xs1, ys1, xs2, ys2)
-
-
-def twist_subset_violation(add, mul, xs1, ys1, xs2, ys2, target):
-    """First (i, j) member indices whose twist product escapes ``target``."""
-    return _dispatch("twist_subset_violation")(add, mul, xs1, ys1, xs2, ys2, target)
-
-
-def radical_violation(add, mul, member):
-    """First pair b with b twist-squared inside the relation but b outside."""
-    return _dispatch("radical_violation")(add, mul, member)
-
-
-def strongly_prime_violation(add, mul, member, nxs, nys):
-    """First non-member pair indices whose twist product lands in the relation."""
-    return _dispatch("strongly_prime_violation")(add, mul, member, nxs, nys)
-
-
-def t_cancel_violation(mul, member, t_idx):
-    """First (a, b1, b2) with a tangible, (a*b1, a*b2) related but (b1, b2) not."""
-    return _dispatch("t_cancel_violation")(mul, member, t_idx)
-
-
-def sqrt_step(add, mul, cur):
-    """One step of the twist-square preimage iteration."""
-    return _dispatch("sqrt_step")(add, mul, cur)
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on 2x2 dummies (no-op for numpy)."""
-    t = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    blocks = np.array([0, 1], dtype=np.int64)
-    pairs = np.array([0], dtype=np.int64)
-    member = np.eye(2, dtype=bool)
-    first_nonassoc(t)
-    first_noncomm(t)
-    first_nondistrib(t, t)
-    closure_roots(t, t, blocks, pairs, pairs)
-    congruence_violation(t, t, blocks)
-    twist_fill(t, t, pairs, pairs, pairs, pairs)
-    twist_subset_violation(t, t, pairs, pairs, pairs, pairs, member)
-    radical_violation(t, t, member)
-    strongly_prime_violation(t, t, member, pairs, pairs)
-    t_cancel_violation(t, member, pairs)
-    sqrt_step(t, t, member)

@@ -66,11 +66,15 @@ def main():
 def validate(file):
     """Axioms, the 1-dagger witness, and a classification summary."""
     text = open(file, "r", encoding="utf-8").read()
-    if dsl.is_hyper_text(text):
-        try:
-            hyper = dsl.build_hyper(dsl.parse_hyper_file(text))
-        except ValidationError as exc:
-            _fail(exc, EXIT_INVALID)
+    try:
+        parsed = dsl.parse_file(text)
+        if isinstance(parsed, dsl.HyperFile):
+            hyper = dsl.build_hyper(parsed)
+        else:
+            pair, negation = dsl.build_pair(parsed)
+    except ValidationError as exc:
+        _fail(exc, EXIT_INVALID)
+    if isinstance(parsed, dsl.HyperFile):
         click.echo(dsl.serialize_report({
             "name": hyper.name,
             "valid": True,
@@ -82,7 +86,6 @@ def validate(file):
             if hyper.e_set is not None else None,
         }), nl=False)
         return
-    pair, negation = _load_pair(file)
     cls = classify_pair(pair)
     w = pair.property_n
     report = {

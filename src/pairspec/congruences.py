@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .core import Pair, distributive_center
+from .core import Pair, is_distributively_central
 from .errors import CapExceeded
 
 DEFAULT_CAP = 100_000
@@ -240,7 +240,7 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
         contains_b=bool(rel[b1, b2]),
         congruence=cong,
         hypothesis_semiring=pair.structure.is_semiring(),
-        hypothesis_s_central=s in distributive_center(pair),
+        hypothesis_s_central=is_distributively_central(pair, s),
         z_set=frozenset(z),
     )
 

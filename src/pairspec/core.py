@@ -487,27 +487,23 @@ def is_e_distributive(pair: Pair) -> Optional[bool]:
     raise RuntimeError("e-distributivity iteration failed to cycle")  # pragma: no cover
 
 
+def is_distributively_central(pair: Pair, z: int) -> bool:
+    """Whether z commutes, associates, and distributes with the whole carrier."""
+    add, mul = pair.add, pair.mul
+    row, col = mul[z], mul[:, z]
+    return not (
+        (row != col).any()
+        or (mul[row, :] != mul[z][mul]).any()
+        or (mul[mul[:, z], :] != mul[:, mul[z]]).any()
+        or (mul[mul, z] != mul[:, mul[:, z]]).any()
+        or (row[add] != add[row[:, None], row[None, :]]).any()
+        or (mul[add, z] != add[col[:, None], col[None, :]]).any()
+    )
+
+
 def distributive_center(pair: Pair) -> frozenset[int]:
     """All z that commute, associate, and distribute with the whole carrier."""
-    add, mul = pair.add, pair.mul
-    n = pair.n
-    out = []
-    for z in range(n):
-        row, col = mul[z], mul[:, z]
-        if (row != col).any():
-            continue
-        if (mul[row, :] != mul[z][mul]).any():
-            continue
-        if (mul[mul[:, z], :] != mul[:, mul[z]]).any():
-            continue
-        if (mul[mul, z] != mul[:, mul[:, z]]).any():
-            continue
-        if (row[add] != add[row[:, None], row[None, :]]).any():
-            continue
-        if (mul[add, z] != add[col[:, None], col[None, :]]).any():
-            continue
-        out.append(z)
-    return frozenset(out)
+    return frozenset(z for z in range(pair.n) if is_distributively_central(pair, z))
 
 
 def heights(pair: Pair) -> list[Optional[int]]:
@@ -573,7 +569,7 @@ def classify_pair(pair: Pair) -> PairClassification:
     e = pair.property_n.e
     et = e_type(pair)
     e_dist = is_e_distributive(pair)
-    e_central = bool(e_dist and e in distributive_center(pair))
+    e_central = bool(e_dist and is_distributively_central(pair, e))
     e_idem = int(add[e, e]) == e
     e_final = et == (1, 1)
     return PairClassification(

@@ -143,9 +143,7 @@ def _perm(obj: dict, key: str, known: set[str]) -> Optional[dict[str, str]]:
     return dict(v)
 
 
-def parse_pair_file(text: str) -> PairFile:
-    """Structurally validated pair file; axiom checking happens at build."""
-    obj = _load(text)
+def _pair_file(obj: dict) -> PairFile:
     elements = _elements(obj)
     known = set(elements)
     n = len(elements)
@@ -162,8 +160,7 @@ def parse_pair_file(text: str) -> PairFile:
     )
 
 
-def parse_hyper_file(text: str) -> HyperFile:
-    obj = _load(text)
+def _hyper_file(obj: dict) -> HyperFile:
     elements = _elements(obj)
     known = set(elements)
     n = len(elements)
@@ -193,6 +190,21 @@ def parse_hyper_file(text: str) -> HyperFile:
         tangible=_label_list(obj, "tangible", known),
         hypernegation=_perm(obj, "hypernegation", known),
     )
+
+
+def parse_pair_file(text: str) -> PairFile:
+    """Structurally validated pair file; axiom checking happens at build."""
+    return _pair_file(_load(text))
+
+
+def parse_hyper_file(text: str) -> HyperFile:
+    return _hyper_file(_load(text))
+
+
+def parse_file(text: str) -> PairFile | HyperFile:
+    """A pair or a hyperstructure file, told apart by a ``hyperadd`` key."""
+    obj = _load(text)
+    return _hyper_file(obj) if "hyperadd" in obj else _pair_file(obj)
 
 
 def is_hyper_text(text: str) -> bool:

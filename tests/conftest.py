@@ -1,13 +1,6 @@
 import pytest
 
-from pairspec import _kernels, catalog
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so timed sections measure the
-    # algorithms, not LLVM.
-    _kernels.warm_up()
+from pairspec import catalog
 
 
 @pytest.fixture(scope="session")

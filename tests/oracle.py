@@ -1,13 +1,16 @@
 """Independent brute-force oracles.
 
 Everything here recomputes expected values from first principles with plain
-Python loops, deliberately sharing no code path with the package internals
-it is used to check.
+Python loops, or for the n^3 axiom scans with whole-cube numpy formulas,
+deliberately sharing no code path with the package internals it is used to
+check.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 
 def all_partitions(n: int):
@@ -152,3 +155,37 @@ def e_type_bruteforce(add, mul, dagger: int, n: int):
 def twist_bruteforce(add, mul, b, c):
     (b1, b2), (c1, c2) = b, c
     return (add[mul[b1][c1]][mul[b2][c2]], add[mul[b1][c2]][mul[b2][c1]])
+
+
+# ---------------------------------------------------------------------------
+# dense n^3 axiom scans
+# ---------------------------------------------------------------------------
+#
+# The whole-cube numpy formulas the slabbed kernels replaced.  They build
+# every n^3 comparison at once, so keep n small when calling them.
+
+def first_nonassoc_dense(op):
+    """First (i, j, k) in row-major order with (ij)k != i(jk), or (-1, -1, -1)."""
+    bad = np.argwhere(op[op, :] != op[:, op])
+    if len(bad) == 0:
+        return (-1, -1, -1)
+    i, j, k = bad[0]
+    return (int(i), int(j), int(k))
+
+
+def first_nondistrib_dense(add, mul):
+    """First (side, a, b, c): side 0 a(b+c) != ab + ac scanned as [a,b,c],
+    then side 1 (b+c)a != ba + ca scanned as [b,c,a]; or (-1, -1, -1, -1)."""
+    left = mul[:, add]
+    left_sum = add[mul[:, :, None], mul[:, None, :]]
+    bad = np.argwhere(left != left_sum)
+    if len(bad):
+        a, b, c = bad[0]
+        return (0, int(a), int(b), int(c))
+    right = mul[add, :]
+    right_sum = add[mul[:, None, :], mul[None, :, :]]
+    bad = np.argwhere(right != right_sum)
+    if len(bad):
+        b, c, a = bad[0]
+        return (1, int(a), int(b), int(c))
+    return (-1, -1, -1, -1)

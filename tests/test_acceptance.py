@@ -67,22 +67,16 @@ def test_criterion_03_twist_associativity(pairs):
         d = double(pairs[name])
         results[name] = d.twist_associative
         largest = max(largest, d.n)
-    # dual route on the largest double: the numpy backend must agree
+    # dual route on the largest double: the dense whole-cube scan must agree
     biggest = max(semiring_names, key=lambda n: pairs[n].n)
     tables = double(pairs[biggest]).structure
-    old = _kernels.get_backend()
-    try:
-        agree = True
-        for backend in _kernels.available_backends():
-            _kernels.set_backend(backend)
-            agree &= _kernels.first_nonassoc(tables.mul)[0] < 0
-    finally:
-        _kernels.set_backend(old)
+    agree = (_kernels.first_nonassoc(tables.mul)
+             == oracle.first_nonassoc_dense(tables.mul) == (-1, -1, -1))
     elapsed = time.perf_counter() - t0
     ok = all(results.values()) and agree and elapsed < 30.0 and largest >= 81
     _verdict(3, ok, f"twist product associative on double(P) for "
                     f"{len(semiring_names)} semiring pairs, exhaustively up to "
-                    f"{largest}^3 triples, both backends, in {elapsed:.2f}s (budget 30s)")
+                    f"{largest}^3 triples, slabbed and dense scans agree, in {elapsed:.2f}s (budget 30s)")
 
 
 def test_criterion_04_lattice_matches_bruteforce(pairs):

@@ -161,3 +161,16 @@ def test_construct_chain_feeds_spectrum(runner, tmp_path):
     assert res.exit_code == 0
     res = runner.invoke(main, ["spectrum", str(tmp_path / "p.json")])
     assert res.exit_code == 0
+
+
+def test_validate_decodes_its_input_once(runner, tmp_path, sb_file, monkeypatch):
+    res = runner.invoke(main, ["construct", "residue", "--param", "field=5",
+                               "--param", "subgroup=1,4", "-o", str(tmp_path / "h.json")])
+    assert res.exit_code == 0
+    decoded = []
+    load = dsl._load
+    monkeypatch.setattr(dsl, "_load", lambda text: decoded.append(text) or load(text))
+    for path in (sb_file, str(tmp_path / "h.json")):
+        decoded.clear()
+        res = runner.invoke(main, ["validate", path])
+        assert res.exit_code == 0 and len(decoded) == 1, path

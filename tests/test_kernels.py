@@ -1,143 +1,138 @@
-"""Both kernel backends must agree everywhere they are asked anything."""
+"""The slabbed n^3 axiom scans against the dense whole-cube formulas."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from pairspec import _kernels
 
 
-needs_numba = pytest.mark.skipif(
-    "numba" not in _kernels.available_backends(), reason="numba unavailable"
-)
+def _family(kind, n, rng):
+    """(add, mul) tables of one shape, relabelled by a random permutation.
+
+    random: arbitrary tables; lattice: max and min on a chain, associative
+    and distributive; projection: a cyclic group with right projection as
+    multiplication, which fails only the right distributive law.
+    """
+    idx = np.arange(n)
+    if kind == "random":
+        add = rng.integers(0, n, (n, n))
+        mul = rng.integers(0, n, (n, n))
+    elif kind == "lattice":
+        add = np.maximum(idx[:, None], idx[None, :])
+        mul = np.minimum(idx[:, None], idx[None, :])
+    else:
+        add = (idx[:, None] + idx[None, :]) % n
+        mul = np.broadcast_to(idx[None, :], (n, n))
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    return tuple(perm[t[inv][:, inv]] for t in (add, mul))
 
 
-def _run_both(fn_name, *args):
-    out = {}
-    old = _kernels.get_backend()
-    try:
-        for backend in _kernels.available_backends():
-            _kernels.set_backend(backend)
-            res = getattr(_kernels, fn_name)(*args)
-            out[backend] = res.copy() if isinstance(res, np.ndarray) else res
-    finally:
-        _kernels.set_backend(old)
-    return out
+def _plant(t, rng, cells):
+    t = t.copy()
+    n = t.shape[0]
+    for _ in range(cells):
+        t[rng.integers(n), rng.integers(n)] = rng.integers(n)
+    return t
 
 
-def _tables(seed, n):
+def _assert_scans_match(add, mul):
+    for op in (add, mul):
+        assert _kernels.first_nonassoc(op) == oracle.first_nonassoc_dense(op)
+    assert _kernels.first_nondistrib(add, mul) == oracle.first_nondistrib_dense(add, mul)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
+       kind=st.sampled_from(["random", "lattice", "projection"]),
+       planted=st.integers(0, 2))
+def test_scans_match_dense_formulas(seed, n, kind, planted):
     rng = np.random.default_rng(seed)
-    add = rng.integers(0, n, (n, n), dtype=np.int64)
-    add = np.minimum(add, add.T)  # commutative, not necessarily associative
-    mul = rng.integers(0, n, (n, n), dtype=np.int64)
-    return add, mul
+    add, mul = _family(kind, n, rng)
+    add, mul = _plant(add, rng, planted), _plant(mul, rng, planted)
+    _assert_scans_match(add, mul)
+    if kind != "random" and not planted:
+        assert _kernels.first_nonassoc(add) == _kernels.first_nonassoc(mul) == (-1, -1, -1)
+        side = _kernels.first_nondistrib(add, mul)[0]
+        assert side == (1 if kind == "projection" and n > 1 else -1)
 
 
-@needs_numba
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 7))
-def test_scan_kernels_agree(seed, n):
-    add, mul = _tables(seed, n)
-    rng = np.random.default_rng(seed + 1)
-    member = rng.random((n, n)) < 0.4
-    member |= member.T
-    np.fill_diagonal(member, True)
-
-    for fn, args in [
-        ("first_nonassoc", (mul,)),
-        ("first_noncomm", (mul,)),
-        ("first_nondistrib", (add, mul)),
-        ("radical_violation", (add, mul, member)),
-        ("sqrt_step", (add, mul, member)),
-    ]:
-        res = _run_both(fn, *args)
-        a, b = res["numba"], res["numpy"]
-        if isinstance(a, np.ndarray):
-            assert (a == b).all(), fn
-        else:
-            assert a == b, fn
-
-
-@needs_numba
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
-def test_member_kernels_agree(seed, n):
-    add, mul = _tables(seed, n)
-    rng = np.random.default_rng(seed + 2)
-    member = rng.random((n, n)) < 0.5
-    member |= member.T
-    np.fill_diagonal(member, True)
-    xs, ys = (a.astype(np.int64) for a in np.nonzero(member))
-    nxs, nys = (a.astype(np.int64) for a in np.nonzero(~member))
-    t_idx = np.arange(1, n, dtype=np.int64)
-
-    fill = _run_both("twist_fill", add, mul, xs, ys, xs, ys)
-    assert (fill["numba"] == fill["numpy"]).all()
-
-    # the two backends may report different first witnesses; only the
-    # "violation exists" verdict must agree
-    sub = _run_both("twist_subset_violation", add, mul, xs, ys, xs, ys, member)
-    assert (sub["numba"][0] < 0) == (sub["numpy"][0] < 0)
-
-    sp = _run_both("strongly_prime_violation", add, mul, member, nxs, nys)
-    assert (sp["numba"][0] < 0) == (sp["numpy"][0] < 0)
-
-    tc = _run_both("t_cancel_violation", mul, member, t_idx)
-    assert (tc["numba"][0] < 0) == (tc["numpy"][0] < 0)
+def _last_slab_cases(n):
+    """Tables whose only violation has first two indices (n-1, n-1), with
+    its expected witness.  From 258 elements on, the two compared values
+    differ by exactly 256, which a uint8 copy of the tables would miss."""
+    top = n - 1
+    v = 256 if n > 257 else 1
+    # a null semigroup whose last row f fixes n-1 and 1 + v and sends n-2
+    # to 1 and 1 to 1 + v: only (top, top, n-2) fails, as f(f(n-2)) != f(n-2)
+    op = np.zeros((n, n), dtype=np.int64)
+    op[top, top] = top
+    op[top, n - 2] = 1
+    op[top, 1] = op[top, 1 + v] = 1 + v
+    # right projection addition except top + top = 0
+    add = np.broadcast_to(np.arange(n), (n, n)).copy()
+    add[top, top] = 0
+    # products take no value top, so only b = c = top breaks a law
+    left = np.zeros((n, n), dtype=np.int64)
+    left[top, top] = v
+    right = np.zeros((n, n), dtype=np.int64)
+    right[top, 1] = v
+    return [
+        (_kernels.first_nonassoc, (op,), (top, top, n - 2)),
+        (_kernels.first_nondistrib, (add, left), (0, top, top, top)),
+        (_kernels.first_nondistrib, (add, right), (1, 1, top, top)),
+    ]
 
 
-@needs_numba
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
-def test_closure_and_violation_agree_on_catalog_like_tables(seed, n):
-    # closure needs commutative+associative addition; use max as a stand-in
+# 100: slabs of six whole rows, the last holding four; 300: the uint16
+# path, one row per slab split into column ranges of 218 and 82.
+@pytest.mark.parametrize("n", [100, 300])
+def test_violation_in_a_short_last_slab(n):
+    *_, (rows, cols) = _kernels._slabs(n)
+    first_rows, first_cols = next(_kernels._slabs(n))
+    assert (rows.stop - rows.start, cols.stop - cols.start) != \
+        (first_rows.stop - first_rows.start, first_cols.stop - first_cols.start)
+    assert rows.stop == cols.stop == n
+    for scan, args, want in _last_slab_cases(n):
+        assert scan(*args) == want
+
+
+def test_uint16_max_with_one_planted_cell():
+    n = 300
+    idx = np.arange(n)
+    op = np.maximum(idx[:, None], idx[None, :])
+    assert _kernels.first_nonassoc(op) == (-1, -1, -1)
+    op[n - 1, n - 1] = 0
+    # (1 (n-1)) (n-1) = 0 while 1 ((n-1)(n-1)) = max(1, 0) = 1
+    assert _kernels.first_nonassoc(op) == (1, n - 1, n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 81, 255, 256, 257, 300, 729, 2000])
+def test_slabs_tile_the_square_in_row_major_order(n):
+    end = (0, 0)
+    for rows, cols in _kernels._slabs(n):
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) * n <= _kernels._SCAN_CELLS
+        assert rows.stop - rows.start == 1 or (cols.start, cols.stop) == (0, n)
+        assert (rows.start, cols.start) == end and cols.start < cols.stop
+        end = (rows.start, cols.stop) if cols.stop < n else (rows.stop, 0)
+    assert end == (n, 0)
+
+
+def test_distributivity_scan_memory_does_not_grow_with_n():
+    n = 400
     idx = np.arange(n)
     add = np.maximum(idx[:, None], idx[None, :])
-    rng = np.random.default_rng(seed)
-    mul = rng.integers(0, n, (n, n), dtype=np.int64)
-    init = np.arange(n, dtype=np.int64)
-    gx = rng.integers(0, n, 2).astype(np.int64)
-    gy = rng.integers(0, n, 2).astype(np.int64)
-
-    res = _run_both("closure_roots", add, mul, init, gx, gy)
-    # roots may differ by representative; compare induced partitions
-    def canon(roots):
-        seen, out = {}, []
-        for r in roots.tolist():
-            out.append(seen.setdefault(r, len(seen)))
-        return out
-
-    assert canon(res["numba"]) == canon(res["numpy"])
-
-    blocks = np.asarray(canon(res["numba"]), dtype=np.int64)
-    v = _run_both("congruence_violation", add, mul, blocks)
-    assert (v["numba"][0] < 0) == (v["numpy"][0] < 0)
-
-
-@needs_numba
-def test_closure_agrees_on_catalog(pairs):
-    from pairspec.congruences import enumerate_congruences
-
-    old = _kernels.get_backend()
+    mul = np.minimum(idx[:, None], idx[None, :])
+    tracemalloc.start()
     try:
-        for name in ("super_boolean", "minbp_c2_second", "supertropical_c2"):
-            results = {}
-            for backend in _kernels.available_backends():
-                _kernels.set_backend(backend)
-                lat = enumerate_congruences(pairs[name])
-                results[backend] = {c.block_of for c in lat}
-            assert results["numba"] == results["numpy"], name
+        assert _kernels.first_nondistrib(add, mul) == (-1, -1, -1, -1)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        _kernels.set_backend(old)
-
-
-def test_backend_selection_roundtrip():
-    old = _kernels.get_backend()
-    try:
-        _kernels.set_backend("numpy")
-        assert _kernels.get_backend() == "numpy"
-        with pytest.raises(ValueError):
-            _kernels.set_backend("fortran")
-    finally:
-        _kernels.set_backend(old)
+        tracemalloc.stop()
+    # a whole n^3 int64 cube would be 512 MB
+    assert peak < 4 * 2**20, peak
