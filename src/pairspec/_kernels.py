@@ -98,12 +98,12 @@ def first_nondistrib(add, mul):
     return (-1, -1, -1, -1)
 
 
-def closure_roots(add, mul, init_block, gen_xs, gen_ys):
-    """Union-find roots of the least congruence refining nothing coarser.
+def closure_roots(add, mul, gens):
+    """Union-find roots of the least congruence relating each generator pair.
 
-    Starts from the partition ``init_block`` plus generator pairs, then closes
-    under x ~ y  =>  x+c ~ y+c, xc ~ yc, cx ~ cy for every c.  Each successful
-    merge is pushed once; merges are bounded by n-1, so the scan is O(n^2).
+    Closes under x ~ y  =>  x+c ~ y+c, xc ~ yc, cx ~ cy for every c.  Each
+    successful merge is pushed once; merges are bounded by n-1, so the scan
+    is O(n^2).  Each root is the least member of its block.
     """
     n = add.shape[0]
     parent = list(range(n))
@@ -125,51 +125,72 @@ def closure_roots(add, mul, init_block, gen_xs, gen_ys):
         parent[ry] = rx
         stack.append((x, y))
 
-    rep = {}
-    for i in range(n):
-        b = init_block[i]
-        if b in rep:
-            union(rep[b], i)
-        else:
-            rep[b] = i
-    for x, y in zip(gen_xs, gen_ys):
+    for x, y in gens:
         union(int(x), int(y))
 
+    rows = (add.tolist(), mul.tolist(), mul.T.tolist())
     while stack:
         x, y = stack.pop()
-        ax, ay = add[x], add[y]
-        mx, my = mul[x], mul[y]
-        cx, cy = mul[:, x], mul[:, y]
-        for c in range(n):
-            union(ax[c], ay[c])
-            union(mx[c], my[c])
-            union(cx[c], cy[c])
+        for t in rows:
+            for u, v in zip(t[x], t[y]):
+                if u != v:
+                    union(u, v)
 
-    return np.array([find(i) for i in range(n)], dtype=np.int64)
+    return [find(i) for i in range(n)]
 
 
 def congruence_violation(add, mul, block_of):
     """First (x, y, c, kind) witnessing that the partition is not a congruence.
 
     kind 0: x+c / y+c land in different blocks; kind 1: xc / yc; kind 2: cx / cy.
+    With blocks in order of least member and pairs in lexicographic order,
+    the first violating pair is (least member x of the first block with a
+    member whose rows differ from x's, least such member y).  Each element's
+    rows are compared with its block's least member's, n^2 cells at a time.
     """
     n = add.shape[0]
-    blocks = {}
-    for i in range(n):
-        blocks.setdefault(block_of[i], []).append(i)
-    for members in blocks.values():
-        for ii, x in enumerate(members):
-            for y in members[ii + 1:]:
-                d = np.argwhere(block_of[add[x]] != block_of[add[y]])
-                if len(d):
-                    return (x, y, int(d[0][0]), 0)
-                d = np.argwhere(block_of[mul[x]] != block_of[mul[y]])
-                if len(d):
-                    return (x, y, int(d[0][0]), 1)
-                d = np.argwhere(block_of[mul[:, x]] != block_of[mul[:, y]])
-                if len(d):
-                    return (x, y, int(d[0][0]), 2)
-    return (-1, -1, -1, -1)
+    _, first, inv = np.unique(block_of, return_index=True, return_inverse=True)
+    rep = first[inv.ravel()]          # least member of each element's block
+    lab = _compact(rep)
+    tables = (add, mul, mul.T)
+    bad = np.zeros(n, dtype=bool)
+    for t in tables:
+        blocks = lab[t]
+        bad |= (blocks != blocks[rep]).any(axis=1)
+    ys = np.nonzero(bad)[0]
+    if not len(ys):
+        return (-1, -1, -1, -1)
+    y = int(ys[np.argmin(rep[ys] * n + ys)])
+    x = int(rep[y])
+    for kind, t in enumerate(tables):
+        d = lab[t[y]] != lab[t[x]]
+        if d.any():
+            return (x, y, int(d.argmax()), kind)
+
+
+# Most cells one temporary of the refinement order may hold.
+_LEQ_CELLS = 1 << 22
+
+
+def refinement_order(block_ofs):
+    """leq[i, j] iff partition row i (block ids in 0..n-1) refines row j:
+    ``b[j][rep_i] == b[j]``, with rep_i each element's least block-mate in i.
+    No temporary holds more than ``_LEQ_CELLS`` cells."""
+    b = np.asarray(block_ofs, dtype=np.int64)
+    m, n = b.shape
+    rows = np.arange(m)
+    first = np.empty((m, n), dtype=np.int64)   # first[i, k]: least member of block k
+    for x in range(n - 1, -1, -1):
+        first[rows, b[:, x]] = x
+    rep = first[rows[:, None], b]
+    b = b.astype(np.uint8 if n <= 256 else np.uint16)
+    out = np.empty((m, m), dtype=bool)
+    step = max(1, _LEQ_CELLS // max(1, m * n))
+    for lo in range(0, m, step):
+        # same[j, i, x]: x and rep_i(x) share a block of j
+        same = b[:, rep[lo:lo + step]] == b[:, None, :]
+        out[lo:lo + step] = same.all(axis=2).T
+    return out
 
 
 _CHUNK = 1 << 14

@@ -36,11 +36,17 @@ EXIT_CAP = 2
 EXIT_CHECK_FAILED = 3
 
 
+def _echo(text: str, nl: bool = True, err: bool = False) -> None:
+    """``click.echo`` to an explicit stream: click's cache of default streams
+    would keep every in-process runner's output alive."""
+    click.echo(text, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(exc: PairspecError, code: int):
     payload = exc.to_dict() if isinstance(exc, ValidationError) else {
         "kind": type(exc).__name__, "message": str(exc),
     }
-    click.echo(dsl.serialize_report({"error": payload}), nl=False)
+    _echo(dsl.serialize_report({"error": payload}), nl=False)
     sys.exit(code)
 
 
@@ -51,7 +57,7 @@ def _load_pair(path: str):
         return pair, negation
     except (ValidationError, OSError) as exc:
         if isinstance(exc, OSError):
-            click.echo(f"cannot read {path}: {exc}", err=True)
+            _echo(f"cannot read {path}: {exc}", err=True)
             sys.exit(EXIT_INVALID)
         _fail(exc, EXIT_INVALID)
 
@@ -75,7 +81,7 @@ def validate(file):
     except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
     if isinstance(parsed, dsl.HyperFile):
-        click.echo(dsl.serialize_report({
+        _echo(dsl.serialize_report({
             "name": hyper.name,
             "valid": True,
             "kind": "hyperstructure",
@@ -107,7 +113,7 @@ def validate(file):
         "has_valid_negation": negation is not None,
         "classification": cls.to_dict(),
     }
-    click.echo(dsl.serialize_report(report), nl=False)
+    _echo(dsl.serialize_report(report), nl=False)
 
 
 @main.command()
@@ -115,7 +121,7 @@ def validate(file):
 def classify(file):
     """Full pair classification as JSON."""
     pair, _ = _load_pair(file)
-    click.echo(dsl.serialize_report(classify_pair(pair).to_dict()), nl=False)
+    _echo(dsl.serialize_report(classify_pair(pair).to_dict()), nl=False)
 
 
 @main.command()
@@ -133,7 +139,7 @@ def congruences(file, cap):
         "count": len(lattice),
         "congruences": [{"index": i, "blocks": c.block_labels()} for i, c in enumerate(lattice)],
     }
-    click.echo(dsl.serialize_report(report), nl=False)
+    _echo(dsl.serialize_report(report), nl=False)
 
 
 @main.command()
@@ -146,7 +152,7 @@ def spectrum(file, cap):
         report = spectrum_report(pair, cap)
     except CapExceeded as exc:
         _fail(exc, EXIT_CAP)
-    click.echo(dsl.serialize_report(report.to_dict()), nl=False)
+    _echo(dsl.serialize_report(report.to_dict()), nl=False)
 
 
 @main.command()
@@ -171,7 +177,7 @@ def verify(file, check_ids, run_every):
         "reports": [r.to_dict() for r in reports],
         "summary": summarize(reports),
     }
-    click.echo(dsl.serialize_report(payload), nl=False)
+    _echo(dsl.serialize_report(payload), nl=False)
     if any(r.passed is False for r in reports):
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -206,7 +212,7 @@ def construct(builder, param_list, base_file, out_file):
     except (ValidationError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             _fail(exc, EXIT_INVALID)
-        click.echo(str(exc), err=True)
+        _echo(str(exc), err=True)
         sys.exit(EXIT_INVALID)
     except (CarrierTooLarge, CapExceeded) as exc:
         _fail(exc, EXIT_CAP)
@@ -214,9 +220,9 @@ def construct(builder, param_list, base_file, out_file):
     if out_file:
         with open(out_file, "w", encoding="utf-8") as fh:
             fh.write(text)
-        click.echo(out_file)
+        _echo(out_file)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 def _load_hyper_arg(params, base_file):
@@ -296,13 +302,13 @@ def quotient(file, gen_spec, out_file):
     gens = []
     for item in gen_spec.split(","):
         if "~" not in item:
-            click.echo(f"generator {item!r} must look like a~b", err=True)
+            _echo(f"generator {item!r} must look like a~b", err=True)
             sys.exit(EXIT_INVALID)
         a, b = (x.strip() for x in item.split("~", 1))
         try:
             gens.append((pair.structure.index[a], pair.structure.index[b]))
         except KeyError as exc:
-            click.echo(f"unknown label {exc}", err=True)
+            _echo(f"unknown label {exc}", err=True)
             sys.exit(EXIT_INVALID)
     cong = generated_congruence(pair, gens)
     try:
@@ -313,9 +319,9 @@ def quotient(file, gen_spec, out_file):
     if out_file:
         with open(out_file, "w", encoding="utf-8") as fh:
             fh.write(text)
-        click.echo(out_file)
+        _echo(out_file)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 if __name__ == "__main__":

@@ -30,15 +30,10 @@ def _cap_from_env(cap: Optional[int]) -> int:
 
 
 def canonical_block_of(labels) -> tuple[int, ...]:
-    """Renumber arbitrary block labels so ids appear in first-occurrence order."""
-    seen: dict[int, int] = {}
-    out = []
-    for x in labels:
-        x = int(x)
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
+    """Renumber arbitrary hashable block labels so ids appear in
+    first-occurrence order."""
+    seen: dict = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
 
 
 @dataclass(frozen=True)
@@ -122,20 +117,14 @@ def is_congruence(pair: Pair, partition) -> tuple[bool, Optional[dict]]:
     }
 
 
-def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]],
-                         base: Optional[Congruence] = None) -> Congruence:
-    """Least congruence containing the generator pairs (and ``base``).
+def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]]) -> Congruence:
+    """Least congruence containing the generator pairs.
 
     Worklist closure: every merge of x and y queues the translates
     (x+c, y+c), (xc, yc), (cx, cy) for all c; merges strictly reduce the
     block count, so the loop is bounded.
     """
-    init = np.asarray(base.block_of if base is not None else range(pair.n), dtype=np.int64)
-    gens = [(int(x), int(y)) for x, y in generators]
-    xs = np.asarray([g[0] for g in gens], dtype=np.int64)
-    ys = np.asarray([g[1] for g in gens], dtype=np.int64)
-    roots = _kernels.closure_roots(pair.add, pair.mul, init, xs, ys)
-    return Congruence(pair=pair, block_of=tuple(int(r) for r in roots))
+    return Congruence(pair=pair, block_of=_kernels.closure_roots(pair.add, pair.mul, generators))
 
 
 def diag_e(pair: Pair) -> Congruence:
@@ -145,21 +134,35 @@ def diag_e(pair: Pair) -> Congruence:
 
 
 def join(c1: Congruence, c2: Congruence) -> Congruence:
-    gens = []
-    for blk in c2.blocks():
-        gens.extend((blk[0], x) for x in blk[1:])
-    return generated_congruence(c1.pair, gens, base=c1)
+    """Join of two congruences of one pair.
+
+    Both arguments must be congruences of the same pair: the join of two
+    congruences is then their join as equivalence relations, so a union-find
+    over the blocks of ``c1``, merged along the blocks of ``c2``, gives it
+    without reading the operation tables.
+    """
+    parent = list(range(c1.n_blocks))
+
+    def find(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    first: dict[int, int] = {}   # block of c2 -> block of c1 holding its first member
+    for b1, b2 in zip(c1.block_of, c2.block_of):
+        a = first.setdefault(b2, b1)
+        if a != b1:
+            r1, r2 = find(a), find(b1)
+            if r1 != r2:
+                parent[max(r1, r2)] = min(r1, r2)
+    roots = [find(b) for b in range(len(parent))]
+    return Congruence(pair=c1.pair, block_of=tuple(map(roots.__getitem__, c1.block_of)))
 
 
 def meet(c1: Congruence, c2: Congruence) -> Congruence:
-    pairs = list(zip(c1.block_of, c2.block_of))
-    seen: dict[tuple[int, int], int] = {}
-    labels = []
-    for p in pairs:
-        if p not in seen:
-            seen[p] = len(seen)
-        labels.append(seen[p])
-    return Congruence(pair=c1.pair, block_of=tuple(labels))
+    """Common refinement: x and y share a block of both."""
+    return Congruence(pair=c1.pair, block_of=tuple(zip(c1.block_of, c2.block_of)))
 
 
 @dataclass(frozen=True)
@@ -218,25 +221,12 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
         col = add[:, zv]
         rel |= col[:, None] == col[None, :]
 
-    reach = rel
-    closed = True
-    trans = (reach[:, :, None] & reach[None, :, :]).any(axis=1)
-    if (trans & ~reach).any():
-        closed = False
-
-    cong = None
-    is_cong = False
-    if closed:
-        comp = canonical_block_of(_components(rel))
-        ok, _ = is_congruence(pair, comp)
-        if ok:
-            cong = Congruence(pair=pair, block_of=comp)
-            is_cong = True
+    closed, cong = relation_to_congruence(pair, rel)
     return CongBResult(
         b=(b1, b2),
         relation=rel,
         is_equivalence=closed,
-        is_congruence=is_cong,
+        is_congruence=cong is not None,
         contains_b=bool(rel[b1, b2]),
         congruence=cong,
         hypothesis_semiring=pair.structure.is_semiring(),
@@ -245,37 +235,28 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     )
 
 
-def _components(rel: np.ndarray) -> list[int]:
-    n = rel.shape[0]
-    comp = [-1] * n
-    cur = 0
-    for i in range(n):
-        if comp[i] >= 0:
-            continue
-        stack = [i]
-        comp[i] = cur
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(rel[x])[0].tolist():
-                if comp[y] < 0:
-                    comp[y] = cur
-                    stack.append(y)
-        cur += 1
-    return comp
+def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[Congruence]]:
+    """Whether a symmetric pair-set is transitive, and if so the congruence
+    it is (None when its blocks are not a congruence).  An element related
+    to nothing forms a block of its own."""
+    if ((rel[:, :, None] & rel[None, :, :]).any(axis=1) & ~rel).any():
+        return False, None
+    block_of = canonical_block_of((rel | np.eye(pair.n, dtype=bool)).argmax(axis=1))
+    ok, _ = is_congruence(pair, block_of)
+    return True, Congruence(pair=pair, block_of=block_of) if ok else None
 
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    """Every congruence of a pair, closed under meet and join.
+    """Every congruence of a pair, finest first.
 
-    Principal congruences generate the whole lattice under join; closure
-    under join therefore enumerates every congruence, and intersections are
-    congruences so the result is meet-closed for free.
+    ``congruences`` is sorted by decreasing block count, then by
+    ``block_of``; the list is closed under meet and join.  ``leq`` is the
+    refinement order as a boolean matrix over those indices.
     """
 
     pair: Pair = field(compare=False, repr=False)
     congruences: tuple[Congruence, ...] = ()
-    capped: bool = False
 
     def __len__(self) -> int:
         return len(self.congruences)
@@ -299,11 +280,7 @@ class CongruenceLattice:
     @cached_property
     def leq(self) -> np.ndarray:
         """leq[i, j] iff congruence i refines (is contained in) congruence j."""
-        m = len(self.congruences)
-        out = np.zeros((m, m), dtype=bool)
-        for i, ci in enumerate(self.congruences):
-            for j, cj in enumerate(self.congruences):
-                out[i, j] = ci.refines(cj)
+        out = _kernels.refinement_order([c.block_of for c in self.congruences])
         out.setflags(write=False)
         return out
 
@@ -330,8 +307,15 @@ class CongruenceLattice:
 
 
 def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLattice:
-    """All congruences: principal congruences of every element pair, closed
-    under join.  Raises CapExceeded with the partial count past the cap."""
+    """All congruences of a pair, as a ``CongruenceLattice``.
+
+    Every congruence is a join of principal congruences Cg(x, y), so the
+    distinct principals are found first and each newly found congruence is
+    then joined with each principal only.  A principal Cg(x, y) already
+    below a congruence is skipped, since the join would give that
+    congruence back.  Raises CapExceeded, with the partial count, as soon
+    as more than ``cap`` congruences are known.
+    """
     cap = _cap_from_env(cap)
     known: dict[tuple[int, ...], Congruence] = {}
 
@@ -344,22 +328,25 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
         return True
 
     add_cong(diagonal(pair))
-    fresh = []
+    principals = []   # (x, y, Cg(x, y)) for each distinct principal
     for x in range(pair.n):
         for y in range(x + 1, pair.n):
             c = generated_congruence(pair, [(x, y)])
             if add_cong(c):
-                fresh.append(c)
+                principals.append((x, y, c))
 
+    fresh = [c for _, _, c in principals]
     while fresh:
         c = fresh.pop()
-        for other in list(known.values()):
-            j = join(c, other)
-            if add_cong(j):
-                fresh.append(j)
+        b = c.block_of
+        for x, y, p in principals:
+            if b[x] != b[y]:
+                j = join(c, p)
+                if add_cong(j):
+                    fresh.append(j)
 
     ordered = sorted(known.values(), key=lambda c: (-c.n_blocks, c.block_of))
-    return CongruenceLattice(pair=pair, congruences=tuple(ordered), capped=False)
+    return CongruenceLattice(pair=pair, congruences=tuple(ordered))
 
 
 def lattice_meet_join(lattice: CongruenceLattice, c1: Congruence, c2: Congruence):

@@ -18,11 +18,10 @@ from . import _kernels
 from .congruences import (
     Congruence,
     CongruenceLattice,
-    _components,
     diag_e,
     enumerate_congruences,
-    is_congruence,
     meet,
+    relation_to_congruence,
 )
 from .constructions import quotient_pair
 from .core import FiniteStructure, Pair, classify_pair, positive_e_type, validate_structure
@@ -99,18 +98,9 @@ def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
             break
         cur = nxt
         depth += 1
-    trans = (cur[:, :, None] & cur[None, :, :]).any(axis=1)
-    is_eq = not (trans & ~cur).any()
-    cong_out = None
-    is_cong = False
-    if is_eq:
-        blocks = _components(cur)
-        ok, _ = is_congruence(pair, blocks)
-        if ok:
-            cong_out = Congruence(pair=pair, block_of=tuple(blocks))
-            is_cong = True
+    is_eq, cong_out = relation_to_congruence(pair, cur)
     return SqrtResult(matrix=cur, depth=depth, is_equivalence=is_eq,
-                      is_congruence=is_cong, congruence=cong_out)
+                      is_congruence=cong_out is not None, congruence=cong_out)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +187,11 @@ def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceC
 
 def classify_congruence(pair: Pair, cong: Congruence,
                         lattice: Optional[CongruenceLattice]) -> CongruenceClassification:
-    """Full classification; the lattice-quantified flags stay None when the
-    enumeration was capped, and a missing lattice is an error."""
+    """Full classification; the lattice-quantified flags need the whole
+    lattice, and a missing lattice is an error."""
     base = classify_congruence_elementwise(pair, cong)
     if lattice is None:
         raise LatticeRequired("prime/semiprime/irreducible need the congruence lattice")
-    if lattice.capped:
-        return base
 
     i = lattice.find(cong)
     above = lattice.strictly_above(i)
@@ -287,14 +275,7 @@ def push_congruence(cong: Congruence, proj: np.ndarray, target: Pair) -> Optiona
     rel = np.zeros((m, m), dtype=bool)
     xs, ys = cong.members
     rel[proj[xs], proj[ys]] = True
-    trans = (rel[:, :, None] & rel[None, :, :]).any(axis=1)
-    if (trans & ~rel).any():
-        return None
-    blocks = _components(rel)
-    ok, _ = is_congruence(target, blocks)
-    if not ok:
-        return None
-    return Congruence(pair=target, block_of=tuple(blocks))
+    return relation_to_congruence(target, rel)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +361,7 @@ def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
 
 
 def _verdict_rd2(pair: Pair, lattice: CongruenceLattice, src: list[int],
-                 strong: bool) -> IsoVerdict:
+                 strong: bool, cap: Optional[int]) -> IsoVerdict:
     cls = classify_pair(pair)
     if not (cls.has_property_n and cls.e_central and cls.positive_e_type):
         return IsoVerdict(applicable=False, detail="needs an e-central pair of positive e-type")
@@ -388,7 +369,7 @@ def _verdict_rd2(pair: Pair, lattice: CongruenceLattice, src: list[int],
         ae, proj = ae_pair(pair)
     except HypothesisFails as exc:
         return IsoVerdict(applicable=True, holds=False, detail=str(exc))
-    ae_lat = enumerate_congruences(ae)
+    ae_lat = enumerate_congruences(ae, cap)
     ae_cls = [classify_congruence(ae, c, ae_lat) for c in ae_lat]
     if strong:
         ae_spec = [i for i, c in enumerate(ae_cls) if c.strongly_prime]
@@ -417,14 +398,14 @@ def _verdict_rd2(pair: Pair, lattice: CongruenceLattice, src: list[int],
 
 
 def _verdict_sp2i(pair: Pair, lattice: CongruenceLattice, src: list[int],
-                  strong: bool) -> IsoVerdict:
+                  strong: bool, cap: Optional[int]) -> IsoVerdict:
     cls = classify_pair(pair)
     if not (cls.has_property_n and cls.e_central):
         return IsoVerdict(applicable=False, detail="needs an e-central pair with a witness")
     de = diag_e(pair)
     qp = quotient_pair(pair, de, name=f"{pair.name}/diag_e")
     proj = np.asarray(de.block_of, dtype=np.int64)
-    q_lat = enumerate_congruences(qp)
+    q_lat = enumerate_congruences(qp, cap)
     q_cls = [classify_congruence(qp, c, q_lat) for c in q_lat]
     if strong:
         q_spec = [i for i, c in enumerate(q_cls) if c.strongly_prime]
@@ -477,10 +458,10 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
         rd1 = IsoVerdict(applicable=True, holds=not bad,
                          detail="" if not bad else f"radical congruences missing (1,e): {bad}")
 
-    rd2 = _verdict_rd2(pair, lattice, strong, strong=True)
-    sp2i = _verdict_sp2i(pair, lattice, strong_spec_e, strong=True)
-    rd2_weak = _verdict_rd2(pair, lattice, hspec, strong=False)
-    sp2i_weak = _verdict_sp2i(pair, lattice, spec_e, strong=False)
+    rd2 = _verdict_rd2(pair, lattice, strong, strong=True, cap=cap)
+    sp2i = _verdict_sp2i(pair, lattice, strong_spec_e, strong=True, cap=cap)
+    rd2_weak = _verdict_rd2(pair, lattice, hspec, strong=False, cap=cap)
+    sp2i_weak = _verdict_sp2i(pair, lattice, spec_e, strong=False, cap=cap)
     return SpectrumReport(
         pair_name=pair.name, lattice=lattice, classifications=cls,
         hspec=tuple(hspec), spec_e=tuple(spec_e), radical_set=radical_set,

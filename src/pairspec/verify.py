@@ -446,9 +446,9 @@ def _check_rd2(ctx):
     if not (ctx.cls.has_property_n and ctx.cls.e_central and ctx.cls.positive_e_type):
         return False, None, None, "needs an e-central pair of positive e-type"
     strong = [i for i, c in enumerate(ctx.cong_cls) if c.strongly_prime]
-    v = _verdict_rd2(pair, ctx.lattice, strong, strong=True)
+    v = _verdict_rd2(pair, ctx.lattice, strong, strong=True, cap=ctx.cap)
     weak = [i for i, c in enumerate(ctx.cong_cls) if c.prime]
-    vw = _verdict_rd2(pair, ctx.lattice, weak, strong=False)
+    vw = _verdict_rd2(pair, ctx.lattice, weak, strong=False, cap=ctx.cap)
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds} ({vw.detail})"
     if not v.holds:
         return True, False, {"detail": v.detail}, notes
@@ -461,9 +461,9 @@ def _check_sp2(ctx):
         return False, None, None, "needs an e-central pair with a witness"
     strong_e = [i for i, c in enumerate(ctx.cong_cls)
                 if c.strongly_prime and c.e_type is not None]
-    v = _verdict_sp2i(pair, ctx.lattice, strong_e, strong=True)
+    v = _verdict_sp2i(pair, ctx.lattice, strong_e, strong=True, cap=ctx.cap)
     weak_e = [i for i, c in enumerate(ctx.cong_cls) if c.prime and c.e_type is not None]
-    vw = _verdict_sp2i(pair, ctx.lattice, weak_e, strong=False)
+    vw = _verdict_sp2i(pair, ctx.lattice, weak_e, strong=False, cap=ctx.cap)
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds}"
     if not v.holds:
         return True, False, {"part": "i", "detail": v.detail}, notes

@@ -57,6 +57,29 @@ def congruences_bruteforce(pair) -> set[tuple[int, ...]]:
     }
 
 
+def congruence_violation_loop(add, mul, block_of):
+    """First (x, y, c, kind) with x ~ y but x+c, xc or cx (kind 0, 1, 2) not
+    related to y+c, yc or cy; or (-1, -1, -1, -1).
+
+    Blocks are visited in the order their labels first occur, pairs within a
+    block in lexicographic order, then kinds, then c: the per-pair loop the
+    vectorized kernel replaced.
+    """
+    n = len(block_of)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(block_of[i], []).append(i)
+    for members in blocks.values():
+        for ii, x in enumerate(members):
+            for y in members[ii + 1:]:
+                for kind, (rx, ry) in enumerate((
+                        (add[x], add[y]), (mul[x], mul[y]), (mul[:, x], mul[:, y]))):
+                    for c in range(n):
+                        if block_of[rx[c]] != block_of[ry[c]]:
+                            return (x, y, c, kind)
+    return (-1, -1, -1, -1)
+
+
 def generated_congruence_bruteforce(pair, gens) -> tuple[int, ...]:
     """Least congruence containing the generators: intersect every
     brute-force congruence that contains them."""

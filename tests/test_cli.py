@@ -174,3 +174,18 @@ def test_validate_decodes_its_input_once(runner, tmp_path, sb_file, monkeypatch)
         decoded.clear()
         res = runner.invoke(main, ["validate", path])
         assert res.exit_code == 0 and len(decoded) == 1, path
+
+
+def test_in_process_runs_release_their_output(runner, sb_file):
+    # click keeps a wrapper per default stdout it has written to, so echoing
+    # without an explicit stream would keep every runner's output alive
+    import gc
+
+    def live_wrappers():
+        gc.collect()
+        return sum(type(o).__name__ == "_NamedTextIOWrapper" for o in gc.get_objects())
+
+    before = live_wrappers()
+    for _ in range(300):
+        assert runner.invoke(main, ["validate", sb_file]).exit_code == 0
+    assert live_wrappers() - before < 10

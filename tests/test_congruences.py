@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pairspec.congruences import (
+    Congruence,
     all_relation,
     cong_b,
     diag_e,
@@ -17,6 +18,7 @@ from pairspec.congruences import (
     join,
     lattice_meet_join,
     meet,
+    relation_to_congruence,
 )
 from pairspec.core import e_type, validate_pair, validate_structure
 from pairspec.errors import CapExceeded, NoPropertyN
@@ -107,6 +109,22 @@ def test_is_congruence_matches_bruteforce(pairs):
         for bo in oracle.all_partitions(p.n):
             ok, _ = is_congruence(p, bo)
             assert ok == (bo in expected), (name, bo)
+
+
+def test_relation_to_congruence(pairs):
+    p = pairs["function_sb_sat2"]
+    for c in enumerate_congruences(p):
+        closed, got = relation_to_congruence(p, c.matrix)
+        assert closed and got.block_of == c.block_of
+    rel = np.eye(p.n, dtype=bool)
+    rel[0, 1] = rel[1, 0] = rel[1, 2] = rel[2, 1] = True
+    assert relation_to_congruence(p, rel) == (False, None)
+    rel[0, 2] = rel[2, 0] = True
+    assert not is_congruence(p, [0, 0, 0] + list(range(1, p.n - 2)))[0]
+    assert relation_to_congruence(p, rel) == (True, None)
+    # an element related to nothing, not even itself, is a block of its own
+    closed, got = relation_to_congruence(p, np.zeros((p.n, p.n), dtype=bool))
+    assert closed and got.is_diagonal()
 
 
 # -- diag_e -------------------------------------------------------------------------
@@ -235,6 +253,61 @@ def test_enumerate_cap(sb):
         enumerate_congruences(sb, cap=1)
 
 
+def test_enumerate_cap_counts_cap_plus_one(pairs):
+    p = pairs["function_sb_sat2"]
+    size = len(enumerate_congruences(p))
+    for cap in (1, 2, size // 2, size - 1):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_congruences(p, cap=cap)
+        assert err.value.partial_count == cap + 1
+    assert len(enumerate_congruences(p, cap=size)) == size
+
+
+def test_enumerate_order_is_finest_first(pairs):
+    for p in pairs.values():
+        lat = enumerate_congruences(p)
+        keys = [(-c.n_blocks, c.block_of) for c in lat]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), p.name
+
+
+def _random_pair(rng, n):
+    """A pair on n elements with 0 as zero, its unit as the only tangible and
+    A0 = {0}.  Addition is a commutative monoid (a chain under max, a cyclic
+    group, or capped addition); multiplication is min on the chain, products
+    mod n, or random, with 0 absorbing, the unit fixed and, outside their
+    rows and columns, at most one random cell.  Labels are permuted apart
+    from 0, so the tables are not monotone."""
+    idx = np.arange(n)
+    add = [np.maximum(idx[:, None], idx[None, :]),
+           (idx[:, None] + idx[None, :]) % n,
+           np.minimum(idx[:, None] + idx[None, :], n - 1)][int(rng.integers(3))]
+    kind = int(rng.integers(3))
+    one = n - 1 if kind == 0 else min(1, n - 1)
+    mul = [np.minimum(idx[:, None], idx[None, :]),
+           (idx[:, None] * idx[None, :]) % n,
+           rng.integers(0, n, (n, n))][kind]
+    free = [x for x in range(n) if x not in (0, one)]
+    if free and rng.integers(2):
+        mul[rng.choice(free), rng.choice(free)] = rng.integers(n)
+    mul[one, :] = mul[:, one] = idx
+    mul[0, :] = mul[:, 0] = 0
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    inv = np.argsort(perm)
+    add, mul = (perm[t[inv][:, inv]] for t in (add, mul))
+    one = int(perm[one])
+    st_ = validate_structure([f"x{i}" for i in range(n)], 0, one, add, mul)
+    return validate_pair(st_, {one}, {0}, name="random")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 5))
+def test_enumerate_matches_bruteforce_random_pairs(seed, n):
+    p = _random_pair(np.random.default_rng(seed), n)
+    got = [c.block_of for c in enumerate_congruences(p)]
+    assert len(got) == len(set(got))
+    assert set(got) == oracle.congruences_bruteforce(p)
+
+
 def test_cap_env_override(sb, monkeypatch):
     monkeypatch.setenv("PAIRSPEC_MAX_CONGRUENCES", "1")
     with pytest.raises(CapExceeded):
@@ -262,6 +335,26 @@ def test_lattice_closed_under_meet_join(pairs):
             for j in range(len(lat)):
                 lat.find(meet(lat[i], lat[j]))
                 lat.find(join(lat[i], lat[j]))
+
+
+def _gens(c):
+    return [(blk[0], x) for blk in c.blocks() for x in blk[1:]]
+
+
+def test_join_is_generated_by_the_union(pairs):
+    for p in pairs.values():
+        lat = enumerate_congruences(p)
+        for a in lat:
+            for b in lat:
+                want = generated_congruence(p, _gens(a) + _gens(b)).block_of
+                assert join(a, b).block_of == want, (p.name, a.block_of, b.block_of)
+
+
+def test_join_reads_no_tables():
+    a = Congruence(pair=None, block_of=(0, 0, 1, 2, 3, 4))
+    b = Congruence(pair=None, block_of=(0, 1, 2, 1, 3, 2))
+    assert join(a, b).block_of == (0, 0, 1, 0, 2, 1)
+    assert join(b, a).block_of == join(a, b).block_of
 
 
 def test_lattice_bounds(pairs):

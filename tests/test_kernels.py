@@ -136,3 +136,68 @@ def test_distributivity_scan_memory_does_not_grow_with_n():
         tracemalloc.stop()
     # a whole n^3 int64 cube would be 512 MB
     assert peak < 4 * 2**20, peak
+
+
+# -- congruence kernels ----------------------------------------------------------
+
+def _labels(rng, n, blocks, canonical):
+    """Random block labels for n elements in at most ``blocks`` blocks; the
+    non-canonical ones are arbitrary distinct integers in any order."""
+    labels = rng.integers(0, blocks, n)
+    if not canonical:
+        labels = rng.permutation(10 * blocks)[labels] - 3 * blocks
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 9), blocks=st.integers(1, 9),
+       canonical=st.booleans(), values=st.integers(1, 9))
+def test_congruence_violation_matches_loop(seed, n, blocks, canonical, values):
+    # tables with few distinct values so that some partitions are congruences
+    rng = np.random.default_rng(seed)
+    add = rng.integers(0, min(values, n), (n, n))
+    mul = rng.integers(0, min(values, n), (n, n))
+    block_of = _labels(rng, n, blocks, canonical)
+    want = oracle.congruence_violation_loop(add, mul, block_of)
+    assert _kernels.congruence_violation(add, mul, block_of) == want
+
+
+def test_congruence_violation_matches_loop_on_catalog(pairs):
+    rng = np.random.default_rng(7)
+    seen_ok = seen_bad = 0
+    for p in pairs.values():
+        for _ in range(200):
+            block_of = _labels(rng, p.n, int(rng.integers(1, p.n + 1)), bool(rng.integers(2)))
+            want = oracle.congruence_violation_loop(p.add, p.mul, block_of)
+            assert _kernels.congruence_violation(p.add, p.mul, block_of) == want
+            seen_ok += want[0] < 0
+            seen_bad += want[0] >= 0
+    assert seen_ok and seen_bad
+
+
+def test_leq_is_refines_in_every_chunking(pairs, monkeypatch):
+    from pairspec.congruences import enumerate_congruences
+    for p in pairs.values():
+        lat = enumerate_congruences(p)
+        want = np.array([[a.refines(b) for b in lat] for a in lat])
+        assert (lat.leq == want).all(), p.name
+        rows = [c.block_of for c in lat]
+        # one row per chunk, then three rows with a shorter last chunk
+        for cells in (1, 3 * p.n * len(lat)):
+            monkeypatch.setattr(_kernels, "_LEQ_CELLS", cells)
+            assert (_kernels.refinement_order(rows) == want).all(), p.name
+
+
+def test_congruence_violation_keeps_labels_past_256():
+    # 298 ~ 299 only; x + y = x except 299 + 5 = 42, in a block whose least
+    # member differs from 298's by exactly 256
+    n = 300
+    add = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
+    mul = np.zeros((n, n), dtype=np.int64)
+    block_of = np.arange(n)
+    block_of[299] = 298
+    assert _kernels.congruence_violation(add, mul, block_of) == (-1, -1, -1, -1)
+    add[299, 5] = 42
+    want = (298, 299, 5, 0)
+    assert oracle.congruence_violation_loop(add, mul, block_of) == want
+    assert _kernels.congruence_violation(add, mul, block_of) == want

@@ -123,14 +123,6 @@ def test_lattice_required(sb):
         classify_congruence(sb, diagonal(sb), None)
 
 
-def test_capped_lattice_reports_unknown_flags(sb):
-    from pairspec.congruences import CongruenceLattice
-    partial = CongruenceLattice(pair=sb, congruences=(diagonal(sb),), capped=True)
-    c = classify_congruence(sb, diagonal(sb), partial)
-    assert c.prime is None and c.semiprime is None and c.irreducible is None
-    assert isinstance(c.radical, bool)
-
-
 def test_congruence_e_type_values(sb):
     lat = enumerate_congruences(sb)
     # the pair itself has positive e-type, so (1+e, e) is diagonal and every
@@ -212,6 +204,21 @@ def test_spectrum_report_super_boolean(sb):
     d = rep.to_dict()
     assert d["lattice_size"] == 3
     assert d["verdict_radical_contains_1e"]["holds"] is True
+
+
+def test_spectrum_cap_reaches_auxiliary_lattices(sb, monkeypatch):
+    import pairspec.spectrum as spectrum
+    seen = []
+
+    def recording(pair, cap=None):
+        seen.append((pair.name, cap))
+        return enumerate_congruences(pair, cap)
+
+    monkeypatch.setattr(spectrum, "enumerate_congruences", recording)
+    spectrum_report(sb, cap=7)
+    assert {name for name, _ in seen} == {
+        "super_boolean", "super_boolean*e", "super_boolean/diag_e"}
+    assert {cap for _, cap in seen} == {7}
 
 
 def test_spectrum_report_single_element_pair():
