@@ -28,7 +28,7 @@ from .constructions import (
 from .core import classify_pair
 from .errors import CapExceeded, CarrierTooLarge, PairspecError, ValidationError
 from .monoids import named_monoid
-from .spectrum import spectrum_report
+from .spectrum import Analysis, spectrum_report
 from .verify import CHECKS, run_all, run_check, summarize
 
 EXIT_INVALID = 1
@@ -169,7 +169,8 @@ def verify(file, check_ids, run_every):
         if run_every:
             reports = run_all(pair)
         else:
-            reports = [run_check(pair, cid) for cid in check_ids]
+            analysis = Analysis(pair, None)
+            reports = [run_check(pair, cid, analysis=analysis) for cid in check_ids]
     except CapExceeded as exc:
         _fail(exc, EXIT_CAP)
     payload = {

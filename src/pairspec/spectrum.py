@@ -10,6 +10,7 @@ and the quotient by the least one~e congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .congruences import (
     relation_to_congruence,
 )
 from .constructions import quotient_pair
-from .core import FiniteStructure, Pair, classify_pair, positive_e_type, validate_structure
+from .core import FiniteStructure, Pair, PairClassification, classify_pair, validate_structure
 from .errors import HypothesisFails, LatticeRequired, NoDisjointCongruence
 
 
@@ -342,11 +343,10 @@ class SpectrumReport:
 
 
 def _maximal(lattice: CongruenceLattice, idxs: list[int]) -> tuple[int, ...]:
-    out = []
-    for i in idxs:
-        if not any(j != i and lattice.leq[i, j] for j in idxs):
-            out.append(i)
-    return tuple(out)
+    """The members of ``idxs`` below no other member, in the order given."""
+    idx = np.asarray(idxs, dtype=np.intp)
+    sub = lattice.leq[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
+    return tuple(idx[~sub.any(axis=1)].tolist())
 
 
 def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
@@ -360,113 +360,148 @@ def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
     return True
 
 
-def _verdict_rd2(pair: Pair, lattice: CongruenceLattice, src: list[int],
-                 strong: bool, cap: Optional[int]) -> IsoVerdict:
-    cls = classify_pair(pair)
-    if not (cls.has_property_n and cls.e_central and cls.positive_e_type):
-        return IsoVerdict(applicable=False, detail="needs an e-central pair of positive e-type")
-    try:
-        ae, proj = ae_pair(pair)
-    except HypothesisFails as exc:
-        return IsoVerdict(applicable=True, holds=False, detail=str(exc))
-    ae_lat = enumerate_congruences(ae, cap)
-    ae_cls = [classify_congruence(ae, c, ae_lat) for c in ae_lat]
-    if strong:
-        ae_spec = [i for i, c in enumerate(ae_cls) if c.strongly_prime]
-    else:
-        ae_spec = [i for i, c in enumerate(ae_cls) if c.prime]
-    mapping = {}
-    for i in src:
-        image = push_congruence(lattice[i], proj, ae)
-        if image is None:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not a congruence of A*e")
-        try:
-            mapping[i] = ae_lat.find(image)
-        except KeyError:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} missing from the A*e lattice")
-        if mapping[i] not in ae_spec:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not prime in A*e")
-    ok = _order_iso(lattice.leq, src, ae_lat.leq, ae_spec, mapping)
-    return IsoVerdict(
-        applicable=True, holds=ok,
-        detail=f"|spec(A)|={len(src)}, |spec(A*e)|={len(ae_spec)}",
-        mapping=tuple(sorted(mapping.items())),
-    )
+# the strong and the weak prime spectra, as classification flags
+_SPECTRA = ("strongly_prime", "prime")
+# how the verdict details name a target: itself, its lattice, the source
+# spectrum and the target spectrum
+_AE_WORDS = ("A*e", "the A*e lattice", "spec(A)", "spec(A*e)")
+_QUOTIENT_WORDS = ("the quotient", "the quotient lattice", "spec_e(A)", "spec(A/diag_e)")
 
 
-def _verdict_sp2i(pair: Pair, lattice: CongruenceLattice, src: list[int],
-                  strong: bool, cap: Optional[int]) -> IsoVerdict:
-    cls = classify_pair(pair)
-    if not (cls.has_property_n and cls.e_central):
-        return IsoVerdict(applicable=False, detail="needs an e-central pair with a witness")
-    de = diag_e(pair)
-    qp = quotient_pair(pair, de, name=f"{pair.name}/diag_e")
-    proj = np.asarray(de.block_of, dtype=np.int64)
-    q_lat = enumerate_congruences(qp, cap)
-    q_cls = [classify_congruence(qp, c, q_lat) for c in q_lat]
-    if strong:
-        q_spec = [i for i, c in enumerate(q_cls) if c.strongly_prime]
-    else:
-        q_spec = [i for i, c in enumerate(q_cls) if c.prime]
+def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", proj: np.ndarray,
+                 flag: str, kernel: Optional[Congruence], words: tuple[str, ...]) -> IsoVerdict:
+    """Whether ``proj`` maps the source congruences ``src`` order-isomorphically
+    onto the target congruences with ``flag`` set.  When ``kernel`` is given,
+    each source congruence must contain it first."""
+    where, where_lattice, src_name, spec_name = words
+    lattice, t_lat = source.lattice, target.lattice
+    spec = target.having(flag)
     mapping = {}
     for i in src:
-        if not de.refines(lattice[i]):
+        if kernel is not None and not kernel.refines(lattice[i]):
             return IsoVerdict(applicable=True, holds=False,
                               detail=f"positive-e-type prime #{i} does not contain diag_e")
-        image = push_congruence(lattice[i], proj, qp)
+        image = push_congruence(lattice[i], proj, target.pair)
         if image is None:
             return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not a congruence of the quotient")
+                              detail=f"image of prime #{i} is not a congruence of {where}")
         try:
-            mapping[i] = q_lat.find(image)
+            mapping[i] = t_lat.find(image)
         except KeyError:
             return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} missing from the quotient lattice")
-        if mapping[i] not in q_spec:
+                              detail=f"image of prime #{i} missing from {where_lattice}")
+        if mapping[i] not in spec:
             return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not prime in the quotient")
-    ok = _order_iso(lattice.leq, src, q_lat.leq, q_spec, mapping)
+                              detail=f"image of prime #{i} is not prime in {where}")
+    ok = _order_iso(lattice.leq, src, t_lat.leq, spec, mapping)
     return IsoVerdict(
         applicable=True, holds=ok,
-        detail=f"|spec_e(A)|={len(src)}, |spec(A/diag_e)|={len(q_spec)}",
+        detail=f"|{src_name}|={len(src)}, |{spec_name}|={len(spec)}",
         mapping=tuple(sorted(mapping.items())),
     )
+
+
+class Analysis:
+    """Everything derived from one pair, computed on first use and kept.
+
+    ``spectrum_report`` and every harness check read one analysis, so the
+    lattice of the pair, its classification and the A*e and A/diag_e
+    sub-analyses are each built once; the cap reaches every sub-analysis.
+    The verdicts reach the lattices in the order A, A*e, A/diag_e, so under
+    a cap the first one to overflow is the one reported.  A member whose
+    computation raises (CapExceeded, HypothesisFails) is not kept and raises
+    again when next read.
+    """
+
+    def __init__(self, pair: Pair, cap: Optional[int]):
+        self.pair = pair
+        self.cap = cap
+
+    @cached_property
+    def cls(self) -> PairClassification:
+        return classify_pair(self.pair)
+
+    @cached_property
+    def lattice(self) -> CongruenceLattice:
+        return enumerate_congruences(self.pair, self.cap)
+
+    @cached_property
+    def classes(self) -> tuple[CongruenceClassification, ...]:
+        """The full classification of each lattice member, in lattice order."""
+        return tuple(classify_congruence(self.pair, c, self.lattice) for c in self.lattice)
+
+    @cached_property
+    def ae(self) -> tuple["Analysis", np.ndarray]:
+        """The idempotent image A*e and the projection onto it."""
+        sub, proj = ae_pair(self.pair)
+        return Analysis(sub, self.cap), proj
+
+    @cached_property
+    def quotient_e(self) -> tuple["Analysis", np.ndarray]:
+        """The quotient A/diag_e and the projection onto it."""
+        de = diag_e(self.pair)
+        q = quotient_pair(self.pair, de, name=f"{self.pair.name}/diag_e")
+        return Analysis(q, self.cap), np.asarray(de.block_of, dtype=np.int64)
+
+    def having(self, flag: str) -> list[int]:
+        """Indices of the congruences whose classification has ``flag`` set."""
+        return [i for i, c in enumerate(self.classes) if getattr(c, flag)]
+
+    def spec_e(self, flag: str) -> list[int]:
+        """The part of ``having(flag)`` of positive e-type."""
+        return [i for i in self.having(flag) if self.classes[i].e_type is not None]
+
+    @cached_property
+    def rd2(self) -> tuple[IsoVerdict, IsoVerdict]:
+        """Spec(A) onto Spec(A*e), for the strongly prime and the prime spectra."""
+        c = self.cls
+        if not (c.has_property_n and c.e_central and c.positive_e_type):
+            v = IsoVerdict(applicable=False, detail="needs an e-central pair of positive e-type")
+            return v, v
+        srcs = {flag: self.having(flag) for flag in _SPECTRA}
+        try:
+            target, proj = self.ae
+        except HypothesisFails as exc:
+            v = IsoVerdict(applicable=True, holds=False, detail=str(exc))
+            return v, v
+        return tuple(_iso_verdict(self, src, target, proj, flag, None, _AE_WORDS)
+                     for flag, src in srcs.items())
+
+    @cached_property
+    def sp2i(self) -> tuple[IsoVerdict, IsoVerdict]:
+        """Spec_e(A) onto Spec(A/diag_e), for the strongly prime and the prime
+        spectra; every source prime must contain diag_e."""
+        c = self.cls
+        if not (c.has_property_n and c.e_central):
+            v = IsoVerdict(applicable=False, detail="needs an e-central pair with a witness")
+            return v, v
+        srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}
+        target, proj = self.quotient_e
+        de = Congruence(pair=self.pair, block_of=tuple(proj.tolist()))   # the kernel of proj
+        return tuple(_iso_verdict(self, src, target, proj, flag, de, _QUOTIENT_WORDS)
+                     for flag, src in srcs.items())
 
 
 def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
     """Classify the whole lattice and assemble the spectrum verdicts."""
-    lattice = enumerate_congruences(pair, cap)
-    cls = tuple(classify_congruence(pair, c, lattice) for c in lattice)
-    hspec = [i for i, c in enumerate(cls) if c.prime]
-    spec_e = [i for i in hspec if cls[i].e_type is not None]
-    radical_set = tuple(i for i, c in enumerate(cls) if c.radical)
-    strongly = tuple(i for i, c in enumerate(cls) if c.strongly_prime)
-    maximal_proper = _maximal(lattice, [i for i, c in enumerate(cls) if c.proper])
-    maximal_weakly = _maximal(lattice, [i for i, c in enumerate(cls) if c.weakly_proper])
-
-    strong = [i for i, c in enumerate(cls) if c.strongly_prime]
-    strong_spec_e = [i for i in strong if cls[i].e_type is not None]
-
-    pet = positive_e_type(pair)
-    if pet is None:
+    a = Analysis(pair, cap)
+    lattice, cls = a.lattice, a.classes
+    radical_set = tuple(a.having("radical"))
+    if a.cls.positive_e_type is None:
         rd1 = IsoVerdict(applicable=False, detail="pair does not have positive e-type")
     else:
         bad = [i for i in radical_set if not cls[i].contains_1e]
         rd1 = IsoVerdict(applicable=True, holds=not bad,
                          detail="" if not bad else f"radical congruences missing (1,e): {bad}")
-
-    rd2 = _verdict_rd2(pair, lattice, strong, strong=True, cap=cap)
-    sp2i = _verdict_sp2i(pair, lattice, strong_spec_e, strong=True, cap=cap)
-    rd2_weak = _verdict_rd2(pair, lattice, hspec, strong=False, cap=cap)
-    sp2i_weak = _verdict_sp2i(pair, lattice, spec_e, strong=False, cap=cap)
+    rd2, rd2_weak = a.rd2
+    sp2i, sp2i_weak = a.sp2i
     return SpectrumReport(
         pair_name=pair.name, lattice=lattice, classifications=cls,
-        hspec=tuple(hspec), spec_e=tuple(spec_e), radical_set=radical_set,
-        strongly_prime_set=tuple(strong), strong_spec_e=tuple(strong_spec_e),
-        maximal_proper=maximal_proper, maximal_weakly_proper=maximal_weakly,
+        hspec=tuple(a.having("prime")), spec_e=tuple(a.spec_e("prime")),
+        radical_set=radical_set, strongly_prime_set=tuple(a.having("strongly_prime")),
+        strong_spec_e=tuple(a.spec_e("strongly_prime")),
+        maximal_proper=_maximal(lattice, a.having("proper")),
+        maximal_weakly_proper=_maximal(lattice, a.having("weakly_proper")),
         rd1=rd1, rd2=rd2, sp2i=sp2i, rd2_weak=rd2_weak, sp2i_weak=sp2i_weak,
     )
 

@@ -11,28 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .congruences import (
-    Congruence,
-    cong_b,
-    diag_e,
-    diagonal,
-    enumerate_congruences,
-    is_congruence,
-    join,
-    meet,
-)
+from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
 from .constructions import double, quotient_pair
-from .core import Pair, classify_pair, positive_e_type
+from .core import Pair, classify_pair
 from .errors import CapExceeded, UnknownCheckId
 from .spectrum import (
-    _verdict_rd2,
-    _verdict_sp2i,
-    classify_congruence,
+    Analysis,
+    _maximal,
     classify_congruence_elementwise,
     improper_members,
     push_congruence,
@@ -62,34 +51,11 @@ class CheckReport:
         }
 
 
-class _Ctx:
-    """Shared lazily-computed state for one harness run over one pair."""
-
-    def __init__(self, pair: Pair, cap: Optional[int] = None):
-        self.pair = pair
-        self.cap = cap
-
-    @cached_property
-    def cls(self):
-        return classify_pair(self.pair)
-
-    @cached_property
-    def lattice(self):
-        return enumerate_congruences(self.pair, self.cap)
-
-    @cached_property
-    def cong_cls(self):
-        return [classify_congruence(self.pair, c, self.lattice) for c in self.lattice]
-
-    @cached_property
-    def radical_idx(self):
-        return [i for i, c in enumerate(self.cong_cls) if c.radical]
-
-    def names(self, *idxs):
-        return tuple(self.pair.names[i] for i in idxs)
+def _names(pair: Pair, *idxs) -> tuple[str, ...]:
+    return tuple(pair.names[i] for i in idxs)
 
 
-# each check: ctx -> (hypotheses_held, passed|None, counterexample|None, notes)
+# each check: Analysis -> (hypotheses_held, passed|None, counterexample|None, notes)
 
 def _check_est(ctx):
     pair = ctx.pair
@@ -216,8 +182,8 @@ def _check_gen(ctx):
                 want = int(mul[add[b1, b2], z])
                 if got != (want, want):
                     return True, False, {
-                        "b": ctx.names(b1, b2), "z": pair.names[z],
-                        "product": ctx.names(*got), "expected": pair.names[want],
+                        "b": _names(pair, b1, b2), "z": pair.names[z],
+                        "product": _names(pair, *got), "expected": pair.names[want],
                     }, ""
     return True, True, None, ""
 
@@ -248,12 +214,11 @@ def _check_tr1(ctx):
     pair = ctx.pair
     if pair.property_n is None:
         return False, None, None, "needs a Property-N witness"
-    de = diag_e(pair)
-    qp = quotient_pair(pair, de)
-    q_lat = enumerate_congruences(qp, ctx.cap)
+    q, q_proj = ctx.quotient_e
+    q_lat = q.lattice
     pulled = []
     for psi in q_lat:
-        bo = tuple(psi.block_of[de.block_of[x]] for x in range(pair.n))
+        bo = tuple(psi.block_of[b] for b in q_proj.tolist())
         ok, wit = is_congruence(pair, bo)
         if not ok:
             return True, False, {"kind": "pullback_not_congruence",
@@ -269,11 +234,10 @@ def _check_tr1(ctx):
     notes = f"injected {len(q_lat)} congruences"
 
     if ctx.cls.e_central:
-        from .spectrum import ae_pair
-        ae, proj = ae_pair(pair)
+        ae, proj = ctx.ae
         images = []
         for cong in ctx.lattice:
-            img = push_congruence(cong, proj, ae)
+            img = push_congruence(cong, proj, ae.pair)
             if img is None:
                 return True, False, {"kind": "e_image_not_congruence",
                                      "blocks": cong.block_labels()}, ""
@@ -287,7 +251,7 @@ def _check_tr1(ctx):
         if ctx.cls.e_final:
             e = pair.property_n.e
             one_e = [i for i, c in enumerate(ctx.lattice) if c.related(pair.one, e)]
-            ae_lat = enumerate_congruences(ae, ctx.cap)
+            ae_lat = ae.lattice
             mapping = {}
             for i in one_e:
                 mapping[i] = ae_lat.find(images[i])
@@ -317,7 +281,7 @@ def _check_congb(ctx):
             checked += 1
             if not res.is_congruence or not res.contains_b:
                 return True, False, {
-                    "b": ctx.names(b1, b2),
+                    "b": _names(pair, b1, b2),
                     "is_congruence": res.is_congruence,
                     "contains_b": res.contains_b,
                 }, ""
@@ -327,7 +291,7 @@ def _check_congb(ctx):
 def _check_bf(ctx):
     pair = ctx.pair
     lat = ctx.lattice
-    cls = ctx.cong_cls
+    cls = ctx.classes
     all_pairs_xs = np.repeat(np.arange(pair.n), pair.n).astype(np.int64)
     all_pairs_ys = np.tile(np.arange(pair.n), pair.n).astype(np.int64)
     for i, cong in enumerate(lat):
@@ -339,18 +303,16 @@ def _check_bf(ctx):
             return True, False, {"part": "ii", "blocks": lat[i].block_labels(),
                                  "prime": c.prime, "semiprime": c.semiprime,
                                  "irreducible": c.irreducible}, ""
-    semi = [i for i, c in enumerate(cls) if c.semiprime]
+    semi = ctx.having("semiprime")
     for i in semi:
         for j in semi:
-            m = meet(lat[i], lat[j])
-            if not classify_congruence(pair, m, lat).semiprime:
+            if not cls[lat.meet_index(i, j)].semiprime:
                 return True, False, {"part": "iii", "i": lat[i].block_labels(),
                                      "j": lat[j].block_labels()}, ""
-    rad = ctx.radical_idx
+    rad = ctx.having("radical")
     for i in rad:
         for j in rad:
-            m = meet(lat[i], lat[j])
-            if not classify_congruence_elementwise(pair, m).radical:
+            if not cls[lat.meet_index(i, j)].radical:
                 return True, False, {"part": "iv", "i": lat[i].block_labels(),
                                      "j": lat[j].block_labels()}, ""
     # (v)/(vi): in a finite lattice a chain's union/intersection is its top/
@@ -369,14 +331,15 @@ def _check_bf(ctx):
 def _check_prs1(ctx):
     pair = ctx.pair
     lat = ctx.lattice
-    for i in ctx.radical_idx:
+    rad = ctx.having("radical")
+    for i in rad:
         cong = lat[i]
         for b1 in range(pair.n):
             for b2 in range(pair.n):
                 prod = twist(pair, (b1, b2), (b2, b1))
                 if cong.related(*prod) and not cong.related(b1, b2):
                     return True, False, {"part": "i", "blocks": cong.block_labels(),
-                                         "b": ctx.names(b1, b2)}, ""
+                                         "b": _names(pair, b1, b2)}, ""
         for b in range(pair.n):
             lhs = cong.related(pair.one, b)
             sq = (int(pair.add[pair.one, pair.mul[b, b]]), int(pair.add[b, b]))
@@ -384,7 +347,7 @@ def _check_prs1(ctx):
             if lhs != rhs:
                 return True, False, {"part": "ii", "blocks": cong.block_labels(),
                                      "b": pair.names[b]}, ""
-    return True, True, None, f"{len(ctx.radical_idx)} radical congruence(s)"
+    return True, True, None, f"{len(rad)} radical congruence(s)"
 
 
 def _check_prs2(ctx):
@@ -402,8 +365,7 @@ def _check_prs2(ctx):
         notes.append("reduced: part (i) checked")
     else:
         notes.append("pair not reduced: part (i) vacuous")
-    pet = positive_e_type(pair)
-    if pet is not None:
+    if ctx.cls.positive_e_type is not None:
         r = sqrt_phi(pair, diagonal(pair))
         if not (r.contains(pair.one, e) and r.contains(e, pair.one)):
             return True, False, {"part": "iii", "sqrt_depth": r.depth}, ""
@@ -432,23 +394,20 @@ def _check_prs2(ctx):
 
 def _check_rd1(ctx):
     pair = ctx.pair
-    if positive_e_type(pair) is None:
+    if ctx.cls.positive_e_type is None:
         return False, None, None, "needs positive e-type"
     e = pair.property_n.e
-    for i in ctx.radical_idx:
+    rad = ctx.having("radical")
+    for i in rad:
         if not ctx.lattice[i].related(pair.one, e):
             return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
-    return True, True, None, f"{len(ctx.radical_idx)} radical congruence(s) contain (1,e)"
+    return True, True, None, f"{len(rad)} radical congruence(s) contain (1,e)"
 
 
 def _check_rd2(ctx):
-    pair = ctx.pair
-    if not (ctx.cls.has_property_n and ctx.cls.e_central and ctx.cls.positive_e_type):
-        return False, None, None, "needs an e-central pair of positive e-type"
-    strong = [i for i, c in enumerate(ctx.cong_cls) if c.strongly_prime]
-    v = _verdict_rd2(pair, ctx.lattice, strong, strong=True, cap=ctx.cap)
-    weak = [i for i, c in enumerate(ctx.cong_cls) if c.prime]
-    vw = _verdict_rd2(pair, ctx.lattice, weak, strong=False, cap=ctx.cap)
+    v, vw = ctx.rd2
+    if not v.applicable:
+        return False, None, None, v.detail
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds} ({vw.detail})"
     if not v.holds:
         return True, False, {"detail": v.detail}, notes
@@ -456,26 +415,21 @@ def _check_rd2(ctx):
 
 
 def _check_sp2(ctx):
-    pair = ctx.pair
-    if not (ctx.cls.has_property_n and ctx.cls.e_central):
-        return False, None, None, "needs an e-central pair with a witness"
-    strong_e = [i for i, c in enumerate(ctx.cong_cls)
-                if c.strongly_prime and c.e_type is not None]
-    v = _verdict_sp2i(pair, ctx.lattice, strong_e, strong=True, cap=ctx.cap)
-    weak_e = [i for i, c in enumerate(ctx.cong_cls) if c.prime and c.e_type is not None]
-    vw = _verdict_sp2i(pair, ctx.lattice, weak_e, strong=False, cap=ctx.cap)
+    v, vw = ctx.sp2i
+    if not v.applicable:
+        return False, None, None, v.detail
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds}"
     if not v.holds:
         return True, False, {"part": "i", "detail": v.detail}, notes
     maximal_wo = []
-    for i, c in enumerate(ctx.cong_cls):
+    for i, c in enumerate(ctx.classes):
         if c.e_type is not None:
             continue
         uppers = [j for j in ctx.lattice.strictly_above(i)]
-        if all(ctx.cong_cls[j].e_type is not None for j in uppers):
+        if all(ctx.classes[j].e_type is not None for j in uppers):
             maximal_wo.append(i)
     for i in maximal_wo:
-        if not ctx.cong_cls[i].prime:
+        if not ctx.classes[i].prime:
             return True, False, {"part": "ii", "blocks": ctx.lattice[i].block_labels()}, notes
     notes += f"; {len(maximal_wo)} maximal congruence(s) without positive e-type are prime"
     return True, True, None, notes
@@ -505,7 +459,7 @@ def _check_pro3c(ctx):
     if not (ctx.cls.e_central and ctx.cls.e_idempotent):
         return False, None, None, "needs an e-central, e-idempotent pair"
     e = pair.property_n.e
-    for i, c in enumerate(ctx.cong_cls):
+    for i, c in enumerate(ctx.classes):
         if not c.t_cancellative or c.proper:
             continue
         if not ctx.lattice[i].related(pair.one, e):
@@ -517,7 +471,7 @@ def _check_cp(ctx):
     pair = ctx.pair
     if not ctx.cls.proper:
         return False, None, None, "needs a proper pair"
-    for i, c in enumerate(ctx.cong_cls):
+    for i, c in enumerate(ctx.classes):
         if not c.proper:
             continue
         q = quotient_pair(pair, ctx.lattice[i])
@@ -530,7 +484,7 @@ def _check_shallow1k(ctx):
     pair = ctx.pair
     if not (ctx.cls.shallow and ctx.cls.kind == "first" and pair.structure.is_semiring()):
         return False, None, None, "needs a shallow semiring pair of the first kind"
-    for i, c in enumerate(ctx.cong_cls):
+    for i, c in enumerate(ctx.classes):
         if not c.proper:
             continue
         cong = ctx.lattice[i]
@@ -546,16 +500,15 @@ def _check_shallow1k(ctx):
 def _check_chains(ctx):
     pair = ctx.pair
     lat = ctx.lattice
-    cls = ctx.cong_cls
-    proper_idx = [i for i, c in enumerate(cls) if c.proper]
+    cls = ctx.classes
+    proper_idx = ctx.having("proper")
     for i in proper_idx:
         for j in range(len(lat)):
             m = meet(lat[i], lat[j])
             if improper_members(pair, m):
                 return True, False, {"part": "i", "proper": lat[i].block_labels(),
                                      "other": lat[j].block_labels()}, ""
-    maximal_proper = [i for i in proper_idx
-                      if not any(j != i and lat.leq[i, j] for j in proper_idx)]
+    maximal_proper = _maximal(lat, proper_idx)
     for i in proper_idx:
         if not any(lat.leq[i, j] for j in maximal_proper):
             return True, False, {"part": "ii", "blocks": lat[i].block_labels()}, ""
@@ -571,17 +524,15 @@ def _check_chains(ctx):
                 ok = (p in pair.tangible and q in pair.a_zero
                       and int(pair.add[p, q]) == p)
                 if not ok:
-                    return True, False, {"part": "iii", "x": ctx.names(a1, b1),
-                                         "y": ctx.names(a2, b2),
-                                         "product": ctx.names(p, q)}, ""
+                    return True, False, {"part": "iii", "x": _names(pair, a1, b1),
+                                         "y": _names(pair, a2, b2),
+                                         "product": _names(pair, p, q)}, ""
         notes.append(f"part iii over {len(very)} very improper element(s)")
     else:
         notes.append("part iii needs a semiring pair: skipped")
 
     if pair.structure.is_semiring():
-        weakly_idx = [i for i, c in enumerate(cls) if c.weakly_proper]
-        max_weakly = [i for i in weakly_idx
-                      if not any(j != i and lat.leq[i, j] for j in weakly_idx)]
+        max_weakly = _maximal(lat, ctx.having("weakly_proper"))
         has_very = [i for i, c in enumerate(cls) if not c.weakly_proper]
         for i in max_weakly:
             for j in has_very:
@@ -654,13 +605,16 @@ CHECKS: dict[str, Callable] = {
 
 
 def run_check(pair: Pair, check_id: str, cap: Optional[int] = None,
-              _ctx: Optional[_Ctx] = None) -> CheckReport:
-    """Run one named check; hypotheses are tested first."""
+              analysis: Optional[Analysis] = None) -> CheckReport:
+    """Run one named check; hypotheses are tested first.  Checks that share
+    an ``analysis`` of the pair share its lattices; without one, a fresh
+    analysis with ``cap`` is made."""
     if check_id not in CHECKS:
         raise UnknownCheckId(f"unknown check id {check_id!r}; have {sorted(CHECKS)}")
-    ctx = _ctx if _ctx is not None else _Ctx(pair, cap)
+    if analysis is None:
+        analysis = Analysis(pair, cap)
     t0 = time.perf_counter()
-    held, passed, cx, notes = CHECKS[check_id](ctx)
+    held, passed, cx, notes = CHECKS[check_id](analysis)
     return CheckReport(
         check_id=check_id,
         hypotheses_held=held,
@@ -673,11 +627,11 @@ def run_check(pair: Pair, check_id: str, cap: Optional[int] = None,
 
 def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
     """Every check in id order; CapExceeded is recorded per check."""
-    ctx = _Ctx(pair, cap)
+    analysis = Analysis(pair, cap)
     out = []
     for cid in sorted(CHECKS):
         try:
-            out.append(run_check(pair, cid, cap, _ctx=ctx))
+            out.append(run_check(pair, cid, analysis=analysis))
         except CapExceeded as exc:
             out.append(CheckReport(check_id=cid, hypotheses_held=True, passed=None,
                                    counterexample=None, runtime=0.0,

@@ -88,6 +88,22 @@ def test_verify_single_check(runner, sb_file):
     assert [r["check_id"] for r in out["reports"]] == ["EST"]
 
 
+def test_verify_checks_share_one_lattice(runner, sb_file, monkeypatch):
+    import pairspec.spectrum as spectrum
+    seen = []
+    enumerate_congruences = spectrum.enumerate_congruences
+
+    def recording(pair, cap=None):
+        seen.append(pair.name)
+        return enumerate_congruences(pair, cap)
+
+    monkeypatch.setattr(spectrum, "enumerate_congruences", recording)
+    res = runner.invoke(main, ["verify", sb_file, "--check", "RD1", "--check", "BF"])
+    assert res.exit_code == 0
+    assert [r["check_id"] for r in json.loads(res.output)["reports"]] == ["RD1", "BF"]
+    assert seen == ["super_boolean"]
+
+
 def test_verify_exit_three_on_finding(runner, tmp_path, pairs):
     path = tmp_path / "signs_power.json"
     path.write_text(dsl.serialize(dsl.pair_to_file(pairs["power_signs"])))

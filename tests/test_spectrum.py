@@ -4,6 +4,7 @@ import pytest
 
 from pairspec.congruences import (
     all_relation,
+    diag_e,
     diagonal,
     enumerate_congruences,
     generated_congruence,
@@ -206,19 +207,48 @@ def test_spectrum_report_super_boolean(sb):
     assert d["verdict_radical_contains_1e"]["holds"] is True
 
 
-def test_spectrum_cap_reaches_auxiliary_lattices(sb, monkeypatch):
+def _record_lattice_work(monkeypatch):
+    """Record every enumeration (pair name, cap) and every full
+    classification (pair name, blocks) made through ``pairspec.spectrum``."""
     import pairspec.spectrum as spectrum
-    seen = []
+    enumerated, classified = [], []
 
-    def recording(pair, cap=None):
-        seen.append((pair.name, cap))
+    def enumerate_recording(pair, cap=None):
+        enumerated.append((pair.name, cap))
         return enumerate_congruences(pair, cap)
 
-    monkeypatch.setattr(spectrum, "enumerate_congruences", recording)
+    def classify_recording(pair, cong, lattice):
+        classified.append((pair.name, cong.block_of))
+        return classify_congruence(pair, cong, lattice)
+
+    monkeypatch.setattr(spectrum, "enumerate_congruences", enumerate_recording)
+    monkeypatch.setattr(spectrum, "classify_congruence", classify_recording)
+    return enumerated, classified
+
+
+def _assert_three_lattices_once(sb, enumerated, classified):
+    from pairspec.constructions import quotient_pair
+    from pairspec.spectrum import ae_pair
+    names = ["super_boolean", "super_boolean*e", "super_boolean/diag_e"]
+    assert enumerated == [(name, 7) for name in names]
+    # each member of each of the three lattices is classified exactly once
+    lattices = [enumerate_congruences(sb), enumerate_congruences(ae_pair(sb)[0]),
+                enumerate_congruences(quotient_pair(sb, diag_e(sb)))]
+    assert classified == [(name, c.block_of) for name, lat in zip(names, lattices)
+                          for c in lat]
+
+
+def test_spectrum_cap_reaches_auxiliary_lattices(sb, monkeypatch):
+    enumerated, classified = _record_lattice_work(monkeypatch)
     spectrum_report(sb, cap=7)
-    assert {name for name, _ in seen} == {
-        "super_boolean", "super_boolean*e", "super_boolean/diag_e"}
-    assert {cap for _, cap in seen} == {7}
+    _assert_three_lattices_once(sb, enumerated, classified)
+
+
+def test_run_all_builds_three_lattices_once(sb, monkeypatch):
+    from pairspec.verify import run_all
+    enumerated, classified = _record_lattice_work(monkeypatch)
+    run_all(sb, cap=7)
+    _assert_three_lattices_once(sb, enumerated, classified)
 
 
 def test_spectrum_report_single_element_pair():
@@ -342,3 +372,16 @@ def test_degenerate_pair_has_no_proper_congruence():
     lat = enumerate_congruences(p)
     rep = maximal_proper_congruences(p, lat)
     assert rep.maximal_proper == ()
+
+
+def test_maximal_matches_pairwise_definition(pairs):
+    from pairspec.spectrum import _maximal
+    for name, p in pairs.items():
+        lat = enumerate_congruences(p)
+        subsets = [[], list(range(len(lat))), list(range(len(lat)))[::-1],
+                   list(range(0, len(lat), 2)), [lat.bottom]]
+        for idxs in subsets:
+            want = tuple(i for i in idxs
+                         if not any(j != i and lat.leq[i, j] for j in idxs))
+            got = _maximal(lat, idxs)
+            assert got == want and all(type(i) is int for i in got), (name, idxs)

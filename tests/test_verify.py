@@ -99,6 +99,18 @@ def test_catalog_findings_are_exactly_the_known_ones(pairs):
     assert found == known
 
 
+def test_shared_analysis_matches_fresh_runs(pairs):
+    # run_all shares one analysis between the checks; no check may change
+    # what a later one reads from it
+    def key(r):
+        return r.check_id, r.hypotheses_held, r.passed, r.counterexample, r.notes
+
+    for name, p in pairs.items():
+        shared = [key(r) for r in run_all(p)]
+        fresh = [key(run_check(p, cid)) for cid in sorted(CHECKS)]
+        assert shared == fresh, name
+
+
 def test_every_failure_reverifies(pairs):
     for name, p in pairs.items():
         for r in run_all(p):
