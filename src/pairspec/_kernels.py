@@ -193,6 +193,29 @@ def refinement_order(block_ofs):
     return out
 
 
+def upper_covers(leq):
+    """covers[i]: every j with i < j in the order ``leq`` and no k with
+    i < k < j, in ascending index order.
+
+    The float32 product ``lt @ lt`` of the strict order counts the members
+    strictly between i and j; its terms are 0 or 1, so a sum is zero exactly
+    when no member lies between.  Rows and columns are taken in chunks, so no
+    float32 temporary takes more than ``_LEQ_CELLS`` bytes.
+    """
+    m = leq.shape[0]
+    lt = leq.copy()
+    np.fill_diagonal(lt, False)
+    step = max(1, _LEQ_CELLS // (4 * max(1, m)))
+    covers = []
+    for lo in range(0, m, step):
+        cov = lt[lo:lo + step]
+        rows = cov.astype(np.float32)
+        for c in range(0, m, step):
+            cov[:, c:c + step] &= rows @ lt[:, c:c + step].astype(np.float32) == 0
+        covers.extend(tuple(np.flatnonzero(r).tolist()) for r in cov)
+    return tuple(covers)
+
+
 _CHUNK = 1 << 14
 
 

@@ -252,7 +252,8 @@ class CongruenceLattice:
 
     ``congruences`` is sorted by decreasing block count, then by
     ``block_of``; the list is closed under meet and join.  ``leq`` is the
-    refinement order as a boolean matrix over those indices.
+    refinement order as a boolean matrix over those indices, and ``covers``
+    its covering relation.
     """
 
     pair: Pair = field(compare=False, repr=False)
@@ -284,12 +285,11 @@ class CongruenceLattice:
         out.setflags(write=False)
         return out
 
-    def above(self, i: int) -> list[int]:
-        """Indices of congruences containing congruence i (including i)."""
-        return np.nonzero(self.leq[i])[0].tolist()
-
-    def strictly_above(self, i: int) -> list[int]:
-        return [j for j in self.above(i) if j != i]
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """covers[i]: the upper covers of congruence i, the members strictly
+        above it with no member in between, in lattice order."""
+        return _kernels.upper_covers(self.leq)
 
     @property
     def bottom(self) -> int:

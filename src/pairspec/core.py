@@ -507,25 +507,22 @@ def distributive_center(pair: Pair) -> frozenset[int]:
 
 
 def heights(pair: Pair) -> list[Optional[int]]:
-    """Minimal decomposition heights over the tangible span; None outside it."""
-    n = pair.n
-    h: list[Optional[int]] = [None] * n
+    """Minimal decomposition heights over the tangible span; None outside it.
+
+    Min-plus relaxation h[x + y] <- min(h[x + y], h[x] + h[y]) over all pairs
+    at once, from 0 at zero and 1 on the tangibles, until nothing changes;
+    ``unset`` stands for None and two of them still add without overflow.
+    """
+    unset = np.iinfo(np.int64).max // 2
+    h = np.full(pair.n, unset, dtype=np.int64)
+    h[pair.t_sorted] = 1
     h[pair.zero] = 0
-    for a in pair.tangible:
-        if h[a] is None or h[a] > 1:
-            h[a] = 1
-    changed = True
-    while changed:
-        changed = False
-        known = [i for i in range(n) if h[i] is not None]
-        for x in known:
-            for y in known:
-                cand = h[x] + h[y]
-                s = int(pair.add[x, y])
-                if h[s] is None or cand < h[s]:
-                    h[s] = cand
-                    changed = True
-    return h
+    sums = pair.add.ravel()
+    while True:
+        prev = h.copy()
+        np.minimum.at(h, sums, (h[:, None] + h[None, :]).ravel())
+        if (h == prev).all():
+            return [int(v) if v < unset else None for v in h]
 
 
 def height(pair: Pair, b: int) -> Optional[int]:

@@ -21,7 +21,6 @@ from .congruences import (
     CongruenceLattice,
     diag_e,
     enumerate_congruences,
-    meet,
     relation_to_congruence,
 )
 from .constructions import quotient_pair
@@ -160,19 +159,27 @@ def improper_scan(pair: Pair, cong: Congruence) -> list[ImproperElement]:
     return [ImproperElement(a, b, v) for a, b, v in improper_members(pair, cong)]
 
 
-def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
-    add, mul = pair.add, pair.mul
-    member = cong.matrix
+def _quotient(pair: Pair, cong: Congruence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least member of each block of ``cong``, and the addition and
+    multiplication tables of A/cong over block ids.
 
-    radical = _kernels.radical_violation(add, mul, member)[0] < 0
-    if cong.is_all():
-        strongly_prime = True
-    else:
-        nxs, nys = np.nonzero(~member)
-        strongly_prime = _kernels.strongly_prime_violation(
-            add, mul, member, nxs.astype(np.int64), nys.astype(np.int64)
-        )[0] < 0
-    t_cancellative = _kernels.t_cancel_violation(mul, member, pair.t_sorted)[0] < 0
+    The twist tests below read a pair only through the blocks its entries
+    fall in, so each runs on the quotient against its diagonal.
+    """
+    bo = np.asarray(cong.block_of, dtype=np.int64)
+    reps = np.unique(bo, return_index=True)[1]
+    return reps, bo[pair.add[reps][:, reps]], bo[pair.mul[reps][:, reps]]
+
+
+def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
+    reps, add, mul = _quotient(pair, cong)
+    diag = np.eye(len(reps), dtype=bool)
+    nxs, nys = np.nonzero(~diag)
+
+    radical = _kernels.radical_violation(add, mul, diag)[0] < 0
+    strongly_prime = _kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0
+    t_blocks = np.unique(np.asarray(cong.block_of)[pair.t_sorted])
+    t_cancellative = _kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0
     improper = improper_members(pair, cong)
     proper = not improper
     weakly_proper = not any(v for _, _, v in improper)
@@ -189,44 +196,37 @@ def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceC
 def classify_congruence(pair: Pair, cong: Congruence,
                         lattice: Optional[CongruenceLattice]) -> CongruenceClassification:
     """Full classification; the lattice-quantified flags need the whole
-    lattice, and a missing lattice is an error."""
+    lattice, and a missing lattice is an error.
+
+    The twist product is monotone in both factors and every congruence
+    strictly above ``cong`` contains one of its upper covers, so prime and
+    semiprime are decided over pairs of covers; ``cong`` is meet-irreducible
+    iff it has at most one cover (the top has none).
+    """
     base = classify_congruence_elementwise(pair, cong)
     if lattice is None:
         raise LatticeRequired("prime/semiprime/irreducible need the congruence lattice")
 
-    i = lattice.find(cong)
-    above = lattice.strictly_above(i)
-    target = cong.matrix
+    covers = lattice.covers[lattice.find(cong)]
+    reps, add, mul = _quotient(pair, cong)
+    diag = np.eye(len(reps), dtype=bool)
+    members = []   # each cover's members, as pairs of blocks of cong
+    for j in covers:
+        cb = np.asarray(lattice[j].block_of)[reps]
+        members.append(np.nonzero(cb[:, None] == cb[None, :]))
 
-    semiprime = True
-    for j in above:
-        if twist_subset(pair, lattice[j], lattice[j], target):
-            semiprime = False
-            break
+    def inside(m1, m2) -> bool:
+        return _kernels.twist_subset_violation(add, mul, *m1, *m2, diag)[0] < 0
 
-    prime = True
-    for j in above:
-        for k in above:
-            if twist_subset(pair, lattice[j], lattice[k], target):
-                prime = False
-                break
-        if not prime:
-            break
-
-    irreducible = True
-    for j in above:
-        for k in above:
-            if meet(lattice[j], lattice[k]).block_of == cong.block_of:
-                irreducible = False
-                break
-        if not irreducible:
-            break
-
+    semiprime = not any(inside(m, m) for m in members)
+    prime = semiprime and not any(
+        inside(m1, m2) for a, m1 in enumerate(members) for b, m2 in enumerate(members) if a != b
+    )
     return CongruenceClassification(
         radical=base.radical, strongly_prime=base.strongly_prime,
         t_cancellative=base.t_cancellative, proper=base.proper,
         weakly_proper=base.weakly_proper, contains_1e=base.contains_1e,
-        e_type=base.e_type, prime=prime, semiprime=semiprime, irreducible=irreducible,
+        e_type=base.e_type, prime=prime, semiprime=semiprime, irreducible=len(covers) <= 1,
     )
 
 

@@ -212,3 +212,129 @@ def first_nondistrib_dense(add, mul):
         b, c, a = bad[0]
         return (1, int(a), int(b), int(c))
     return (-1, -1, -1, -1)
+
+
+# ---------------------------------------------------------------------------
+# congruence classification by definition
+# ---------------------------------------------------------------------------
+
+def _refines(a, b) -> bool:
+    """Every block of partition a sits inside a block of partition b."""
+    image = {}
+    return all(image.setdefault(x, y) == y for x, y in zip(a, b))
+
+
+def _restricted_growth(labels) -> tuple[int, ...]:
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+def covers_by_definition(block_ofs) -> list[list[int]]:
+    """covers[i]: the j strictly above partition i with no partition of the
+    list strictly between, by refinement tests on every triple."""
+    m = len(block_ofs)
+    lt = [[i != j and _refines(block_ofs[i], block_ofs[j]) for j in range(m)] for i in range(m)]
+    return [[j for j in range(m) if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(m))]
+            for i in range(m)]
+
+
+def _member_pairs(block_of):
+    bo = np.asarray(block_of)
+    xs, ys = np.nonzero(bo[:, None] == bo[None, :])
+    return xs, ys
+
+
+def _twist_inside(add, mul, rel1, rel2, member) -> bool:
+    """Whether every twist product of two pair-sets lies in ``member``."""
+    (x1, y1), (x2, y2) = rel1, rel2
+    p = add[mul[x1[:, None], x2[None, :]], mul[y1[:, None], y2[None, :]]]
+    q = add[mul[x1[:, None], y2[None, :]], mul[y1[:, None], x2[None, :]]]
+    return bool(member[p, q].all())
+
+
+def classify_by_definition(pair, block_of, block_ofs) -> dict:
+    """The ten classification flags of the congruence ``block_of`` among the
+    congruences ``block_ofs``: the elementwise flags over the full tables of
+    A, prime and semiprime over every pair strictly above it, and
+    irreducible through the meets of those pairs."""
+    add, mul, n = pair.add, pair.mul, pair.n
+    bo = np.asarray(block_of)
+    member = bo[:, None] == bo[None, :]
+    b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+
+    square = member[add[mul[b1, b1], mul[b2, b2]], add[mul[b1, b2], mul[b2, b1]]]
+    nxs, nys = np.nonzero(~member)
+    strongly_prime = _twist_inside(add, mul, (nxs, nys), (nxs, nys), ~member)
+    t_cancellative = not any(
+        (member[mul[a][:, None], mul[a][None, :]] & ~member).any() for a in sorted(pair.tangible))
+
+    improper = [(a, b) for a in pair.tangible for b in pair.a_zero if member[a, b]]
+    w = pair.property_n
+    e_type = None
+    if w is not None:
+        e_type = next((k for k in range(1, n + 1)
+                       if member[add[pair.one][iterated_sum(add, w.e, k)],
+                                 iterated_sum(add, w.e, k)]), None)
+
+    canon = _restricted_growth(block_of)
+    above = [c for c in block_ofs
+             if _refines(block_of, c) and _restricted_growth(c) != canon]
+    rels = [_member_pairs(c) for c in above]
+    semiprime = not any(_twist_inside(add, mul, r, r, member) for r in rels)
+    prime = not any(_twist_inside(add, mul, r1, r2, member) for r1 in rels for r2 in rels)
+    irreducible = not any(_restricted_growth(zip(c1, c2)) == canon
+                          for c1 in above for c2 in above)
+    return {
+        "radical": not (square & ~member).any(),
+        "strongly_prime": strongly_prime,
+        "t_cancellative": t_cancellative,
+        "proper": not improper,
+        "weakly_proper": not any(add[a, b] == a for a, b in improper),
+        "contains_1e": bool(member[pair.one, w.e]) if w is not None else None,
+        "e_type": e_type,
+        "prime": prime,
+        "semiprime": semiprime,
+        "irreducible": irreducible,
+    }
+
+
+def heights_loop(pair) -> list:
+    """Minimal decomposition heights: the pure-Python fixpoint over all pairs
+    of elements with a known height, updated in place round by round."""
+    n = pair.n
+    h = [None] * n
+    h[pair.zero] = 0
+    for a in pair.tangible:
+        if h[a] is None or h[a] > 1:
+            h[a] = 1
+    changed = True
+    while changed:
+        changed = False
+        known = [i for i in range(n) if h[i] is not None]
+        for x in known:
+            for y in known:
+                cand = h[x] + h[y]
+                s = int(pair.add[x, y])
+                if h[s] is None or cand < h[s]:
+                    h[s] = cand
+                    changed = True
+    return h
+
+
+def check_congb_loop(pair, cong_b):
+    """The CONGB loop that calls ``cong_b`` for every doubled element b in
+    row-major order: (passed, counterexample, notes)."""
+    checked = 0
+    for b1 in range(pair.n):
+        for b2 in range(pair.n):
+            res = cong_b(pair, (b1, b2))
+            if not (res.hypothesis_semiring or res.hypothesis_s_central):
+                continue
+            checked += 1
+            if not res.is_congruence or not res.contains_b:
+                return False, {
+                    "b": (pair.names[b1], pair.names[b2]),
+                    "is_congruence": res.is_congruence,
+                    "contains_b": res.contains_b,
+                }, ""
+    return True, None, f"{checked} elements checked"

@@ -205,3 +205,29 @@ def test_in_process_runs_release_their_output(runner, sb_file):
     for _ in range(300):
         assert runner.invoke(main, ["validate", sb_file]).exit_code == 0
     assert live_wrappers() - before < 10
+
+
+# sha256 of `spectrum` stdout, recorded before classification moved onto the
+# quotient A/theta and the upper covers; any change that moves it fails here
+SPECTRUM_DIGESTS = {
+    "function_sb_c3": "39b7a13062533d5ebc3304c899d804f51dbb109849197d3c4d653c2ccc070f82",
+    "power_massouros_c3": "6ded622f3f283eb450e56de443f894d97031b6a0f306d3ab671bc15ec3d16183",
+}
+
+
+def _digest_pair(name):
+    from pairspec import catalog, constructions, monoids
+    if name == "function_sb_c3":
+        return constructions.function_pair(constructions.super_boolean(),
+                                           monoids.cyclic_group(3), name=name)
+    return constructions.power_set_pair(catalog.massouros_hyperfield(3), name=name)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_DIGESTS))
+def test_spectrum_stdout_digest(runner, tmp_path, name):
+    import hashlib
+    path = tmp_path / f"{name}.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(_digest_pair(name))))
+    res = runner.invoke(main, ["spectrum", str(path)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == SPECTRUM_DIGESTS[name]

@@ -1,7 +1,11 @@
 """Carrier validation, the 1-dagger witness, and pair classification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pairspec.constructions import double, minimal_bipotent
@@ -255,6 +259,22 @@ def test_heights_satisfy_recurrence(pairs):
                 assert h[s] is not None and h[s] <= h[x] + h[y], name
 
 
+def test_heights_match_loop_on_catalog(pairs):
+    for p in pairs.values():
+        assert heights(p) == oracle.heights_loop(p), p.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 30))
+def test_heights_match_loop_on_random_tables(seed, n):
+    # any addition table will do: the fixpoint needs no axiom
+    rng = np.random.default_rng(seed)
+    tangible = frozenset(np.nonzero(rng.random(n) < 0.2)[0].tolist())
+    p = SimpleNamespace(n=n, add=rng.integers(0, n, (n, n)), zero=int(rng.integers(n)),
+                        tangible=tangible, t_sorted=np.array(sorted(tangible), dtype=np.int64))
+    assert heights(p) == oracle.heights_loop(p)
+
+
 def test_admissibility_flags(pairs):
     assert classify_pair(pairs["super_boolean"]).admissible
     assert classify_pair(pairs["function_sb_sat2"]).admissible
@@ -322,9 +342,6 @@ def test_e_central_iff_e_in_center(pairs):
 
 
 # -- relabeling invariance -----------------------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 _RELABEL_POOL = ("super_boolean", "minbp_c2_second", "supertropical_c2", "field_f5")
 

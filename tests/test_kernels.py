@@ -188,6 +188,18 @@ def test_leq_is_refines_in_every_chunking(pairs, monkeypatch):
             assert (_kernels.refinement_order(rows) == want).all(), p.name
 
 
+def test_covers_match_definition_in_every_chunking(pairs, monkeypatch):
+    from pairspec.congruences import enumerate_congruences
+    for p in pairs.values():
+        lat = enumerate_congruences(p)
+        want = [tuple(c) for c in oracle.covers_by_definition([c.block_of for c in lat])]
+        assert list(lat.covers) == want, p.name
+        # one row per chunk, then three rows with a shorter last chunk
+        for cells in (1, 4 * 3 * len(lat)):
+            monkeypatch.setattr(_kernels, "_LEQ_CELLS", cells)
+            assert list(_kernels.upper_covers(lat.leq)) == want, p.name
+
+
 def test_congruence_violation_keeps_labels_past_256():
     # 298 ~ 299 only; x + y = x except 299 + 5 = 42, in a block whose least
     # member differs from 298's by exactly 256

@@ -1,7 +1,12 @@
 """Twist-product classification, radicals, spectra, and the isomorphisms."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
+from pairspec import constructions, monoids
 from pairspec.congruences import (
     all_relation,
     diag_e,
@@ -25,6 +30,8 @@ from pairspec.spectrum import (
     twist_set_product,
     twist_subset,
 )
+
+from test_congruences import _random_pair
 
 SMALL = ("super_boolean", "minbp_c2_first", "minbp_c2_second",
          "supertropical_c2", "power_krasner", "field_f3", "field_f5")
@@ -190,6 +197,27 @@ def test_strongly_prime_implies_prime(pairs):
             c = classify_congruence(p, cong, lat)
             if c.strongly_prime:
                 assert c.prime, name
+
+
+def _assert_classes_match_definition(p):
+    lat = enumerate_congruences(p)
+    rows = [c.block_of for c in lat]
+    for c in lat:
+        got = classify_congruence(p, c, lat).to_dict()
+        assert got == oracle.classify_by_definition(p, c.block_of, rows), (p.name, c.block_of)
+
+
+def test_classification_matches_definition_on_catalog(pairs):
+    for p in pairs.values():
+        _assert_classes_match_definition(p)
+    _assert_classes_match_definition(constructions.function_pair(
+        constructions.super_boolean(), monoids.cyclic_group(3), name="function_sb_c3"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 5))
+def test_classification_matches_definition_random_pairs(seed, n):
+    _assert_classes_match_definition(_random_pair(np.random.default_rng(seed), n))
 
 
 # -- reports -------------------------------------------------------------------------

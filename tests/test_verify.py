@@ -1,8 +1,14 @@
 """The law harness: hypothesis gating, pass/fail reporting, re-verification."""
 
+from dataclasses import replace
+
 import pytest
 
+import oracle
+from pairspec import verify
+from pairspec.congruences import cong_b
 from pairspec.constructions import minimal_bipotent
+from pairspec.core import classify_pair
 from pairspec.errors import UnknownCheckId
 from pairspec.monoids import trivial_monoid
 from pairspec.verify import (
@@ -145,6 +151,54 @@ def test_congb_passes_on_etype_catalog(pairs):
     for name in ("super_boolean", "minbp_c2_first", "supertropical_c2"):
         r = run_check(pairs[name], "CONGB")
         assert r.passed, name
+
+
+def test_cong_b_depends_only_on_the_sum(pairs):
+    for p in pairs.values():
+        by_sum = {}
+        for b1 in range(p.n):
+            for b2 in range(p.n):
+                res = cong_b(p, (b1, b2))
+                key = (res.relation.tobytes(), res.is_congruence, res.z_set,
+                       res.hypothesis_semiring, res.hypothesis_s_central)
+                assert by_sum.setdefault(int(p.add[b1, b2]), key) == key, (p.name, b1, b2)
+                assert res.contains_b == res.relation[b1, b2]
+
+
+def _planted_cong_b(plant, s0, cell):
+    """cong_b with a fault planted at the sum s0; still a function of the sum."""
+    def fake(pair, b):
+        res = cong_b(pair, b)
+        s = int(pair.add[b[0], b[1]])
+        if plant == "skip" and s % 2 == s0 % 2:
+            return replace(res, hypothesis_semiring=False, hypothesis_s_central=False)
+        if plant == "none" or s != s0:
+            return res
+        if plant == "not_congruence":
+            return replace(res, is_congruence=False, congruence=None)
+        rel = res.relation.copy()
+        rel[cell] = False
+        return replace(res, relation=rel, contains_b=bool(rel[b]))
+    return fake
+
+
+def test_congb_matches_per_element_loop(pairs, monkeypatch):
+    failed = 0
+    for p in pairs.values():
+        if classify_pair(p).e_type is None:
+            continue
+        sums = p.add.ravel().tolist()
+        s0 = sums[len(sums) // 2]
+        # the last doubled element with sum s0, so that earlier ones pass
+        cell = divmod(len(sums) - 1 - sums[::-1].index(s0), p.n)
+        for plant in ("none", "skip", "not_congruence", "drop_cell"):
+            fake = _planted_cong_b(plant, s0, cell)
+            monkeypatch.setattr(verify, "cong_b", fake)
+            r = run_check(p, "CONGB")
+            want = oracle.check_congb_loop(p, fake)
+            assert (r.passed, r.counterexample, r.notes) == want, (p.name, plant)
+            failed += want[0] is False
+    assert failed
 
 
 def test_tr1_reports_injection(sb):
