@@ -77,7 +77,9 @@ def first_noncomm(op):
 def first_nondistrib(add, mul):
     """First distributivity violation as (side, a, b, c); side 0 is a(b+c), side 1 is (b+c)a.
 
-    Side 0 is scanned in [a,b,c] order, then side 1 in [b,c,a] order.
+    Side 0 is scanned in [a,b,c] order, then side 1 in [b,c,a] order.  When
+    ``mul`` equals its transpose, side 1 at [b,c,a] is side 0 at [a,b,c], so
+    a clean side 0 ends the scan.
     """
     n = add.shape[0]
     s, m = _compact(add), _compact(mul)
@@ -88,6 +90,8 @@ def first_nondistrib(add, mul):
         hit = _first(mflat[_row_offsets(a, n) + add[b]] != prod, a, b)
         if hit:
             return (0, *hit)
+    if np.array_equal(mul, mul.T):
+        return (-1, -1, -1, -1)
     # side 1: (b+c)a against ba + ca, indexed [b,c,a]
     for b, c in _slabs(n):
         prod = sflat[(mul[b] * n)[:, None, :] + mul[c]]

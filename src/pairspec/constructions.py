@@ -276,12 +276,17 @@ def twist_tables(base: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
     return add_hat.astype(np.int64), mul_hat.astype(np.int64)
 
 
+def doubled_names(names) -> list[str]:
+    """Labels ``(a,b)`` of the doubled carrier, in index order ``a * n + b``."""
+    return [f"({a},{b})" for a in names for b in names]
+
+
 def double(pair: Pair) -> DoubledPair:
     """Doubled pair with split tangibles, diagonal A0, and the switch map."""
     base = pair.structure
     n = base.n
     add_hat, mul_hat = twist_tables(base)
-    names = [f"({a},{b})" for a in base.names for b in base.names]
+    names = doubled_names(base.names)
     st = validate_structure(names, zero=base.zero * n + base.zero,
                             one=base.one * n + base.zero, add=add_hat, mul=mul_hat)
 

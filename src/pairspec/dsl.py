@@ -122,9 +122,14 @@ def _table(obj: dict, key: str, n: int, known: set[str]) -> tuple[tuple[str, ...
     for row in v:
         if not isinstance(row, list) or len(row) != n:
             raise DimensionMismatch(f"'{key}' row has wrong length", witness=(key, len(row) if isinstance(row, list) else None))
-        for x in row:
-            if not isinstance(x, str) or x not in known:
-                raise UnknownLabel(f"'{key}' uses an undeclared label", witness=(x,))
+        try:
+            ok = known.issuperset(row)
+        except TypeError:           # an unhashable cell
+            ok = False
+        if not ok:
+            for x in row:
+                if not isinstance(x, str) or x not in known:
+                    raise UnknownLabel(f"'{key}' uses an undeclared label", witness=(x,))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -214,13 +219,58 @@ def is_hyper_text(text: str) -> bool:
         return False
 
 
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _dump(o, level: int) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)``
+    writes it at nesting ``level``.  A list of strings, such as a table row,
+    is joined in one pass of the C string encoder."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if type(o) is int:
+        return int.__repr__(o)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_encode_str, o))
+        except TypeError:           # not all strings
+            body = ("," + inner).join([_dump(x, level + 1) for x in o])
+        return "[" + inner + body + "\n" + "  " * level + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        if not all(isinstance(k, str) for k in o):
+            # json's own text, whose only raw newlines are its indentation
+            text = json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)
+            return text.replace("\n", "\n" + "  " * level)
+        body = ("," + inner).join([_encode_str(k) + ": " + _dump(o[k], level + 1)
+                                   for k in sorted(o)])
+        return "{" + inner + body + "\n" + "  " * level + "}"
+    return _encode_scalar(o)        # floats and number subclasses
+
+
 def serialize(obj) -> str:
-    """Deterministic JSON with sorted keys; identical bytes across runs."""
+    """Deterministic JSON with sorted keys; identical bytes across runs.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, written without ``json``'s pure-Python
+    indenting encoder.
+    """
     if hasattr(obj, "to_json_dict"):
         obj = obj.to_json_dict()
     elif hasattr(obj, "to_dict"):
         obj = obj.to_dict()
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _dump(obj, 0) + "\n"
 
 
 serialize_report = serialize
@@ -229,9 +279,8 @@ serialize_report = serialize
 def build_pair(pf: PairFile) -> tuple[Pair, Optional[NegationMap]]:
     """Semantic validation of a parsed pair file."""
     index = {x: i for i, x in enumerate(pf.elements)}
-    n = len(pf.elements)
-    add = [[index[x] for x in row] for row in pf.add]
-    mul = [[index[x] for x in row] for row in pf.mul]
+    add = [list(map(index.__getitem__, row)) for row in pf.add]
+    mul = [list(map(index.__getitem__, row)) for row in pf.mul]
     st = validate_structure(pf.elements, index[pf.zero], index[pf.one], add, mul)
     pair = validate_pair(st, {index[x] for x in pf.tangible}, {index[x] for x in pf.a0},
                          name=pf.name)
@@ -263,8 +312,8 @@ def pair_to_file(pair: Pair, negation: Optional[NegationMap] = None) -> PairFile
         elements=names,
         zero=names[pair.zero],
         one=names[pair.one],
-        add=tuple(tuple(names[x] for x in row) for row in pair.add),
-        mul=tuple(tuple(names[x] for x in row) for row in pair.mul),
+        add=tuple(tuple(map(names.__getitem__, row)) for row in pair.add.tolist()),
+        mul=tuple(tuple(map(names.__getitem__, row)) for row in pair.mul.tolist()),
         tangible=tuple(names[i] for i in sorted(pair.tangible)),
         a0=tuple(names[i] for i in sorted(pair.a_zero)),
         negation={names[i]: names[negation.perm[i]] for i in range(pair.n)}

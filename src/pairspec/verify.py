@@ -15,8 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import first_nonassoc
 from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
-from .constructions import double, quotient_pair
+from .constructions import double, doubled_names, quotient_pair, twist_tables
 from .core import Pair, classify_pair
 from .errors import CapExceeded, UnknownCheckId
 from .spectrum import (
@@ -164,10 +165,11 @@ def _check_twass(ctx):
     pair = ctx.pair
     if not pair.structure.is_semiring():
         return False, None, None, "needs a semiring pair"
-    d = double(pair)
-    if d.twist_associative:
-        return True, True, None, f"all {d.n}^3 triples associate"
-    return True, False, {"triple": list(d.twist_witness)}, ""
+    i, j, k = first_nonassoc(twist_tables(pair.structure)[1])
+    if i < 0:
+        return True, True, None, f"all {pair.n * pair.n}^3 triples associate"
+    names = doubled_names(pair.names)
+    return True, False, {"triple": [names[i], names[j], names[k]]}, ""
 
 
 def _check_gen(ctx):
@@ -668,8 +670,11 @@ def _cong_from_blocks(pair: Pair, block_labels) -> Congruence:
 def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     """Recompute the violated instance directly from the tables.
 
-    Returns True when the counterexample indeed violates the named law.
+    Returns True when the counterexample indeed violates the named law, and
+    False for an id that names no check.
     """
+    if check_id not in CHECKS:
+        return False
     ix = pair.structure.index
     add, mul = pair.add, pair.mul
     if check_id == "EST":

@@ -231,3 +231,23 @@ def test_spectrum_stdout_digest(runner, tmp_path, name):
     res = runner.invoke(main, ["spectrum", str(path)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == SPECTRUM_DIGESTS[name]
+
+
+# sha256 of the file `construct double` writes for function_minbp_sat2 (256
+# elements), recorded while `serialize` still called json's indenting encoder
+# and the distributivity scan always ran both sides
+DOUBLE_DIGEST = "b201f6a207b797f91cb39a4e42a8b9f5445a5b00acae61f31a60f6e1b06a6d21"
+
+
+def test_construct_double_file_digest(runner, tmp_path, pairs):
+    import hashlib
+    base = tmp_path / "minbp_c2_first.json"
+    base.write_text(dsl.serialize(dsl.pair_to_file(pairs["minbp_c2_first"])))
+    fn = tmp_path / "function_minbp_sat2.json"
+    res = runner.invoke(main, ["construct", "function_pair", "--param", "monoid=sat2",
+                               "--base", str(base), "-o", str(fn)])
+    assert res.exit_code == 0
+    out = tmp_path / "double.json"
+    res = runner.invoke(main, ["construct", "double", "--base", str(fn), "-o", str(out)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DOUBLE_DIGEST

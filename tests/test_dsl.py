@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairspec import catalog, dsl
+from pairspec import catalog, constructions, dsl, monoids
 from pairspec.core import validate_negation_map
 from pairspec.errors import (
     DimensionMismatch,
@@ -102,3 +104,85 @@ def test_is_hyper_text(sb):
     assert not dsl.is_hyper_text(_sb_text(sb))
     h = catalog.krasner_hyperfield()
     assert dsl.is_hyper_text(dsl.serialize(dsl.hyper_to_file(h)))
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_SPECIAL = st.sampled_from([
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e300, -1.5e-7,
+    "", '"', "\\", "\n\r\t\b\f", "\x00\x1f\x7f", "\u2028\u2029", "é ∑ 😀", "(a,b)",
+])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | _SPECIAL)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.lists(st.text() | _SPECIAL.filter(lambda x: isinstance(x, str)))
+                  | st.dictionaries(st.text(), kids)
+                  | st.dictionaries(st.integers(), kids)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON)
+def test_serialize_matches_json_dumps(obj):
+    assert dsl.serialize(obj) == _reference(obj)
+
+
+def test_serialize_matches_json_dumps_on_nesting_and_empties():
+    obj = {"z": [], "a": {}, "m": [[], {}, [[]], ("x", "y")], "k": {"b": [1, [2, ["c"]]]},
+           "n": {2: "two", 1: ["one"]}, "t": (), "s": ["\u00e9", "\"q\""], "f": [-0.0, 0.5]}
+    assert dsl.serialize(obj) == _reference(obj)
+    for top in ([], {}, "plain", 3, None, True, 2.5, ("a",)):
+        assert dsl.serialize(top) == _reference(top)
+
+
+def _doubled(base):
+    d = constructions.double(base)
+    return dsl.pair_to_file(d.pair, d.switch if d.switch_valid else None)
+
+
+@pytest.mark.parametrize("n", [225, 256])
+def test_round_trip_on_large_doubles(pairs, n):
+    if n == 225:
+        base = constructions.power_set_pair(catalog.massouros_hyperfield(3))
+    else:
+        base = constructions.function_pair(pairs["minbp_c2_first"],
+                                           monoids.saturating_monoid(2))
+    pf = _doubled(base)
+    assert len(pf.elements) == n
+    text = dsl.serialize(pf)
+    assert text == _reference(json.loads(text))
+    parsed = dsl.parse_pair_file(text)
+    assert parsed == pf
+    assert dsl.serialize(parsed) == text
+
+
+def _with_cell(sb, key, cells):
+    """A super-Boolean file whose ``key`` table has the given cells replaced."""
+    obj = dsl.pair_to_file(sb).to_json_dict()
+    for (i, j), value in cells.items():
+        obj[key][i][j] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("key", ["add", "mul"])
+@pytest.mark.parametrize("value", ["ghost", 7, ["0"], None, {"0": "1"}, True, 1.5])
+def test_bad_table_cell_names_first_offender(sb, key, value):
+    # rows are checked in order, and within a row cells in order
+    text = _with_cell(sb, key, {(1, 2): value, (2, 0): "later"})
+    with pytest.raises(UnknownLabel) as exc:
+        dsl.parse_pair_file(text)
+    assert exc.value.witness == (value,)
+
+
+def test_bad_cell_before_a_short_row(sb):
+    obj = dsl.pair_to_file(sb).to_json_dict()
+    obj["mul"][0][1] = "ghost"
+    obj["mul"][2] = obj["mul"][2][:-1]
+    with pytest.raises(UnknownLabel) as exc:
+        dsl.parse_pair_file(json.dumps(obj))
+    assert exc.value.witness == ("ghost",)

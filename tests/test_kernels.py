@@ -62,6 +62,61 @@ def test_scans_match_dense_formulas(seed, n, kind, planted):
         assert side == (1 if kind == "projection" and n > 1 else -1)
 
 
+def _symmetric(t):
+    """The table with its upper triangle mirrored below the diagonal."""
+    return np.triu(t) + np.triu(t, 1).T
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
+       kind=st.sampled_from(["random", "lattice"]), planted=st.integers(0, 2))
+def test_nondistrib_on_commutative_products_matches_dense_formula(seed, n, kind, planted):
+    """With mul equal to its transpose only side 0 is scanned; the witness
+    stays the dense formula's, with and without a planted violation."""
+    rng = np.random.default_rng(seed)
+    add, mul = _family(kind, n, rng)
+    mul = _symmetric(_plant(mul, rng, planted))
+    add = _plant(add, rng, planted)
+    assert (mul == mul.T).all()
+    got = _kernels.first_nondistrib(add, mul)
+    assert got == oracle.first_nondistrib_dense(add, mul)
+    assert got[0] in (-1, 0)
+    if kind == "lattice" and not planted:
+        assert got == (-1, -1, -1, -1)
+
+
+def test_commutative_product_scans_one_side(monkeypatch):
+    n = 40
+    idx = np.arange(n)
+    add = np.maximum(idx[:, None], idx[None, :])
+    calls = []
+    slabs = _kernels._slabs
+    monkeypatch.setattr(_kernels, "_slabs", lambda m: calls.append(m) or slabs(m))
+    assert _kernels.first_nondistrib(add, np.minimum(idx[:, None], idx[None, :])) \
+        == (-1, -1, -1, -1)
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("n", [3, 5, 17])
+def test_side_one_only_violation_is_still_found(n):
+    """Right projection on a cyclic group is not commutative and fails only
+    (b+c)a = ba + ca; both sides are scanned."""
+    idx = np.arange(n)
+    add = (idx[:, None] + idx[None, :]) % n
+    mul = np.broadcast_to(idx[None, :], (n, n)).copy()
+    want = oracle.first_nondistrib_dense(add, mul)
+    assert want[0] == 1
+    assert _kernels.first_nondistrib(add, mul) == want
+    # max and min on a chain with the one cell 0 * (n-1) set to n-1: the
+    # product is no longer symmetric, and only side 1 breaks
+    chain = np.maximum(idx[:, None], idx[None, :])
+    mul = np.minimum(idx[:, None], idx[None, :])
+    mul[0, n - 1] = n - 1
+    want = oracle.first_nondistrib_dense(chain, mul)
+    assert want[0] == 1
+    assert _kernels.first_nondistrib(chain, mul) == want
+
+
 def _last_slab_cases(n):
     """Tables whose only violation has first two indices (n-1, n-1), with
     its expected witness.  From 258 elements on, the two compared values

@@ -2,13 +2,16 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pairspec import verify
 from pairspec.congruences import cong_b
-from pairspec.constructions import minimal_bipotent
-from pairspec.core import classify_pair
+from pairspec.constructions import double, minimal_bipotent
+from pairspec.core import FiniteStructure, classify_pair
 from pairspec.errors import UnknownCheckId
 from pairspec.monoids import trivial_monoid
 from pairspec.verify import (
@@ -18,6 +21,7 @@ from pairspec.verify import (
     run_check,
     summarize,
 )
+from test_congruences import _random_pair
 
 CHECK_IDS = (
     "BF", "CHAINS", "CONGB", "CP", "EFINAL_IDEM", "EMUL", "ESQ", "EST",
@@ -129,6 +133,46 @@ def test_reverify_rejects_fabricated_counterexample(sb):
     # a radical congruence that does contain (1, e) is not a counterexample
     fake = {"blocks": [["0"], ["1", "e"]]}
     assert not reverify_counterexample(sb, "RD1", fake)
+
+
+def test_reverify_rejects_unknown_check_id(sb):
+    assert not reverify_counterexample(sb, "NOPE", {})
+    assert not reverify_counterexample(sb, "NOPE", {"blocks": [["0"], ["1"], ["e"]]})
+
+
+def _twass_by_double(pair):
+    """TWASS read off the full doubled pair (table validation, switch map and
+    all): the reference for the check, which scans the twist product alone."""
+    if not pair.structure.is_semiring():
+        return False, None, None, "needs a semiring pair"
+    d = double(pair)
+    if d.twist_associative:
+        return True, True, None, f"all {d.n}^3 triples associate"
+    return True, False, {"triple": list(d.twist_witness)}, ""
+
+
+def _twass(pair):
+    r = run_check(pair, "TWASS")
+    return r.hypotheses_held, r.passed, r.counterexample, r.notes
+
+
+def test_twass_matches_doubled_pair_on_catalog(pairs):
+    for name, p in pairs.items():
+        assert _twass(p) == _twass_by_double(p), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
+def test_twass_matches_doubled_pair_on_random_tables(seed, n):
+    # random products are rarely associative: force the hypothesis so that
+    # the scan runs and failing witnesses are compared
+    p = _random_pair(np.random.default_rng(seed), n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteStructure, "is_semiring", lambda self: True)
+        got = _twass(p)
+        assert got == _twass_by_double(p)
+        if got[1] is False:
+            assert reverify_counterexample(p, "TWASS", got[2])
 
 
 def test_reports_serialize(sb):
