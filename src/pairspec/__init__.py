@@ -15,7 +15,6 @@ from .core import (
     classify_pair,
     distributive_center,
     find_property_n,
-    height,
     heights,
     is_distributively_central,
     validate_negation_map,
@@ -31,7 +30,6 @@ from .congruences import (
     enumerate_congruences,
     generated_congruence,
     is_congruence,
-    lattice_meet_join,
 )
 from .constructions import (
     DoubledPair,
@@ -53,12 +51,8 @@ from .spectrum import (
     CongruenceClassification,
     SpectrumReport,
     classify_congruence,
-    improper_scan,
-    maximal_disjoint_congruence,
-    maximal_proper_congruences,
     spectrum_report,
     sqrt_phi,
-    twist_set_product,
 )
 from .verify import CheckReport, reverify_counterexample, run_all, run_check
 

@@ -224,7 +224,10 @@ _CHUNK = 1 << 14
 
 
 def twist_fill(add, mul, xs1, ys1, xs2, ys2):
-    """Boolean matrix of all twist products of members1 x members2."""
+    """Boolean matrix of all twist products of members1 x members2.
+
+    No package code calls it; ``perfbench/layertrace.py`` wraps it by name,
+    so it stays until the benchmark stops tracing it."""
     out = np.zeros(add.shape, dtype=bool)
     for lo in range(0, len(xs1), _CHUNK):
         x1 = xs1[lo:lo + _CHUNK, None]

@@ -171,7 +171,7 @@ def verify(file, check_ids, run_every):
         else:
             analysis = Analysis(pair, None)
             reports = [run_check(pair, cid, analysis=analysis) for cid in check_ids]
-    except CapExceeded as exc:
+    except (CapExceeded, CarrierTooLarge) as exc:
         _fail(exc, EXIT_CAP)
     payload = {
         "name": pair.name,

@@ -348,13 +348,3 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     ordered = sorted(known.values(), key=lambda c: (-c.n_blocks, c.block_of))
     return CongruenceLattice(pair=pair, congruences=tuple(ordered))
 
-
-def lattice_meet_join(lattice: CongruenceLattice, c1: Congruence, c2: Congruence):
-    """(meet, join) of two lattice members; meet is the common refinement,
-    join the congruence generated by the union."""
-    i, j = lattice.find(c1), lattice.find(c2)
-    return (
-        lattice.congruences[lattice.meet_index(i, j)],
-        lattice.congruences[lattice.join_index(i, j)],
-    )
-

@@ -38,6 +38,8 @@ from .errors import (
 )
 from .monoids import Monoid
 
+# Largest carrier a construction builds: power sets, generated hyperpairs,
+# function pairs, and the n*n doubled carrier of ``twist_tables``.
 DEFAULT_CARRIER_CAP = 4096
 
 
@@ -264,6 +266,8 @@ class DoubledPair:
 def twist_tables(base: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise addition and twist multiplication on index pairs."""
     n = base.n
+    if n * n > DEFAULT_CARRIER_CAP:
+        raise CarrierTooLarge(n * n, DEFAULT_CARRIER_CAP)
     idx = np.arange(n * n)
     b1, b2 = idx // n, idx % n
     x1, y1 = b1[:, None], b2[:, None]

@@ -525,10 +525,6 @@ def heights(pair: Pair) -> list[Optional[int]]:
             return [int(v) if v < unset else None for v in h]
 
 
-def height(pair: Pair, b: int) -> Optional[int]:
-    return heights(pair)[b]
-
-
 def classify_pair(pair: Pair) -> PairClassification:
     """All classification flags by exhaustive check.
 

@@ -86,10 +86,6 @@ class NuNotHomomorphism(ValidationError):
     pass
 
 
-class OrderNotTotal(ValidationError):
-    pass
-
-
 class BadBound(ValidationError):
     pass
 
@@ -145,10 +141,6 @@ class HypothesisFails(PairspecError):
     def __init__(self, message: str, witness=None):
         super().__init__(message if witness is None else f"{message}; witness={witness!r}")
         self.witness = witness
-
-
-class NoDisjointCongruence(PairspecError):
-    pass
 
 
 # -- verify harness ------------------------------------------------------------

@@ -25,7 +25,7 @@ from .congruences import (
 )
 from .constructions import quotient_pair
 from .core import FiniteStructure, Pair, PairClassification, classify_pair, validate_structure
-from .errors import HypothesisFails, LatticeRequired, NoDisjointCongruence
+from .errors import HypothesisFails, LatticeRequired
 
 
 # ---------------------------------------------------------------------------
@@ -43,28 +43,19 @@ def twist(pair: Pair, b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]
 
 
 def _members_of(rel) -> tuple[np.ndarray, np.ndarray]:
+    """The related pairs of a Congruence, or of an ``(xs, ys)`` tuple."""
     if isinstance(rel, Congruence):
         return rel.members
-    if isinstance(rel, tuple) and len(rel) == 2:
-        xs, ys = rel
-        return (np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
-    xs, ys = np.nonzero(np.asarray(rel, dtype=bool))
-    return xs.astype(np.int64), ys.astype(np.int64)
+    xs, ys = rel
+    return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
 
 
-def twist_set_product(pair: Pair, rel1, rel2) -> np.ndarray:
-    """Elementwise twist products of two pair-sets, as a boolean matrix."""
+def twist_subset(pair: Pair, rel1, rel2, target: np.ndarray) -> bool:
+    """Whether every twist product of rel1 x rel2 lands inside the boolean
+    matrix ``target``."""
     xs1, ys1 = _members_of(rel1)
     xs2, ys2 = _members_of(rel2)
-    return _kernels.twist_fill(pair.add, pair.mul, xs1, ys1, xs2, ys2)
-
-
-def twist_subset(pair: Pair, rel1, rel2, target) -> bool:
-    """Whether every twist product of rel1 x rel2 lands inside target."""
-    xs1, ys1 = _members_of(rel1)
-    xs2, ys2 = _members_of(rel2)
-    tgt = target.matrix if isinstance(target, Congruence) else np.asarray(target, dtype=bool)
-    i, _ = _kernels.twist_subset_violation(pair.add, pair.mul, xs1, ys1, xs2, ys2, tgt)
+    i, _ = _kernels.twist_subset_violation(pair.add, pair.mul, xs1, ys1, xs2, ys2, target)
     return i < 0
 
 
@@ -146,17 +137,6 @@ def improper_members(pair: Pair, cong: Congruence) -> list[tuple[int, int, bool]
             if cong.related(a, b):
                 out.append((a, b, int(pair.add[a, b]) == a))
     return out
-
-
-@dataclass(frozen=True)
-class ImproperElement:
-    a: int
-    b: int
-    very_improper: bool
-
-
-def improper_scan(pair: Pair, cong: Congruence) -> list[ImproperElement]:
-    return [ImproperElement(a, b, v) for a, b, v in improper_members(pair, cong)]
 
 
 def _quotient(pair: Pair, cong: Congruence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -505,87 +485,3 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
         rd1=rd1, rd2=rd2, sp2i=sp2i, rd2_weak=rd2_weak, sp2i_weak=sp2i_weak,
     )
 
-
-# ---------------------------------------------------------------------------
-# maximal congruences disjoint from a set
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MaximalDisjointResult:
-    congruences: tuple[Congruence, ...]
-    prime: tuple[bool, ...]
-    hypothesis_held: bool
-
-
-def maximal_disjoint_congruence(pair: Pair, s_pairs,
-                                lattice: Optional[CongruenceLattice] = None) -> MaximalDisjointResult:
-    """Maximal lattice members disjoint from a set of doubled elements,
-    with their prime verdicts; the multiplicativity hypothesis on the set is
-    checked exhaustively over lattice pairs first."""
-    s = [(int(x), int(y)) for x, y in s_pairs]
-    if any(x == y for x, y in s):
-        raise NoDisjointCongruence("the avoided set meets the diagonal")
-    if lattice is None:
-        lattice = enumerate_congruences(pair)
-
-    def meets(i: int) -> bool:
-        m = lattice[i].matrix
-        return any(m[x, y] for x, y in s)
-
-    meeting = [i for i in range(len(lattice)) if meets(i)]
-    for i in meeting:
-        for j in meeting:
-            prod = twist_set_product(pair, lattice[i], lattice[j])
-            if not any(prod[x, y] for x, y in s):
-                raise HypothesisFails(
-                    "product of two congruences meeting the set avoids it",
-                    witness=(lattice[i].block_labels(), lattice[j].block_labels()),
-                )
-
-    disjoint = [i for i in range(len(lattice)) if not meets(i)]
-    maximal = _maximal(lattice, disjoint)
-    verdicts = tuple(
-        bool(classify_congruence(pair, lattice[i], lattice).prime) for i in maximal
-    )
-    return MaximalDisjointResult(
-        congruences=tuple(lattice[i] for i in maximal),
-        prime=verdicts,
-        hypothesis_held=True,
-    )
-
-
-@dataclass(frozen=True)
-class ProperCongruenceReport:
-    maximal_proper: tuple[Congruence, ...]
-    maximal_weakly_proper: tuple[Congruence, ...]
-    weakly_prime_proper: tuple[bool, ...]
-
-
-def maximal_proper_congruences(pair: Pair, lattice: CongruenceLattice) -> ProperCongruenceReport:
-    """Maximal proper and maximal weakly proper congruences; each of the
-    latter is tested against twist products of congruences containing very
-    improper elements."""
-    cls = [classify_congruence_elementwise(pair, c) for c in lattice]
-    proper_idx = [i for i, c in enumerate(cls) if c.proper]
-    weakly_idx = [i for i, c in enumerate(cls) if c.weakly_proper]
-    max_proper = _maximal(lattice, proper_idx)
-    max_weakly = _maximal(lattice, weakly_idx)
-
-    very = [i for i, c in enumerate(cls) if not c.weakly_proper]
-    verdicts = []
-    for i in max_weakly:
-        target = lattice[i].matrix
-        ok = True
-        for j in very:
-            for k in very:
-                if twist_subset(pair, lattice[j], lattice[k], target):
-                    ok = False
-                    break
-            if not ok:
-                break
-        verdicts.append(ok)
-    return ProperCongruenceReport(
-        maximal_proper=tuple(lattice[i] for i in max_proper),
-        maximal_weakly_proper=tuple(lattice[i] for i in max_weakly),
-        weakly_prime_proper=tuple(verdicts),
-    )

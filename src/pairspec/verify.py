@@ -19,7 +19,7 @@ from ._kernels import first_nonassoc
 from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
 from .constructions import double, doubled_names, quotient_pair, twist_tables
 from .core import Pair, classify_pair
-from .errors import CapExceeded, UnknownCheckId
+from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
     Analysis,
     _maximal,
@@ -634,13 +634,14 @@ def run_check(pair: Pair, check_id: str, cap: Optional[int] = None,
 
 
 def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
-    """Every check in id order; CapExceeded is recorded per check."""
+    """Every check in id order; CapExceeded and CarrierTooLarge are recorded
+    per check."""
     analysis = Analysis(pair, cap)
     out = []
     for cid in sorted(CHECKS):
         try:
             out.append(run_check(pair, cid, analysis=analysis))
-        except CapExceeded as exc:
+        except (CapExceeded, CarrierTooLarge) as exc:
             out.append(CheckReport(check_id=cid, hypotheses_held=True, passed=None,
                                    counterexample=None, runtime=0.0,
                                    notes=f"cap exceeded: {exc}"))

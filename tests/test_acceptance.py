@@ -17,7 +17,7 @@ from pairspec.errors import ValidationError
 from pairspec.spectrum import (
     classify_congruence,
     classify_congruence_elementwise,
-    improper_scan,
+    improper_members,
     spectrum_report,
     sqrt_phi,
     twist,
@@ -168,7 +168,7 @@ def test_criterion_09_very_improper_products(pairs):
         pairs_checked += 1
         lat = enumerate_congruences(p)
         very = sorted({
-            (i.a, i.b) for cong in lat for i in improper_scan(p, cong) if i.very_improper
+            (a, b) for cong in lat for a, b, very in improper_members(p, cong) if very
         })
         for a1, b1 in very:
             for a2, b2 in very:

@@ -1,6 +1,8 @@
 """Command-line surface and exit codes."""
 
+import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -225,12 +227,33 @@ def _digest_pair(name):
 
 @pytest.mark.parametrize("name", sorted(SPECTRUM_DIGESTS))
 def test_spectrum_stdout_digest(runner, tmp_path, name):
-    import hashlib
     path = tmp_path / f"{name}.json"
     path.write_text(dsl.serialize(dsl.pair_to_file(_digest_pair(name))))
     res = runner.invoke(main, ["spectrum", str(path)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == SPECTRUM_DIGESTS[name]
+
+
+# sha256 of `verify --all` stdout with each check's runtime masked, recorded
+# while the library still had its own maximal proper congruence report; the
+# CHAINS check now carries that check alone
+RUNTIME_FIELD = re.compile(r'"runtime": [0-9.e+-]+')
+VERIFY_DIGESTS = {
+    "super_boolean": "65ec768be9484f353ce9dd8b8d213c7a06bbd4d1c2170c518aa182841ece57fe",
+    "power_massouros_c3": "c83c2efc7011fd40523d5861ab1ba95b0efad8a61f0139e3932812aef0e5e247",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_all_stdout_digest(runner, tmp_path, name):
+    from pairspec import constructions
+    pair = constructions.super_boolean() if name == "super_boolean" else _digest_pair(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(pair)))
+    res = runner.invoke(main, ["verify", "--all", str(path)])
+    assert res.exit_code == 0
+    masked = RUNTIME_FIELD.sub('"runtime": 0.000000', res.output)
+    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[name]
 
 
 # sha256 of the file `construct double` writes for function_minbp_sat2 (256
@@ -240,7 +263,6 @@ DOUBLE_DIGEST = "b201f6a207b797f91cb39a4e42a8b9f5445a5b00acae61f31a60f6e1b06a6d2
 
 
 def test_construct_double_file_digest(runner, tmp_path, pairs):
-    import hashlib
     base = tmp_path / "minbp_c2_first.json"
     base.write_text(dsl.serialize(dsl.pair_to_file(pairs["minbp_c2_first"])))
     fn = tmp_path / "function_minbp_sat2.json"
@@ -251,3 +273,17 @@ def test_construct_double_file_digest(runner, tmp_path, pairs):
     res = runner.invoke(main, ["construct", "double", "--base", str(fn), "-o", str(out)])
     assert res.exit_code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DOUBLE_DIGEST
+
+
+def test_doubled_carrier_cap_exits_two(runner, tmp_path):
+    # 81 elements double to 6561 > 4096: both commands stop before tabulating
+    from pairspec import constructions, monoids
+    pair = constructions.function_pair(constructions.super_boolean(), monoids.cyclic_group(4))
+    assert pair.n == 81 and pair.structure.is_semiring()
+    path = tmp_path / "function_sb_c4.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(pair)))
+    for argv in (["verify", str(path), "--check", "TWASS"],
+                 ["construct", "double", "--base", str(path)]):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, argv
+        assert json.loads(res.output)["error"]["kind"] == "CarrierTooLarge", argv

@@ -1,5 +1,7 @@
 """Builders: every construction validates and reproduces its known values."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import oracle
 from pairspec import catalog
 from pairspec.congruences import all_relation, diagonal, generated_congruence
 from pairspec.constructions import (
+    DEFAULT_CARRIER_CAP,
     constant_supertropical,
     double,
     function_pair,
@@ -18,6 +21,7 @@ from pairspec.constructions import (
     super_boolean,
     supertropical,
     truncated_supertropical,
+    twist_tables,
     validate_hyperstructure,
 )
 from pairspec.core import classify_pair
@@ -300,6 +304,25 @@ def test_power_set_carrier_cap():
     h = catalog.signs_hyperfield()
     with pytest.raises(CarrierTooLarge):
         power_set_pair(h, cap=3)
+
+
+def test_twist_tables_carrier_cap():
+    # refused from the size alone, before any table is read
+    big = SimpleNamespace(n=65, add=None, mul=None)
+    with pytest.raises(CarrierTooLarge) as info:
+        twist_tables(big)
+    assert (info.value.size, info.value.cap) == (65 * 65, DEFAULT_CARRIER_CAP)
+
+
+def test_twist_tables_admit_benchmark_inputs(pairs):
+    # every pair the benchmark doubles or runs TWASS on has n <= 16
+    inputs = [*pairs.values(),
+              power_set_pair(catalog.massouros_hyperfield(3)),
+              function_pair(pairs["minbp_c2_first"], saturating_monoid(2))]
+    for p in inputs:
+        assert p.n <= 16
+        add, mul = twist_tables(p.structure)
+        assert add.shape == mul.shape == (p.n * p.n, p.n * p.n)
 
 
 def test_hyperpair_krasner_is_full_power_set(pairs):

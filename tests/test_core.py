@@ -14,7 +14,6 @@ from pairspec.core import (
     distributive_center,
     e_type,
     find_property_n,
-    height,
     heights,
     validate_negation_map,
     validate_pair,
@@ -237,13 +236,12 @@ def test_heights_super_boolean(sb):
     assert h[0] == 0          # zero
     assert h[1] == 1          # tangible
     assert h[2] == 2          # e = 1 + 1
-    assert height(sb, 2) == 2
 
 
 def test_height_inf_minimal_bipotent(pairs):
     p = pairs["minbp_c2_first"]
     inf = p.structure.index["inf"]
-    assert height(p, inf) == 2
+    assert heights(p)[inf] == 2
 
 
 def test_heights_satisfy_recurrence(pairs):

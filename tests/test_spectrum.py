@@ -16,20 +16,18 @@ from pairspec.congruences import (
     meet,
 )
 from pairspec.core import classify_pair, positive_e_type
-from pairspec.errors import HypothesisFails, LatticeRequired, NoDisjointCongruence
+from pairspec.errors import LatticeRequired
 from pairspec.spectrum import (
     classify_congruence,
     classify_congruence_elementwise,
     congruence_e_type,
-    improper_scan,
-    maximal_disjoint_congruence,
-    maximal_proper_congruences,
+    improper_members,
     spectrum_report,
     sqrt_phi,
     twist,
-    twist_set_product,
     twist_subset,
 )
+from pairspec.verify import run_check
 
 from test_congruences import _random_pair
 
@@ -41,8 +39,7 @@ SMALL = ("super_boolean", "minbp_c2_first", "minbp_c2_second",
 
 def test_twist_diag_products_stay_diagonal(sb):
     d = diagonal(sb)
-    prod = twist_set_product(sb, d, d)
-    assert not (prod & ~d.matrix).any()
+    assert twist_subset(sb, d, d, d.matrix)
 
 
 def test_twist_with_diagonal_lands_inside(pairs):
@@ -50,15 +47,13 @@ def test_twist_with_diagonal_lands_inside(pairs):
         p = pairs[name]
         lat = enumerate_congruences(p)
         for cong in lat:
-            prod = twist_set_product(p, cong, diagonal(p))
-            assert not (prod & ~cong.matrix).any(), name
+            assert twist_subset(p, cong, diagonal(p), cong.matrix), name
 
 
 def test_twist_explicit_super_boolean(sb):
     phi = generated_congruence(sb, [(1, 2)])
-    prod = twist_set_product(sb, phi, phi)
     # every product of two members collapses onto the diagonal
-    assert not (prod & ~diagonal(sb).matrix).any()
+    assert twist_subset(sb, phi, phi, diagonal(sb).matrix)
     assert twist(sb, (0, 1), (0, 1)) == (1, 0)
 
 
@@ -304,20 +299,20 @@ def test_spectrum_verdicts_on_applicable_catalog(pairs):
 def test_improper_scan_diag_empty_on_proper_pairs(pairs):
     for name, p in pairs.items():
         if classify_pair(p).proper:
-            assert improper_scan(p, diagonal(p)) == [], name
+            assert improper_members(p, diagonal(p)) == [], name
 
 
 def test_improper_scan_all_relation_super_boolean(sb):
-    found = improper_scan(sb, all_relation(sb))
-    as_labels = {(sb.names[i.a], sb.names[i.b], i.very_improper) for i in found}
+    found = improper_members(sb, all_relation(sb))
+    as_labels = {(sb.names[a], sb.names[b], very) for a, b, very in found}
     assert ("1", "e", False) in as_labels     # 1 + e = e, improper but not very
     assert ("1", "0", True) in as_labels      # 1 + 0 = 1, very improper
 
 
 def test_very_improper_in_fields(pairs):
     p = pairs["field_f5"]
-    found = improper_scan(p, all_relation(p))
-    very = {(p.names[i.a], p.names[i.b]) for i in found if i.very_improper}
+    found = improper_members(p, all_relation(p))
+    very = {(p.names[a], p.names[b]) for a, b, v in found if v}
     assert ("1", "0") in very
 
 
@@ -327,7 +322,7 @@ def test_very_improper_products_on_semiring_catalog(pairs):
             continue
         lat = enumerate_congruences(p)
         very = sorted({
-            (i.a, i.b) for cong in lat for i in improper_scan(p, cong) if i.very_improper
+            (a, b) for cong in lat for a, b, v in improper_members(p, cong) if v
         })
         for a1, b1 in very:
             for a2, b2 in very:
@@ -339,42 +334,15 @@ def test_very_improper_products_on_semiring_catalog(pairs):
 
 # -- maximal congruences -------------------------------------------------------------------
 
-def test_maximal_disjoint_with_valid_hypothesis(pairs):
-    p = pairs["field_f3"]
-    res = maximal_disjoint_congruence(p, [(p.one, p.zero)])
-    assert res.hypothesis_held
-    assert len(res.congruences) == 1
-    assert res.congruences[0].is_diagonal()
-    assert res.prime == (True,)
-
-
-def test_maximal_disjoint_hypothesis_failure_reported(sb):
-    # the collapse of twist squares onto the diagonal breaks the set
-    # multiplicativity hypothesis for S = {(1, e)}
-    with pytest.raises(HypothesisFails):
-        maximal_disjoint_congruence(sb, [(1, 2)])
-
-
-def test_maximal_disjoint_requires_off_diagonal(sb):
-    with pytest.raises(NoDisjointCongruence):
-        maximal_disjoint_congruence(sb, [(1, 1)])
-
-
-def test_maximal_disjoint_prime_matches_classifier(pairs):
-    for name in ("field_f3", "field_f5"):
-        p = pairs[name]
-        lat = enumerate_congruences(p)
-        res = maximal_disjoint_congruence(p, [(p.one, p.zero)], lat)
-        for cong, verdict in zip(res.congruences, res.prime):
-            assert verdict == classify_congruence(p, cong, lat).prime
-
-
 def test_maximal_proper_report_super_boolean(sb):
-    lat = enumerate_congruences(sb)
-    rep = maximal_proper_congruences(sb, lat)
-    assert [c.block_of for c in rep.maximal_proper] == [(0, 1, 2)]
-    assert [c.block_of for c in rep.maximal_weakly_proper] == [(0, 1, 1)]
-    assert rep.weakly_prime_proper == (True,)
+    rep = spectrum_report(sb)
+    lat = rep.lattice
+    assert [lat[i].block_of for i in rep.maximal_proper] == [(0, 1, 2)]
+    assert [lat[i].block_of for i in rep.maximal_weakly_proper] == [(0, 1, 1)]
+    # CHAINS part iv: no twist product of very improper congruences lands
+    # inside the maximal weakly proper one
+    chains = run_check(sb, "CHAINS")
+    assert chains.passed and "1 maximal weakly proper checked" in chains.notes
 
 
 def test_full_pipeline_on_doubled_pair(sb):
@@ -397,9 +365,7 @@ def test_degenerate_pair_has_no_proper_congruence():
     from pairspec.core import validate_pair, validate_structure
     st = validate_structure(["0", "1"], 0, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]])
     p = validate_pair(st, {1}, {0, 1}, name="degenerate")
-    lat = enumerate_congruences(p)
-    rep = maximal_proper_congruences(p, lat)
-    assert rep.maximal_proper == ()
+    assert spectrum_report(p).maximal_proper == ()
 
 
 def test_maximal_matches_pairwise_definition(pairs):

@@ -12,7 +12,7 @@ from pairspec import verify
 from pairspec.congruences import cong_b
 from pairspec.constructions import double, minimal_bipotent
 from pairspec.core import FiniteStructure, classify_pair
-from pairspec.errors import UnknownCheckId
+from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
 from pairspec.verify import (
     CHECKS,
@@ -257,3 +257,19 @@ def test_cap_is_recorded_not_raised(sb):
     # lattice-dependent checks record the cap, table-level checks still run
     assert any("cap exceeded" in r.notes for r in reports)
     assert any(r.passed is True for r in reports)
+
+
+def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
+    def too_large(structure):
+        raise CarrierTooLarge(structure.n ** 2, 4)
+
+    def verdicts(reports):
+        return {r.check_id: (r.hypotheses_held, r.passed, r.notes) for r in reports}
+
+    before = verdicts(run_all(sb))
+    monkeypatch.setattr(verify, "twist_tables", too_large)
+    after = verdicts(run_all(sb))
+    # recorded as CapExceeded is: hypotheses held, no verdict, a cap note
+    assert after.pop("TWASS") == (True, None, "cap exceeded: carrier would have 9 elements, cap is 4")
+    before.pop("TWASS")
+    assert after == before
