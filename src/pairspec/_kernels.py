@@ -11,6 +11,19 @@ whatever n is.  Values are gathered from a compact copy of each table
 (``uint8`` up to 256 elements, ``uint16`` above) through flat ``int64``
 offsets, which numpy takes without a cast.  A scan returns at the first slab
 that holds a violation, with the first violation in row-major order.
+
+Above one slab (n^3 > ``_SCAN_CELLS``, so n >= 41) each scan first runs an
+exact test over a generating set, on an n x n x |G| box:
+
+- associativity (Light): (xy)g = x(yg) for all x, y and every generator g of
+  the operation.  The g that pass are closed under it, so they are everything.
+- distributivity: a(b+c) = ab + ac and (b+c)a = ba + ca for all a, c and
+  every generator b of +.  Once Light's test finds + associative, the b that
+  pass are closed under +, so they are everything.
+
+A clean reduced test is the verdict.  A failed one, or a generating set of
+all n elements, falls through to the full scan, which finds the same first
+witness as ever.
 """
 
 from __future__ import annotations
@@ -26,16 +39,17 @@ def _compact(t):
     return t.astype(np.uint8 if t.shape[0] <= 256 else np.uint16)
 
 
-def _slabs(n):
-    """(i, j) slice pairs covering the first two indices in row-major order;
-    each slab of the n^3 cube, with every third index, has at most
-    ``_SCAN_CELLS`` cells."""
-    rows = _SCAN_CELLS // (n * n)
+def _slabs(n, depth=None):
+    """(i, j) slice pairs covering the first two indices of an n x n x depth
+    box (depth n by default) in row-major order; each slab, with every third
+    index, has at most ``_SCAN_CELLS`` cells."""
+    depth = n if depth is None else depth
+    rows = _SCAN_CELLS // (n * depth)
     if rows:
         for lo in range(0, n, rows):
             yield slice(lo, min(lo + rows, n)), slice(0, n)
         return
-    step = max(1, _SCAN_CELLS // n)
+    step = max(1, _SCAN_CELLS // depth)
     for i in range(n):
         for lo in range(0, n, step):
             yield slice(i, i + 1), slice(lo, min(lo + step, n))
@@ -54,10 +68,76 @@ def _first(bad, i, j):
     return (i.start + int(r), j.start + int(c), int(k))
 
 
+def generators(op):
+    """Greedy ascending generating set of the magma (0..n-1, op): each
+    generator is the least element the earlier ones do not generate.
+
+    Each new member of the closure is multiplied once by every member, on
+    both sides, so each product is taken at most twice: O(n^2) cells in all,
+    at most ``_SCAN_CELLS`` of them per step."""
+    n = op.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for x in range(n):
+        if inside[x]:
+            continue
+        gens.append(x)
+        inside[x] = True
+        todo = np.array([x])
+        while len(todo):
+            members = np.flatnonzero(inside)
+            step = max(1, _SCAN_CELLS // (2 * len(members)))
+            new, todo = todo[:step], todo[step:]
+            prods = np.concatenate((op[np.ix_(new, members)].ravel(),
+                                    op[np.ix_(members, new)].ravel()))
+            found = np.unique(prods[~inside[prods]])
+            inside[found] = True
+            todo = np.concatenate((todo, found))
+    return np.array(gens, dtype=np.int64)
+
+
+def _light_clean(op, t, gens):
+    """Light's test: (xy)g == x(yg) for every x, y and every generator g.
+
+    The elements g that pass for all x, y are closed under op: if c and d
+    pass, (xy)(cd) = ((xy)c)d = (x(yc))d = x((yc)d) = x(y(cd)).  Holding
+    the generators, they are the whole carrier, so op is associative."""
+    n = op.shape[0]
+    flat, tg = t.ravel(), t[:, gens]        # tg[y, k] = y g_k
+    for i, j in _slabs(n, len(gens)):
+        if (tg[op[i, j]] != flat[_row_offsets(i, n) + tg[j]]).any():
+            return False
+    return True
+
+
+def _left_distrib_clean(add, s, mul, m, gens):
+    """a(g+c) == ag + ac for every a, c and every additive generator g.
+
+    With + associative, the elements b that pass for all a, c are closed
+    under +: a((b+d)+c) = a(b+(d+c)) = ab + (ad + ac) = (ab + ad) + ac =
+    a(b+d) + ac.  Holding the generators, they are the whole carrier."""
+    n = add.shape[0]
+    sflat, mflat = s.ravel(), m.ravel()
+    sums = s[gens].T                        # sums[c, k] = g_k + c
+    for a, c in _slabs(n, len(gens)):
+        prod = sflat[(mul[a][:, gens] * n)[:, None, :] + mul[a, c][:, :, None]]
+        if (mflat[_row_offsets(a, n) + sums[c]] != prod).any():
+            return False
+    return True
+
+
 def first_nonassoc(op):
-    """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1)."""
+    """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1).
+
+    Above one slab, Light's test over ``generators(op)`` comes first; a
+    clean test ends the scan, a failed one falls through to the full scan
+    for the first witness."""
     n = op.shape[0]
     t = _compact(op)
+    if n ** 3 > _SCAN_CELLS:
+        gens = generators(op)
+        if len(gens) < n and _light_clean(op, t, gens):
+            return (-1, -1, -1)
     flat = t.ravel()
     for i, j in _slabs(n):
         hit = _first(t[op[i, j]] != flat[_row_offsets(i, n) + op[j]], i, j)
@@ -79,10 +159,20 @@ def first_nondistrib(add, mul):
 
     Side 0 is scanned in [a,b,c] order, then side 1 in [b,c,a] order.  When
     ``mul`` equals its transpose, side 1 at [b,c,a] is side 0 at [a,b,c], so
-    a clean side 0 ends the scan.
+    a clean side 0 ends the scan.  Above one slab, if Light's test finds +
+    associative, both laws are first checked with b over the generators of
+    +; a clean check ends the scan, a failed one falls through to the full
+    scan for the first witness.  Side 1 is side 0 with ``mul`` transposed.
     """
     n = add.shape[0]
     s, m = _compact(add), _compact(mul)
+    commutative = np.array_equal(mul, mul.T)
+    if n ** 3 > _SCAN_CELLS:
+        gens = generators(add)
+        if (len(gens) < n and _light_clean(add, s, gens)
+                and _left_distrib_clean(add, s, mul, m, gens)
+                and (commutative or _left_distrib_clean(add, s, mul.T, m.T, gens))):
+            return (-1, -1, -1, -1)
     sflat, mflat = s.ravel(), m.ravel()
     # side 0: a(b+c) against ab + ac, indexed [a,b,c]
     for a, b in _slabs(n):
@@ -90,7 +180,7 @@ def first_nondistrib(add, mul):
         hit = _first(mflat[_row_offsets(a, n) + add[b]] != prod, a, b)
         if hit:
             return (0, *hit)
-    if np.array_equal(mul, mul.T):
+    if commutative:
         return (-1, -1, -1, -1)
     # side 1: (b+c)a against ba + ca, indexed [b,c,a]
     for b, c in _slabs(n):

@@ -50,9 +50,14 @@ def _fail(exc: PairspecError, code: int):
     sys.exit(code)
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_pair(path: str):
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        text = _read_text(path)
         pair, negation = dsl.build_pair(dsl.parse_pair_file(text))
         return pair, negation
     except (ValidationError, OSError) as exc:
@@ -71,7 +76,7 @@ def main():
 @click.argument("file", type=click.Path(exists=True))
 def validate(file):
     """Axioms, the 1-dagger witness, and a classification summary."""
-    text = open(file, "r", encoding="utf-8").read()
+    text = _read_text(file)
     try:
         parsed = dsl.parse_file(text)
         if isinstance(parsed, dsl.HyperFile):
@@ -228,7 +233,7 @@ def construct(builder, param_list, base_file, out_file):
 
 def _load_hyper_arg(params, base_file):
     if base_file is not None:
-        return dsl.build_hyper(dsl.parse_hyper_file(open(base_file, encoding="utf-8").read()))
+        return dsl.build_hyper(dsl.parse_hyper_file(_read_text(base_file)))
     name = params.get("hyper")
     if name is None:
         raise ValueError("power_set/hyperpair need --base FILE or --param hyper=NAME "
@@ -257,7 +262,7 @@ def _construct(builder, params, base_file):
     if builder == "double":
         if base_file is None:
             raise ValueError("double needs --base FILE")
-        pair, _ = dsl.build_pair(dsl.parse_pair_file(open(base_file, encoding="utf-8").read()))
+        pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
         d = double(pair)
         if d.pair is None:
             raise ValueError(f"doubled tangibles are not central: {d.pair_error}")
@@ -274,7 +279,7 @@ def _construct(builder, params, base_file):
         return dsl.pair_to_file(hyperpair_generated(hyper))
     if builder == "residue":
         if base_file is not None:
-            pair, _ = dsl.build_pair(dsl.parse_pair_file(open(base_file, encoding="utf-8").read()))
+            pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
         elif "field" in params:
             pair = catalog.finite_field(int(params["field"].lstrip("fF")))
         else:
@@ -286,7 +291,7 @@ def _construct(builder, params, base_file):
     if builder == "function_pair":
         if base_file is None:
             raise ValueError("function_pair needs --base FILE")
-        pair, _ = dsl.build_pair(dsl.parse_pair_file(open(base_file, encoding="utf-8").read()))
+        pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
         s = named_monoid(params.get("monoid", "sat2"))
         return dsl.pair_to_file(function_pair(pair, s))
     raise ValueError(f"unhandled builder {builder}")  # pragma: no cover

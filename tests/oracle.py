@@ -214,6 +214,17 @@ def first_nondistrib_dense(add, mul):
     return (-1, -1, -1, -1)
 
 
+def closure_loop(op, seeds):
+    """The submagma of (range(n), op) generated by ``seeds``, as a set: add
+    every product of two members until none is new."""
+    members = set(int(x) for x in seeds)
+    while True:
+        new = {int(op[x][y]) for x in members for y in members} - members
+        if not new:
+            return members
+        members |= new
+
+
 # ---------------------------------------------------------------------------
 # congruence classification by definition
 # ---------------------------------------------------------------------------

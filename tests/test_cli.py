@@ -263,16 +263,8 @@ DOUBLE_DIGEST = "b201f6a207b797f91cb39a4e42a8b9f5445a5b00acae61f31a60f6e1b06a6d2
 
 
 def test_construct_double_file_digest(runner, tmp_path, pairs):
-    base = tmp_path / "minbp_c2_first.json"
-    base.write_text(dsl.serialize(dsl.pair_to_file(pairs["minbp_c2_first"])))
-    fn = tmp_path / "function_minbp_sat2.json"
-    res = runner.invoke(main, ["construct", "function_pair", "--param", "monoid=sat2",
-                               "--base", str(base), "-o", str(fn)])
-    assert res.exit_code == 0
-    out = tmp_path / "double.json"
-    res = runner.invoke(main, ["construct", "double", "--base", str(fn), "-o", str(out)])
-    assert res.exit_code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DOUBLE_DIGEST
+    doubled = _scan_double(runner, tmp_path, pairs, "function_minbp_sat2")
+    assert hashlib.sha256(doubled.read_bytes()).hexdigest() == DOUBLE_DIGEST
 
 
 def test_doubled_carrier_cap_exits_two(runner, tmp_path):
@@ -287,3 +279,87 @@ def test_doubled_carrier_cap_exits_two(runner, tmp_path):
         res = runner.invoke(main, argv)
         assert res.exit_code == 2, argv
         assert json.loads(res.output)["error"]["kind"] == "CarrierTooLarge", argv
+
+
+def _run_dev_mode(*argv):
+    """The CLI in a fresh ``python -X dev`` process, which reports files
+    left open as ResourceWarnings on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import pairspec
+    src = os.path.dirname(os.path.dirname(pairspec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-X", "dev", "-m", "pairspec.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_closes_the_files_it_reads(tmp_path, sb_file):
+    out = tmp_path / "double.json"
+    for argv in (["validate", sb_file], ["construct", "double", "--base", sb_file, "-o", str(out)]):
+        res = _run_dev_mode(*argv)
+        assert res.returncode == 0, (argv, res.stderr)
+        assert "ResourceWarning" not in res.stderr, (argv, res.stderr)
+    assert out.exists()
+
+
+def _scan_base(runner, tmp_path, pairs, name):
+    """One base of the benchmark's `scan` workload, written as that
+    workload writes it."""
+    base = tmp_path / f"{name}.json"
+    if name == "function_sb_sat2":
+        base.write_text(dsl.serialize(dsl.pair_to_file(pairs[name])))
+    elif name == "power_massouros_c3":
+        res = runner.invoke(main, ["construct", "power_set", "--param", "hyper=massouros_c3",
+                                   "-o", str(base)])
+        assert res.exit_code == 0
+    else:
+        inner = tmp_path / "minbp_c2_first.json"
+        inner.write_text(dsl.serialize(dsl.pair_to_file(pairs["minbp_c2_first"])))
+        res = runner.invoke(main, ["construct", "function_pair", "--param", "monoid=sat2",
+                                   "--base", str(inner), "-o", str(base)])
+        assert res.exit_code == 0
+    return base
+
+
+def _scan_double(runner, tmp_path, pairs, name):
+    """The file `construct double` writes for one base of `scan`."""
+    base = _scan_base(runner, tmp_path, pairs, name)
+    doubled = tmp_path / f"double_{name}.json"
+    res = runner.invoke(main, ["construct", "double", "--base", str(base), "-o", str(doubled)])
+    assert res.exit_code == 0
+    return doubled
+
+
+# sha256 of `validate` stdout on the three doubled carriers of the `scan`
+# workload (81, 225 and 256 elements), recorded while the axiom scans still
+# ran over every triple; their scans are the ones reduced to generators
+VALIDATE_DOUBLE_DIGESTS = {
+    "function_sb_sat2": "c7f8e0732378913fc388a8dbdc352176fc86d4f590ff5cb7ec62b4cf4deac5c3",
+    "power_massouros_c3": "7a94a9dd2f1c2d1479b7a249889d0663245f418216e3021075af6d0f616d6eb3",
+    "function_minbp_sat2": "1b1b53788cd4c2d70bb6d4b83f9adb40b58360d0a024b0023bc27d7273d9a255",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_DOUBLE_DIGESTS))
+def test_validate_scan_double_stdout_digest(runner, tmp_path, pairs, name):
+    doubled = _scan_double(runner, tmp_path, pairs, name)
+    res = runner.invoke(main, ["validate", str(doubled)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == \
+        VALIDATE_DOUBLE_DIGESTS[name]
+
+
+# sha256 of `verify --check TWASS` stdout on function_minbp_sat2 with the
+# runtime masked, recorded while the associativity scan ran over every triple
+TWASS_DIGEST = "4a4d1035dd07192e11ceab2597d85316fb5b5677dd76844c096a8e3dbc6ae63f"
+
+
+def test_twass_stdout_digest(runner, tmp_path, pairs):
+    base = _scan_base(runner, tmp_path, pairs, "function_minbp_sat2")
+    res = runner.invoke(main, ["verify", str(base), "--check", "TWASS"])
+    assert res.exit_code == 0
+    masked = RUNTIME_FIELD.sub('"runtime": 0.000000', res.output)
+    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == TWASS_DIGEST

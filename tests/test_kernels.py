@@ -167,15 +167,27 @@ def test_uint16_max_with_one_planted_cell():
     assert _kernels.first_nonassoc(op) == (1, n - 1, n - 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 81, 255, 256, 257, 300, 729, 2000])
-def test_slabs_tile_the_square_in_row_major_order(n):
+def _assert_slabs_tile(n, depth=None):
     end = (0, 0)
-    for rows, cols in _kernels._slabs(n):
-        assert (rows.stop - rows.start) * (cols.stop - cols.start) * n <= _kernels._SCAN_CELLS
+    for rows, cols in _kernels._slabs(n, depth):
+        cells = (rows.stop - rows.start) * (cols.stop - cols.start) * (depth or n)
+        assert cells <= _kernels._SCAN_CELLS
         assert rows.stop - rows.start == 1 or (cols.start, cols.stop) == (0, n)
         assert (rows.start, cols.start) == end and cols.start < cols.stop
         end = (rows.start, cols.stop) if cols.stop < n else (rows.stop, 0)
     assert end == (n, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 81, 255, 256, 257, 300, 729, 2000])
+def test_slabs_tile_the_square_in_row_major_order(n):
+    _assert_slabs_tile(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 81, 255, 256, 257, 300, 729, 2000])
+@pytest.mark.parametrize("depth", [1, 9, 43])
+def test_reduced_slabs_tile_the_square_in_row_major_order(n, depth):
+    """The n x n x |G| boxes of the scans reduced to |G| generators."""
+    _assert_slabs_tile(n, min(depth, n))
 
 
 def test_distributivity_scan_memory_does_not_grow_with_n():
@@ -190,6 +202,140 @@ def test_distributivity_scan_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     # a whole n^3 int64 cube would be 512 MB
+    assert peak < 4 * 2**20, peak
+
+
+# -- scans reduced to generators ---------------------------------------------------
+
+def _bitwise(n):
+    """OR and AND on n = 2^k elements: a distributive lattice whose OR is
+    generated by 0 and the k single bits."""
+    idx = np.arange(n)
+    return idx[:, None] | idx[None, :], idx[:, None] & idx[None, :]
+
+
+def _ring(n):
+    """Addition and multiplication of Z_n; 0 and 1 generate the addition."""
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n, (idx[:, None] * idx[None, :]) % n
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 14), values=st.integers(1, 14))
+def test_generators_are_greedy_and_generate(seed, n, values):
+    rng = np.random.default_rng(seed)
+    op = rng.integers(0, min(values, n), (n, n))
+    gens = _kernels.generators(op).tolist()
+    assert gens == sorted(gens) and gens[0] == 0
+    assert oracle.closure_loop(op, gens) == set(range(n))
+    for k, g in enumerate(gens):
+        earlier = oracle.closure_loop(op, gens[:k])
+        assert g not in earlier
+        # g is the least element outside the closure of the earlier ones
+        assert all(x in earlier for x in range(g))
+
+
+def test_generators_of_known_tables():
+    assert _kernels.generators(_bitwise(64)[0]).tolist() == [0, 1, 2, 4, 8, 16, 32]
+    assert _kernels.generators(_ring(10)[0]).tolist() == [0, 1]
+    idx = np.arange(9)
+    assert _kernels.generators(np.maximum(idx[:, None], idx[None, :])).tolist() == list(range(9))
+
+
+def _reduced_family(kind, n, rng):
+    if kind == "ring":
+        return _ring(n)
+    if kind == "bitwise":
+        return _bitwise(1 << (n.bit_length() - 1))
+    if kind == "random":
+        values = int(rng.integers(1, n + 1))
+        return rng.integers(0, values, (n, n)), rng.integers(0, values, (n, n))
+    return _family(kind, n, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12),
+       kind=st.sampled_from(["random", "ring", "bitwise", "lattice", "projection"]),
+       planted=st.integers(0, 2), symmetric=st.booleans(), cells=st.sampled_from([8, 64]))
+def test_reduced_scans_keep_the_dense_witness(seed, n, kind, planted, symmetric, cells):
+    """With one slab shrunk to ``cells`` cells every table of 3 or more
+    elements takes the reduced scans first; clean or not, the verdict and
+    the witness are the dense formula's.  Planted cells make + non-associative
+    as often as not."""
+    rng = np.random.default_rng(seed)
+    add, mul = _reduced_family(kind, n, rng)
+    add, mul = _plant(add, rng, planted), _plant(mul, rng, planted)
+    if symmetric:
+        mul = _symmetric(mul)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_CELLS", cells)
+        _assert_scans_match(add, mul)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_reduced_scans_with_non_associative_addition(monkeypatch, n):
+    """A non-associative + with few generators: the distributivity scan
+    may not rest on its generators, and falls through to the full scan."""
+    monkeypatch.setattr(_kernels, "_SCAN_CELLS", 8)
+    add, mul = _ring(n)
+    assert len(_kernels.generators(add)) < n
+    add = add.copy()
+    add[n - 1, 1] = add[1, n - 1] = 1
+    assert _kernels.first_nonassoc(add) == oracle.first_nonassoc_dense(add) != (-1, -1, -1)
+    _assert_scans_match(add, mul)
+    for scan, args, want in _last_slab_cases(n):
+        assert scan(*args) == want
+
+
+def _counting_slabs(monkeypatch):
+    """Depth of every ``_slabs`` call: None for a full n^3 scan."""
+    depths = []
+    slabs = _kernels._slabs
+
+    def counting(n, depth=None):
+        depths.append(depth)
+        return slabs(n, depth)
+
+    monkeypatch.setattr(_kernels, "_slabs", counting)
+    return depths
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_large_clean_tables_never_enter_the_full_scan(monkeypatch, n):
+    add, mul = _bitwise(n)
+    depths = _counting_slabs(monkeypatch)
+    assert _kernels.first_nonassoc(add) == (-1, -1, -1)
+    assert _kernels.first_nondistrib(add, mul) == (-1, -1, -1, -1)
+    assert depths and None not in depths and max(depths) == n.bit_length()
+
+
+def test_large_violation_falls_through_to_the_first_witness(monkeypatch):
+    n = 64
+    add, mul = _bitwise(n)
+    add, mul = add.copy(), mul.copy()
+    add[5, 9] = add[9, 5] = 0
+    mul[63, 62] = 1
+    depths = _counting_slabs(monkeypatch)
+    for op in (add, mul):
+        assert _kernels.first_nonassoc(op) == oracle.first_nonassoc_dense(op) != (-1, -1, -1)
+    assert _kernels.first_nondistrib(add, mul) == oracle.first_nondistrib_dense(add, mul)
+    assert None in depths
+
+
+def test_reduced_scan_memory_does_not_grow_with_n(monkeypatch):
+    """Z_400: + has the two generators 0 and 1, so both scans end in the
+    reduced path, each slab within ``_SCAN_CELLS`` cells."""
+    n = 400
+    add, mul = _ring(n)
+    depths = _counting_slabs(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert _kernels.first_nonassoc(add) == (-1, -1, -1)
+        assert _kernels.first_nondistrib(add, mul) == (-1, -1, -1, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(depths) == {2}
     assert peak < 4 * 2**20, peak
 
 
