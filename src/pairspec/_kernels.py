@@ -24,13 +24,20 @@ exact test over a generating set, on an n x n x |G| box:
 A clean reduced test is the verdict.  A failed one, or a generating set of
 all n elements, falls through to the full scan, which finds the same first
 witness as ever.
+
+The twist product on A x A, (x1, y1)(x2, y2) = (x1x2 + y1y2, x1y2 + y1x2),
+is written once, in ``twist``.  The twist kernels take it over tiles of a
+grid (pairs of one relation by pairs of another, or the n x n pairs twisted
+with themselves) of at most ``_SCAN_CELLS`` cells each, in row-major order,
+so a witness is the first in row-major order and no temporary grows with
+the relations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Most cells one temporary of an n^3 scan may hold.
+# Most cells one temporary of an n^3 scan or a twist kernel may hold.
 _SCAN_CELLS = 1 << 16
 
 
@@ -39,20 +46,25 @@ def _compact(t):
     return t.astype(np.uint8 if t.shape[0] <= 256 else np.uint16)
 
 
-def _slabs(n, depth=None):
-    """(i, j) slice pairs covering the first two indices of an n x n x depth
-    box (depth n by default) in row-major order; each slab, with every third
-    index, has at most ``_SCAN_CELLS`` cells."""
-    depth = n if depth is None else depth
-    rows = _SCAN_CELLS // (n * depth)
-    if rows:
-        for lo in range(0, n, rows):
-            yield slice(lo, min(lo + rows, n)), slice(0, n)
+def _tiles(rows, cols, depth=1):
+    """(i, j) slice pairs tiling a rows x cols grid in row-major order: runs
+    of whole rows, or for long rows one row and a run of columns, so that
+    each tile times ``depth`` has at most ``_SCAN_CELLS`` cells."""
+    step = _SCAN_CELLS // (max(1, cols) * depth)
+    if step:
+        for lo in range(0, rows, step):
+            yield slice(lo, min(lo + step, rows)), slice(0, cols)
         return
     step = max(1, _SCAN_CELLS // depth)
-    for i in range(n):
-        for lo in range(0, n, step):
-            yield slice(i, i + 1), slice(lo, min(lo + step, n))
+    for i in range(rows):
+        for lo in range(0, cols, step):
+            yield slice(i, i + 1), slice(lo, min(lo + step, cols))
+
+
+def _slabs(n, depth=None):
+    """Tiles of the first two indices of an n x n x depth box (depth n by
+    default)."""
+    return _tiles(n, n, n if depth is None else depth)
 
 
 def _row_offsets(i, n):
@@ -61,11 +73,12 @@ def _row_offsets(i, n):
 
 
 def _first(bad, i, j):
-    """Index triple of the first True in the slab ``bad`` at (i, j), or None."""
+    """Indices of the first True in the tile ``bad`` at (i, j), offset by
+    the tile's corner, or None."""
     if not bad.any():
         return None
-    r, c, k = np.unravel_index(int(bad.argmax()), bad.shape)
-    return (i.start + int(r), j.start + int(c), int(k))
+    r, c, *k = np.unravel_index(int(bad.argmax()), bad.shape)
+    return (i.start + int(r), j.start + int(c), *map(int, k))
 
 
 def generators(op):
@@ -310,7 +323,38 @@ def upper_covers(leq):
     return tuple(covers)
 
 
-_CHUNK = 1 << 14
+def twist(add, mul, x1, y1, x2, y2):
+    """The twist product (x1, y1)(x2, y2) = (x1x2 + y1y2, x1y2 + y1x2),
+    broadcast over index arrays (or taken on two scalar pairs)."""
+    return add[mul[x1, x2], mul[y1, y2]], add[mul[x1, y2], mul[y1, x2]]
+
+
+def _twist_chunks(add, mul, xs1, ys1, xs2, ys2):
+    """(i, j, p, q) over the tiles (i, j) of ``_tiles(len(xs1), len(xs2))``:
+    p, q are the twist products of the pairs i of the first relation with
+    the pairs j of the second."""
+    for i, j in _tiles(len(xs1), len(xs2)):
+        yield i, j, *twist(add, mul, xs1[i, None], ys1[i, None], xs2[None, j], ys2[None, j])
+
+
+def _twist_squares(add, mul):
+    """(i, j, p, q) over the tiles (i, j) of the n x n pairs (b1, b2): p, q
+    is the twist square of (b1, b2) for b1 in i and b2 in j."""
+    n = add.shape[0]
+    idx = np.arange(n)
+    for i, j in _tiles(n, n):
+        b1, b2 = idx[i, None], idx[None, j]
+        yield i, j, *twist(add, mul, b1, b2, b1, b2)
+
+
+def _first_escape(add, mul, xs1, ys1, xs2, ys2, target):
+    """First (i, j) in row-major order whose twist product lies outside
+    ``target``, or (-1, -1)."""
+    for i, j, p, q in _twist_chunks(add, mul, xs1, ys1, xs2, ys2):
+        hit = _first(~target[p, q], i, j)
+        if hit:
+            return hit
+    return (-1, -1)
 
 
 def twist_fill(add, mul, xs1, ys1, xs2, ys2):
@@ -319,54 +363,28 @@ def twist_fill(add, mul, xs1, ys1, xs2, ys2):
     No package code calls it; ``perfbench/layertrace.py`` wraps it by name,
     so it stays until the benchmark stops tracing it."""
     out = np.zeros(add.shape, dtype=bool)
-    for lo in range(0, len(xs1), _CHUNK):
-        x1 = xs1[lo:lo + _CHUNK, None]
-        y1 = ys1[lo:lo + _CHUNK, None]
-        p = add[mul[x1, xs2[None, :]], mul[y1, ys2[None, :]]]
-        q = add[mul[x1, ys2[None, :]], mul[y1, xs2[None, :]]]
-        out[p.ravel(), q.ravel()] = True
+    for _, _, p, q in _twist_chunks(add, mul, xs1, ys1, xs2, ys2):
+        out[p, q] = True
     return out
 
 
 def twist_subset_violation(add, mul, xs1, ys1, xs2, ys2, target):
     """First (i, j) member indices whose twist product escapes ``target``."""
-    for lo in range(0, len(xs1), _CHUNK):
-        x1 = xs1[lo:lo + _CHUNK, None]
-        y1 = ys1[lo:lo + _CHUNK, None]
-        p = add[mul[x1, xs2[None, :]], mul[y1, ys2[None, :]]]
-        q = add[mul[x1, ys2[None, :]], mul[y1, xs2[None, :]]]
-        bad = np.argwhere(~target[p, q])
-        if len(bad):
-            i, j = bad[0]
-            return (int(i) + lo, int(j))
-    return (-1, -1)
+    return _first_escape(add, mul, xs1, ys1, xs2, ys2, target)
 
 
 def radical_violation(add, mul, member):
     """First pair b with b twist-squared inside the relation but b outside."""
-    n = add.shape[0]
-    b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    sq1 = add[mul[b1, b1], mul[b2, b2]]
-    sq2 = add[mul[b1, b2], mul[b2, b1]]
-    bad = np.argwhere(member[sq1, sq2] & ~member)
-    if len(bad):
-        i, j = bad[0]
-        return (int(i), int(j))
+    for i, j, p, q in _twist_squares(add, mul):
+        hit = _first(member[p, q] & ~member[i, j], i, j)
+        if hit:
+            return hit
     return (-1, -1)
 
 
 def strongly_prime_violation(add, mul, member, nxs, nys):
     """First non-member pair indices whose twist product lands in the relation."""
-    for lo in range(0, len(nxs), _CHUNK):
-        x1 = nxs[lo:lo + _CHUNK, None]
-        y1 = nys[lo:lo + _CHUNK, None]
-        p = add[mul[x1, nxs[None, :]], mul[y1, nys[None, :]]]
-        q = add[mul[x1, nys[None, :]], mul[y1, nxs[None, :]]]
-        bad = np.argwhere(member[p, q])
-        if len(bad):
-            i, j = bad[0]
-            return (int(i) + lo, int(j))
-    return (-1, -1)
+    return _first_escape(add, mul, nxs, nys, nxs, nys, ~member)
 
 
 def t_cancel_violation(mul, member, t_idx):
@@ -381,9 +399,9 @@ def t_cancel_violation(mul, member, t_idx):
 
 
 def sqrt_step(add, mul, cur):
-    """One step of the twist-square preimage iteration."""
-    n = add.shape[0]
-    b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    sq1 = add[mul[b1, b1], mul[b2, b2]]
-    sq2 = add[mul[b1, b2], mul[b2, b1]]
-    return cur[sq1, sq2]
+    """One step of the twist-square preimage iteration: the pairs whose
+    twist square lies in ``cur``."""
+    out = np.empty(cur.shape, dtype=bool)
+    for i, j, p, q in _twist_squares(add, mul):
+        out[i, j] = cur[p, q]
+    return out

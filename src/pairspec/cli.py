@@ -46,7 +46,7 @@ def _fail(exc: PairspecError, code: int):
     payload = exc.to_dict() if isinstance(exc, ValidationError) else {
         "kind": type(exc).__name__, "message": str(exc),
     }
-    _echo(dsl.serialize_report({"error": payload}), nl=False)
+    _echo(dsl.serialize({"error": payload}), nl=False)
     sys.exit(code)
 
 
@@ -86,7 +86,7 @@ def validate(file):
     except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
     if isinstance(parsed, dsl.HyperFile):
-        _echo(dsl.serialize_report({
+        _echo(dsl.serialize({
             "name": hyper.name,
             "valid": True,
             "kind": "hyperstructure",
@@ -118,7 +118,7 @@ def validate(file):
         "has_valid_negation": negation is not None,
         "classification": cls.to_dict(),
     }
-    _echo(dsl.serialize_report(report), nl=False)
+    _echo(dsl.serialize(report), nl=False)
 
 
 @main.command()
@@ -126,7 +126,7 @@ def validate(file):
 def classify(file):
     """Full pair classification as JSON."""
     pair, _ = _load_pair(file)
-    _echo(dsl.serialize_report(classify_pair(pair).to_dict()), nl=False)
+    _echo(dsl.serialize(classify_pair(pair).to_dict()), nl=False)
 
 
 @main.command()
@@ -144,7 +144,7 @@ def congruences(file, cap):
         "count": len(lattice),
         "congruences": [{"index": i, "blocks": c.block_labels()} for i, c in enumerate(lattice)],
     }
-    _echo(dsl.serialize_report(report), nl=False)
+    _echo(dsl.serialize(report), nl=False)
 
 
 @main.command()
@@ -157,7 +157,7 @@ def spectrum(file, cap):
         report = spectrum_report(pair, cap)
     except CapExceeded as exc:
         _fail(exc, EXIT_CAP)
-    _echo(dsl.serialize_report(report.to_dict()), nl=False)
+    _echo(dsl.serialize(report.to_dict()), nl=False)
 
 
 @main.command()
@@ -183,7 +183,7 @@ def verify(file, check_ids, run_every):
         "reports": [r.to_dict() for r in reports],
         "summary": summarize(reports),
     }
-    _echo(dsl.serialize_report(payload), nl=False)
+    _echo(dsl.serialize(payload), nl=False)
     if any(r.passed is False for r in reports):
         sys.exit(EXIT_CHECK_FAILED)
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import first_nonassoc, first_noncomm
+from ._kernels import _twist_chunks, first_nonassoc, first_noncomm
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
@@ -27,7 +27,6 @@ from .errors import (
     BadBound,
     CarrierTooLarge,
     HyperAddNotAssociative,
-    NegationNotUnique,
     NotACongruence,
     NotAGroup,
     NotNormal,
@@ -247,10 +246,8 @@ class DoubledPair:
     pair: Optional[Pair] = field(repr=False)
     pair_error: Optional[str]
     twist_associative: bool
-    twist_witness: Optional[tuple[str, str, str]]
     switch: NegationMap
     switch_valid: bool
-    e_hat: int
 
     @property
     def n(self) -> int:
@@ -264,20 +261,18 @@ class DoubledPair:
 
 
 def twist_tables(base: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise addition and twist multiplication on index pairs."""
+    """Componentwise addition and twist multiplication on index pairs,
+    filled one tile of the kernels' twist loop at a time."""
     n = base.n
     if n * n > DEFAULT_CARRIER_CAP:
         raise CarrierTooLarge(n * n, DEFAULT_CARRIER_CAP)
-    idx = np.arange(n * n)
-    b1, b2 = idx // n, idx % n
-    x1, y1 = b1[:, None], b2[:, None]
-    x2, y2 = b1[None, :], b2[None, :]
-    add_hat = base.add[x1, x2] * n + base.add[y1, y2]
-    mul_hat = (
-        base.add[base.mul[x1, x2], base.mul[y1, y2]] * n
-        + base.add[base.mul[x1, y2], base.mul[y1, x2]]
-    )
-    return add_hat.astype(np.int64), mul_hat.astype(np.int64)
+    b1, b2 = np.divmod(np.arange(n * n), n)
+    add_hat = np.empty((n * n, n * n), dtype=np.int64)
+    mul_hat = np.empty_like(add_hat)
+    for i, j, p, q in _twist_chunks(base.add, base.mul, b1, b2, b1, b2):
+        add_hat[i, j] = base.add[b1[i, None], b1[None, j]] * n + base.add[b2[i, None], b2[None, j]]
+        mul_hat[i, j] = p * n + q
+    return add_hat, mul_hat
 
 
 def doubled_names(names) -> list[str]:
@@ -318,10 +313,6 @@ def double(pair: Pair) -> DoubledPair:
         switch = NegationMap(perm=switch_perm)
         switch_valid = False
 
-    witness = None
-    if not st.mul_associative:
-        i, j, k = first_nonassoc(st.mul)
-        witness = (names[i], names[j], names[k])
     return DoubledPair(
         base=pair,
         structure=st,
@@ -330,10 +321,8 @@ def double(pair: Pair) -> DoubledPair:
         pair=validated,
         pair_error=pair_error,
         twist_associative=st.mul_associative,
-        twist_witness=witness,
         switch=switch,
         switch_valid=switch_valid,
-        e_hat=int(base.one) * n + int(base.one),
     )
 
 
@@ -460,7 +449,6 @@ def validate_hyperstructure(
     hyperadd_sets,
     tangible: Optional[Iterable[int]] = None,
     hypernegation: Optional[Sequence[int]] = None,
-    require_unique_negation: bool = False,
     name: str = "",
 ) -> HyperStructure:
     """Exhaustively verify the hypersemiring axioms by set extension.
@@ -583,12 +571,6 @@ def validate_hyperstructure(
             if neg[neg[a]] != a:
                 raise ValidationError("hypernegation is not an involution", witness=(names[a],))
         neg_unique = unique
-    if require_unique_negation and not neg_unique:
-        bad = next(
-            a for a in range(n)
-            if sum(1 for b in range(n) if int(ha[a, b]) & (1 << zero)) != 1
-        )
-        raise NegationNotUnique("hypernegative is not unique", witness=(names[bad],))
     if neg is not None:
         for a in range(n):
             for b in range(n):

@@ -273,9 +273,6 @@ def serialize(obj) -> str:
     return _dump(obj, 0) + "\n"
 
 
-serialize_report = serialize
-
-
 def build_pair(pf: PairFile) -> tuple[Pair, Optional[NegationMap]]:
     """Semantic validation of a parsed pair file."""
     index = {x: i for i, x in enumerate(pf.elements)}

@@ -102,10 +102,6 @@ class ZeroLaw(ValidationError):
     pass
 
 
-class NegationNotUnique(ValidationError):
-    pass
-
-
 class NotNormal(ValidationError):
     pass
 
@@ -131,10 +127,6 @@ class CapExceeded(PairspecError):
     def __init__(self, message: str, partial_count: int):
         super().__init__(f"{message} (partial count: {partial_count})")
         self.partial_count = partial_count
-
-
-class LatticeRequired(PairspecError):
-    pass
 
 
 class HypothesisFails(PairspecError):

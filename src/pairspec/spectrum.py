@@ -9,7 +9,7 @@ and the quotient by the least one~e congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -25,7 +25,7 @@ from .congruences import (
 )
 from .constructions import quotient_pair
 from .core import FiniteStructure, Pair, PairClassification, classify_pair, validate_structure
-from .errors import HypothesisFails, LatticeRequired
+from .errors import HypothesisFails
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +33,8 @@ from .errors import HypothesisFails, LatticeRequired
 # ---------------------------------------------------------------------------
 
 def twist(pair: Pair, b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]:
-    add, mul = pair.add, pair.mul
-    b1, b2 = b
-    c1, c2 = c
-    return (
-        int(add[mul[b1, c1], mul[b2, c2]]),
-        int(add[mul[b1, c2], mul[b2, c1]]),
-    )
+    p, q = _kernels.twist(pair.add, pair.mul, *b, *c)
+    return int(p), int(q)
 
 
 def _members_of(rel) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +169,15 @@ def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceC
 
 
 def classify_congruence(pair: Pair, cong: Congruence,
-                        lattice: Optional[CongruenceLattice]) -> CongruenceClassification:
+                        lattice: CongruenceLattice) -> CongruenceClassification:
     """Full classification; the lattice-quantified flags need the whole
-    lattice, and a missing lattice is an error.
+    lattice.
 
     The twist product is monotone in both factors and every congruence
     strictly above ``cong`` contains one of its upper covers, so prime and
     semiprime are decided over pairs of covers; ``cong`` is meet-irreducible
     iff it has at most one cover (the top has none).
     """
-    base = classify_congruence_elementwise(pair, cong)
-    if lattice is None:
-        raise LatticeRequired("prime/semiprime/irreducible need the congruence lattice")
-
     covers = lattice.covers[lattice.find(cong)]
     reps, add, mul = _quotient(pair, cong)
     diag = np.eye(len(reps), dtype=bool)
@@ -202,12 +193,8 @@ def classify_congruence(pair: Pair, cong: Congruence,
     prime = semiprime and not any(
         inside(m1, m2) for a, m1 in enumerate(members) for b, m2 in enumerate(members) if a != b
     )
-    return CongruenceClassification(
-        radical=base.radical, strongly_prime=base.strongly_prime,
-        t_cancellative=base.t_cancellative, proper=base.proper,
-        weakly_proper=base.weakly_proper, contains_1e=base.contains_1e,
-        e_type=base.e_type, prime=prime, semiprime=semiprime, irreducible=len(covers) <= 1,
-    )
+    return replace(classify_congruence_elementwise(pair, cong),
+                   prime=prime, semiprime=semiprime, irreducible=len(covers) <= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,31 @@ def _member_pairs(block_of):
     return xs, ys
 
 
-def _twist_inside(add, mul, rel1, rel2, member) -> bool:
-    """Whether every twist product of two pair-sets lies in ``member``."""
+def twist_products_dense(add, mul, rel1, rel2):
+    """Twist products (p, q) of every pair of ``rel1`` with every pair of
+    ``rel2``, as two len(rel1) x len(rel2) arrays built whole."""
     (x1, y1), (x2, y2) = rel1, rel2
     p = add[mul[x1[:, None], x2[None, :]], mul[y1[:, None], y2[None, :]]]
     q = add[mul[x1[:, None], y2[None, :]], mul[y1[:, None], x2[None, :]]]
+    return p, q
+
+
+def twist_squares_dense(add, mul):
+    """Twist squares (p, q) of every pair (b1, b2), as two n x n arrays."""
+    n = add.shape[0]
+    b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return add[mul[b1, b1], mul[b2, b2]], add[mul[b1, b2], mul[b2, b1]]
+
+
+def first_true(bad) -> tuple:
+    """Index of the first True of ``bad`` in row-major order, or all -1."""
+    hits = np.argwhere(bad)
+    return tuple(int(x) for x in hits[0]) if len(hits) else (-1,) * bad.ndim
+
+
+def _twist_inside(add, mul, rel1, rel2, member) -> bool:
+    """Whether every twist product of two pair-sets lies in ``member``."""
+    p, q = twist_products_dense(add, mul, rel1, rel2)
     return bool(member[p, q].all())
 
 
@@ -271,9 +291,7 @@ def classify_by_definition(pair, block_of, block_ofs) -> dict:
     add, mul, n = pair.add, pair.mul, pair.n
     bo = np.asarray(block_of)
     member = bo[:, None] == bo[None, :]
-    b1, b2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-
-    square = member[add[mul[b1, b1], mul[b2, b2]], add[mul[b1, b2], mul[b2, b1]]]
+    square = member[twist_squares_dense(add, mul)]
     nxs, nys = np.nonzero(~member)
     strongly_prime = _twist_inside(add, mul, (nxs, nys), (nxs, nys), ~member)
     t_cancellative = not any(

@@ -1,6 +1,8 @@
-"""The slabbed n^3 axiom scans against the dense whole-cube formulas."""
+"""The slabbed n^3 axiom scans and the tiled twist kernels against the
+dense formulas built whole."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pairspec import _kernels
+from pairspec.constructions import twist_tables
 
 
 def _family(kind, n, rng):
@@ -414,3 +417,70 @@ def test_congruence_violation_keeps_labels_past_256():
     want = (298, 299, 5, 0)
     assert oracle.congruence_violation_loop(add, mul, block_of) == want
     assert _kernels.congruence_violation(add, mul, block_of) == want
+
+
+# -- twist kernels -----------------------------------------------------------------
+
+def _doubled_tables_dense(add, mul):
+    n = add.shape[0]
+    b1, b2 = np.divmod(np.arange(n * n), n)
+    p, q = oracle.twist_products_dense(add, mul, (b1, b2), (b1, b2))
+    return add[b1[:, None], b1[None, :]] * n + add[b2[:, None], b2[None, :]], p * n + q
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), values=st.integers(1, 6),
+       blocks=st.integers(1, 6), extra=st.sampled_from([0.0, 0.2, 1.0]))
+def test_twist_kernels_keep_the_dense_witness(seed, n, values, blocks, extra):
+    """Every twist kernel, with tiles of one cell, of seven cells and of the
+    default size, against the twist products built whole.  The relation is
+    an equivalence, widened by a share ``extra`` of random pairs."""
+    rng = np.random.default_rng(seed)
+    add = rng.integers(0, min(values, n), (n, n))
+    mul = rng.integers(0, min(values, n), (n, n))
+    labels = rng.integers(0, blocks, n)
+    member = (labels[:, None] == labels[None, :]) | (rng.random((n, n)) < extra)
+    rel1, rel2 = (np.nonzero(rng.random((n, n)) < 0.5) for _ in range(2))
+    nonmembers = np.nonzero(~member)
+    squares = member[oracle.twist_squares_dense(add, mul)]
+    fill = np.zeros((n, n), dtype=bool)
+    fill[oracle.twist_products_dense(add, mul, rel1, rel2)] = True
+    want = {
+        "subset": oracle.first_true(~member[oracle.twist_products_dense(add, mul, rel1, rel2)]),
+        "strongly_prime": oracle.first_true(
+            member[oracle.twist_products_dense(add, mul, nonmembers, nonmembers)]),
+        "radical": oracle.first_true(squares & ~member),
+    }
+    base = SimpleNamespace(n=n, add=add, mul=mul)
+    for cells in (1, 7, _kernels._SCAN_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SCAN_CELLS", cells)
+            assert want == {
+                "subset": _kernels.twist_subset_violation(add, mul, *rel1, *rel2, member),
+                "strongly_prime": _kernels.strongly_prime_violation(add, mul, member, *nonmembers),
+                "radical": _kernels.radical_violation(add, mul, member),
+            }, cells
+            assert (_kernels.sqrt_step(add, mul, member) == squares).all()
+            assert (_kernels.twist_fill(add, mul, *rel1, *rel2) == fill).all()
+            for got, dense in zip(twist_tables(base), _doubled_tables_dense(add, mul)):
+                assert got.dtype == np.int64 and (got == dense).all()
+
+
+def test_strongly_prime_scan_memory_is_bounded():
+    """The diagonal of left-projection + and right-projection * on 100
+    elements: the twist product of non-diagonal pairs is (x2, y2), never
+    diagonal, so the whole 9900 x 9900 grid is scanned."""
+    n = 100
+    idx = np.arange(n)
+    add = np.repeat(idx[:, None], n, axis=1)
+    mul = add.T.copy()
+    member = np.eye(n, dtype=bool)
+    nxs, nys = np.nonzero(~member)
+    tracemalloc.start()
+    try:
+        assert _kernels.strongly_prime_violation(add, mul, member, nxs, nys) == (-1, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one int64 product over the whole grid would be 784 MB
+    assert peak < 4 * 2**20, peak

@@ -16,7 +16,6 @@ from pairspec.congruences import (
     meet,
 )
 from pairspec.core import classify_pair, positive_e_type
-from pairspec.errors import LatticeRequired
 from pairspec.spectrum import (
     classify_congruence,
     classify_congruence_elementwise,
@@ -119,11 +118,6 @@ def test_classify_super_boolean_congruences(sb):
 
     assert top_cls.prime and top_cls.radical and top_cls.strongly_prime
     assert not top_cls.weakly_proper
-
-
-def test_lattice_required(sb):
-    with pytest.raises(LatticeRequired):
-        classify_congruence(sb, diagonal(sb), None)
 
 
 def test_congruence_e_type_values(sb):
