@@ -139,16 +139,22 @@ def _left_distrib_clean(add, s, mul, m, gens):
     return True
 
 
-def first_nonassoc(op):
+def scan_generators(op):
+    """``generators(op)`` where the scans of ``op`` reduce to generators
+    (above one slab), else None."""
+    return generators(op) if op.shape[0] ** 3 > _SCAN_CELLS else None
+
+
+def first_nonassoc(op, gens=None):
     """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1).
 
-    Above one slab, Light's test over ``generators(op)`` comes first; a
-    clean test ends the scan, a failed one falls through to the full scan
-    for the first witness."""
+    Above one slab, Light's test over ``generators(op)`` (or ``gens``, when
+    the caller has them) comes first; a clean test ends the scan, a failed
+    one falls through to the full scan for the first witness."""
     n = op.shape[0]
     t = _compact(op)
     if n ** 3 > _SCAN_CELLS:
-        gens = generators(op)
+        gens = generators(op) if gens is None else gens
         if len(gens) < n and _light_clean(op, t, gens):
             return (-1, -1, -1)
     flat = t.ravel()
@@ -167,7 +173,7 @@ def first_noncomm(op):
     return (int(i), int(j))
 
 
-def first_nondistrib(add, mul):
+def first_nondistrib(add, mul, add_gens=None):
     """First distributivity violation as (side, a, b, c); side 0 is a(b+c), side 1 is (b+c)a.
 
     Side 0 is scanned in [a,b,c] order, then side 1 in [b,c,a] order.  When
@@ -176,13 +182,17 @@ def first_nondistrib(add, mul):
     associative, both laws are first checked with b over the generators of
     +; a clean check ends the scan, a failed one falls through to the full
     scan for the first witness.  Side 1 is side 0 with ``mul`` transposed.
+
+    A caller that has already found + associative passes its generators as
+    ``add_gens``, and neither they nor Light's test are computed again.
     """
     n = add.shape[0]
     s, m = _compact(add), _compact(mul)
     commutative = np.array_equal(mul, mul.T)
     if n ** 3 > _SCAN_CELLS:
-        gens = generators(add)
-        if (len(gens) < n and _light_clean(add, s, gens)
+        gens = generators(add) if add_gens is None else add_gens
+        if (len(gens) < n
+                and (add_gens is not None or _light_clean(add, s, gens))
                 and _left_distrib_clean(add, s, mul, m, gens)
                 and (commutative or _left_distrib_clean(add, s, mul.T, m.T, gens))):
             return (-1, -1, -1, -1)

@@ -38,7 +38,7 @@ from .errors import (
 from .monoids import Monoid
 
 # Largest carrier a construction builds: power sets, generated hyperpairs,
-# function pairs, and the n*n doubled carrier of ``twist_tables``.
+# function pairs, and the n*n doubled carrier of ``twist_table``.
 DEFAULT_CARRIER_CAP = 4096
 
 
@@ -260,19 +260,17 @@ class DoubledPair:
         return divmod(i, self.base.n)
 
 
-def twist_tables(base: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise addition and twist multiplication on index pairs,
-    filled one tile of the kernels' twist loop at a time."""
+def twist_table(base: FiniteStructure) -> np.ndarray:
+    """The twist multiplication on index pairs a * n + b of A x A, filled
+    one tile of the kernels' twist loop at a time."""
     n = base.n
     if n * n > DEFAULT_CARRIER_CAP:
         raise CarrierTooLarge(n * n, DEFAULT_CARRIER_CAP)
     b1, b2 = np.divmod(np.arange(n * n), n)
-    add_hat = np.empty((n * n, n * n), dtype=np.int64)
-    mul_hat = np.empty_like(add_hat)
+    mul_hat = np.empty((n * n, n * n), dtype=np.int64)
     for i, j, p, q in _twist_chunks(base.add, base.mul, b1, b2, b1, b2):
-        add_hat[i, j] = base.add[b1[i, None], b1[None, j]] * n + base.add[b2[i, None], b2[None, j]]
         mul_hat[i, j] = p * n + q
-    return add_hat, mul_hat
+    return mul_hat
 
 
 def doubled_names(names) -> list[str]:
@@ -284,7 +282,9 @@ def double(pair: Pair) -> DoubledPair:
     """Doubled pair with split tangibles, diagonal A0, and the switch map."""
     base = pair.structure
     n = base.n
-    add_hat, mul_hat = twist_tables(base)
+    mul_hat = twist_table(base)
+    # componentwise: (a1, a2) + (c1, c2) = (a1 + c1, a2 + c2)
+    add_hat = ((base.add * n)[:, None, :, None] + base.add[None, :, None, :]).reshape(n * n, n * n)
     names = doubled_names(base.names)
     st = validate_structure(names, zero=base.zero * n + base.zero,
                             one=base.one * n + base.zero, add=add_hat, mul=mul_hat)

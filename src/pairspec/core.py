@@ -105,7 +105,8 @@ def validate_structure(names: Sequence[str], zero, one, add, mul) -> FiniteStruc
     ij = _kernels.first_noncomm(add)
     if ij[0] >= 0:
         raise NonCommutativeAdd("addition is not commutative", witness=(names[ij[0]], names[ij[1]]))
-    ijk = _kernels.first_nonassoc(add)
+    add_gens = _kernels.scan_generators(add)
+    ijk = _kernels.first_nonassoc(add, add_gens)
     if ijk[0] >= 0:
         raise NonAssociativeAdd(
             "addition is not associative", witness=tuple(names[i] for i in ijk)
@@ -120,7 +121,8 @@ def validate_structure(names: Sequence[str], zero, one, add, mul) -> FiniteStruc
         )
 
     mul_associative = _kernels.first_nonassoc(mul)[0] < 0
-    distributive = _kernels.first_nondistrib(add, mul)[0] < 0
+    # + is associative from here on, which the reduced distributivity test needs
+    distributive = _kernels.first_nondistrib(add, mul, add_gens)[0] < 0
     commutative_mul = _kernels.first_noncomm(mul)[0] < 0
     return FiniteStructure(
         names=names,
@@ -251,6 +253,12 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     the whole carrier and the designated one acts as unit.  Whether tangibles
     distribute over addition is recorded on the pair (t_distributive), not
     enforced: layered max-like structures fail it while remaining pairs.
+
+    A law that a flag of ``structure`` already established by exhaustive
+    scan is not scanned again for the tangibles: commutativity when
+    ``commutative_mul`` is set, associativity when ``mul_associative`` is,
+    and distributivity when ``distributive`` is.  Those instances cannot
+    fail, so the remaining tests and their witnesses are unchanged.
     """
     add, mul = structure.add, structure.mul
     n = structure.n
@@ -275,11 +283,14 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
         w = int(bad[0][0]) if len(bad) else int(np.argwhere(mul[:, structure.one] != np.arange(n))[0][0])
         raise TNotCentral("one is not a multiplicative unit", witness=(names[structure.one], names[w]))
     for a in sorted(t):
-        bad = np.argwhere(mul[a] != mul[:, a])
-        if len(bad):
-            raise TNotCentral(
-                "tangible does not commute", witness=(names[a], names[int(bad[0][0])])
-            )
+        if not structure.commutative_mul:
+            bad = np.argwhere(mul[a] != mul[:, a])
+            if len(bad):
+                raise TNotCentral(
+                    "tangible does not commute", witness=(names[a], names[int(bad[0][0])])
+                )
+        if structure.mul_associative:
+            continue
         row = mul[a]
         p1 = np.argwhere(mul[row, :] != mul[a][mul])
         if len(p1):
@@ -318,11 +329,8 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
                         witness=(names[a], names[x], names[prod]),
                     )
 
-    t_distributive = True
-    for a in sorted(t):
-        if (mul[a][add] != add[mul[a][:, None], mul[a][None, :]]).any():
-            t_distributive = False
-            break
+    t_distributive = structure.distributive or all(
+        (mul[a][add] == add[mul[a][:, None], mul[a][None, :]]).all() for a in sorted(t))
 
     witness = None
     pn_error = None

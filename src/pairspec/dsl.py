@@ -6,39 +6,69 @@ A pair file is a single object with ``name``, ``elements``, ``zero``,
 ``hyperadd`` (a table of label arrays) and optionally ``hypernegation``.
 Parsing validates shape and labels only; algebraic axioms are checked when
 the structure is built.
+
+The operation tables cross this boundary as index tables: parsing maps each
+row of labels straight to a read-only n x n ``int64`` table of element
+indices, the form ``core`` validates, and ``serialize`` writes a table back
+row by row from its labels, each JSON-encoded once per file.  A table is a
+list of labels only in ``to_json_dict``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from .constructions import HyperStructure, validate_hyperstructure
 from .core import NegationMap, Pair, validate_negation_map, validate_pair, validate_structure
 from .errors import DimensionMismatch, DslSyntaxError, DuplicateLabel, UnknownLabel
 
 
-@dataclass(frozen=True)
-class PairFile:
+def _label_rows(elements) -> Callable[[np.ndarray], list]:
+    """Index table -> its rows as lists of labels."""
+    labels = np.array(elements, dtype=object)
+    return lambda table: labels[table].tolist()
+
+
+class _TableFile:
+    """A parsed file; files compare by their JSON values, since their
+    tables are arrays."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.to_json_dict() == other.to_json_dict()
+
+
+@dataclass(frozen=True, eq=False)
+class PairFile(_TableFile):
+    """A pair file: labels, and the two operations as read-only n x n
+    ``int64`` index tables over ``elements``."""
+
     name: str
     elements: tuple[str, ...]
     zero: str
     one: str
-    add: tuple[tuple[str, ...], ...]
-    mul: tuple[tuple[str, ...], ...]
+    add: np.ndarray
+    mul: np.ndarray
     tangible: tuple[str, ...]
     a0: tuple[str, ...]
     negation: Optional[dict[str, str]] = None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, rows=None) -> dict:
+        """The file as JSON values; ``rows`` maps an index table to its value,
+        by default its rows of labels."""
+        rows = rows or _label_rows(self.elements)
         out = {
             "name": self.name,
             "elements": list(self.elements),
             "zero": self.zero,
             "one": self.one,
-            "add": [list(r) for r in self.add],
-            "mul": [list(r) for r in self.mul],
+            "add": rows(self.add),
+            "mul": rows(self.mul),
             "tangible": list(self.tangible),
             "a0": list(self.a0),
         }
@@ -47,24 +77,27 @@ class PairFile:
         return out
 
 
-@dataclass(frozen=True)
-class HyperFile:
+@dataclass(frozen=True, eq=False)
+class HyperFile(_TableFile):
+    """A hyperstructure file; ``mul`` is an index table as in ``PairFile``."""
+
     name: str
     elements: tuple[str, ...]
     zero: str
     one: str
-    mul: tuple[tuple[str, ...], ...]
+    mul: np.ndarray
     hyperadd: tuple[tuple[tuple[str, ...], ...], ...]
     tangible: tuple[str, ...]
     hypernegation: Optional[dict[str, str]] = None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, rows=None) -> dict:
+        rows = rows or _label_rows(self.elements)
         out = {
             "name": self.name,
             "elements": list(self.elements),
             "zero": self.zero,
             "one": self.one,
-            "mul": [list(r) for r in self.mul],
+            "mul": rows(self.mul),
             "hyperadd": [[sorted(cell) for cell in row] for row in self.hyperadd],
             "tangible": list(self.tangible),
         }
@@ -95,7 +128,7 @@ def _elements(obj: dict) -> tuple[str, ...]:
     return tuple(elements)
 
 
-def _label(obj: dict, key: str, known: set[str]) -> str:
+def _label(obj: dict, key: str, known: dict[str, int]) -> str:
     v = obj.get(key)
     if not isinstance(v, str):
         raise DimensionMismatch(f"'{key}' must be a single label")
@@ -104,7 +137,7 @@ def _label(obj: dict, key: str, known: set[str]) -> str:
     return v
 
 
-def _label_list(obj: dict, key: str, known: set[str]) -> tuple[str, ...]:
+def _label_list(obj: dict, key: str, known: dict[str, int]) -> tuple[str, ...]:
     v = obj.get(key)
     if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
         raise DimensionMismatch(f"'{key}' must be a list of labels")
@@ -114,27 +147,29 @@ def _label_list(obj: dict, key: str, known: set[str]) -> tuple[str, ...]:
     return tuple(v)
 
 
-def _table(obj: dict, key: str, n: int, known: set[str]) -> tuple[tuple[str, ...], ...]:
+def _table(obj: dict, key: str, n: int, index: dict[str, int]) -> np.ndarray:
+    """The n x n table ``key`` as a read-only ``int64`` index table, filled
+    in one pass.  Rows are taken in order, each row's length before its
+    labels, so an error names the first offender."""
     v = obj.get(key)
     if not isinstance(v, list) or len(v) != n:
         raise DimensionMismatch(f"'{key}' must be a {n}x{n} table")
-    rows = []
-    for row in v:
+    out = np.empty((n, n), dtype=np.int64)
+    look = index.__getitem__
+    for i, row in enumerate(v):
         if not isinstance(row, list) or len(row) != n:
             raise DimensionMismatch(f"'{key}' row has wrong length", witness=(key, len(row) if isinstance(row, list) else None))
         try:
-            ok = known.issuperset(row)
-        except TypeError:           # an unhashable cell
-            ok = False
-        if not ok:
+            out[i] = np.fromiter(map(look, row), dtype=np.int64, count=n)
+        except (KeyError, TypeError):   # an undeclared label, or an unhashable cell
             for x in row:
-                if not isinstance(x, str) or x not in known:
-                    raise UnknownLabel(f"'{key}' uses an undeclared label", witness=(x,))
-        rows.append(tuple(row))
-    return tuple(rows)
+                if not isinstance(x, str) or x not in index:
+                    raise UnknownLabel(f"'{key}' uses an undeclared label", witness=(x,)) from None
+    out.setflags(write=False)
+    return out
 
 
-def _perm(obj: dict, key: str, known: set[str]) -> Optional[dict[str, str]]:
+def _perm(obj: dict, key: str, known: dict[str, int]) -> Optional[dict[str, str]]:
     v = obj.get(key)
     if v is None:
         return None
@@ -150,7 +185,7 @@ def _perm(obj: dict, key: str, known: set[str]) -> Optional[dict[str, str]]:
 
 def _pair_file(obj: dict) -> PairFile:
     elements = _elements(obj)
-    known = set(elements)
+    known = {x: i for i, x in enumerate(elements)}
     n = len(elements)
     return PairFile(
         name=str(obj.get("name", "")),
@@ -167,7 +202,7 @@ def _pair_file(obj: dict) -> PairFile:
 
 def _hyper_file(obj: dict) -> HyperFile:
     elements = _elements(obj)
-    known = set(elements)
+    known = {x: i for i, x in enumerate(elements)}
     n = len(elements)
     raw = obj.get("hyperadd")
     if not isinstance(raw, list) or len(raw) != n:
@@ -223,40 +258,70 @@ _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _dump(o, level: int) -> str:
-    """``o`` as ``json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)``
-    writes it at nesting ``level``.  A list of strings, such as a table row,
-    is joined in one pass of the C string encoder."""
+class _EncodedRows(list):
+    """Rows of labels that are already JSON strings."""
+
+
+def _encoded_rows(elements) -> Callable[[np.ndarray], _EncodedRows]:
+    """Index table -> its rows of labels, each label encoded once here."""
+    labels = np.array([_encode_str(x) for x in elements], dtype=object)
+    return lambda table: _EncodedRows(labels[table].tolist())
+
+
+def _dump(o, level: int, out: list) -> None:
+    """Append the text of ``o``, as ``json.dumps(o, sort_keys=True, indent=2,
+    ensure_ascii=False)`` writes it at nesting ``level``, to ``out`` in
+    pieces, so that a large table is copied once, into the final text.  A
+    list of strings is joined in one pass of the C string encoder; the rows
+    of ``_EncodedRows`` are only joined."""
     if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if type(o) is int:
-        return int.__repr__(o)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(o, (list, tuple)):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif type(o) is int:
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
         if not o:
-            return "[]"
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        if type(o) is _EncodedRows:
+            cell = "," + inner + "  "
+            out.append("[" + inner + "[" + inner + "  ")
+            out.append((inner + "]," + inner + "[" + inner + "  ").join(map(cell.join, o)))
+            out.append(inner + "]\n" + "  " * level + "]")
+            return
+        out.append("[" + inner)
         try:
-            body = ("," + inner).join(map(_encode_str, o))
+            out.append(("," + inner).join(map(_encode_str, o)))
         except TypeError:           # not all strings
-            body = ("," + inner).join([_dump(x, level + 1) for x in o])
-        return "[" + inner + body + "\n" + "  " * level + "]"
-    if isinstance(o, dict):
+            for i, x in enumerate(o):
+                if i:
+                    out.append("," + inner)
+                _dump(x, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
         if not o:
-            return "{}"
-        if not all(isinstance(k, str) for k in o):
+            out.append("{}")
+        elif not all(isinstance(k, str) for k in o):
             # json's own text, whose only raw newlines are its indentation
             text = json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)
-            return text.replace("\n", "\n" + "  " * level)
-        body = ("," + inner).join([_encode_str(k) + ": " + _dump(o[k], level + 1)
-                                   for k in sorted(o)])
-        return "{" + inner + body + "\n" + "  " * level + "}"
-    return _encode_scalar(o)        # floats and number subclasses
+            out.append(text.replace("\n", "\n" + "  " * level))
+        else:
+            inner = "\n" + "  " * (level + 1)
+            out.append("{" + inner)
+            for i, k in enumerate(sorted(o)):
+                if i:
+                    out.append("," + inner)
+                out.append(_encode_str(k) + ": ")
+                _dump(o[k], level + 1, out)
+            out.append("\n" + "  " * level + "}")
+    else:
+        out.append(_encode_scalar(o))   # floats and number subclasses
 
 
 def serialize(obj) -> str:
@@ -266,19 +331,20 @@ def serialize(obj) -> str:
     ensure_ascii=False) + "\\n"``, written without ``json``'s pure-Python
     indenting encoder.
     """
-    if hasattr(obj, "to_json_dict"):
-        obj = obj.to_json_dict()
+    if isinstance(obj, _TableFile):
+        obj = obj.to_json_dict(_encoded_rows(obj.elements))
     elif hasattr(obj, "to_dict"):
         obj = obj.to_dict()
-    return _dump(obj, 0) + "\n"
+    out = []
+    _dump(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def build_pair(pf: PairFile) -> tuple[Pair, Optional[NegationMap]]:
     """Semantic validation of a parsed pair file."""
     index = {x: i for i, x in enumerate(pf.elements)}
-    add = [list(map(index.__getitem__, row)) for row in pf.add]
-    mul = [list(map(index.__getitem__, row)) for row in pf.mul]
-    st = validate_structure(pf.elements, index[pf.zero], index[pf.one], add, mul)
+    st = validate_structure(pf.elements, index[pf.zero], index[pf.one], pf.add, pf.mul)
     pair = validate_pair(st, {index[x] for x in pf.tangible}, {index[x] for x in pf.a0},
                          name=pf.name)
     negation = None
@@ -290,13 +356,12 @@ def build_pair(pf: PairFile) -> tuple[Pair, Optional[NegationMap]]:
 
 def build_hyper(hf: HyperFile) -> HyperStructure:
     index = {x: i for i, x in enumerate(hf.elements)}
-    mul = [[index[x] for x in row] for row in hf.mul]
     hyperadd = [[{index[x] for x in cell} for cell in row] for row in hf.hyperadd]
     neg = None
     if hf.hypernegation is not None:
         neg = [index[hf.hypernegation.get(x, x)] for x in hf.elements]
     return validate_hyperstructure(
-        hf.elements, index[hf.zero], index[hf.one], mul, hyperadd,
+        hf.elements, index[hf.zero], index[hf.one], hf.mul, hyperadd,
         tangible={index[x] for x in hf.tangible},
         hypernegation=neg, name=hf.name,
     )
@@ -309,8 +374,8 @@ def pair_to_file(pair: Pair, negation: Optional[NegationMap] = None) -> PairFile
         elements=names,
         zero=names[pair.zero],
         one=names[pair.one],
-        add=tuple(tuple(map(names.__getitem__, row)) for row in pair.add.tolist()),
-        mul=tuple(tuple(map(names.__getitem__, row)) for row in pair.mul.tolist()),
+        add=pair.add,
+        mul=pair.mul,
         tangible=tuple(names[i] for i in sorted(pair.tangible)),
         a0=tuple(names[i] for i in sorted(pair.a_zero)),
         negation={names[i]: names[negation.perm[i]] for i in range(pair.n)}
@@ -325,7 +390,7 @@ def hyper_to_file(hyper: HyperStructure) -> HyperFile:
         elements=names,
         zero=names[hyper.zero],
         one=names[hyper.one],
-        mul=tuple(tuple(names[x] for x in row) for row in hyper.mul),
+        mul=hyper.mul,
         hyperadd=tuple(
             tuple(tuple(sorted(names[x] for x in hyper.hyperadd_set(i, j)))
                   for j in range(hyper.n))

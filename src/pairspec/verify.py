@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import first_nonassoc
 from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
-from .constructions import double, doubled_names, quotient_pair, twist_tables
+from .constructions import double, doubled_names, quotient_pair, twist_table
 from .core import Pair, classify_pair
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
@@ -165,7 +165,7 @@ def _check_twass(ctx):
     pair = ctx.pair
     if not pair.structure.is_semiring():
         return False, None, None, "needs a semiring pair"
-    i, j, k = first_nonassoc(twist_tables(pair.structure)[1])
+    i, j, k = first_nonassoc(twist_table(pair.structure))
     if i < 0:
         return True, True, None, f"all {pair.n * pair.n}^3 triples associate"
     names = doubled_names(pair.names)

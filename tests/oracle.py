@@ -367,3 +367,64 @@ def check_congb_loop(pair, cong_b):
                     "contains_b": res.contains_b,
                 }, ""
     return True, None, f"{checked} elements checked"
+
+
+# ---------------------------------------------------------------------------
+# pair validation
+# ---------------------------------------------------------------------------
+
+def validate_pair_dense(structure, tangible, a_zero):
+    """``core.validate_pair``'s verdict with every test run, whatever the
+    structure's law flags say: (tangible, a_zero, t_distributive) as sets and
+    a bool, or the same error with the same witness, found by loops in the
+    same order."""
+    from pairspec.errors import A0NotSubmodule, TNotCentral, TNotClosed
+
+    n, names = structure.n, structure.names
+    add, mul = structure.add.tolist(), structure.mul.tolist()
+    zero, one = structure.zero, structure.one
+    t = frozenset(int(x) for x in tangible)
+    a0 = frozenset(int(x) for x in a_zero)
+    if not t or any(not 0 <= x < n for x in t | a0):
+        raise ValueError("tangible/a_zero must be nonempty index sets in range")
+
+    def label(*xs):
+        return tuple(names[x] for x in xs)
+
+    if one not in t:
+        raise TNotClosed("one must be tangible", witness=label(one))
+    for a, b in product(sorted(t), repeat=2):
+        if mul[a][b] not in t:
+            raise TNotClosed("tangibles are not multiplicatively closed",
+                             witness=label(a, b, mul[a][b]))
+    bad = [x for x in range(n) if mul[one][x] != x] or [x for x in range(n) if mul[x][one] != x]
+    if bad:
+        raise TNotCentral("one is not a multiplicative unit", witness=label(one, bad[0]))
+    for a in sorted(t):
+        for x in range(n):
+            if mul[a][x] != mul[x][a]:
+                raise TNotCentral("tangible does not commute", witness=label(a, x))
+        for b, c in product(range(n), repeat=2):
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                raise TNotCentral("tangible does not associate", witness=label(a, b, c))
+        for b, c in product(range(n), repeat=2):
+            if mul[mul[b][a]][c] != mul[b][mul[a][c]]:
+                raise TNotCentral("tangible does not associate", witness=label(b, a, c))
+        for b, c in product(range(n), repeat=2):
+            if mul[mul[b][c]][a] != mul[b][mul[c][a]]:
+                raise TNotCentral("tangible does not associate", witness=label(b, c, a))
+
+    if zero not in a0:
+        raise A0NotSubmodule("A0 must contain zero", witness=label(zero))
+    for x, y in product(sorted(a0), repeat=2):
+        if add[x][y] not in a0:
+            raise A0NotSubmodule("A0 is not additively closed", witness=label(x, y, add[x][y]))
+    for a, x in product(sorted(t | {zero}), sorted(a0)):
+        for prod in (mul[a][x], mul[x][a]):
+            if prod not in a0:
+                raise A0NotSubmodule("A0 is not closed under the tangible action",
+                                     witness=label(a, x, prod))
+
+    t_distributive = all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                         for a in t for b, c in product(range(n), repeat=2))
+    return t, a0, t_distributive

@@ -256,15 +256,24 @@ def test_verify_all_stdout_digest(runner, tmp_path, name):
     assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[name]
 
 
-# sha256 of the file `construct double` writes for function_minbp_sat2 (256
-# elements), recorded while `serialize` still called json's indenting encoder
-# and the distributivity scan always ran both sides
-DOUBLE_DIGEST = "b201f6a207b797f91cb39a4e42a8b9f5445a5b00acae61f31a60f6e1b06a6d21"
+# sha256 of the file `construct double` writes for each base of the `scan`
+# workload.  function_minbp_sat2 (256 elements) was recorded while
+# `serialize` still called json's indenting encoder and the distributivity
+# scan always ran both sides; function_sb_sat2 (81, associative) and
+# power_massouros_c3 (225, a product neither associative nor distributive)
+# while files were still read and written as tables of label strings and
+# pair validation rescanned the laws the structure's flags establish
+DOUBLE_DIGESTS = {
+    "function_minbp_sat2": "b201f6a207b797f91cb39a4e42a8b9f5445a5b00acae61f31a60f6e1b06a6d21",
+    "function_sb_sat2": "0f1aa9cdcadc65893c0039247ebb8e93541353489b534795297047e572a552e6",
+    "power_massouros_c3": "20dc524e6e94695193991b6eb52a672bed9e1e13089749e3d25883ef5d5da953",
+}
 
 
 def test_construct_double_file_digest(runner, tmp_path, pairs):
-    doubled = _scan_double(runner, tmp_path, pairs, "function_minbp_sat2")
-    assert hashlib.sha256(doubled.read_bytes()).hexdigest() == DOUBLE_DIGEST
+    for name, digest in DOUBLE_DIGESTS.items():
+        doubled = _scan_double(runner, tmp_path, pairs, name)
+        assert hashlib.sha256(doubled.read_bytes()).hexdigest() == digest, name
 
 
 def test_doubled_carrier_cap_exits_two(runner, tmp_path):

@@ -21,7 +21,7 @@ from pairspec.constructions import (
     super_boolean,
     supertropical,
     truncated_supertropical,
-    twist_tables,
+    twist_table,
     validate_hyperstructure,
 )
 from pairspec.core import classify_pair
@@ -167,10 +167,12 @@ def test_double_twist_matches_bruteforce(sb):
         for j in range(d.n):
             got = d.unpack(int(d.structure.mul[i, j]))
             assert got == oracle.twist_bruteforce(add, mul, d.unpack(i), d.unpack(j))
+            (a1, a2), (c1, c2) = d.unpack(i), d.unpack(j)
+            assert d.unpack(int(d.structure.add[i, j])) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_function_pair_table_matches_bruteforce(pairs):
-    # the 81x81 vectorized twist table against the scalar recomputation
+    # the 81x81 vectorized tables against the scalar recomputation
     p = pairs["function_sb_sat2"]
     d = double(p)
     add = [[int(v) for v in row] for row in p.add]
@@ -179,6 +181,8 @@ def test_double_function_pair_table_matches_bruteforce(pairs):
         for j in range(d.n):
             got = d.unpack(int(d.structure.mul[i, j]))
             assert got == oracle.twist_bruteforce(add, mul, d.unpack(i), d.unpack(j))
+            (a1, a2), (c1, c2) = d.unpack(i), d.unpack(j)
+            assert d.unpack(int(d.structure.add[i, j])) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_of_relabeled_pair(sb):
@@ -310,7 +314,7 @@ def test_twist_tables_carrier_cap():
     # refused from the size alone, before any table is read
     big = SimpleNamespace(n=65, add=None, mul=None)
     with pytest.raises(CarrierTooLarge) as info:
-        twist_tables(big)
+        twist_table(big)
     assert (info.value.size, info.value.cap) == (65 * 65, DEFAULT_CARRIER_CAP)
 
 
@@ -321,8 +325,7 @@ def test_twist_tables_admit_benchmark_inputs(pairs):
               function_pair(pairs["minbp_c2_first"], saturating_monoid(2))]
     for p in inputs:
         assert p.n <= 16
-        add, mul = twist_tables(p.structure)
-        assert add.shape == mul.shape == (p.n * p.n, p.n * p.n)
+        assert twist_table(p.structure).shape == (p.n * p.n, p.n * p.n)
 
 
 def test_hyperpair_krasner_is_full_power_set(pairs):

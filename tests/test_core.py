@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pairspec.constructions import double, minimal_bipotent
+from pairspec import constructions
+from pairspec.congruences import enumerate_congruences
+from pairspec.constructions import double, minimal_bipotent, quotient_pair
 from pairspec.core import (
+    Pair,
     classify_pair,
     distributive_center,
     e_type,
@@ -28,6 +31,7 @@ from pairspec.errors import (
     QuasiNegationFails,
     TNotCentral,
     TNotClosed,
+    ValidationError,
     ZeroNotAbsorbing,
     ZeroNotNeutral,
 )
@@ -362,3 +366,87 @@ def test_classification_invariant_under_relabeling(pairs, seed):
     q = validate_pair(st_, {int(perm[a]) for a in p.tangible},
                       {int(perm[x]) for x in p.a_zero})
     assert classify_pair(q) == classify_pair(p)
+
+
+# -- validate_pair against the dense oracle -----------------------------------------
+
+def _verdict(validate, structure, tangible, a_zero):
+    """What a pair validator decides: the tangibles, A0 and t_distributive,
+    or the error with its witness."""
+    try:
+        out = validate(structure, tangible, a_zero)
+    except (ValidationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return (out.tangible, out.a_zero, out.t_distributive) if isinstance(out, Pair) else out
+
+
+def _assert_validate_pair_matches_dense(structure, tangible, a_zero):
+    assert _verdict(validate_pair, structure, tangible, a_zero) == \
+        _verdict(oracle.validate_pair_dense, structure, tangible, a_zero)
+
+
+@st.composite
+def _small_structures(draw):
+    """A structure on 2..5 elements with zero 0 and one 1, whose product is
+    associative, commutative, distributive, several of these, or none."""
+    n = draw(st.integers(2, 5))
+    idx = np.arange(n)
+    rank = np.array([0, n - 1, *range(1, n - 1)])      # zero at the bottom, one on top
+    by_rank = np.argsort(rank)
+    if draw(st.booleans()):
+        add = by_rank[np.maximum.outer(rank, rank)]     # max of a chain
+    else:
+        add = np.add.outer(idx, idx) % n
+    kind = draw(st.sampled_from(["random", "symmetric", "min", "left_zero", "mod"]))
+    if kind == "min":           # a distributive lattice with the chain's max
+        mul = by_rank[np.minimum.outer(rank, rank)]
+    elif kind == "mod":         # the ring Z/n with + mod n
+        mul = np.multiply.outer(idx, idx) % n
+    elif kind == "left_zero":   # associative, not commutative for n >= 4
+        mul = np.repeat(idx[:, None], n, axis=1)
+    else:
+        cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        mul = np.array(cells).reshape(n, n)
+        if kind == "symmetric":
+            mul = np.triu(mul) + np.triu(mul, 1).T
+    mul[0, :] = mul[:, 0] = 0
+    mul[1, 1:] = mul[1:, 1] = idx[1:]
+    if draw(st.integers(0, 9)) == 0:    # break the unit law
+        mul[1, draw(st.integers(1, n - 1))] = draw(st.integers(1, n - 1))
+    structure = validate_structure([str(i) for i in idx], 0, 1, add, mul)
+    tangible = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    a_zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    if draw(st.integers(0, 9)):
+        tangible.add(1)
+    if draw(st.integers(0, 9)):
+        a_zero.add(0)
+    return structure, tangible, a_zero
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_small_structures())
+def test_validate_pair_matches_dense_on_small_structures(case):
+    # the law flags let validate_pair skip scans; the verdict must not move
+    _assert_validate_pair_matches_dense(*case)
+
+
+def test_validate_pair_matches_dense_on_catalog_quotients_and_doubles(pairs, monkeypatch):
+    seen = []
+    real = constructions.validate_pair
+
+    def spy(structure, tangible, a_zero, **kwargs):
+        seen.append((structure, tangible, a_zero))
+        return real(structure, tangible, a_zero, **kwargs)
+
+    monkeypatch.setattr(constructions, "validate_pair", spy)
+    for p in pairs.values():
+        seen.append((p.structure, p.tangible, p.a_zero))
+        double(p)
+        for cong in enumerate_congruences(p, None):
+            try:
+                quotient_pair(p, cong)
+            except ValidationError:
+                pass
+    assert len(seen) > 2 * len(pairs)
+    for case in seen:
+        _assert_validate_pair_matches_dense(*case)

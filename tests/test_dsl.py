@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +187,60 @@ def test_bad_cell_before_a_short_row(sb):
     with pytest.raises(UnknownLabel) as exc:
         dsl.parse_pair_file(json.dumps(obj))
     assert exc.value.witness == ("ghost",)
+
+
+def _short_row(obj, key, i):
+    obj[key][i] = obj[key][i][:-1]
+
+
+def _set_cell(obj, key, i, j, value):
+    obj[key][i][j] = value
+
+
+# malformed tables: each error keeps the class, message and witness that the
+# label-tuple parser gave before tables were read into index arrays
+MALFORMED_TABLES = {
+    "unknown label in row 0 ahead of a short row 1": (
+        lambda o: (_set_cell(o, "add", 0, 2, "ghost"), _short_row(o, "add", 1)),
+        UnknownLabel, "'add' uses an undeclared label", ("ghost",)),
+    "short row 0 ahead of an unknown label in row 1": (
+        lambda o: (_short_row(o, "add", 0), _set_cell(o, "add", 1, 0, "ghost")),
+        DimensionMismatch, "'add' row has wrong length", ("add", 2)),
+    "unhashable cell": (
+        lambda o: _set_cell(o, "mul", 1, 1, ["1"]),
+        UnknownLabel, "'mul' uses an undeclared label", (["1"],)),
+    "non-string label": (
+        lambda o: _set_cell(o, "add", 2, 1, 1),
+        UnknownLabel, "'add' uses an undeclared label", (1,)),
+    "boolean label": (
+        lambda o: _set_cell(o, "add", 1, 0, True),
+        UnknownLabel, "'add' uses an undeclared label", (True,)),
+    "non-list row": (
+        lambda o: o["mul"].__setitem__(1, "0 1 e"),
+        DimensionMismatch, "'mul' row has wrong length", ("mul", None)),
+    "unknown label in mul after a clean add": (
+        lambda o: _set_cell(o, "mul", 2, 2, "ghost"),
+        UnknownLabel, "'mul' uses an undeclared label", ("ghost",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_keeps_error_and_witness(sb, case):
+    edit, kind, message, witness = MALFORMED_TABLES[case]
+    obj = dsl.pair_to_file(sb).to_json_dict()
+    edit(obj)
+    for parse in (dsl.parse_pair_file, dsl.parse_file):
+        with pytest.raises(kind) as exc:
+            parse(json.dumps(obj))
+        assert type(exc.value) is kind
+        assert (exc.value.message, exc.value.witness) == (message, witness)
+
+
+def test_parsed_tables_are_read_only_index_arrays(sb):
+    pf = dsl.parse_pair_file(_sb_text(sb))
+    for got, want in ((pf.add, sb.add), (pf.mul, sb.mul)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert (got == want).all()
+    # the JSON form still holds plain label lists
+    assert dsl.pair_to_file(sb).to_json_dict()["add"] == [["0", "1", "e"], ["1", "e", "e"],
+                                                        ["e", "e", "e"]]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pairspec import _kernels
-from pairspec.constructions import twist_tables
+from pairspec.constructions import twist_table
 
 
 def _family(kind, n, rng):
@@ -421,11 +421,11 @@ def test_congruence_violation_keeps_labels_past_256():
 
 # -- twist kernels -----------------------------------------------------------------
 
-def _doubled_tables_dense(add, mul):
+def _twist_table_dense(add, mul):
     n = add.shape[0]
     b1, b2 = np.divmod(np.arange(n * n), n)
     p, q = oracle.twist_products_dense(add, mul, (b1, b2), (b1, b2))
-    return add[b1[:, None], b1[None, :]] * n + add[b2[:, None], b2[None, :]], p * n + q
+    return p * n + q
 
 
 @settings(max_examples=150, deadline=None)
@@ -462,8 +462,8 @@ def test_twist_kernels_keep_the_dense_witness(seed, n, values, blocks, extra):
             }, cells
             assert (_kernels.sqrt_step(add, mul, member) == squares).all()
             assert (_kernels.twist_fill(add, mul, *rel1, *rel2) == fill).all()
-            for got, dense in zip(twist_tables(base), _doubled_tables_dense(add, mul)):
-                assert got.dtype == np.int64 and (got == dense).all()
+            got = twist_table(base)
+            assert got.dtype == np.int64 and (got == _twist_table_dense(add, mul)).all()
 
 
 def test_strongly_prime_scan_memory_is_bounded():

@@ -269,7 +269,7 @@ def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
         return {r.check_id: (r.hypotheses_held, r.passed, r.notes) for r in reports}
 
     before = verdicts(run_all(sb))
-    monkeypatch.setattr(verify, "twist_tables", too_large)
+    monkeypatch.setattr(verify, "twist_table", too_large)
     after = verdicts(run_all(sb))
     # recorded as CapExceeded is: hypotheses held, no verdict, a cap note
     assert after.pop("TWASS") == (True, None, "cap exceeded: carrier would have 9 elements, cap is 4")
