@@ -256,8 +256,9 @@ def closure_roots(add, mul, gens):
     return [find(i) for i in range(n)]
 
 
-def congruence_violation(add, mul, block_of):
-    """First (x, y, c, kind) witnessing that the partition is not a congruence.
+def congruence_violation(add, mul, roots):
+    """First (x, y, c, kind) witnessing that the partition with root vector
+    ``roots`` (each element's least block-mate) is not a congruence.
 
     kind 0: x+c / y+c land in different blocks; kind 1: xc / yc; kind 2: cx / cy.
     With blocks in order of least member and pairs in lexicographic order,
@@ -266,8 +267,7 @@ def congruence_violation(add, mul, block_of):
     rows are compared with its block's least member's, n^2 cells at a time.
     """
     n = add.shape[0]
-    _, first, inv = np.unique(block_of, return_index=True, return_inverse=True)
-    rep = first[inv.ravel()]          # least member of each element's block
+    rep = np.asarray(roots, dtype=np.int64)
     lab = _compact(rep)
     tables = (add, mul, mul.T)
     bad = np.zeros(n, dtype=bool)
@@ -289,23 +289,19 @@ def congruence_violation(add, mul, block_of):
 _LEQ_CELLS = 1 << 22
 
 
-def refinement_order(block_ofs):
-    """leq[i, j] iff partition row i (block ids in 0..n-1) refines row j:
-    ``b[j][rep_i] == b[j]``, with rep_i each element's least block-mate in i.
+def refinement_order(roots):
+    """leq[i, j] iff every block of partition i lies in a block of partition
+    j, each given by its root vector (each element's least block-mate):
+    ``r[j][r[i]] == r[j]``.
     No temporary holds more than ``_LEQ_CELLS`` cells."""
-    b = np.asarray(block_ofs, dtype=np.int64)
-    m, n = b.shape
-    rows = np.arange(m)
-    first = np.empty((m, n), dtype=np.int64)   # first[i, k]: least member of block k
-    for x in range(n - 1, -1, -1):
-        first[rows, b[:, x]] = x
-    rep = first[rows[:, None], b]
-    b = b.astype(np.uint8 if n <= 256 else np.uint16)
+    r = np.asarray(roots, dtype=np.int64)
+    m, n = r.shape
+    c = r.astype(np.uint8 if n <= 256 else np.uint16)
     out = np.empty((m, m), dtype=bool)
     step = max(1, _LEQ_CELLS // max(1, m * n))
     for lo in range(0, m, step):
-        # same[j, i, x]: x and rep_i(x) share a block of j
-        same = b[:, rep[lo:lo + step]] == b[:, None, :]
+        # same[j, i, x]: x and its root in i share a block of j
+        same = c[:, r[lo:lo + step]] == c[:, None, :]
         out[lo:lo + step] = same.all(axis=2).T
     return out
 

@@ -1,8 +1,12 @@
-"""Congruences as canonical partitions, generated closure, and the lattice.
+"""Congruences as root vectors, generated closure, and the lattice.
 
-A congruence is stored as ``block_of``: element index -> block id, with block
-ids increasing with each block's least member.  The pair-set view (a boolean
-matrix over the doubled carrier) is derived on demand.
+A congruence is stored as its root vector ``roots``: element index -> the
+least member of its block.  The root vector is canonical as it stands, so
+nothing is renumbered: two congruences are equal iff their root vectors are,
+and root vectors sort as the first-occurrence block numberings ``block_of``
+do (at the first element where two vectors differ, they agree on every
+earlier block).  ``block_of`` and the pair-set view (a boolean matrix over
+the doubled carrier) are derived on demand.
 """
 
 from __future__ import annotations
@@ -29,38 +33,40 @@ def _cap_from_env(cap: Optional[int]) -> int:
     return int(raw) if raw else DEFAULT_CAP
 
 
-def canonical_block_of(labels) -> tuple[int, ...]:
-    """Renumber arbitrary hashable block labels so ids appear in
-    first-occurrence order."""
-    seen: dict = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in labels)
-
-
 @dataclass(frozen=True)
 class Congruence:
     pair: Pair = field(compare=False, repr=False)
-    block_of: tuple[int, ...] = ()
+    roots: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "block_of", canonical_block_of(self.block_of))
+    @classmethod
+    def from_labels(cls, pair: Pair, labels) -> "Congruence":
+        """The partition into elements sharing a (hashable) label."""
+        least: dict = {}
+        return cls(pair=pair, roots=tuple(least.setdefault(b, x) for x, b in enumerate(labels)))
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        """Block ids, increasing with each block's least member."""
+        ids: dict[int, int] = {}
+        return tuple(ids.setdefault(r, len(ids)) for r in self.roots)
 
     @property
     def n_blocks(self) -> int:
-        return max(self.block_of) + 1
+        return len(set(self.roots))
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for x, b in enumerate(self.block_of):
-            out[b].append(x)
-        return out
+        out: dict[int, list[int]] = {}
+        for x, r in enumerate(self.roots):
+            out.setdefault(r, []).append(x)
+        return list(out.values())
 
     def block_labels(self) -> list[list[str]]:
         return [[self.pair.names[x] for x in blk] for blk in self.blocks()]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        bo = np.asarray(self.block_of)
-        m = bo[:, None] == bo[None, :]
+        r = np.asarray(self.roots)
+        m = r[:, None] == r[None, :]
         m.setflags(write=False)
         return m
 
@@ -72,41 +78,31 @@ class Congruence:
         return xs, ys
 
     def related(self, x: int, y: int) -> bool:
-        return self.block_of[x] == self.block_of[y]
+        return self.roots[x] == self.roots[y]
 
-    def is_diagonal(self) -> bool:
-        return self.n_blocks == len(self.block_of)
-
-    def is_all(self) -> bool:
-        return self.n_blocks == 1
-
-    def refines(self, other: "Congruence") -> bool:
-        """True when every block of self sits inside a block of other."""
-        image: dict[int, int] = {}
-        for x, b in enumerate(self.block_of):
-            ob = other.block_of[x]
-            if image.setdefault(b, ob) != ob:
-                return False
-        return True
+    def quotient_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The least member of each block, and the addition and
+        multiplication tables of A/cong over block ids."""
+        reps = np.unique(self.roots)
+        bo = np.asarray(self.block_of, dtype=np.int64)
+        pair = self.pair
+        return reps, bo[pair.add[np.ix_(reps, reps)]], bo[pair.mul[np.ix_(reps, reps)]]
 
 
 def diagonal(pair: Pair) -> Congruence:
-    return Congruence(pair=pair, block_of=tuple(range(pair.n)))
+    return Congruence(pair=pair, roots=tuple(range(pair.n)))
 
 
 def all_relation(pair: Pair) -> Congruence:
-    return Congruence(pair=pair, block_of=(0,) * pair.n)
+    return Congruence(pair=pair, roots=(0,) * pair.n)
 
 
 def is_congruence(pair: Pair, partition) -> tuple[bool, Optional[dict]]:
     """Closure of a partition under translation by +, *, and the tangible
     action; returns a witnessing violation otherwise."""
-    if isinstance(partition, Congruence):
-        block_of = partition.block_of
-    else:
-        block_of = canonical_block_of(partition)
-    arr = np.asarray(block_of, dtype=np.int64)
-    x, y, c, kind = _kernels.congruence_violation(pair.add, pair.mul, arr)
+    if not isinstance(partition, Congruence):
+        partition = Congruence.from_labels(pair, partition)
+    x, y, c, kind = _kernels.congruence_violation(pair.add, pair.mul, partition.roots)
     if x < 0:
         return True, None
     op = ["add", "mul-right", "mul-left"][kind]
@@ -124,7 +120,7 @@ def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]]) -> C
     (x+c, y+c), (xc, yc), (cx, cy) for all c; merges strictly reduce the
     block count, so the loop is bounded.
     """
-    return Congruence(pair=pair, block_of=_kernels.closure_roots(pair.add, pair.mul, generators))
+    return Congruence(pair=pair, roots=tuple(_kernels.closure_roots(pair.add, pair.mul, generators)))
 
 
 def diag_e(pair: Pair) -> Congruence:
@@ -138,31 +134,29 @@ def join(c1: Congruence, c2: Congruence) -> Congruence:
 
     Both arguments must be congruences of the same pair: the join of two
     congruences is then their join as equivalence relations, so a union-find
-    over the blocks of ``c1``, merged along the blocks of ``c2``, gives it
-    without reading the operation tables.
+    over the carrier, started from the roots of ``c1`` and merged along those
+    of ``c2``, gives it without reading the operation tables.  Each tree's
+    root stays its least member, so the finds are the root vector.
     """
-    parent = list(range(c1.n_blocks))
+    parent = list(c1.roots)
 
-    def find(b: int) -> int:
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        return b
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    first: dict[int, int] = {}   # block of c2 -> block of c1 holding its first member
-    for b1, b2 in zip(c1.block_of, c2.block_of):
-        a = first.setdefault(b2, b1)
-        if a != b1:
-            r1, r2 = find(a), find(b1)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
-    roots = [find(b) for b in range(len(parent))]
-    return Congruence(pair=c1.pair, block_of=tuple(map(roots.__getitem__, c1.block_of)))
+    for x, r in enumerate(c2.roots):
+        if r != x:
+            a, b = find(r), find(x)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return Congruence(pair=c1.pair, roots=tuple(find(x) for x in range(len(parent))))
 
 
 def meet(c1: Congruence, c2: Congruence) -> Congruence:
     """Common refinement: x and y share a block of both."""
-    return Congruence(pair=c1.pair, block_of=tuple(zip(c1.block_of, c2.block_of)))
+    return Congruence.from_labels(c1.pair, zip(c1.roots, c2.roots))
 
 
 @dataclass(frozen=True)
@@ -241,9 +235,9 @@ def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[
     to nothing forms a block of its own."""
     if ((rel[:, :, None] & rel[None, :, :]).any(axis=1) & ~rel).any():
         return False, None
-    block_of = canonical_block_of((rel | np.eye(pair.n, dtype=bool)).argmax(axis=1))
-    ok, _ = is_congruence(pair, block_of)
-    return True, Congruence(pair=pair, block_of=block_of) if ok else None
+    roots = (rel | np.eye(pair.n, dtype=bool)).argmax(axis=1)   # each least block-mate
+    cong = Congruence(pair=pair, roots=tuple(roots.tolist()))
+    return True, cong if is_congruence(pair, cong)[0] else None
 
 
 @dataclass(frozen=True)
@@ -251,9 +245,9 @@ class CongruenceLattice:
     """Every congruence of a pair, finest first.
 
     ``congruences`` is sorted by decreasing block count, then by
-    ``block_of``; the list is closed under meet and join.  ``leq`` is the
-    refinement order as a boolean matrix over those indices, and ``covers``
-    its covering relation.
+    ``roots``, which orders as ``block_of`` does; the list is closed under
+    meet and join.  ``leq`` is the refinement order as a boolean matrix over
+    those indices, and ``covers`` its covering relation.
     """
 
     pair: Pair = field(compare=False, repr=False)
@@ -270,18 +264,18 @@ class CongruenceLattice:
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
-        return {c.block_of: i for i, c in enumerate(self.congruences)}
+        return {c.roots: i for i, c in enumerate(self.congruences)}
 
     def find(self, cong: Congruence) -> int:
         try:
-            return self._index[cong.block_of]
+            return self._index[cong.roots]
         except KeyError:
             raise KeyError("congruence not present in the lattice") from None
 
     @cached_property
     def leq(self) -> np.ndarray:
-        """leq[i, j] iff congruence i refines (is contained in) congruence j."""
-        out = _kernels.refinement_order([c.block_of for c in self.congruences])
+        """leq[i, j] iff congruence i is contained in congruence j."""
+        out = _kernels.refinement_order([c.roots for c in self.congruences])
         out.setflags(write=False)
         return out
 
@@ -298,9 +292,6 @@ class CongruenceLattice:
     @property
     def top(self) -> int:
         return self.find(all_relation(self.pair))
-
-    def join_index(self, i: int, j: int) -> int:
-        return self.find(join(self.congruences[i], self.congruences[j]))
 
     def meet_index(self, i: int, j: int) -> int:
         return self.find(meet(self.congruences[i], self.congruences[j]))
@@ -320,9 +311,9 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     known: dict[tuple[int, ...], Congruence] = {}
 
     def add_cong(c: Congruence) -> bool:
-        if c.block_of in known:
+        if c.roots in known:
             return False
-        known[c.block_of] = c
+        known[c.roots] = c
         if len(known) > cap:
             raise CapExceeded("congruence lattice exceeds cap", partial_count=len(known))
         return True
@@ -338,13 +329,13 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     fresh = [c for _, _, c in principals]
     while fresh:
         c = fresh.pop()
-        b = c.block_of
+        r = c.roots
         for x, y, p in principals:
-            if b[x] != b[y]:
+            if r[x] != r[y]:
                 j = join(c, p)
                 if add_cong(j):
                     fresh.append(j)
 
-    ordered = sorted(known.values(), key=lambda c: (-c.n_blocks, c.block_of))
+    ordered = sorted(known.values(), key=lambda c: (-c.n_blocks, c.roots))
     return CongruenceLattice(pair=pair, congruences=tuple(ordered))
 

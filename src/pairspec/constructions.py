@@ -337,19 +337,12 @@ def quotient_pair(pair: Pair, cong: Congruence, name: str = "") -> Pair:
     if not ok:
         raise NotACongruence("partition is not a congruence", witness=witness)
     blocks = cong.blocks()
-    reps = [blk[0] for blk in blocks]
     names = [
         pair.names[blk[0]] if len(blk) == 1 else "{" + ",".join(pair.names[x] for x in blk) + "}"
         for blk in blocks
     ]
     bo = cong.block_of
-    m = len(blocks)
-    add = np.zeros((m, m), dtype=np.int64)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            add[i, j] = bo[pair.add[ri, rj]]
-            mul[i, j] = bo[pair.mul[ri, rj]]
+    _, add, mul = cong.quotient_tables()
     st = validate_structure(names, zero=bo[pair.zero], one=bo[pair.one], add=add, mul=mul)
     t_bar = {bo[a] for a in pair.tangible}
     a0_bar = {i for i, blk in enumerate(blocks) if any(x in pair.a_zero for x in blk)}

@@ -134,20 +134,11 @@ def improper_members(pair: Pair, cong: Congruence) -> list[tuple[int, int, bool]
     return out
 
 
-def _quotient(pair: Pair, cong: Congruence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The least member of each block of ``cong``, and the addition and
-    multiplication tables of A/cong over block ids.
-
-    The twist tests below read a pair only through the blocks its entries
-    fall in, so each runs on the quotient against its diagonal.
-    """
-    bo = np.asarray(cong.block_of, dtype=np.int64)
-    reps = np.unique(bo, return_index=True)[1]
-    return reps, bo[pair.add[reps][:, reps]], bo[pair.mul[reps][:, reps]]
-
-
 def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
-    reps, add, mul = _quotient(pair, cong)
+    """The flags read off ``cong`` alone.  The twist tests read a pair only
+    through the blocks its entries fall in, so each runs on the tables of
+    A/cong against its diagonal."""
+    reps, add, mul = cong.quotient_tables()
     diag = np.eye(len(reps), dtype=bool)
     nxs, nys = np.nonzero(~diag)
 
@@ -179,11 +170,11 @@ def classify_congruence(pair: Pair, cong: Congruence,
     iff it has at most one cover (the top has none).
     """
     covers = lattice.covers[lattice.find(cong)]
-    reps, add, mul = _quotient(pair, cong)
+    reps, add, mul = cong.quotient_tables()
     diag = np.eye(len(reps), dtype=bool)
     members = []   # each cover's members, as pairs of blocks of cong
     for j in covers:
-        cb = np.asarray(lattice[j].block_of)[reps]
+        cb = np.asarray(lattice[j].roots)[reps]
         members.append(np.nonzero(cb[:, None] == cb[None, :]))
 
     def inside(m1, m2) -> bool:
@@ -320,11 +311,9 @@ def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
                idx_b: list[int], mapping: dict[int, int]) -> bool:
     if sorted(mapping.values()) != sorted(idx_b):
         return False
-    for i in idx_a:
-        for j in idx_a:
-            if bool(leq_a[i, j]) != bool(leq_b[mapping[i], mapping[j]]):
-                return False
-    return True
+    a = np.asarray(idx_a, dtype=np.intp)
+    img = np.asarray([mapping[i] for i in idx_a], dtype=np.intp)
+    return np.array_equal(leq_a[np.ix_(a, a)], leq_b[np.ix_(img, img)])
 
 
 # the strong and the weak prime spectra, as classification flags
@@ -344,8 +333,9 @@ def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", proj: n
     lattice, t_lat = source.lattice, target.lattice
     spec = target.having(flag)
     mapping = {}
+    k = None if kernel is None else lattice.find(kernel)
     for i in src:
-        if kernel is not None and not kernel.refines(lattice[i]):
+        if k is not None and not lattice.leq[k, i]:
             return IsoVerdict(applicable=True, holds=False,
                               detail=f"positive-e-type prime #{i} does not contain diag_e")
         image = push_congruence(lattice[i], proj, target.pair)
@@ -444,7 +434,7 @@ class Analysis:
             return v, v
         srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}
         target, proj = self.quotient_e
-        de = Congruence(pair=self.pair, block_of=tuple(proj.tolist()))   # the kernel of proj
+        de = Congruence.from_labels(self.pair, proj.tolist())   # the kernel of proj
         return tuple(_iso_verdict(self, src, target, proj, flag, de, _QUOTIENT_WORDS)
                      for flag, src in srcs.items())
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import first_nonassoc
+from ._kernels import first_nonassoc, refinement_order
 from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
 from .constructions import double, doubled_names, quotient_pair, twist_table
 from .core import Pair, classify_pair
@@ -220,19 +220,19 @@ def _check_tr1(ctx):
     q_lat = q.lattice
     pulled = []
     for psi in q_lat:
-        bo = tuple(psi.block_of[b] for b in q_proj.tolist())
-        ok, wit = is_congruence(pair, bo)
+        c = Congruence.from_labels(pair, np.asarray(psi.roots)[q_proj].tolist())
+        ok, wit = is_congruence(pair, c)
         if not ok:
             return True, False, {"kind": "pullback_not_congruence",
                                  "quotient_blocks": psi.block_labels(), "witness": wit}, ""
-        pulled.append(Congruence(pair=pair, block_of=bo))
-    if len({c.block_of for c in pulled}) != len(q_lat):
+        pulled.append(c)
+    if len({c.roots for c in pulled}) != len(q_lat):
         return True, False, {"kind": "pullback_not_injective"}, ""
-    for i, a in enumerate(q_lat):
-        for j, b in enumerate(q_lat):
-            if a.refines(b) != pulled[i].refines(pulled[j]):
-                return True, False, {"kind": "pullback_not_order_embedding",
-                                     "i": a.block_labels(), "j": b.block_labels()}, ""
+    bad = np.argwhere(q_lat.leq != refinement_order([c.roots for c in pulled]))
+    if len(bad):                    # the first pair (i, j) in row-major order
+        i, j = bad[0]
+        return True, False, {"kind": "pullback_not_order_embedding",
+                             "i": q_lat[i].block_labels(), "j": q_lat[j].block_labels()}, ""
     notes = f"injected {len(q_lat)} congruences"
 
     if ctx.cls.e_central:
@@ -244,28 +244,22 @@ def _check_tr1(ctx):
                 return True, False, {"kind": "e_image_not_congruence",
                                      "blocks": cong.block_labels()}, ""
             images.append(img)
-        for i in range(len(ctx.lattice)):
-            for j in range(len(ctx.lattice)):
-                if ctx.lattice[i].refines(ctx.lattice[j]) and not images[i].refines(images[j]):
-                    return True, False, {"kind": "e_image_not_monotone",
-                                         "i": ctx.lattice[i].block_labels()}, ""
+        bad = np.argwhere(ctx.lattice.leq & ~refinement_order([c.roots for c in images]))
+        if len(bad):
+            return True, False, {"kind": "e_image_not_monotone",
+                                 "i": ctx.lattice[bad[0][0]].block_labels()}, ""
         notes += "; e-image map is monotone"
         if ctx.cls.e_final:
             e = pair.property_n.e
             one_e = [i for i, c in enumerate(ctx.lattice) if c.related(pair.one, e)]
             ae_lat = ae.lattice
-            mapping = {}
-            for i in one_e:
-                mapping[i] = ae_lat.find(images[i])
-            if sorted(set(mapping.values())) != list(range(len(ae_lat))):
+            mapping = [ae_lat.find(images[i]) for i in one_e]
+            if sorted(set(mapping)) != list(range(len(ae_lat))):
                 return True, False, {"kind": "e_image_not_bijection",
                                      "one_e_count": len(one_e), "ae_count": len(ae_lat)}, ""
-            for i in one_e:
-                for j in one_e:
-                    lhs = ctx.lattice[i].refines(ctx.lattice[j])
-                    rhs = ae_lat[mapping[i]].refines(ae_lat[mapping[j]])
-                    if lhs != rhs:
-                        return True, False, {"kind": "e_image_not_order_iso"}, ""
+            src, img = np.asarray(one_e, dtype=np.intp), np.asarray(mapping, dtype=np.intp)
+            if not np.array_equal(ctx.lattice.leq[np.ix_(src, src)], ae_lat.leq[np.ix_(img, img)]):
+                return True, False, {"kind": "e_image_not_order_iso"}, ""
             notes += f"; (1,e)-congruences biject onto {len(ae_lat)} congruences of A*e"
     return True, True, None, notes
 
@@ -329,9 +323,9 @@ def _check_bf(ctx):
     for i in range(len(lat)):
         for j in range(len(lat)):
             if lat.leq[i, j]:
-                if join(lat[i], lat[j]).block_of != lat[j].block_of:
+                if join(lat[i], lat[j]) != lat[j]:
                     return True, False, {"part": "v", "join_mismatch": True}, ""
-                if meet(lat[i], lat[j]).block_of != lat[i].block_of:
+                if meet(lat[i], lat[j]) != lat[i]:
                     return True, False, {"part": "v", "meet_mismatch": True}, ""
     return True, True, None, f"lattice of {len(lat)}; semiprime={len(semi)}, radical={len(rad)}"
 
@@ -510,12 +504,16 @@ def _check_chains(ctx):
     lat = ctx.lattice
     cls = ctx.classes
     proper_idx = ctx.having("proper")
+    # the improper members of meet(i, j) are the common improper members of
+    # i and j, so a row of related pairs in T x A0 per member decides part i
+    roots = np.array([c.roots for c in lat], dtype=np.int64)
+    zs = np.flatnonzero(pair.a0_mask)
+    related = (roots[:, pair.t_sorted, None] == roots[:, None, zs]).reshape(len(lat), -1)
     for i in proper_idx:
-        for j in range(len(lat)):
-            m = meet(lat[i], lat[j])
-            if improper_members(pair, m):
-                return True, False, {"part": "i", "proper": lat[i].block_labels(),
-                                     "other": lat[j].block_labels()}, ""
+        if related[i].any():
+            j = int((related & related[i]).any(axis=1).argmax())
+            return True, False, {"part": "i", "proper": lat[i].block_labels(),
+                                 "other": lat[j].block_labels()}, ""
     maximal_proper = _maximal(lat, proper_idx)
     for i in proper_idx:
         if not any(lat.leq[i, j] for j in maximal_proper):
@@ -665,7 +663,7 @@ def _cong_from_blocks(pair: Pair, block_labels) -> Congruence:
     for bid, blk in enumerate(block_labels):
         for label in blk:
             bo[pair.structure.index[label]] = bid
-    return Congruence(pair=pair, block_of=tuple(bo))
+    return Congruence.from_labels(pair, bo)
 
 
 def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
@@ -694,7 +692,16 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if "tangible" in cx:
             a = ix[cx["tangible"]]
             return int(add[a, a]) not in pair.a_zero and ix[cx["two"]] in pair.a_zero
-        return True
+        a0, n = pair.a_zero, pair.n
+        second = any(int(add[a, a]) not in a0 for a in pair.tangible)
+        cancellative = all(
+            len({int(mul[a, x]) for x in range(n)}) == n
+            and all(int(mul[a, x]) not in a0 for x in range(n) if x not in a0)
+            for a in pair.tangible
+        )
+        two_in = int(add[pair.one, pair.one]) in a0
+        return (cancellative and second != (not two_in)
+                and cx["kind"] == ("second" if second else "first") and cx["two_in_a0"] == two_in)
     if check_id == "TWASS":
         d = double(pair)
         i, j, k = (d.structure.index[x] for x in cx["triple"])

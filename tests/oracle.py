@@ -229,22 +229,32 @@ def closure_loop(op, seeds):
 # congruence classification by definition
 # ---------------------------------------------------------------------------
 
-def _refines(a, b) -> bool:
-    """Every block of partition a sits inside a block of partition b."""
+def refines_by_definition(a, b) -> bool:
+    """Every block of partition a sits inside a block of partition b; each
+    is given by any block labels."""
     image = {}
     return all(image.setdefault(x, y) == y for x, y in zip(a, b))
 
 
-def _restricted_growth(labels) -> tuple[int, ...]:
+def restricted_growth(labels) -> tuple[int, ...]:
+    """Block ids in order of first occurrence."""
     seen = {}
     return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+def roots_of(labels) -> tuple[int, ...]:
+    """Root vector of a partition given by labels: each element's least
+    block-mate."""
+    return tuple(next(y for y in range(len(labels)) if labels[y] == labels[x])
+                 for x in range(len(labels)))
 
 
 def covers_by_definition(block_ofs) -> list[list[int]]:
     """covers[i]: the j strictly above partition i with no partition of the
     list strictly between, by refinement tests on every triple."""
     m = len(block_ofs)
-    lt = [[i != j and _refines(block_ofs[i], block_ofs[j]) for j in range(m)] for i in range(m)]
+    lt = [[i != j and refines_by_definition(block_ofs[i], block_ofs[j]) for j in range(m)]
+          for i in range(m)]
     return [[j for j in range(m) if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(m))]
             for i in range(m)]
 
@@ -305,13 +315,13 @@ def classify_by_definition(pair, block_of, block_ofs) -> dict:
                        if member[add[pair.one][iterated_sum(add, w.e, k)],
                                  iterated_sum(add, w.e, k)]), None)
 
-    canon = _restricted_growth(block_of)
+    canon = restricted_growth(block_of)
     above = [c for c in block_ofs
-             if _refines(block_of, c) and _restricted_growth(c) != canon]
+             if refines_by_definition(block_of, c) and restricted_growth(c) != canon]
     rels = [_member_pairs(c) for c in above]
     semiprime = not any(_twist_inside(add, mul, r, r, member) for r in rels)
     prime = not any(_twist_inside(add, mul, r1, r2, member) for r1 in rels for r2 in rels)
-    irreducible = not any(_restricted_growth(zip(c1, c2)) == canon
+    irreducible = not any(restricted_growth(zip(c1, c2)) == canon
                           for c1 in above for c2 in above)
     return {
         "radical": not (square & ~member).any(),
@@ -367,6 +377,18 @@ def check_congb_loop(pair, cong_b):
                     "contains_b": res.contains_b,
                 }, ""
     return True, None, f"{checked} elements checked"
+
+
+def chains_part_i_loop(pair, block_ofs, proper_idx):
+    """CHAINS part i as the loop over (proper i, then every j) that forms the
+    meet of the partitions i and j and scans it for a related (a, b) in
+    T x A0: the first such (i, j), or None."""
+    for i in proper_idx:
+        for j in range(len(block_ofs)):
+            m = list(zip(block_ofs[i], block_ofs[j]))
+            if any(m[a] == m[b] for a in sorted(pair.tangible) for b in sorted(pair.a_zero)):
+                return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_congruence_violation_matches_loop(seed, n, blocks, canonical, values):
     mul = rng.integers(0, min(values, n), (n, n))
     block_of = _labels(rng, n, blocks, canonical)
     want = oracle.congruence_violation_loop(add, mul, block_of)
-    assert _kernels.congruence_violation(add, mul, block_of) == want
+    assert _kernels.congruence_violation(add, mul, oracle.roots_of(block_of)) == want
 
 
 def test_congruence_violation_matches_loop_on_catalog(pairs):
@@ -373,23 +373,41 @@ def test_congruence_violation_matches_loop_on_catalog(pairs):
         for _ in range(200):
             block_of = _labels(rng, p.n, int(rng.integers(1, p.n + 1)), bool(rng.integers(2)))
             want = oracle.congruence_violation_loop(p.add, p.mul, block_of)
-            assert _kernels.congruence_violation(p.add, p.mul, block_of) == want
+            assert _kernels.congruence_violation(p.add, p.mul, oracle.roots_of(block_of)) == want
             seen_ok += want[0] < 0
             seen_bad += want[0] >= 0
     assert seen_ok and seen_bad
+
+
+def _refinement_by_definition(rows):
+    return np.array([[oracle.refines_by_definition(a, b) for b in rows] for a in rows])
+
+
+def _assert_refinement_order_in_every_chunking(rows, monkeypatch):
+    want = _refinement_by_definition(rows)
+    # one row per chunk, then three rows with a shorter last chunk
+    for cells in (1, 3 * len(rows[0]) * len(rows), _kernels._LEQ_CELLS):
+        monkeypatch.setattr(_kernels, "_LEQ_CELLS", cells)
+        assert (_kernels.refinement_order(rows) == want).all(), rows
+    return want
 
 
 def test_leq_is_refines_in_every_chunking(pairs, monkeypatch):
     from pairspec.congruences import enumerate_congruences
     for p in pairs.values():
         lat = enumerate_congruences(p)
-        want = np.array([[a.refines(b) for b in lat] for a in lat])
+        want = _assert_refinement_order_in_every_chunking([c.roots for c in lat], monkeypatch)
         assert (lat.leq == want).all(), p.name
-        rows = [c.block_of for c in lat]
-        # one row per chunk, then three rows with a shorter last chunk
-        for cells in (1, 3 * p.n * len(lat)):
-            monkeypatch.setattr(_kernels, "_LEQ_CELLS", cells)
-            assert (_kernels.refinement_order(rows) == want).all(), p.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 9), m=st.integers(1, 12))
+def test_refinement_order_on_random_partitions(seed, n, m):
+    rng = np.random.default_rng(seed)
+    rows = [oracle.roots_of(rng.integers(0, int(rng.integers(1, n + 1)), n).tolist())
+            for _ in range(m)]
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_refinement_order_in_every_chunking(rows, mp)
 
 
 def test_covers_match_definition_in_every_chunking(pairs, monkeypatch):

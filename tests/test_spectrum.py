@@ -373,3 +373,26 @@ def test_maximal_matches_pairwise_definition(pairs):
                          if not any(j != i and lat.leq[i, j] for j in idxs))
             got = _maximal(lat, idxs)
             assert got == want and all(type(i) is int for i in got), (name, idxs)
+
+
+def _order_iso_loop(leq_a, idx_a, leq_b, idx_b, mapping):
+    if sorted(mapping.values()) != sorted(idx_b):
+        return False
+    return all(bool(leq_a[i, j]) == bool(leq_b[mapping[i], mapping[j]])
+               for i in idx_a for j in idx_a)
+
+
+def test_order_iso_matches_pairwise_loop(pairs):
+    from pairspec.spectrum import _order_iso
+    rng = np.random.default_rng(3)
+    for name, p in pairs.items():
+        leq = enumerate_congruences(p).leq
+        m = len(leq)
+        assert _order_iso(leq, [], leq, [], {}) is True, name
+        for _ in range(20):
+            src = sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist())
+            img = rng.permutation(src).tolist() if rng.integers(2) else src
+            mapping = dict(zip(src, img))
+            for idx_b in (img, img[:-1]):
+                got = _order_iso(leq, src, leq, idx_b, mapping)
+                assert got is _order_iso_loop(leq, src, leq, idx_b, mapping), (name, src, img)

@@ -12,9 +12,10 @@ from pairspec import verify
 from pairspec._kernels import first_nonassoc
 from pairspec.congruences import cong_b
 from pairspec.constructions import double, minimal_bipotent
-from pairspec.core import FiniteStructure, classify_pair
+from pairspec.core import FiniteStructure, classify_pair, validate_structure
 from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
+from pairspec.spectrum import Analysis, bare_pair
 from pairspec.verify import (
     CHECKS,
     reverify_counterexample,
@@ -134,6 +135,88 @@ def test_reverify_rejects_fabricated_counterexample(sb):
     # a radical congruence that does contain (1, e) is not a counterexample
     fake = {"blocks": [["0"], ["1", "e"]]}
     assert not reverify_counterexample(sb, "RD1", fake)
+
+
+def _kind_pair(a_plus_a, a_times_a=1):
+    """A bare pair on {0, 1, a}: a is the only tangible, A0 = {0},
+    1 + 1 = 1 + a = 1, and a + a and a * a as given.  With a * a = 1,
+    multiplication by a permutes the carrier and fixes A0, so the pair is
+    cancellative.  1 + 1 is outside A0."""
+    add = [[0, 1, 2], [1, 1, 1], [2, 1, a_plus_a]]
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, a_times_a]]
+    st_ = validate_structure(["0", "1", "a"], 0, 1, add, mul)
+    return bare_pair(st_, {2}, {0}, name="kind")
+
+
+def test_kind_cancellative_counterexample_is_recomputed():
+    # first kind (a + a = 0 in A0) although 1 + 1 is outside A0: a finding
+    p = _kind_pair(a_plus_a=0)
+    r = run_check(p, "KIND")
+    assert r.passed is False and r.counterexample == {"kind": "first", "two_in_a0": False}
+    assert reverify_counterexample(p, "KIND", r.counterexample)
+    # the same claim misreported, or made of a pair where the law holds
+    assert not reverify_counterexample(p, "KIND", {"kind": "second", "two_in_a0": False})
+    assert not reverify_counterexample(p, "KIND", {"kind": "first", "two_in_a0": True})
+    q = _kind_pair(a_plus_a=2)
+    assert run_check(q, "KIND").passed
+    assert not reverify_counterexample(q, "KIND", {"kind": "second", "two_in_a0": False})
+    # not cancellative (a * a = a), so the equivalence is not claimed
+    r = _kind_pair(a_plus_a=0, a_times_a=2)
+    assert run_check(r, "KIND").passed
+    assert not reverify_counterexample(r, "KIND", {"kind": "first", "two_in_a0": False})
+
+
+def _chains_part_i(analysis):
+    cx = CHECKS["CHAINS"](analysis)[2]
+    return cx if cx is not None and cx["part"] == "i" else None
+
+
+def test_chains_part_i_matches_meet_loop(pairs, monkeypatch):
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, cls = a.lattice, a.classes
+        improper = [i for i, c in enumerate(cls) if not c.proper]
+        for plant in ([], improper[:1], improper[-1:], improper[-2:]):
+            # call the planted improper congruences proper
+            fake = tuple(replace(c, proper=True) if i in plant else c for i, c in enumerate(cls))
+            monkeypatch.setattr(a, "classes", fake)
+            hit = oracle.chains_part_i_loop(p, [c.block_of for c in lat], a.having("proper"))
+            want = None if hit is None else {
+                "part": "i", "proper": lat[hit[0]].block_labels(),
+                "other": lat[hit[1]].block_labels()}
+            assert _chains_part_i(a) == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+
+
+def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
+    # send one congruence's A*e image to the bottom or the top of A*e
+    from pairspec.congruences import all_relation, diagonal
+    push = verify.push_congruence
+    planted = 0
+    for p in pairs.values():
+        if not (p.property_n is not None and classify_pair(p).e_central):
+            continue
+        a = Analysis(p, None)
+        lat, (ae, proj) = a.lattice, a.ae
+        for k, to in ((len(lat) // 2, diagonal), (0, all_relation), (len(lat) - 1, diagonal)):
+            def fake(cong, proj, target, k=k, to=to):
+                return to(target) if cong == lat[k] else push(cong, proj, target)
+
+            monkeypatch.setattr(verify, "push_congruence", fake)
+            images = [fake(c, proj, ae.pair).roots for c in lat]
+            hit = next((i for i in range(len(lat)) for j in range(len(lat))
+                        if oracle.refines_by_definition(lat[i].roots, lat[j].roots)
+                        and not oracle.refines_by_definition(images[i], images[j])), None)
+            cx = run_check(p, "TR1").counterexample
+            if hit is None:
+                assert cx is None or cx["kind"] != "e_image_not_monotone", p.name
+            else:
+                assert cx == {"kind": "e_image_not_monotone",
+                              "i": lat[hit].block_labels()}, (p.name, k)
+                planted += 1
+    assert planted
 
 
 def test_reverify_rejects_unknown_check_id(sb):
