@@ -51,20 +51,60 @@ def _fail(exc: PairspecError, code: int):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        _echo(f"cannot read {path}: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to ``path`` and echo the path, or echo ``text`` when no
+    path is given."""
+    if not path:
+        _echo(text, nl=False)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _echo(f"cannot write {path}: {exc}", err=True)
+        sys.exit(EXIT_INVALID)
+    _echo(path)
 
 
 def _load_pair(path: str):
     try:
-        text = _read_text(path)
-        pair, negation = dsl.build_pair(dsl.parse_pair_file(text))
-        return pair, negation
-    except (ValidationError, OSError) as exc:
-        if isinstance(exc, OSError):
-            _echo(f"cannot read {path}: {exc}", err=True)
-            sys.exit(EXIT_INVALID)
+        return dsl.build_pair(dsl.parse_pair_file(_read_text(path)))
+    except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
+
+
+def _indices(text: str, index, pairs: bool = False) -> list:
+    """Indices of the labels in a comma-separated list, or of the a~b label
+    pairs with ``pairs``.  Labels may contain commas: each item is the
+    shortest run of pieces, from the left, that names known labels."""
+    pieces = text.split(",")
+    out, start = [], 0
+    while start < len(pieces):
+        for end in range(start + 1, len(pieces) + 1):
+            run = ",".join(pieces[start:end])
+            sides = [s.strip() for s in (run.split("~", 1) if pairs else [run])]
+            if len(sides) == 1 + pairs and all(s in index for s in sides):
+                break
+        else:
+            rest = ",".join(pieces[start:])
+            if pairs:
+                lhs, sep, rest = rest.partition("~")
+                if not sep:
+                    raise ValueError(f"generator {lhs!r} must look like a~b")
+                if lhs.strip() not in index:
+                    raise ValueError(f"unknown label {lhs.strip()!r}")
+            raise ValueError(f"unknown label {rest.split(',')[0].strip()!r}")
+        out.append(tuple(index[s] for s in sides) if pairs else index[sides[0]])
+        start = end
+    return out
 
 
 @click.group()
@@ -222,13 +262,7 @@ def construct(builder, param_list, base_file, out_file):
         sys.exit(EXIT_INVALID)
     except (CarrierTooLarge, CapExceeded) as exc:
         _fail(exc, EXIT_CAP)
-    text = dsl.serialize(payload)
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _echo(out_file)
-    else:
-        _echo(text, nl=False)
+    _write_text(dsl.serialize(payload), out_file)
 
 
 def _load_hyper_arg(params, base_file):
@@ -262,36 +296,34 @@ def _construct(builder, params, base_file):
     if builder == "double":
         if base_file is None:
             raise ValueError("double needs --base FILE")
-        pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
+        pair, _ = _load_pair(base_file)
         d = double(pair)
         if d.pair is None:
             raise ValueError(f"doubled tangibles are not central: {d.pair_error}")
         negation = d.switch if d.switch_valid else None
         return dsl.pair_to_file(d.pair, negation)
-    if builder == "power_set":
+    if builder in ("power_set", "hyperpair"):
         hyper = _load_hyper_arg(params, base_file)
         s0 = None
         if "s0" in params:
-            s0 = {hyper.names.index(x) for x in params["s0"].split(",")}
-        return dsl.pair_to_file(power_set_pair(hyper, s0=s0))
-    if builder == "hyperpair":
-        hyper = _load_hyper_arg(params, base_file)
-        return dsl.pair_to_file(hyperpair_generated(hyper))
+            s0 = set(_indices(params["s0"], {x: i for i, x in enumerate(hyper.names)}))
+        build = power_set_pair if builder == "power_set" else hyperpair_generated
+        return dsl.pair_to_file(build(hyper, s0=s0))
     if builder == "residue":
         if base_file is not None:
-            pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
+            pair, _ = _load_pair(base_file)
         elif "field" in params:
             pair = catalog.finite_field(int(params["field"].lstrip("fF")))
         else:
             raise ValueError("residue needs --base FILE or --param field=P")
         if "subgroup" not in params:
             raise ValueError("residue needs --param subgroup=a,b,...")
-        sub = {pair.structure.index[x] for x in params["subgroup"].split(",")}
+        sub = set(_indices(params["subgroup"], pair.structure.index))
         return dsl.hyper_to_file(residue_hyperstructure(pair, sub))
     if builder == "function_pair":
         if base_file is None:
             raise ValueError("function_pair needs --base FILE")
-        pair, _ = dsl.build_pair(dsl.parse_pair_file(_read_text(base_file)))
+        pair, _ = _load_pair(base_file)
         s = named_monoid(params.get("monoid", "sat2"))
         return dsl.pair_to_file(function_pair(pair, s))
     raise ValueError(f"unhandled builder {builder}")  # pragma: no cover
@@ -305,29 +337,17 @@ def _construct(builder, params, base_file):
 def quotient(file, gen_spec, out_file):
     """Quotient by the congruence generated by the given element pairs."""
     pair, _ = _load_pair(file)
-    gens = []
-    for item in gen_spec.split(","):
-        if "~" not in item:
-            _echo(f"generator {item!r} must look like a~b", err=True)
-            sys.exit(EXIT_INVALID)
-        a, b = (x.strip() for x in item.split("~", 1))
-        try:
-            gens.append((pair.structure.index[a], pair.structure.index[b]))
-        except KeyError as exc:
-            _echo(f"unknown label {exc}", err=True)
-            sys.exit(EXIT_INVALID)
+    try:
+        gens = _indices(gen_spec, pair.structure.index, pairs=True)
+    except ValueError as exc:
+        _echo(str(exc), err=True)
+        sys.exit(EXIT_INVALID)
     cong = generated_congruence(pair, gens)
     try:
         q = quotient_pair(pair, cong, name=f"{pair.name}_quotient")
     except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
-    text = dsl.serialize(dsl.pair_to_file(q))
-    if out_file:
-        with open(out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _echo(out_file)
-    else:
-        _echo(text, nl=False)
+    _write_text(dsl.serialize(dsl.pair_to_file(q)), out_file)
 
 
 if __name__ == "__main__":

@@ -233,9 +233,10 @@ def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[
     """Whether a symmetric pair-set is transitive, and if so the congruence
     it is (None when its blocks are not a congruence).  An element related
     to nothing forms a block of its own."""
-    if ((rel[:, :, None] & rel[None, :, :]).any(axis=1) & ~rel).any():
-        return False, None
     roots = (rel | np.eye(pair.n, dtype=bool)).argmax(axis=1)   # each least block-mate
+    # transitive iff each row with a member is its element's "same root" row
+    if (rel != ((roots[:, None] == roots) & rel.any(axis=1)[:, None])).any():
+        return False, None
     cong = Congruence(pair=pair, roots=tuple(roots.tolist()))
     return True, cong if is_congruence(pair, cong)[0] else None
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import _twist_chunks, first_nonassoc, first_noncomm
+from ._kernels import _tiles, _twist_chunks, first_nonassoc, first_noncomm
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
@@ -69,43 +69,25 @@ def supertropical(t: Monoid, g: Monoid, nu: Sequence[int], name: str = "") -> Pa
         raise ValueError("nu must map every tangible to a ghost index")
     if nu[t.unit] != g.unit:
         raise NuNotHomomorphism("nu does not preserve the unit", witness=(t.names[t.unit],))
-    for a in range(t.k):
-        for b in range(t.k):
-            if nu[t.table[a, b]] != g.table[nu[a], nu[b]]:
-                raise NuNotHomomorphism(
-                    "nu is not multiplicative", witness=(t.names[a], t.names[b])
-                )
+    nu = np.array(nu, dtype=np.int64)
+    bad = np.argwhere(nu[t.table] != g.table[nu[:, None], nu[None, :]])
+    if len(bad):
+        raise NuNotHomomorphism("nu is not multiplicative",
+                                witness=tuple(t.names[a] for a in bad[0]))
 
     names = ["0"] + list(t.names) + [f"{x}*" for x in g.names]
     n = 1 + t.k + g.k
-    tang = lambda a: 1 + a
-    ghost = lambda j: 1 + t.k + j
-
-    def nu_of(x: int) -> int:
-        return nu[x - 1] if 1 <= x <= t.k else x - 1 - t.k
-
-    def rank(x: int) -> int:
-        return -1 if x == 0 else nu_of(x)
-
-    add = np.zeros((n, n), dtype=np.int64)
+    # rank of each element in the ghost order (zero below everything), and
+    # the ghost a tie lands on
+    rank = np.concatenate(([-1], nu, np.arange(g.k)))
+    tie = np.where(rank < 0, 0, 1 + t.k + rank)
+    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+    add = np.where(rank[x] > rank[y], x, np.where(rank[y] > rank[x], y, tie[x]))
     mul = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            if x == 0:
-                add[x, y] = y
-            elif y == 0:
-                add[x, y] = x
-            else:
-                rx, ry = rank(x), rank(y)
-                add[x, y] = x if rx > ry else y if ry > rx else ghost(nu_of(x))
-            if x == 0 or y == 0:
-                mul[x, y] = 0
-            elif x <= t.k and y <= t.k:
-                mul[x, y] = tang(int(t.table[x - 1, y - 1]))
-            else:
-                mul[x, y] = ghost(int(g.table[nu_of(x), nu_of(y)]))
+    mul[1:, 1:] = 1 + t.k + g.table[rank[1:, None], rank[None, 1:]]
+    mul[1:t.k + 1, 1:t.k + 1] = 1 + t.table
 
-    st = validate_structure(names, zero=0, one=tang(t.unit), add=add, mul=mul)
+    st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
     return validate_pair(
         st,
         tangible=set(range(1, t.k + 1)),
@@ -129,7 +111,8 @@ def constant_supertropical(t: Monoid, name: str = "") -> Pair:
 def truncated_supertropical(values: Sequence[int], m: int, name: str = "") -> Pair:
     """Two-layer pair on integer tangibles 'values' whose products saturate:
     a tangible product beyond m becomes the tangible m, any product involving
-    a ghost beyond m becomes the ghost of m."""
+    a ghost beyond m becomes the ghost of m.  This is the standard
+    supertropical pair over 'values' under x*y = min(xy, m)."""
     vals = sorted(set(int(v) for v in values))
     if not vals or vals[0] < 1:
         raise BadBound("tangible values must be positive integers")
@@ -144,47 +127,9 @@ def truncated_supertropical(values: Sequence[int], m: int, name: str = "") -> Pa
             if p <= m and p not in pos:
                 raise BadBound(f"product {v1}*{v2}={p} below the bound is not in the carrier")
 
-    k = len(vals)
-    names = ["0"] + [str(v) for v in vals] + [f"{v}*" for v in vals]
-    n = 1 + 2 * k
-    tang = lambda i: 1 + i
-    ghost = lambda i: 1 + k + i
-
-    def level(x: int) -> int:
-        return -1 if x == 0 else (x - 1 if x <= k else x - 1 - k)
-
-    def is_tangible(x: int) -> bool:
-        return 1 <= x <= k
-
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            if x == 0:
-                add[x, y] = y
-            elif y == 0:
-                add[x, y] = x
-            else:
-                lx, ly = level(x), level(y)
-                add[x, y] = x if lx > ly else y if ly > lx else ghost(lx)
-            if x == 0 or y == 0:
-                mul[x, y] = 0
-            else:
-                p = vals[level(x)] * vals[level(y)]
-                sat = pos[p] if p <= m else pos[m]
-                if is_tangible(x) and is_tangible(y):
-                    mul[x, y] = tang(sat)
-                else:
-                    mul[x, y] = ghost(sat)
-
-    st = validate_structure(names, zero=0, one=tang(pos[1]), add=add, mul=mul)
-    return validate_pair(
-        st,
-        tangible=set(range(1, k + 1)),
-        a_zero={0} | set(range(k + 1, n)),
-        name=name or f"truncated_{m}",
-        origin={"builder": "truncated"},
-    )
+    table = [[pos[min(v1 * v2, m)] for v2 in vals] for v1 in vals]
+    mon = Monoid(names=tuple(str(v) for v in vals), table=table, unit=pos[1])
+    return standard_supertropical(mon, name=name or f"truncated_{m}")
 
 
 def minimal_bipotent(t: Monoid, kind: str, name: str = "") -> Pair:
@@ -196,24 +141,13 @@ def minimal_bipotent(t: Monoid, kind: str, name: str = "") -> Pair:
     names = ["0"] + list(t.names) + ["inf"]
     n = k + 2
     inf = n - 1
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            if x == 0:
-                add[x, y] = y
-            elif y == 0:
-                add[x, y] = x
-            elif x != y:
-                add[x, y] = inf
-            else:
-                add[x, y] = inf if (kind == "first" and x != inf) else x
-            if x == 0 or y == 0:
-                mul[x, y] = 0
-            elif x == inf or y == inf:
-                mul[x, y] = inf
-            else:
-                mul[x, y] = 1 + int(t.table[x - 1, y - 1])
+    add = np.full((n, n), inf, dtype=np.int64)
+    if kind == "second":
+        np.fill_diagonal(add, np.arange(n))
+    add[0] = add[:, 0] = np.arange(n)
+    mul = np.full((n, n), inf, dtype=np.int64)
+    mul[1:inf, 1:inf] = 1 + t.table
+    mul[0] = mul[:, 0] = 0
 
     st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
     return validate_pair(
@@ -462,7 +396,7 @@ def validate_hyperstructure(
     if mul.shape != (n, n) or (n and (mul.min() < 0 or mul.max() >= n)):
         raise ValueError("mul table malformed")
 
-    ha = np.zeros((n, n), dtype=np.int64)
+    ha = np.empty((n, n), dtype=object)          # masks of any width
     for i in range(n):
         for j in range(n):
             entry = hyperadd_sets[i][j]
@@ -613,37 +547,20 @@ def power_set_pair(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRIER_CA
     """Pair on all nonempty subsets: extended hyperaddition as addition,
     elementwise set product as multiplication, tangibles the singleton
     tangibles, and A0 the subsets meeting S0."""
-    h = hyper.n
-    size = (1 << h) - 1
+    size = (1 << hyper.n) - 1
     if size > cap:
         raise CarrierTooLarge(size, cap)
     s0 = _validate_s0(hyper, s0)
-    s0mask = _mask(s0)
-
-    names = [_subset_label(hyper.names, m) for m in range(1, size + 1)]
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
-    for m1 in range(1, size + 1):
-        for m2 in range(1, size + 1):
-            add[m1 - 1, m2 - 1] = hyper.mask_add(m1, m2) - 1
-            mul[m1 - 1, m2 - 1] = hyper.mask_mul(m1, m2) - 1
-    st = validate_structure(
-        names, zero=(1 << hyper.zero) - 1, one=(1 << hyper.one) - 1, add=add, mul=mul
-    )
-    tang = {(1 << a) - 1 for a in hyper.tangible}
-    a0 = {m - 1 for m in range(1, size + 1) if m & s0mask}
-    return validate_pair(st, tang, a0, name=name or f"P({hyper.name or 'H'})",
-                         origin={"builder": "power_set", "hyper": hyper, "s0": s0})
+    return _subset_pair(hyper, range(1, size + 1), s0, name or f"P({hyper.name or 'H'})",
+                        "power_set")
 
 
 def hyperpair_generated(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRIER_CAP,
                         name: str = "") -> Pair:
     """Smallest sub-pair of the power-set pair containing every singleton,
     reached by closing under extended sums and set products."""
-    h = hyper.n
     s0 = _validate_s0(hyper, s0)
-    s0mask = _mask(s0)
-    carrier = {1 << i for i in range(h)}
+    carrier = {1 << i for i in range(hyper.n)}
     frontier = list(carrier)
     while frontier:
         m1 = frontier.pop()
@@ -655,23 +572,28 @@ def hyperpair_generated(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRI
                         raise CarrierTooLarge(len(carrier) + 1, cap)
                     carrier.add(new)
                     frontier.append(new)
+    return _subset_pair(hyper, sorted(carrier), s0,
+                        name or f"hyperpair({hyper.name or 'H'})", "hyperpair")
 
-    masks = sorted(carrier)
+
+def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int],
+                 name: str, builder: str) -> Pair:
+    """The pair on a sorted list of subset masks closed under extended sums
+    and set products; A0 is the subsets meeting S0."""
     pos = {m: i for i, m in enumerate(masks)}
-    k = len(masks)
     names = [_subset_label(hyper.names, m) for m in masks]
-    add = np.zeros((k, k), dtype=np.int64)
-    mul = np.zeros((k, k), dtype=np.int64)
+    add = np.empty((len(masks), len(masks)), dtype=np.int64)
+    mul = np.empty_like(add)
     for i, m1 in enumerate(masks):
-        for j, m2 in enumerate(masks):
-            add[i, j] = pos[hyper.mask_add(m1, m2)]
-            mul[i, j] = pos[hyper.mask_mul(m1, m2)]
+        add[i] = [pos[hyper.mask_add(m1, m2)] for m2 in masks]
+        mul[i] = [pos[hyper.mask_mul(m1, m2)] for m2 in masks]
     st = validate_structure(names, zero=pos[1 << hyper.zero], one=pos[1 << hyper.one],
                             add=add, mul=mul)
     tang = {pos[1 << a] for a in hyper.tangible}
+    s0mask = _mask(s0)
     a0 = {i for i, m in enumerate(masks) if m & s0mask}
-    return validate_pair(st, tang, a0, name=name or f"hyperpair({hyper.name or 'H'})",
-                         origin={"builder": "hyperpair", "hyper": hyper, "s0": s0})
+    return validate_pair(st, tang, a0, name=name,
+                         origin={"builder": builder, "hyper": hyper, "s0": s0})
 
 
 def residue_hyperstructure(pair: Pair, subgroup: Iterable[int], name: str = "") -> HyperStructure:
@@ -758,52 +680,26 @@ def function_pair(pair: Pair, s: Monoid, cap: int = DEFAULT_CARRIER_CAP,
     if size > cap:
         raise CarrierTooLarge(size, cap)
 
-    def decode(i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            i, r = divmod(i, n)
-            out.append(r)
-        return tuple(out)
+    weights = n ** np.arange(k)
+    digits = np.arange(size)[:, None] // weights % n        # digits[i, w] = f_i(w)
+    add = np.empty((size, size), dtype=np.int64)
+    mul = np.empty_like(add)
+    for rows, cols in _tiles(size, size, k):
+        f, g = digits[rows, None, :], digits[None, cols, :]
+        add[rows, cols] = pair.add[f, g] @ weights
+        # (f * g)(w) sums f(u) g(v) over s.table[u, v] = w, in (u, v) order
+        conv = np.full(f.shape[:1] + g.shape[1:], pair.zero, dtype=np.int64)
+        for u, v in np.ndindex(k, k):
+            w = s.table[u, v]
+            conv[..., w] = pair.add[conv[..., w], pair.mul[f[..., u], g[..., v]]]
+        mul[rows, cols] = conv @ weights
 
-    def encode(vals) -> int:
-        out = 0
-        for v in reversed(list(vals)):
-            out = out * n + int(v)
-        return out
-
-    facts: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for u in range(k):
-        for v in range(k):
-            facts[int(s.table[u, v])].append((u, v))
-
-    all_vals = [decode(i) for i in range(size)]
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
-    base_add, base_mul = pair.add, pair.mul
-    for i, fv in enumerate(all_vals):
-        for j, gv in enumerate(all_vals):
-            add[i, j] = encode(int(base_add[fv[w], gv[w]]) for w in range(k))
-            conv = []
-            for w in range(k):
-                acc = pair.zero
-                for u, v in facts[w]:
-                    acc = int(base_add[acc, base_mul[fv[u], gv[v]]])
-                conv.append(acc)
-            mul[i, j] = encode(conv)
-
-    names = ["[" + ",".join(pair.names[v] for v in vals) + "]" for vals in all_vals]
-    one_vals = [pair.zero] * k
-    one_vals[s.unit] = pair.one
-    st = validate_structure(names, zero=encode([pair.zero] * k),
-                            one=encode(one_vals), add=add, mul=mul)
-
-    tang = set()
-    for site in range(k):
-        for a in pair.tangible:
-            vals = [pair.zero] * k
-            vals[site] = a
-            tang.add(encode(vals))
-    a0_mask = pair.a0_mask
-    a0 = {i for i, vals in enumerate(all_vals) if all(a0_mask[v] for v in vals)}
+    names = ["[" + ",".join(pair.names[v] for v in row) + "]" for row in digits.tolist()]
+    zero = pair.zero * int(weights.sum())
+    st = validate_structure(names, zero=zero,
+                            one=zero + (pair.one - pair.zero) * int(weights[s.unit]),
+                            add=add, mul=mul)
+    tang = {zero + (a - pair.zero) * int(wt) for wt in weights for a in pair.tangible}
+    a0 = set(np.flatnonzero(pair.a0_mask[digits].all(axis=1)).tolist())
     return validate_pair(st, tang, a0, name=name or f"{pair.name}^S",
                          origin={"builder": "function_pair", "base": pair, "monoid": s})

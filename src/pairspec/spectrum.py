@@ -202,29 +202,23 @@ def bare_pair(structure: FiniteStructure, tangible, a_zero, name: str = "") -> P
 
 def ae_pair(pair: Pair) -> tuple[Pair, np.ndarray]:
     """The multiplicative image A*e with inherited operations, plus the
-    projection map from carrier indices to A*e indices (-1 off the image)."""
+    projection b -> b*e from carrier indices to A*e indices."""
     e = pair.require_property_n().e
     img = pair.mul[:, e]
-    elems = sorted(set(int(x) for x in img))
-    pos = {x: i for i, x in enumerate(elems)}
-    m = len(elems)
-    add = np.zeros((m, m), dtype=np.int64)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            sx = int(pair.add[x, y])
-            px = int(pair.mul[x, y])
-            if sx not in pos or px not in pos:
-                raise HypothesisFails("A*e is not closed under the operations",
-                                      witness=(pair.names[x], pair.names[y]))
-            add[i, j] = pos[sx]
-            mul[i, j] = pos[px]
+    elems = np.unique(img)
+    pos = np.full(pair.n, -1, dtype=np.int64)
+    pos[elems] = np.arange(len(elems))
+    add = pos[pair.add[np.ix_(elems, elems)]]
+    mul = pos[pair.mul[np.ix_(elems, elems)]]
+    bad = np.argwhere((add < 0) | (mul < 0))
+    if len(bad):
+        raise HypothesisFails("A*e is not closed under the operations",
+                              witness=tuple(pair.names[elems[i]] for i in bad[0]))
     names = [pair.names[x] for x in elems]
-    st = validate_structure(names, zero=pos[pair.zero], one=pos[int(img[pair.one])],
+    st = validate_structure(names, zero=pos[pair.zero], one=pos[img[pair.one]],
                             add=add, mul=mul)
-    a0 = {pos[x] for x in elems if x in pair.a_zero}
-    proj = np.array([pos[int(img[b])] for b in range(pair.n)], dtype=np.int64)
-    return bare_pair(st, {pos[e]}, a0 | {pos[pair.zero]}, name=f"{pair.name}*e"), proj
+    a0 = pos[elems[pair.a0_mask[elems]]].tolist() + [int(pos[pair.zero])]
+    return bare_pair(st, {int(pos[e])}, a0, name=f"{pair.name}*e"), pos[img]
 
 
 def push_congruence(cong: Congruence, proj: np.ndarray, target: Pair) -> Optional[Congruence]:

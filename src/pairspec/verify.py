@@ -24,7 +24,6 @@ from .spectrum import (
     Analysis,
     _maximal,
     classify_congruence_elementwise,
-    improper_members,
     push_congruence,
     sqrt_phi,
     twist,
@@ -521,9 +520,9 @@ def _check_chains(ctx):
     notes = [f"{len(proper_idx)} proper, {len(maximal_proper)} maximal proper"]
 
     if pair.structure.is_semiring():
-        very = sorted({
-            (a, b) for cong in lat for a, b, v in improper_members(pair, cong) if v
-        })
+        # the top relates everything, so every very improper (a, b) shows there
+        very = [(a, b) for a in pair.t_sorted.tolist() for b in zs.tolist()
+                if pair.add[a, b] == a]
         for a1, b1 in very:
             for a2, b2 in very:
                 p, q = twist(pair, (a1, b1), (a2, b2))

@@ -450,3 +450,304 @@ def validate_pair_dense(structure, tangible, a_zero):
     t_distributive = all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
                          for a in t for b, c in product(range(n), repeat=2))
     return t, a0, t_distributive
+
+
+# ---------------------------------------------------------------------------
+# constructions as per-cell loops
+# ---------------------------------------------------------------------------
+# The builders of ``constructions`` and ``spectrum.ae_pair`` as they were
+# written before their tables came from index formulas: every cell is filled
+# by its own Python expression.  The validation they end in is the package's.
+
+def supertropical_loop(t, g, nu, name=""):
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.errors import NuNotHomomorphism
+
+    nu = [int(x) for x in nu]
+    if len(nu) != t.k or any(not 0 <= v < g.k for v in nu):
+        raise ValueError("nu must map every tangible to a ghost index")
+    if nu[t.unit] != g.unit:
+        raise NuNotHomomorphism("nu does not preserve the unit", witness=(t.names[t.unit],))
+    for a in range(t.k):
+        for b in range(t.k):
+            if nu[t.table[a, b]] != g.table[nu[a], nu[b]]:
+                raise NuNotHomomorphism(
+                    "nu is not multiplicative", witness=(t.names[a], t.names[b])
+                )
+
+    names = ["0"] + list(t.names) + [f"{x}*" for x in g.names]
+    n = 1 + t.k + g.k
+
+    def nu_of(x):
+        return nu[x - 1] if 1 <= x <= t.k else x - 1 - t.k
+
+    def rank(x):
+        return -1 if x == 0 else nu_of(x)
+
+    add = np.zeros((n, n), dtype=np.int64)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            if x == 0:
+                add[x, y] = y
+            elif y == 0:
+                add[x, y] = x
+            else:
+                rx, ry = rank(x), rank(y)
+                add[x, y] = x if rx > ry else y if ry > rx else 1 + t.k + nu_of(x)
+            if x == 0 or y == 0:
+                mul[x, y] = 0
+            elif x <= t.k and y <= t.k:
+                mul[x, y] = 1 + int(t.table[x - 1, y - 1])
+            else:
+                mul[x, y] = 1 + t.k + int(g.table[nu_of(x), nu_of(y)])
+
+    st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
+    return validate_pair(st, tangible=set(range(1, t.k + 1)),
+                         a_zero={0} | set(range(t.k + 1, n)),
+                         name=name or "supertropical", origin={"builder": "supertropical"})
+
+
+def truncated_loop(values, m, name=""):
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.errors import BadBound
+
+    vals = sorted(set(int(v) for v in values))
+    if not vals or vals[0] < 1:
+        raise BadBound("tangible values must be positive integers")
+    if 1 not in vals:
+        raise BadBound("the unit value 1 must be present")
+    if m not in vals or any(v > m for v in vals):
+        raise BadBound(f"bound {m} must be the reachable top of the carrier")
+    pos = {v: i for i, v in enumerate(vals)}
+    for v1 in vals:
+        for v2 in vals:
+            p = v1 * v2
+            if p <= m and p not in pos:
+                raise BadBound(f"product {v1}*{v2}={p} below the bound is not in the carrier")
+
+    k = len(vals)
+    names = ["0"] + [str(v) for v in vals] + [f"{v}*" for v in vals]
+    n = 1 + 2 * k
+
+    def level(x):
+        return -1 if x == 0 else (x - 1 if x <= k else x - 1 - k)
+
+    add = np.zeros((n, n), dtype=np.int64)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            if x == 0:
+                add[x, y] = y
+            elif y == 0:
+                add[x, y] = x
+            else:
+                lx, ly = level(x), level(y)
+                add[x, y] = x if lx > ly else y if ly > lx else 1 + k + lx
+            if x == 0 or y == 0:
+                mul[x, y] = 0
+            else:
+                p = vals[level(x)] * vals[level(y)]
+                sat = pos[p] if p <= m else pos[m]
+                mul[x, y] = 1 + sat if 1 <= x <= k and 1 <= y <= k else 1 + k + sat
+
+    st = validate_structure(names, zero=0, one=1 + pos[1], add=add, mul=mul)
+    return validate_pair(st, tangible=set(range(1, k + 1)), a_zero={0} | set(range(k + 1, n)),
+                         name=name or f"truncated_{m}", origin={"builder": "truncated"})
+
+
+def minimal_bipotent_loop(t, kind, name=""):
+    from pairspec.core import validate_pair, validate_structure
+
+    if kind not in ("first", "second"):
+        raise ValueError("kind must be 'first' or 'second'")
+    k = t.k
+    names = ["0"] + list(t.names) + ["inf"]
+    n = k + 2
+    inf = n - 1
+    add = np.zeros((n, n), dtype=np.int64)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            if x == 0:
+                add[x, y] = y
+            elif y == 0:
+                add[x, y] = x
+            elif x != y:
+                add[x, y] = inf
+            else:
+                add[x, y] = inf if (kind == "first" and x != inf) else x
+            if x == 0 or y == 0:
+                mul[x, y] = 0
+            elif x == inf or y == inf:
+                mul[x, y] = inf
+            else:
+                mul[x, y] = 1 + int(t.table[x - 1, y - 1])
+
+    st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
+    return validate_pair(st, tangible=set(range(1, k + 1)), a_zero={0, inf},
+                         name=name or f"minimal_bipotent_{kind}",
+                         origin={"builder": "minimal_bipotent", "kind": kind})
+
+
+def power_set_loop(hyper, s0=None, cap=4096, name=""):
+    from pairspec.constructions import _subset_label, _validate_s0
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.errors import CarrierTooLarge
+
+    size = (1 << hyper.n) - 1
+    if size > cap:
+        raise CarrierTooLarge(size, cap)
+    s0 = _validate_s0(hyper, s0)
+    s0mask = sum(1 << x for x in s0)
+    names = [_subset_label(hyper.names, m) for m in range(1, size + 1)]
+    add = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=np.int64)
+    for m1 in range(1, size + 1):
+        for m2 in range(1, size + 1):
+            add[m1 - 1, m2 - 1] = hyper.mask_add(m1, m2) - 1
+            mul[m1 - 1, m2 - 1] = hyper.mask_mul(m1, m2) - 1
+    st = validate_structure(names, zero=(1 << hyper.zero) - 1, one=(1 << hyper.one) - 1,
+                            add=add, mul=mul)
+    tang = {(1 << a) - 1 for a in hyper.tangible}
+    a0 = {m - 1 for m in range(1, size + 1) if m & s0mask}
+    return validate_pair(st, tang, a0, name=name or f"P({hyper.name or 'H'})",
+                         origin={"builder": "power_set", "hyper": hyper, "s0": s0})
+
+
+def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
+    from pairspec.constructions import _subset_label, _validate_s0
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.errors import CarrierTooLarge
+
+    s0 = _validate_s0(hyper, s0)
+    s0mask = sum(1 << x for x in s0)
+    carrier = {1 << i for i in range(hyper.n)}
+    frontier = list(carrier)
+    while frontier:
+        m1 = frontier.pop()
+        for m2 in list(carrier):
+            for new in (hyper.mask_add(m1, m2),
+                        hyper.mask_mul(m1, m2), hyper.mask_mul(m2, m1)):
+                if new not in carrier:
+                    if len(carrier) >= cap:
+                        raise CarrierTooLarge(len(carrier) + 1, cap)
+                    carrier.add(new)
+                    frontier.append(new)
+    masks = sorted(carrier)
+    pos = {m: i for i, m in enumerate(masks)}
+    k = len(masks)
+    names = [_subset_label(hyper.names, m) for m in masks]
+    add = np.zeros((k, k), dtype=np.int64)
+    mul = np.zeros((k, k), dtype=np.int64)
+    for i, m1 in enumerate(masks):
+        for j, m2 in enumerate(masks):
+            add[i, j] = pos[hyper.mask_add(m1, m2)]
+            mul[i, j] = pos[hyper.mask_mul(m1, m2)]
+    st = validate_structure(names, zero=pos[1 << hyper.zero], one=pos[1 << hyper.one],
+                            add=add, mul=mul)
+    tang = {pos[1 << a] for a in hyper.tangible}
+    a0 = {i for i, m in enumerate(masks) if m & s0mask}
+    return validate_pair(st, tang, a0, name=name or f"hyperpair({hyper.name or 'H'})",
+                         origin={"builder": "hyperpair", "hyper": hyper, "s0": s0})
+
+
+def function_pair_loop(pair, s, cap=4096, name=""):
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.errors import CarrierTooLarge
+
+    n, k = pair.n, s.k
+    size = n ** k
+    if size > cap:
+        raise CarrierTooLarge(size, cap)
+
+    def decode(i):
+        out = []
+        for _ in range(k):
+            i, r = divmod(i, n)
+            out.append(r)
+        return tuple(out)
+
+    def encode(vals):
+        out = 0
+        for v in reversed(list(vals)):
+            out = out * n + int(v)
+        return out
+
+    facts = [[] for _ in range(k)]
+    for u in range(k):
+        for v in range(k):
+            facts[int(s.table[u, v])].append((u, v))
+
+    all_vals = [decode(i) for i in range(size)]
+    add = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=np.int64)
+    for i, fv in enumerate(all_vals):
+        for j, gv in enumerate(all_vals):
+            add[i, j] = encode(int(pair.add[fv[w], gv[w]]) for w in range(k))
+            conv = []
+            for w in range(k):
+                acc = pair.zero
+                for u, v in facts[w]:
+                    acc = int(pair.add[acc, pair.mul[fv[u], gv[v]]])
+                conv.append(acc)
+            mul[i, j] = encode(conv)
+
+    names = ["[" + ",".join(pair.names[v] for v in vals) + "]" for vals in all_vals]
+    one_vals = [pair.zero] * k
+    one_vals[s.unit] = pair.one
+    st = validate_structure(names, zero=encode([pair.zero] * k), one=encode(one_vals),
+                            add=add, mul=mul)
+    tang = set()
+    for site in range(k):
+        for a in pair.tangible:
+            vals = [pair.zero] * k
+            vals[site] = a
+            tang.add(encode(vals))
+    a0 = {i for i, vals in enumerate(all_vals) if all(pair.a0_mask[v] for v in vals)}
+    return validate_pair(st, tang, a0, name=name or f"{pair.name}^S",
+                         origin={"builder": "function_pair", "base": pair, "monoid": s})
+
+
+def ae_pair_loop(pair):
+    from pairspec.core import validate_structure
+    from pairspec.errors import HypothesisFails
+    from pairspec.spectrum import bare_pair
+
+    e = pair.require_property_n().e
+    img = pair.mul[:, e]
+    elems = sorted(set(int(x) for x in img))
+    pos = {x: i for i, x in enumerate(elems)}
+    m = len(elems)
+    add = np.zeros((m, m), dtype=np.int64)
+    mul = np.zeros((m, m), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            sx = int(pair.add[x, y])
+            px = int(pair.mul[x, y])
+            if sx not in pos or px not in pos:
+                raise HypothesisFails("A*e is not closed under the operations",
+                                      witness=(pair.names[x], pair.names[y]))
+            add[i, j] = pos[sx]
+            mul[i, j] = pos[px]
+    names = [pair.names[x] for x in elems]
+    st = validate_structure(names, zero=pos[pair.zero], one=pos[int(img[pair.one])],
+                            add=add, mul=mul)
+    a0 = {pos[x] for x in elems if x in pair.a_zero}
+    proj = np.array([pos[int(img[b])] for b in range(pair.n)], dtype=np.int64)
+    return bare_pair(st, {pos[e]}, a0 | {pos[pair.zero]}, name=f"{pair.name}*e"), proj
+
+
+def transitive_cube(rel) -> bool:
+    """Transitivity of a relation matrix through the n x n x n composition."""
+    return not ((rel[:, :, None] & rel[None, :, :]).any(axis=1) & ~rel).any()
+
+
+def very_improper_over_lattice(pair, lattice):
+    """CHAINS part iii's very improper pairs as the union over every lattice
+    member of its related (a, b) in T x A0 with a + b = a, sorted."""
+    return sorted({
+        (a, b) for cong in lattice
+        for a in sorted(pair.tangible) for b in sorted(pair.a_zero)
+        if cong.related(a, b) and int(pair.add[a, b]) == a
+    })

@@ -372,3 +372,76 @@ def test_twass_stdout_digest(runner, tmp_path, pairs):
     assert res.exit_code == 0
     masked = RUNTIME_FIELD.sub('"runtime": 0.000000', res.output)
     assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == TWASS_DIGEST
+
+
+# -- label lists, unreadable inputs and unwritable outputs ---------------------------
+
+def test_label_lists_take_the_shortest_known_run():
+    from pairspec.cli import _indices
+    index = {"[0,0]": 0, "[1,g]": 1, "1": 2, "1,7": 3, "7": 4, "a": 5}
+    assert _indices("[0,0],a", index) == [0, 5]
+    assert _indices("1,7", index) == [2, 4]
+    assert _indices("[0,0]~[1,g], a~[0,0]", index, pairs=True) == [(0, 1), (5, 0)]
+    for text, pairs, message in [("1,8", False, "unknown label '8'"),
+                                 ("[0,0]~[9,9]", True, "unknown label '[9'"),
+                                 ("zz~a", True, "unknown label 'zz'"),
+                                 ("a~1,[0,0]", True, "generator '[0,0]' must look like a~b")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _indices(text, index, pairs)
+
+
+def test_quotient_names_labels_with_commas(runner, tmp_path, pairs):
+    from pairspec.constructions import function_pair
+    from pairspec.monoids import saturating_monoid
+    path = tmp_path / "fm.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(
+        function_pair(pairs["minbp_c2_first"], saturating_monoid(2)))))
+    res = runner.invoke(main, ["quotient", str(path), "--gen", "[0,0]~[1,g]"])
+    assert res.exit_code == 0, res.output
+    assert len(dsl.parse_pair_file(res.stdout).elements) == 1
+    res = runner.invoke(main, ["quotient", str(path), "--gen", "[0,0]~[0,1],[1,0]~[g,0]"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["quotient", str(path), "--gen", "[0,0]~[9,9]"])
+    assert (res.exit_code, res.stderr) == (1, "unknown label '[9'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "residue", "--param", "field=5", "--param", "subgroup=1,7"],
+     "unknown label '7'"),
+    (["construct", "power_set", "--param", "hyper=signs", "--param", "s0=0,x"],
+     "unknown label 'x'"),
+])
+def test_unknown_labels_in_builder_params(runner, argv, message):
+    res = runner.invoke(main, argv)
+    assert isinstance(res.exception, SystemExit)
+    assert (res.exit_code, res.stderr) == (1, message + "\n")
+
+
+def test_directories_give_one_line_errors(runner, tmp_path, sb_file):
+    d = str(tmp_path)
+    for argv, verb in [(["validate", d], "read"), (["classify", d], "read"),
+                       (["construct", "double", "--base", d], "read"),
+                       (["construct", "super_boolean", "-o", d], "write"),
+                       (["quotient", sb_file, "--gen", "1~e", "-o", d], "write")]:
+        res = runner.invoke(main, argv)
+        assert isinstance(res.exception, SystemExit), argv
+        assert res.exit_code == 1 and res.stdout == "", argv
+        assert res.stderr.startswith(f"cannot {verb} {d}: ") and res.stderr.count("\n") == 1
+
+
+def test_hyperpair_reads_s0(runner, tmp_path, sb_file):
+    hyper = str(tmp_path / "h.json")
+    res = runner.invoke(main, ["construct", "residue", "--base", sb_file,
+                               "--param", "subgroup=1", "-o", hyper])
+    assert res.exit_code == 0
+    for builder in ("power_set", "hyperpair"):
+        argv = ["construct", builder, "--base", hyper]
+        plain = runner.invoke(main, argv)
+        assert runner.invoke(main, [*argv, "--param", "s0=0"]).stdout == plain.stdout
+        wide = runner.invoke(main, [*argv, "--param", "s0=0,e"])
+        assert wide.exit_code == 0
+        assert "{e}" in dsl.parse_pair_file(wide.stdout).a0
+        assert "{e}" not in dsl.parse_pair_file(plain.stdout).a0
+        bad = runner.invoke(main, [*argv, "--param", "s0=0,1"])
+        assert bad.exit_code == 1
+        assert json.loads(bad.stdout)["error"]["kind"] == "S0NotValid"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from pairspec import catalog
 from pairspec.congruences import (
     Congruence,
     all_relation,
@@ -428,3 +429,43 @@ def test_congruences_absorb_twist_products(pairs):
         full = all_relation(p)
         for cong in lat:
             assert twist_subset(p, full, cong, cong.matrix), name
+
+
+@st.composite
+def _symmetric_relations(draw):
+    """Symmetric relations on a catalog pair: a partition's relation with some
+    elements cut out (transitive), perhaps with one pair flipped, or random
+    bits; diagonals may be cleared."""
+    name = draw(st.sampled_from(SMALL + ("function_sb_sat2",)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = catalog.build(name).n
+    if draw(st.booleans()):
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        rel = labels[:, None] == labels[None, :]
+        cut = rng.random(n) < 0.3
+        rel[cut] = False
+        rel[:, cut] = False
+        if draw(st.booleans()):
+            x, y = rng.integers(0, n, 2)
+            rel[x, y] = rel[y, x] = not rel[x, y]
+    else:
+        rel = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+        rel |= rel.T
+        if draw(st.booleans()):
+            np.fill_diagonal(rel, False)
+    return name, rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_relations())
+def test_relation_to_congruence_matches_cube(pairs, case):
+    name, rel = case
+    p = pairs[name]
+    closed, got = relation_to_congruence(p, rel)
+    assert closed == oracle.transitive_cube(rel)
+    if closed:
+        want = Congruence.from_labels(p, [tuple(np.flatnonzero(row)) or (x,)
+                                          for x, row in enumerate(rel)])
+        assert got == (want if is_congruence(p, want)[0] else None)
+    else:
+        assert got is None

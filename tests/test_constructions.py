@@ -1,12 +1,13 @@
 """Builders: every construction validates and reproduces its known values."""
 
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle
-from pairspec import catalog
+from pairspec import catalog, dsl
 from pairspec.congruences import all_relation, diagonal, generated_congruence
 from pairspec.constructions import (
     DEFAULT_CARRIER_CAP,
@@ -14,6 +15,7 @@ from pairspec.constructions import (
     double,
     function_pair,
     hyperpair_generated,
+    minimal_bipotent,
     power_set_pair,
     quotient_pair,
     residue_hyperstructure,
@@ -30,10 +32,18 @@ from pairspec.errors import (
     CarrierTooLarge,
     NotAGroup,
     NuNotHomomorphism,
+    PairspecError,
     S0NotValid,
     ZeroLaw,
 )
-from pairspec.monoids import cyclic_group, saturating_monoid, trivial_monoid
+from pairspec.monoids import (
+    NAMED_MONOIDS,
+    Monoid,
+    chain_monoid,
+    cyclic_group,
+    saturating_monoid,
+    trivial_monoid,
+)
 
 
 # -- layered pairs ---------------------------------------------------------------
@@ -485,3 +495,94 @@ def test_quotients_by_every_congruence_validate(pairs):
         for cong in enumerate_congruences(p):
             q = quotient_pair(p, cong)
             assert q.n == cong.n_blocks, name
+
+
+# -- index-formula builders against their per-cell loops ----------------------
+
+def _outcome(build, *args, **kwargs):
+    """Everything a builder's result shows, or its error class, message and
+    witness."""
+    try:
+        p = build(*args, **kwargs)
+    except (PairspecError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    w = p.property_n
+    return (p.names, p.add.tolist(), p.mul.tolist(), p.tangible, p.a_zero, p.zero, p.one,
+            p.name, w and (w.one_dagger, w.e, w.all_daggers), p.property_n_error)
+
+
+def test_supertropical_matches_loop():
+    e = Monoid(names=("e",), table=np.zeros((1, 1), dtype=np.int64), unit=0)
+    for t in (f() for f in NAMED_MONOIDS.values()):
+        assert _outcome(supertropical, t, t, range(t.k)) == \
+            _outcome(oracle.supertropical_loop, t, t, range(t.k))
+        assert _outcome(supertropical, t, e, [0] * t.k, name="c") == \
+            _outcome(oracle.supertropical_loop, t, e, [0] * t.k, name="c")
+    # every map between small monoids: homomorphisms and both error kinds
+    small = [cyclic_group(2), cyclic_group(3), chain_monoid(2), saturating_monoid(3)]
+    for t, g in product(small, repeat=2):
+        for nu in product(range(g.k), repeat=t.k):
+            assert _outcome(supertropical, t, g, nu) == \
+                _outcome(oracle.supertropical_loop, t, g, nu), (t.names, g.names, nu)
+    assert _outcome(supertropical, cyclic_group(2), e, [0, 1])[0] is ValueError
+
+
+def test_truncated_matches_loop():
+    cases = [([1, 2, 3], 3), ([1, 2, 4, 8], 8), ([1], 1), ([1, 2], 2),
+             (range(1, 7), 6), ([1, 3, 9], 9), ([1, 2, 3, 4, 6, 8, 9, 12], 12),
+             (range(1, 60), 59), ([1, 2, 3, 5, 7], 7),
+             ([], 1), ([0, 1], 1), ([2, 3], 3), ([1, 2, 3], 2), ([1, 2, 3], 4),
+             ([1, 2, 5], 5), ([1, 3, 5], 5), ([1, 2, 4, 8], 4)]
+    kinds = set()
+    for values, m in cases:
+        new = _outcome(truncated_supertropical, values, m)
+        assert new == _outcome(oracle.truncated_loop, values, m), (values, m)
+        kinds.add(new[0] if isinstance(new[0], type) else "pair")
+    assert kinds == {"pair", BadBound}
+
+
+def test_minimal_bipotent_matches_loop():
+    for t in (f() for f in NAMED_MONOIDS.values()):
+        for kind in ("first", "second", "third"):
+            assert _outcome(minimal_bipotent, t, kind) == \
+                _outcome(oracle.minimal_bipotent_loop, t, kind), (t.names, kind)
+
+
+def test_subset_pairs_match_loops():
+    for name, make in catalog.NAMED_HYPERSTRUCTURES.items():
+        h = make()
+        nonzero = sorted(set(range(h.n)) - {h.zero})
+        for s0 in (None, {h.zero}, {h.zero, nonzero[0]}):
+            assert _outcome(power_set_pair, h, s0) == \
+                _outcome(oracle.power_set_loop, h, s0), (name, s0)
+            assert _outcome(hyperpair_generated, h, s0) == \
+                _outcome(oracle.hyperpair_loop, h, s0), (name, s0)
+        for build in (power_set_pair, hyperpair_generated):
+            assert _outcome(build, h, cap=2)[0] is CarrierTooLarge
+
+
+def test_function_pair_matches_loop(pairs):
+    for base in ("super_boolean", "minbp_c2_first", "truncated_chain3", "field_f3"):
+        for s in (f() for f in NAMED_MONOIDS.values()):
+            p = pairs[base]
+            if p.n ** s.k > 81:
+                assert _outcome(function_pair, p, s, cap=80)[0] is CarrierTooLarge
+                continue
+            assert _outcome(function_pair, p, s) == \
+                _outcome(oracle.function_pair_loop, p, s), (base, s.names)
+
+
+def test_hyperstructure_masks_past_64_bits():
+    """64 elements, the first size whose top mask overflows int64: zero and a
+    cyclic group of order 63, with x + y = {x, y}."""
+    g = cyclic_group(63)
+    n = 64
+    mul = np.zeros((n, n), dtype=np.int64)
+    mul[1:, 1:] = g.table + 1
+    sums = [[{y} if x == 0 else {x} if y == 0 else {x, y} for y in range(n)] for x in range(n)]
+    h = validate_hyperstructure([str(i) for i in range(n)], 0, 1, mul, sums, name="wide")
+    assert h.hyperadd_set(63, 62) == frozenset({62, 63})
+    assert h.mask_add(1 << 63, 1 << 1) == (1 << 63) | (1 << 1)
+    assert h.tangible == frozenset(range(1, n)) and h.hypernegation is None
+    written = dsl.parse_hyper_file(dsl.serialize(dsl.hyper_to_file(h)))
+    assert written.hyperadd[63][62] == ("62", "63")

@@ -1,5 +1,7 @@
 """Twist-product classification, radicals, spectra, and the isomorphisms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from pairspec.congruences import (
     meet,
 )
 from pairspec.core import classify_pair, positive_e_type
+from pairspec.errors import PairspecError
 from pairspec.spectrum import (
+    ae_pair,
     classify_congruence,
     classify_congruence_elementwise,
     congruence_e_type,
@@ -396,3 +400,39 @@ def test_order_iso_matches_pairwise_loop(pairs):
             for idx_b in (img, img[:-1]):
                 got = _order_iso(leq, src, leq, idx_b, mapping)
                 assert got is _order_iso_loop(leq, src, leq, idx_b, mapping), (name, src, img)
+
+
+# -- A*e -------------------------------------------------------------------------
+
+def _ae_outcome(build, pair):
+    try:
+        p, proj = build(pair)
+    except PairspecError as exc:
+        return type(exc), str(exc), exc.witness
+    return (p.names, p.add.tolist(), p.mul.tolist(), p.tangible, p.a_zero, p.zero, p.one,
+            p.name, proj.tolist())
+
+
+def test_ae_pair_matches_loop(pairs):
+    for p in pairs.values():
+        if p.property_n is not None:
+            assert _ae_outcome(ae_pair, p) == _ae_outcome(oracle.ae_pair_loop, p), p.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6))
+def test_ae_pair_matches_loop_on_random_tables(seed, n):
+    """Random tables, most of them not closed on A*e: the same first
+    witness, or the same tables."""
+    rng = np.random.default_rng(seed)
+    add, mul = rng.integers(0, n, (2, n, n))
+    mul[1] = mul[:, 1] = np.arange(n)
+    mul[0] = mul[:, 0] = 0
+    a0 = rng.random(n) < 0.5
+    a0[0] = True
+    witness = SimpleNamespace(e=int(rng.integers(n)))
+    fake = SimpleNamespace(
+        n=n, names=tuple(f"x{i}" for i in range(n)), add=add, mul=mul, zero=0,
+        one=1, a0_mask=a0, a_zero=frozenset(np.flatnonzero(a0).tolist()),
+        name="random", require_property_n=lambda: witness)
+    assert _ae_outcome(ae_pair, fake) == _ae_outcome(oracle.ae_pair_loop, fake)

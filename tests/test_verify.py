@@ -15,7 +15,7 @@ from pairspec.constructions import double, minimal_bipotent
 from pairspec.core import FiniteStructure, classify_pair, validate_structure
 from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
-from pairspec.spectrum import Analysis, bare_pair
+from pairspec.spectrum import Analysis, bare_pair, twist
 from pairspec.verify import (
     CHECKS,
     reverify_counterexample,
@@ -358,3 +358,29 @@ def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
     assert after.pop("TWASS") == (True, None, "cap exceeded: carrier would have 9 elements, cap is 4")
     before.pop("TWASS")
     assert after == before
+
+
+def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
+    """The very improper pairs are those of the lattice union, in the same
+    order: planted twist failures give the old loop's first counterexample."""
+    planted = 0
+    for p in pairs.values():
+        if not p.structure.is_semiring():
+            continue
+        a = Analysis(p, None)
+        very = oracle.very_improper_over_lattice(p, a.lattice)
+        notes = CHECKS["CHAINS"](a)[3]
+        assert f"part iii over {len(very)} very improper" in notes, p.name
+        rng = np.random.default_rng(len(very))
+        bad = {(x, y) for x in very for y in very if rng.random() < 0.2}
+        if not bad:
+            continue
+        first = next((x, y) for x in very for y in very if (x, y) in bad)
+        monkeypatch.setattr(verify, "twist", lambda pair, x, y: (
+            (pair.zero, pair.zero) if (x, y) in bad else twist(pair, x, y)))
+        cx = CHECKS["CHAINS"](a)[2]
+        monkeypatch.undo()
+        if cx["part"] == "iii":
+            assert (cx["x"], cx["y"]) == tuple(verify._names(p, *z) for z in first), p.name
+            planted += 1
+    assert planted
