@@ -41,9 +41,10 @@ import numpy as np
 _SCAN_CELLS = 1 << 16
 
 
-def _compact(t):
-    """Copy of a table in the smallest unsigned dtype that holds 0..n-1."""
-    return t.astype(np.uint8 if t.shape[0] <= 256 else np.uint16)
+def compact(t):
+    """Copy of a table, or of rows of indices into n elements (n the last
+    axis), in the smallest unsigned dtype that holds 0..n-1."""
+    return t.astype(np.uint8 if t.shape[-1] <= 256 else np.uint16)
 
 
 def _tiles(rows, cols, depth=1):
@@ -152,7 +153,7 @@ def first_nonassoc(op, gens=None):
     the caller has them) comes first; a clean test ends the scan, a failed
     one falls through to the full scan for the first witness."""
     n = op.shape[0]
-    t = _compact(op)
+    t = compact(op)
     if n ** 3 > _SCAN_CELLS:
         gens = generators(op) if gens is None else gens
         if len(gens) < n and _light_clean(op, t, gens):
@@ -187,7 +188,7 @@ def first_nondistrib(add, mul, add_gens=None):
     ``add_gens``, and neither they nor Light's test are computed again.
     """
     n = add.shape[0]
-    s, m = _compact(add), _compact(mul)
+    s, m = compact(add), compact(mul)
     commutative = np.array_equal(mul, mul.T)
     if n ** 3 > _SCAN_CELLS:
         gens = generators(add) if add_gens is None else add_gens
@@ -268,7 +269,7 @@ def congruence_violation(add, mul, roots):
     """
     n = add.shape[0]
     rep = np.asarray(roots, dtype=np.int64)
-    lab = _compact(rep)
+    lab = compact(rep)
     tables = (add, mul, mul.T)
     bad = np.zeros(n, dtype=bool)
     for t in tables:
@@ -296,7 +297,7 @@ def refinement_order(roots):
     No temporary holds more than ``_LEQ_CELLS`` cells."""
     r = np.asarray(roots, dtype=np.int64)
     m, n = r.shape
-    c = r.astype(np.uint8 if n <= 256 else np.uint16)
+    c = compact(r)
     out = np.empty((m, m), dtype=bool)
     step = max(1, _LEQ_CELLS // max(1, m * n))
     for lo in range(0, m, step):

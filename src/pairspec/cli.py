@@ -269,9 +269,10 @@ def _load_hyper_arg(params, base_file):
     if base_file is not None:
         return dsl.build_hyper(dsl.parse_hyper_file(_read_text(base_file)))
     name = params.get("hyper")
-    if name is None:
-        raise ValueError("power_set/hyperpair need --base FILE or --param hyper=NAME "
-                         f"(named: {sorted(catalog.NAMED_HYPERSTRUCTURES)})")
+    if name not in catalog.NAMED_HYPERSTRUCTURES:
+        what = ("power_set/hyperpair need --base FILE or --param hyper=NAME" if name is None
+                else f"unknown hyperstructure {name!r}")
+        raise ValueError(f"{what} (named: {sorted(catalog.NAMED_HYPERSTRUCTURES)})")
     return catalog.NAMED_HYPERSTRUCTURES[name]()
 
 

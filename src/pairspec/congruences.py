@@ -242,41 +242,86 @@ def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[
 
 
 @dataclass(frozen=True)
+class RelationFlags:
+    """The flags that read only which pairs a congruence relates, one entry
+    per root row.  ``t_a0[i]`` marks the pairs of T x A0 (row-major over
+    sorted T and sorted A0) that row i relates; ``e_type`` is 0 for a row
+    without one, and it and ``contains_1e`` are None without a witness."""
+
+    t_a0: np.ndarray
+    proper: np.ndarray
+    weakly_proper: np.ndarray
+    contains_1e: Optional[np.ndarray]
+    e_type: Optional[np.ndarray]
+
+    def row(self, i: int) -> dict:
+        """Row i's four flags, as a classification holds them."""
+        return {"proper": bool(self.proper[i]), "weakly_proper": bool(self.weakly_proper[i]),
+                "contains_1e": None if self.contains_1e is None else bool(self.contains_1e[i]),
+                "e_type": None if self.e_type is None else int(self.e_type[i]) or None}
+
+
+def relation_flags(pair: Pair, roots) -> RelationFlags:
+    """Whether each root row relates 1 and e, its e-type (the least k > 0
+    relating 1 + k*e and k*e), and whether it relates some (a, b) in T x A0
+    (improper) or some with a + b = a (very improper), by comparing columns."""
+    r = np.asarray(roots)
+    a0 = np.flatnonzero(pair.a0_mask)
+    ts, zs = np.repeat(pair.t_sorted, len(a0)), np.tile(a0, len(pair.t_sorted))
+    t_a0 = r[:, ts] == r[:, zs]
+    very = pair.add[ts, zs] == ts
+    contains_1e = e_type = None
+    if pair.property_n is not None:
+        contains_1e = r[:, pair.one] == r[:, pair.property_n.e]
+        ke = pair.e_multiples
+        by_k = r[:, pair.add[pair.one, ke]] == r[:, ke]
+        e_type = np.where(by_k.any(axis=1), by_k.argmax(axis=1) + 1, 0)
+    return RelationFlags(t_a0=t_a0, proper=~t_a0.any(axis=1),
+                         weakly_proper=~(t_a0 & very).any(axis=1),
+                         contains_1e=contains_1e, e_type=e_type)
+
+
+@dataclass(frozen=True, eq=False)
 class CongruenceLattice:
     """Every congruence of a pair, finest first.
 
-    ``congruences`` is sorted by decreasing block count, then by
-    ``roots``, which orders as ``block_of`` does; the list is closed under
-    meet and join.  ``leq`` is the refinement order as a boolean matrix over
-    those indices, and ``covers`` its covering relation.
+    ``roots`` holds one root vector per row, read-only and compact, sorted by
+    decreasing block count, then as root vectors, which orders as ``block_of``
+    does; the rows are closed under meet and join, and ``lattice[i]`` is a
+    ``Congruence`` view of row i.  ``leq`` is the refinement order as a
+    boolean matrix over the rows, and ``covers`` its covering relation.
     """
 
-    pair: Pair = field(compare=False, repr=False)
-    congruences: tuple[Congruence, ...] = ()
+    pair: Pair = field(repr=False)
+    roots: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.congruences)
+        return len(self.roots)
 
     def __iter__(self):
-        return iter(self.congruences)
+        return iter(self._views)
 
     def __getitem__(self, i: int) -> Congruence:
-        return self.congruences[i]
+        return self._views[i]
 
     @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {c.roots: i for i, c in enumerate(self.congruences)}
+    def _views(self) -> tuple[Congruence, ...]:
+        return tuple(Congruence(pair=self.pair, roots=tuple(r)) for r in self.roots.tolist())
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {r.tobytes(): i for i, r in enumerate(self.roots)}
 
     def find(self, cong: Congruence) -> int:
         try:
-            return self._index[cong.roots]
+            return self._index[np.asarray(cong.roots, dtype=self.roots.dtype).tobytes()]
         except KeyError:
             raise KeyError("congruence not present in the lattice") from None
 
     @cached_property
     def leq(self) -> np.ndarray:
         """leq[i, j] iff congruence i is contained in congruence j."""
-        out = _kernels.refinement_order([c.roots for c in self.congruences])
+        out = _kernels.refinement_order(self.roots)
         out.setflags(write=False)
         return out
 
@@ -285,6 +330,11 @@ class CongruenceLattice:
         """covers[i]: the upper covers of congruence i, the members strictly
         above it with no member in between, in lattice order."""
         return _kernels.upper_covers(self.leq)
+
+    @cached_property
+    def flags(self) -> RelationFlags:
+        """The relation flags of every row."""
+        return relation_flags(self.pair, self.roots)
 
     @property
     def bottom(self) -> int:
@@ -295,7 +345,7 @@ class CongruenceLattice:
         return self.find(all_relation(self.pair))
 
     def meet_index(self, i: int, j: int) -> int:
-        return self.find(meet(self.congruences[i], self.congruences[j]))
+        return self.find(meet(self[i], self[j]))
 
 
 def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLattice:
@@ -309,12 +359,12 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     as more than ``cap`` congruences are known.
     """
     cap = _cap_from_env(cap)
-    known: dict[tuple[int, ...], Congruence] = {}
+    known: set[tuple[int, ...]] = set()
 
     def add_cong(c: Congruence) -> bool:
         if c.roots in known:
             return False
-        known[c.roots] = c
+        known.add(c.roots)
         if len(known) > cap:
             raise CapExceeded("congruence lattice exceeds cap", partial_count=len(known))
         return True
@@ -337,6 +387,8 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
                 if add_cong(j):
                     fresh.append(j)
 
-    ordered = sorted(known.values(), key=lambda c: (-c.n_blocks, c.roots))
-    return CongruenceLattice(pair=pair, congruences=tuple(ordered))
+    ordered = sorted(known, key=lambda r: (-len(set(r)), r))
+    roots = _kernels.compact(np.array(ordered))
+    roots.setflags(write=False)
+    return CongruenceLattice(pair=pair, roots=roots)
 

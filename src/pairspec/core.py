@@ -198,6 +198,17 @@ class Pair:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def e_multiples(self) -> np.ndarray:
+        """k*e at index k - 1 for k = 1..n, empty without a witness.  Each
+        multiple is a function of the one before, so these are all of them."""
+        ke = [] if self.property_n is None else [self.property_n.e]
+        while 0 < len(ke) < self.n:
+            ke.append(int(self.add[ke[-1], ke[0]]))
+        out = np.array(ke, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
     def require_property_n(self) -> PropertyNWitness:
         if self.property_n is None:
             detail = self.property_n_error or "pair lacks a 1-dagger witness"
@@ -455,15 +466,9 @@ def e_type(pair: Pair) -> Optional[tuple[int, int]]:
 def positive_e_type(pair: Pair) -> Optional[int]:
     """Smallest k > 0 with 1 + k*e = k*e; None when no multiple of e absorbs
     one.  Distinct values of k*e are exhausted within carrier-size steps."""
-    if pair.property_n is None:
-        return None
-    e = pair.property_n.e
-    cur = e
-    for k in range(1, pair.n + 1):
-        if int(pair.add[pair.one, cur]) == cur:
-            return k
-        cur = int(pair.add[cur, e])
-    return None
+    ke = pair.e_multiples
+    hit = np.flatnonzero(pair.add[pair.one, ke] == ke)
+    return int(hit[0]) + 1 if len(hit) else None
 
 
 def is_e_distributive(pair: Pair) -> Optional[bool]:

@@ -21,6 +21,7 @@ from .congruences import (
     CongruenceLattice,
     diag_e,
     enumerate_congruences,
+    relation_flags,
     relation_to_congruence,
 )
 from .constructions import quotient_pair
@@ -37,20 +38,11 @@ def twist(pair: Pair, b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]
     return int(p), int(q)
 
 
-def _members_of(rel) -> tuple[np.ndarray, np.ndarray]:
-    """The related pairs of a Congruence, or of an ``(xs, ys)`` tuple."""
-    if isinstance(rel, Congruence):
-        return rel.members
-    xs, ys = rel
-    return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-
-
-def twist_subset(pair: Pair, rel1, rel2, target: np.ndarray) -> bool:
+def twist_subset(pair: Pair, rel1: Congruence, rel2: Congruence, target: np.ndarray) -> bool:
     """Whether every twist product of rel1 x rel2 lands inside the boolean
     matrix ``target``."""
-    xs1, ys1 = _members_of(rel1)
-    xs2, ys2 = _members_of(rel2)
-    i, _ = _kernels.twist_subset_violation(pair.add, pair.mul, xs1, ys1, xs2, ys2, target)
+    i, _ = _kernels.twist_subset_violation(pair.add, pair.mul, *rel1.members, *rel2.members,
+                                           target)
     return i < 0
 
 
@@ -110,53 +102,26 @@ class CongruenceClassification:
         return dict(self.__dict__)
 
 
-def congruence_e_type(pair: Pair, cong: Congruence) -> Optional[int]:
-    """Smallest k > 0 relating 1 + k*e and k*e, None without one (or without
-    a Property-N witness)."""
-    if pair.property_n is None:
-        return None
-    e = pair.property_n.e
-    cur = e
-    for k in range(1, pair.n + 1):
-        if cong.related(int(pair.add[pair.one, cur]), cur):
-            return k
-        cur = int(pair.add[cur, e])
-    return None
-
-
-def improper_members(pair: Pair, cong: Congruence) -> list[tuple[int, int, bool]]:
-    """All related (a, b) in T x A0, flagged very improper when a + b = a."""
-    out = []
-    for a in sorted(pair.tangible):
-        for b in sorted(pair.a_zero):
-            if cong.related(a, b):
-                out.append((a, b, int(pair.add[a, b]) == a))
-    return out
+def _classify(pair: Pair, cong: Congruence, quotient, relation: dict) -> CongruenceClassification:
+    """The flags read off ``cong`` alone, from the tables of A/cong
+    (``quotient``) and the relation flags of ``cong``.  The twist tests read
+    a pair only through the blocks its entries fall in, so each runs on the
+    tables of A/cong against its diagonal."""
+    reps, add, mul = quotient
+    diag = np.eye(len(reps), dtype=bool)
+    nxs, nys = np.nonzero(~diag)
+    t_blocks = np.unique(np.asarray(cong.block_of)[pair.t_sorted])
+    return CongruenceClassification(
+        radical=_kernels.radical_violation(add, mul, diag)[0] < 0,
+        strongly_prime=_kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0,
+        t_cancellative=_kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0,
+        **relation, prime=None, semiprime=None, irreducible=None,
+    )
 
 
 def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
-    """The flags read off ``cong`` alone.  The twist tests read a pair only
-    through the blocks its entries fall in, so each runs on the tables of
-    A/cong against its diagonal."""
-    reps, add, mul = cong.quotient_tables()
-    diag = np.eye(len(reps), dtype=bool)
-    nxs, nys = np.nonzero(~diag)
-
-    radical = _kernels.radical_violation(add, mul, diag)[0] < 0
-    strongly_prime = _kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0
-    t_blocks = np.unique(np.asarray(cong.block_of)[pair.t_sorted])
-    t_cancellative = _kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0
-    improper = improper_members(pair, cong)
-    proper = not improper
-    weakly_proper = not any(v for _, _, v in improper)
-    w = pair.property_n
-    contains_1e = cong.related(pair.one, w.e) if w is not None else None
-    return CongruenceClassification(
-        radical=radical, strongly_prime=strongly_prime, t_cancellative=t_cancellative,
-        proper=proper, weakly_proper=weakly_proper, contains_1e=contains_1e,
-        e_type=congruence_e_type(pair, cong),
-        prime=None, semiprime=None, irreducible=None,
-    )
+    """The flags read off ``cong`` alone."""
+    return _classify(pair, cong, cong.quotient_tables(), relation_flags(pair, [cong.roots]).row(0))
 
 
 def classify_congruence(pair: Pair, cong: Congruence,
@@ -169,12 +134,13 @@ def classify_congruence(pair: Pair, cong: Congruence,
     semiprime are decided over pairs of covers; ``cong`` is meet-irreducible
     iff it has at most one cover (the top has none).
     """
-    covers = lattice.covers[lattice.find(cong)]
-    reps, add, mul = cong.quotient_tables()
+    i = lattice.find(cong)
+    covers = lattice.covers[i]
+    quotient = reps, add, mul = cong.quotient_tables()
     diag = np.eye(len(reps), dtype=bool)
     members = []   # each cover's members, as pairs of blocks of cong
     for j in covers:
-        cb = np.asarray(lattice[j].roots)[reps]
+        cb = lattice.roots[j][reps]
         members.append(np.nonzero(cb[:, None] == cb[None, :]))
 
     def inside(m1, m2) -> bool:
@@ -184,7 +150,7 @@ def classify_congruence(pair: Pair, cong: Congruence,
     prime = semiprime and not any(
         inside(m1, m2) for a, m1 in enumerate(members) for b, m2 in enumerate(members) if a != b
     )
-    return replace(classify_congruence_elementwise(pair, cong),
+    return replace(_classify(pair, cong, quotient, lattice.flags.row(i)),
                    prime=prime, semiprime=semiprime, irreducible=len(covers) <= 1)
 
 

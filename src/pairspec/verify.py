@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._kernels import first_nonassoc, refinement_order
-from .congruences import Congruence, cong_b, diagonal, is_congruence, join, meet
+from .congruences import Congruence, all_relation, cong_b, diagonal, is_congruence, join, meet
 from .constructions import double, doubled_names, quotient_pair, twist_table
 from .core import Pair, classify_pair
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
@@ -144,16 +144,10 @@ def _check_etype_shallow(ctx):
     pair = ctx.pair
     if not (ctx.cls.e_distributive and ctx.cls.shallow):
         return False, None, None, "needs an e-distributive shallow pair"
-    e = pair.property_n.e
-    k_min = None
-    cur = e
-    for k in range(1, pair.n + 1):
-        if int(pair.add[pair.one, cur]) in pair.a_zero:
-            k_min = k
-            break
-        cur = int(pair.add[cur, e])
-    if k_min is None:
+    hit = np.flatnonzero(pair.a0_mask[pair.add[pair.one, pair.e_multiples]])
+    if not len(hit):
         return False, None, None, "no k with 1 + k*e in A0"
+    k_min = int(hit[0]) + 1
     et = ctx.cls.e_type
     if et in ((k_min, k_min), (k_min, 1)):
         return True, True, None, f"k={k_min}, e-type {et}"
@@ -193,12 +187,9 @@ def _check_id1(ctx):
     pair = ctx.pair
     if pair.property_n is None:
         return False, None, None, "needs a Property-N witness"
-    e = pair.property_n.e
-    hits = 0
-    for cong in ctx.lattice:
-        if not cong.related(pair.one, e):
-            continue
-        hits += 1
+    one_e = np.flatnonzero(ctx.lattice.flags.contains_1e)
+    for i in one_e:
+        cong = ctx.lattice[i]
         q = quotient_pair(pair, cong)
         if q.a_zero != set(range(q.n)):
             missing = next(i for i in range(q.n) if i not in q.a_zero)
@@ -208,7 +199,7 @@ def _check_id1(ctx):
         if bad:
             return True, False, {"kind": "not_idempotent", "blocks": cong.block_labels(),
                                  "element": q.names[bad[0]]}, ""
-    return True, True, None, f"{hits} (1,e)-congruence(s) checked"
+    return True, True, None, f"{len(one_e)} (1,e)-congruence(s) checked"
 
 
 def _check_tr1(ctx):
@@ -249,14 +240,13 @@ def _check_tr1(ctx):
                                  "i": ctx.lattice[bad[0][0]].block_labels()}, ""
         notes += "; e-image map is monotone"
         if ctx.cls.e_final:
-            e = pair.property_n.e
-            one_e = [i for i, c in enumerate(ctx.lattice) if c.related(pair.one, e)]
+            src = np.flatnonzero(ctx.lattice.flags.contains_1e)
             ae_lat = ae.lattice
-            mapping = [ae_lat.find(images[i]) for i in one_e]
+            mapping = [ae_lat.find(images[i]) for i in src]
             if sorted(set(mapping)) != list(range(len(ae_lat))):
                 return True, False, {"kind": "e_image_not_bijection",
-                                     "one_e_count": len(one_e), "ae_count": len(ae_lat)}, ""
-            src, img = np.asarray(one_e, dtype=np.intp), np.asarray(mapping, dtype=np.intp)
+                                     "one_e_count": len(src), "ae_count": len(ae_lat)}, ""
+            img = np.asarray(mapping, dtype=np.intp)
             if not np.array_equal(ctx.lattice.leq[np.ix_(src, src)], ae_lat.leq[np.ix_(img, img)]):
                 return True, False, {"kind": "e_image_not_order_iso"}, ""
             notes += f"; (1,e)-congruences biject onto {len(ae_lat)} congruences of A*e"
@@ -293,11 +283,9 @@ def _check_bf(ctx):
     pair = ctx.pair
     lat = ctx.lattice
     cls = ctx.classes
-    all_pairs_xs = np.repeat(np.arange(pair.n), pair.n).astype(np.int64)
-    all_pairs_ys = np.tile(np.arange(pair.n), pair.n).astype(np.int64)
-    for i, cong in enumerate(lat):
-        xs, ys = cong.members
-        if not twist_subset(pair, (all_pairs_xs, all_pairs_ys), (xs, ys), cong.matrix):
+    full = all_relation(pair)
+    for cong in lat:
+        if not twist_subset(pair, full, cong, cong.matrix):
             return True, False, {"part": "i", "blocks": cong.block_labels()}, ""
     for i, c in enumerate(cls):
         if c.prime != (c.semiprime and c.irreducible):
@@ -359,10 +347,11 @@ def _check_prs2(ctx):
     notes = []
     diag_is_radical = classify_congruence_elementwise(pair, diagonal(pair)).radical
     if diag_is_radical:
-        probe = (int(pair.add[pair.one, pair.add[e, e]]), int(pair.add[e, e]))
-        for cong in ctx.lattice:
-            if cong.related(pair.one, e) != cong.related(*probe):
-                return True, False, {"part": "i", "blocks": cong.block_labels()}, ""
+        roots, two_e = ctx.lattice.roots, pair.add[e, e]
+        probe = roots[:, pair.add[pair.one, two_e]] == roots[:, two_e]
+        bad = np.flatnonzero(ctx.lattice.flags.contains_1e != probe)
+        if len(bad):
+            return True, False, {"part": "i", "blocks": ctx.lattice[bad[0]].block_labels()}, ""
         notes.append("reduced: part (i) checked")
     else:
         notes.append("pair not reduced: part (i) vacuous")
@@ -373,20 +362,13 @@ def _check_prs2(ctx):
         notes.append(f"(1,e),(e,1) in sqrt(diag) at depth {r.depth}")
         # empirical twist-squares of (1+k'e, k'e); the printed closed form
         # is treated as data, not as an assertion
+        ke = pair.e_multiples
+        ones = pair.add[pair.one, ke]        # 1 + k*e at index k - 1
         ks = []
-        ke = e
-        for kp in range(1, min(pair.n, 4) + 1):
-            v = (int(pair.add[pair.one, ke]), ke)
-            sq = twist(pair, v, v)
-            kpp = None
-            cur = e
-            for k2 in range(1, pair.n * pair.n + 1):
-                if sq == (int(pair.add[pair.one, cur]), cur):
-                    kpp = k2
-                    break
-                cur = int(pair.add[cur, e])
-            ks.append((kp, kpp))
-            ke = int(pair.add[ke, e])
+        for k in range(min(pair.n, 4)):
+            p, q = twist(pair, (ones[k], ke[k]), (ones[k], ke[k]))
+            hit = np.flatnonzero((ones == p) & (ke == q))
+            ks.append((k + 1, int(hit[0]) + 1 if len(hit) else None))
         notes.append(f"square exponents {ks}")
     else:
         notes.append("no positive e-type: part (iii) vacuous")
@@ -394,13 +376,11 @@ def _check_prs2(ctx):
 
 
 def _check_rd1(ctx):
-    pair = ctx.pair
     if ctx.cls.positive_e_type is None:
         return False, None, None, "needs positive e-type"
-    e = pair.property_n.e
     rad = ctx.having("radical")
     for i in rad:
-        if not ctx.lattice[i].related(pair.one, e):
+        if not ctx.classes[i].contains_1e:
             return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
     return True, True, None, f"{len(rad)} radical congruence(s) contain (1,e)"
 
@@ -422,13 +402,7 @@ def _check_sp2(ctx):
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds}"
     if not v.holds:
         return True, False, {"part": "i", "detail": v.detail}, notes
-    maximal_wo = []
-    for i, c in enumerate(ctx.classes):
-        if c.e_type is not None:
-            continue
-        # positive e-type passes upwards, so testing the covers is enough
-        if all(ctx.classes[j].e_type is not None for j in ctx.lattice.covers[i]):
-            maximal_wo.append(i)
+    maximal_wo = _maximal(ctx.lattice, [i for i, c in enumerate(ctx.classes) if c.e_type is None])
     for i in maximal_wo:
         if not ctx.classes[i].prime:
             return True, False, {"part": "ii", "blocks": ctx.lattice[i].block_labels()}, notes
@@ -456,14 +430,10 @@ def _check_pro3(ctx):
 
 
 def _check_pro3c(ctx):
-    pair = ctx.pair
     if not (ctx.cls.e_central and ctx.cls.e_idempotent):
         return False, None, None, "needs an e-central, e-idempotent pair"
-    e = pair.property_n.e
     for i, c in enumerate(ctx.classes):
-        if not c.t_cancellative or c.proper:
-            continue
-        if not ctx.lattice[i].related(pair.one, e):
+        if c.t_cancellative and not c.proper and not c.contains_1e:
             return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
     return True, True, None, ""
 
@@ -505,9 +475,8 @@ def _check_chains(ctx):
     proper_idx = ctx.having("proper")
     # the improper members of meet(i, j) are the common improper members of
     # i and j, so a row of related pairs in T x A0 per member decides part i
-    roots = np.array([c.roots for c in lat], dtype=np.int64)
+    related = lat.flags.t_a0
     zs = np.flatnonzero(pair.a0_mask)
-    related = (roots[:, pair.t_sorted, None] == roots[:, None, zs]).reshape(len(lat), -1)
     for i in proper_idx:
         if related[i].any():
             j = int((related & related[i]).any(axis=1).argmax())

@@ -751,3 +751,86 @@ def very_improper_over_lattice(pair, lattice):
         for a in sorted(pair.tangible) for b in sorted(pair.a_zero)
         if cong.related(a, b) and int(pair.add[a, b]) == a
     })
+
+
+# ---------------------------------------------------------------------------
+# the per-congruence loops over (1, e) and over the multiples of e
+# ---------------------------------------------------------------------------
+
+def positive_e_type_loop(pair):
+    """Smallest k > 0 with 1 + k*e = k*e, walking k*e one step at a time
+    for n steps; None when none (or without a witness)."""
+    if pair.property_n is None:
+        return None
+    e = pair.property_n.e
+    cur = e
+    for k in range(1, pair.n + 1):
+        if int(pair.add[pair.one, cur]) == cur:
+            return k
+        cur = int(pair.add[cur, e])
+    return None
+
+
+def etype_shallow_k_loop(pair):
+    """ETYPE_SHALLOW's least k with 1 + k*e in A0, walking k*e for n steps."""
+    e = pair.property_n.e
+    cur = e
+    for k in range(1, pair.n + 1):
+        if int(pair.add[pair.one, cur]) in pair.a_zero:
+            return k
+        cur = int(pair.add[cur, e])
+    return None
+
+
+def square_exponents_loop(pair, twist):
+    """PRS2's (k', k'') list: the twist square of (1 + k'e, k'e) for
+    k' <= min(n, 4), and the least k'' <= n^2 with that square equal to
+    (1 + k''e, k''e), or None."""
+    e = pair.property_n.e
+    ks = []
+    ke = e
+    for kp in range(1, min(pair.n, 4) + 1):
+        v = (int(pair.add[pair.one, ke]), ke)
+        sq = twist(pair, v, v)
+        kpp = None
+        cur = e
+        for k2 in range(1, pair.n * pair.n + 1):
+            if sq == (int(pair.add[pair.one, cur]), cur):
+                kpp = k2
+                break
+            cur = int(pair.add[cur, e])
+        ks.append((kp, kpp))
+        ke = int(pair.add[ke, e])
+    return ks
+
+
+def id1_loop(pair, lattice, quotient_pair):
+    """ID1 as the loop over every lattice member that relates 1 and e:
+    (passed, counterexample, notes)."""
+    e = pair.property_n.e
+    hits = 0
+    for cong in lattice:
+        if not cong.related(pair.one, e):
+            continue
+        hits += 1
+        q = quotient_pair(pair, cong)
+        if q.a_zero != set(range(q.n)):
+            missing = next(i for i in range(q.n) if i not in q.a_zero)
+            return False, {"kind": "not_degenerate", "blocks": cong.block_labels(),
+                           "element": q.names[missing]}, ""
+        bad = [x for x in range(q.n) if int(q.add[x, x]) != x]
+        if bad:
+            return False, {"kind": "not_idempotent", "blocks": cong.block_labels(),
+                           "element": q.names[bad[0]]}, ""
+    return True, None, f"{hits} (1,e)-congruence(s) checked"
+
+
+def without_1e_loop(pair, lattice, classes, flagged):
+    """RD1 and PRO3C as the loop over the lattice: the blocks of the first
+    member with ``flagged(classification)`` that does not relate 1 and e,
+    or None."""
+    e = pair.property_n.e
+    for i, c in enumerate(classes):
+        if flagged(c) and not lattice[i].related(pair.one, e):
+            return {"blocks": lattice[i].block_labels()}
+    return None

@@ -7,7 +7,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from pairspec import dsl
+from pairspec import catalog, dsl
 from pairspec.cli import main
 
 
@@ -410,6 +410,9 @@ def test_quotient_names_labels_with_commas(runner, tmp_path, pairs):
      "unknown label '7'"),
     (["construct", "power_set", "--param", "hyper=signs", "--param", "s0=0,x"],
      "unknown label 'x'"),
+    *((["construct", builder, "--param", "hyper=nope"],
+       f"unknown hyperstructure 'nope' (named: {sorted(catalog.NAMED_HYPERSTRUCTURES)})")
+      for builder in ("power_set", "hyperpair")),
 ])
 def test_unknown_labels_in_builder_params(runner, argv, message):
     res = runner.invoke(main, argv)

@@ -266,6 +266,9 @@ def test_enumerate_cap_counts_cap_plus_one(pairs):
 def test_enumerate_order_is_finest_first(pairs):
     for p in pairs.values():
         lat = enumerate_congruences(p)
+        # one read-only root matrix, whose rows the views hold
+        assert lat.roots.dtype == np.uint8 and not lat.roots.flags.writeable
+        assert [tuple(r) for r in lat.roots.tolist()] == [c.roots for c in lat], p.name
         keys = [(-c.n_blocks, oracle.restricted_growth(c.roots)) for c in lat]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), p.name
 
@@ -358,6 +361,15 @@ def test_meet_join_basics(sb):
     i = lat.find(phi)
     assert lat[lat.meet_index(i, lat.top)].block_of == phi.block_of
     assert lat.find(join(phi, lat[lat.top])) == lat.top
+
+
+def test_find_rejects_non_members(sb, pairs):
+    lat = enumerate_congruences(sb)
+    assert [lat.find(c) for c in lat] == list(range(len(lat)))
+    for other in (Congruence.from_labels(sb, (0, 0, 1)),      # {0, 1} is not a congruence
+                  diagonal(pairs["field_f5"])):                  # another carrier
+        with pytest.raises(KeyError, match="congruence not present in the lattice"):
+            lat.find(other)
 
 
 def test_lattice_closed_under_meet_join(pairs):

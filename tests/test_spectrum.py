@@ -16,6 +16,7 @@ from pairspec.congruences import (
     enumerate_congruences,
     generated_congruence,
     meet,
+    relation_flags,
 )
 from pairspec.core import classify_pair, positive_e_type
 from pairspec.errors import PairspecError
@@ -23,8 +24,6 @@ from pairspec.spectrum import (
     ae_pair,
     classify_congruence,
     classify_congruence_elementwise,
-    congruence_e_type,
-    improper_members,
     spectrum_report,
     sqrt_phi,
     twist,
@@ -129,7 +128,7 @@ def test_congruence_e_type_values(sb):
     # the pair itself has positive e-type, so (1+e, e) is diagonal and every
     # congruence reports e-type 1
     for cong in lat:
-        assert congruence_e_type(sb, cong) == 1
+        assert relation_flags(sb, [cong.roots]).row(0)["e_type"] == 1
 
 
 def test_prime_iff_semiprime_and_irreducible(pairs):
@@ -195,9 +194,13 @@ def test_strongly_prime_implies_prime(pairs):
 def _assert_classes_match_definition(p):
     lat = enumerate_congruences(p)
     rows = [c.block_of for c in lat]
-    for c in lat:
-        got = classify_congruence(p, c, lat).to_dict()
-        assert got == oracle.classify_by_definition(p, c.block_of, rows), (p.name, c.block_of)
+    flags = relation_flags(p, lat.roots)
+    for i, c in enumerate(lat):
+        want = oracle.classify_by_definition(p, c.block_of, rows)
+        assert classify_congruence(p, c, lat).to_dict() == want, (p.name, c.block_of)
+        # the relation flags over the whole matrix, and over the one row
+        for got in (flags.row(i), relation_flags(p, [c.roots]).row(0)):
+            assert got == {k: want[k] for k in got}, (p.name, c.block_of)
 
 
 def test_classification_matches_definition_on_catalog(pairs):
@@ -294,6 +297,14 @@ def test_spectrum_verdicts_on_applicable_catalog(pairs):
 
 # -- improper elements ------------------------------------------------------------------
 
+def improper_members(pair, cong):
+    """All related (a, b) in T x A0, flagged very improper when a + b = a,
+    read off the relation flags."""
+    t_a0 = [(a, b) for a in sorted(pair.tangible) for b in sorted(pair.a_zero)]
+    related = relation_flags(pair, [cong.roots]).t_a0[0]
+    return [(a, b, int(pair.add[a, b]) == a) for (a, b), r in zip(t_a0, related) if r]
+
+
 def test_improper_scan_diag_empty_on_proper_pairs(pairs):
     for name, p in pairs.items():
         if classify_pair(p).proper:
@@ -318,10 +329,7 @@ def test_very_improper_products_on_semiring_catalog(pairs):
     for name, p in pairs.items():
         if not p.structure.is_semiring():
             continue
-        lat = enumerate_congruences(p)
-        very = sorted({
-            (a, b) for cong in lat for a, b, v in improper_members(p, cong) if v
-        })
+        very = oracle.very_improper_over_lattice(p, enumerate_congruences(p))
         for a1, b1 in very:
             for a2, b2 in very:
                 x, y = twist(p, (a1, b1), (a2, b2))

@@ -11,8 +11,14 @@ import oracle
 from pairspec import verify
 from pairspec._kernels import first_nonassoc
 from pairspec.congruences import cong_b
-from pairspec.constructions import double, minimal_bipotent
-from pairspec.core import FiniteStructure, classify_pair, validate_structure
+from pairspec.constructions import double, minimal_bipotent, quotient_pair
+from pairspec.core import (
+    FiniteStructure,
+    classify_pair,
+    positive_e_type,
+    validate_pair,
+    validate_structure,
+)
 from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
 from pairspec.spectrum import Analysis, bare_pair, twist
@@ -188,6 +194,76 @@ def test_chains_part_i_matches_meet_loop(pairs, monkeypatch):
             assert _chains_part_i(a) == want, (p.name, plant)
             planted += want is not None
     assert planted
+
+
+def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
+    """ID1, RD1 and PRO3C read contains_1e from the relation flags: planted
+    failures give the first counterexample of the old loops over
+    ``related(1, e)``."""
+    planted = {"ID1": 0, "RD1": 0, "PRO3C": 0}
+    for p in pairs.values():
+        if p.property_n is None:
+            continue
+        a = Analysis(p, None)
+        lat, cls = a.lattice, a.classes
+        # ID1: the quotients of some members lose A0 but for zero
+        for plant in ([0], [len(lat) // 2], [len(lat) - 1], range(len(lat))):
+            def fake_quotient(pair, cong, name="", plant=[lat[k] for k in plant]):
+                q = quotient_pair(pair, cong, name)
+                return replace(q, a_zero=frozenset({q.zero})) if cong in plant else q
+
+            monkeypatch.setattr(verify, "quotient_pair", fake_quotient)
+            want = oracle.id1_loop(p, lat, fake_quotient)
+            assert CHECKS["ID1"](a) == (True, *want), (p.name, plant)
+            planted["ID1"] += not want[0]
+        monkeypatch.undo()
+        # RD1, PRO3C: call some members without (1, e) radical, or
+        # T-cancellative and improper
+        without = [i for i, c in enumerate(lat) if not c.related(p.one, p.property_n.e)]
+        for check, fields, flagged in (
+                ("RD1", {"radical": True}, lambda c: c.radical),
+                ("PRO3C", {"t_cancellative": True, "proper": False},
+                 lambda c: c.t_cancellative and not c.proper)):
+            for chosen in ([], without[:1], without[-1:], without[1::2]):
+                fake = tuple(replace(c, **fields) if i in chosen else c for i, c in enumerate(cls))
+                monkeypatch.setattr(a, "classes", fake)
+                held, _, cx, _ = CHECKS[check](a)
+                if held:
+                    assert cx == oracle.without_1e_loop(p, lat, fake, flagged), (p.name, check)
+                    planted[check] += cx is not None
+        monkeypatch.undo()
+    assert all(planted.values()), planted
+
+
+def test_e_multiples_match_old_walks(pairs):
+    """positive_e_type, ETYPE_SHALLOW and PRS2 read ``Pair.e_multiples``:
+    their values and notes are those of the old walks over k*e, PRS2's
+    search for k'' up to n^2 included."""
+    rng = np.random.default_rng(5)
+    randoms = [_random_pair(rng, n) for n in range(1, 6) for _ in range(20)]
+    # Z/6 with T = {1} and A0 = {0, 2, 4}: e = 2, and k*e runs 2, 4, 0, ...
+    idx = np.arange(6)
+    z6 = validate_pair(validate_structure([str(x) for x in idx], 0, 1, (idx[:, None] + idx) % 6,
+                                          idx[:, None] * idx % 6), {1}, {0, 2, 4}, name="z6")
+    seen = {"ETYPE_SHALLOW": 0, "PRS2": 0}
+    for p in [*pairs.values(), *randoms, z6]:
+        assert positive_e_type(p) == oracle.positive_e_type_loop(p), p.name
+        if p.property_n is None:
+            continue
+        n, e = p.n, p.property_n.e
+        assert p.e_multiples.tolist() == [p.structure.iterated_sum(e, k) for k in range(1, n + 1)]
+        a = Analysis(p, None)
+        held, _, _, notes = CHECKS["ETYPE_SHALLOW"](a)
+        if a.cls.e_distributive and a.cls.shallow:
+            k = oracle.etype_shallow_k_loop(p)
+            assert held == (k is not None), p.name
+            assert notes.startswith(f"k={k}, ") if held else notes == "no k with 1 + k*e in A0"
+            seen["ETYPE_SHALLOW"] += held
+        if a.cls.e_distributive and a.cls.positive_e_type is not None:
+            notes = CHECKS["PRS2"](a)[3]
+            assert notes.endswith(f"; square exponents {oracle.square_exponents_loop(p, twist)}")
+            seen["PRS2"] += 1
+    assert all(seen.values()), seen
 
 
 def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
