@@ -7,16 +7,22 @@ carrier A x A are boolean ``(n, n)`` matrices.
 The n^3 axiom scans run over slabs of the index cube in row-major order:
 a range of first indices, or for large n one first index and a range of
 second indices, so that no temporary holds more than ``_SCAN_CELLS`` cells
-whatever n is.  Values are gathered from a compact copy of each table
-(``uint8`` up to 256 elements, ``uint16`` above) through flat ``int64``
-offsets, which numpy takes without a cast.  A scan returns at the first slab
-that holds a violation, with the first violation in row-major order.
+whatever n is.  Values are row gathers from a compact copy of each table
+(``uint8`` up to 256 elements, ``uint16`` above): (ij)k reads row ij at k,
+and i(jk) takes row i at the entries of row j.  Only a sum of two products,
+ab + ac, is read through flat ``int64`` offsets.  A scan returns at the
+first slab that holds a violation, with the first violation in row-major
+order.
 
 Above one slab (n^3 > ``_SCAN_CELLS``, so n >= 41) each scan first runs an
 exact test over a generating set, on an n x n x |G| box:
 
-- associativity (Light): (xy)g = x(yg) for all x, y and every generator g of
-  the operation.  The g that pass are closed under it, so they are everything.
+- associativity (Light): (gx)y = g(xy) for all x, y and every generator g.
+  The g that pass, the left nucleus, are closed under the operation, so
+  they are everything.  When both distributive laws hold, the left nucleus
+  is closed under + too, ((g+h)x)y = (gx)y + (hx)y = g(xy) + h(xy) =
+  (g+h)(xy), so generators of the semiring, ``generators(mul, add)``, are
+  enough.
 - distributivity: a(b+c) = ab + ac and (b+c)a = ba + ca for all a, c and
   every generator b of +.  Once Light's test finds + associative, the b that
   pass are closed under +, so they are everything.
@@ -68,11 +74,6 @@ def _slabs(n, depth=None):
     return _tiles(n, n, n if depth is None else depth)
 
 
-def _row_offsets(i, n):
-    """Flat offsets of the rows in slice ``i``, shaped to broadcast over a slab."""
-    return (np.arange(i.start, i.stop) * n)[:, None, None]
-
-
 def _first(bad, i, j):
     """Indices of the first True in the tile ``bad`` at (i, j), offset by
     the tile's corner, or None."""
@@ -82,44 +83,55 @@ def _first(bad, i, j):
     return (i.start + int(r), j.start + int(c), *map(int, k))
 
 
-def generators(op):
-    """Greedy ascending generating set of the magma (0..n-1, op): each
-    generator is the least element the earlier ones do not generate.
+def generators(op, *more):
+    """Greedy ascending generating set of the algebra (0..n-1, op, *more):
+    each generator is the least element the earlier ones do not generate
+    under all the operations together.
 
-    Each new member of the closure is multiplied once by every member, on
-    both sides, so each product is taken at most twice: O(n^2) cells in all,
-    at most ``_SCAN_CELLS`` of them per step."""
+    The closure grows in insertion order; each member, in turn, is
+    multiplied once by every member found so far, on both sides and by
+    every operation, so each product is taken at most twice: O(n^2) cells
+    per operation in all, at most ``_SCAN_CELLS`` of them per step."""
+    ops = (op, *more)
     n = op.shape[0]
     inside = np.zeros(n, dtype=bool)
-    gens = []
+    members = np.empty(n, dtype=np.int64)
+    gens, size, done = [], 0, 0
     for x in range(n):
         if inside[x]:
             continue
         gens.append(x)
         inside[x] = True
-        todo = np.array([x])
-        while len(todo):
-            members = np.flatnonzero(inside)
-            step = max(1, _SCAN_CELLS // (2 * len(members)))
-            new, todo = todo[:step], todo[step:]
-            prods = np.concatenate((op[np.ix_(new, members)].ravel(),
-                                    op[np.ix_(members, new)].ravel()))
-            found = np.unique(prods[~inside[prods]])
-            inside[found] = True
-            todo = np.concatenate((todo, found))
+        members[size] = x
+        size += 1
+        while done < size:
+            step = max(1, _SCAN_CELLS // (2 * len(ops) * size))
+            new, old = members[done:min(done + step, size)], members[:size]
+            done += len(new)
+            hit = np.zeros(n, dtype=bool)
+            for t in ops:
+                hit[t[new[:, None], old]] = True
+                hit[t[old[:, None], new]] = True
+            hit &= ~inside
+            found = np.flatnonzero(hit)
+            inside |= hit
+            members[size:size + len(found)] = found
+            size += len(found)
     return np.array(gens, dtype=np.int64)
 
 
 def _light_clean(op, t, gens):
-    """Light's test: (xy)g == x(yg) for every x, y and every generator g.
+    """Light's test on the left nucleus: (gx)y == g(xy) for every x, y and
+    every generator g, over tiles (x, y) with every g at once.
 
-    The elements g that pass for all x, y are closed under op: if c and d
-    pass, (xy)(cd) = ((xy)c)d = (x(yc))d = x((yc)d) = x(y(cd)).  Holding
-    the generators, they are the whole carrier, so op is associative."""
-    n = op.shape[0]
-    flat, tg = t.ravel(), t[:, gens]        # tg[y, k] = y g_k
-    for i, j in _slabs(n, len(gens)):
-        if (tg[op[i, j]] != flat[_row_offsets(i, n) + tg[j]]).any():
+    The left nucleus is closed under op: if c and d are in it,
+    ((cd)x)y = (c(dx))y = c((dx)y) = c(d(xy)) = (cd)(xy).  Holding the
+    generators, it is the whole carrier, so op is associative.  Both sides
+    are row gathers of the compact table: (gx)y reads row gx at y, and
+    g(xy) reads row g at xy."""
+    tg = t[gens]                            # tg[k, x] = g_k x
+    for i, j in _slabs(op.shape[0], len(gens)):
+        if (t[tg[:, i], j] != np.take(tg, op[i, j], axis=1)).any():
             return False
     return True
 
@@ -129,38 +141,39 @@ def _left_distrib_clean(add, s, mul, m, gens):
 
     With + associative, the elements b that pass for all a, c are closed
     under +: a((b+d)+c) = a(b+(d+c)) = ab + (ad + ac) = (ab + ad) + ac =
-    a(b+d) + ac.  Holding the generators, they are the whole carrier."""
+    a(b+d) + ac.  Holding the generators, they are the whole carrier.
+    The left side gathers row a at g+c."""
     n = add.shape[0]
-    sflat, mflat = s.ravel(), m.ravel()
-    sums = s[gens].T                        # sums[c, k] = g_k + c
+    sflat = s.ravel()
+    sums = add[gens].T                      # sums[c, k] = g_k + c
     for a, c in _slabs(n, len(gens)):
         prod = sflat[(mul[a][:, gens] * n)[:, None, :] + mul[a, c][:, :, None]]
-        if (mflat[_row_offsets(a, n) + sums[c]] != prod).any():
+        if (np.take(m[a], sums[c], axis=1) != prod).any():
             return False
     return True
 
 
-def scan_generators(op):
-    """``generators(op)`` where the scans of ``op`` reduce to generators
-    (above one slab), else None."""
-    return generators(op) if op.shape[0] ** 3 > _SCAN_CELLS else None
+def scan_generators(op, *more):
+    """``generators(op, *more)`` where the scans of ``op`` reduce to
+    generators (above one slab), else None."""
+    return generators(op, *more) if op.shape[0] ** 3 > _SCAN_CELLS else None
 
 
 def first_nonassoc(op, gens=None):
     """First triple (i,j,k) with (ij)k != i(jk), or (-1,-1,-1).
 
-    Above one slab, Light's test over ``generators(op)`` (or ``gens``, when
-    the caller has them) comes first; a clean test ends the scan, a failed
-    one falls through to the full scan for the first witness."""
+    Above one slab, Light's test over ``generators(op)`` comes first, or
+    over ``gens`` when the caller has them: ``generators(op, add)`` when op
+    distributes over ``add`` on both sides.  A clean test ends the scan, a
+    failed one falls through to the full scan for the first witness."""
     n = op.shape[0]
     t = compact(op)
     if n ** 3 > _SCAN_CELLS:
         gens = generators(op) if gens is None else gens
         if len(gens) < n and _light_clean(op, t, gens):
             return (-1, -1, -1)
-    flat = t.ravel()
     for i, j in _slabs(n):
-        hit = _first(t[op[i, j]] != flat[_row_offsets(i, n) + op[j]], i, j)
+        hit = _first(t[op[i, j]] != np.take(t[i], op[j], axis=1), i, j)
         if hit:
             return hit
     return (-1, -1, -1)
@@ -197,11 +210,11 @@ def first_nondistrib(add, mul, add_gens=None):
                 and _left_distrib_clean(add, s, mul, m, gens)
                 and (commutative or _left_distrib_clean(add, s, mul.T, m.T, gens))):
             return (-1, -1, -1, -1)
-    sflat, mflat = s.ravel(), m.ravel()
+    sflat = s.ravel()
     # side 0: a(b+c) against ab + ac, indexed [a,b,c]
     for a, b in _slabs(n):
         prod = sflat[(mul[a, b] * n)[:, :, None] + mul[a][:, None, :]]
-        hit = _first(mflat[_row_offsets(a, n) + add[b]] != prod, a, b)
+        hit = _first(np.take(m[a], add[b], axis=1) != prod, a, b)
         if hit:
             return (0, *hit)
     if commutative:

@@ -120,9 +120,12 @@ def validate_structure(names: Sequence[str], zero, one, add, mul) -> FiniteStruc
             "zero is not multiplicatively absorbing", witness=(names[int(bad[0][0])],)
         )
 
-    mul_associative = _kernels.first_nonassoc(mul)[0] < 0
     # + is associative from here on, which the reduced distributivity test needs
     distributive = _kernels.first_nondistrib(add, mul, add_gens)[0] < 0
+    # with (b+c)a = ba + ca the left nucleus of the product is closed under +
+    # as well as under the product, so generators of the semiring suffice
+    mul_gens = _kernels.scan_generators(mul, add) if distributive else None
+    mul_associative = _kernels.first_nonassoc(mul, mul_gens)[0] < 0
     commutative_mul = _kernels.first_noncomm(mul)[0] < 0
     return FiniteStructure(
         names=names,
@@ -295,32 +298,23 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
         raise TNotCentral("one is not a multiplicative unit", witness=(names[structure.one], names[w]))
     for a in sorted(t):
         if not structure.commutative_mul:
-            bad = np.argwhere(mul[a] != mul[:, a])
-            if len(bad):
-                raise TNotCentral(
-                    "tangible does not commute", witness=(names[a], names[int(bad[0][0])])
-                )
+            bad = mul[a] != mul[:, a]
+            if bad.any():
+                raise TNotCentral("tangible does not commute",
+                                  witness=(names[a], names[int(bad.argmax())]))
         if structure.mul_associative:
             continue
-        row = mul[a]
-        p1 = np.argwhere(mul[row, :] != mul[a][mul])
-        if len(p1):
-            b, c = p1[0]
-            raise TNotCentral(
-                "tangible does not associate", witness=(names[a], names[int(b)], names[int(c)])
-            )
-        p2 = np.argwhere(mul[mul[:, a], :] != mul[:, mul[a]])
-        if len(p2):
-            b, c = p2[0]
-            raise TNotCentral(
-                "tangible does not associate", witness=(names[int(b)], names[a], names[int(c)])
-            )
-        p3 = np.argwhere(mul[mul, a] != mul[:, mul[:, a]])
-        if len(p3):
-            b, c = p3[0]
-            raise TNotCentral(
-                "tangible does not associate", witness=(names[int(b)], names[int(c)], names[a])
-            )
+        row, col, whole = mul[a], mul[:, a], slice(0, n)
+        # (ab)c = a(bc), (ba)c = b(ac), (bc)a = b(ca), each as a table over [b, c]
+        for place, law in enumerate((lambda: mul[row] != row[mul],
+                                     lambda: mul[col] != mul[:, row],
+                                     lambda: col[mul] != mul[:, col])):
+            bad = _kernels._first(law(), whole, whole)
+            if bad:
+                triple = [*bad]
+                triple.insert(place, a)
+                raise TNotCentral("tangible does not associate",
+                                  witness=tuple(names[x] for x in triple))
 
     if structure.zero not in a0:
         raise A0NotSubmodule("A0 must contain zero", witness=(names[structure.zero],))

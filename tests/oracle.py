@@ -214,12 +214,13 @@ def first_nondistrib_dense(add, mul):
     return (-1, -1, -1, -1)
 
 
-def closure_loop(op, seeds):
-    """The submagma of (range(n), op) generated by ``seeds``, as a set: add
-    every product of two members until none is new."""
+def closure_loop(op, seeds, *more):
+    """The subalgebra of (range(n), op, *more) generated by ``seeds``, as a
+    set: add every product of two members by every operation until none is
+    new."""
     members = set(int(x) for x in seeds)
     while True:
-        new = {int(op[x][y]) for x in members for y in members} - members
+        new = {int(t[x][y]) for t in (op, *more) for x in members for y in members} - members
         if not new:
             return members
         members |= new
@@ -450,6 +451,48 @@ def validate_pair_dense(structure, tangible, a_zero):
     t_distributive = all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
                          for a in t for b, c in product(range(n), repeat=2))
     return t, a0, t_distributive
+
+
+def tangible_centrality_argwhere(structure, tangible):
+    """The commute and associate loops of ``core.validate_pair`` as they
+    were written with ``np.argwhere`` on every comparison: None, or the
+    TNotCentral they raise, with its witness.  The structure's law flags
+    skip the laws they establish, as in the package."""
+    from pairspec.errors import TNotCentral
+
+    mul, names = structure.mul, structure.names
+    try:
+        for a in sorted(tangible):
+            if not structure.commutative_mul:
+                bad = np.argwhere(mul[a] != mul[:, a])
+                if len(bad):
+                    raise TNotCentral(
+                        "tangible does not commute", witness=(names[a], names[int(bad[0][0])])
+                    )
+            if structure.mul_associative:
+                continue
+            row = mul[a]
+            p1 = np.argwhere(mul[row, :] != mul[a][mul])
+            if len(p1):
+                b, c = p1[0]
+                raise TNotCentral(
+                    "tangible does not associate", witness=(names[a], names[int(b)], names[int(c)])
+                )
+            p2 = np.argwhere(mul[mul[:, a], :] != mul[:, mul[a]])
+            if len(p2):
+                b, c = p2[0]
+                raise TNotCentral(
+                    "tangible does not associate", witness=(names[int(b)], names[a], names[int(c)])
+                )
+            p3 = np.argwhere(mul[mul, a] != mul[:, mul[:, a]])
+            if len(p3):
+                b, c = p3[0]
+                raise TNotCentral(
+                    "tangible does not associate", witness=(names[int(b)], names[int(c)], names[a])
+                )
+    except TNotCentral as exc:
+        return exc
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -450,3 +450,57 @@ def test_validate_pair_matches_dense_on_catalog_quotients_and_doubles(pairs, mon
     assert len(seen) > 2 * len(pairs)
     for case in seen:
         _assert_validate_pair_matches_dense(*case)
+
+
+# -- tangible centrality against the argwhere loop -------------------------------
+
+def _centrality_verdict(structure, tangible, a_zero):
+    """The TNotCentral that validate_pair raises, or None when it passes
+    the commute and associate loops."""
+    try:
+        validate_pair(structure, tangible, a_zero)
+    except TNotCentral as exc:
+        return exc
+    except A0NotSubmodule:      # checked after centrality
+        pass
+    return None
+
+
+def _same_error(got, want):
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert (str(got), got.witness) == (str(want), want.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), cells=st.integers(1, 4), doubled=st.booleans())
+def test_tangible_centrality_witness_matches_the_argwhere_loop(pairs, seed, cells, doubled):
+    """Cells planted off the zero and one rows and columns, and off T x T,
+    break commutativity or associativity with a tangible as often as not;
+    validate_pair names the old loop's first witness."""
+    rng = np.random.default_rng(seed)
+    p = pairs[sorted(pairs)[int(rng.integers(len(pairs)))]]
+    base = double(p) if doubled else p
+    s, tangible = base.structure, base.tangible
+    fixed = {s.zero, s.one}
+    free = [(x, y) for x in range(s.n) for y in range(s.n)
+            if x not in fixed and y not in fixed and not (x in tangible and y in tangible)]
+    if not free:
+        return
+    mul = s.mul.copy()
+    for k in rng.integers(len(free), size=cells):
+        mul[free[k]] = rng.integers(s.n)
+    planted = validate_structure(s.names, s.zero, s.one, s.add, mul)
+    want = oracle.tangible_centrality_argwhere(planted, tangible)
+    _same_error(_centrality_verdict(planted, tangible, {s.zero}), want)
+
+
+def test_non_associative_double_matches_the_argwhere_loop(pairs):
+    """The double of power_massouros_c3: 225 elements and a product that is
+    not associative, so every tangible is scanned for all three laws."""
+    from pairspec.catalog import NAMED_HYPERSTRUCTURES
+    from pairspec.constructions import power_set_pair
+    d = double(power_set_pair(NAMED_HYPERSTRUCTURES["massouros_c3"]()))
+    assert d.n == 225 and not d.structure.mul_associative
+    want = oracle.tangible_centrality_argwhere(d.structure, d.tangible)
+    _same_error(_centrality_verdict(d.structure, d.tangible, d.diag), want)

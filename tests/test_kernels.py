@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from pairspec import _kernels
 from pairspec.constructions import twist_table
+from pairspec.core import validate_structure
 
 
 def _family(kind, n, rng):
@@ -223,16 +224,21 @@ def _ring(n):
     return (idx[:, None] + idx[None, :]) % n, (idx[:, None] * idx[None, :]) % n
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 14), values=st.integers(1, 14))
-def test_generators_are_greedy_and_generate(seed, n, values):
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 14), values=st.integers(1, 14),
+       ops=st.integers(1, 2), cells=st.sampled_from([1, 8, 64, _kernels._SCAN_CELLS]))
+def test_generators_are_greedy_and_generate(seed, n, values, ops, cells):
+    """Closure under one operation, or two at once, in steps of every size
+    down to one product."""
     rng = np.random.default_rng(seed)
-    op = rng.integers(0, min(values, n), (n, n))
-    gens = _kernels.generators(op).tolist()
+    op, *more = rng.integers(0, min(values, n), (ops, n, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_CELLS", cells)
+        gens = _kernels.generators(op, *more).tolist()
     assert gens == sorted(gens) and gens[0] == 0
-    assert oracle.closure_loop(op, gens) == set(range(n))
+    assert oracle.closure_loop(op, gens, *more) == set(range(n))
     for k, g in enumerate(gens):
-        earlier = oracle.closure_loop(op, gens[:k])
+        earlier = oracle.closure_loop(op, gens[:k], *more)
         assert g not in earlier
         # g is the least element outside the closure of the earlier ones
         assert all(x in earlier for x in range(g))
@@ -273,6 +279,86 @@ def test_reduced_scans_keep_the_dense_witness(seed, n, kind, planted, symmetric,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_CELLS", cells)
         _assert_scans_match(add, mul)
+
+
+def _semilattice(n, rng):
+    """Max on a chain, or OR on the largest power of two up to n, relabelled."""
+    idx = np.arange(n)
+    if rng.integers(2):
+        t = np.maximum(idx[:, None], idx[None, :])
+    else:
+        n = 1 << (n.bit_length() - 1)
+        idx = idx[:n]
+        t = idx[:, None] | idx[None, :]
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    return perm[t[inv][:, inv]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 14), values=st.integers(1, 14),
+       kind=st.sampled_from(["random", "semilattice", "ring"]), planted=st.integers(0, 2),
+       cells=st.sampled_from([8, 64, _kernels._SCAN_CELLS]))
+def test_light_test_on_the_left_nucleus_matches_dense_associativity(
+        seed, n, values, kind, planted, cells):
+    """Over the greedy generators, the left-nucleus test is clean exactly
+    when the table is associative, with tiles of whole rows and, at 8
+    cells, tiles of one row and a run of columns."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        op = rng.integers(0, min(values, n), (n, n))
+    elif kind == "semilattice":
+        op = _semilattice(n, rng)
+    else:
+        op = _ring(n)[1]
+    op = _plant(op, rng, planted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_CELLS", cells)
+        clean = _kernels._light_clean(op, _kernels.compact(op), _kernels.generators(op))
+    assert clean == (oracle.first_nonassoc_dense(op) == (-1, -1, -1))
+
+
+def _xor_bilinear(k, kind, rng):
+    """(Z/2)^k with XOR as + and a bilinear product, so both distributive
+    laws hold.  and: bitwise AND; poly: GF(2)[x] multiplication truncated
+    below x^k; both associative.  poly_planted: poly with the product of
+    two basis vectors replaced at random; random: random products of the
+    basis vectors.  The last two are, as a rule, not associative."""
+    n = 1 << k
+    idx = np.arange(n)
+    bits = (idx[:, None] >> np.arange(k)) & 1
+    basis = (1 << np.add.outer(np.arange(k), np.arange(k))) & (n - 1)
+    if kind == "and":
+        basis = np.where(np.eye(k, dtype=bool), 1 << np.arange(k)[:, None], 0)
+    elif kind == "random":
+        basis = rng.integers(0, n, (k, k))
+    elif kind == "poly_planted":
+        basis[rng.integers(k), rng.integers(k)] = rng.integers(n)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            mul ^= np.outer(bits[:, i], bits[:, j]) * basis[i, j]
+    return idx[:, None] ^ idx[None, :], mul
+
+
+@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("kind", ["and", "poly", "poly_planted", "random"])
+@pytest.mark.parametrize("seed", range(3))
+def test_semiring_generators_decide_associativity_of_distributive_products(k, kind, seed):
+    """Once both distributive laws hold, the left nucleus is closed under +
+    too, so Light's test may run over generators of (A, *, +): at most
+    k + 1 of them here.  Verdict and witness stay the dense formula's."""
+    add, mul = _xor_bilinear(k, kind, np.random.default_rng(seed))
+    assert _kernels.first_nondistrib(add, mul) == (-1, -1, -1, -1)
+    gens = _kernels.generators(mul, add)
+    assert len(gens) <= k + 1
+    want = oracle.first_nonassoc_dense(mul)
+    assert _kernels.first_nonassoc(mul, gens) == want
+    if kind in ("and", "poly"):
+        assert want == (-1, -1, -1)
+    structure = validate_structure([str(i) for i in range(1 << k)], 0, 1, add, mul)
+    assert structure.distributive
+    assert structure.mul_associative == (want == (-1, -1, -1))
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -340,6 +426,22 @@ def test_reduced_scan_memory_does_not_grow_with_n(monkeypatch):
         tracemalloc.stop()
     assert set(depths) == {2}
     assert peak < 4 * 2**20, peak
+
+
+def test_validate_structure_runs_light_over_semiring_generators(pairs, monkeypatch):
+    """The 256-element double of function_pair(minbp_c2_first, sat2): its
+    product needs 43 generators alone and 4 together with +, and Light's
+    test of the product runs over those 4."""
+    from pairspec.constructions import double, function_pair
+    from pairspec.monoids import saturating_monoid
+    s = double(function_pair(pairs["minbp_c2_first"], saturating_monoid(2))).structure
+    assert s.n == 256 and s.distributive and s.mul_associative
+    assert len(_kernels.generators(s.mul)) == 43
+    assert _kernels.generators(s.mul, s.add).tolist() == [0, 1, 2, 4]
+    depths = _counting_slabs(monkeypatch)
+    again = validate_structure(s.names, s.zero, s.one, s.add, s.mul)
+    assert (again.distributive, again.mul_associative) == (True, True)
+    assert None not in depths and depths[-1] == 4
 
 
 # -- congruence kernels ----------------------------------------------------------
