@@ -270,6 +270,18 @@ def closure_roots(add, mul, gens):
     return [find(i) for i in range(n)]
 
 
+def translate_mismatch(add, mul, roots):
+    """mismatch[k, x]: row k of the root matrix ``roots`` puts some x+c, xc
+    or cx in another block than the same translate of x's root."""
+    r = np.asarray(roots)
+    at_root = np.arange(len(r))[:, None], r
+    out = np.zeros(r.shape, dtype=bool)
+    for t in (add, mul, mul.T):
+        blocks = r[:, t]                    # blocks[k, x, c]: the block of x op c in row k
+        out |= (blocks != blocks[at_root]).any(axis=2)
+    return out
+
+
 def congruence_violation(add, mul, roots):
     """First (x, y, c, kind) witnessing that the partition with root vector
     ``roots`` (each element's least block-mate) is not a congruence.
@@ -278,22 +290,17 @@ def congruence_violation(add, mul, roots):
     With blocks in order of least member and pairs in lexicographic order,
     the first violating pair is (least member x of the first block with a
     member whose rows differ from x's, least such member y).  Each element's
-    rows are compared with its block's least member's, n^2 cells at a time.
+    rows are compared with its block's least member's by ``translate_mismatch``.
     """
     n = add.shape[0]
     rep = np.asarray(roots, dtype=np.int64)
     lab = compact(rep)
-    tables = (add, mul, mul.T)
-    bad = np.zeros(n, dtype=bool)
-    for t in tables:
-        blocks = lab[t]
-        bad |= (blocks != blocks[rep]).any(axis=1)
-    ys = np.nonzero(bad)[0]
+    ys = np.flatnonzero(translate_mismatch(add, mul, lab[None])[0])
     if not len(ys):
         return (-1, -1, -1, -1)
     y = int(ys[np.argmin(rep[ys] * n + ys)])
     x = int(rep[y])
-    for kind, t in enumerate(tables):
+    for kind, t in enumerate((add, mul, mul.T)):
         d = lab[t[y]] != lab[t[x]]
         if d.any():
             return (x, y, int(d.argmax()), kind)
@@ -301,6 +308,11 @@ def congruence_violation(add, mul, roots):
 
 # Most cells one temporary of the refinement order may hold.
 _LEQ_CELLS = 1 << 22
+
+# Most cells (rows times cells per row) one step of a bulk pass over a root
+# matrix takes: ``congruences.are_congruences`` and the harness's row tests
+# and bulk meets.
+ROW_CELLS = 1 << 18
 
 
 def refinement_order(roots):

@@ -113,6 +113,16 @@ def is_congruence(pair: Pair, partition) -> tuple[bool, Optional[dict]]:
     }
 
 
+def are_congruences(pair: Pair, roots) -> np.ndarray:
+    """``is_congruence`` of each row of a root matrix, in blocks of at most
+    ``_kernels.ROW_CELLS`` cells."""
+    r = np.asarray(roots)
+    step = max(1, _kernels.ROW_CELLS // pair.n ** 2)
+    mismatch = [_kernels.translate_mismatch(pair.add, pair.mul, r[lo:lo + step]).any(axis=1)
+                for lo in range(0, len(r), step)]
+    return ~np.concatenate(mismatch)
+
+
 def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the generator pairs.
 
@@ -156,7 +166,26 @@ def join(c1: Congruence, c2: Congruence) -> Congruence:
 
 def meet(c1: Congruence, c2: Congruence) -> Congruence:
     """Common refinement: x and y share a block of both."""
-    return Congruence.from_labels(c1.pair, zip(c1.roots, c2.roots))
+    return Congruence(pair=c1.pair, roots=tuple(meets(c1.roots, c2.roots).tolist()))
+
+
+def meets(r1, r2) -> np.ndarray:
+    """Bulk meet: row k is the root vector of the common refinement of rows
+    k of the root matrices ``r1`` and ``r2`` (broadcast; ``meet`` is the
+    one-row case).  x's root is the least y with x's key (r1[y], r2[y]): a
+    stable sort of the keys, taken in ``int64`` so that compact rows do not
+    overflow, puts each block in one run, least member first."""
+    a, b = np.broadcast_arrays(np.asarray(r1), np.asarray(r2))
+    n = a.shape[-1]
+    key = a.astype(np.int64) * n + b
+    order = np.argsort(key, axis=-1, kind="stable")
+    run = np.take_along_axis(key, order, axis=-1)
+    start = np.ones(run.shape, dtype=bool)
+    start[..., 1:] = run[..., 1:] != run[..., :-1]
+    first = np.maximum.accumulate(np.where(start, np.arange(n), 0), axis=-1)
+    out = np.empty_like(order)
+    np.put_along_axis(out, order, np.take_along_axis(order, first, axis=-1), axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -313,8 +342,13 @@ class CongruenceLattice:
         return {r.tobytes(): i for i, r in enumerate(self.roots)}
 
     def find(self, cong: Congruence) -> int:
+        return int(self.find_rows([cong.roots])[0])
+
+    def find_rows(self, rows) -> np.ndarray:
+        """The index of each root vector of ``rows``."""
         try:
-            return self._index[np.asarray(cong.roots, dtype=self.roots.dtype).tobytes()]
+            return np.array([self._index[r.tobytes()]
+                             for r in np.asarray(rows, dtype=self.roots.dtype)], dtype=np.intp)
         except KeyError:
             raise KeyError("congruence not present in the lattice") from None
 
@@ -343,9 +377,6 @@ class CongruenceLattice:
     @property
     def top(self) -> int:
         return self.find(all_relation(self.pair))
-
-    def meet_index(self, i: int, j: int) -> int:
-        return self.find(meet(self[i], self[j]))
 
 
 def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLattice:

@@ -877,3 +877,191 @@ def without_1e_loop(pair, lattice, classes, flagged):
         if flagged(c) and not lattice[i].related(pair.one, e):
             return {"blocks": lattice[i].block_labels()}
     return None
+
+
+
+# ---------------------------------------------------------------------------
+# the harness's loops over lattice members and carrier elements
+# ---------------------------------------------------------------------------
+#
+# The per-member and per-element loops the array checks of ``verify``
+# replaced.  Each returns the counterexample of its check, or None.  Members
+# are given as rows of root vectors; ``lattice[i].block_labels()`` only
+# prints member i.
+
+def meet_by_definition(a, b) -> tuple[int, ...]:
+    """Common refinement of two partitions given by labels, as roots."""
+    return roots_of(list(zip(a, b)))
+
+
+def join_by_definition(a, b) -> tuple[int, ...]:
+    """Finest partition coarser than both, by merging labels until no block
+    of either partition is split."""
+    lab = list(range(len(a)))
+    changed = True
+    while changed:
+        changed = False
+        for part in (a, b):
+            for x in range(len(a)):
+                for y in range(len(a)):
+                    if part[x] == part[y] and lab[x] != lab[y]:
+                        lab[x] = lab[y] = min(lab[x], lab[y])
+                        changed = True
+    return roots_of(lab)
+
+
+def bf_part_i_loop(pair, lattice, rows):
+    """BF part i: the first member that some twist product of a pair of
+    A x A with one of its pairs escapes."""
+    n = pair.n
+    full = (np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
+    for i, r in enumerate(rows):
+        member = np.asarray(r)[:, None] == np.asarray(r)[None, :]
+        if not _twist_inside(pair.add, pair.mul, full, _member_pairs(r), member):
+            return {"part": "i", "blocks": lattice[i].block_labels()}
+    return None
+
+
+def bf_meets_loop(lattice, rows, flags, part):
+    """BF part iii (iv): the first flagged (i, j) whose meet, looked up among
+    the members, is not flagged."""
+    index = {tuple(r): k for k, r in enumerate(rows)}
+    flagged = [i for i in range(len(rows)) if flags[i]]
+    for i in flagged:
+        for j in flagged:
+            if not flags[index[meet_by_definition(rows[i], rows[j])]]:
+                return {"part": part, "i": lattice[i].block_labels(),
+                        "j": lattice[j].block_labels()}
+    return None
+
+
+def bf_part_v_loop(rows, leq):
+    """BF part v: over the pairs i <= j of ``leq``, the join of i and j must
+    be j, then their meet i."""
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if leq[i][j]:
+                if join_by_definition(rows[i], rows[j]) != tuple(rows[j]):
+                    return {"part": "v", "join_mismatch": True}
+                if meet_by_definition(rows[i], rows[j]) != tuple(rows[i]):
+                    return {"part": "v", "meet_mismatch": True}
+    return None
+
+
+def prs1_loop(pair, lattice, rows, radical):
+    """PRS1 over the radical members: part i over every b, then part ii."""
+    add, mul, one, names = pair.add, pair.mul, pair.one, pair.names
+    for i in radical:
+        r = rows[i]
+        for b1 in range(pair.n):
+            for b2 in range(pair.n):
+                p, q = twist_bruteforce(add, mul, (b1, b2), (b2, b1))
+                if r[p] == r[q] and r[b1] != r[b2]:
+                    return {"part": "i", "blocks": lattice[i].block_labels(),
+                            "b": (names[b1], names[b2])}
+        for b in range(pair.n):
+            if (r[one] == r[b]) != (r[add[one][mul[b][b]]] == r[add[b][b]]):
+                return {"part": "ii", "blocks": lattice[i].block_labels(), "b": names[b]}
+    return None
+
+
+def pro3_loop(pair, lattice, rows):
+    """PRO3: a member relating e and e^2 that relates some a to a c of A*e
+    must relate a and ae."""
+    e, mul = pair.property_n.e, pair.mul
+    ae = {int(x) for x in mul[:, e]}
+    for i, r in enumerate(rows):
+        if r[e] != r[mul[e][e]]:
+            continue
+        for a in range(pair.n):
+            for c in range(pair.n):
+                if c in ae and r[a] == r[c] and r[a] != r[mul[a][e]]:
+                    return {"blocks": lattice[i].block_labels(),
+                            "a": pair.names[a], "c": pair.names[c]}
+    return None
+
+
+def shallow1k_loop(pair, lattice, rows, proper):
+    """SHALLOW1K: a proper member relating two tangibles relates them only
+    when their sum is in A0."""
+    for i in proper:
+        r = rows[i]
+        for a1 in sorted(pair.tangible):
+            for a2 in sorted(pair.tangible):
+                s = int(pair.add[a1][a2])
+                if r[a1] == r[a2] and s not in pair.a_zero:
+                    return {"blocks": lattice[i].block_labels(), "a1": pair.names[a1],
+                            "a2": pair.names[a2], "sum": pair.names[s]}
+    return None
+
+
+def chains_part_ii_loop(leq, proper):
+    """CHAINS part ii: the first proper member below no maximal proper one,
+    the maximal ones read off ``leq`` by definition."""
+    maximal = [i for i in proper if not any(leq[i][j] for j in proper if j != i)]
+    for i in proper:
+        if not any(leq[i][j] for j in maximal):
+            return i
+    return None
+
+
+def chains_part_iii_loop(pair, twist):
+    """CHAINS part iii: every twist product (by ``twist``) of two very
+    improper pairs (a, b), a + b = a in T x A0, is very improper."""
+    names = pair.names
+    very = [(a, b) for a in sorted(pair.tangible) for b in sorted(pair.a_zero)
+            if pair.add[a, b] == a]
+    for x in very:
+        for y in very:
+            p, q = twist(pair, x, y)
+            if not (p in pair.tangible and q in pair.a_zero and pair.add[p, q] == p):
+                return {"part": "iii", "x": (names[x[0]], names[x[1]]),
+                        "y": (names[y[0]], names[y[1]]), "product": (names[p], names[q])}
+    return None
+
+
+def gen_loop(pair, twist):
+    """GEN: (b1, b2)(z, z) = ((b1+b2)z, (b1+b2)z) by ``twist`` over [b1, b2, z]."""
+    names = pair.names
+    for b1 in range(pair.n):
+        for b2 in range(pair.n):
+            for z in range(pair.n):
+                got = twist(pair, (b1, b2), (z, z))
+                want = int(pair.mul[pair.add[b1][b2]][z])
+                if got != (want, want):
+                    return {"b": (names[b1], names[b2]), "z": names[z],
+                            "product": (names[got[0]], names[got[1]]), "expected": names[want]}
+    return None
+
+
+def emul_loop(pair):
+    """EMUL: x -> xe respects + and * at each (x, y), additive first; then
+    each image element is idempotent, then fixed by e on both sides."""
+    add, mul, e, names = pair.add, pair.mul, pair.property_n.e, pair.names
+    proj = [int(mul[x][e]) for x in range(pair.n)]
+    for x in range(pair.n):
+        for y in range(pair.n):
+            if proj[add[x][y]] != add[proj[x]][proj[y]]:
+                return {"kind": "not_additive", "x": names[x], "y": names[y]}
+            if proj[mul[x][y]] != mul[proj[x]][proj[y]]:
+                return {"kind": "not_multiplicative", "x": names[x], "y": names[y]}
+    for x in sorted(set(proj)):
+        if add[x][x] != x:
+            return {"kind": "image_not_idempotent", "x": names[x]}
+        if mul[x][e] != x or mul[e][x] != x:
+            return {"kind": "e_not_unit", "x": names[x]}
+    return None
+
+
+def esq_loop(pair):
+    """ESQ: e^2 = e + e, then e(b1 + b2) = eb1 + eb2 over b1, b2 in A0."""
+    add, mul, e, names = pair.add, pair.mul, pair.property_n.e, pair.names
+    if mul[e][e] != add[e][e]:
+        return {"e_squared": names[mul[e][e]], "e_plus_e": names[add[e][e]]}
+    for b1 in sorted(pair.a_zero):
+        for b2 in sorted(pair.a_zero):
+            lhs, rhs = int(mul[e][add[b1][b2]]), int(add[mul[e][b1]][mul[e][b2]])
+            if lhs != rhs:
+                return {"b1": names[b1], "b2": names[b2],
+                        "e(b1+b2)": names[lhs], "eb1+eb2": names[rhs]}
+    return None

@@ -1,12 +1,14 @@
 """Congruence closure, the principal-candidate relation, and the lattice."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pairspec import catalog
+from pairspec import _kernels, catalog
 from pairspec.congruences import (
     Congruence,
     all_relation,
@@ -18,6 +20,7 @@ from pairspec.congruences import (
     is_congruence,
     join,
     meet,
+    meets,
     relation_to_congruence,
 )
 from pairspec.core import e_type, validate_pair, validate_structure
@@ -358,9 +361,40 @@ def test_meet_join_basics(sb):
     d = lat[lat.bottom]
     assert meet(phi, d).block_of == d.block_of
     assert join(phi, phi).block_of == phi.block_of
-    i = lat.find(phi)
-    assert lat[lat.meet_index(i, lat.top)].block_of == phi.block_of
+    i, top = lat.find(phi), lat.roots[[lat.top]]
+    assert lat[lat.find_rows(meets(lat.roots[i], top))[0]].block_of == phi.block_of
     assert lat.find(join(phi, lat[lat.top])) == lat.top
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([1, 2, 5, 9, 255, 256, 257]),
+       k=st.integers(1, 4))
+def test_meets_is_the_common_refinement(seed, n, k):
+    """Bulk meets of random partitions, held as the lattice holds them:
+    uint8 up to 256 elements (where a key r1 * n + r2 overflows a uint8),
+    uint16 above."""
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        labels = rng.integers(0, rng.integers(1, n + 1, size=(k, 1)), size=(k, n))
+        return _kernels.compact(np.array([oracle.roots_of(r) for r in labels.tolist()]))
+
+    r1, r2 = rows(), rows()
+    assert r1.dtype == (np.uint8 if n <= 256 else np.uint16)
+    tracemalloc.start()
+    got = meets(r1, r2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert [tuple(m) for m in got.tolist()] == [
+        oracle.meet_by_definition(a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+    # one row against many, and meet as the one-row case
+    assert (meets(r1[0], r2) == meets(r1[[0] * k], r2)).all()
+    c1, c2 = (Congruence(pair=None, roots=tuple(r[0].tolist())) for r in (r1, r2))
+    assert meet(c1, c2).roots == tuple(got[0].tolist())
+    # temporaries hold a few int64 cells per row and element (16 at most
+    # here), never n^2
+    if n >= 255:
+        assert peak < 16 * 8 * r1.size, peak
 
 
 def test_find_rejects_non_members(sb, pairs):
@@ -422,7 +456,7 @@ def test_meet_join_are_bounds(pairs):
 
         for i in range(m):
             for j in range(m):
-                lo = lat[lat.meet_index(i, j)]
+                lo = lat[lat.find_rows(meets(lat.roots[i], lat.roots[[j]]))[0]]
                 hi = lat[lat.find(join(lat[i], lat[j]))]
                 assert le(lo, lat[i]) and le(lo, lat[j])
                 assert le(lat[i], hi) and le(lat[j], hi)

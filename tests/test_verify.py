@@ -1,6 +1,7 @@
 """The law harness: hypothesis gating, pass/fail reporting, re-verification."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pairspec import verify
+from pairspec import _kernels, verify
 from pairspec._kernels import first_nonassoc
-from pairspec.congruences import cong_b
+from pairspec.congruences import Congruence, CongruenceLattice, cong_b, is_congruence
 from pairspec.constructions import double, minimal_bipotent, quotient_pair
 from pairspec.core import (
     FiniteStructure,
+    PropertyNWitness,
     classify_pair,
     positive_e_type,
     validate_pair,
@@ -317,9 +319,17 @@ def _twass(pair):
     return r.hypotheses_held, r.passed, r.counterexample, r.notes
 
 
+def _zero_triple(pair):
+    """Three times (0, 0): it associates in every pair, so as a claimed
+    TWASS counterexample it is fabricated."""
+    zero = pair.names[pair.zero]
+    return {"triple": [f"({zero},{zero})"] * 3}
+
+
 def test_twass_matches_doubled_pair_on_catalog(pairs):
     for name, p in pairs.items():
         assert _twass(p) == _twass_by_double(p), name
+        assert not reverify_counterexample(p, "TWASS", _zero_triple(p)), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,6 +344,7 @@ def test_twass_matches_doubled_pair_on_random_tables(seed, n):
         assert got == _twass_by_double(p)
         if got[1] is False:
             assert reverify_counterexample(p, "TWASS", got[2])
+        assert not reverify_counterexample(p, "TWASS", _zero_triple(p))
 
 
 def test_reports_serialize(sb):
@@ -436,6 +447,21 @@ def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
     assert after == before
 
 
+def _planted_twist(bad, value):
+    """``_kernels.twist`` with the product of each planted ((x1, y1), (x2, y2))
+    of ``bad`` set to (value, value), on index arrays or scalars alike."""
+    real = _kernels.twist
+
+    def fake(add, mul, x1, y1, x2, y2):
+        p, q = real(add, mul, x1, y1, x2, y2)
+        keys = np.broadcast_arrays(x1, y1, x2, y2)
+        hit = np.zeros(np.shape(p), dtype=bool)
+        for (a1, b1), (a2, b2) in bad:
+            hit |= (keys[0] == a1) & (keys[1] == b1) & (keys[2] == a2) & (keys[3] == b2)
+        return np.where(hit, value, p), np.where(hit, value, q)
+    return fake
+
+
 def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
     """The very improper pairs are those of the lattice union, in the same
     order: planted twist failures give the old loop's first counterexample."""
@@ -451,12 +477,298 @@ def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
         bad = {(x, y) for x in very for y in very if rng.random() < 0.2}
         if not bad:
             continue
-        first = next((x, y) for x in very for y in very if (x, y) in bad)
-        monkeypatch.setattr(verify, "twist", lambda pair, x, y: (
-            (pair.zero, pair.zero) if (x, y) in bad else twist(pair, x, y)))
+        monkeypatch.setattr(_kernels, "twist", _planted_twist(bad, p.zero))
         cx = CHECKS["CHAINS"](a)[2]
+        want = oracle.chains_part_iii_loop(p, twist)
         monkeypatch.undo()
         if cx["part"] == "iii":
-            assert (cx["x"], cx["y"]) == tuple(verify._names(p, *z) for z in first), p.name
+            assert cx == want, p.name
             planted += 1
     assert planted
+
+
+# -- the array checks against the loops they replaced ----------------------------------
+
+def _roots_rows(lattice):
+    return [tuple(r) for r in lattice.roots.tolist()]
+
+
+def _planted_lattice(pair, rows, plant):
+    """The rows with row k replaced by the root vector ``plant[k]``, as a
+    lattice object (its rows need not be congruences)."""
+    rows = [plant.get(k, r) for k, r in enumerate(rows)]
+    return rows, CongruenceLattice(pair=pair, roots=_kernels.compact(np.array(rows)))
+
+
+def _random_partitions(rng, n, count, merge=()):
+    """Random partitions of range(n) as root vectors; the elements of
+    ``merge`` share a block."""
+    out = []
+    for _ in range(count):
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        labels[list(merge)] = labels[merge[0]] if merge else 0
+        out.append(oracle.roots_of(labels.tolist()))
+    return out
+
+
+def test_bf_part_i_matches_twist_loop(pairs, monkeypatch):
+    """Rows that are no congruences, planted in the lattice: the twist scan
+    over the rows failing the bulk congruence test finds the loop's first
+    failing row, passing over rows that fail the test but not part i."""
+    rng = np.random.default_rng(11)
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, _ = a.lattice, a.classes
+        rows = _roots_rows(lat)
+        others = [r for r in _random_partitions(rng, p.n, 40)
+                  if not is_congruence(p, Congruence(pair=p, roots=r))[0]]
+        passing = [r for r in others if oracle.bf_part_i_loop(p, lat, [r]) is None]
+        failing = [r for r in others if r not in passing]
+        m = len(rows)
+        plants = [{}] + [{k: r} for r in failing[:1] for k in (0, m // 2, m - 1)]
+        plants += [{0: x, m - 1: r} for x in passing[:1] for r in failing[:1]]
+        for plant in plants:
+            fake_rows, fake = _planted_lattice(p, rows, plant)
+            monkeypatch.setattr(a, "lattice", fake)
+            want = oracle.bf_part_i_loop(p, fake, fake_rows)
+            assert CHECKS["BF"](a)[2] == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+
+
+def _with(c, flag, value):
+    """A classification with ``flag`` set to ``value``; for semiprime, prime
+    follows as semiprime and irreducible, so BF part ii still holds."""
+    if flag == "semiprime":
+        return replace(c, semiprime=value, prime=value and c.irreducible)
+    return replace(c, **{flag: value})
+
+
+def test_bf_meets_match_meet_loops(pairs, monkeypatch):
+    """BF parts iii and iv with semiprime (radical) flags planted on or off:
+    the bulk meets give the first (i, j) of the loop over all pairs."""
+    planted = {"iii": 0, "iv": 0}
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, cls = a.lattice, a.classes
+        rows = _roots_rows(lat)
+        for part, flag in (("iii", "semiprime"), ("iv", "radical")):
+            on = [i for i, c in enumerate(cls) if getattr(c, flag)]
+            off = [i for i, c in enumerate(cls) if not getattr(c, flag)]
+            for value, chosen in ((True, []), (True, off[:1]), (True, off[-2:]),
+                                  (True, off[1::2]), (False, on[-1:]), (False, on[1:2])):
+                fake = tuple(_with(c, flag, value) if i in chosen else c for i, c in enumerate(cls))
+                monkeypatch.setattr(a, "classes", fake)
+                want = oracle.bf_meets_loop(lat, rows, [getattr(c, flag) for c in fake], part)
+                assert CHECKS["BF"](a)[2] == want, (p.name, part, value, chosen)
+                planted[part] += want is not None
+    assert all(planted.values()), planted
+
+
+def test_bf_part_v_matches_join_meet_loop(pairs, monkeypatch):
+    """BF part v with cells of ``leq`` flipped: a false i <= j shows as a
+    join mismatch, as in the loop that built both the join and the meet."""
+    rng = np.random.default_rng(3)
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, _ = a.lattice, a.classes
+        rows, m = _roots_rows(lat), len(lat)
+        for rate in (0.0, 0.05, 0.3):
+            flip = rng.random((m, m)) < rate
+            for fake in (lat.leq | flip, lat.leq & ~flip):
+                monkeypatch.setitem(lat.__dict__, "leq", fake)
+                want = oracle.bf_part_v_loop(rows, fake)
+                assert CHECKS["BF"](a)[2] == want, (p.name, rate)
+                planted += want is not None
+    assert planted
+
+
+def test_prs1_matches_member_loop(pairs, monkeypatch):
+    """PRS1 with members called radical: real members, and random
+    partitions planted in the lattice."""
+    rng = np.random.default_rng(19)
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, cls = a.lattice, a.classes
+        rows, m = _roots_rows(lat), len(lat)
+        others = [i for i, c in enumerate(cls) if not c.radical]
+        plants = [{}] * 4 + [dict(zip(rng.choice(m, size=min(m, 3), replace=False).tolist(),
+                                      _random_partitions(rng, p.n, 3))) for _ in range(3)]
+        # a row failing part ii alone, ahead of one failing part i
+        by_part = {}
+        for r in _random_partitions(rng, p.n, 60):
+            cx = oracle.prs1_loop(p, _planted_lattice(p, [r], {})[1], [r], [0])
+            by_part.setdefault(cx and cx["part"], r)
+        if m > 1 and "i" in by_part and "ii" in by_part:
+            plants.append({0: by_part["ii"], 1: by_part["i"]})
+        chosen_sets = ([], others[:1], others[-1:], others[1::2]) + (others,) * 4
+        for chosen, plant in zip(chosen_sets, plants):
+            fake_rows, fake = _planted_lattice(p, rows, plant)
+            called = set(chosen) | set(plant)
+            fake_cls = tuple(replace(c, radical=True) if i in called else c
+                             for i, c in enumerate(cls))
+            monkeypatch.setattr(a, "lattice", fake)
+            monkeypatch.setattr(a, "classes", fake_cls)
+            radical = [i for i, c in enumerate(fake_cls) if c.radical]
+            want = oracle.prs1_loop(p, fake, fake_rows, radical)
+            assert CHECKS["PRS1"](a)[2] == want, (p.name, chosen, plant)
+            planted += want is not None
+    assert planted
+
+
+def test_pro3_matches_member_loop(pairs, monkeypatch):
+    """PRO3 over lattices with random partitions planted, half of them
+    relating e and e^2."""
+    rng = np.random.default_rng(7)
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        if not a.cls.e_central:
+            continue
+        e = p.property_n.e
+        rows, m = _roots_rows(a.lattice), len(a.lattice)
+        extra = (_random_partitions(rng, p.n, 3)
+                 + _random_partitions(rng, p.n, 3, merge=(e, int(p.mul[e, e]))))
+        for plant in ({}, dict(zip((0, m // 2, m - 1), extra[:3])),
+                      dict(zip((1, m - 1), extra[3:]))):
+            fake_rows, fake = _planted_lattice(p, rows, plant)
+            monkeypatch.setattr(a, "lattice", fake)
+            want = oracle.pro3_loop(p, fake, fake_rows)
+            assert CHECKS["PRO3"](a)[2] == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+
+
+def test_shallow1k_matches_member_loop(pairs, monkeypatch):
+    """SHALLOW1K over lattices with random partitions planted and called
+    proper: on the catalog pairs where it applies, and on random tables with
+    random tangibles and the hypotheses forced."""
+    rng = np.random.default_rng(9)
+    randoms = []
+    for n in range(2, 7):
+        for _ in range(8):
+            p = _random_pair(rng, n)
+            randoms.append(replace(p, tangible=frozenset(rng.choice(n, 2).tolist()) - {0}))
+    monkeypatch.setattr(FiniteStructure, "is_semiring", lambda self: True)
+    planted = 0
+    for forced, p in [(False, p) for p in pairs.values()] + [(True, p) for p in randoms]:
+        a = Analysis(p, None)
+        if forced:
+            monkeypatch.setattr(a, "cls", SimpleNamespace(shallow=True, kind="first"))
+        elif not CHECKS["SHALLOW1K"](a)[0]:
+            continue
+        lat, cls = a.lattice, a.classes
+        rows, m = _roots_rows(lat), len(lat)
+        for k in range(4):
+            plant = dict(zip(rng.choice(m, size=min(m, k), replace=False).tolist(),
+                             _random_partitions(rng, p.n, k)))
+            fake_rows, fake = _planted_lattice(p, rows, plant)
+            fake_cls = tuple(replace(c, proper=True) if i in plant else c
+                             for i, c in enumerate(cls))
+            monkeypatch.setattr(a, "lattice", fake)
+            monkeypatch.setattr(a, "classes", fake_cls)
+            proper = [i for i, c in enumerate(fake_cls) if c.proper]
+            want = oracle.shallow1k_loop(p, fake, fake_rows, proper)
+            assert CHECKS["SHALLOW1K"](a)[2] == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+
+
+def test_chains_part_ii_matches_maximal_loop(pairs, monkeypatch):
+    """CHAINS part ii with ``leq`` perturbed among the proper members: a
+    cycle i <= j <= i cut off from everything else puts both below no
+    maximal proper member."""
+    rng = np.random.default_rng(5)
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, _ = a.lattice, a.classes
+        proper = a.having("proper")
+        pairs_ij = [(i, j) for i in proper for j in proper if i != j and lat.leq[i, j]]
+        fakes = [lat.leq.copy()]
+        for i, j in pairs_ij[:1] + pairs_ij[-1:]:
+            fake = lat.leq.copy()
+            fake[[i, j]] = False
+            fake[i, i] = fake[j, j] = fake[i, j] = fake[j, i] = True
+            fakes.append(fake)
+        noise = lat.leq ^ (rng.random(lat.leq.shape) < 0.1)
+        fakes.append(noise)
+        for fake in fakes:
+            monkeypatch.setitem(lat.__dict__, "leq", fake)
+            cx = CHECKS["CHAINS"](a)[2]
+            got = cx if cx is not None and cx["part"] == "ii" else None
+            hit = oracle.chains_part_ii_loop(fake, proper)
+            want = None if hit is None else {"part": "ii", "blocks": lat[hit].block_labels()}
+            assert got == want, p.name
+            planted += want is not None
+    assert planted
+
+
+def test_gen_matches_element_loop(pairs, monkeypatch):
+    """GEN with twist products planted off the diagonal rule."""
+    rng = np.random.default_rng(13)
+    planted = 0
+    for p in pairs.values():
+        if not p.structure.distributive:
+            continue
+        a = Analysis(p, None)
+        cells = [((b1, b2), (z, z)) for b1 in range(p.n) for b2 in range(p.n) for z in range(p.n)]
+        for rate in (0.0, 0.01, 0.2):
+            bad = {c for c in cells if rng.random() < rate}
+            monkeypatch.setattr(_kernels, "twist", _planted_twist(bad, p.one))
+            want = oracle.gen_loop(p, twist)
+            assert CHECKS["GEN"](a)[2] == want, (p.name, rate)
+            planted += want is not None
+            monkeypatch.undo()
+    assert planted
+
+
+def test_emul_and_esq_match_element_loops(pairs, monkeypatch):
+    """EMUL and ESQ on the catalog, and on random tables with a random e and
+    the hypotheses forced."""
+    rng = np.random.default_rng(17)
+    randoms = []
+    for n in range(2, 7):
+        for _ in range(12):
+            p = _random_pair(rng, n)
+            e = int(rng.integers(n))
+            randoms.append(replace(p, property_n=PropertyNWitness(p.one, e, frozenset({p.one})),
+                                   a_zero=frozenset(rng.choice(n, 3).tolist()) | {0}))
+    planted = {"EMUL": 0, "ESQ": 0}
+    for p in [*pairs.values(), *randoms]:
+        if p.property_n is None:
+            continue
+        a = Analysis(p, None)
+        monkeypatch.setattr(a, "cls", SimpleNamespace(e_central=True, e_idempotent=True,
+                                                      e_distributive=True))
+        for check, loop in (("EMUL", oracle.emul_loop), ("ESQ", oracle.esq_loop)):
+            want = loop(p)
+            assert CHECKS[check](a)[2] == want, (p.name, check)
+            planted[check] += want is not None
+    assert all(planted.values()), planted
+
+
+# -- block lists that do not partition the carrier ---------------------------------------
+
+_MALFORMED = {
+    "missing": [["1"], ["e"]],
+    "repeated": [["0"], ["1", "e"], ["0"]],
+    "unknown": [["0"], ["1", "e"], ["x"]],
+}
+
+# each id whose reverifier reads "blocks", with the other fields it reads
+_BLOCK_READERS = {
+    "BF": {"part": "i"}, "CHAINS": {"part": "ii"}, "CP": {}, "ID1": {"kind": "not_degenerate"},
+    "PRO3": {"a": "1", "c": "e"}, "PRO3C": {}, "PRS1": {"part": "ii", "b": "1"},
+    "PRS2": {"part": "i"}, "RD1": {}, "SHALLOW1K": {"a1": "1", "a2": "e"}, "SP2": {"part": "ii"},
+    "TR1": {"kind": "e_image_not_congruence"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+def test_reverify_rejects_malformed_blocks(sb, shape):
+    for cid, fields in _BLOCK_READERS.items():
+        assert not reverify_counterexample(sb, cid, {**fields, "blocks": _MALFORMED[shape]}), cid
