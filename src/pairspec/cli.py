@@ -125,6 +125,8 @@ def validate(file):
             pair, negation = dsl.build_pair(parsed)
     except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
+    except CarrierTooLarge as exc:
+        _fail(exc, EXIT_CAP)
     if isinstance(parsed, dsl.HyperFile):
         _echo(dsl.serialize({
             "name": hyper.name,

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import _tiles, _twist_chunks, first_nonassoc, first_noncomm
+from ._kernels import _first, _tiles, _twist_chunks, first_nonassoc, first_noncomm
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
@@ -271,10 +271,7 @@ def quotient_pair(pair: Pair, cong: Congruence, name: str = "") -> Pair:
     if not ok:
         raise NotACongruence("partition is not a congruence", witness=witness)
     blocks = cong.blocks()
-    names = [
-        pair.names[blk[0]] if len(blk) == 1 else "{" + ",".join(pair.names[x] for x in blk) + "}"
-        for blk in blocks
-    ]
+    names = [_block_label(pair.names, blk) for blk in blocks]
     bo = cong.block_of
     _, add, mul = cong.quotient_tables()
     st = validate_structure(names, zero=bo[pair.zero], one=bo[pair.one], add=add, mul=mul)
@@ -287,6 +284,16 @@ def quotient_pair(pair: Pair, cong: Congruence, name: str = "") -> Pair:
 # ---------------------------------------------------------------------------
 # hyperstructures
 # ---------------------------------------------------------------------------
+#
+# Hyperaddition is one boolean tensor H[a, b, z], true when z is in a boxplus
+# b, and every law is an array operation on it.  H takes n^3 bytes, so it has
+# at most HYPER_CAP = 512 elements (2^27 cells), and the laws take it in the
+# n^3 scans' runs of first indices, of at most _SCAN_CELLS cells or one n x n
+# slice.  Subsets are bitmasks only where they are keys: power-set carriers,
+# the hyperpair closure and labels.
+
+HYPER_CAP = 512
+
 
 def _mask(bits: Iterable[int]) -> int:
     m = 0
@@ -296,26 +303,20 @@ def _mask(bits: Iterable[int]) -> int:
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 @dataclass(frozen=True)
 class HyperStructure:
     """Finite hypersemiring: a multiplicative monoid with absorbing zero and
-    a set-valued commutative associative hyperaddition, stored as bitmasks."""
+    a set-valued commutative associative hyperaddition, held as the
+    read-only boolean tensor ``H[a, b, z]``, true when z is in a boxplus b."""
 
     names: tuple[str, ...]
     zero: int
     one: int
     mul: np.ndarray
-    hyperadd: np.ndarray
+    H: np.ndarray
     tangible: frozenset[int]
     hypernegation: Optional[tuple[int, ...]]
     negation_unique: Optional[bool]
@@ -327,7 +328,7 @@ class HyperStructure:
         return len(self.names)
 
     def hyperadd_set(self, i: int, j: int) -> frozenset[int]:
-        return frozenset(_bits(int(self.hyperadd[i, j])))
+        return frozenset(np.flatnonzero(self.H[i, j]).tolist())
 
     @cached_property
     def e_set(self) -> Optional[frozenset[int]]:
@@ -337,54 +338,53 @@ class HyperStructure:
         return self.hyperadd_set(self.one, self.hypernegation[self.one])
 
     def mask_add(self, m1: int, m2: int) -> int:
-        out = 0
-        for i in _bits(m1):
-            for j in _bits(m2):
-                out |= int(self.hyperadd[i, j])
-        return out
+        return _mask(np.flatnonzero(self.H[np.ix_(_bits(m1), _bits(m2))].any(axis=(0, 1))))
 
     def mask_mul(self, m1: int, m2: int) -> int:
-        out = 0
-        for i in _bits(m1):
-            for j in _bits(m2):
-                out |= 1 << int(self.mul[i, j])
-        return out
+        return _mask(self.mul[np.ix_(_bits(m1), _bits(m2))].ravel())
 
 
-def find_hypernegation(mul, hyperadd, zero: int) -> tuple[Optional[tuple[int, ...]], bool]:
-    """(permutation or None, uniqueness flag): b is a hypernegative of a when
-    zero lands in a boxplus b."""
-    n = mul.shape[0]
-    zbit = 1 << zero
-    perm = []
-    unique = True
-    for a in range(n):
-        cands = [b for b in range(n) if int(hyperadd[a, b]) & zbit]
-        if not cands:
-            return None, False
-        if len(cands) > 1:
-            unique = False
-        perm.append(cands[0])
-    return tuple(perm), unique
+def _tensor(n: int) -> np.ndarray:
+    if n > HYPER_CAP:
+        raise CarrierTooLarge(n, HYPER_CAP)
+    return np.zeros((n, n, n), dtype=bool)
 
 
-def validate_hyperstructure(
-    names: Sequence[str],
-    zero,
-    one,
-    mul,
-    hyperadd_sets,
-    tangible: Optional[Iterable[int]] = None,
-    hypernegation: Optional[Sequence[int]] = None,
-    name: str = "",
-) -> HyperStructure:
+def _sum_tensor(names, cells) -> np.ndarray:
+    """H from an n x n table of element sets, or from H; the first empty or
+    out-of-range entry in row-major order is refused."""
+    n = len(names)
+    H = _tensor(n)
+    unknown = np.zeros((n, n), dtype=bool)
+    if isinstance(cells, np.ndarray) and cells.dtype == bool:
+        H |= cells
+    else:
+        for i in range(n):
+            for j in range(n):
+                zs = [int(z) for z in cells[i][j]]
+                unknown[i, j] = any(not 0 <= z < n for z in zs)
+                if not unknown[i, j]:
+                    H[i, j, zs] = True
+    hit = _first(unknown | ~H.any(axis=2), slice(0, n), slice(0, n))
+    if hit and unknown[hit]:
+        raise ValueError("hyperaddition entry references unknown elements")
+    if hit:
+        raise ValueError(f"hyperaddition entry ({names[hit[0]]}, {names[hit[1]]}) is empty")
+    return H
+
+
+def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
+                            tangible: Optional[Iterable[int]] = None,
+                            hypernegation: Optional[Sequence[int]] = None,
+                            name: str = "") -> HyperStructure:
     """Exhaustively verify the hypersemiring axioms by set extension.
 
     Checks: multiplicative monoid with absorbing zero; hyperaddition
     commutative, associative under set extension, with zero a scalar
     identity; the monoid action distributes over hyperaddition elementwise.
     A supplied (or discovered) hypernegation must put zero in a boxplus (-a),
-    square to the identity, and reverse sums.
+    square to the identity, and reverse sums.  Each law reports its first
+    failing instance in row-major order.
     """
     names = tuple(str(x) for x in names)
     n = len(names)
@@ -392,20 +392,10 @@ def validate_hyperstructure(
         raise ValueError("element labels must be distinct and nonempty")
     zero = names.index(zero) if isinstance(zero, str) else int(zero)
     one = names.index(one) if isinstance(one, str) else int(one)
-    mul = np.asarray(mul, dtype=np.int64)
+    mul = np.array(mul, dtype=np.int64)
     if mul.shape != (n, n) or (n and (mul.min() < 0 or mul.max() >= n)):
         raise ValueError("mul table malformed")
-
-    ha = np.empty((n, n), dtype=object)          # masks of any width
-    for i in range(n):
-        for j in range(n):
-            entry = hyperadd_sets[i][j]
-            m = int(entry) if isinstance(entry, (int, np.integer)) else _mask(entry)
-            if m == 0:
-                raise ValueError(f"hyperaddition entry ({names[i]}, {names[j]}) is empty")
-            if m >= (1 << n):
-                raise ValueError("hyperaddition entry references unknown elements")
-            ha[i, j] = m
+    H = _sum_tensor(names, hyperadd_sets)
 
     ijk = first_nonassoc(mul)
     if ijk[0] >= 0:
@@ -416,63 +406,47 @@ def validate_hyperstructure(
     if (mul[one] != np.arange(n)).any() or (mul[:, one] != np.arange(n)).any():
         raise ValidationError("hyper one is not a unit", witness=(names[one],))
 
-    for i in range(n):
-        for j in range(n):
-            if ha[i, j] != ha[j, i]:
-                raise ValidationError("hyperaddition is not commutative", witness=(names[i], names[j]))
-    for a in range(n):
-        if int(ha[zero, a]) != (1 << a):
-            raise ZeroLaw("zero boxplus a must be {a}", witness=(names[a],))
+    runs = [i for i, _ in _tiles(n, 1, n * n)]
 
-    def ext(mask: int, c: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            out |= int(ha[i, c])
-        return out
+    def first(law, message, error=ValidationError, head=()):
+        # raise at the first (a, b) where the mask law(run) of a run is set
+        for run in runs:
+            hit = _first(law(run), run, slice(0, n))
+            if hit:
+                raise error(message, witness=tuple(names[x] for x in (*head, *hit)))
 
-    for a in range(n):
-        for b in range(n):
-            ab = int(ha[a, b])
-            for c in range(n):
-                left = ext(ab, c)
-                right = 0
-                for j in _bits(int(ha[b, c])):
-                    right |= int(ha[a, j])
-                if left != right:
-                    raise HyperAddNotAssociative(
-                        "set-extension associativity fails",
-                        witness=(names[a], names[b], names[c]),
-                    )
+    first(lambda r: (H[r] != H[:, r].transpose(1, 0, 2)).any(axis=2),
+          "hyperaddition is not commutative")
+    bad = (H[zero] != np.eye(n, dtype=bool)).any(axis=1)
+    if bad.any():
+        raise ZeroLaw("zero boxplus a must be {a}", witness=(names[int(bad.argmax())],))
 
+    # (a+b)+c, the union of x+c over x in a+b, is H[a] @ H.reshape(n, n*n),
+    # and a+(b+c) is H.reshape(n*n, n) @ H[a], as float32 counts of at most n,
+    # so exact.  H is commutative by now, so one run H[cs] holds both
+    # H[x, c, z] = H[c, x, z] and H[b, c, j] = H[c, b, j] for the c in cs.
     for a in range(n):
-        for s1 in range(n):
-            for s2 in range(n):
-                lhs = _mask(int(mul[a, x]) for x in _bits(int(ha[s1, s2])))
-                rhs = int(ha[mul[a, s1], mul[a, s2]])
-                if lhs != rhs:
-                    raise ValidationError(
-                        "monoid action does not distribute over hyperaddition",
-                        witness=(names[a], names[s1], names[s2]),
-                    )
+        ha = H[a].astype(np.float32)
+        bad = np.zeros((n, n), dtype=bool)                 # [c, b]
+        for cs in runs:
+            s = H[cs].astype(np.float32)
+            bad[cs] = ((ha @ s > 0) != (s @ ha > 0)).any(axis=2)
+        first(lambda r: bad.T[r], "set-extension associativity fails", HyperAddNotAssociative, (a,))
+
+    # c(a+b) = ca + cb: the image of a+b under x -> cx, a one-hot of mul[c]
+    # against H, and the sum gathered at (ca, cb)
+    for c in range(n):
+        m = mul[c]
+        image = (m[:, None] == np.arange(n)).astype(np.float32)
+        first(lambda r: ((H[r].astype(np.float32) @ image > 0)
+                         != H[m[r, None], m[None, :]]).any(axis=2),
+              "monoid action does not distribute over hyperaddition", head=(c,))
 
     if tangible is None:
+        # the nonzero elements when they are closed, else {one} (one is a unit)
         nonzero = frozenset(range(n)) - {zero}
-        if nonzero and all(int(mul[a, b]) in nonzero for a in nonzero for b in nonzero):
-            tang = nonzero
-        elif not nonzero:
-            tang = frozenset({one})
-        else:
-            tang = {one}
-            grew = True
-            while grew:
-                grew = False
-                for a in list(tang):
-                    for b in list(tang):
-                        p = int(mul[a, b])
-                        if p not in tang:
-                            tang.add(p)
-                            grew = True
-            tang = frozenset(tang)
+        closed = nonzero and all(int(mul[a, b]) in nonzero for a in nonzero for b in nonzero)
+        tang = nonzero if closed else frozenset({one})
     else:
         tang = frozenset(int(x) for x in tangible)
     if one not in tang or (zero in tang and zero != one):
@@ -484,36 +458,39 @@ def validate_hyperstructure(
                 raise ValidationError("tangible set is not multiplicatively closed",
                                       witness=(names[a], names[b]))
 
-    found, unique = find_hypernegation(mul, ha, zero)
+    # b is a hypernegative of a when zero is in a+b; the found one is the least
+    hits = H[:, :, zero]
+    counts = hits.sum(axis=1)
+    found = tuple(hits.argmax(axis=1).tolist()) if counts.all() else None
+    unique = bool((counts == 1).all())
     if hypernegation is None:
         neg = found if found is not None and unique else None
         neg_unique = unique if found is not None else None
     else:
         neg = tuple(int(x) for x in hypernegation)
-        zbit = 1 << zero
-        for a in range(n):
-            if not int(ha[a, neg[a]]) & zbit:
+        p = np.array(neg)
+        misses = ~H[np.arange(n), p, zero]
+        bad = misses | (p[p] != np.arange(n))
+        if bad.any():
+            a = int(bad.argmax())
+            if misses[a]:
                 raise ValidationError("claimed hypernegation misses zero",
                                       witness=(names[a], names[neg[a]]))
-            if neg[neg[a]] != a:
-                raise ValidationError("hypernegation is not an involution", witness=(names[a],))
+            raise ValidationError("hypernegation is not an involution", witness=(names[a],))
         neg_unique = unique
     if neg is not None:
-        for a in range(n):
-            for b in range(n):
-                lhs = _mask(neg[x] for x in _bits(int(ha[a, b])))
-                if lhs != int(ha[neg[a], neg[b]]):
-                    raise ValidationError("hypernegation does not reverse sums",
-                                          witness=(names[a], names[b]))
+        # -(a+b) against (-a)+(-b).  The negation is an involution (a unique
+        # found one too: zero in a+b puts zero in b+a), so the image of a+b
+        # under it is the preimage H[a, b, neg].
+        p = np.array(neg)
+        first(lambda r: (H[r][:, :, p] != H[p[r]][:, p]).any(axis=2),
+              "hypernegation does not reverse sums")
 
-    ha.setflags(write=False)
-    mulc = mul.copy()
-    mulc.setflags(write=False)
-    return HyperStructure(
-        names=names, zero=zero, one=one, mul=mulc, hyperadd=ha,
-        tangible=tang, hypernegation=neg, negation_unique=neg_unique,
-        mul_commutative=first_noncomm(mulc)[0] < 0, name=name,
-    )
+    H.setflags(write=False)
+    mul.setflags(write=False)
+    return HyperStructure(names=names, zero=zero, one=one, mul=mul, H=H, tangible=tang,
+                          hypernegation=neg, negation_unique=neg_unique,
+                          mul_commutative=first_noncomm(mul)[0] < 0, name=name)
 
 
 def _subset_label(names, mask: int) -> str:
@@ -530,15 +507,14 @@ def _validate_s0(hyper: HyperStructure, s0) -> frozenset[int]:
     if overlap:
         raise S0NotValid("S0 must avoid the tangible submonoid",
                          witness=(hyper.names[next(iter(overlap))],))
-    s0mask = _mask(s0)
-    for x in s0:
-        for y in s0:
-            if int(hyper.hyperadd[x, y]) & ~s0mask:
-                raise S0NotValid("S0 is not closed under hyperaddition",
-                                 witness=(hyper.names[x], hyper.names[y]))
-            if int(hyper.mul[x, y]) not in s0:
-                raise S0NotValid("S0 is not multiplicatively closed",
-                                 witness=(hyper.names[x], hyper.names[y]))
+    xs = list(s0)                  # pairs of S0 in its iteration order
+    inside = np.isin(np.arange(hyper.n), xs)
+    escapes = hyper.H[np.ix_(xs, xs)][:, :, ~inside].any(axis=2)
+    hit = _first(escapes | ~inside[hyper.mul[np.ix_(xs, xs)]], slice(0, len(xs)), slice(0, len(xs)))
+    if hit:
+        message = ("S0 is not closed under hyperaddition" if escapes[hit]
+                   else "S0 is not multiplicatively closed")
+        raise S0NotValid(message, witness=tuple(hyper.names[xs[i]] for i in hit))
     return s0
 
 
@@ -579,26 +555,50 @@ def hyperpair_generated(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRI
 def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int],
                  name: str, builder: str) -> Pair:
     """The pair on a sorted list of subset masks closed under extended sums
-    and set products; A0 is the subsets meeting S0."""
+    and set products; A0 is the subsets meeting S0.
+
+    Row S1 of either table is one product of the k x n membership matrix
+    with the n x n relation "z is in x + j (or xj) for some x in S1".  A
+    subset's key is its mask as big-endian bytes, so the keys of the masks
+    are sorted and a row of sets finds its positions by binary search."""
+    n, k = hyper.n, len(masks)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8).reshape(k, width)
+    members = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+    def keys(rows):
+        return np.packbits(rows[:, ::-1], axis=1).view(f"V{width}")[:, 0]
+
+    carrier = keys(members)
+    weights = members.astype(np.float32)
+    add = np.empty((k, k), dtype=np.int64)
+    mul = np.empty_like(add)
+    cols = np.arange(n)
+    for i, row in enumerate(members):
+        xs = np.flatnonzero(row)
+        prods = np.zeros((n, n), dtype=bool)
+        prods[cols, hyper.mul[xs]] = True
+        for table, rel in ((add, hyper.H[xs].any(axis=0)), (mul, prods)):
+            table[i] = np.searchsorted(carrier, keys(weights @ rel.astype(np.float32) > 0))
+
     pos = {m: i for i, m in enumerate(masks)}
     names = [_subset_label(hyper.names, m) for m in masks]
-    add = np.empty((len(masks), len(masks)), dtype=np.int64)
-    mul = np.empty_like(add)
-    for i, m1 in enumerate(masks):
-        add[i] = [pos[hyper.mask_add(m1, m2)] for m2 in masks]
-        mul[i] = [pos[hyper.mask_mul(m1, m2)] for m2 in masks]
     st = validate_structure(names, zero=pos[1 << hyper.zero], one=pos[1 << hyper.one],
                             add=add, mul=mul)
     tang = {pos[1 << a] for a in hyper.tangible}
-    s0mask = _mask(s0)
-    a0 = {i for i, m in enumerate(masks) if m & s0mask}
+    a0 = set(np.flatnonzero(members[:, sorted(s0)].any(axis=1)).tolist())
     return validate_pair(st, tang, a0, name=name,
                          origin={"builder": builder, "hyper": hyper, "s0": s0})
 
 
 def residue_hyperstructure(pair: Pair, subgroup: Iterable[int], name: str = "") -> HyperStructure:
-    """Orbits under a tangible subgroup, with coset multiplication and the
-    hyperaddition b1G boxplus b2G = {cG : c in b1G + b2G}."""
+    """Orbits under a tangible subgroup G, with coset multiplication and the
+    hyperaddition b1G boxplus b2G = {cG : c in b1G + b2G}.
+
+    Tangibles are central, so the orbits bG partition the carrier, and
+    (xG)(yG) always holds the coset xyG; it is that coset exactly when every
+    product of the two lands in it."""
     g = sorted({int(x) for x in subgroup})
     names = pair.names
     mul, add = pair.mul, pair.add
@@ -608,62 +608,40 @@ def residue_hyperstructure(pair: Pair, subgroup: Iterable[int], name: str = "") 
         raise NotAGroup("subgroup elements must be tangible", witness=(names[bad],))
     if pair.one not in gset:
         raise NotAGroup("subgroup must contain one", witness=(names[pair.one],))
-    for x in g:
-        for y in g:
-            if int(mul[x, y]) not in gset:
-                raise NotAGroup("subgroup is not closed", witness=(names[x], names[y]))
-    for x in g:
-        if not any(int(mul[x, y]) == pair.one for y in g):
-            raise NotAGroup("element has no inverse in the subgroup", witness=(names[x],))
+    gg = mul[np.ix_(g, g)]
+    hit = _first(~np.isin(gg, g), slice(0, len(g)), slice(0, len(g)))
+    if hit:
+        raise NotAGroup("subgroup is not closed", witness=tuple(names[g[i]] for i in hit))
+    inverse = (gg == pair.one).any(axis=1)
+    if not inverse.all():
+        raise NotAGroup("element has no inverse in the subgroup",
+                        witness=(names[g[int(inverse.argmin())]],))
 
-    orbit_of = {}
-    orbits: list[frozenset[int]] = []
-    for b in range(pair.n):
-        if b in orbit_of:
-            continue
-        orb = frozenset(int(mul[b, y]) for y in g)
-        idx = len(orbits)
-        orbits.append(orb)
-        for x in orb:
-            orbit_of[x] = idx
-    order = sorted(range(len(orbits)), key=lambda i: min(orbits[i]))
-    rank = {old: new for new, old in enumerate(order)}
-    orbits = [orbits[i] for i in order]
-    orbit_of = {x: rank[i] for x, i in orbit_of.items()}
+    # o[x] is the orbit of x, the orbits ranked by their least members
+    least, o = np.unique(mul[:, g].min(axis=1), return_inverse=True)
+    k = len(least)
+    coset_names = [_block_label(names, np.flatnonzero(o == i)) for i in range(k)]
+    cmul = o[mul[np.ix_(least, least)]]
+    strays = np.nonzero(o[mul] != cmul[o[:, None], o[None, :]])
+    bad = np.zeros((k, k), dtype=bool)
+    bad[o[strays[0]], o[strays[1]]] = True
+    hit = _first(bad, slice(0, k), slice(0, k))
+    if hit:
+        raise NotNormal("coset product is not a coset",
+                        witness=tuple(coset_names[i] for i in hit))
 
-    k = len(orbits)
-    for i in range(k):
-        for j in range(k):
-            prods = {int(mul[x, y]) for x in orbits[i] for y in orbits[j]}
-            expect = orbits[orbit_of[int(mul[min(orbits[i]), min(orbits[j])])]]
-            if prods != expect:
-                raise NotNormal(
-                    "coset product is not a coset",
-                    witness=(_coset_label(names, orbits[i]), _coset_label(names, orbits[j])),
-                )
-
-    coset_names = [_coset_label(names, orb) for orb in orbits]
-    cmul = np.zeros((k, k), dtype=np.int64)
-    hadd = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            cmul[i, j] = orbit_of[int(mul[min(orbits[i]), min(orbits[j])])]
-            sumset = {int(add[x, y]) for x in orbits[i] for y in orbits[j]}
-            hadd[i][j] = _mask(orbit_of[c] for c in sumset)
-
-    tang = {orbit_of[a] for a in pair.tangible}
+    H = _tensor(k)
+    H[o[:, None], o[None, :], o[add]] = True
     return validate_hyperstructure(
-        coset_names, zero=orbit_of[pair.zero], one=orbit_of[pair.one],
-        mul=cmul, hyperadd_sets=hadd, tangible=tang,
+        coset_names, zero=int(o[pair.zero]), one=int(o[pair.one]),
+        mul=cmul, hyperadd_sets=H, tangible=set(o[sorted(pair.tangible)].tolist()),
         name=name or f"{pair.name}/G",
     )
 
 
-def _coset_label(names, orbit) -> str:
-    items = sorted(orbit)
-    if len(items) == 1:
-        return names[items[0]]
-    return "{" + ",".join(names[i] for i in items) + "}"
+def _block_label(names, members) -> str:
+    items = sorted(members)
+    return names[items[0]] if len(items) == 1 else "{" + ",".join(names[i] for i in items) + "}"
 
 
 # ---------------------------------------------------------------------------

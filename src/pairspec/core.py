@@ -532,6 +532,11 @@ def heights(pair: Pair) -> list[Optional[int]]:
             return [int(v) if v < unset else None for v in h]
 
 
+def is_proper(pair: Pair) -> bool:
+    """A0 meets the tangibles and zero in zero alone: A0 & (T | {0}) = {0}."""
+    return (pair.a_zero & (pair.tangible | {pair.zero})) == {pair.zero}
+
+
 def classify_pair(pair: Pair) -> PairClassification:
     """All classification flags by exhaustive check.
 
@@ -542,10 +547,9 @@ def classify_pair(pair: Pair) -> PairClassification:
     t = sorted(pair.tangible)
     a0 = pair.a_zero
     in_a0 = pair.a0_mask
-    t0 = pair.tangible | {pair.zero}
 
     kind = "first" if all(int(add[a, a]) in a0 for a in t) else "second"
-    proper = (a0 & t0) == {pair.zero}
+    proper = is_proper(pair)
     shallow = (pair.tangible | a0) == set(range(pair.n))
     cancellative = all(
         in_a0[mul[a]][~in_a0].sum() == 0 and len(set(mul[a].tolist())) == pair.n

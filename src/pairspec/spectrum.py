@@ -26,7 +26,7 @@ from .congruences import (
 )
 from .constructions import quotient_pair
 from .core import FiniteStructure, Pair, PairClassification, classify_pair, validate_structure
-from .errors import HypothesisFails
+from .errors import CapExceeded, HypothesisFails
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +318,21 @@ def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", proj: n
     )
 
 
+class _kept(cached_property):
+    """A cached property that keeps the CapExceeded or HypothesisFails its
+    computation raises as well, and raises it again on each later read."""
+
+    def __get__(self, instance, owner=None):
+        raised = f"{self.attrname}_raised"
+        if instance is not None and raised in instance.__dict__:
+            raise instance.__dict__[raised]
+        try:
+            return super().__get__(instance, owner)
+        except (CapExceeded, HypothesisFails) as exc:
+            instance.__dict__[raised] = exc
+            raise
+
+
 class Analysis:
     """Everything derived from one pair, computed on first use and kept.
 
@@ -325,9 +340,10 @@ class Analysis:
     lattice of the pair, its classification and the A*e and A/diag_e
     sub-analyses are each built once; the cap reaches every sub-analysis.
     The verdicts reach the lattices in the order A, A*e, A/diag_e, so under
-    a cap the first one to overflow is the one reported.  A member whose
-    computation raises (CapExceeded, HypothesisFails) is not kept and raises
-    again when next read.
+    a cap the first one to overflow is the one reported.  A lattice that
+    overflows the cap, or an A*e or A/diag_e that cannot be built, keeps its
+    CapExceeded or HypothesisFails and raises it again when next read, so a
+    capped lattice is enumerated once.
     """
 
     def __init__(self, pair: Pair, cap: Optional[int]):
@@ -338,7 +354,7 @@ class Analysis:
     def cls(self) -> PairClassification:
         return classify_pair(self.pair)
 
-    @cached_property
+    @_kept
     def lattice(self) -> CongruenceLattice:
         return enumerate_congruences(self.pair, self.cap)
 
@@ -347,13 +363,13 @@ class Analysis:
         """The full classification of each lattice member, in lattice order."""
         return tuple(classify_congruence(self.pair, c, self.lattice) for c in self.lattice)
 
-    @cached_property
+    @_kept
     def ae(self) -> tuple["Analysis", np.ndarray]:
         """The idempotent image A*e and the projection onto it."""
         sub, proj = ae_pair(self.pair)
         return Analysis(sub, self.cap), proj
 
-    @cached_property
+    @_kept
     def quotient_e(self) -> tuple["Analysis", np.ndarray]:
         """The quotient A/diag_e and the projection onto it."""
         de = diag_e(self.pair)

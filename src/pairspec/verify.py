@@ -40,7 +40,7 @@ from .congruences import (
     meets,
 )
 from .constructions import doubled_names, quotient_pair, twist_table
-from .core import Pair, classify_pair
+from .core import Pair, is_proper
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
     Analysis,
@@ -502,7 +502,7 @@ def _check_cp(ctx):
         if not c.proper:
             continue
         q = quotient_pair(pair, ctx.lattice[i])
-        if not classify_pair(q).proper:
+        if not is_proper(q):
             return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
     return True, True, None, ""
 
@@ -789,8 +789,7 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         cls = classify_congruence_elementwise(pair, cong)
         return cls.t_cancellative and not cls.proper and not cls.contains_1e
     if check_id == "CP":
-        q = quotient_pair(pair, cong)
-        return not classify_pair(q).proper
+        return not is_proper(quotient_pair(pair, cong))
     if check_id == "ETYPE_SHALLOW":
         from .core import e_type as _et
         return _et(pair) not in ((cx["k"], cx["k"]), (cx["k"], 1))

@@ -1065,3 +1065,278 @@ def esq_loop(pair):
                 return {"b1": names[b1], "b2": names[b2],
                         "e(b1+b2)": names[lhs], "eb1+eb2": names[rhs]}
     return None
+
+
+# ---------------------------------------------------------------------------
+# hyperstructures by bitmask loops
+# ---------------------------------------------------------------------------
+#
+# The validation, hypernegation search and residue construction that held
+# each hyperaddition entry as a Python-int bitmask and checked every law in
+# n^3 loops, before hyperaddition became one boolean tensor.  They raise the
+# same errors; on success they return the parts of a ``HyperStructure`` a
+# test compares, with ``sums[i][j]`` the frozenset i boxplus j.
+
+def _bitmask(bits) -> int:
+    m = 0
+    for b in bits:
+        m |= 1 << int(b)
+    return m
+
+
+def _bitlist(mask: int) -> list[int]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def find_hypernegation_loop(mul, hyperadd, zero: int):
+    """(permutation or None, uniqueness flag): b is a hypernegative of a when
+    zero lands in a boxplus b."""
+    n = mul.shape[0]
+    zbit = 1 << zero
+    perm = []
+    unique = True
+    for a in range(n):
+        cands = [b for b in range(n) if int(hyperadd[a, b]) & zbit]
+        if not cands:
+            return None, False
+        if len(cands) > 1:
+            unique = False
+        perm.append(cands[0])
+    return tuple(perm), unique
+
+
+def validate_hyperstructure_loop(names, zero, one, mul, hyperadd_sets, tangible=None,
+                                 hypernegation=None, name=""):
+    from types import SimpleNamespace
+
+    from pairspec.errors import HyperAddNotAssociative, ValidationError, ZeroLaw
+
+    names = tuple(str(x) for x in names)
+    n = len(names)
+    if len(set(names)) != n or n == 0:
+        raise ValueError("element labels must be distinct and nonempty")
+    zero = names.index(zero) if isinstance(zero, str) else int(zero)
+    one = names.index(one) if isinstance(one, str) else int(one)
+    mul = np.asarray(mul, dtype=np.int64)
+    if mul.shape != (n, n) or (n and (mul.min() < 0 or mul.max() >= n)):
+        raise ValueError("mul table malformed")
+
+    ha = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            entry = hyperadd_sets[i][j]
+            m = int(entry) if isinstance(entry, (int, np.integer)) else _bitmask(entry)
+            if m == 0:
+                raise ValueError(f"hyperaddition entry ({names[i]}, {names[j]}) is empty")
+            if m >= (1 << n):
+                raise ValueError("hyperaddition entry references unknown elements")
+            ha[i, j] = m
+
+    ijk = first_nonassoc_dense(mul)
+    if ijk[0] >= 0:
+        raise ValidationError("hyper multiplication is not associative",
+                              witness=tuple(names[i] for i in ijk))
+    if (mul[zero] != zero).any() or (mul[:, zero] != zero).any():
+        raise ValidationError("hyper zero is not multiplicatively absorbing", witness=(names[zero],))
+    if (mul[one] != np.arange(n)).any() or (mul[:, one] != np.arange(n)).any():
+        raise ValidationError("hyper one is not a unit", witness=(names[one],))
+
+    for i in range(n):
+        for j in range(n):
+            if ha[i, j] != ha[j, i]:
+                raise ValidationError("hyperaddition is not commutative", witness=(names[i], names[j]))
+    for a in range(n):
+        if int(ha[zero, a]) != (1 << a):
+            raise ZeroLaw("zero boxplus a must be {a}", witness=(names[a],))
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                left = 0
+                for i in _bitlist(int(ha[a, b])):
+                    left |= int(ha[i, c])
+                right = 0
+                for j in _bitlist(int(ha[b, c])):
+                    right |= int(ha[a, j])
+                if left != right:
+                    raise HyperAddNotAssociative("set-extension associativity fails",
+                                                 witness=(names[a], names[b], names[c]))
+
+    for a in range(n):
+        for s1 in range(n):
+            for s2 in range(n):
+                lhs = _bitmask(int(mul[a, x]) for x in _bitlist(int(ha[s1, s2])))
+                if lhs != int(ha[mul[a, s1], mul[a, s2]]):
+                    raise ValidationError("monoid action does not distribute over hyperaddition",
+                                          witness=(names[a], names[s1], names[s2]))
+
+    if tangible is None:
+        nonzero = frozenset(range(n)) - {zero}
+        if nonzero and all(int(mul[a, b]) in nonzero for a in nonzero for b in nonzero):
+            tang = nonzero
+        elif not nonzero:
+            tang = frozenset({one})
+        else:
+            tang = {one}
+            grew = True
+            while grew:
+                grew = False
+                for a in list(tang):
+                    for b in list(tang):
+                        if int(mul[a, b]) not in tang:
+                            tang.add(int(mul[a, b]))
+                            grew = True
+            tang = frozenset(tang)
+    else:
+        tang = frozenset(int(x) for x in tangible)
+    if one not in tang or (zero in tang and zero != one):
+        raise ValidationError("tangible submonoid must contain one and exclude zero",
+                              witness=(names[one],))
+    for a in tang:
+        for b in tang:
+            if int(mul[a, b]) not in tang:
+                raise ValidationError("tangible set is not multiplicatively closed",
+                                      witness=(names[a], names[b]))
+
+    found, unique = find_hypernegation_loop(mul, ha, zero)
+    if hypernegation is None:
+        neg = found if found is not None and unique else None
+        neg_unique = unique if found is not None else None
+    else:
+        neg = tuple(int(x) for x in hypernegation)
+        for a in range(n):
+            if not int(ha[a, neg[a]]) & (1 << zero):
+                raise ValidationError("claimed hypernegation misses zero",
+                                      witness=(names[a], names[neg[a]]))
+            if neg[neg[a]] != a:
+                raise ValidationError("hypernegation is not an involution", witness=(names[a],))
+        neg_unique = unique
+    if neg is not None:
+        for a in range(n):
+            for b in range(n):
+                lhs = _bitmask(neg[x] for x in _bitlist(int(ha[a, b])))
+                if lhs != int(ha[neg[a], neg[b]]):
+                    raise ValidationError("hypernegation does not reverse sums",
+                                          witness=(names[a], names[b]))
+
+    sums = [[frozenset(_bitlist(int(ha[i, j]))) for j in range(n)] for i in range(n)]
+    e_set = None if neg is None else sums[one][neg[one]]
+    return SimpleNamespace(
+        names=names, zero=zero, one=one, mul=mul, sums=sums, tangible=tang,
+        hypernegation=neg, negation_unique=neg_unique, e_set=e_set,
+        mul_commutative=bool((mul == mul.T).all()), name=name,
+    )
+
+
+def residue_hyperstructure_loop(pair, subgroup, name=""):
+    from pairspec.errors import NotAGroup, NotNormal
+
+    def label(orbit):
+        items = sorted(orbit)
+        if len(items) == 1:
+            return names[items[0]]
+        return "{" + ",".join(names[i] for i in items) + "}"
+
+    g = sorted({int(x) for x in subgroup})
+    names = pair.names
+    mul, add = pair.mul, pair.add
+    gset = set(g)
+    if not gset <= pair.tangible:
+        bad = next(iter(gset - pair.tangible))
+        raise NotAGroup("subgroup elements must be tangible", witness=(names[bad],))
+    if pair.one not in gset:
+        raise NotAGroup("subgroup must contain one", witness=(names[pair.one],))
+    for x in g:
+        for y in g:
+            if int(mul[x, y]) not in gset:
+                raise NotAGroup("subgroup is not closed", witness=(names[x], names[y]))
+    for x in g:
+        if not any(int(mul[x, y]) == pair.one for y in g):
+            raise NotAGroup("element has no inverse in the subgroup", witness=(names[x],))
+
+    orbit_of = {}
+    orbits = []
+    for b in range(pair.n):
+        if b in orbit_of:
+            continue
+        orb = frozenset(int(mul[b, y]) for y in g)
+        for x in orb:
+            orbit_of[x] = len(orbits)
+        orbits.append(orb)
+    order = sorted(range(len(orbits)), key=lambda i: min(orbits[i]))
+    rank = {old: new for new, old in enumerate(order)}
+    orbits = [orbits[i] for i in order]
+    orbit_of = {x: rank[i] for x, i in orbit_of.items()}
+
+    k = len(orbits)
+    for i in range(k):
+        for j in range(k):
+            prods = {int(mul[x, y]) for x in orbits[i] for y in orbits[j]}
+            if prods != orbits[orbit_of[int(mul[min(orbits[i]), min(orbits[j])])]]:
+                raise NotNormal("coset product is not a coset",
+                                witness=(label(orbits[i]), label(orbits[j])))
+
+    cmul = np.zeros((k, k), dtype=np.int64)
+    hadd = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            cmul[i, j] = orbit_of[int(mul[min(orbits[i]), min(orbits[j])])]
+            hadd[i][j] = _bitmask(orbit_of[int(add[x, y])] for x in orbits[i] for y in orbits[j])
+    return validate_hyperstructure_loop(
+        [label(orb) for orb in orbits], zero=orbit_of[pair.zero], one=orbit_of[pair.one],
+        mul=cmul, hyperadd_sets=hadd, tangible={orbit_of[a] for a in pair.tangible},
+        name=name or f"{pair.name}/G",
+    )
+
+
+def validate_s0_loop(hyper, s0):
+    """The S0 checks of the power-set builders on a result of
+    ``validate_hyperstructure_loop``."""
+    from pairspec.errors import S0NotValid
+
+    if s0 is None:
+        return frozenset({hyper.zero})
+    s0 = frozenset(int(x) for x in s0)
+    if hyper.zero not in s0:
+        raise S0NotValid("S0 must contain zero", witness=(hyper.names[hyper.zero],))
+    overlap = (s0 & hyper.tangible) - {hyper.zero}
+    if overlap:
+        raise S0NotValid("S0 must avoid the tangible submonoid",
+                         witness=(hyper.names[next(iter(overlap))],))
+    for x in s0:
+        for y in s0:
+            if hyper.sums[x][y] - s0:
+                raise S0NotValid("S0 is not closed under hyperaddition",
+                                 witness=(hyper.names[x], hyper.names[y]))
+            if int(hyper.mul[x, y]) not in s0:
+                raise S0NotValid("S0 is not multiplicatively closed",
+                                 witness=(hyper.names[x], hyper.names[y]))
+    return s0
+
+
+# ---------------------------------------------------------------------------
+# prime congruences of commutative, additively idempotent semirings
+# ---------------------------------------------------------------------------
+
+def jm_prime(add, mul, block_of, zero) -> bool:
+    """Joo and Mincheva's characterization (Selecta Math. 24, 2018): a
+    congruence P != A x A of a commutative, additively idempotent semiring
+    is prime iff A/P is totally ordered (a + b in {a, b}) and cancellative
+    (ab = ac implies a = 0 or b = c).  Tables are lists of lists."""
+    blocks = sorted(set(block_of))
+    if len(blocks) == 1:
+        return False
+    rep = {b: block_of.index(b) for b in blocks}
+    total = all(block_of[add[rep[a]][rep[b]]] in (a, b) for a in blocks for b in blocks)
+    cancellative = all(
+        a == block_of[zero] or b == c
+        or block_of[mul[rep[a]][rep[b]]] != block_of[mul[rep[a]][rep[c]]]
+        for a, b, c in product(blocks, repeat=3))
+    return total and cancellative

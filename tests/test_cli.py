@@ -170,6 +170,21 @@ def test_validate_hyper_file(runner, tmp_path):
     assert out["kind"] == "hyperstructure" and out["hypernegation_unique"]
 
 
+def test_hyper_tensor_cap_exits_two(runner, tmp_path, monkeypatch):
+    # the cap read at run time, lowered below the 3-element signs hyperfield
+    from pairspec import constructions
+    path = tmp_path / "signs.json"
+    path.write_text(dsl.serialize(dsl.hyper_to_file(catalog.signs_hyperfield())))
+    monkeypatch.setattr(constructions, "HYPER_CAP", 2)
+    for argv in (["validate", str(path)], ["construct", "power_set", "--base", str(path)],
+                 ["construct", "residue", "--param", "field=5", "--param", "subgroup=1"]):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, argv
+        assert json.loads(res.output)["error"] == {
+            "kind": "CarrierTooLarge",
+            "message": f"carrier would have {5 if 'residue' in argv else 3} elements, cap is 2"}
+
+
 def test_construct_chain_feeds_spectrum(runner, tmp_path):
     res = runner.invoke(main, ["construct", "residue", "--param", "field=3",
                                "--param", "subgroup=1,2", "-o", str(tmp_path / "h.json")])

@@ -1,16 +1,19 @@
 """Builders: every construction validates and reproduces its known values."""
 
-from itertools import product
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pairspec import catalog, dsl
 from pairspec.congruences import all_relation, diagonal, generated_congruence
 from pairspec.constructions import (
     DEFAULT_CARRIER_CAP,
+    _validate_s0,
     constant_supertropical,
     double,
     function_pair,
@@ -586,3 +589,208 @@ def test_hyperstructure_masks_past_64_bits():
     assert h.tangible == frozenset(range(1, n)) and h.hypernegation is None
     written = dsl.parse_hyper_file(dsl.serialize(dsl.hyper_to_file(h)))
     assert written.hyperadd[63][62] == ("62", "63")
+
+
+# -- hyperstructure laws on the sum tensor against the bitmask loops -------------
+
+def _outcome_of(fn, *args, **kwargs):
+    """What ``fn`` returns, or its error class, message and witness."""
+    try:
+        return fn(*args, **kwargs)
+    except (PairspecError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _hyper_outcome(build, *args, **kwargs):
+    """Everything a hyperstructure shows, or its error class, message and
+    witness; ``build`` is the package's builder or its loop in the oracle."""
+    h = _outcome_of(build, *args, **kwargs)
+    if isinstance(h, tuple):
+        return h
+    n = len(h.names)
+    sums = getattr(h, "sums", None) or [[h.hyperadd_set(i, j) for j in range(n)]
+                                        for i in range(n)]
+    return (h.names, h.zero, h.one, h.mul.tolist(), sums, h.tangible, h.hypernegation,
+            h.negation_unique, h.e_set, h.mul_commutative, h.name)
+
+
+def _message(outcome) -> str:
+    """The error message of an outcome without its witness, or "ok"."""
+    if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+        return outcome[1].split("; witness=")[0]
+    return "ok"
+
+
+def _same_validation(**kw):
+    new = _hyper_outcome(validate_hyperstructure, **kw)
+    assert new == _hyper_outcome(oracle.validate_hyperstructure_loop, **kw), kw
+    return new
+
+
+def _hyper_args(h):
+    n = h.n
+    return dict(names=h.names, zero=h.zero, one=h.one, mul=h.mul.tolist(),
+                hyperadd_sets=[[set(h.hyperadd_set(i, j)) for j in range(n)] for i in range(n)])
+
+
+def _planted(h):
+    """Arguments of ``validate_hyperstructure`` that break h one cell at a
+    time: each flip of z in a + b (with and without its mirror in b + a), each
+    product, empty and unknown entries, and each claimed negation."""
+    kw = _hyper_args(h)
+    n = h.n
+    yield kw
+    for a, b, z in product(range(n), repeat=3):
+        for mirror in (False, True) if a != b else (False,):
+            sums = [[set(s) for s in row] for row in kw["hyperadd_sets"]]
+            sums[a][b] ^= {z}
+            if mirror:
+                sums[b][a] ^= {z}
+            yield {**kw, "hyperadd_sets": sums}
+        mul = [list(row) for row in kw["mul"]]
+        mul[a][b] = z
+        yield {**kw, "mul": mul}
+    for cells in ({(n - 1, n - 1): set()}, {(0, n - 1): {n}}, {(n - 1, 0): {n + 2, 0}},
+                  {(0, 1 % n): {n + 1}, (n - 1, n - 1): set()},
+                  {(0, 1 % n): set(), (n - 1, n - 1): {n}}):
+        sums = [[set(s) for s in row] for row in kw["hyperadd_sets"]]
+        for (i, j), cell in cells.items():
+            sums[i][j] = cell
+        yield {**kw, "hyperadd_sets": sums}
+    for perm in product(range(n), repeat=n):
+        yield {**kw, "hypernegation": perm}
+
+
+def test_negative_hyper_entry_is_unknown():
+    # the bitmask loops failed on it with "negative shift count"
+    with pytest.raises(ValueError, match="references unknown elements"):
+        validate_hyperstructure(["0", "1"], 0, 1, [[0, 0], [0, 1]], [[{0}, {1}], [{1}, {-1}]])
+
+
+LAW_MESSAGES = {
+    "hyperaddition entry references unknown elements",
+    "hyperaddition is not commutative",
+    "zero boxplus a must be {a}",
+    "set-extension associativity fails",
+    "monoid action does not distribute over hyperaddition",
+    "claimed hypernegation misses zero",
+    "hypernegation is not an involution",
+    "hypernegation does not reverse sums",
+}
+
+
+def test_hyper_laws_match_loops_on_planted_corpus():
+    bases = [catalog.krasner_hyperfield(), catalog.signs_hyperfield(),
+             catalog.massouros_hyperfield(2), catalog.massouros_hyperfield(3),
+             catalog.NAMED_HYPERSTRUCTURES["residue_f5_mod_squares"](),
+             # negatives are not unique, and swapping 1 and t does not reverse t + t
+             validate_hyperstructure(["0", "1", "t"], 0, 1, [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+                                     [[{0}, {1}, {2}], [{1}, {0, 1, 2}, {0, 1, 2}],
+                                      [{2}, {0, 1, 2}, {0, 2}]])]
+    seen = set()
+    for h in bases:
+        for kw in _planted(h):
+            out = _same_validation(**kw)
+            seen.add(_message(out))
+    assert LAW_MESSAGES <= seen
+    assert any(m.startswith("hyperaddition entry (") and m.endswith(") is empty") for m in seen)
+
+
+def test_s0_checks_match_loops():
+    # tangible {1} leaves elements outside T, so S0 can meet them
+    seen = set()
+    for h in (catalog.signs_hyperfield(), catalog.massouros_hyperfield(3)):
+        for tangible in (None, {h.one}):
+            kw = {**_hyper_args(h), "tangible": tangible}
+            new, loop = validate_hyperstructure(**kw), oracle.validate_hyperstructure_loop(**kw)
+            for bits in product((False, True), repeat=h.n):
+                s0 = {x for x in range(h.n) if bits[x]}
+                out = _outcome_of(_validate_s0, new, s0)
+                assert out == _outcome_of(oracle.validate_s0_loop, loop, s0), (h.name, s0)
+                seen.add(_message(out))
+    assert seen == {"ok", "S0 must contain zero", "S0 must avoid the tangible submonoid",
+                    "S0 is not closed under hyperaddition", "S0 is not multiplicatively closed"}
+
+
+def _s3_with_zero():
+    """Zero adjoined to the symmetric group S3, as the parts of a pair that
+    the residue construction reads; its tangibles are not central."""
+    perms = list(permutations(range(3)))
+    n = 7
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            mul[i + 1, j + 1] = 1 + perms.index(tuple(p[q[x]] for x in range(3)))
+    return SimpleNamespace(names=("0", *("".join(map(str, p)) for p in perms)), n=n, zero=0,
+                           one=1, mul=mul, add=np.maximum.outer(np.arange(n), np.arange(n)),
+                           tangible=frozenset(range(1, n)), name="S3")
+
+
+def test_residue_matches_loop():
+    seen = set()
+    cases = [(catalog.finite_field(p), set(sub)) for p in (3, 5, 7)
+             for bits in product((False, True), repeat=p)
+             for sub in [[x for x in range(p) if bits[x]]]]
+    s3 = _s3_with_zero()
+    cases += [(s3, {1, 2}), (s3, {1, 4, 5}), (s3, {1, 3}), (s3, {1, 2, 3}),
+              (catalog.build("truncated_chain3"), {1, 3})]
+    for pair, sub in cases:
+        new = _hyper_outcome(residue_hyperstructure, pair, sub)
+        assert new == _hyper_outcome(oracle.residue_hyperstructure_loop, pair, sub), (pair.name, sub)
+        seen.add(_message(new))
+    assert {"ok", "coset product is not a coset", "subgroup elements must be tangible",
+            "subgroup must contain one", "subgroup is not closed",
+            "element has no inverse in the subgroup"} <= seen
+
+
+def _hyper_bases():
+    out = [catalog.krasner_hyperfield(), catalog.signs_hyperfield()]
+    out += [catalog.massouros_hyperfield(k) for k in (2, 3, 4, 5)]
+    out += [residue_hyperstructure(catalog.finite_field(p), sub)
+            for p, sub in ((5, {1, 4}), (7, {1, 6}), (7, {1, 2, 4}), (3, {1}), (5, {1}))]
+    return out
+
+
+HYPER_BASES = _hyper_bases()
+
+
+@st.composite
+def _hyper_cases(draw):
+    """validate_hyperstructure arguments of at most 6 elements: a valid
+    base with planted cells, or a random monoid with zero and random sums."""
+    if draw(st.booleans()):
+        kw = _hyper_args(draw(st.sampled_from(HYPER_BASES)))
+    else:
+        k = draw(st.integers(0, 5))
+        mon = draw(st.sampled_from([cyclic_group, chain_monoid, saturating_monoid]))(k) \
+            if k else None
+        n = k + 1
+        mul = np.zeros((n, n), dtype=np.int64)
+        if mon is not None:
+            mul[1:, 1:] = mon.table + 1
+        sums = [[set() for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                cell = {b} if a == 0 else set(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+                sums[a][b] = sums[b][a] = cell
+        kw = dict(names=[str(i) for i in range(n)], zero=0, one=1 % n, mul=mul.tolist(),
+                  hyperadd_sets=sums)
+    n = len(kw["names"])
+    sums = [[set(s) for s in row] for row in kw["hyperadd_sets"]]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        sums[a][b] = set(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        if draw(st.booleans()):
+            sums[b][a] = set(sums[a][b])
+    kw["hyperadd_sets"] = sums
+    if draw(st.booleans()):
+        kw["hypernegation"] = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        kw["tangible"] = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return kw
+
+
+@given(_hyper_cases())
+@settings(max_examples=300, deadline=None)
+def test_hyper_laws_match_loops_on_random_structures(kw):
+    _same_validation(**kw)

@@ -21,6 +21,7 @@ from pairspec.congruences import (
 from pairspec.core import classify_pair, positive_e_type
 from pairspec.errors import PairspecError
 from pairspec.spectrum import (
+    Analysis,
     ae_pair,
     classify_congruence,
     classify_congruence_elementwise,
@@ -444,3 +445,39 @@ def test_ae_pair_matches_loop_on_random_tables(seed, n):
         one=1, a0_mask=a0, a_zero=frozenset(np.flatnonzero(a0).tolist()),
         name="random", require_property_n=lambda: witness)
     assert _ae_outcome(ae_pair, fake) == _ae_outcome(oracle.ae_pair_loop, fake)
+
+
+def _jm_images(pairs):
+    """The A*e images that are commutative and additively idempotent, of the
+    catalog pairs and of their function pairs of at most 64 elements."""
+    sources = list(pairs.values())
+    for p in pairs.values():
+        for make in monoids.NAMED_MONOIDS.values():
+            s = make()
+            if p.n ** s.k <= 64:
+                try:
+                    sources.append(constructions.function_pair(p, s))
+                except PairspecError:
+                    pass
+    for p in sources:
+        try:
+            image = Analysis(p, None).ae[0]
+        except PairspecError:
+            continue
+        add, mul = image.pair.add, image.pair.mul
+        if (mul == mul.T).all() and (np.diag(add) == np.arange(image.pair.n)).all():
+            yield image
+
+
+def test_strongly_prime_is_joo_mincheva_prime(pairs):
+    images = members = 0
+    for image in _jm_images(pairs):
+        images += 1
+        sub = image.pair
+        add, mul = sub.add.tolist(), sub.mul.tolist()
+        for cong, cls in zip(image.lattice, image.classes):
+            if len(set(cong.block_of)) > 1:
+                members += 1
+                assert cls.strongly_prime == oracle.jm_prime(add, mul, list(cong.block_of),
+                                                             sub.zero), (sub.name, cong.roots)
+    assert (images, members) == (54, 300)

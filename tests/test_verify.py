@@ -431,6 +431,42 @@ def test_cap_is_recorded_not_raised(sb):
     assert any(r.passed is True for r in reports)
 
 
+def test_capped_run_all_enumerates_each_lattice_once(monkeypatch):
+    import pairspec.spectrum as spectrum
+    from pairspec.constructions import function_pair, super_boolean
+    from pairspec.errors import CapExceeded
+    from pairspec.monoids import cyclic_group
+
+    pair = function_pair(super_boolean(), cyclic_group(3), name="function_sb_c3")
+    seen = []
+    enumerate_congruences = spectrum.enumerate_congruences
+
+    def recording(p, cap=None):
+        seen.append(p.name)
+        return enumerate_congruences(p, cap)
+
+    monkeypatch.setattr(spectrum, "enumerate_congruences", recording)
+    for cap in (None, 20):
+        seen.clear()
+        reports = run_all(pair, cap=cap)
+        assert len(seen) == len(set(seen)), (cap, seen)
+    capped = [r for r in reports if r.notes.startswith("cap exceeded")]
+    assert len(capped) == 11
+    # each note is the one a fresh analysis of that check alone raises
+    for r in capped:
+        with pytest.raises(CapExceeded) as info:
+            run_check(pair, r.check_id, cap=20)
+        assert r.notes == f"cap exceeded: {info.value}"
+        assert (r.hypotheses_held, r.passed, r.counterexample) == (True, None, None)
+
+
+def test_cp_reads_properness_alone(pairs):
+    from pairspec.core import is_proper
+    for p in pairs.values():
+        assert is_proper(p) == classify_pair(p).proper == (
+            p.a_zero & (p.tangible | {p.zero}) == {p.zero}), p.name
+
+
 def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
     def too_large(structure):
         raise CarrierTooLarge(structure.n ** 2, 4)
