@@ -310,9 +310,16 @@ def congruence_violation(add, mul, roots):
 _LEQ_CELLS = 1 << 22
 
 # Most cells (rows times cells per row) one step of a bulk pass over a root
-# matrix takes: ``congruences.are_congruences`` and the harness's row tests
-# and bulk meets.
+# matrix takes: ``congruences.are_congruences`` and ``pushes``, and the
+# harness's row tests and bulk meets.
 ROW_CELLS = 1 << 18
+
+
+def row_blocks(rows, cells):
+    """Slices covering range(rows) in order, each of at most ROW_CELLS
+    cells at ``cells`` per row (and at least one row)."""
+    step = max(1, ROW_CELLS // max(1, cells))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def refinement_order(roots):

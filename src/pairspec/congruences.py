@@ -117,10 +117,31 @@ def are_congruences(pair: Pair, roots) -> np.ndarray:
     """``is_congruence`` of each row of a root matrix, in blocks of at most
     ``_kernels.ROW_CELLS`` cells."""
     r = np.asarray(roots)
-    step = max(1, _kernels.ROW_CELLS // pair.n ** 2)
-    mismatch = [_kernels.translate_mismatch(pair.add, pair.mul, r[lo:lo + step]).any(axis=1)
-                for lo in range(0, len(r), step)]
-    return ~np.concatenate(mismatch)
+    ok = np.ones(len(r), dtype=bool)
+    for s in _kernels.row_blocks(len(r), pair.n ** 2):
+        ok[s] = ~_kernels.translate_mismatch(pair.add, pair.mul, r[s]).any(axis=1)
+    return ok
+
+
+def pushes(roots, proj: np.ndarray, target: Pair) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk image along a surjection ``proj`` onto ``target``'s carrier: for
+    each root row, the root vector of its image {(proj x, proj y) : x ~ y},
+    and whether that is a congruence of ``target`` (False, with roots that
+    mean nothing, when it is not transitive).  With the elements sorted by
+    image, each fibre is a run, and the image is an ``or`` over the runs on
+    both axes; rows go in blocks of at most ``_kernels.ROW_CELLS`` cells of
+    n x n.  ``push_congruence`` is the one-row case."""
+    r = np.asarray(roots)
+    order = np.argsort(proj, kind="stable")
+    starts = np.searchsorted(proj[order], np.arange(target.n))
+    out = np.empty((len(r), target.n), dtype=r.dtype)
+    ok = np.zeros(len(r), dtype=bool)
+    for s in _kernels.row_blocks(len(r), r.shape[1] ** 2):
+        b = r[s][:, order]
+        rel = np.logical_or.reduceat(b[:, :, None] == b[:, None, :], starts, axis=1)
+        out[s], ok[s] = _closed(np.logical_or.reduceat(rel, starts, axis=2))
+    ok[ok] = are_congruences(target, out[ok])
+    return out, ok
 
 
 def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]]) -> Congruence:
@@ -258,13 +279,21 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     )
 
 
+def _closed(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's least block-mate, and whether the symmetric pair-sets
+    ``rel`` (stacked on the leading axes) are transitive.  An element
+    related to nothing forms a block of its own."""
+    roots = (rel | np.eye(rel.shape[-1], dtype=bool)).argmax(axis=-1)
+    # transitive iff each row with a member is its element's "same root" row
+    same = (roots[..., :, None] == roots[..., None, :]) & rel.any(axis=-1)[..., :, None]
+    return roots, (rel == same).all(axis=(-2, -1))
+
+
 def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[Congruence]]:
     """Whether a symmetric pair-set is transitive, and if so the congruence
-    it is (None when its blocks are not a congruence).  An element related
-    to nothing forms a block of its own."""
-    roots = (rel | np.eye(pair.n, dtype=bool)).argmax(axis=1)   # each least block-mate
-    # transitive iff each row with a member is its element's "same root" row
-    if (rel != ((roots[:, None] == roots) & rel.any(axis=1)[:, None])).any():
+    it is (None when its blocks are not a congruence)."""
+    roots, closed = _closed(rel)
+    if not closed:
         return False, None
     cong = Congruence(pair=pair, roots=tuple(roots.tolist()))
     return True, cong if is_congruence(pair, cong)[0] else None
@@ -344,13 +373,14 @@ class CongruenceLattice:
     def find(self, cong: Congruence) -> int:
         return int(self.find_rows([cong.roots])[0])
 
-    def find_rows(self, rows) -> np.ndarray:
-        """The index of each root vector of ``rows``."""
-        try:
-            return np.array([self._index[r.tobytes()]
-                             for r in np.asarray(rows, dtype=self.roots.dtype)], dtype=np.intp)
-        except KeyError:
-            raise KeyError("congruence not present in the lattice") from None
+    def find_rows(self, rows, missing: Optional[int] = None) -> np.ndarray:
+        """The index of each root vector of ``rows``; one that is not a
+        member gets ``missing``, or raises KeyError when that is None."""
+        out = [self._index.get(r.tobytes(), missing)
+               for r in np.asarray(rows, dtype=self.roots.dtype)]
+        if None in out:
+            raise KeyError("congruence not present in the lattice")
+        return np.array(out, dtype=np.intp)
 
     @cached_property
     def leq(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from .congruences import (
     CongruenceLattice,
     diag_e,
     enumerate_congruences,
+    pushes,
     relation_flags,
     relation_to_congruence,
 )
@@ -189,12 +190,9 @@ def ae_pair(pair: Pair) -> tuple[Pair, np.ndarray]:
 
 def push_congruence(cong: Congruence, proj: np.ndarray, target: Pair) -> Optional[Congruence]:
     """Image of a congruence along a surjection; None when the image relation
-    is not a congruence of the target."""
-    m = target.n
-    rel = np.zeros((m, m), dtype=bool)
-    xs, ys = cong.members
-    rel[proj[xs], proj[ys]] = True
-    return relation_to_congruence(target, rel)[1]
+    is not a congruence of the target (the one-row case of ``pushes``)."""
+    rows, ok = pushes([cong.roots], proj, target)
+    return Congruence(pair=target, roots=tuple(rows[0].tolist())) if ok[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -278,41 +276,46 @@ def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
 
 # the strong and the weak prime spectra, as classification flags
 _SPECTRA = ("strongly_prime", "prime")
+# the flags that read only which pairs a congruence relates
+_RELATION_FLAGS = ("proper", "weakly_proper", "contains_1e", "e_type")
 # how the verdict details name a target: itself, its lattice, the source
 # spectrum and the target spectrum
 _AE_WORDS = ("A*e", "the A*e lattice", "spec(A)", "spec(A*e)")
 _QUOTIENT_WORDS = ("the quotient", "the quotient lattice", "spec_e(A)", "spec(A/diag_e)")
 
 
-def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", proj: np.ndarray,
+# ``Analysis.images`` of a member whose image is no congruence of the
+# target, and of one whose image the target lattice lacks
+NOT_CONGRUENCE, MISSING = -1, -2
+
+
+def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", images: np.ndarray,
                  flag: str, kernel: Optional[Congruence], words: tuple[str, ...]) -> IsoVerdict:
-    """Whether ``proj`` maps the source congruences ``src`` order-isomorphically
-    onto the target congruences with ``flag`` set.  When ``kernel`` is given,
-    each source congruence must contain it first."""
+    """Whether the projection with target-lattice ``images`` maps the source
+    congruences ``src`` order-isomorphically onto the target congruences
+    with ``flag`` set.  When ``kernel`` is given, each source congruence
+    must contain it.  A failure names the first source congruence to fail
+    and the first test it fails: kernel, congruence, member, flag."""
     where, where_lattice, src_name, spec_name = words
     lattice, t_lat = source.lattice, target.lattice
     spec = target.having(flag)
-    mapping = {}
-    k = None if kernel is None else lattice.find(kernel)
-    for i in src:
-        if k is not None and not lattice.leq[k, i]:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"positive-e-type prime #{i} does not contain diag_e")
-        image = push_congruence(lattice[i], proj, target.pair)
-        if image is None:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not a congruence of {where}")
-        try:
-            mapping[i] = t_lat.find(image)
-        except KeyError:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} missing from {where_lattice}")
-        if mapping[i] not in spec:
-            return IsoVerdict(applicable=True, holds=False,
-                              detail=f"image of prime #{i} is not prime in {where}")
-    ok = _order_iso(lattice.leq, src, t_lat.leq, spec, mapping)
+    src = np.asarray(src, dtype=np.intp)
+    img = images[src]
+    no_kernel = np.zeros(len(src), dtype=bool) if kernel is None else \
+        ~lattice.leq[lattice.find(kernel), src]
+    fails = np.select([no_kernel, img == NOT_CONGRUENCE, img == MISSING, ~np.isin(img, spec)],
+                      [0, 1, 2, 3], -1)
+    if (fails >= 0).any():
+        k = int((fails >= 0).argmax())
+        i = int(src[k])
+        return IsoVerdict(applicable=True, holds=False, detail=(
+            f"positive-e-type prime #{i} does not contain diag_e",
+            f"image of prime #{i} is not a congruence of {where}",
+            f"image of prime #{i} missing from {where_lattice}",
+            f"image of prime #{i} is not prime in {where}")[fails[k]])
+    mapping = dict(zip(src.tolist(), img.tolist()))
     return IsoVerdict(
-        applicable=True, holds=ok,
+        applicable=True, holds=_order_iso(lattice.leq, src.tolist(), t_lat.leq, spec, mapping),
         detail=f"|{src_name}|={len(src)}, |{spec_name}|={len(spec)}",
         mapping=tuple(sorted(mapping.items())),
     )
@@ -376,13 +379,35 @@ class Analysis:
         q = quotient_pair(self.pair, de, name=f"{self.pair.name}/diag_e")
         return Analysis(q, self.cap), np.asarray(de.block_of, dtype=np.int64)
 
+    def column(self, flag: str) -> np.ndarray:
+        """Whether each member has ``flag`` set: a relation flag (``e_type``:
+        has one) from the lattice's flags, false throughout without a
+        witness, a twist flag from ``classes``."""
+        if flag in _RELATION_FLAGS:
+            col = getattr(self.lattice.flags, flag)
+            return np.zeros(len(self.lattice), dtype=bool) if col is None else col.astype(bool)
+        return np.array([getattr(c, flag) for c in self.classes], dtype=bool)
+
     def having(self, flag: str) -> list[int]:
-        """Indices of the congruences whose classification has ``flag`` set."""
-        return [i for i, c in enumerate(self.classes) if getattr(c, flag)]
+        """Indices of the congruences with ``flag`` set."""
+        return np.flatnonzero(self.column(flag)).tolist()
 
     def spec_e(self, flag: str) -> list[int]:
         """The part of ``having(flag)`` of positive e-type."""
-        return [i for i in self.having(flag) if self.classes[i].e_type is not None]
+        return np.flatnonzero(self.column(flag) & self.column("e_type")).tolist()
+
+    def images(self, sub: str) -> np.ndarray:
+        """The index in the lattice of ``sub`` ("ae" or "quotient_e") of each
+        member's image along its projection, or NOT_CONGRUENCE or MISSING;
+        computed once and kept as ``<sub>_images``."""
+        key = f"{sub}_images"
+        if key not in self.__dict__:
+            target, proj = getattr(self, sub)
+            rows, ok = pushes(self.lattice.roots, proj, target.pair)
+            out = np.full(len(rows), NOT_CONGRUENCE, dtype=np.intp)
+            out[ok] = target.lattice.find_rows(rows[ok], missing=MISSING)
+            self.__dict__[key] = out
+        return self.__dict__[key]
 
     @cached_property
     def rd2(self) -> tuple[IsoVerdict, IsoVerdict]:
@@ -393,11 +418,11 @@ class Analysis:
             return v, v
         srcs = {flag: self.having(flag) for flag in _SPECTRA}
         try:
-            target, proj = self.ae
+            target = self.ae[0]
         except HypothesisFails as exc:
             v = IsoVerdict(applicable=True, holds=False, detail=str(exc))
             return v, v
-        return tuple(_iso_verdict(self, src, target, proj, flag, None, _AE_WORDS)
+        return tuple(_iso_verdict(self, src, target, self.images("ae"), flag, None, _AE_WORDS)
                      for flag, src in srcs.items())
 
     @cached_property
@@ -411,8 +436,8 @@ class Analysis:
         srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}
         target, proj = self.quotient_e
         de = Congruence.from_labels(self.pair, proj.tolist())   # the kernel of proj
-        return tuple(_iso_verdict(self, src, target, proj, flag, de, _QUOTIENT_WORDS)
-                     for flag, src in srcs.items())
+        return tuple(_iso_verdict(self, src, target, self.images("quotient_e"), flag, de,
+                                  _QUOTIENT_WORDS) for flag, src in srcs.items())
 
 
 def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
@@ -423,7 +448,7 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
     if a.cls.positive_e_type is None:
         rd1 = IsoVerdict(applicable=False, detail="pair does not have positive e-type")
     else:
-        bad = [i for i in radical_set if not cls[i].contains_1e]
+        bad = np.flatnonzero(a.column("radical") & ~a.column("contains_1e")).tolist()
         rd1 = IsoVerdict(applicable=True, holds=not bad,
                          detail="" if not bad else f"radical congruences missing (1,e): {bad}")
     rd2, rd2_weak = a.rd2

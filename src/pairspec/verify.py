@@ -6,10 +6,15 @@ always evaluated first; a check on a pair that does not satisfy them reports
 hypotheses_held=False rather than a failure.  Counterexamples carry element
 labels.
 
-BF, PRS1, PRO3, SHALLOW1K, CHAINS parts i-iii, GEN, EMUL and ESQ are column
-comparisons or gathers over the lattice's root matrix and the tables; each
-reports the first counterexample of the loop over members and elements that
-it replaced, located with ``argmax``.
+The checks over lattice members are column tests: BF, ID1, TR1, PRS1, PRS2,
+RD1, SP2 part ii, PRO3, PRO3C, CP, SHALLOW1K and CHAINS parts i-iii compare
+columns of the root matrix ``lattice.roots``, its order ``leq``, the flag
+columns of ``Analysis.column`` and the A*e images of ``Analysis.images``, and
+GEN, EMUL and ESQ gather over the tables.  Each reports the first
+counterexample of the loop over members and elements that it replaced,
+located with ``argmax``.  CHAINS part iv (a twist scan per triple of
+members) and CONGB (one ``cong_b`` per sum) still loop.  No check builds a
+quotient pair or pushes one congruence at a time; the reverifiers do.
 
 ``reverify_counterexample`` recomputes the violated instance from the raw
 tables for EST, ESQ, EFINAL_IDEM, KIND, ETYPE_SHALLOW, TWASS, GEN, ID1, CP,
@@ -39,14 +44,15 @@ from .congruences import (
     is_congruence,
     meets,
 )
-from .constructions import doubled_names, quotient_pair, twist_table
+from .constructions import _block_label, doubled_names, quotient_pair, twist_table
 from .core import Pair, is_proper
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
+    MISSING,
+    NOT_CONGRUENCE,
     Analysis,
     _maximal,
     classify_congruence_elementwise,
-    push_congruence,
     sqrt_phi,
     twist,
     twist_subset,
@@ -82,13 +88,12 @@ def _first_row(rows, cells, test):
     (row, cell), or None.  ``test`` maps a block of rows to a boolean array
     of at most ``cells`` failure cells per row, read in row-major order; a
     block holds at most ``_kernels.ROW_CELLS`` cells."""
-    step = max(1, _kernels.ROW_CELLS // max(1, cells))
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
+    for s in _kernels.row_blocks(len(rows), cells):
+        block = rows[s]
         bad = test(block).reshape(len(block), -1)
         if bad.any():
             r, c = divmod(int(bad.argmax()), bad.shape[1])
-            return lo + r, c
+            return s.start + r, c
     return None
 
 
@@ -235,18 +240,21 @@ def _check_id1(ctx):
     pair = ctx.pair
     if pair.property_n is None:
         return False, None, None, "needs a Property-N witness"
-    one_e = np.flatnonzero(ctx.lattice.flags.contains_1e)
-    for i in one_e:
-        cong = ctx.lattice[i]
-        q = quotient_pair(pair, cong)
-        if q.a_zero != set(range(q.n)):
-            missing = next(i for i in range(q.n) if i not in q.a_zero)
-            return True, False, {"kind": "not_degenerate", "blocks": cong.block_labels(),
-                                 "element": q.names[missing]}, ""
-        bad = [x for x in range(q.n) if int(q.add[x, x]) != x]
-        if bad:
-            return True, False, {"kind": "not_idempotent", "blocks": cong.block_labels(),
-                                 "element": q.names[bad[0]]}, ""
+    lat, n = ctx.lattice, pair.n
+    one_e = np.flatnonzero(lat.flags.contains_1e)
+    zs = np.flatnonzero(pair.a0_mask)
+    twice = pair.add.diagonal()
+    # over the elements x: x's block misses A0, then x + x lies outside it.
+    # Both hold for the whole block, so the first x to fail is the least
+    # member of the first failing block of A/cong
+    hit = _first_row(lat.roots[one_e], n * (len(zs) + 2), lambda r: np.hstack([
+        ~(r[:, :, None] == r[:, None, zs]).any(axis=2), r[:, twice] != r]))
+    if hit:
+        row, cell = hit
+        i, x = one_e[row], cell % n
+        return True, False, {"kind": ("not_degenerate", "not_idempotent")[cell // n],
+                             "blocks": lat[i].block_labels(),
+                             "element": _block_label(pair.names, np.flatnonzero(lat.roots[i] == x))}, ""
     return True, True, None, f"{len(one_e)} (1,e)-congruence(s) checked"
 
 
@@ -256,17 +264,19 @@ def _check_tr1(ctx):
         return False, None, None, "needs a Property-N witness"
     q, q_proj = ctx.quotient_e
     q_lat = q.lattice
-    pulled = []
-    for psi in q_lat:
-        c = Congruence.from_labels(pair, np.asarray(psi.roots)[q_proj].tolist())
-        ok, wit = is_congruence(pair, c)
-        if not ok:
-            return True, False, {"kind": "pullback_not_congruence",
-                                 "quotient_blocks": psi.block_labels(), "witness": wit}, ""
-        pulled.append(c)
-    if len({c.roots for c in pulled}) != len(q_lat):
+    # x and y are related in the pullback of psi iff psi relates their images
+    labels = q_lat.roots[:, q_proj]
+    pulled = np.concatenate([meets(labels[s], labels[s])
+                             for s in _kernels.row_blocks(len(labels), pair.n)])
+    ok = are_congruences(pair, pulled)
+    if not ok.all():
+        k = int(ok.argmin())
+        return True, False, {"kind": "pullback_not_congruence",
+                             "quotient_blocks": q_lat[k].block_labels(),
+                             "witness": is_congruence(pair, pulled[k].tolist())[1]}, ""
+    if len(np.unique(pulled, axis=0)) != len(q_lat):
         return True, False, {"kind": "pullback_not_injective"}, ""
-    bad = np.argwhere(q_lat.leq != refinement_order([c.roots for c in pulled]))
+    bad = np.argwhere(q_lat.leq != refinement_order(pulled))
     if len(bad):                    # the first pair (i, j) in row-major order
         i, j = bad[0]
         return True, False, {"kind": "pullback_not_order_embedding",
@@ -274,28 +284,24 @@ def _check_tr1(ctx):
     notes = f"injected {len(q_lat)} congruences"
 
     if ctx.cls.e_central:
-        ae, proj = ctx.ae
-        images = []
-        for cong in ctx.lattice:
-            img = push_congruence(cong, proj, ae.pair)
-            if img is None:
-                return True, False, {"kind": "e_image_not_congruence",
-                                     "blocks": cong.block_labels()}, ""
-            images.append(img)
-        bad = np.argwhere(ctx.lattice.leq & ~refinement_order([c.roots for c in images]))
+        img, lat = ctx.images("ae"), ctx.lattice
+        ae_lat = ctx.ae[0].lattice
+        for marker, kind in ((NOT_CONGRUENCE, "e_image_not_congruence"),
+                             (MISSING, "e_image_missing")):
+            bad = np.flatnonzero(img == marker)
+            if len(bad):
+                return True, False, {"kind": kind, "blocks": lat[bad[0]].block_labels()}, ""
+        bad = np.argwhere(lat.leq & ~ae_lat.leq[np.ix_(img, img)])
         if len(bad):
             return True, False, {"kind": "e_image_not_monotone",
-                                 "i": ctx.lattice[bad[0][0]].block_labels()}, ""
+                                 "i": lat[bad[0][0]].block_labels()}, ""
         notes += "; e-image map is monotone"
         if ctx.cls.e_final:
-            src = np.flatnonzero(ctx.lattice.flags.contains_1e)
-            ae_lat = ae.lattice
-            mapping = [ae_lat.find(images[i]) for i in src]
-            if sorted(set(mapping)) != list(range(len(ae_lat))):
+            src = np.flatnonzero(lat.flags.contains_1e)
+            if not np.array_equal(np.unique(img[src]), np.arange(len(ae_lat))):
                 return True, False, {"kind": "e_image_not_bijection",
                                      "one_e_count": len(src), "ae_count": len(ae_lat)}, ""
-            img = np.asarray(mapping, dtype=np.intp)
-            if not np.array_equal(ctx.lattice.leq[np.ix_(src, src)], ae_lat.leq[np.ix_(img, img)]):
+            if not np.array_equal(lat.leq[np.ix_(src, src)], ae_lat.leq[np.ix_(img[src], img[src])]):
                 return True, False, {"kind": "e_image_not_order_iso"}, ""
             notes += f"; (1,e)-congruences biject onto {len(ae_lat)} congruences of A*e"
     return True, True, None, notes
@@ -338,16 +344,18 @@ def _check_bf(ctx):
     for i in np.flatnonzero(~are_congruences(pair, lat.roots)):
         if not twist_subset(pair, full, lat[i], lat[i].matrix):
             return True, False, {"part": "i", "blocks": lat[i].block_labels()}, ""
-    for i, c in enumerate(cls):
-        if c.prime != (c.semiprime and c.irreducible):
-            return True, False, {"part": "ii", "blocks": lat[i].block_labels(),
-                                 "prime": c.prime, "semiprime": c.semiprime,
-                                 "irreducible": c.irreducible}, ""
+    bad = np.flatnonzero(ctx.column("prime") != (ctx.column("semiprime")
+                                                  & ctx.column("irreducible")))
+    if len(bad):
+        c = cls[bad[0]]
+        return True, False, {"part": "ii", "blocks": lat[bad[0]].block_labels(),
+                             "prime": c.prime, "semiprime": c.semiprime,
+                             "irreducible": c.irreducible}, ""
     # (iii)/(iv): meets are symmetric, so the first (i, j) in row-major order
     # whose meet lacks the flag has j >= i
     sizes = []
     for part, flag in (("iii", "semiprime"), ("iv", "radical")):
-        has = np.array([getattr(c, flag) for c in cls], dtype=bool)
+        has = ctx.column(flag)
         idx = np.flatnonzero(has)
         sizes.append(len(idx))
         for k, i in enumerate(idx):
@@ -361,10 +369,9 @@ def _check_bf(ctx):
     # exactly when their join is j, so a mismatch is also one of the join,
     # which was tested first.
     roots, m = lat.roots, len(lat)
-    step = max(1, _kernels.ROW_CELLS // (m * pair.n))
-    for lo in range(0, m, step):
-        i, j = np.nonzero(lat.leq[lo:lo + step])
-        if (meets(roots[i + lo], roots[j]) != roots[i + lo]).any():
+    for s in _kernels.row_blocks(m, m * pair.n):
+        i, j = np.nonzero(lat.leq[s])
+        if (meets(roots[i + s.start], roots[j]) != roots[i + s.start]).any():
             return True, False, {"part": "v", "join_mismatch": True}, ""
     return True, True, None, f"lattice of {m}; semiprime={sizes[0]}, radical={sizes[1]}"
 
@@ -400,8 +407,8 @@ def _check_prs2(ctx):
         return False, None, None, "needs an e-distributive pair"
     e = pair.property_n.e
     notes = []
-    diag_is_radical = classify_congruence_elementwise(pair, diagonal(pair)).radical
-    if diag_is_radical:
+    # the radical flag of the diagonal alone, which reads no lattice
+    if _kernels.radical_violation(pair.add, pair.mul, np.eye(pair.n, dtype=bool))[0] < 0:
         roots, two_e = ctx.lattice.roots, pair.add[e, e]
         probe = roots[:, pair.add[pair.one, two_e]] == roots[:, two_e]
         bad = np.flatnonzero(ctx.lattice.flags.contains_1e != probe)
@@ -433,11 +440,11 @@ def _check_prs2(ctx):
 def _check_rd1(ctx):
     if ctx.cls.positive_e_type is None:
         return False, None, None, "needs positive e-type"
-    rad = ctx.having("radical")
-    for i in rad:
-        if not ctx.classes[i].contains_1e:
-            return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
-    return True, True, None, f"{len(rad)} radical congruence(s) contain (1,e)"
+    rad = ctx.column("radical")
+    bad = np.flatnonzero(rad & ~ctx.column("contains_1e"))
+    if len(bad):
+        return True, False, {"blocks": ctx.lattice[bad[0]].block_labels()}, ""
+    return True, True, None, f"{rad.sum()} radical congruence(s) contain (1,e)"
 
 
 def _check_rd2(ctx):
@@ -457,10 +464,11 @@ def _check_sp2(ctx):
     notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds}"
     if not v.holds:
         return True, False, {"part": "i", "detail": v.detail}, notes
-    maximal_wo = _maximal(ctx.lattice, [i for i, c in enumerate(ctx.classes) if c.e_type is None])
-    for i in maximal_wo:
-        if not ctx.classes[i].prime:
-            return True, False, {"part": "ii", "blocks": ctx.lattice[i].block_labels()}, notes
+    maximal_wo = np.array(_maximal(ctx.lattice, np.flatnonzero(~ctx.column("e_type"))),
+                          dtype=np.intp)
+    bad = maximal_wo[~ctx.column("prime")[maximal_wo]]
+    if len(bad):
+        return True, False, {"part": "ii", "blocks": ctx.lattice[bad[0]].block_labels()}, notes
     notes += f"; {len(maximal_wo)} maximal congruence(s) without positive e-type are prime"
     return True, True, None, notes
 
@@ -488,9 +496,10 @@ def _check_pro3(ctx):
 def _check_pro3c(ctx):
     if not (ctx.cls.e_central and ctx.cls.e_idempotent):
         return False, None, None, "needs an e-central, e-idempotent pair"
-    for i, c in enumerate(ctx.classes):
-        if c.t_cancellative and not c.proper and not c.contains_1e:
-            return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
+    bad = np.flatnonzero(ctx.column("t_cancellative") & ~ctx.column("proper")
+                         & ~ctx.column("contains_1e"))
+    if len(bad):
+        return True, False, {"blocks": ctx.lattice[bad[0]].block_labels()}, ""
     return True, True, None, ""
 
 
@@ -498,12 +507,14 @@ def _check_cp(ctx):
     pair = ctx.pair
     if not ctx.cls.proper:
         return False, None, None, "needs a proper pair"
-    for i, c in enumerate(ctx.classes):
-        if not c.proper:
-            continue
-        q = quotient_pair(pair, ctx.lattice[i])
-        if not is_proper(q):
-            return True, False, {"blocks": ctx.lattice[i].block_labels()}, ""
+    lat = ctx.lattice
+    proper = ctx.having("proper")
+    ts, zs = pair.t_sorted, np.flatnonzero(pair.a0_mask)
+    # A/cong is proper unless the block of some t in T meets A0 away from 0
+    hit = _first_row(lat.roots[proper], len(ts) * len(zs), lambda r: (
+        (r[:, ts, None] == r[:, None, zs]) & (r[:, ts] != r[:, [pair.zero]])[:, :, None]))
+    if hit:
+        return True, False, {"blocks": lat[proper[hit[0]]].block_labels()}, ""
     return True, True, None, ""
 
 
@@ -529,7 +540,6 @@ def _check_shallow1k(ctx):
 def _check_chains(ctx):
     pair = ctx.pair
     lat = ctx.lattice
-    cls = ctx.classes
     proper_idx = ctx.having("proper")
     # the improper members of meet(i, j) are the common improper members of
     # i and j, so a row of related pairs in T x A0 per member decides part i
@@ -565,7 +575,7 @@ def _check_chains(ctx):
 
     if pair.structure.is_semiring():
         max_weakly = _maximal(lat, ctx.having("weakly_proper"))
-        has_very = [i for i, c in enumerate(cls) if not c.weakly_proper]
+        has_very = np.flatnonzero(~ctx.column("weakly_proper"))
         for i in max_weakly:
             for j in has_very:
                 for k in has_very:
@@ -700,8 +710,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     blocks form a congruence).
 
     Returns True when the counterexample indeed violates the named law, and
-    False for an id that names no check or blocks that do not partition the
-    carrier.
+    False for an id that names no check, blocks that do not partition the
+    carrier, an unknown label, or a field that is missing or too short.
     """
     if check_id not in CHECKS:
         return False
@@ -711,89 +721,94 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         cong = _cong_from_blocks(pair, cx["blocks"])
         if cong is None:
             return False
-    ix = pair.structure.index
-    add, mul = pair.add, pair.mul
-    if check_id == "EST":
-        return int(mul[ix[cx["e"]], ix[cx["dagger"]]]) != ix[cx["e"]]
-    if check_id == "ESQ":
-        if "e_squared" in cx:
+    elif check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
+        return False        # these recompute the instance on the blocks
+    try:      # an unknown label, or a missing or short field, raises
+        ix = pair.structure.index
+        add, mul = pair.add, pair.mul
+        if check_id == "EST":
+            return int(mul[ix[cx["e"]], ix[cx["dagger"]]]) != ix[cx["e"]]
+        if check_id == "ESQ":
+            if "e_squared" in cx:
+                e = pair.property_n.e
+                return int(mul[e, e]) != int(add[e, e])
             e = pair.property_n.e
-            return int(mul[e, e]) != int(add[e, e])
-        e = pair.property_n.e
-        b1, b2 = ix[cx["b1"]], ix[cx["b2"]]
-        return int(mul[e, add[b1, b2]]) != int(add[mul[e, b1], mul[e, b2]])
-    if check_id == "EFINAL_IDEM":
-        e = ix[cx["e"]]
-        return int(add[e, e]) != e
-    if check_id == "KIND":
-        if "tangible" in cx:
-            a = ix[cx["tangible"]]
-            return int(add[a, a]) not in pair.a_zero and ix[cx["two"]] in pair.a_zero
-        a0, n = pair.a_zero, pair.n
-        second = any(int(add[a, a]) not in a0 for a in pair.tangible)
-        cancellative = all(
-            len({int(mul[a, x]) for x in range(n)}) == n
-            and all(int(mul[a, x]) not in a0 for x in range(n) if x not in a0)
-            for a in pair.tangible
-        )
-        two_in = int(add[pair.one, pair.one]) in a0
-        return (cancellative and second != (not two_in)
-                and cx["kind"] == ("second" if second else "first") and cx["two_in_a0"] == two_in)
-    if check_id == "TWASS":
-        # label (a,b) is a * n + b of the double; the twist product on the
-        # base tables, with no doubled table built
-        at = {x: divmod(k, pair.n) for k, x in enumerate(doubled_names(pair.names))}
-        i, j, k = (at[x] for x in cx["triple"])
-        return twist(pair, twist(pair, i, j), k) != twist(pair, i, twist(pair, j, k))
-    if check_id == "GEN":
-        b1, b2 = (ix[x] for x in cx["b"])
-        z = ix[cx["z"]]
-        got = twist(pair, (b1, b2), (z, z))
-        want = int(mul[add[b1, b2], z])
-        return got != (want, want)
-    if check_id == "SHALLOW1K":
-        ok, _ = is_congruence(pair, cong)
-        a1, a2 = ix[cx["a1"]], ix[cx["a2"]]
-        return ok and cong.related(a1, a2) and int(add[a1, a2]) not in pair.a_zero
-    if check_id == "CHAINS" and cx.get("part") == "iii":
-        (a1, b1) = (ix[x] for x in cx["x"])
-        (a2, b2) = (ix[x] for x in cx["y"])
-        p, q = twist(pair, (a1, b1), (a2, b2))
-        very = p in pair.tangible and q in pair.a_zero and int(add[p, q]) == p
-        return not very
-    if check_id == "RD1":
-        ok, _ = is_congruence(pair, cong)
-        cls = classify_congruence_elementwise(pair, cong)
-        return ok and cls.radical and not cls.contains_1e
-    if check_id == "PRS1":
-        cls = classify_congruence_elementwise(pair, cong)
-        if not cls.radical:
-            return False
-        if cx["part"] == "i":
+            b1, b2 = ix[cx["b1"]], ix[cx["b2"]]
+            return int(mul[e, add[b1, b2]]) != int(add[mul[e, b1], mul[e, b2]])
+        if check_id == "EFINAL_IDEM":
+            e = ix[cx["e"]]
+            return int(add[e, e]) != e
+        if check_id == "KIND":
+            if "tangible" in cx:
+                a = ix[cx["tangible"]]
+                return int(add[a, a]) not in pair.a_zero and ix[cx["two"]] in pair.a_zero
+            a0, n = pair.a_zero, pair.n
+            second = any(int(add[a, a]) not in a0 for a in pair.tangible)
+            cancellative = all(
+                len({int(mul[a, x]) for x in range(n)}) == n
+                and all(int(mul[a, x]) not in a0 for x in range(n) if x not in a0)
+                for a in pair.tangible
+            )
+            two_in = int(add[pair.one, pair.one]) in a0
+            return (cancellative and second != (not two_in)
+                    and cx["kind"] == ("second" if second else "first") and cx["two_in_a0"] == two_in)
+        if check_id == "TWASS":
+            # label (a,b) is a * n + b of the double; the twist product on the
+            # base tables, with no doubled table built
+            at = {x: divmod(k, pair.n) for k, x in enumerate(doubled_names(pair.names))}
+            i, j, k = (at[x] for x in cx["triple"])
+            return twist(pair, twist(pair, i, j), k) != twist(pair, i, twist(pair, j, k))
+        if check_id == "GEN":
             b1, b2 = (ix[x] for x in cx["b"])
-            return cong.related(*twist(pair, (b1, b2), (b2, b1))) and not cong.related(b1, b2)
-        b = ix[cx["b"]]
-        sq = (int(add[pair.one, mul[b, b]]), int(add[b, b]))
-        return cong.related(pair.one, b) != cong.related(*sq)
-    if check_id == "ID1":
-        q = quotient_pair(pair, cong)
-        if cx["kind"] == "not_degenerate":
-            return q.a_zero != set(range(q.n))
-        return any(int(q.add[x, x]) != x for x in range(q.n))
-    if check_id == "PRO3":
-        a, c = ix[cx["a"]], ix[cx["c"]]
-        e = pair.property_n.e
-        return (cong.related(e, int(mul[e, e])) and cong.related(a, c)
-                and not cong.related(a, int(mul[a, e])))
-    if check_id == "PRO3C":
-        cls = classify_congruence_elementwise(pair, cong)
-        return cls.t_cancellative and not cls.proper and not cls.contains_1e
-    if check_id == "CP":
-        return not is_proper(quotient_pair(pair, cong))
-    if check_id == "ETYPE_SHALLOW":
-        from .core import e_type as _et
-        return _et(pair) not in ((cx["k"], cx["k"]), (cx["k"], 1))
-    # congruence-membership style counterexamples from the remaining checks
-    if cong is not None:
-        return is_congruence(pair, cong)[0]
-    return True
+            z = ix[cx["z"]]
+            got = twist(pair, (b1, b2), (z, z))
+            want = int(mul[add[b1, b2], z])
+            return got != (want, want)
+        if check_id == "SHALLOW1K":
+            ok, _ = is_congruence(pair, cong)
+            a1, a2 = ix[cx["a1"]], ix[cx["a2"]]
+            return ok and cong.related(a1, a2) and int(add[a1, a2]) not in pair.a_zero
+        if check_id == "CHAINS" and cx.get("part") == "iii":
+            (a1, b1) = (ix[x] for x in cx["x"])
+            (a2, b2) = (ix[x] for x in cx["y"])
+            p, q = twist(pair, (a1, b1), (a2, b2))
+            very = p in pair.tangible and q in pair.a_zero and int(add[p, q]) == p
+            return not very
+        if check_id == "RD1":
+            ok, _ = is_congruence(pair, cong)
+            cls = classify_congruence_elementwise(pair, cong)
+            return ok and cls.radical and not cls.contains_1e
+        if check_id == "PRS1":
+            cls = classify_congruence_elementwise(pair, cong)
+            if not cls.radical:
+                return False
+            if cx["part"] == "i":
+                b1, b2 = (ix[x] for x in cx["b"])
+                return cong.related(*twist(pair, (b1, b2), (b2, b1))) and not cong.related(b1, b2)
+            b = ix[cx["b"]]
+            sq = (int(add[pair.one, mul[b, b]]), int(add[b, b]))
+            return cong.related(pair.one, b) != cong.related(*sq)
+        if check_id == "ID1":
+            q = quotient_pair(pair, cong)
+            if cx["kind"] == "not_degenerate":
+                return q.a_zero != set(range(q.n))
+            return any(int(q.add[x, x]) != x for x in range(q.n))
+        if check_id == "PRO3":
+            a, c = ix[cx["a"]], ix[cx["c"]]
+            e = pair.property_n.e
+            return (cong.related(e, int(mul[e, e])) and cong.related(a, c)
+                    and not cong.related(a, int(mul[a, e])))
+        if check_id == "PRO3C":
+            cls = classify_congruence_elementwise(pair, cong)
+            return cls.t_cancellative and not cls.proper and not cls.contains_1e
+        if check_id == "CP":
+            return not is_proper(quotient_pair(pair, cong))
+        if check_id == "ETYPE_SHALLOW":
+            from .core import e_type as _et
+            return _et(pair) not in ((cx["k"], cx["k"]), (cx["k"], 1))
+        # congruence-membership style counterexamples from the remaining checks
+        if cong is not None:
+            return is_congruence(pair, cong)[0]
+        return True
+    except (KeyError, ValueError):
+        return False

@@ -880,6 +880,134 @@ def without_1e_loop(pair, lattice, classes, flagged):
 
 
 
+def cp_loop(pair, lattice, proper, quotient_pair, is_proper):
+    """CP as the loop over the members called proper: the blocks of the
+    first whose whole quotient pair is not proper, or None."""
+    for i in proper:
+        if not is_proper(quotient_pair(pair, lattice[i])):
+            return {"blocks": lattice[i].block_labels()}
+    return None
+
+
+def bf_part_ii_loop(lattice, classes):
+    """BF part ii: the first member flagged prime but not semiprime and
+    irreducible, or the other way round."""
+    for i, c in enumerate(classes):
+        if c.prime != (c.semiprime and c.irreducible):
+            return {"part": "ii", "blocks": lattice[i].block_labels(), "prime": c.prime,
+                    "semiprime": c.semiprime, "irreducible": c.irreducible}
+    return None
+
+
+def sp2_part_ii_loop(lattice, classes):
+    """SP2 part ii: the first member without an e-type, below no other such
+    member in ``lattice.leq``, that is not prime."""
+    without = [i for i, c in enumerate(classes) if c.e_type is None]
+    for i in without:
+        if not any(j != i and lattice.leq[i, j] for j in without) and not classes[i].prime:
+            return {"part": "ii", "blocks": lattice[i].block_labels()}
+    return None
+
+
+def image_relation(roots, proj, m):
+    """{(proj x, proj y) : x ~ y} for the partition with root vector
+    ``roots``, by a loop over its related pairs."""
+    rel = np.zeros((m, m), dtype=bool)
+    for x in range(len(roots)):
+        for y in range(len(roots)):
+            if roots[x] == roots[y]:
+                rel[proj[x], proj[y]] = True
+    return rel
+
+
+def push_loop(roots, proj, target):
+    """The old one-congruence push: the root vector of the image relation
+    when it is transitive and its blocks are a congruence of ``target`` (by
+    brute force), else None."""
+    m = target.n
+    rel = image_relation(roots, proj, m)
+    if not transitive_cube(rel):
+        return None
+    image = roots_of([int(np.argmax(rel[a])) for a in range(m)])
+    add = [[int(v) for v in row] for row in target.add]
+    mul = [[int(v) for v in row] for row in target.mul]
+    return image if is_congruence_bruteforce(add, mul, sorted(target.tangible), image) else None
+
+
+def iso_verdict_loop(lattice, src, t_lat, spec, push, kernel, words):
+    """The RD2/SP2 order-isomorphism verdict as the loop over the source
+    congruences ``src``, each pushed on its own: (holds, detail).  With a
+    ``kernel`` (root vector), each source congruence must contain it."""
+    where, where_lattice, src_name, spec_name = words
+    index = {c.roots: k for k, c in enumerate(t_lat)}
+    mapping = {}
+    for i in src:
+        if kernel is not None and not refines_by_definition(kernel, lattice[i].roots):
+            return False, f"positive-e-type prime #{i} does not contain diag_e"
+        image = push(lattice[i])
+        if image is None:
+            return False, f"image of prime #{i} is not a congruence of {where}"
+        if image.roots not in index:
+            return False, f"image of prime #{i} missing from {where_lattice}"
+        mapping[i] = index[image.roots]
+        if mapping[i] not in spec:
+            return False, f"image of prime #{i} is not prime in {where}"
+    holds = sorted(mapping.values()) == sorted(spec) and all(
+        lattice.leq[i, j] == t_lat.leq[mapping[i], mapping[j]] for i in src for j in src)
+    return holds, f"|{src_name}|={len(src)}, |{spec_name}|={len(spec)}"
+
+
+def tr1_loop(pair, q_lat, q_proj, lattice, ae_lat, push, e_central, e_final, is_congruence):
+    """TR1 as the loops over members: each congruence of A/diag_e pulled
+    back by its labels, then each member of ``lattice`` pushed to A*e one at
+    a time.  An image missing from ``ae_lat``, where the loop's lookup raised
+    KeyError, is reported as e_image_missing once every push is made.
+    Returns (passed, counterexample)."""
+    pulled = []
+    for psi in q_lat:
+        labels = [psi.roots[a] for a in q_proj]
+        ok, wit = is_congruence(pair, labels)
+        if not ok:
+            return False, {"kind": "pullback_not_congruence",
+                           "quotient_blocks": psi.block_labels(), "witness": wit}
+        pulled.append(roots_of(labels))
+    if len(set(pulled)) != len(q_lat):
+        return False, {"kind": "pullback_not_injective"}
+    for i in range(len(q_lat)):
+        for j in range(len(q_lat)):
+            if bool(q_lat.leq[i, j]) != refines_by_definition(pulled[i], pulled[j]):
+                return False, {"kind": "pullback_not_order_embedding",
+                               "i": q_lat[i].block_labels(), "j": q_lat[j].block_labels()}
+    if not e_central:
+        return True, None
+    images = []
+    for cong in lattice:
+        img = push(cong)
+        if img is None:
+            return False, {"kind": "e_image_not_congruence", "blocks": cong.block_labels()}
+        images.append(img.roots)
+    index = {c.roots: k for k, c in enumerate(ae_lat)}
+    for cong, img in zip(lattice, images):
+        if img not in index:
+            return False, {"kind": "e_image_missing", "blocks": cong.block_labels()}
+    for i in range(len(lattice)):
+        for j in range(len(lattice)):
+            if lattice.leq[i, j] and not refines_by_definition(images[i], images[j]):
+                return False, {"kind": "e_image_not_monotone", "i": lattice[i].block_labels()}
+    if e_final:
+        e = pair.property_n.e
+        src = [i for i, c in enumerate(lattice) if c.related(pair.one, e)]
+        mapping = [index[images[i]] for i in src]
+        if sorted(set(mapping)) != list(range(len(ae_lat))):
+            return False, {"kind": "e_image_not_bijection", "one_e_count": len(src),
+                           "ae_count": len(ae_lat)}
+        for a, i in enumerate(src):
+            for b, j in enumerate(src):
+                if lattice.leq[i, j] != ae_lat.leq[mapping[a], mapping[b]]:
+                    return False, {"kind": "e_image_not_order_iso"}
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # the harness's loops over lattice members and carrier elements
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from pairspec.congruences import (
     join,
     meet,
     meets,
+    pushes,
     relation_to_congruence,
 )
 from pairspec.core import e_type, validate_pair, validate_structure
 from pairspec.errors import CapExceeded, NoPropertyN
-from pairspec.spectrum import twist_subset
+from pairspec.spectrum import push_congruence, twist_subset
 
 SMALL = ("super_boolean", "minbp_c2_first", "minbp_c2_second",
          "supertropical_c2", "power_krasner", "field_f3", "field_f5")
@@ -515,3 +516,66 @@ def test_relation_to_congruence_matches_cube(pairs, case):
         assert got == (want if is_congruence(p, want)[0] else None)
     else:
         assert got is None
+
+
+# -- bulk pushes -----------------------------------------------------------------
+
+def _push_case(seed, n, m):
+    """A random pair on m elements, a random surjection of n >= m elements
+    onto it, and root rows over the n elements: random partitions, then the
+    pullback of each congruence of the target, which pushes back to it."""
+    rng = np.random.default_rng(seed)
+    target = _random_pair(rng, m)
+    proj = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
+    rows = [oracle.roots_of(rng.integers(0, rng.integers(1, n + 1), n).tolist())
+            for _ in range(12)]
+    rows += [oracle.roots_of([c.roots[a] for a in proj]) for c in enumerate_congruences(target)]
+    return target, proj, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 5), extra=st.integers(0, 3))
+def test_pushes_match_push_loop(seed, m, extra):
+    """Each row's bulk image, and push_congruence as the one-row case, is
+    the old per-congruence push's."""
+    target, proj, rows = _push_case(seed, m + extra, m)
+    got, ok = pushes(_kernels.compact(np.array(rows)), proj, target)
+    for r, image, is_cong in zip(rows, got.tolist(), ok.tolist()):
+        want = oracle.push_loop(r, proj, target)
+        assert is_cong == (want is not None)
+        if is_cong:
+            assert tuple(image) == want
+        one = push_congruence(Congruence(pair=None, roots=r), proj, target)
+        assert (None if one is None else one.roots) == want
+
+
+def test_push_cases_cover_every_outcome():
+    """The rows of ``_push_case`` push to images that are not transitive,
+    transitive but no congruence, and congruences."""
+    seen = set()
+    for seed in range(20):
+        for m, extra in ((3, 0), (4, 2)):
+            target, proj, rows = _push_case(seed, m + extra, m)
+            for r in rows:
+                if not oracle.transitive_cube(oracle.image_relation(r, proj, m)):
+                    seen.add("not_transitive")
+                else:
+                    seen.add(oracle.push_loop(r, proj, target) is not None)
+    assert seen == {"not_transitive", False, True}
+
+
+def test_pushes_memory_does_not_grow_with_rows():
+    """The relations are built a block of rows at a time: the peak grows
+    with the rows only by the output and its masks, a few bytes per row and
+    target element.  The n x n relation of every row at once would take
+    len(rows) * n^2 bytes, 4.8 MB for the larger case."""
+    n, m = 40, 9
+    target, proj, rows = _push_case(3, n, m)
+    rows = _kernels.compact(np.array(rows))
+    for count in (300, 3000):
+        r = np.resize(rows, (count, n))
+        tracemalloc.start()
+        pushes(r, proj, target)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 * count * (m + 1) + 8 * _kernels.ROW_CELLS, (count, peak)

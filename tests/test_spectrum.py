@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from pairspec import constructions, monoids
 from pairspec.congruences import (
+    Congruence,
     all_relation,
     diag_e,
     diagonal,
@@ -481,3 +482,49 @@ def test_strongly_prime_is_joo_mincheva_prime(pairs):
                 assert cls.strongly_prime == oracle.jm_prime(add, mul, list(cong.block_of),
                                                              sub.zero), (sub.name, cong.roots)
     assert (images, members) == (54, 300)
+
+
+def test_iso_verdicts_match_member_loop(pairs):
+    """RD2 and SP2 read each member's image from ``Analysis.images``: with
+    images planted that are no congruence, missing from the target lattice
+    or not prime there, and over source sets that fail the kernel test or
+    the bijection, each verdict is that of the loop over the source
+    congruences pushed one at a time."""
+    from pairspec.spectrum import MISSING, NOT_CONGRUENCE, _AE_WORDS, _QUOTIENT_WORDS, _iso_verdict
+    seen = set()
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat = a.lattice
+        for sub, verdicts, words in (("ae", "rd2", _AE_WORDS), ("quotient_e", "sp2i", _QUOTIENT_WORDS)):
+            if not getattr(a, verdicts)[0].applicable:
+                continue
+            target, proj = getattr(a, sub)
+            kernel = None if sub == "ae" else Congruence.from_labels(p, proj.tolist())
+            real, t_lat = a.images(sub), target.lattice
+            for flag in ("strongly_prime", "prime"):
+                spec = target.having(flag)
+                others = [k for k in range(len(t_lat)) if k not in spec]
+                src = a.having(flag) if sub == "ae" else a.spec_e(flag)
+                for s in (src, list(range(len(lat)))):
+                    plants = [{}, {s[0]: NOT_CONGRUENCE}, {s[-1]: MISSING},
+                              {s[0]: MISSING, s[-1]: NOT_CONGRUENCE}]
+                    plants += [{s[len(s) // 2]: k} for k in others[:1]]
+                    for plant in plants:
+                        fake = real.copy()
+                        fake[list(plant)] = list(plant.values())
+
+                        def push(cong, fake=fake):
+                            k = fake[lat.find(cong)]
+                            return (None if k == NOT_CONGRUENCE else
+                                    SimpleNamespace(roots=None) if k == MISSING else t_lat[k])
+
+                        got = _iso_verdict(a, s, target, fake, flag, kernel, words)
+                        want = oracle.iso_verdict_loop(lat, s, t_lat, spec, push,
+                                                       kernel and kernel.roots, words)
+                        assert (got.holds, got.detail) == want, (p.name, sub, flag, plant)
+                        seen.add(want[1].split("#")[-1].split(" ", 1)[-1] if "#" in want[1]
+                                 else want[0])
+    assert seen == {True, False, "does not contain diag_e", "is not a congruence of A*e",
+                    "is not a congruence of the quotient", "missing from the A*e lattice",
+                    "missing from the quotient lattice", "is not prime in A*e",
+                    "is not prime in the quotient"}, seen

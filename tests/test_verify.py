@@ -23,7 +23,7 @@ from pairspec.core import (
 )
 from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
-from pairspec.spectrum import Analysis, bare_pair, twist
+from pairspec.spectrum import MISSING, NOT_CONGRUENCE, Analysis, bare_pair, twist
 from pairspec.verify import (
     CHECKS,
     reverify_counterexample,
@@ -179,16 +179,28 @@ def _chains_part_i(analysis):
     return cx if cx is not None and cx["part"] == "i" else None
 
 
+def _plant_flags(monkeypatch, lattice, **columns):
+    """The lattice's relation flags with the given columns replaced."""
+    monkeypatch.setitem(lattice.__dict__, "flags", replace(lattice.flags, **columns))
+
+
+def _called(column, rows, value=True):
+    """A copy of a flag column with ``rows`` set to ``value``."""
+    out = column.copy()
+    out[list(rows)] = value
+    return out
+
+
 def test_chains_part_i_matches_meet_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, cls = a.lattice, a.classes
-        improper = [i for i, c in enumerate(cls) if not c.proper]
+        lat = a.lattice
+        proper = lat.flags.proper
+        improper = np.flatnonzero(~proper).tolist()
         for plant in ([], improper[:1], improper[-1:], improper[-2:]):
             # call the planted improper congruences proper
-            fake = tuple(replace(c, proper=True) if i in plant else c for i, c in enumerate(cls))
-            monkeypatch.setattr(a, "classes", fake)
+            _plant_flags(monkeypatch, lat, proper=_called(proper, plant))
             hit = oracle.chains_part_i_loop(p, [c.block_of for c in lat], a.having("proper"))
             want = None if hit is None else {
                 "part": "i", "proper": lat[hit[0]].block_labels(),
@@ -199,28 +211,17 @@ def test_chains_part_i_matches_meet_loop(pairs, monkeypatch):
 
 
 def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
-    """ID1, RD1 and PRO3C read contains_1e from the relation flags: planted
-    failures give the first counterexample of the old loops over
-    ``related(1, e)``."""
-    planted = {"ID1": 0, "RD1": 0, "PRO3C": 0}
+    """RD1 and PRO3C read the radical, T-cancellative, proper and
+    contains_1e columns: planted failures give the first counterexample of
+    the old loops over the classifications and ``related(1, e)``."""
+    planted = {"RD1": 0, "PRO3C": 0}
     for p in pairs.values():
         if p.property_n is None:
             continue
         a = Analysis(p, None)
         lat, cls = a.lattice, a.classes
-        # ID1: the quotients of some members lose A0 but for zero
-        for plant in ([0], [len(lat) // 2], [len(lat) - 1], range(len(lat))):
-            def fake_quotient(pair, cong, name="", plant=[lat[k] for k in plant]):
-                q = quotient_pair(pair, cong, name)
-                return replace(q, a_zero=frozenset({q.zero})) if cong in plant else q
-
-            monkeypatch.setattr(verify, "quotient_pair", fake_quotient)
-            want = oracle.id1_loop(p, lat, fake_quotient)
-            assert CHECKS["ID1"](a) == (True, *want), (p.name, plant)
-            planted["ID1"] += not want[0]
-        monkeypatch.undo()
-        # RD1, PRO3C: call some members without (1, e) radical, or
-        # T-cancellative and improper
+        # call some members without (1, e) radical, or T-cancellative and
+        # improper
         without = [i for i, c in enumerate(lat) if not c.related(p.one, p.property_n.e)]
         for check, fields, flagged in (
                 ("RD1", {"radical": True}, lambda c: c.radical),
@@ -229,11 +230,92 @@ def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
             for chosen in ([], without[:1], without[-1:], without[1::2]):
                 fake = tuple(replace(c, **fields) if i in chosen else c for i, c in enumerate(cls))
                 monkeypatch.setattr(a, "classes", fake)
+                if "proper" in fields:
+                    _plant_flags(monkeypatch, lat, proper=_called(lat.flags.proper, chosen, False))
                 held, _, cx, _ = CHECKS[check](a)
                 if held:
                     assert cx == oracle.without_1e_loop(p, lat, fake, flagged), (p.name, check)
                     planted[check] += cx is not None
-        monkeypatch.undo()
+                monkeypatch.undo()
+    assert all(planted.values()), planted
+
+
+def _with_witness(rng, p):
+    """A random pair with a random e as its Property-N witness."""
+    e = int(rng.integers(p.n))
+    return replace(p, property_n=PropertyNWitness(p.one, e, frozenset({p.one})))
+
+
+def test_id1_matches_quotient_loop(pairs):
+    """ID1 reads the blocks off the root rows of the (1,e)-congruences: with
+    A0 as built, cut to zero, or the whole carrier, on the catalog and on
+    random tables with a random e, it reports the first counterexample of
+    the loop over whole quotient pairs."""
+    rng = np.random.default_rng(23)
+    randoms = [_with_witness(rng, _random_pair(rng, n)) for n in range(2, 7) for _ in range(8)]
+    planted = {"not_degenerate": 0, "not_idempotent": 0}
+    for p in [*pairs.values(), *randoms]:
+        if p.property_n is None:
+            continue
+        for a0 in (p.a_zero, {p.zero}, range(p.n)):
+            fake = replace(p, a_zero=frozenset(a0))
+            a = Analysis(fake, None)
+            want = oracle.id1_loop(fake, a.lattice, quotient_pair)
+            assert CHECKS["ID1"](a) == (True, *want), (p.name, sorted(a0))
+            if want[1] is not None:
+                planted[want[1]["kind"]] += 1
+    assert all(planted.values()), planted
+
+
+def test_cp_matches_quotient_loop(pairs, monkeypatch):
+    """CP reads the blocks of T and A0 off the root rows: with improper
+    members called proper, it reports the first member of the loop over
+    whole quotient pairs."""
+    from pairspec.core import is_proper
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        if not a.cls.proper:
+            continue
+        lat = a.lattice
+        proper = lat.flags.proper
+        improper = np.flatnonzero(~proper).tolist()
+        for plant in ([], improper[:1], improper[-1:], improper[1::2], improper):
+            _plant_flags(monkeypatch, lat, proper=_called(proper, plant))
+            want = oracle.cp_loop(p, lat, a.having("proper"), quotient_pair, is_proper)
+            assert CHECKS["CP"](a)[2] == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+
+
+def test_bf_part_ii_and_sp2_part_ii_match_class_loops(pairs, monkeypatch):
+    """BF part ii and SP2 part ii read the prime, semiprime, irreducible and
+    e-type columns: with prime flags flipped, and members called without an
+    e-type, each reports the first member of its loop over the
+    classifications."""
+    planted = {"BF": 0, "SP2": 0}
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, cls, m = a.lattice, a.classes, len(a.lattice)
+        sp2_held = CHECKS["SP2"](a)[0]       # part i's verdict is cached first
+        offs = [[]] if lat.flags.e_type is None else [[], list(range(0, m, 2)), list(range(m // 2))]
+        for off in offs:
+            wo = sorted(set(off) | {i for i, c in enumerate(cls) if c.e_type is None})
+            for chosen in ([], [0], [m - 1], wo[:1], wo[-1:], wo[-2:], wo[::2]):
+                fake = tuple(replace(c, prime=c.prime != (i in chosen),
+                                     e_type=None if i in off else c.e_type)
+                             for i, c in enumerate(cls))
+                monkeypatch.setattr(a, "classes", fake)
+                if off:
+                    _plant_flags(monkeypatch, lat, e_type=_called(lat.flags.e_type, off, 0))
+                want = oracle.bf_part_ii_loop(lat, fake)
+                assert CHECKS["BF"](a)[2] == want, (p.name, chosen)
+                planted["BF"] += want is not None
+                if sp2_held:
+                    want = oracle.sp2_part_ii_loop(lat, fake)
+                    assert CHECKS["SP2"](a)[2] == want, (p.name, off, chosen)
+                    planted["SP2"] += want is not None
+                monkeypatch.undo()
     assert all(planted.values()), planted
 
 
@@ -270,24 +352,21 @@ def test_e_multiples_match_old_walks(pairs):
 
 def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
     # send one congruence's A*e image to the bottom or the top of A*e
-    from pairspec.congruences import all_relation, diagonal
-    push = verify.push_congruence
     planted = 0
     for p in pairs.values():
         if not (p.property_n is not None and classify_pair(p).e_central):
             continue
         a = Analysis(p, None)
-        lat, (ae, proj) = a.lattice, a.ae
-        for k, to in ((len(lat) // 2, diagonal), (0, all_relation), (len(lat) - 1, diagonal)):
-            def fake(cong, proj, target, k=k, to=to):
-                return to(target) if cong == lat[k] else push(cong, proj, target)
-
-            monkeypatch.setattr(verify, "push_congruence", fake)
-            images = [fake(c, proj, ae.pair).roots for c in lat]
+        lat, ae_lat, real = a.lattice, a.ae[0].lattice, a.images("ae")
+        for k, to in ((len(lat) // 2, ae_lat.bottom), (0, ae_lat.top), (len(lat) - 1, ae_lat.bottom)):
+            fake = real.copy()
+            fake[k] = to
+            monkeypatch.setitem(a.__dict__, "ae_images", fake)
+            images = [ae_lat[j].roots for j in fake]
             hit = next((i for i in range(len(lat)) for j in range(len(lat))
                         if oracle.refines_by_definition(lat[i].roots, lat[j].roots)
                         and not oracle.refines_by_definition(images[i], images[j])), None)
-            cx = run_check(p, "TR1").counterexample
+            cx = CHECKS["TR1"](a)[2]
             if hit is None:
                 assert cx is None or cx["kind"] != "e_image_not_monotone", p.name
             else:
@@ -295,6 +374,78 @@ def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
                               "i": lat[hit].block_labels()}, (p.name, k)
                 planted += 1
     assert planted
+
+
+def _tr1_plants(rng, a):
+    """Plants for TR1 on the analysis ``a``, each a function of the
+    monkeypatch: rows or order of the quotient lattice, the A*e images, or
+    the order of A*e's lattice."""
+    q = a.quotient_e[0]
+    q_rows, m = _roots_rows(q.lattice), len(q.lattice)
+
+    def q_rows_plant(plant):
+        return lambda mp: mp.setattr(q, "lattice", _planted_lattice(q.pair, q_rows, plant)[1])
+
+    plants = [lambda mp: None]
+    plants += [q_rows_plant({m - 1: r}) for r in _random_partitions(rng, q.pair.n, 3)]
+    if m > 1:
+        flip = q.lattice.leq.copy()
+        flip[m - 1, 0] = not flip[m - 1, 0]
+        plants += [q_rows_plant({m - 1: q_rows[0]}),
+                   lambda mp: mp.setitem(q.lattice.__dict__, "leq", flip)]
+    if not a.cls.e_central:
+        return plants
+    ae_lat, real, last = a.ae[0].lattice, a.images("ae"), len(a.lattice) - 1
+
+    def images_plant(values):
+        fake = real.copy()
+        fake[list(values)] = list(values.values())
+        return lambda mp: mp.setitem(a.__dict__, "ae_images", fake)
+
+    for k in (0, last // 2, last):
+        plants += [images_plant({k: NOT_CONGRUENCE}), images_plant({k: MISSING}),
+                   images_plant({k: ae_lat.bottom})]
+    plants += [images_plant({0: MISSING, last: NOT_CONGRUENCE}),
+               images_plant({k: ae_lat.top for k in range(last + 1)})]
+    off = np.argwhere(~ae_lat.leq)
+    if len(off):
+        more = ae_lat.leq.copy()
+        more[tuple(off[0])] = True
+        plants.append(lambda mp: mp.setitem(ae_lat.__dict__, "leq", more))
+    return plants
+
+
+def test_tr1_matches_member_loop(pairs, monkeypatch):
+    """TR1's pullback and e-image parts as column tests: plants in the
+    quotient lattice, the A*e images and A*e's order give the counterexample
+    of the loops over members (``oracle.tr1_loop``), for every kind of
+    failure."""
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for p in pairs.values():
+        if p.property_n is None:
+            continue
+        a = Analysis(p, None)
+        for plant in _tr1_plants(rng, a):
+            plant(monkeypatch)
+            (q, q_proj), lat = a.quotient_e, a.lattice
+            ae_lat = a.ae[0].lattice if a.cls.e_central else None
+
+            def push(cong):     # the planted image, one member at a time
+                k = a.images("ae")[lat.find(cong)]
+                return (None if k == NOT_CONGRUENCE else
+                        SimpleNamespace(roots=None) if k == MISSING else ae_lat[k])
+
+            want = oracle.tr1_loop(p, q.lattice, q_proj, lat, ae_lat, push,
+                                   a.cls.e_central, a.cls.e_final, is_congruence)
+            held, passed, cx, _ = CHECKS["TR1"](a)
+            assert (held, passed, cx) == (True, *want), p.name
+            kinds.add(cx and cx["kind"])
+            monkeypatch.undo()
+    assert kinds == {None, "pullback_not_congruence", "pullback_not_injective",
+                     "pullback_not_order_embedding", "e_image_not_congruence", "e_image_missing",
+                     "e_image_not_monotone", "e_image_not_bijection",
+                     "e_image_not_order_iso"}, kinds
 
 
 def test_reverify_rejects_unknown_check_id(sb):
@@ -696,18 +847,16 @@ def test_shallow1k_matches_member_loop(pairs, monkeypatch):
             monkeypatch.setattr(a, "cls", SimpleNamespace(shallow=True, kind="first"))
         elif not CHECKS["SHALLOW1K"](a)[0]:
             continue
-        lat, cls = a.lattice, a.classes
+        lat = a.lattice
         rows, m = _roots_rows(lat), len(lat)
         for k in range(4):
             plant = dict(zip(rng.choice(m, size=min(m, k), replace=False).tolist(),
                              _random_partitions(rng, p.n, k)))
             fake_rows, fake = _planted_lattice(p, rows, plant)
-            fake_cls = tuple(replace(c, proper=True) if i in plant else c
-                             for i, c in enumerate(cls))
+            called = _called(lat.flags.proper, plant)
+            _plant_flags(monkeypatch, fake, proper=called)
             monkeypatch.setattr(a, "lattice", fake)
-            monkeypatch.setattr(a, "classes", fake_cls)
-            proper = [i for i, c in enumerate(fake_cls) if c.proper]
-            want = oracle.shallow1k_loop(p, fake, fake_rows, proper)
+            want = oracle.shallow1k_loop(p, fake, fake_rows, np.flatnonzero(called).tolist())
             assert CHECKS["SHALLOW1K"](a)[2] == want, (p.name, plant)
             planted += want is not None
     assert planted
@@ -808,3 +957,36 @@ _BLOCK_READERS = {
 def test_reverify_rejects_malformed_blocks(sb, shape):
     for cid, fields in _BLOCK_READERS.items():
         assert not reverify_counterexample(sb, cid, {**fields, "blocks": _MALFORMED[shape]}), cid
+
+
+# each id whose reverifier reads labels: a well-formed counterexample on
+# field_f3, and the fields it reads (each dropped in turn; each label
+# replaced by an unknown one)
+_DIAG_F3 = [["0"], ["1"], ["2"]]
+_LABEL_READERS = {
+    "EST": ({"e": "1", "dagger": "2"}, ("e", "dagger")),
+    "ESQ": ({"b1": "1", "b2": "2"}, ("b1", "b2")),
+    "EFINAL_IDEM": ({"e": "1"}, ("e",)),
+    "KIND": ({"two": "2", "tangible": "1"}, ("two", "tangible")),
+    "ETYPE_SHALLOW": ({"k": 1}, ("k",)),
+    "TWASS": ({"triple": ["(0,0)", "(0,1)", "(1,1)"]}, ("triple",)),
+    "GEN": ({"b": ["0", "1"], "z": "0"}, ("b", "z")),
+    "SHALLOW1K": ({"blocks": _DIAG_F3, "a1": "1", "a2": "2"}, ("blocks", "a1", "a2")),
+    "CHAINS": ({"part": "iii", "x": ["1", "0"], "y": ["2", "0"]}, ("x", "y")),
+    "PRS1": ({"part": "i", "blocks": _DIAG_F3, "b": ["1", "2"]}, ("part", "blocks", "b")),
+    "PRO3": ({"blocks": _DIAG_F3, "a": "1", "c": "2"}, ("blocks", "a", "c")),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_LABEL_READERS))
+def test_reverify_rejects_unknown_labels_and_missing_fields(pairs, cid):
+    """A counterexample that names an unknown label, or lacks a field its
+    reverifier reads, is not confirmed (and raises nothing)."""
+    p = pairs["field_f3"]
+    cx, fields = _LABEL_READERS[cid]
+    assert reverify_counterexample(p, cid, cx) in (True, False)
+    for f in fields:
+        assert not reverify_counterexample(p, cid, {k: v for k, v in cx.items() if k != f}), f
+        if f not in ("part", "blocks", "k"):       # a label, or a list of them
+            unknown = "zz" if isinstance(cx[f], str) else [*cx[f][:-1], "zz"]
+            assert not reverify_counterexample(p, cid, {**cx, f: unknown}), f
