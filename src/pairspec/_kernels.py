@@ -181,10 +181,7 @@ def first_nonassoc(op, gens=None):
 
 def first_noncomm(op):
     bad = np.argwhere(op != op.T)
-    if len(bad) == 0:
-        return (-1, -1)
-    i, j = bad[0]
-    return (int(i), int(j))
+    return tuple(map(int, bad[0])) if len(bad) else (-1, -1)
 
 
 def first_nondistrib(add, mul, add_gens=None):
@@ -229,45 +226,63 @@ def first_nondistrib(add, mul, add_gens=None):
     return (-1, -1, -1, -1)
 
 
+def merge_roots(labels, u, v):
+    """The partition ``labels`` (least-member labels: labels[labels] ==
+    labels) joined along the edges u[k] - v[k], as least-member labels.
+
+    Each round hooks the larger root of every edge whose ends still differ
+    to the smaller one, in one ``np.minimum.at``, then pointer-jumps until
+    every label is a root again.  Labels never exceed their elements, and
+    each round hooks a root, so the rounds end with each block's least
+    member as its label."""
+    lab = np.array(labels)
+    while True:
+        a, b = lab[u], lab[v]
+        d = a != b
+        if not d.any():
+            return lab
+        u, v, a, b = u[d], v[d], a[d], b[d]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        up = lab[lab]
+        while (up != lab).any():
+            lab, up = up, up[up]
+
+
 def closure_roots(add, mul, gens):
-    """Union-find roots of the least congruence relating each generator pair.
+    """Roots (least block members) of the least congruence relating each
+    generator pair: ``closures`` on one row."""
+    g = np.array(list(gens), dtype=np.intp).reshape(-1, 2)
+    return closures(add, mul, merge_roots(np.arange(add.shape[0]), g[:, 0], g[:, 1])[None])[0]
 
-    Closes under x ~ y  =>  x+c ~ y+c, xc ~ yc, cx ~ cy for every c.  Each
-    successful merge is pushed once; merges are bounded by n-1, so the scan
-    is O(n^2).  Each root is the least member of its block.
-    """
-    n = add.shape[0]
-    parent = list(range(n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def closures(add, mul, roots):
+    """Row k: the roots of the least congruence above the partition with
+    root row ``roots[k]``.
 
-    stack = []
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        stack.append((x, y))
-
-    for x, y in gens:
-        union(int(x), int(y))
-
-    rows = (add.tolist(), mul.tolist(), mul.T.tolist())
-    while stack:
-        x, y = stack.pop()
-        for t in rows:
-            for u, v in zip(t[x], t[y]):
-                if u != v:
-                    union(u, v)
-
-    return [find(i) for i in range(n)]
+    A partition is a congruence iff the translates x+c, xc, cx of each x
+    share blocks with its root's, so pairs (t[x, c], t[root x, c]) are
+    merged, for t in (+, *, *^T), until none has two labels.  An x is read
+    again only once its root has changed, as labels only coarsen.  Rows go
+    in blocks, flattened with an offset of n per row, and the tables are read
+    in place, so that an ``int64`` temporary takes ``_SCAN_CELLS`` bytes (or
+    one row's worth, if more)."""
+    r = np.asarray(roots)
+    n = r.shape[1]
+    out = np.empty_like(r)
+    for s in row_blocks(len(r), n, _SCAN_CELLS // 8):
+        off = np.arange(len(r[s]))[:, None] * n
+        lab, seen = (r[s] + off).ravel(), (np.arange(n) + off).ravel()
+        while (lab != seen).any():
+            todo = np.flatnonzero(lab != seen)
+            for b in row_blocks(len(todo), 3 * n, _SCAN_CELLS // 8):
+                f = todo[b]
+                base = (f - f % n)[:, None]
+                seen[f] = lab[f]
+                u, v = (np.concatenate((add[x], mul[x], mul[:, x].T), axis=1) + base
+                        for x in (f % n, lab[f] % n))
+                lab = merge_roots(lab, u.ravel(), v.ravel())
+        out[s] = lab.reshape(-1, n) - off
+    return out
 
 
 def translate_mismatch(add, mul, roots):
@@ -310,15 +325,16 @@ def congruence_violation(add, mul, roots):
 _LEQ_CELLS = 1 << 22
 
 # Most cells (rows times cells per row) one step of a bulk pass over a root
-# matrix takes: ``congruences.are_congruences`` and ``pushes``, and the
-# harness's row tests and bulk meets.
+# matrix takes: ``congruences.are_congruences``, ``pushes`` and ``joins``,
+# and the harness's row tests and bulk meets.
 ROW_CELLS = 1 << 18
 
 
-def row_blocks(rows, cells):
-    """Slices covering range(rows) in order, each of at most ROW_CELLS
-    cells at ``cells`` per row (and at least one row)."""
-    step = max(1, ROW_CELLS // max(1, cells))
+def row_blocks(rows, cells, budget=None):
+    """Slices covering range(rows) in order, each of at most ``budget``
+    (ROW_CELLS by default) cells at ``cells`` per row (and at least one
+    row)."""
+    step = max(1, (budget or ROW_CELLS) // max(1, cells))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -386,16 +402,6 @@ def _twist_squares(add, mul):
         yield i, j, *twist(add, mul, b1, b2, b1, b2)
 
 
-def _first_escape(add, mul, xs1, ys1, xs2, ys2, target):
-    """First (i, j) in row-major order whose twist product lies outside
-    ``target``, or (-1, -1)."""
-    for i, j, p, q in _twist_chunks(add, mul, xs1, ys1, xs2, ys2):
-        hit = _first(~target[p, q], i, j)
-        if hit:
-            return hit
-    return (-1, -1)
-
-
 def twist_fill(add, mul, xs1, ys1, xs2, ys2):
     """Boolean matrix of all twist products of members1 x members2.
 
@@ -408,8 +414,13 @@ def twist_fill(add, mul, xs1, ys1, xs2, ys2):
 
 
 def twist_subset_violation(add, mul, xs1, ys1, xs2, ys2, target):
-    """First (i, j) member indices whose twist product escapes ``target``."""
-    return _first_escape(add, mul, xs1, ys1, xs2, ys2, target)
+    """First (i, j) member indices, in row-major order, whose twist product
+    lies outside ``target``, or (-1, -1)."""
+    for i, j, p, q in _twist_chunks(add, mul, xs1, ys1, xs2, ys2):
+        hit = _first(~target[p, q], i, j)
+        if hit:
+            return hit
+    return (-1, -1)
 
 
 def radical_violation(add, mul, member):
@@ -423,17 +434,15 @@ def radical_violation(add, mul, member):
 
 def strongly_prime_violation(add, mul, member, nxs, nys):
     """First non-member pair indices whose twist product lands in the relation."""
-    return _first_escape(add, mul, nxs, nys, nxs, nys, ~member)
+    return twist_subset_violation(add, mul, nxs, nys, nxs, nys, ~member)
 
 
 def t_cancel_violation(mul, member, t_idx):
     """First (a, b1, b2) with a tangible, (a*b1, a*b2) related but (b1, b2) not."""
     for a in t_idx:
-        img = member[mul[a][:, None], mul[a][None, :]]
-        bad = np.argwhere(img & ~member)
+        bad = np.argwhere(member[mul[a][:, None], mul[a][None, :]] & ~member)
         if len(bad):
-            b1, b2 = bad[0]
-            return (int(a), int(b1), int(b2))
+            return (int(a), *map(int, bad[0]))
     return (-1, -1, -1)
 
 

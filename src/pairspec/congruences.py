@@ -6,7 +6,9 @@ nothing is renumbered: two congruences are equal iff their root vectors are,
 and root vectors sort as the first-occurrence block numberings ``block_of``
 do (at the first element where two vectors differ, they agree on every
 earlier block).  ``block_of`` and the pair-set view (a boolean matrix over
-the doubled carrier) are derived on demand.
+the doubled carrier) are derived on demand.  Closure and the bulk ``joins``
+merge root rows with one array primitive, ``_kernels.merge_roots``, and the
+lattice is every join of the principal congruences, found by bulk joins.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ CAP_ENV = "PAIRSPEC_MAX_CONGRUENCES"
 
 
 def _cap_from_env(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(CAP_ENV, "")
-    return int(raw) if raw else DEFAULT_CAP
+    return cap if cap is not None else int(os.environ.get(CAP_ENV) or DEFAULT_CAP)
 
 
 @dataclass(frozen=True)
@@ -145,13 +144,9 @@ def pushes(roots, proj: np.ndarray, target: Pair) -> tuple[np.ndarray, np.ndarra
 
 
 def generated_congruence(pair: Pair, generators: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the generator pairs.
-
-    Worklist closure: every merge of x and y queues the translates
-    (x+c, y+c), (xc, yc), (cx, cy) for all c; merges strictly reduce the
-    block count, so the loop is bounded.
-    """
-    return Congruence(pair=pair, roots=tuple(_kernels.closure_roots(pair.add, pair.mul, generators)))
+    """Least congruence containing the generator pairs."""
+    roots = _kernels.closure_roots(pair.add, pair.mul, generators)
+    return Congruence(pair=pair, roots=tuple(roots.tolist()))
 
 
 def diag_e(pair: Pair) -> Congruence:
@@ -161,28 +156,26 @@ def diag_e(pair: Pair) -> Congruence:
 
 
 def join(c1: Congruence, c2: Congruence) -> Congruence:
-    """Join of two congruences of one pair.
+    """Join of two congruences of one pair: ``joins`` on one row."""
+    return Congruence(pair=c1.pair, roots=tuple(joins(c1.roots, c2.roots)[0].tolist()))
 
-    Both arguments must be congruences of the same pair: the join of two
-    congruences is then their join as equivalence relations, so a union-find
-    over the carrier, started from the roots of ``c1`` and merged along those
-    of ``c2``, gives it without reading the operation tables.  Each tree's
-    root stays its least member, so the finds are the root vector.
-    """
-    parent = list(c1.roots)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def joins(r1, r2) -> np.ndarray:
+    """Bulk join: row k is the root vector of the join of rows k of the root
+    matrices ``r1`` and ``r2`` (broadcast; ``join`` is the one-row case).
 
-    for x, r in enumerate(c2.roots):
-        if r != x:
-            a, b = find(r), find(x)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return Congruence(pair=c1.pair, roots=tuple(find(x) for x in range(len(parent))))
+    The rows must be congruences of one pair: their join is then their join
+    as equivalence relations, so no table is read.  Rows go in blocks of at
+    most ``_kernels.ROW_CELLS`` cells, flattened with an offset of n per row,
+    and ``_kernels.merge_roots`` merges each x with its root in ``r2``."""
+    a, b = np.broadcast_arrays(np.atleast_2d(r1), np.atleast_2d(r2))
+    n = a.shape[1]
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    for s in _kernels.row_blocks(len(a), n):
+        off = np.arange(len(a[s]))[:, None] * n
+        lab = _kernels.merge_roots(*((t + off).ravel() for t in (a[s], np.arange(n), b[s])))
+        out[s] = lab.reshape(-1, n) - off
+    return out
 
 
 def meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -245,24 +238,16 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
 
     cs = mul[:, s]
     w_vals = np.unique(add[cs[:, None], cs[None, :]])
-    m_vals: set[int] = set()
-    for w in w_vals.tolist():
-        row = mul[w]
-        m_vals.update(np.unique(add[row[:, None], row[None, :]]).tolist())
-
-    z = set(m_vals)
-    frontier = list(z)
-    while frontier:
-        cur = frontier.pop()
-        for m in m_vals:
-            nxt = int(add[cur, m])
-            if nxt not in z:
-                z.add(nxt)
-                frontier.append(nxt)
+    z = np.zeros(n, dtype=bool)
+    for row in mul[w_vals]:
+        z[add[row[:, None], row[None, :]]] = True
+    m_vals = np.flatnonzero(z)
+    while not z[add[np.ix_(z, m_vals)]].all():       # the additive closure
+        z[add[np.ix_(z, m_vals)]] = True
+    zs = np.flatnonzero(z)
 
     rel = np.zeros((n, n), dtype=bool)
-    for zv in z:
-        col = add[:, zv]
+    for col in add[:, zs].T:
         rel |= col[:, None] == col[None, :]
 
     closed, cong = relation_to_congruence(pair, rel)
@@ -275,7 +260,7 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
         congruence=cong,
         hypothesis_semiring=pair.structure.is_semiring(),
         hypothesis_s_central=is_distributively_central(pair, s),
-        z_set=frozenset(z),
+        z_set=frozenset(zs.tolist()),
     )
 
 
@@ -413,43 +398,46 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     """All congruences of a pair, as a ``CongruenceLattice``.
 
     Every congruence is a join of principal congruences Cg(x, y), so the
-    distinct principals are found first and each newly found congruence is
-    then joined with each principal only.  A principal Cg(x, y) already
-    below a congruence is skipped, since the join would give that
-    congruence back.  Raises CapExceeded, with the partial count, as soon
-    as more than ``cap`` congruences are known.
+    distinct principals are found first, as one root matrix, and each newly
+    found congruence r is then joined, in one ``joins`` call, with every
+    principal p not below it (r[p] != r); one below r would give r back.
+    Each congruence is kept once, as the bytes of its compact root row.
+    Raises CapExceeded, with the partial count, as soon as more than ``cap``
+    congruences are known.
     """
     cap = _cap_from_env(cap)
-    known: set[tuple[int, ...]] = set()
+    n = pair.n
+    known: set[bytes] = set()
 
-    def add_cong(c: Congruence) -> bool:
-        if c.roots in known:
-            return False
-        known.add(c.roots)
-        if len(known) > cap:
-            raise CapExceeded("congruence lattice exceeds cap", partial_count=len(known))
-        return True
+    def fresh(rows) -> list[int]:
+        """The indices of the rows not known before; they become known."""
+        new = []
+        for i, r in enumerate(rows):
+            b = r.tobytes()
+            if b not in known:
+                known.add(b)
+                new.append(i)
+                if len(known) > cap:
+                    raise CapExceeded("congruence lattice exceeds cap", partial_count=len(known))
+        return new
 
-    add_cong(diagonal(pair))
-    principals = []   # (x, y, Cg(x, y)) for each distinct principal
-    for x in range(pair.n):
-        for y in range(x + 1, pair.n):
-            c = generated_congruence(pair, [(x, y)])
-            if add_cong(c):
-                principals.append((x, y, c))
+    ident = _kernels.compact(np.arange(n))
+    fresh([ident])
+    # the distinct Cg(x, y), closed from the seeds {x, y}
+    xs, ys = np.triu_indices(n, 1)
+    p = [np.empty((0, n), ident.dtype)]
+    for s in _kernels.row_blocks(len(xs), n):
+        seeds = np.where(ident == ys[s, None], ident[xs[s], None], ident)
+        rows = _kernels.closures(pair.add, pair.mul, seeds)
+        p.append(rows[fresh(rows)])
+    p = np.concatenate(p)
+    todo = list(p)
+    while todo:
+        r = todo.pop()
+        j = joins(r, p[(r[p] != r).any(axis=1)])
+        todo.extend(j[fresh(j)])
 
-    fresh = [c for _, _, c in principals]
-    while fresh:
-        c = fresh.pop()
-        r = c.roots
-        for x, y, p in principals:
-            if r[x] != r[y]:
-                j = join(c, p)
-                if add_cong(j):
-                    fresh.append(j)
-
-    ordered = sorted(known, key=lambda r: (-len(set(r)), r))
-    roots = _kernels.compact(np.array(ordered))
+    rows = np.frombuffer(b"".join(known), dtype=ident.dtype).reshape(-1, n)
+    roots = rows[np.lexsort((*rows.T[::-1], -(rows == ident).sum(axis=1)))]
     roots.setflags(write=False)
     return CongruenceLattice(pair=pair, roots=roots)
-

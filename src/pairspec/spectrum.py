@@ -261,7 +261,8 @@ class SpectrumReport:
 def _maximal(lattice: CongruenceLattice, idxs: list[int]) -> tuple[int, ...]:
     """The members of ``idxs`` below no other member, in the order given."""
     idx = np.asarray(idxs, dtype=np.intp)
-    sub = lattice.leq[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
+    sub = lattice.leq[np.ix_(idx, idx)]
+    np.fill_diagonal(sub, False)
     return tuple(idx[~sub.any(axis=1)].tolist())
 
 

@@ -711,19 +711,17 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
 
     Returns True when the counterexample indeed violates the named law, and
     False for an id that names no check, blocks that do not partition the
-    carrier, an unknown label, or a field that is missing or too short.
+    carrier, an unknown label, or a field that is missing, too short or of
+    the wrong type (a PRS1 ``part`` other than "i" or "ii" among them).
     """
     if check_id not in CHECKS:
         return False
     cx = cx or {}
-    cong = None
-    if "blocks" in cx:
-        cong = _cong_from_blocks(pair, cx["blocks"])
-        if cong is None:
-            return False
-    elif check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
-        return False        # these recompute the instance on the blocks
-    try:      # an unknown label, or a missing or short field, raises
+    try:      # an unknown label, a missing or short field, or a wrong type raises
+        cong = _cong_from_blocks(pair, cx["blocks"]) if "blocks" in cx else None
+        if cong is None and ("blocks" in cx or check_id in (
+                "SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP")):
+            return False    # these recompute the instance on the blocks
         ix = pair.structure.index
         add, mul = pair.add, pair.mul
         if check_id == "EST":
@@ -785,6 +783,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             if cx["part"] == "i":
                 b1, b2 = (ix[x] for x in cx["b"])
                 return cong.related(*twist(pair, (b1, b2), (b2, b1))) and not cong.related(b1, b2)
+            if cx["part"] != "ii":
+                return False
             b = ix[cx["b"]]
             sq = (int(add[pair.one, mul[b, b]]), int(add[b, b]))
             return cong.related(pair.one, b) != cong.related(*sq)
@@ -810,5 +810,5 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if cong is not None:
             return is_congruence(pair, cong)[0]
         return True
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, TypeError):
         return False

@@ -1038,6 +1038,62 @@ def join_by_definition(a, b) -> tuple[int, ...]:
     return roots_of(lab)
 
 
+def closure_roots_loop(add, mul, gens) -> list[int]:
+    """The union-find closure ``_kernels.closure_roots`` replaced: each
+    merge of x and y queues the translates (x+c, y+c), (xc, yc), (cx, cy);
+    each root is the least member of its block."""
+    n = add.shape[0]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = []
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        stack.append((x, y))
+
+    for x, y in gens:
+        union(int(x), int(y))
+    rows = (add.tolist(), mul.tolist(), mul.T.tolist())
+    while stack:
+        x, y = stack.pop()
+        for t in rows:
+            for u, v in zip(t[x], t[y]):
+                if u != v:
+                    union(u, v)
+    return [find(i) for i in range(n)]
+
+
+def join_loop(r1, r2) -> tuple[int, ...]:
+    """The union-find join ``congruences.join`` replaced: started from the
+    roots ``r1`` and merged along those of ``r2``, larger root under
+    smaller."""
+    parent = list(r1)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, r in enumerate(r2):
+        if r != x:
+            a, b = find(r), find(x)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return tuple(find(x) for x in range(len(parent)))
+
+
 def bf_part_i_loop(pair, lattice, rows):
     """BF part i: the first member that some twist product of a pair of
     A x A with one of its pairs escapes."""

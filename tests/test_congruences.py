@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pairspec import _kernels, catalog
+from pairspec.constructions import function_pair
 from pairspec.congruences import (
     Congruence,
     all_relation,
@@ -19,6 +20,7 @@ from pairspec.congruences import (
     generated_congruence,
     is_congruence,
     join,
+    joins,
     meet,
     meets,
     pushes,
@@ -26,6 +28,7 @@ from pairspec.congruences import (
 )
 from pairspec.core import e_type, validate_pair, validate_structure
 from pairspec.errors import CapExceeded, NoPropertyN
+from pairspec.monoids import saturating_monoid
 from pairspec.spectrum import push_congruence, twist_subset
 
 SMALL = ("super_boolean", "minbp_c2_first", "minbp_c2_second",
@@ -348,6 +351,56 @@ def test_enumerate_matches_bruteforce_random_pairs(seed, n):
     assert set(got) == oracle.congruences_bruteforce(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 24), k=st.integers(0, 3))
+def test_closure_roots_matches_loop_and_bruteforce(seed, n, k):
+    """The array closure against the old union-find closure on random
+    tables, and against the brute-force closure where the carrier is small;
+    generator lists may repeat a pair or hold an (x, x)."""
+    rng = np.random.default_rng(seed)
+    p = _random_pair(rng, n)
+    gens = [tuple(rng.integers(0, n, 2).tolist()) for _ in range(k)]
+    if gens and rng.integers(2):
+        gens += [gens[0], (gens[0][0], gens[0][0])]
+    got = _kernels.closure_roots(p.add, p.mul, gens).tolist()
+    assert got == oracle.closure_roots_loop(p.add, p.mul, gens)
+    if n <= 5:
+        assert tuple(got) == oracle.roots_of(oracle.generated_congruence_bruteforce(p, gens))
+
+
+def test_closure_reads_the_tables_in_place(monkeypatch):
+    """A closure step gathers the translates of a block of rows x: with
+    ``_SCAN_CELLS`` lowered to 4,096, the peak is a few int64 temporaries of
+    that many bytes, a quarter of one int64 copy of a 256-element table (the
+    three tables as lists, or stacked, take three copies)."""
+    monkeypatch.setattr(_kernels, "_SCAN_CELLS", 1 << 12)
+    n = 256
+    idx = np.arange(n)
+    add, mul = (idx[:, None] + idx) % n, (idx[:, None] * idx) % n
+    tracemalloc.start()
+    got = _kernels.closure_roots(add, mul, [(0, 2)])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.tolist() == oracle.closure_roots_loop(add, mul, [(0, 2)]) == [0, 1] * (n // 2)
+    assert peak < 32 * _kernels._SCAN_CELLS <= 8 * n * n // 4, peak
+
+
+def test_enumeration_keeps_one_row_per_congruence(monkeypatch):
+    """With the step sizes lowered, the peak of enumerating the 2,722
+    congruences of function_pair(super_boolean, sat3) is a small working set
+    plus one row per congruence; a row kept as a view of a bulk join result
+    would keep that whole result alive."""
+    monkeypatch.setattr(_kernels, "_SCAN_CELLS", 1 << 12)
+    monkeypatch.setattr(_kernels, "ROW_CELLS", 1 << 12)
+    p = function_pair(catalog.build("super_boolean"), saturating_monoid(3))
+    tracemalloc.start()
+    lat = enumerate_congruences(p)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(lat) == 2722
+    assert peak < 16 * 8 * (1 << 12) + len(lat) * (p.n + 100), peak
+
+
 def test_cap_env_override(sb, monkeypatch):
     monkeypatch.setenv("PAIRSPEC_MAX_CONGRUENCES", "1")
     with pytest.raises(CapExceeded):
@@ -435,6 +488,50 @@ def test_join_reads_no_tables():
     b = Congruence.from_labels(None, (0, 1, 2, 1, 3, 2))
     assert join(a, b).block_of == (0, 0, 1, 0, 2, 1)
     assert join(b, a).block_of == join(a, b).block_of
+
+
+def _root_rows(rng, n, k):
+    """k random partitions of n elements as compact root rows."""
+    labels = rng.integers(0, rng.integers(1, n + 1, size=(k, 1)), size=(k, n))
+    return _kernels.compact(np.array([oracle.roots_of(r) for r in labels.tolist()]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([1, 2, 5, 9, 255, 256, 257]),
+       k=st.integers(1, 4))
+def test_joins_is_the_join_of_partitions(seed, n, k):
+    """Bulk joins of random partitions, held as the lattice holds them
+    (uint8 up to 256 elements, uint16 above), against the old union-find
+    join and the definition; one row broadcast against many, and ``join``
+    as the one-row case."""
+    rng = np.random.default_rng(seed)
+    r1, r2 = _root_rows(rng, n, k), _root_rows(rng, n, k)
+    got = joins(r1, r2)
+    assert got.dtype == r1.dtype == (np.uint8 if n <= 256 else np.uint16)
+    assert [tuple(j) for j in got.tolist()] == [
+        oracle.join_loop(a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+    assert tuple(got[0].tolist()) == oracle.join_by_definition(r1[0].tolist(), r2[0].tolist())
+    assert (joins(r1[0], r2) == joins(r1[[0] * k], r2)).all()
+    c1, c2 = (Congruence(pair=None, roots=tuple(r[0].tolist())) for r in (r1, r2))
+    assert join(c1, c2).roots == tuple(got[0].tolist())
+
+
+def test_joins_memory_does_not_grow_with_rows(monkeypatch):
+    """Rows are joined a block of at most ``ROW_CELLS`` cells at a time: the
+    peak grows with the rows only by the compact output.  All rows at once
+    would take several int64 cells per row and element, 4.8 MB for the
+    larger case."""
+    monkeypatch.setattr(_kernels, "ROW_CELLS", 1 << 12)
+    n = 40
+    rng = np.random.default_rng(5)
+    r1, r2 = _root_rows(rng, n, 50), _root_rows(rng, n, 50)
+    for count in (300, 3000):
+        a, b = np.resize(r1, (count, n)), np.resize(r2, (count, n))
+        tracemalloc.start()
+        joins(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < count * n + 16 * 8 * _kernels.ROW_CELLS, (count, peak)
 
 
 def test_lattice_bounds(pairs):

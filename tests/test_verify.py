@@ -990,3 +990,18 @@ def test_reverify_rejects_unknown_labels_and_missing_fields(pairs, cid):
         if f not in ("part", "blocks", "k"):       # a label, or a list of them
             unknown = "zz" if isinstance(cx[f], str) else [*cx[f][:-1], "zz"]
             assert not reverify_counterexample(p, cid, {**cx, f: unknown}), f
+        if f not in ("part", "k"):                 # a list where a label goes
+            wrong = [cx[f]] if isinstance(cx[f], str) else [[x] for x in cx[f]]
+            assert not reverify_counterexample(p, cid, {**cx, f: wrong}), f
+
+
+def test_reverify_rejects_fields_of_the_wrong_type(pairs):
+    """A PRS1 part other than "i" or "ii", a list where a label goes, and a
+    block list mixing labels and lists are rejected rather than raising
+    TypeError."""
+    p = pairs["field_f3"]
+    assert not reverify_counterexample(
+        p, "PRS1", {"part": "zz", "blocks": [["0"], ["1"], ["2"]], "b": ["1", "2"]})
+    assert not reverify_counterexample(p, "PRS1", {"part": "zz", "blocks": _DIAG_F3, "b": "1"})
+    assert not reverify_counterexample(p, "EST", {"e": ["1"], "dagger": "2"})
+    assert not reverify_counterexample(p, "RD1", {"blocks": [["0"], [["1"]], ["2"]]})
