@@ -36,7 +36,9 @@ is written once, in ``twist``.  The twist kernels take it over tiles of a
 grid (pairs of one relation by pairs of another, or the n x n pairs twisted
 with themselves) of at most ``_SCAN_CELLS`` cells each, in row-major order,
 so a witness is the first in row-major order and no temporary grows with
-the relations.
+the relations.  ``twist_counts`` counts instead, over many jobs at once:
+each job's grid of pairs by pairs is one run of a flat index range, taken
+``_SCAN_CELLS`` cells at a time.
 """
 
 from __future__ import annotations
@@ -329,6 +331,12 @@ _LEQ_CELLS = 1 << 22
 # and the harness's row tests and bulk meets.
 ROW_CELLS = 1 << 18
 
+# Most cells (rows times principals times elements) one step of the lattice
+# enumeration joins at once.  A small lattice goes in a few steps; a large
+# one goes about a row at a time, since a bulk join runs as many merge
+# rounds as its slowest row needs.
+JOIN_CELLS = 1 << 12
+
 
 def row_blocks(rows, cells, budget=None):
     """Slices covering range(rows) in order, each of at most ``budget``
@@ -421,6 +429,70 @@ def twist_subset_violation(add, mul, xs1, ys1, xs2, ys2, target):
         if hit:
             return hit
     return (-1, -1)
+
+
+def _distinct(a):
+    """How many distinct values each row (last axis) of ``a`` holds."""
+    s = np.sort(a, axis=-1)
+    return 1 + (s[..., 1:] != s[..., :-1]).sum(axis=-1)
+
+
+def radical_cancel_columns(add, mul, t_idx, roots):
+    """Whether each partition with a root row of ``roots`` is radical, and
+    whether it is cancellative for the elements ``t_idx``, in blocks of at
+    most ``ROW_CELLS`` cells.
+
+    Row r is radical iff no pair (x, y) outside it has its twist square
+    (xx + yy, xy + yx) inside it.  It is cancellative iff for each t the
+    partition x -> r[tx] is finer than r: iff it has as many blocks as its
+    meet with r, whose blocks are the distinct (r[tx], r[x])."""
+    n = add.shape[0]
+    sq = mul.diagonal()
+    t1, t2 = add[sq[:, None], sq[None, :]], add[mul, mul.T]
+    tx = mul[t_idx]
+    radical = np.empty(len(roots), dtype=bool)
+    cancel = np.empty(len(roots), dtype=bool)
+    for s in row_blocks(len(roots), n * (n + len(tx))):
+        b = roots[s].astype(np.int64)
+        radical[s] = ~((b[:, t1] == b[:, t2]) & (b[:, :, None] != b[:, None, :])).any(axis=(1, 2))
+        labels = b[:, tx]                       # labels[k, t, x] = r_k[tx]
+        cancel[s] = (_distinct(labels) == _distinct(labels * n + b[:, None, :])).all(axis=1)
+    return radical, cancel
+
+
+def twist_counts(add, mul, roots, job, relate):
+    """For each job k: how many pairs (x, y), x != y, of least block members
+    of the root row ``roots[job[k]]`` the root row ``roots[relate[k]]``
+    relates (every such pair where ``relate[k]`` is -1), and how many twist
+    products of those pairs with each other row ``job[k]`` relates.
+
+    Jobs go in blocks of at most ``ROW_CELLS`` cells of n x n.  A block's
+    grids of pairs by pairs are flattened into one index range, each offset
+    by the cells of the jobs before it, the way ``closures`` flattens rows,
+    and are taken ``_SCAN_CELLS`` cells at a time."""
+    n = add.shape[0]
+    sizes = np.zeros(len(job), dtype=np.int64)
+    hits = np.zeros(len(job), dtype=np.int64)
+    for s in row_blocks(len(job), n * n):
+        r, c = roots[job[s]], roots[relate[s]]
+        c[relate[s] < 0] = 0
+        least = r == np.arange(n)
+        m = (least[:, :, None] & least[:, None, :] & (c[:, :, None] == c[:, None, :])
+             & ~np.eye(n, dtype=bool))
+        _, xs, ys = np.nonzero(m)
+        size = sizes[s] = m.sum(axis=(1, 2))
+        cells = size * size
+        end, first = np.cumsum(cells), np.cumsum(size) - size
+        total = int(end[-1]) if len(end) else 0
+        for lo in range(0, total, _SCAN_CELLS):
+            g = np.arange(lo, min(lo + _SCAN_CELLS, total))
+            k = np.searchsorted(end, g, side="right")
+            i, j = np.divmod(g - end[k] + cells[k], size[k])
+            i += first[k]
+            j += first[k]
+            p, q = twist(add, mul, xs[i], ys[i], xs[j], ys[j])
+            hits[s] += np.bincount(k[r[k, p] == r[k, q]], minlength=len(r))
+    return hits, sizes
 
 
 def radical_violation(add, mul, member):

@@ -264,6 +264,46 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     )
 
 
+def cong_bs(pair: Pair, sums) -> tuple[np.ndarray, np.ndarray]:
+    """``cong_b`` over the sums s = b1 + b2 of ``sums`` at once: rel[k] is
+    the relation of sums[k], and ok[k] whether it is a congruence.
+
+    Z is a boolean (sums, n) matrix, the values (c1 s + c2 s) c1' +
+    (c1 s + c2 s) c2' of each s, closed under + in bulk: z + z' joins a row
+    for each z, z' in it, until no row grows (+ is associative, so this is
+    the additive closure).  x ~ y iff x + z = y + z for some z of the row.
+    Sums go in blocks of at most ``_kernels.ROW_CELLS`` cells of n x n."""
+    add, mul, n = pair.add, pair.mul, pair.n
+    sums = np.asarray(sums, dtype=np.intp)
+    # gen[w, v]: v = w c1' + w c2' for some c1', c2'
+    gen = np.zeros((n, n), dtype=bool)
+    for s in _kernels.row_blocks(n, n * n):
+        w = np.arange(n)[s]
+        gen[np.repeat(w, n * n), add[mul[w][:, :, None], mul[w][:, None, :]].ravel()] = True
+    rel = np.zeros((len(sums), n, n), dtype=bool)
+    ok = np.zeros(len(sums), dtype=bool)
+    for s in _kernels.row_blocks(len(sums), n * n):
+        cs = mul[:, sums[s]].T                          # cs[k, c] = c s_k
+        w = np.zeros((len(cs), n), dtype=bool)
+        w[np.repeat(np.arange(len(cs)), n * n),
+          add[cs[:, :, None], cs[:, None, :]].ravel()] = True
+        z = w @ gen
+        while True:
+            k, x, y = np.nonzero(z[:, :, None] & z[:, None, :])
+            grown = z.copy()
+            grown[k, add[x, y]] = True
+            if (grown == z).all():
+                break
+            z = grown
+        flat = rel[s].reshape(len(z), n * n)
+        for v in _kernels.row_blocks(n, n * n):
+            col = add.T[v]                              # x + v = y + v
+            flat |= z[:, v] @ (col[:, :, None] == col[:, None, :]).reshape(len(col), n * n)
+        roots, ok[s] = _closed(rel[s])
+        ok[s][ok[s]] = are_congruences(pair, roots[ok[s]])
+    return rel, ok
+
+
 def _closed(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each element's least block-mate, and whether the symmetric pair-sets
     ``rel`` (stacked on the leading axes) are transitive.  An element
@@ -398,9 +438,11 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
     """All congruences of a pair, as a ``CongruenceLattice``.
 
     Every congruence is a join of principal congruences Cg(x, y), so the
-    distinct principals are found first, as one root matrix, and each newly
-    found congruence r is then joined, in one ``joins`` call, with every
-    principal p not below it (r[p] != r); one below r would give r back.
+    distinct principals are found first, as one root matrix, and the newly
+    found congruences r are then joined, a block of at most
+    ``_kernels.JOIN_CELLS`` cells at a time in one ``joins`` call, with
+    every principal p not below r (r[p] != r); one below r would give r
+    back.
     Each congruence is kept once, as the bytes of its compact root row.
     Raises CapExceeded, with the partial count, as soon as more than ``cap``
     congruences are known.
@@ -431,11 +473,12 @@ def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLa
         rows = _kernels.closures(pair.add, pair.mul, seeds)
         p.append(rows[fresh(rows)])
     p = np.concatenate(p)
-    todo = list(p)
-    while todo:
-        r = todo.pop()
-        j = joins(r, p[(r[p] != r).any(axis=1)])
-        todo.extend(j[fresh(j)])
+    todo, step = p, max(1, _kernels.JOIN_CELLS // max(1, len(p) * n))
+    while len(todo):                # a block of rows from the top of the stack
+        r, todo = todo[-step:], todo[:-step]
+        k, q = np.nonzero((r[:, p] != r[:, None, :]).any(axis=2))
+        j = joins(r[k], p[q])
+        todo = np.concatenate([todo, j[fresh(j)]])
 
     rows = np.frombuffer(b"".join(known), dtype=ident.dtype).reshape(-1, n)
     roots = rows[np.lexsort((*rows.T[::-1], -(rows == ident).sum(axis=1)))]

@@ -1,16 +1,18 @@
 """Twist-product classification of congruences and the prime spectrum.
 
-Congruences are classified both elementwise (radical, strongly prime,
-T-cancellative, proper) and against the enumerated lattice (semiprime,
-prime, irreducible).  Reports assemble the prime spectrum, the positive
-e-type part, and the explicit order-isomorphisms onto the idempotent image
-and the quotient by the least one~e congruence.
+Each lattice is classified in one pass, as boolean columns over its root
+matrix (``twist_columns``): radical, strongly prime and T-cancellative read
+off each congruence, semiprime, prime and irreducible against its upper
+covers.  Reports assemble the prime spectrum, the positive e-type part, and
+the explicit order-isomorphisms onto the idempotent image and the quotient
+by the least one~e congruence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import CapExceeded, HypothesisFails
 
 
 # ---------------------------------------------------------------------------
-# twist products of relations
+# twist products of relations, and the radical
 # ---------------------------------------------------------------------------
 
 def twist(pair: Pair, b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]:
@@ -42,14 +44,9 @@ def twist(pair: Pair, b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]
 def twist_subset(pair: Pair, rel1: Congruence, rel2: Congruence, target: np.ndarray) -> bool:
     """Whether every twist product of rel1 x rel2 lands inside the boolean
     matrix ``target``."""
-    i, _ = _kernels.twist_subset_violation(pair.add, pair.mul, *rel1.members, *rel2.members,
-                                           target)
-    return i < 0
+    return _kernels.twist_subset_violation(pair.add, pair.mul, *rel1.members, *rel2.members,
+                                           target)[0] < 0
 
-
-# ---------------------------------------------------------------------------
-# radical
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SqrtResult:
@@ -68,15 +65,9 @@ class SqrtResult:
 def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
     """Iterate S1 = Phi, S_{i+1} = preimage of S_i under twist squaring,
     until stable; the chain ascends so the fixpoint is the union."""
-    cur = cong.matrix.copy()
-    depth = 1
-    while True:
-        nxt = _kernels.sqrt_step(pair.add, pair.mul, cur)
-        nxt = nxt | cur
-        if (nxt == cur).all():
-            break
-        cur = nxt
-        depth += 1
+    cur, depth = cong.matrix.copy(), 1
+    while not ((nxt := _kernels.sqrt_step(pair.add, pair.mul, cur) | cur) == cur).all():
+        cur, depth = nxt, depth + 1
     is_eq, cong_out = relation_to_congruence(pair, cur)
     return SqrtResult(matrix=cur, depth=depth, is_equivalence=is_eq,
                       is_congruence=cong_out is not None, congruence=cong_out)
@@ -103,12 +94,11 @@ class CongruenceClassification:
         return dict(self.__dict__)
 
 
-def _classify(pair: Pair, cong: Congruence, quotient, relation: dict) -> CongruenceClassification:
-    """The flags read off ``cong`` alone, from the tables of A/cong
-    (``quotient``) and the relation flags of ``cong``.  The twist tests read
-    a pair only through the blocks its entries fall in, so each runs on the
-    tables of A/cong against its diagonal."""
-    reps, add, mul = quotient
+def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
+    """The flags read off ``cong`` alone.  The twist tests read a pair only
+    through the blocks its entries fall in, so each runs on the tables of
+    A/cong against its diagonal."""
+    reps, add, mul = cong.quotient_tables()
     diag = np.eye(len(reps), dtype=bool)
     nxs, nys = np.nonzero(~diag)
     t_blocks = np.unique(np.asarray(cong.block_of)[pair.t_sorted])
@@ -116,43 +106,51 @@ def _classify(pair: Pair, cong: Congruence, quotient, relation: dict) -> Congrue
         radical=_kernels.radical_violation(add, mul, diag)[0] < 0,
         strongly_prime=_kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0,
         t_cancellative=_kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0,
-        **relation, prime=None, semiprime=None, irreducible=None,
+        **relation_flags(pair, [cong.roots]).row(0), prime=None, semiprime=None, irreducible=None,
     )
 
 
-def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
-    """The flags read off ``cong`` alone."""
-    return _classify(pair, cong, cong.quotient_tables(), relation_flags(pair, [cong.roots]).row(0))
+def twist_columns(pair: Pair, roots: np.ndarray, covers, rows=None) -> dict[str, np.ndarray]:
+    """The twist flags of the congruences ``roots[rows]`` (every row by
+    default) as boolean columns; ``roots`` is the root matrix of a lattice
+    and ``covers[i]`` lists row i's upper covers.
+
+    Radical and T-cancellative are gathers; semiprime means no cover c has
+    c*c inside theta, irreducible at most one cover.  By four implications
+    (see the README) one ``_kernels.twist_counts`` pass decides the rest: it
+    scans strongly prime on the radical rows with at most one cover, and
+    c*c on the (row, cover) edges of the other rows."""
+    rows = np.arange(len(roots)) if rows is None else np.asarray(rows, dtype=np.intp)
+    n_covers = np.fromiter((len(covers[i]) for i in rows), dtype=np.intp, count=len(rows))
+    radical, cancel = _kernels.radical_cancel_columns(pair.add, pair.mul, pair.t_sorted,
+                                                      np.asarray(roots)[rows])
+    scan = np.flatnonzero(radical & (n_covers <= 1))
+    edge = np.repeat(np.flatnonzero(~radical), n_covers[~radical])    # the row of each edge
+    cover = np.fromiter(chain.from_iterable(covers[i] for i in rows[~radical]), dtype=np.intp,
+                        count=len(edge))
+    hits, sizes = _kernels.twist_counts(pair.add, pair.mul, np.asarray(roots),
+                                        np.concatenate([rows[scan], rows[edge]]),
+                                        np.concatenate([np.full(len(scan), -1), cover]))
+    strongly = np.zeros(len(rows), dtype=bool)
+    strongly[scan] = hits[:len(scan)] == 0
+    semiprime = np.ones(len(rows), dtype=bool)
+    semiprime[edge[(hits == sizes * sizes)[len(scan):]]] = False      # some c*c inside theta
+    return {"radical": radical, "strongly_prime": strongly, "t_cancellative": cancel,
+            "prime": semiprime & (n_covers <= 1), "semiprime": semiprime,
+            "irreducible": n_covers <= 1}
+
+
+def classification(columns: dict, k: int, relation: dict) -> CongruenceClassification:
+    """Row k of the twist ``columns`` with the relation flags ``relation``."""
+    return CongruenceClassification(**{f: bool(c[k]) for f, c in columns.items()}, **relation)
 
 
 def classify_congruence(pair: Pair, cong: Congruence,
                         lattice: CongruenceLattice) -> CongruenceClassification:
-    """Full classification; the lattice-quantified flags need the whole
-    lattice.
-
-    The twist product is monotone in both factors and every congruence
-    strictly above ``cong`` contains one of its upper covers, so prime and
-    semiprime are decided over pairs of covers; ``cong`` is meet-irreducible
-    iff it has at most one cover (the top has none).
-    """
+    """Full classification: ``twist_columns`` on the one row of ``cong``."""
     i = lattice.find(cong)
-    covers = lattice.covers[i]
-    quotient = reps, add, mul = cong.quotient_tables()
-    diag = np.eye(len(reps), dtype=bool)
-    members = []   # each cover's members, as pairs of blocks of cong
-    for j in covers:
-        cb = lattice.roots[j][reps]
-        members.append(np.nonzero(cb[:, None] == cb[None, :]))
-
-    def inside(m1, m2) -> bool:
-        return _kernels.twist_subset_violation(add, mul, *m1, *m2, diag)[0] < 0
-
-    semiprime = not any(inside(m, m) for m in members)
-    prime = semiprime and not any(
-        inside(m1, m2) for a, m1 in enumerate(members) for b, m2 in enumerate(members) if a != b
-    )
-    return replace(_classify(pair, cong, quotient, lattice.flags.row(i)),
-                   prime=prime, semiprime=semiprime, irreducible=len(covers) <= 1)
+    return classification(twist_columns(pair, lattice.roots, lattice.covers, [i]), 0,
+                          lattice.flags.row(i))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ class SpectrumReport:
 
     pair_name: str
     lattice: CongruenceLattice = field(repr=False)
-    classifications: tuple[CongruenceClassification, ...]
+    flags: dict = field(repr=False)
     hspec: tuple[int, ...]
     spec_e: tuple[int, ...]
     radical_set: tuple[int, ...]
@@ -240,7 +238,8 @@ class SpectrumReport:
             "pair": self.pair_name,
             "lattice_size": len(self.lattice),
             "congruences": [
-                {"blocks": c.block_labels(), **self.classifications[i].to_dict()}
+                {"blocks": c.block_labels(),
+                 **classification(self.flags, i, self.lattice.flags.row(i)).to_dict()}
                 for i, c in enumerate(self.lattice)
             ],
             "hspec": list(self.hspec),
@@ -363,9 +362,9 @@ class Analysis:
         return enumerate_congruences(self.pair, self.cap)
 
     @cached_property
-    def classes(self) -> tuple[CongruenceClassification, ...]:
-        """The full classification of each lattice member, in lattice order."""
-        return tuple(classify_congruence(self.pair, c, self.lattice) for c in self.lattice)
+    def twist_flags(self) -> dict[str, np.ndarray]:
+        """The twist flags of every lattice member, as boolean columns."""
+        return twist_columns(self.pair, self.lattice.roots, self.lattice.covers)
 
     @_kept
     def ae(self) -> tuple["Analysis", np.ndarray]:
@@ -383,11 +382,11 @@ class Analysis:
     def column(self, flag: str) -> np.ndarray:
         """Whether each member has ``flag`` set: a relation flag (``e_type``:
         has one) from the lattice's flags, false throughout without a
-        witness, a twist flag from ``classes``."""
+        witness, a twist flag from ``twist_flags``."""
         if flag in _RELATION_FLAGS:
             col = getattr(self.lattice.flags, flag)
             return np.zeros(len(self.lattice), dtype=bool) if col is None else col.astype(bool)
-        return np.array([getattr(c, flag) for c in self.classes], dtype=bool)
+        return self.twist_flags[flag]
 
     def having(self, flag: str) -> list[int]:
         """Indices of the congruences with ``flag`` set."""
@@ -444,8 +443,7 @@ class Analysis:
 def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
     """Classify the whole lattice and assemble the spectrum verdicts."""
     a = Analysis(pair, cap)
-    lattice, cls = a.lattice, a.classes
-    radical_set = tuple(a.having("radical"))
+    lattice = a.lattice
     if a.cls.positive_e_type is None:
         rd1 = IsoVerdict(applicable=False, detail="pair does not have positive e-type")
     else:
@@ -455,9 +453,10 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
     rd2, rd2_weak = a.rd2
     sp2i, sp2i_weak = a.sp2i
     return SpectrumReport(
-        pair_name=pair.name, lattice=lattice, classifications=cls,
+        pair_name=pair.name, lattice=lattice, flags=a.twist_flags,
         hspec=tuple(a.having("prime")), spec_e=tuple(a.spec_e("prime")),
-        radical_set=radical_set, strongly_prime_set=tuple(a.having("strongly_prime")),
+        radical_set=tuple(a.having("radical")),
+        strongly_prime_set=tuple(a.having("strongly_prime")),
         strong_spec_e=tuple(a.spec_e("strongly_prime")),
         maximal_proper=_maximal(lattice, a.having("proper")),
         maximal_weakly_proper=_maximal(lattice, a.having("weakly_proper")),

@@ -10,19 +10,26 @@ The checks over lattice members are column tests: BF, ID1, TR1, PRS1, PRS2,
 RD1, SP2 part ii, PRO3, PRO3C, CP, SHALLOW1K and CHAINS parts i-iii compare
 columns of the root matrix ``lattice.roots``, its order ``leq``, the flag
 columns of ``Analysis.column`` and the A*e images of ``Analysis.images``, and
-GEN, EMUL and ESQ gather over the tables.  Each reports the first
-counterexample of the loop over members and elements that it replaced,
-located with ``argmax``.  CHAINS part iv (a twist scan per triple of
-members) and CONGB (one ``cong_b`` per sum) still loop.  No check builds a
-quotient pair or pushes one congruence at a time; the reverifiers do.
+GEN, EMUL and ESQ gather over the tables.  CONGB takes every distinct sum
+b1 + b2 at once (``cong_bs``).  Each reports the first counterexample of the
+loop over members and elements that it replaced, located with ``argmax``.
+CHAINS part iv (a twist scan per triple of members) still loops.  No check
+builds a quotient pair or pushes one congruence at a time; the reverifiers
+do.
+
+The prime column is semiprime and irreducible by construction
+(``spectrum.twist_columns``), so BF part ii tests the two implications that
+construction rests on: no strongly prime member has two covers, and any two
+distinct covers of a semiprime member have their twist product inside it.
 
 ``reverify_counterexample`` recomputes the violated instance from the raw
-tables for EST, ESQ, EFINAL_IDEM, KIND, ETYPE_SHALLOW, TWASS, GEN, ID1, CP,
-PRO3, SHALLOW1K and CHAINS part iii, and for RD1, PRS1 and PRO3C with
-``classify_congruence_elementwise``, the code under test.  For EMUL, TR1,
-CONGB, BF, PRS2, RD2, SP2, HYPROP and CHAINS parts i, ii and iv it only
-tests that the reported blocks form a congruence, or returns True when the
-counterexample names none.
+tables for EST, ESQ, EMUL, EFINAL_IDEM, KIND, ETYPE_SHALLOW, TWASS, GEN, ID1,
+CP, PRO3, SHALLOW1K and CHAINS part iii, for CONGB with the per-element
+``cong_b``, and for RD1, PRS1 and PRO3C with
+``classify_congruence_elementwise``, the code under test.  For TR1, BF,
+PRS2, RD2, SP2, HYPROP and CHAINS parts i, ii and iv it only tests that the
+reported blocks form a congruence, and a counterexample that names none
+confirms nothing.
 """
 
 from __future__ import annotations
@@ -40,12 +47,13 @@ from .congruences import (
     all_relation,
     are_congruences,
     cong_b,
+    cong_bs,
     diagonal,
     is_congruence,
     meets,
 )
 from .constructions import _block_label, doubled_names, quotient_pair, twist_table
-from .core import Pair, is_proper
+from .core import Pair, is_distributively_central, is_proper
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
     MISSING,
@@ -311,32 +319,27 @@ def _check_congb(ctx):
     pair = ctx.pair
     if ctx.cls.e_type is None:
         return False, None, None, "needs a pair with an e-type"
-    # cong_b(b) depends on b only through s = b1 + b2, apart from contains_b
-    by_sum = {}
-    checked = 0
-    for b1 in range(pair.n):
-        for b2 in range(pair.n):
-            s = int(pair.add[b1, b2])
-            if s not in by_sum:
-                by_sum[s] = cong_b(pair, (b1, b2))
-            res = by_sum[s]
-            if not (res.hypothesis_semiring or res.hypothesis_s_central):
-                continue
-            checked += 1
-            contains_b = bool(res.relation[b1, b2])
-            if not res.is_congruence or not contains_b:
-                return True, False, {
-                    "b": _names(pair, b1, b2),
-                    "is_congruence": res.is_congruence,
-                    "contains_b": contains_b,
-                }, ""
-    return True, True, None, f"{checked} elements checked"
+    # cong_b(b) depends on b only through s = b1 + b2, apart from contains_b,
+    # so each distinct sum is taken once, and the first failing b of the
+    # loop over b in row-major order is found with argmax
+    n = pair.n
+    sums, at = np.unique(pair.add.ravel(), return_inverse=True)
+    rel, ok = cong_bs(pair, sums)
+    held = (np.ones(len(sums), dtype=bool) if pair.structure.is_semiring()
+            else np.array([is_distributively_central(pair, s) for s in sums], dtype=bool))[at]
+    b1, b2 = np.divmod(np.arange(n * n), n)
+    contains_b = rel[at, b1, b2]
+    bad = held & ~(ok[at] & contains_b)
+    if bad.any():
+        k = int(bad.argmax())
+        return True, False, {"b": _names(pair, b1[k], b2[k]), "is_congruence": bool(ok[at[k]]),
+                             "contains_b": bool(contains_b[k])}, ""
+    return True, True, None, f"{int(held.sum())} elements checked"
 
 
 def _check_bf(ctx):
     pair = ctx.pair
     lat = ctx.lattice
-    cls = ctx.classes
     # (i): + is commutative, so in a congruence x ~ y gives ax + by ~ ay + by
     # ~ ay + bx.  Only a row that is no congruence can fail, so the twist
     # scan runs on those rows alone.
@@ -344,13 +347,19 @@ def _check_bf(ctx):
     for i in np.flatnonzero(~are_congruences(pair, lat.roots)):
         if not twist_subset(pair, full, lat[i], lat[i].matrix):
             return True, False, {"part": "i", "blocks": lat[i].block_labels()}, ""
-    bad = np.flatnonzero(ctx.column("prime") != (ctx.column("semiprime")
-                                                  & ctx.column("irreducible")))
-    if len(bad):
-        c = cls[bad[0]]
-        return True, False, {"part": "ii", "blocks": lat[bad[0]].block_labels(),
-                             "prime": c.prime, "semiprime": c.semiprime,
-                             "irreducible": c.irreducible}, ""
+    # (ii): prime is semiprime and irreducible.  The prime column is that by
+    # construction, through two implications ``twist_columns`` relies on, so
+    # test them: no strongly prime member has two covers, and any two
+    # distinct covers of a semiprime member have their twist product inside it
+    strong, semi = ctx.column("strongly_prime"), ctx.column("semiprime")
+    two = np.fromiter(map(len, lat.covers), dtype=np.intp, count=len(lat)) >= 2
+    for i in np.flatnonzero(two & (strong | semi)):
+        cov = lat.covers[i]
+        if strong[i] or not all(twist_subset(pair, lat[a], lat[b], lat[i].matrix)
+                                for a in cov for b in cov if a != b):
+            return True, False, {"part": "ii", "blocks": lat[i].block_labels(),
+                                 "prime": bool(ctx.column("prime")[i]), "semiprime": bool(semi[i]),
+                                 "irreducible": bool(ctx.column("irreducible")[i])}, ""
     # (iii)/(iv): meets are symmetric, so the first (i, j) in row-major order
     # whose meet lacks the flag has j >= i
     sizes = []
@@ -358,11 +367,13 @@ def _check_bf(ctx):
         has = ctx.column(flag)
         idx = np.flatnonzero(has)
         sizes.append(len(idx))
-        for k, i in enumerate(idx):
-            bad = ~has[lat.find_rows(meets(lat.roots[i], lat.roots[idx[k:]]))]
-            if bad.any():
-                return True, False, {"part": part, "i": lat[i].block_labels(),
-                                     "j": lat[idx[k + int(bad.argmax())]].block_labels()}, ""
+        flagged = lat.roots[idx]
+        hit = _first_row(np.arange(len(idx)), len(idx) * pair.n, lambda ks: (
+            ~has[lat.find_rows(meets(flagged[ks, None], flagged[None]).reshape(-1, pair.n))]
+            .reshape(len(ks), -1) & (ks[:, None] <= np.arange(len(idx)))))
+        if hit:
+            return True, False, {"part": part, "i": lat[idx[hit[0]]].block_labels(),
+                                 "j": lat[idx[hit[1]]].block_labels()}, ""
     # (v)/(vi): in a finite lattice a chain's union/intersection is its top/
     # bottom; check over all comparable pairs i <= j, a few rows of leq at a
     # time, that the meet is i.  For partitions the meet of i and j is i
@@ -711,8 +722,9 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
 
     Returns True when the counterexample indeed violates the named law, and
     False for an id that names no check, blocks that do not partition the
-    carrier, an unknown label, or a field that is missing, too short or of
-    the wrong type (a PRS1 ``part`` other than "i" or "ii" among them).
+    carrier, an unknown label, a field that is missing, too short or of the
+    wrong type (a PRS1 ``part`` other than "i" or "ii", or an ETYPE_SHALLOW
+    ``k`` that is no integer, among them), or nothing to recompute.
     """
     if check_id not in CHECKS:
         return False
@@ -805,10 +817,26 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             return not is_proper(quotient_pair(pair, cong))
         if check_id == "ETYPE_SHALLOW":
             from .core import e_type as _et
-            return _et(pair) not in ((cx["k"], cx["k"]), (cx["k"], 1))
-        # congruence-membership style counterexamples from the remaining checks
-        if cong is not None:
-            return is_congruence(pair, cong)[0]
-        return True
+            k = cx["k"]
+            if type(k) is not int:
+                return False
+            return _et(pair) not in ((k, k), (k, 1))
+        if check_id == "EMUL":
+            e, x, kind = pair.property_n.e, ix[cx["x"]], cx["kind"]
+            if kind in ("not_additive", "not_multiplicative"):
+                y = ix[cx["y"]]
+                op = add if kind == "not_additive" else mul
+                return int(mul[op[x, y], e]) != int(op[mul[x, e], mul[y, e]])
+            fails = {"image_not_idempotent": int(add[x, x]) != x,
+                     "e_not_unit": int(mul[x, e]) != x or int(mul[e, x]) != x}[kind]
+            return bool((mul[:, e] == x).any()) and fails
+        if check_id == "CONGB":
+            res = cong_b(pair, tuple(ix[x] for x in cx["b"]))
+            got = (res.is_congruence, res.contains_b)
+            return ((res.hypothesis_semiring or res.hypothesis_s_central) and not all(got)
+                    and got == (cx["is_congruence"], cx["contains_b"]))
+        # the remaining checks: the reported blocks must form a congruence,
+        # and a counterexample that names none confirms nothing
+        return cong is not None and is_congruence(pair, cong)[0]
     except (KeyError, ValueError, TypeError):
         return False

@@ -889,11 +889,19 @@ def cp_loop(pair, lattice, proper, quotient_pair, is_proper):
     return None
 
 
-def bf_part_ii_loop(lattice, classes):
-    """BF part ii: the first member flagged prime but not semiprime and
-    irreducible, or the other way round."""
+def bf_part_ii_loop(pair, lattice, covers, classes):
+    """BF part ii: the first member with two or more ``covers`` that is
+    flagged strongly prime, or flagged semiprime while two distinct covers
+    c1, c2 have a twist product of c1 x c2 outside it, by the dense twist
+    products."""
     for i, c in enumerate(classes):
-        if c.prime != (c.semiprime and c.irreducible):
+        cov = covers[i]
+        if len(cov) < 2 or not (c.strongly_prime or c.semiprime):
+            continue
+        member = lattice[i].matrix
+        rels = {j: _member_pairs(lattice[j].block_of) for j in cov}
+        if c.strongly_prime or not all(_twist_inside(pair.add, pair.mul, rels[a], rels[b], member)
+                                       for a in cov for b in cov if a != b):
             return {"part": "ii", "blocks": lattice[i].block_labels(), "prime": c.prime,
                     "semiprime": c.semiprime, "irreducible": c.irreducible}
     return None

@@ -1,10 +1,11 @@
 """Twist-product classification, radicals, spectra, and the isomorphisms."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -19,16 +20,18 @@ from pairspec.congruences import (
     meet,
     relation_flags,
 )
-from pairspec.core import classify_pair, positive_e_type
+from pairspec.core import classify_pair, positive_e_type, validate_pair, validate_structure
 from pairspec.errors import PairspecError
 from pairspec.spectrum import (
     Analysis,
     ae_pair,
+    bare_pair,
     classify_congruence,
     classify_congruence_elementwise,
     spectrum_report,
     sqrt_phi,
     twist,
+    twist_columns,
     twist_subset,
 )
 from pairspec.verify import run_check
@@ -218,6 +221,135 @@ def test_classification_matches_definition_random_pairs(seed, n):
     _assert_classes_match_definition(_random_pair(np.random.default_rng(seed), n))
 
 
+def _flip_cell(rng, p):
+    """p with one random cell of its multiplication table, off the rows and
+    columns of zero and one, set to a random value; None when that is no
+    pair."""
+    free = [x for x in range(p.n) if x not in (p.zero, p.one)]
+    if not free:
+        return None
+    mul = p.mul.copy()
+    mul[rng.choice(free), rng.choice(free)] = rng.integers(p.n)
+    try:
+        st_ = validate_structure(p.names, p.zero, p.one, p.add, mul)
+        return validate_pair(st_, p.tangible, p.a_zero, name="flipped")
+    except PairspecError:
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), flip=st.booleans())
+def test_columns_match_definition_with_planted_flips(seed, n, flip):
+    """The twist columns of a whole lattice equal the definitions member by
+    member, on random pairs and on pairs with a table cell flipped.  With a
+    root row corrupted into another partition, the radical and
+    T-cancellative columns, which read the row alone, still give that
+    partition's flags by definition."""
+    rng = np.random.default_rng(seed)
+    p = _random_pair(rng, n)
+    if flip:
+        p = _flip_cell(rng, p)
+        assume(p is not None)
+    # more tangibles than the unit, so that T-cancellation is tested
+    more = [x for x in range(n) if x != p.zero and rng.integers(2)]
+    p = bare_pair(p.structure, {p.one, *more}, p.a_zero, name=p.name)
+    lat = enumerate_congruences(p)
+    rows = [c.block_of for c in lat]
+    cols = twist_columns(p, lat.roots, lat.covers)
+    for i, c in enumerate(lat):
+        want = oracle.classify_by_definition(p, c.block_of, rows)
+        assert {f: bool(c[i]) for f, c in cols.items()} == {f: want[f] for f in cols}
+    k = int(rng.integers(len(lat)))
+    roots = lat.roots.copy()
+    roots[k] = oracle.roots_of(rng.integers(0, n, n).tolist())
+    cols = twist_columns(p, roots, lat.covers, [k])
+    want = oracle.classify_by_definition(p, oracle.restricted_growth(roots[k].tolist()), rows)
+    for f in ("radical", "t_cancellative"):
+        assert bool(cols[f][0]) == want[f], f
+
+
+def _catalog_lattices(pairs):
+    """Every catalog lattice, and those of its A*e and A/diag_e that exist."""
+    for p in pairs.values():
+        a = Analysis(p, None)
+        yield a.lattice
+        for sub in ("ae", "quotient_e"):
+            try:
+                yield getattr(a, sub)[0].lattice
+            except PairspecError:
+                pass
+
+
+def _covers_relation(p, lat, i, a, b) -> bool:
+    """Whether every twist product of covers a x b of member i lies in it."""
+    return twist_subset(p, lat[a], lat[b], lat[i].matrix)
+
+
+def test_implication_strongly_prime_implies_radical(pairs):
+    seen = 0
+    for lat in _catalog_lattices(pairs):
+        for c in lat:
+            cls = classify_congruence_elementwise(lat.pair, c)
+            assert cls.radical or not cls.strongly_prime, (lat.pair.name, c.roots)
+            seen += cls.strongly_prime
+    assert seen
+
+
+def test_implication_radical_implies_semiprime(pairs):
+    """No cover c of a radical member has c*c inside it."""
+    seen = 0
+    for lat in _catalog_lattices(pairs):
+        for i, c in enumerate(lat):
+            if classify_congruence_elementwise(lat.pair, c).radical:
+                for j in lat.covers[i]:
+                    assert not _covers_relation(lat.pair, lat, i, j, j), (lat.pair.name, c.roots)
+                    seen += 1
+    assert seen
+
+
+def test_implication_two_covers_twist_inside(pairs):
+    """c1*c2 lies inside the member for any two distinct covers c1, c2."""
+    seen = 0
+    for lat in _catalog_lattices(pairs):
+        for i, cov in enumerate(lat.covers):
+            for a in cov:
+                for b in cov:
+                    if a != b:
+                        assert _covers_relation(lat.pair, lat, i, a, b), (lat.pair.name, i)
+                        seen += 1
+    assert seen
+
+
+def test_implication_strongly_prime_has_at_most_one_cover(pairs):
+    seen = 0
+    for lat in _catalog_lattices(pairs):
+        for i, c in enumerate(lat):
+            if classify_congruence_elementwise(lat.pair, c).strongly_prime:
+                assert len(lat.covers[i]) <= 1, (lat.pair.name, c.roots)
+                seen += 1
+    assert seen
+
+
+def test_column_pass_memory_is_bounded(monkeypatch):
+    """With the step sizes lowered, the peak of the column pass on the
+    2,722 congruences of function_pair(super_boolean, sat3) is a small
+    working set plus a few bytes per member and per (member, cover) edge;
+    a pass that built every job's pairs at once would hold n^2 cells per
+    edge."""
+    from pairspec import _kernels
+    p = constructions.function_pair(constructions.super_boolean(), monoids.saturating_monoid(3))
+    lat = enumerate_congruences(p)
+    edges = sum(map(len, lat.covers))
+    monkeypatch.setattr(_kernels, "_SCAN_CELLS", 1 << 12)
+    monkeypatch.setattr(_kernels, "ROW_CELLS", 1 << 12)
+    tracemalloc.start()
+    cols = twist_columns(p, lat.roots, lat.covers)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (int(cols["radical"].sum()), int(cols["strongly_prime"].sum())) == (4, 3)
+    assert peak < 16 * 8 * (1 << 12) + (len(lat) + edges) * (p.n + 100), peak
+
+
 # -- reports -------------------------------------------------------------------------
 
 def test_spectrum_report_super_boolean(sb):
@@ -234,8 +366,9 @@ def test_spectrum_report_super_boolean(sb):
 
 
 def _record_lattice_work(monkeypatch):
-    """Record every enumeration (pair name, cap) and every full
-    classification (pair name, blocks) made through ``pairspec.spectrum``."""
+    """Record every enumeration (pair name, cap) and every classification
+    pass (pair name, the blocks of each row it classifies) made through
+    ``pairspec.spectrum``."""
     import pairspec.spectrum as spectrum
     enumerated, classified = [], []
 
@@ -243,12 +376,13 @@ def _record_lattice_work(monkeypatch):
         enumerated.append((pair.name, cap))
         return enumerate_congruences(pair, cap)
 
-    def classify_recording(pair, cong, lattice):
-        classified.append((pair.name, cong.block_of))
-        return classify_congruence(pair, cong, lattice)
+    def classify_recording(pair, roots, covers, rows=None):
+        picked = roots if rows is None else roots[rows]
+        classified.append((pair.name, [Congruence(pair, r).block_of for r in map(tuple, picked)]))
+        return twist_columns(pair, roots, covers, rows)
 
     monkeypatch.setattr(spectrum, "enumerate_congruences", enumerate_recording)
-    monkeypatch.setattr(spectrum, "classify_congruence", classify_recording)
+    monkeypatch.setattr(spectrum, "twist_columns", classify_recording)
     return enumerated, classified
 
 
@@ -257,11 +391,12 @@ def _assert_three_lattices_once(sb, enumerated, classified):
     from pairspec.spectrum import ae_pair
     names = ["super_boolean", "super_boolean*e", "super_boolean/diag_e"]
     assert enumerated == [(name, 7) for name in names]
-    # each member of each of the three lattices is classified exactly once
+    # each of the three lattices is classified once, in one pass over all
+    # its members
     lattices = [enumerate_congruences(sb), enumerate_congruences(ae_pair(sb)[0]),
                 enumerate_congruences(quotient_pair(sb, diag_e(sb)))]
-    assert classified == [(name, c.block_of) for name, lat in zip(names, lattices)
-                          for c in lat]
+    assert classified == [(name, [c.block_of for c in lat])
+                          for name, lat in zip(names, lattices)]
 
 
 def test_spectrum_cap_reaches_auxiliary_lattices(sb, monkeypatch):
@@ -476,10 +611,10 @@ def test_strongly_prime_is_joo_mincheva_prime(pairs):
         images += 1
         sub = image.pair
         add, mul = sub.add.tolist(), sub.mul.tolist()
-        for cong, cls in zip(image.lattice, image.classes):
+        for cong, strongly_prime in zip(image.lattice, image.column("strongly_prime")):
             if len(set(cong.block_of)) > 1:
                 members += 1
-                assert cls.strongly_prime == oracle.jm_prime(add, mul, list(cong.block_of),
+                assert strongly_prime == oracle.jm_prime(add, mul, list(cong.block_of),
                                                              sub.zero), (sub.name, cong.roots)
     assert (images, members) == (54, 300)
 

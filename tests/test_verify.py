@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from pairspec import _kernels, verify
 from pairspec._kernels import first_nonassoc
-from pairspec.congruences import Congruence, CongruenceLattice, cong_b, is_congruence
+from pairspec.congruences import Congruence, CongruenceLattice, cong_b, cong_bs, is_congruence
 from pairspec.constructions import double, minimal_bipotent, quotient_pair
 from pairspec.core import (
     FiniteStructure,
@@ -23,7 +23,14 @@ from pairspec.core import (
 )
 from pairspec.errors import CarrierTooLarge, UnknownCheckId
 from pairspec.monoids import trivial_monoid
-from pairspec.spectrum import MISSING, NOT_CONGRUENCE, Analysis, bare_pair, twist
+from pairspec.spectrum import (
+    MISSING,
+    NOT_CONGRUENCE,
+    Analysis,
+    bare_pair,
+    classification,
+    twist,
+)
 from pairspec.verify import (
     CHECKS,
     reverify_counterexample,
@@ -38,6 +45,19 @@ CHECK_IDS = (
     "ETYPE_SHALLOW", "GEN", "HYPROP", "ID1", "KIND", "PRO3", "PRO3C",
     "PRS1", "PRS2", "RD1", "RD2", "SHALLOW1K", "SP2", "TR1", "TWASS",
 )
+
+
+def _classes(a):
+    """Each member's classification, read off the analysis's columns."""
+    lat = a.lattice
+    return tuple(classification(a.twist_flags, i, lat.flags.row(i)) for i in range(len(lat)))
+
+
+def _plant_classes(monkeypatch, a, fake):
+    """The twist flags of the classifications ``fake``, planted as the
+    analysis's columns."""
+    monkeypatch.setattr(a, "twist_flags", {
+        f: np.array([getattr(c, f) for c in fake], dtype=bool) for f in a.twist_flags})
 
 
 def test_check_id_registry_is_stable():
@@ -219,7 +239,7 @@ def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
         if p.property_n is None:
             continue
         a = Analysis(p, None)
-        lat, cls = a.lattice, a.classes
+        lat, cls = a.lattice, _classes(a)
         # call some members without (1, e) radical, or T-cancellative and
         # improper
         without = [i for i, c in enumerate(lat) if not c.related(p.one, p.property_n.e)]
@@ -229,7 +249,7 @@ def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
                  lambda c: c.t_cancellative and not c.proper)):
             for chosen in ([], without[:1], without[-1:], without[1::2]):
                 fake = tuple(replace(c, **fields) if i in chosen else c for i, c in enumerate(cls))
-                monkeypatch.setattr(a, "classes", fake)
+                _plant_classes(monkeypatch, a, fake)
                 if "proper" in fields:
                     _plant_flags(monkeypatch, lat, proper=_called(lat.flags.proper, chosen, False))
                 held, _, cx, _ = CHECKS[check](a)
@@ -289,26 +309,28 @@ def test_cp_matches_quotient_loop(pairs, monkeypatch):
 
 
 def test_bf_part_ii_and_sp2_part_ii_match_class_loops(pairs, monkeypatch):
-    """BF part ii and SP2 part ii read the prime, semiprime, irreducible and
-    e-type columns: with prime flags flipped, and members called without an
-    e-type, each reports the first member of its loop over the
-    classifications."""
+    """BF part ii reads the strongly prime and semiprime columns, SP2 part
+    ii the prime and e-type columns: with prime and strongly prime flags
+    flipped, and members called without an e-type, each reports the first
+    member of its loop over the classifications."""
     planted = {"BF": 0, "SP2": 0}
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, cls, m = a.lattice, a.classes, len(a.lattice)
+        lat, cls, m = a.lattice, _classes(a), len(a.lattice)
         sp2_held = CHECKS["SP2"](a)[0]       # part i's verdict is cached first
+        two = [i for i in range(m) if len(lat.covers[i]) >= 2]
         offs = [[]] if lat.flags.e_type is None else [[], list(range(0, m, 2)), list(range(m // 2))]
         for off in offs:
             wo = sorted(set(off) | {i for i, c in enumerate(cls) if c.e_type is None})
-            for chosen in ([], [0], [m - 1], wo[:1], wo[-1:], wo[-2:], wo[::2]):
+            for chosen in ([], [0], [m - 1], wo[:1], wo[-1:], wo[-2:], wo[::2], two[:1], two[-1:]):
                 fake = tuple(replace(c, prime=c.prime != (i in chosen),
+                                     strongly_prime=c.strongly_prime != (i in chosen),
                                      e_type=None if i in off else c.e_type)
                              for i, c in enumerate(cls))
-                monkeypatch.setattr(a, "classes", fake)
+                _plant_classes(monkeypatch, a, fake)
                 if off:
                     _plant_flags(monkeypatch, lat, e_type=_called(lat.flags.e_type, off, 0))
-                want = oracle.bf_part_ii_loop(lat, fake)
+                want = oracle.bf_part_ii_loop(p, lat, lat.covers, fake)
                 assert CHECKS["BF"](a)[2] == want, (p.name, chosen)
                 planted["BF"] += want is not None
                 if sp2_held:
@@ -453,6 +475,51 @@ def test_reverify_rejects_unknown_check_id(sb):
     assert not reverify_counterexample(sb, "NOPE", {"blocks": [["0"], ["1"], ["e"]]})
 
 
+def test_reverify_rejects_counterexample_without_instance(pairs):
+    """A counterexample that names nothing to recompute confirms nothing:
+    an id the reverifier does not recompute, given no blocks, and an
+    ETYPE_SHALLOW k that is no integer."""
+    f3 = pairs["field_f3"]
+    assert not reverify_counterexample(f3, "CHAINS", {})
+    assert not reverify_counterexample(f3, "ETYPE_SHALLOW", {"k": [1]})
+    assert not reverify_counterexample(f3, "ETYPE_SHALLOW", {"k": True})
+
+
+def test_reverify_recomputes_emul_and_congb(monkeypatch):
+    """EMUL and CONGB failures on random tables with a random e (EMUL's
+    hypotheses forced) are recomputed from the tables and confirmed; a
+    CONGB report with its verdicts turned round is not, and an EMUL report
+    with its kind swapped is exactly when the other law holds there."""
+    rng = np.random.default_rng(31)
+    confirmed = {"EMUL": 0, "CONGB": 0}
+    for n in range(2, 7):
+        for _ in range(12):
+            p = _with_witness(rng, _random_pair(rng, n))
+            a = Analysis(p, None)
+            r = run_check(p, "CONGB")
+            if r.passed is False:
+                cx = r.counterexample
+                assert reverify_counterexample(p, "CONGB", cx), cx
+                turned = {**cx, "contains_b": not cx["contains_b"],
+                          "is_congruence": not cx["is_congruence"]}
+                assert not reverify_counterexample(p, "CONGB", turned), cx
+                confirmed["CONGB"] += 1
+            monkeypatch.setattr(a, "cls", SimpleNamespace(e_central=True, e_idempotent=True))
+            _, passed, cx, _ = CHECKS["EMUL"](a)
+            monkeypatch.undo()
+            if passed is False:
+                assert reverify_counterexample(p, "EMUL", cx), cx
+                confirmed["EMUL"] += 1
+                if "y" in cx:
+                    kinds = ("not_additive", "not_multiplicative")
+                    swapped = kinds[1 - kinds.index(cx["kind"])]
+                    x, y = (p.structure.index[cx[k]] for k in ("x", "y"))
+                    op, e = (p.add if swapped == kinds[0] else p.mul), p.property_n.e
+                    holds = int(p.mul[op[x, y], e]) == int(op[p.mul[x, e], p.mul[y, e]])
+                    assert reverify_counterexample(p, "EMUL", {**cx, "kind": swapped}) != holds
+    assert all(confirmed.values()), confirmed
+
+
 def _twass_by_double(pair):
     """TWASS read off the full doubled pair (table validation, switch map and
     all): the reference for the check, which scans the twist product alone."""
@@ -536,10 +603,7 @@ def _planted_cong_b(plant, s0, cell):
     """cong_b with a fault planted at the sum s0; still a function of the sum."""
     def fake(pair, b):
         res = cong_b(pair, b)
-        s = int(pair.add[b[0], b[1]])
-        if plant == "skip" and s % 2 == s0 % 2:
-            return replace(res, hypothesis_semiring=False, hypothesis_s_central=False)
-        if plant == "none" or s != s0:
+        if plant == "none" or int(pair.add[b[0], b[1]]) != s0:
             return res
         if plant == "not_congruence":
             return replace(res, is_congruence=False, congruence=None)
@@ -549,23 +613,43 @@ def _planted_cong_b(plant, s0, cell):
     return fake
 
 
+def _planted_cong_bs(plant, s0, cell):
+    """cong_bs with the fault of ``_planted_cong_b`` planted at the sum s0."""
+    def fake(pair, sums):
+        rel, ok = cong_bs(pair, sums)
+        k = list(sums).index(s0)
+        if plant == "not_congruence":
+            ok[k] = False
+        elif plant == "drop_cell":
+            rel[k][cell] = False
+        return rel, ok
+    return fake
+
+
 def test_congb_matches_per_element_loop(pairs, monkeypatch):
-    failed = 0
-    for p in pairs.values():
+    """CONGB in one pass over the distinct sums reports what the loop
+    calling ``cong_b`` for every doubled element does: on the catalog with
+    faults planted at one sum, and on random pairs with a random e, where
+    the hypotheses and the verdicts vary."""
+    rng = np.random.default_rng(29)
+    randoms = [_with_witness(rng, _random_pair(rng, n)) for n in range(2, 7) for _ in range(12)]
+    verdicts = {True: 0, False: 0}
+    for p in [*pairs.values(), *randoms]:
         if classify_pair(p).e_type is None:
             continue
         sums = p.add.ravel().tolist()
         s0 = sums[len(sums) // 2]
         # the last doubled element with sum s0, so that earlier ones pass
         cell = divmod(len(sums) - 1 - sums[::-1].index(s0), p.n)
-        for plant in ("none", "skip", "not_congruence", "drop_cell"):
-            fake = _planted_cong_b(plant, s0, cell)
-            monkeypatch.setattr(verify, "cong_b", fake)
+        for plant in ("none", "not_congruence", "drop_cell"):
+            monkeypatch.setattr(verify, "cong_bs", _planted_cong_bs(plant, s0, cell))
             r = run_check(p, "CONGB")
-            want = oracle.check_congb_loop(p, fake)
+            want = oracle.check_congb_loop(p, _planted_cong_b(plant, s0, cell))
             assert (r.passed, r.counterexample, r.notes) == want, (p.name, plant)
-            failed += want[0] is False
-    assert failed
+            verdicts[want[0]] += 1
+            if want[0] is False and plant == "none":
+                assert reverify_counterexample(p, "CONGB", r.counterexample), p.name
+    assert all(verdicts.values()), verdicts
 
 
 def test_tr1_reports_injection(sb):
@@ -698,6 +782,29 @@ def _random_partitions(rng, n, count, merge=()):
     return out
 
 
+def test_bf_part_ii_scans_planted_covers(pairs, monkeypatch):
+    """BF part ii runs the pairwise twist test over the covers of each
+    semiprime member with two or more: with the real covers nothing fails,
+    and with other members planted as covers it reports the first member of
+    the loop over the dense twist products."""
+    planted = 0
+    for p in pairs.values():
+        a = Analysis(p, None)
+        lat, cls, m = a.lattice, _classes(a), len(a.lattice)
+        assert oracle.bf_part_ii_loop(p, lat, lat.covers, cls) is None, p.name
+        semi = [i for i, c in enumerate(cls) if c.semiprime and not c.strongly_prime]
+        for i in semi[:2] + semi[-2:]:
+            for cov in ((0, m - 1), tuple(j for j in range(m) if j != i), (m - 1, i)):
+                fake = list(lat.covers)
+                fake[i] = cov
+                monkeypatch.setitem(lat.__dict__, "covers", tuple(fake))
+                want = oracle.bf_part_ii_loop(p, lat, fake, cls)
+                assert CHECKS["BF"](a)[2] == want, (p.name, i, cov)
+                planted += want is not None
+                monkeypatch.undo()
+    assert planted
+
+
 def test_bf_part_i_matches_twist_loop(pairs, monkeypatch):
     """Rows that are no congruences, planted in the lattice: the twist scan
     over the rows failing the bulk congruence test finds the loop's first
@@ -706,7 +813,7 @@ def test_bf_part_i_matches_twist_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.classes
+        lat, _ = a.lattice, a.twist_flags
         rows = _roots_rows(lat)
         others = [r for r in _random_partitions(rng, p.n, 40)
                   if not is_congruence(p, Congruence(pair=p, roots=r))[0]]
@@ -738,7 +845,7 @@ def test_bf_meets_match_meet_loops(pairs, monkeypatch):
     planted = {"iii": 0, "iv": 0}
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, cls = a.lattice, a.classes
+        lat, cls = a.lattice, _classes(a)
         rows = _roots_rows(lat)
         for part, flag in (("iii", "semiprime"), ("iv", "radical")):
             on = [i for i, c in enumerate(cls) if getattr(c, flag)]
@@ -746,7 +853,7 @@ def test_bf_meets_match_meet_loops(pairs, monkeypatch):
             for value, chosen in ((True, []), (True, off[:1]), (True, off[-2:]),
                                   (True, off[1::2]), (False, on[-1:]), (False, on[1:2])):
                 fake = tuple(_with(c, flag, value) if i in chosen else c for i, c in enumerate(cls))
-                monkeypatch.setattr(a, "classes", fake)
+                _plant_classes(monkeypatch, a, fake)
                 want = oracle.bf_meets_loop(lat, rows, [getattr(c, flag) for c in fake], part)
                 assert CHECKS["BF"](a)[2] == want, (p.name, part, value, chosen)
                 planted[part] += want is not None
@@ -760,7 +867,7 @@ def test_bf_part_v_matches_join_meet_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.classes
+        lat, _ = a.lattice, a.twist_flags
         rows, m = _roots_rows(lat), len(lat)
         for rate in (0.0, 0.05, 0.3):
             flip = rng.random((m, m)) < rate
@@ -779,7 +886,7 @@ def test_prs1_matches_member_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, cls = a.lattice, a.classes
+        lat, cls = a.lattice, _classes(a)
         rows, m = _roots_rows(lat), len(lat)
         others = [i for i, c in enumerate(cls) if not c.radical]
         plants = [{}] * 4 + [dict(zip(rng.choice(m, size=min(m, 3), replace=False).tolist(),
@@ -798,7 +905,7 @@ def test_prs1_matches_member_loop(pairs, monkeypatch):
             fake_cls = tuple(replace(c, radical=True) if i in called else c
                              for i, c in enumerate(cls))
             monkeypatch.setattr(a, "lattice", fake)
-            monkeypatch.setattr(a, "classes", fake_cls)
+            _plant_classes(monkeypatch, a, fake_cls)
             radical = [i for i, c in enumerate(fake_cls) if c.radical]
             want = oracle.prs1_loop(p, fake, fake_rows, radical)
             assert CHECKS["PRS1"](a)[2] == want, (p.name, chosen, plant)
@@ -870,7 +977,7 @@ def test_chains_part_ii_matches_maximal_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.classes
+        lat, _ = a.lattice, a.twist_flags
         proper = a.having("proper")
         pairs_ij = [(i, j) for i in proper for j in proper if i != j and lat.leq[i, j]]
         fakes = [lat.leq.copy()]
@@ -975,6 +1082,8 @@ _LABEL_READERS = {
     "CHAINS": ({"part": "iii", "x": ["1", "0"], "y": ["2", "0"]}, ("x", "y")),
     "PRS1": ({"part": "i", "blocks": _DIAG_F3, "b": ["1", "2"]}, ("part", "blocks", "b")),
     "PRO3": ({"blocks": _DIAG_F3, "a": "1", "c": "2"}, ("blocks", "a", "c")),
+    "EMUL": ({"kind": "not_additive", "x": "1", "y": "2"}, ("kind", "x", "y")),
+    "CONGB": ({"b": ["1", "2"], "is_congruence": True, "contains_b": False}, ("b",)),
 }
 
 
