@@ -13,7 +13,6 @@ from .core import (
     PairClassification,
     PropertyNWitness,
     classify_pair,
-    distributive_center,
     find_property_n,
     heights,
     is_distributively_central,

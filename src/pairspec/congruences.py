@@ -347,12 +347,13 @@ class RelationFlags:
 def relation_flags(pair: Pair, roots) -> RelationFlags:
     """Whether each root row relates 1 and e, its e-type (the least k > 0
     relating 1 + k*e and k*e), and whether it relates some (a, b) in T x A0
-    (improper) or some with a + b = a (very improper), by comparing columns."""
+    (improper) or some very improper one (``Pair.very_improper``), by
+    comparing columns."""
     r = np.asarray(roots)
     a0 = np.flatnonzero(pair.a0_mask)
     ts, zs = np.repeat(pair.t_sorted, len(a0)), np.tile(a0, len(pair.t_sorted))
     t_a0 = r[:, ts] == r[:, zs]
-    very = pair.add[ts, zs] == ts
+    vt, vz = pair.very_improper
     contains_1e = e_type = None
     if pair.property_n is not None:
         contains_1e = r[:, pair.one] == r[:, pair.property_n.e]
@@ -360,7 +361,7 @@ def relation_flags(pair: Pair, roots) -> RelationFlags:
         by_k = r[:, pair.add[pair.one, ke]] == r[:, ke]
         e_type = np.where(by_k.any(axis=1), by_k.argmax(axis=1) + 1, 0)
     return RelationFlags(t_a0=t_a0, proper=~t_a0.any(axis=1),
-                         weakly_proper=~(t_a0 & very).any(axis=1),
+                         weakly_proper=~(r[:, vt] == r[:, vz]).any(axis=1),
                          contains_1e=contains_1e, e_type=e_type)
 
 

@@ -202,6 +202,16 @@ class Pair:
         return m
 
     @cached_property
+    def very_improper(self) -> tuple[np.ndarray, np.ndarray]:
+        """The very improper (t, z) in T x A0, t + z = t, row-major over sorted T and A0."""
+        a0 = np.flatnonzero(self.a0_mask)
+        i, k = np.nonzero(self.add[np.ix_(self.t_sorted, a0)] == self.t_sorted[:, None])
+        out = self.t_sorted[i], a0[k]
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    @cached_property
     def e_multiples(self) -> np.ndarray:
         """k*e at index k - 1 for k = 1..n, empty without a witness.  Each
         multiple is a function of the one before, so these are all of them."""
@@ -506,11 +516,6 @@ def is_distributively_central(pair: Pair, z: int) -> bool:
         or (row[add] != add[row[:, None], row[None, :]]).any()
         or (mul[add, z] != add[col[:, None], col[None, :]]).any()
     )
-
-
-def distributive_center(pair: Pair) -> frozenset[int]:
-    """All z that commute, associate, and distribute with the whole carrier."""
-    return frozenset(z for z in range(pair.n) if is_distributively_central(pair, z))
 
 
 def heights(pair: Pair) -> list[Optional[int]]:

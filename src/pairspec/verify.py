@@ -7,15 +7,16 @@ hypotheses_held=False rather than a failure.  Counterexamples carry element
 labels.
 
 The checks over lattice members are column tests: BF, ID1, TR1, PRS1, PRS2,
-RD1, SP2 part ii, PRO3, PRO3C, CP, SHALLOW1K and CHAINS parts i-iii compare
-columns of the root matrix ``lattice.roots``, its order ``leq``, the flag
-columns of ``Analysis.column`` and the A*e images of ``Analysis.images``, and
-GEN, EMUL and ESQ gather over the tables.  CONGB takes every distinct sum
-b1 + b2 at once (``cong_bs``).  Each reports the first counterexample of the
-loop over members and elements that it replaced, located with ``argmax``.
-CHAINS part iv (a twist scan per triple of members) still loops.  No check
-builds a quotient pair or pushes one congruence at a time; the reverifiers
-do.
+RD1, SP2 part ii, PRO3, PRO3C, CP, SHALLOW1K and CHAINS compare columns of
+the root matrix ``lattice.roots``, its order ``leq``, the flag columns of
+``Analysis.column`` and the A*e images of ``Analysis.images``, and GEN, EMUL
+and ESQ gather over the tables.  CONGB takes every distinct sum b1 + b2 at
+once (``cong_bs``).  Each reports the first counterexample of the loop over
+members and elements that it replaced, located with ``argmax``.  CHAINS
+part iv gathers a witness product per triple of members, and scans only the
+triples a witness does not clear (none, unless the flags are planted).  No
+check builds a quotient pair or pushes one congruence at a time; the
+reverifiers do.
 
 The prime column is semiprime and irreducible by construction
 (``spectrum.twist_columns``), so BF part ii tests the two implications that
@@ -53,7 +54,7 @@ from .congruences import (
     meets,
 )
 from .constructions import _block_label, doubled_names, quotient_pair, twist_table
-from .core import Pair, is_distributively_central, is_proper
+from .core import Pair, e_type, is_distributively_central, is_proper
 from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
 from .spectrum import (
     MISSING,
@@ -77,14 +78,7 @@ class CheckReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "hypotheses_held": self.hypotheses_held,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "runtime": round(self.runtime, 6),
-            "notes": self.notes,
-        }
+        return {**self.__dict__, "runtime": round(self.runtime, 6)}
 
 
 def _names(pair: Pair, *idxs) -> tuple[str, ...]:
@@ -555,48 +549,62 @@ def _check_chains(ctx):
     # the improper members of meet(i, j) are the common improper members of
     # i and j, so a row of related pairs in T x A0 per member decides part i
     related = lat.flags.t_a0
-    zs = np.flatnonzero(pair.a0_mask)
-    for i in proper_idx:
-        if related[i].any():
-            j = int((related & related[i]).any(axis=1).argmax())
-            return True, False, {"part": "i", "proper": lat[i].block_labels(),
-                                 "other": lat[j].block_labels()}, ""
+    bad = related[proper_idx].any(axis=1)
+    if bad.any():
+        i = proper_idx[int(bad.argmax())]
+        j = int((related & related[i]).any(axis=1).argmax())
+        return True, False, {"part": "i", "proper": lat[i].block_labels(),
+                             "other": lat[j].block_labels()}, ""
     maximal_proper = _maximal(lat, proper_idx)
     below = lat.leq[np.ix_(proper_idx, maximal_proper)].any(axis=1)
     if not below.all():
         return True, False, {"part": "ii",
                              "blocks": lat[proper_idx[int(below.argmin())]].block_labels()}, ""
     notes = [f"{len(proper_idx)} proper, {len(maximal_proper)} maximal proper"]
+    if not pair.structure.is_semiring():
+        notes += [f"part {part} needs a semiring pair: skipped" for part in ("iii", "iv")]
+        return True, True, None, "; ".join(notes)
 
-    if pair.structure.is_semiring():
-        # the top relates everything, so every very improper (a, b) shows
-        # there; twist products of two of them must be very improper again
-        ts = pair.t_sorted
-        very = np.zeros((pair.n, pair.n), dtype=bool)
-        very[np.ix_(ts, zs)] = pair.add[np.ix_(ts, zs)] == ts[:, None]
-        va, vb = np.nonzero(very)
-        i, j = _kernels.twist_subset_violation(pair.add, pair.mul, va, vb, va, vb, very)
-        if i >= 0:
-            x, y = (va[i], vb[i]), (va[j], vb[j])
-            return True, False, {"part": "iii", "x": _names(pair, *x), "y": _names(pair, *y),
-                                 "product": _names(pair, *twist(pair, x, y))}, ""
-        notes.append(f"part iii over {len(va)} very improper element(s)")
-    else:
-        notes.append("part iii needs a semiring pair: skipped")
+    # the top relates everything, so every very improper pair shows there;
+    # twist products of two of them must be very improper again
+    add, mul, n = pair.add, pair.mul, pair.n
+    vt, vz = pair.very_improper
+    code = np.ravel_multi_index((vt, vz), (n, n))
+    hit = _first_row(np.arange(len(vt)), len(vt), lambda x: ~np.isin(np.ravel_multi_index(
+        _kernels.twist(add, mul, vt[x, None], vz[x, None], vt, vz), (n, n)), code))
+    if hit:
+        x, y = (vt[hit[0]], vz[hit[0]]), (vt[hit[1]], vz[hit[1]])
+        return True, False, {"part": "iii", "x": _names(pair, *x), "y": _names(pair, *y),
+                             "product": _names(pair, *twist(pair, x, y))}, ""
+    notes.append(f"part iii over {len(vt)} very improper element(s)")
 
-    if pair.structure.is_semiring():
-        max_weakly = _maximal(lat, ctx.having("weakly_proper"))
-        has_very = np.flatnonzero(~ctx.column("weakly_proper"))
-        for i in max_weakly:
-            for j in has_very:
-                for k in has_very:
-                    if twist_subset(pair, lat[j], lat[k], lat[i].matrix):
-                        return True, False, {"part": "iv", "blocks": lat[i].block_labels(),
-                                             "factors": (lat[j].block_labels(),
-                                                         lat[k].block_labels())}, ""
-        notes.append(f"{len(max_weakly)} maximal weakly proper checked")
-    else:
-        notes.append("part iv needs a semiring pair: skipped")
+    # iv: no j.k, for j, k relating a very improper pair, lies inside a
+    # maximal weakly proper i.  If j.k lies inside i, so does w_j.w_k, the
+    # product of the first very improper pairs j and k relate.  By part iii
+    # w_j.w_k is very improper and i relates none, so the witnesses clear
+    # every triple; the exact scan runs on those left, in row-major order.
+    # A row relating none (planted flags) takes the witness (0, 0), whose
+    # products are diagonal, so it clears nothing.
+    max_weakly = np.asarray(_maximal(lat, ctx.having("weakly_proper")), dtype=np.intp)
+    has_very = np.flatnonzero(~ctx.column("weakly_proper"))
+    very = lat.roots[has_very]
+    first = np.c_[very[:, vt] == very[:, vz], np.ones(len(very), dtype=bool)].argmax(axis=1)
+    u, w = np.unique(first, return_inverse=True)
+    wt, wz = np.r_[vt, pair.zero][u], np.r_[vz, pair.zero][u]
+    p, q = _kernels.twist(add, mul, wt[:, None], wz[:, None], wt, wz)
+
+    def uncleared():
+        for s in _kernels.row_blocks(len(max_weakly), len(has_very) ** 2):
+            r = lat.roots[max_weakly[s]]
+            for i, j, k in np.argwhere((r[:, p] == r[:, q])[:, w[:, None], w]):
+                yield max_weakly[s][i], has_very[j], has_very[k]
+    hit = next((t for t in uncleared()
+                if twist_subset(pair, lat[t[1]], lat[t[2]], lat[t[0]].matrix)), None)
+    if hit:
+        return True, False, {"part": "iv", "blocks": lat[hit[0]].block_labels(),
+                             "factors": (lat[hit[1]].block_labels(),
+                                         lat[hit[2]].block_labels())}, ""
+    notes.append(f"{len(max_weakly)} maximal weakly proper checked")
     return True, True, None, "; ".join(notes)
 
 
@@ -668,14 +676,8 @@ def run_check(pair: Pair, check_id: str, cap: Optional[int] = None,
         analysis = Analysis(pair, cap)
     t0 = time.perf_counter()
     held, passed, cx, notes = CHECKS[check_id](analysis)
-    return CheckReport(
-        check_id=check_id,
-        hypotheses_held=held,
-        passed=passed if held else None,
-        counterexample=cx,
-        runtime=time.perf_counter() - t0,
-        notes=notes,
-    )
+    return CheckReport(check_id=check_id, hypotheses_held=held, passed=passed if held else None,
+                       counterexample=cx, runtime=time.perf_counter() - t0, notes=notes)
 
 
 def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
@@ -694,11 +696,9 @@ def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
 
 
 def summarize(reports: list[CheckReport]) -> dict:
-    return {
-        "passed": sum(1 for r in reports if r.passed is True),
-        "failed": sum(1 for r in reports if r.passed is False),
-        "skipped": sum(1 for r in reports if r.passed is None),
-    }
+    verdicts = [r.passed for r in reports]
+    return {"passed": verdicts.count(True), "failed": verdicts.count(False),
+            "skipped": verdicts.count(None)}
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +739,9 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if check_id == "EST":
             return int(mul[ix[cx["e"]], ix[cx["dagger"]]]) != ix[cx["e"]]
         if check_id == "ESQ":
-            if "e_squared" in cx:
-                e = pair.property_n.e
-                return int(mul[e, e]) != int(add[e, e])
             e = pair.property_n.e
+            if "e_squared" in cx:
+                return int(mul[e, e]) != int(add[e, e])
             b1, b2 = ix[cx["b1"]], ix[cx["b2"]]
             return int(mul[e, add[b1, b2]]) != int(add[mul[e, b1], mul[e, b2]])
         if check_id == "EFINAL_IDEM":
@@ -779,11 +778,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             a1, a2 = ix[cx["a1"]], ix[cx["a2"]]
             return ok and cong.related(a1, a2) and int(add[a1, a2]) not in pair.a_zero
         if check_id == "CHAINS" and cx.get("part") == "iii":
-            (a1, b1) = (ix[x] for x in cx["x"])
-            (a2, b2) = (ix[x] for x in cx["y"])
-            p, q = twist(pair, (a1, b1), (a2, b2))
-            very = p in pair.tangible and q in pair.a_zero and int(add[p, q]) == p
-            return not very
+            x, y = (tuple(ix[v] for v in cx[k]) for k in ("x", "y"))
+            return twist(pair, x, y) not in zip(*pair.very_improper)
         if check_id == "RD1":
             ok, _ = is_congruence(pair, cong)
             cls = classify_congruence_elementwise(pair, cong)
@@ -816,11 +812,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if check_id == "CP":
             return not is_proper(quotient_pair(pair, cong))
         if check_id == "ETYPE_SHALLOW":
-            from .core import e_type as _et
             k = cx["k"]
-            if type(k) is not int:
-                return False
-            return _et(pair) not in ((k, k), (k, 1))
+            return type(k) is int and e_type(pair) not in ((k, k), (k, 1))
         if check_id == "EMUL":
             e, x, kind = pair.property_n.e, ix[cx["x"]], cx["kind"]
             if kind in ("not_additive", "not_multiplicative"):

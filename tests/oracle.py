@@ -1197,6 +1197,25 @@ def chains_part_ii_loop(leq, proper):
     return None
 
 
+def chains_part_iv_loop(pair, lattice, weakly_proper, twist_subset):
+    """CHAINS part iv as the loop over triples (maximal weakly proper i, then
+    j and k not weakly proper), the maximal ones read off ``leq`` by
+    definition: the first with every twist product of j x k inside i (by
+    ``twist_subset``), or None."""
+    leq = lattice.leq
+    weakly = [i for i in range(len(lattice)) if weakly_proper[i]]
+    max_weakly = [i for i in weakly if not any(leq[i][j] for j in weakly if j != i)]
+    has_very = [i for i in range(len(lattice)) if not weakly_proper[i]]
+    for i in max_weakly:
+        for j in has_very:
+            for k in has_very:
+                if twist_subset(pair, lattice[j], lattice[k], lattice[i].matrix):
+                    return {"part": "iv", "blocks": lattice[i].block_labels(),
+                            "factors": (lattice[j].block_labels(),
+                                        lattice[k].block_labels())}
+    return None
+
+
 def chains_part_iii_loop(pair, twist):
     """CHAINS part iii: every twist product (by ``twist``) of two very
     improper pairs (a, b), a + b = a in T x A0, is very improper."""

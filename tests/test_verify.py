@@ -30,6 +30,7 @@ from pairspec.spectrum import (
     bare_pair,
     classification,
     twist,
+    twist_subset,
 )
 from pairspec.verify import (
     CHECKS,
@@ -735,13 +736,16 @@ def _planted_twist(bad, value):
 
 def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
     """The very improper pairs are those of the lattice union, in the same
-    order: planted twist failures give the old loop's first counterexample."""
+    order, and a row is weakly proper iff it relates none of them: planted
+    twist failures give the old loop's first counterexample."""
     planted = 0
     for p in pairs.values():
-        if not p.structure.is_semiring():
-            continue
         a = Analysis(p, None)
         very = oracle.very_improper_over_lattice(p, a.lattice)
+        quiet = [not any(c.related(*x) for x in very) for c in a.lattice]
+        assert a.lattice.flags.weakly_proper.tolist() == quiet, p.name
+        if not p.structure.is_semiring():
+            continue
         notes = CHECKS["CHAINS"](a)[3]
         assert f"part iii over {len(very)} very improper" in notes, p.name
         rng = np.random.default_rng(len(very))
@@ -967,6 +971,45 @@ def test_shallow1k_matches_member_loop(pairs, monkeypatch):
             assert CHECKS["SHALLOW1K"](a)[2] == want, (p.name, plant)
             planted += want is not None
     assert planted
+
+
+def test_chains_part_iv_matches_triple_loop(pairs, monkeypatch):
+    """CHAINS part iv with planted weakly proper flags gives the old triple
+    loop's first counterexample: the top called weakly proper (every j.k
+    lies inside it), a member relating a very improper pair called weakly
+    proper (a witness product can land inside it while the exact scan
+    clears the triple), and a member relating none called not weakly proper
+    (its witness clears nothing, and bottom.k is diagonal)."""
+    from pairspec.constructions import function_pair, super_boolean
+    from pairspec.monoids import cyclic_group
+
+    scans = []
+
+    def scan(*args):
+        scans.append(twist_subset(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(verify, "twist_subset", scan)
+    planted = 0
+    for p in [*pairs.values(), function_pair(super_boolean(), cyclic_group(3))]:
+        if not p.structure.is_semiring():
+            continue
+        a = Analysis(p, None)
+        lat = a.lattice
+        weakly = lat.flags.weakly_proper
+        quiet = np.flatnonzero(weakly)
+        plants = [{}, {lat.top: True}, {quiet[0]: False}, {quiet[-1]: False},
+                  {lat.top: True, quiet[0]: False}]
+        plants += [{m: True} for m in np.flatnonzero(~weakly) if m != lat.top]
+        for plant in plants:
+            column = weakly.copy()
+            column[list(plant)] = list(plant.values())
+            _plant_flags(monkeypatch, lat, weakly_proper=column)
+            want = oracle.chains_part_iv_loop(p, lat, column, twist_subset)
+            assert CHECKS["CHAINS"](a)[2] == want, (p.name, plant)
+            planted += want is not None
+    assert planted
+    assert False in scans           # a triple the witness left, cleared exactly
 
 
 def test_chains_part_ii_matches_maximal_loop(pairs, monkeypatch):
