@@ -328,7 +328,7 @@ _LEQ_CELLS = 1 << 22
 
 # Most cells (rows times cells per row) one step of a bulk pass over a root
 # matrix takes: ``congruences.are_congruences``, ``pushes`` and ``joins``,
-# and the harness's row tests and bulk meets.
+# the harness's bulk meets, and every law test of ``first_row``.
 ROW_CELLS = 1 << 18
 
 # Most cells (rows times principals times elements) one step of the lattice
@@ -344,6 +344,21 @@ def row_blocks(rows, cells, budget=None):
     row)."""
     step = max(1, (budget or ROW_CELLS) // max(1, cells))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def first_row(rows, cells, test, budget=None):
+    """The first of ``rows`` (elements, or rows of a table or root matrix)
+    that fails ``test``, as (row, cell), or None.  ``test`` maps a block of
+    rows to a boolean array of failure cells per row, read in row-major
+    order; the blocks are ``row_blocks(len(rows), cells, budget)``, so
+    ``cells`` is what one row costs the test."""
+    for s in row_blocks(len(rows), cells, budget):
+        block = rows[s]
+        bad = test(block).reshape(len(block), -1)
+        if np.count_nonzero(bad):
+            r, c = divmod(int(bad.argmax()), bad.shape[1])
+            return s.start + r, c
+    return None
 
 
 def refinement_order(roots):

@@ -13,7 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import _first, _tiles, _twist_chunks, first_nonassoc, first_noncomm
+from ._kernels import (_SCAN_CELLS, _first, _tiles, _twist_chunks, first_nonassoc, first_noncomm,
+                       first_row, row_blocks)
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
@@ -406,17 +407,14 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
     if (mul[one] != np.arange(n)).any() or (mul[:, one] != np.arange(n)).any():
         raise ValidationError("hyper one is not a unit", witness=(names[one],))
 
-    runs = [i for i, _ in _tiles(n, 1, n * n)]
-
-    def first(law, message, error=ValidationError, head=()):
-        # raise at the first (a, b) where the mask law(run) of a run is set
-        for run in runs:
-            hit = _first(law(run), run, slice(0, n))
-            if hit:
-                raise error(message, witness=tuple(names[x] for x in (*head, *hit)))
-
-    first(lambda r: (H[r] != H[:, r].transpose(1, 0, 2)).any(axis=2),
-          "hyperaddition is not commutative")
+    # each law is a row test over the first index, in runs of at most
+    # _SCAN_CELLS cells of H, or of one n x n slice
+    idx = np.arange(n)
+    hit = first_row(idx, n * n, lambda r: (H[r] != H[:, r].transpose(1, 0, 2)).any(axis=2),
+                    _SCAN_CELLS)
+    if hit:
+        raise ValidationError("hyperaddition is not commutative",
+                              witness=tuple(names[x] for x in hit))
     bad = (H[zero] != np.eye(n, dtype=bool)).any(axis=1)
     if bad.any():
         raise ZeroLaw("zero boxplus a must be {a}", witness=(names[int(bad.argmax())],))
@@ -428,35 +426,40 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
     for a in range(n):
         ha = H[a].astype(np.float32)
         bad = np.zeros((n, n), dtype=bool)                 # [c, b]
-        for cs in runs:
+        for cs in row_blocks(n, n * n, _SCAN_CELLS):
             s = H[cs].astype(np.float32)
             bad[cs] = ((ha @ s > 0) != (s @ ha > 0)).any(axis=2)
-        first(lambda r: bad.T[r], "set-extension associativity fails", HyperAddNotAssociative, (a,))
+        hit = first_row(bad.T, n, lambda r: r)
+        if hit:
+            raise HyperAddNotAssociative("set-extension associativity fails",
+                                         witness=tuple(names[x] for x in (a, *hit)))
 
     # c(a+b) = ca + cb: the image of a+b under x -> cx, a one-hot of mul[c]
     # against H, and the sum gathered at (ca, cb)
     for c in range(n):
         m = mul[c]
-        image = (m[:, None] == np.arange(n)).astype(np.float32)
-        first(lambda r: ((H[r].astype(np.float32) @ image > 0)
-                         != H[m[r, None], m[None, :]]).any(axis=2),
-              "monoid action does not distribute over hyperaddition", head=(c,))
+        image = (m[:, None] == idx).astype(np.float32)
+        hit = first_row(idx, n * n, lambda r: ((H[r].astype(np.float32) @ image > 0)
+                                               != H[m[r, None], m]).any(axis=2), _SCAN_CELLS)
+        if hit:
+            raise ValidationError("monoid action does not distribute over hyperaddition",
+                                  witness=tuple(names[x] for x in (c, *hit)))
 
     if tangible is None:
         # the nonzero elements when they are closed, else {one} (one is a unit)
-        nonzero = frozenset(range(n)) - {zero}
-        closed = nonzero and all(int(mul[a, b]) in nonzero for a in nonzero for b in nonzero)
-        tang = nonzero if closed else frozenset({one})
+        nz = np.flatnonzero(idx != zero)
+        closed = len(nz) and first_row(nz, len(nz), lambda a: mul[a[:, None], nz] == zero) is None
+        tang = frozenset(range(n)) - {zero} if closed else frozenset({one})
     else:
         tang = frozenset(int(x) for x in tangible)
     if one not in tang or (zero in tang and zero != one):
         raise ValidationError("tangible submonoid must contain one and exclude zero",
                               witness=(names[one],))
-    for a in tang:
-        for b in tang:
-            if int(mul[a, b]) not in tang:
-                raise ValidationError("tangible set is not multiplicatively closed",
-                                      witness=(names[a], names[b]))
+    ts = np.array(list(tang), dtype=np.int64)       # pairs in the set's own order
+    hit = first_row(ts, len(ts), lambda a: ~np.isin(mul[a[:, None], ts], ts))
+    if hit:
+        raise ValidationError("tangible set is not multiplicatively closed",
+                              witness=tuple(names[x] for x in ts[list(hit)]))
 
     # b is a hypernegative of a when zero is in a+b; the found one is the least
     hits = H[:, :, zero]
@@ -483,8 +486,11 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
         # found one too: zero in a+b puts zero in b+a), so the image of a+b
         # under it is the preimage H[a, b, neg].
         p = np.array(neg)
-        first(lambda r: (H[r][:, :, p] != H[p[r]][:, p]).any(axis=2),
-              "hypernegation does not reverse sums")
+        hit = first_row(idx, n * n, lambda r: (H[r][:, :, p] != H[p[r]][:, p]).any(axis=2),
+                        _SCAN_CELLS)
+        if hit:
+            raise ValidationError("hypernegation does not reverse sums",
+                                  witness=tuple(names[x] for x in hit))
 
     H.setflags(write=False)
     mul.setflags(write=False)

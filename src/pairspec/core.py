@@ -8,6 +8,7 @@ operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import first_row
 from .errors import (
     A0NotSubmodule,
     NonAssociativeAdd,
@@ -239,34 +241,24 @@ def find_property_n(structure: FiniteStructure, tangible, a_zero) -> Optional[Pr
     """
     add, mul, one = structure.add, structure.mul, structure.one
     n = structure.n
-    a0 = frozenset(a_zero)
     in_a0 = np.zeros(n, dtype=bool)
-    in_a0[list(a0)] = True
-
-    daggers = []
-    for a in sorted(tangible):
-        e = int(add[one, a])
-        if e not in a0:
-            continue
-        circ = add[np.arange(n), mul[a, np.arange(n)]]
-        if in_a0[circ].all():
-            daggers.append((a, e))
-    if not daggers:
+    in_a0[list(a_zero)] = True
+    ts = np.array(sorted(tangible), dtype=np.int64)
+    es = add[one, ts]
+    dagger = in_a0[es]
+    for s in _kernels.row_blocks(len(ts), n):
+        dagger[s] &= in_a0[add[np.arange(n), mul[ts[s]]]].all(axis=1)
+    if not dagger.any():
         return None
-    es = {e for _, e in daggers}
-    if len(es) > 1:
-        (a1, e1), (a2, e2) = daggers[0], next(d for d in daggers if d[1] != daggers[0][1])
-        raise NonUniqueE(
-            "two 1-dagger candidates give different e",
-            witness=(structure.names[a1], structure.names[e1], structure.names[a2], structure.names[e2]),
-        )
-    e = es.pop()
-    tangible_sums = {int(add[one, a]) for a in tangible if int(add[one, a]) in a0}
-    if tangible_sums != {e}:
+    ds, des = ts[dagger], es[dagger]
+    other = np.flatnonzero(des != des[0])
+    if len(other):
+        raise NonUniqueE("two 1-dagger candidates give different e",
+                         witness=structure.labels((ds[0], des[0], ds[other[0]], des[other[0]])))
+    e = int(des[0])
+    if (in_a0[es] & (es != e)).any():
         return None
-    return PropertyNWitness(
-        one_dagger=daggers[0][0], e=e, all_daggers=frozenset(a for a, _ in daggers)
-    )
+    return PropertyNWitness(one_dagger=int(ds[0]), e=e, all_daggers=frozenset(ds.tolist()))
 
 
 def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
@@ -285,67 +277,62 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     fail, so the remaining tests and their witnesses are unchanged.
     """
     add, mul = structure.add, structure.mul
-    n = structure.n
-    names = structure.names
+    n, one, zero = structure.n, structure.one, structure.zero
+    labels = structure.labels
     t = frozenset(int(x) for x in tangible)
     a0 = frozenset(int(x) for x in a_zero)
     if not t or any(not 0 <= x < n for x in t | a0):
         raise ValueError("tangible/a_zero must be nonempty index sets in range")
+    ts, zs = (np.array(sorted(x), dtype=np.int64) for x in (t, a0))
+    in_t, in_a0 = np.zeros((2, n), dtype=bool)
+    in_t[ts] = in_a0[zs] = True
 
-    if structure.one not in t:
-        raise TNotClosed("one must be tangible", witness=(names[structure.one],))
-    for a in sorted(t):
-        for b in sorted(t):
-            if int(mul[a, b]) not in t:
-                raise TNotClosed(
-                    "tangibles are not multiplicatively closed",
-                    witness=(names[a], names[b], names[int(mul[a, b])]),
-                )
+    if one not in t:
+        raise TNotClosed("one must be tangible", witness=labels((one,)))
+    hit = first_row(ts, len(ts), lambda a: ~in_t[mul[a[:, None], ts]])
+    if hit:
+        a, b = ts[list(hit)]
+        raise TNotClosed("tangibles are not multiplicatively closed",
+                         witness=labels((a, b, mul[a, b])))
 
-    if (mul[structure.one] != np.arange(n)).any() or (mul[:, structure.one] != np.arange(n)).any():
-        bad = np.argwhere(mul[structure.one] != np.arange(n))
-        w = int(bad[0][0]) if len(bad) else int(np.argwhere(mul[:, structure.one] != np.arange(n))[0][0])
-        raise TNotCentral("one is not a multiplicative unit", witness=(names[structure.one], names[w]))
-    for a in sorted(t):
-        if not structure.commutative_mul:
-            bad = mul[a] != mul[:, a]
-            if bad.any():
-                raise TNotCentral("tangible does not commute",
-                                  witness=(names[a], names[int(bad.argmax())]))
-        if structure.mul_associative:
-            continue
-        row, col, whole = mul[a], mul[:, a], slice(0, n)
-        # (ab)c = a(bc), (ba)c = b(ac), (bc)a = b(ca), each as a table over [b, c]
-        for place, law in enumerate((lambda: mul[row] != row[mul],
-                                     lambda: mul[col] != mul[:, row],
-                                     lambda: col[mul] != mul[:, col])):
-            bad = _kernels._first(law(), whole, whole)
-            if bad:
-                triple = [*bad]
-                triple.insert(place, a)
-                raise TNotCentral("tangible does not associate",
-                                  witness=tuple(names[x] for x in triple))
+    hit = first_row(np.array([mul[one], mul[:, one]]), n, lambda r: r != np.arange(n))
+    if hit:
+        raise TNotCentral("one is not a multiplicative unit", witness=labels((one, hit[1])))
+    # one tangible a per block: ab = ba over b, then (ab)c = a(bc), (ba)c =
+    # b(ac) and (bc)a = b(ca) over [b, c], the tables with a at place 0, 1, 2
+    size = 0 if structure.commutative_mul else n
+    laws = [lambda a: mul[a] != mul[:, a]] if size else []
+    if not structure.mul_associative:
+        m = _kernels.compact(mul)
+        laws += [lambda a: m[m[a]] != m[a][mul], lambda a: m[m[:, a]] != m[:, m[a]],
+                 lambda a: m[:, a][mul] != m[:, m[:, a]]]
+    hit = laws and first_row(ts, 1, lambda a: np.concatenate(
+        [law(a[0]).ravel() for law in laws]), 1)
+    if hit and hit[1] < size:
+        raise TNotCentral("tangible does not commute", witness=labels((ts[hit[0]], hit[1])))
+    if hit:
+        place, cell = divmod(hit[1] - size, n * n)
+        triple = [*divmod(cell, n)]
+        triple.insert(place, ts[hit[0]])
+        raise TNotCentral("tangible does not associate", witness=labels(triple))
 
-    if structure.zero not in a0:
-        raise A0NotSubmodule("A0 must contain zero", witness=(names[structure.zero],))
-    for x in sorted(a0):
-        for y in sorted(a0):
-            if int(add[x, y]) not in a0:
-                raise A0NotSubmodule(
-                    "A0 is not additively closed",
-                    witness=(names[x], names[y], names[int(add[x, y])]),
-                )
-    for a in sorted(t | {structure.zero}):
-        for x in sorted(a0):
-            for prod in (int(mul[a, x]), int(mul[x, a])):
-                if prod not in a0:
-                    raise A0NotSubmodule(
-                        "A0 is not closed under the tangible action",
-                        witness=(names[a], names[x], names[prod]),
-                    )
+    if zero not in a0:
+        raise A0NotSubmodule("A0 must contain zero", witness=labels((zero,)))
+    hit = first_row(zs, len(zs), lambda x: ~in_a0[add[x[:, None], zs]])
+    if hit:
+        x, y = zs[list(hit)]
+        raise A0NotSubmodule("A0 is not additively closed", witness=labels((x, y, add[x, y])))
+    # a in T | {0} times x in A0 from either side, ax before xa
+    acts = np.array(sorted(t | {zero}), dtype=np.int64)
+    hit = first_row(acts, 2 * len(zs), lambda a: ~(
+        in_a0[mul[a[:, None], zs]] & in_a0[mul[zs, a[:, None]]]))
+    if hit:
+        a, x = acts[hit[0]], zs[hit[1]]
+        raise A0NotSubmodule("A0 is not closed under the tangible action", witness=labels(
+            (a, x, mul[a, x] if not in_a0[mul[a, x]] else mul[x, a])))
 
-    t_distributive = structure.distributive or all(
-        (mul[a][add] == add[mul[a][:, None], mul[a][None, :]]).all() for a in sorted(t))
+    t_distributive = structure.distributive or first_row(ts, n * n, lambda a: (
+        np.take(mul[a], add, axis=1) != add[mul[a][:, :, None], mul[a][:, None, :]])) is None
 
     witness = None
     pn_error = None
@@ -422,23 +409,32 @@ def characteristic(structure: FiniteStructure) -> tuple[int, int]:
 def a0_characteristic(pair: Pair) -> int:
     """Smallest k > 0 with every k-fold sum b + ... + b in A0, else 0.
 
-    The vector of k-fold sums is iterated until it either lands inside A0 or
-    revisits a previous state, which makes absence definitive.  The joint
-    cycle length is the lcm of the per-element orbit cycles, so a hard cap
-    guards against pathological carriers.
+    k = 1..n are tested in turn, until the k-fold sums repeat those saved at
+    the last power of two.  Beyond n, kb goes round the cyclic group ending
+    b's orbit as k mod its order lambda_b; A0 meets it in a subgroup (a
+    closed subset of a finite group) of h_b elements, so kb is in A0 iff
+    lambda_b / h_b divides k.
     """
-    n = pair.n
-    vec = np.arange(n)
-    seen = set()
-    for k in range(1, 100_001):
-        key = vec.tobytes()
-        if key in seen:
-            return 0
-        seen.add(key)
-        if pair.a0_mask[vec].all():
+    n, add, in_a0 = pair.n, pair.add, pair.a0_mask
+    idx = vec = saved = np.arange(n)
+    for k in range(1, n + 1):
+        if in_a0[vec].all():
             return k
-        vec = pair.add[vec, np.arange(n)]
-    raise RuntimeError("A0-characteristic iteration exceeded bound")  # pragma: no cover
+        if k > 1 and (vec == saved).all():
+            return 0
+        if k & (k - 1) == 0:
+            saved = vec
+        vec = add[vec, idx]
+    order, inside, cur = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), vec
+    for j in range(1, n + 1):
+        going = order == 0
+        inside += going & in_a0[cur]
+        cur = add[cur, idx]
+        order[going & (cur == vec)] = j
+    if not inside.all():
+        return 0
+    step = math.lcm(*set((order // inside).tolist()))
+    return step * (n // step + 1)
 
 
 def circ_vector(pair: Pair) -> np.ndarray:
@@ -548,20 +544,20 @@ def classify_pair(pair: Pair) -> PairClassification:
     Flags that need the distinguished e are None when the pair has no
     Property-N witness.
     """
-    add, mul = pair.add, pair.mul
-    t = sorted(pair.tangible)
-    a0 = pair.a_zero
-    in_a0 = pair.a0_mask
+    add, mul, n = pair.add, pair.mul, pair.n
+    ts, a0, in_a0 = pair.t_sorted, pair.a_zero, pair.a0_mask
+    t_or_a0 = in_a0.copy()
+    t_or_a0[ts] = True
 
-    kind = "first" if all(int(add[a, a]) in a0 for a in t) else "second"
+    kind = "first" if first_row(ts, 1, lambda a: ~in_a0[add[a, a]]) is None else "second"
     proper = is_proper(pair)
-    shallow = (pair.tangible | a0) == set(range(pair.n))
-    cancellative = all(
-        in_a0[mul[a]][~in_a0].sum() == 0 and len(set(mul[a].tolist())) == pair.n
-        for a in t
-    )
-    metatangible = all(int(add[a, b]) in pair.tangible or int(add[a, b]) in a0 for a in t for b in t)
-    a0_bipotent = all(int(add[a, b]) in {a, b} or int(add[a, b]) in a0 for a in t for b in t)
+    shallow = (pair.tangible | a0) == set(range(n))
+    # x -> ax is one-to-one and keeps everything outside A0 outside it
+    cancellative = first_row(ts, n, lambda a: (in_a0[mul[a]] & ~in_a0)
+                             | (np.sort(mul[a], axis=1) != np.arange(n))) is None
+    metatangible = first_row(ts, len(ts), lambda a: ~t_or_a0[add[a[:, None], ts]]) is None
+    a0_bipotent = first_row(ts, len(ts), lambda a: ~in_a0[add[a[:, None], ts]] & (
+        add[a[:, None], ts] != a[:, None]) & (add[a[:, None], ts] != ts)) is None
     admissible = all(v is not None for v in heights(pair))
     char = characteristic(pair.structure)
     a0_char = a0_characteristic(pair)
@@ -601,36 +597,31 @@ class NegationMap:
 def validate_negation_map(pair: Pair, perm) -> NegationMap:
     """Check the negation-map axioms: order <= 2, additive, compatible with
     the tangible action, preserves T and A0, and b + (-b) lands in A0."""
-    n = pair.n
-    names = pair.names
+    n, names = pair.n, pair.names
+    add, mul, ts = pair.add, pair.mul, pair.t_sorted
     p = np.asarray(perm, dtype=np.int64)
     if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise ValueError("negation map must be a permutation of the carrier")
     bad = np.argwhere(p[p] != np.arange(n))
     if len(bad):
         raise NotOrderTwo("negation map does not square to identity", witness=(names[int(bad[0][0])],))
-    bad = np.argwhere(p[pair.add] != pair.add[p[:, None], p[None, :]])
-    if len(bad):
-        x, y = bad[0]
-        raise NotAdditive("negation map is not additive", witness=(names[int(x)], names[int(y)]))
-    for a in sorted(pair.tangible):
-        bad = np.argwhere(p[pair.mul[a]] != pair.mul[a, p])
-        if len(bad):
-            raise NotAdditive(
-                "negation map is incompatible with the tangible action",
-                witness=(names[a], names[int(bad[0][0])]),
-            )
-        bad = np.argwhere(p[pair.mul[a]] != pair.mul[int(p[a]), :])
-        if len(bad):
-            raise NotAdditive(
-                "negation of a tangible does not act as the negated product",
-                witness=(names[a], names[int(bad[0][0])]),
-            )
-    if {int(p[a]) for a in pair.tangible} != pair.tangible:
+    hit = first_row(np.arange(n), n, lambda x: p[add[x]] != add[p[x, None], p])
+    if hit:
+        raise NotAdditive("negation map is not additive", witness=pair.structure.labels(hit))
+    # per tangible a: -(ab) against a(-b), then against (-a)b, over b
+    hit = first_row(ts, 2 * n, lambda a: np.hstack(
+        (p[mul[a]] != mul[a[:, None], p], p[mul[a]] != mul[p[a]])))
+    if hit:
+        a, (k, b) = ts[hit[0]], divmod(hit[1], n)
+        raise NotAdditive(("negation map is incompatible with the tangible action",
+                           "negation of a tangible does not act as the negated product")[k],
+                          witness=(names[a], names[b]))
+    # p is a permutation, so it preserves a set that it maps into itself
+    if not np.array_equal(np.sort(p[ts]), ts):
         raise TNotPreserved("negation map does not preserve the tangibles", witness=())
-    if {int(p[x]) for x in pair.a_zero} != pair.a_zero:
+    if not pair.a0_mask[p[pair.a0_mask]].all():
         raise TNotPreserved("negation map does not preserve A0", witness=())
-    quasi = pair.add[np.arange(n), p]
+    quasi = add[np.arange(n), p]
     bad = np.argwhere(~pair.a0_mask[quasi])
     if len(bad):
         b = int(bad[0][0])

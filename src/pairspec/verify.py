@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from ._kernels import first_nonassoc, refinement_order
+from ._kernels import first_nonassoc, first_row, refinement_order
 from .congruences import (
     Congruence,
     all_relation,
@@ -85,20 +85,6 @@ def _names(pair: Pair, *idxs) -> tuple[str, ...]:
     return tuple(pair.names[i] for i in idxs)
 
 
-def _first_row(rows, cells, test):
-    """The first of ``rows`` (root rows, or elements) that fails ``test``, as
-    (row, cell), or None.  ``test`` maps a block of rows to a boolean array
-    of at most ``cells`` failure cells per row, read in row-major order; a
-    block holds at most ``_kernels.ROW_CELLS`` cells."""
-    for s in _kernels.row_blocks(len(rows), cells):
-        block = rows[s]
-        bad = test(block).reshape(len(block), -1)
-        if bad.any():
-            r, c = divmod(int(bad.argmax()), bad.shape[1])
-            return s.start + r, c
-    return None
-
-
 # each check: Analysis -> (hypotheses_held, passed|None, counterexample|None, notes)
 
 def _check_est(ctx):
@@ -106,14 +92,13 @@ def _check_est(ctx):
     if pair.property_n is None:
         return False, None, None, "needs a Property-N witness"
     w = pair.property_n
-    for d in sorted(w.all_daggers):
-        got = int(pair.mul[w.e, d])
-        if got != w.e:
-            return True, False, {
-                "dagger": pair.names[d], "e": pair.names[w.e],
-                "e_times_dagger": pair.names[got],
-            }, ""
-    return True, True, None, f"checked {len(w.all_daggers)} dagger(s)"
+    ds = np.array(sorted(w.all_daggers))
+    hit = first_row(ds, 1, lambda d: pair.mul[w.e, d] != w.e)
+    if hit:
+        d = ds[hit[0]]
+        return True, False, {"dagger": pair.names[d], "e": pair.names[w.e],
+                             "e_times_dagger": pair.names[pair.mul[w.e, d]]}, ""
+    return True, True, None, f"checked {len(ds)} dagger(s)"
 
 
 def _check_esq(ctx):
@@ -127,7 +112,7 @@ def _check_esq(ctx):
         return True, False, {"e_squared": pair.names[esq], "e_plus_e": pair.names[twoe]}, ""
     add, mul = pair.add, pair.mul
     zs = np.flatnonzero(pair.a0_mask)
-    hit = _first_row(zs, len(zs), lambda b1: (
+    hit = first_row(zs, len(zs), lambda b1: (
         mul[e, add[b1[:, None], zs]] != add[mul[e, b1][:, None], mul[e, zs]]))
     if hit:
         b1, b2 = zs[list(hit)]
@@ -148,7 +133,7 @@ def _check_emul(ctx):
     proj = mul[:, e]
     image = np.unique(proj)
     # x -> xe fails to respect + or * at (x, y), over y
-    hit = _first_row(np.arange(pair.n), pair.n, lambda x: (
+    hit = first_row(np.arange(pair.n), pair.n, lambda x: (
         (proj[add[x]] != add[proj[x, None], proj]) | (proj[mul[x]] != mul[proj[x, None], proj])))
     if hit:
         x, y = hit
@@ -178,7 +163,7 @@ def _check_kind(ctx):
     two = pair.structure.iterated_sum(pair.one, 2)
     two_in = two in pair.a_zero
     if two_in and ctx.cls.kind != "first":
-        a = next(a for a in sorted(pair.tangible) if int(pair.add[a, a]) not in pair.a_zero)
+        a = pair.t_sorted[first_row(pair.t_sorted, 1, lambda a: ~pair.a0_mask[pair.add[a, a]])[0]]
         return True, False, {"two": pair.names[two], "tangible": pair.names[a],
                              "a_plus_a": pair.names[int(pair.add[a, a])]}, ""
     notes = f"two={pair.names[two]}, in A0: {two_in}"
@@ -227,7 +212,7 @@ def _check_gen(ctx):
         p, q = _kernels.twist(add, mul, b1, b2, z, z)
         return (p != want) | (q != want)
 
-    hit = _first_row(np.arange(n * n), n, bad)
+    hit = first_row(np.arange(n * n), n, bad)
     if hit:
         (b1, b2), z = divmod(hit[0], n), hit[1]
         want = int(mul[add[b1, b2], z])
@@ -249,7 +234,7 @@ def _check_id1(ctx):
     # over the elements x: x's block misses A0, then x + x lies outside it.
     # Both hold for the whole block, so the first x to fail is the least
     # member of the first failing block of A/cong
-    hit = _first_row(lat.roots[one_e], n * (len(zs) + 2), lambda r: np.hstack([
+    hit = first_row(lat.roots[one_e], n * (len(zs) + 2), lambda r: np.hstack([
         ~(r[:, :, None] == r[:, None, zs]).any(axis=2), r[:, twice] != r]))
     if hit:
         row, cell = hit
@@ -362,7 +347,7 @@ def _check_bf(ctx):
         idx = np.flatnonzero(has)
         sizes.append(len(idx))
         flagged = lat.roots[idx]
-        hit = _first_row(np.arange(len(idx)), len(idx) * pair.n, lambda ks: (
+        hit = first_row(np.arange(len(idx)), len(idx) * pair.n, lambda ks: (
             ~has[lat.find_rows(meets(flagged[ks, None], flagged[None]).reshape(-1, pair.n))]
             .reshape(len(ks), -1) & (ks[:, None] <= np.arange(len(idx)))))
         if hit:
@@ -395,7 +380,7 @@ def _check_prs1(ctx):
         part_i = (r[:, p] == r[:, q]) & (r[:, b1] != r[:, b2])
         return np.hstack([part_i, (r[:, [one]] == r) != (r[:, s1] == r[:, s2])])
 
-    hit = _first_row(lat.roots[rad], n * n + n, bad)
+    hit = first_row(lat.roots[rad], n * n + n, bad)
     if hit:
         row, cell = hit
         blocks = lat[rad[row]].block_labels()
@@ -488,7 +473,7 @@ def _check_pro3(ctx):
     cs = np.unique(ae)
     rows = np.flatnonzero(lat.roots[:, e] == lat.roots[:, pair.mul[e, e]])
     # a related to some c in A*e but not to ae, over [a, c]
-    hit = _first_row(lat.roots[rows], pair.n * len(cs),
+    hit = first_row(lat.roots[rows], pair.n * len(cs),
                      lambda r: (r[:, :, None] == r[:, None, cs]) & (r != r[:, ae])[:, :, None])
     if hit:
         row, cell = hit
@@ -516,7 +501,7 @@ def _check_cp(ctx):
     proper = ctx.having("proper")
     ts, zs = pair.t_sorted, np.flatnonzero(pair.a0_mask)
     # A/cong is proper unless the block of some t in T meets A0 away from 0
-    hit = _first_row(lat.roots[proper], len(ts) * len(zs), lambda r: (
+    hit = first_row(lat.roots[proper], len(ts) * len(zs), lambda r: (
         (r[:, ts, None] == r[:, None, zs]) & (r[:, ts] != r[:, [pair.zero]])[:, :, None]))
     if hit:
         return True, False, {"blocks": lat[proper[hit[0]]].block_labels()}, ""
@@ -531,7 +516,7 @@ def _check_shallow1k(ctx):
     proper = ctx.having("proper")
     ts = pair.t_sorted
     outside = ~pair.a0_mask[pair.add[np.ix_(ts, ts)]]      # a1 + a2 not in A0
-    hit = _first_row(lat.roots[proper], len(ts) ** 2,
+    hit = first_row(lat.roots[proper], len(ts) ** 2,
                      lambda r: (r[:, ts, None] == r[:, None, ts]) & outside)
     if hit:
         row, cell = hit
@@ -570,13 +555,13 @@ def _check_chains(ctx):
     add, mul, n = pair.add, pair.mul, pair.n
     vt, vz = pair.very_improper
     code = np.ravel_multi_index((vt, vz), (n, n))
-    hit = _first_row(np.arange(len(vt)), len(vt), lambda x: ~np.isin(np.ravel_multi_index(
+    hit = first_row(np.arange(len(vt)), len(vt), lambda x: ~np.isin(np.ravel_multi_index(
         _kernels.twist(add, mul, vt[x, None], vz[x, None], vt, vz), (n, n)), code))
     if hit:
         x, y = (vt[hit[0]], vz[hit[0]]), (vt[hit[1]], vz[hit[1]])
         return True, False, {"part": "iii", "x": _names(pair, *x), "y": _names(pair, *y),
                              "product": _names(pair, *twist(pair, x, y))}, ""
-    notes.append(f"part iii over {len(vt)} very improper element(s)")
+    notes.append(f"part iii over {len(vt)} very improper pair(s)")
 
     # iv: no j.k, for j, k relating a very improper pair, lies inside a
     # maximal weakly proper i.  If j.k lies inside i, so does w_j.w_k, the
@@ -617,10 +602,11 @@ def _check_hyprop(ctx):
     e_set = hyper.e_set
     if e_set is None:
         return False, None, None, "hyperstructure has no hypernegation"
-    nonzero = frozenset(range(hyper.n)) - {hyper.zero}
-    group_like = hyper.tangible == nonzero and all(
-        any(int(hyper.mul[a, b]) == hyper.one for b in nonzero) for a in nonzero
-    )
+    nonzero = np.flatnonzero(np.arange(hyper.n) != hyper.zero)
+    # the tangibles are the nonzero elements, and each has a right inverse
+    group_like = hyper.tangible == frozenset(nonzero.tolist()) and first_row(
+        nonzero, len(nonzero), lambda a: ~(hyper.mul[a[:, None], nonzero] == hyper.one).any(axis=1)
+    ) is None
     if group_like and e_set == frozenset(range(hyper.n)) - {hyper.one} and hyper.n > 2:
         if ctx.cls.e_type != (2, 2):
             return True, False, {"case": "group_complement",

@@ -8,7 +8,7 @@ check.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -493,6 +493,137 @@ def tangible_centrality_argwhere(structure, tangible):
     except TNotCentral as exc:
         return exc
     return None
+
+
+def find_property_n_loop(structure, tangible, a_zero):
+    """``core.find_property_n`` as the loop over sorted tangibles it was:
+    the witness, None, or the NonUniqueE it raises."""
+    from pairspec.core import PropertyNWitness
+    from pairspec.errors import NonUniqueE
+
+    add, mul, one = structure.add, structure.mul, structure.one
+    n = structure.n
+    a0 = frozenset(a_zero)
+    daggers = []
+    for a in sorted(tangible):
+        e = int(add[one, a])
+        if e not in a0:
+            continue
+        if all(int(add[b, mul[a, b]]) in a0 for b in range(n)):
+            daggers.append((a, e))
+    if not daggers:
+        return None
+    es = {e for _, e in daggers}
+    if len(es) > 1:
+        (a1, e1), (a2, e2) = daggers[0], next(d for d in daggers if d[1] != daggers[0][1])
+        raise NonUniqueE("two 1-dagger candidates give different e",
+                         witness=tuple(structure.names[x] for x in (a1, e1, a2, e2)))
+    e = es.pop()
+    if {int(add[one, a]) for a in tangible if int(add[one, a]) in a0} != {e}:
+        return None
+    return PropertyNWitness(one_dagger=daggers[0][0], e=e,
+                            all_daggers=frozenset(a for a, _ in daggers))
+
+
+def negation_map_loop(pair, perm):
+    """``core.validate_negation_map`` as the loops over cells and sorted
+    tangibles it was: the permutation as a tuple, or the error it raises."""
+    from pairspec.errors import NotAdditive, NotOrderTwo, QuasiNegationFails, TNotPreserved
+
+    n, names, add, mul = pair.n, pair.names, pair.add.tolist(), pair.mul.tolist()
+    p = [int(x) for x in perm]
+    if len(p) != n or sorted(p) != list(range(n)):
+        raise ValueError("negation map must be a permutation of the carrier")
+    for x in range(n):
+        if p[p[x]] != x:
+            raise NotOrderTwo("negation map does not square to identity", witness=(names[x],))
+    for x, y in product(range(n), repeat=2):
+        if p[add[x][y]] != add[p[x]][p[y]]:
+            raise NotAdditive("negation map is not additive", witness=(names[x], names[y]))
+    for a in sorted(pair.tangible):
+        for b in range(n):
+            if p[mul[a][b]] != mul[a][p[b]]:
+                raise NotAdditive("negation map is incompatible with the tangible action",
+                                  witness=(names[a], names[b]))
+        for b in range(n):
+            if p[mul[a][b]] != mul[p[a]][b]:
+                raise NotAdditive("negation of a tangible does not act as the negated product",
+                                  witness=(names[a], names[b]))
+    if {p[a] for a in pair.tangible} != pair.tangible:
+        raise TNotPreserved("negation map does not preserve the tangibles", witness=())
+    if {p[x] for x in pair.a_zero} != pair.a_zero:
+        raise TNotPreserved("negation map does not preserve A0", witness=())
+    for b in range(n):
+        if add[b][p[b]] not in pair.a_zero:
+            raise QuasiNegationFails("b + (-b) escapes A0", witness=(names[b], names[add[b][p[b]]]))
+    return tuple(p)
+
+
+def classify_flags_loop(pair):
+    """The kind, cancellative, metatangible and a0_bipotent flags of
+    ``core.classify_pair`` as the loops over sorted T they were."""
+    add, mul, n = pair.add.tolist(), pair.mul.tolist(), pair.n
+    t, a0 = sorted(pair.tangible), pair.a_zero
+    return {
+        "kind": "first" if all(add[a][a] in a0 for a in t) else "second",
+        "cancellative": all(
+            not any(mul[a][x] in a0 for x in range(n) if x not in a0)
+            and len(set(mul[a])) == n for a in t),
+        "metatangible": all(add[a][b] in pair.tangible or add[a][b] in a0
+                            for a in t for b in t),
+        "a0_bipotent": all(add[a][b] in {a, b} or add[a][b] in a0 for a in t for b in t),
+    }
+
+
+def a0_characteristic_loop(add, a_zero):
+    """The least k >= 1 with every k-fold sum b + ... + b in A0, over every
+    k in turn; 0 once the k-fold sums come back to their value at k = n + 1,
+    by when every orbit has reached its cycle (n elements repeat within n + 1
+    steps).  The k go in runs: by associativity, the (m + j)-fold sums are
+    the m-fold sums plus the j-fold sums."""
+    n = len(add)
+    in_a0 = np.isin(np.arange(n), list(a_zero))
+    idx = np.arange(n)
+    run = [idx]                             # run[j - 1]: the j-fold sums
+    while len(run) < max(n + 1, 1024):
+        run.append(add[run[-1], idx])
+    run = np.array(run)
+    j = np.arange(1, len(run) + 1)
+    at = run                                # at[j - 1]: the (m + j)-fold sums
+    for m in count(0, len(run)):
+        hit = np.flatnonzero(in_a0[at].all(axis=1))
+        if len(hit):
+            return m + int(hit[0]) + 1
+        if ((at == run[n]).all(axis=1) & (m + j > n + 1)).any():
+            return 0
+        at = add[at[-1], run]
+
+
+def cyclic_parts_pair(one_plus_one="1"):
+    """61 elements: 0, 1, an absorbing inf, and the cyclic groups C2, C3, C5,
+    C7, C11, C13 and C17 under +, with 1 + 1 = ``one_plus_one`` and every
+    other sum across two parts inf; 1 is the unit and every other product is
+    0.  T = {1}; A0 is {0}, or with 1 + 1 = inf also inf and the groups'
+    identities, where the k-fold sums first all lie in A0 at k = 2*3*...*17."""
+    from pairspec.core import validate_pair, validate_structure
+
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    names = ["0", "1", "inf", *(f"c{p}_{i}" for p in primes for i in range(p))]
+    n = len(names)
+    part = [-3, -2, -1, *(p for p in primes for _ in range(p))]
+    pos = [0, 0, 0, *(i for p in primes for i in range(p))]
+    add = np.full((n, n), 2, dtype=np.int64)
+    for x, y in product(range(n), repeat=2):
+        if x == 0 or y == 0:
+            add[x, y] = x + y
+        elif part[x] == part[y] > 0:
+            add[x, y] = names.index(f"c{part[x]}_{(pos[x] + pos[y]) % part[x]}")
+    add[1, 1] = names.index(one_plus_one)
+    mul = np.zeros((n, n), dtype=np.int64)
+    mul[1, :] = mul[:, 1] = np.arange(n)
+    a_zero = {0} if one_plus_one == "1" else {0, 2, *(names.index(f"c{p}_0") for p in primes)}
+    return validate_pair(validate_structure(names, 0, 1, add, mul), {1}, a_zero,
+                         name=f"cyclic_parts_{one_plus_one}")
 
 
 # ---------------------------------------------------------------------------
@@ -1276,6 +1407,63 @@ def esq_loop(pair):
                 return {"b1": names[b1], "b2": names[b2],
                         "e(b1+b2)": names[lhs], "eb1+eb2": names[rhs]}
     return None
+
+
+def est_loop(pair):
+    """EST: e * dagger = e for each 1-dagger, in sorted order."""
+    w, names = pair.property_n, pair.names
+    for d in sorted(w.all_daggers):
+        got = int(pair.mul[w.e, d])
+        if got != w.e:
+            return {"dagger": names[d], "e": names[w.e], "e_times_dagger": names[got]}
+    return None
+
+
+def kind_loop(pair, cls):
+    """KIND as the check it was, with the classification ``cls`` (its kind
+    and cancellative flag): the first tangible a, in sorted order, with
+    a + a outside A0 is the witness."""
+    two = pair.structure.iterated_sum(pair.one, 2)
+    two_in = two in pair.a_zero
+    if two_in and cls.kind != "first":
+        a = next(a for a in sorted(pair.tangible) if int(pair.add[a, a]) not in pair.a_zero)
+        return True, False, {"two": pair.names[two], "tangible": pair.names[a],
+                             "a_plus_a": pair.names[int(pair.add[a, a])]}, ""
+    notes = f"two={pair.names[two]}, in A0: {two_in}"
+    if cls.cancellative:
+        if (cls.kind == "second") != (not two_in):
+            return True, False, {"kind": cls.kind, "two_in_a0": two_in}, ""
+        notes += "; cancellative equivalence checked"
+    return True, True, None, notes
+
+
+def hyprop_loop(ctx):
+    """HYPROP as the check it was, reading ``ctx.pair.origin`` and
+    ``ctx.cls``; its group test loops over the nonzero elements."""
+    origin = ctx.pair.origin or {}
+    hyper = origin.get("hyper")
+    if hyper is None or origin.get("builder") not in ("power_set", "hyperpair"):
+        return False, None, None, "needs a pair built from a hyperstructure"
+    e_set = hyper.e_set
+    if e_set is None:
+        return False, None, None, "hyperstructure has no hypernegation"
+    nonzero = frozenset(range(hyper.n)) - {hyper.zero}
+    group_like = hyper.tangible == nonzero and all(
+        any(int(hyper.mul[a, b]) == hyper.one for b in nonzero) for a in nonzero)
+    if group_like and e_set == frozenset(range(hyper.n)) - {hyper.one} and hyper.n > 2:
+        if ctx.cls.e_type != (2, 2):
+            return True, False, {"case": "group_complement",
+                                 "e_type": list(ctx.cls.e_type) if ctx.cls.e_type else None}, ""
+        return True, True, None, "group hyperfield with e the complement of one: e-type 2"
+    neg = hyper.hypernegation
+    if neg is not None and neg[hyper.one] != hyper.one and e_set == frozenset(
+            {hyper.zero, hyper.one, neg[hyper.one]}):
+        if not (ctx.cls.e_idempotent and ctx.cls.e_final):
+            return True, False, {"case": "zero_one_minus_one",
+                                 "e_idempotent": ctx.cls.e_idempotent,
+                                 "e_final": ctx.cls.e_final}, ""
+        return True, True, None, "e = {0, 1, -1}: e-idempotent and e-final"
+    return False, None, None, "hyperstructure matches no covered shape"
 
 
 # ---------------------------------------------------------------------------

@@ -696,6 +696,31 @@ def test_hyper_laws_match_loops_on_planted_corpus():
     assert any(m.startswith("hyperaddition entry (") and m.endswith(") is empty") for m in seen)
 
 
+def test_tangible_closure_matches_loop():
+    """Every tangible set with one and without zero, given or derived, on
+    the named hyperstructures and with a planted product: the first pair of
+    the set's own iteration order whose product leaves it is the witness."""
+    seen = set()
+    for h in (catalog.krasner_hyperfield(), catalog.signs_hyperfield(),
+              catalog.massouros_hyperfield(2), catalog.massouros_hyperfield(3),
+              catalog.NAMED_HYPERSTRUCTURES["residue_f5_mod_squares"]()):
+        kw = _hyper_args(h)
+        others = [x for x in range(h.n) if x not in (h.zero, h.one)]
+        planted = [list(row) for row in kw["mul"]]
+        if others:
+            planted[others[0]][others[-1]] = planted[others[-1]][others[0]] = h.zero
+        for mul in (kw["mul"], planted):
+            for bits in product((False, True), repeat=len(others)):
+                tangible = {h.one, *(x for x, b in zip(others, bits) if b)}
+                seen.add(_message(_same_validation(**{**kw, "mul": mul, "tangible": tangible})))
+            _same_validation(**{**kw, "mul": mul})
+    assert "tangible set is not multiplicatively closed" in seen
+    # {1, 2, 8} iterates as 8, 1, 2, so (8, 8) fails before the sorted (2, 2)
+    f11 = residue_hyperstructure(catalog.finite_field(11), {1})
+    out = _same_validation(**{**_hyper_args(f11), "tangible": {1, 2, 8}})
+    assert list(frozenset({1, 2, 8})) == [8, 1, 2] and out[2] == ("8", "8")
+
+
 def test_s0_checks_match_loops():
     # tangible {1} leaves elements outside T, so S0 can meet them
     seen = set()

@@ -1,5 +1,6 @@
 """Carrier validation, the 1-dagger witness, and pair classification."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,10 @@ from pairspec import constructions
 from pairspec.congruences import enumerate_congruences
 from pairspec.constructions import double, minimal_bipotent, quotient_pair
 from pairspec.core import (
+    FiniteStructure,
+    NegationMap,
     Pair,
+    a0_characteristic,
     classify_pair,
     e_type,
     find_property_n,
@@ -504,3 +508,170 @@ def test_non_associative_double_matches_the_argwhere_loop(pairs):
     assert d.n == 225 and not d.structure.mul_associative
     want = oracle.tangible_centrality_argwhere(d.structure, d.tangible)
     _same_error(_centrality_verdict(d.structure, d.tangible, d.diag), want)
+
+
+# -- 1-daggers, negation maps and the classification flags against their loops ----
+
+_FLAGS = ("kind", "cancellative", "metatangible", "a0_bipotent")
+_DOUBLES = {}
+
+
+def _doubled(p):
+    if p.name not in _DOUBLES:
+        _DOUBLES[p.name] = double(p)
+    return _DOUBLES[p.name]
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns (a negation map as its permutation), or its error
+    class, message and witness."""
+    try:
+        out = fn(*args)
+    except (ValidationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return out.perm if isinstance(out, NegationMap) else out
+
+
+def _assert_scans_match_loops(pair, perms):
+    s = pair.structure
+    assert _outcome(find_property_n, s, pair.tangible, pair.a_zero) == \
+        _outcome(oracle.find_property_n_loop, s, pair.tangible, pair.a_zero), pair.name
+    got = classify_pair(pair)
+    assert {f: getattr(got, f) for f in _FLAGS} == oracle.classify_flags_loop(pair), pair.name
+    for perm in perms:
+        assert _outcome(validate_negation_map, pair, perm) == \
+            _outcome(oracle.negation_map_loop, pair, perm), (pair.name, perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), cells=st.integers(0, 3), doubled=st.booleans())
+def test_daggers_negations_and_flags_match_the_loops_on_planted_tables(pairs, seed, cells,
+                                                                        doubled):
+    """Random T and A0 and up to three planted product cells on a catalog
+    pair or its double, with the identity, the switch, a random involution
+    and a random permutation as negation maps: each scan names the old
+    loop's first witness, or returns what it returned."""
+    rng = np.random.default_rng(seed)
+    p = pairs[sorted(pairs)[int(rng.integers(len(pairs)))]]
+    d = _doubled(p) if doubled else None
+    base = d.pair if d is not None and d.pair is not None else p
+    n = base.n
+    mul = base.mul.copy()
+    for _ in range(cells):
+        mul[tuple(rng.integers(n, size=2))] = rng.integers(n)
+    tangible = set(rng.choice(n, int(rng.integers(1, 4))).tolist()) | {base.one} \
+        if rng.integers(4) else set(base.tangible)
+    a_zero = set(rng.choice(n, int(rng.integers(0, 4))).tolist()) | set(base.a_zero)
+    pair = Pair(structure=replace(base.structure, mul=mul), tangible=frozenset(tangible),
+                a_zero=frozenset(a_zero), property_n=None, name=base.name)
+    swaps = np.arange(n)
+    for x, y in rng.integers(n, size=(2, 2)):
+        if swaps[x] == x and swaps[y] == y:
+            swaps[x], swaps[y] = y, x
+    perms = [np.arange(n), swaps, rng.permutation(n)]
+    if d is not None and base is d.pair:
+        perms.append(np.array(d.switch.perm))
+    _assert_scans_match_loops(pair, perms)
+
+
+def test_daggers_negations_and_flags_match_the_loops_on_catalog_doubles_and_quotients(
+        pairs, monkeypatch):
+    """Every catalog pair, its double and each quotient by a congruence that
+    validates, with the identity, the reversal and the double's switch as
+    negation maps; the A0-characteristic against the brute force too."""
+    seen = []
+    real = constructions.validate_pair
+
+    def spy(structure, tangible, a_zero, **kwargs):
+        out = real(structure, tangible, a_zero, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(constructions, "validate_pair", spy)
+    switches = {}
+    for p in pairs.values():
+        seen.append(p)
+        d = double(p)
+        switches[id(d.pair)] = [d.switch.perm]
+        for cong in enumerate_congruences(p, None):
+            try:
+                quotient_pair(p, cong)
+            except ValidationError:
+                pass
+    assert len(seen) > 2 * len(pairs)
+    for pair in seen:
+        idx = np.arange(pair.n)
+        _assert_scans_match_loops(pair, [idx, idx[::-1], *switches.get(id(pair), [])])
+        assert a0_characteristic(pair) == oracle.a0_characteristic_loop(pair.add, pair.a_zero)
+
+
+# -- the A0-characteristic ------------------------------------------------------------
+
+@st.composite
+def _monogenic_products(draw):
+    """The sums of a product of up to three monogenic monoids, each {0, x,
+    2x, ...} with (i + p)x = ix, and an additively closed A0 generated by
+    zero and a few random elements."""
+    shape = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1,
+                          max_size=3).filter(lambda s: np.prod([i + p for i, p in s]) <= 48))
+    sizes = [i + p for i, p in shape]
+    n = int(np.prod(sizes))
+    digits = np.array(np.unravel_index(np.arange(n), sizes)).T
+    total = digits[:, None, :] + digits[None, :, :]
+    for k, (i, p) in enumerate(shape):
+        t = total[:, :, k]
+        total[:, :, k] = np.where(t < i + p, t, i + (t - i) % p)
+    add = np.ravel_multi_index(tuple(np.moveaxis(total, 2, 0)), sizes)
+    a0 = {0, *draw(st.sets(st.integers(0, n - 1), max_size=3))}
+    while True:
+        grown = a0 | {int(add[x, y]) for x in a0 for y in a0}
+        if grown == a0:
+            break
+        a0 = grown
+    return add, a0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_monogenic_products())
+def test_a0_characteristic_matches_brute_force_on_monogenic_products(case):
+    add, a0 = case
+    mask = np.isin(np.arange(len(add)), list(a0))
+    pair = SimpleNamespace(n=len(add), add=add, a0_mask=mask)
+    assert a0_characteristic(pair) == oracle.a0_characteristic_loop(add, a0)
+
+
+@pytest.mark.parametrize("one_plus_one, want", [("1", 0), ("inf", 2 * 3 * 5 * 7 * 11 * 13 * 17)])
+def test_a0_characteristic_past_every_short_orbit(one_plus_one, want):
+    """Cyclic groups of orders 2 to 17 side by side: their k-fold sums all
+    return to A0 only at the lcm of the orders, far beyond the carrier."""
+    p = oracle.cyclic_parts_pair(one_plus_one)
+    assert p.n == 61
+    assert a0_characteristic(p) == oracle.a0_characteristic_loop(p.add, p.a_zero) == want
+    assert classify_pair(p).a0_characteristic == want
+
+
+# -- bounded memory ------------------------------------------------------------------
+
+def test_a0_scans_stay_within_a_few_row_blocks(monkeypatch):
+    """A chain of 2,000 elements under max and min, with T the upper half
+    and A0 the lower: every law the flags leave runs over T or A0 in row
+    blocks of ROW_CELLS cells, so with ROW_CELLS lowered the peak stays far
+    below the 8 MB of one unblocked int64 gather over A0 x A0."""
+    import tracemalloc
+
+    from pairspec import _kernels
+
+    n = 2000
+    idx = np.arange(n)
+    s = FiniteStructure(tuple(map(str, idx)), 0, n - 1, np.maximum.outer(idx, idx),
+                        np.minimum.outer(idx, idx), mul_associative=True, distributive=True,
+                        commutative_mul=True)
+    monkeypatch.setattr(_kernels, "ROW_CELLS", 1 << 10)
+    tracemalloc.start()
+    try:
+        p = validate_pair(s, range(n // 2, n), range(n // 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.property_n is None and len(p.a_zero) == 1000
+    assert peak < 1 << 20, peak

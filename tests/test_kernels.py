@@ -604,3 +604,24 @@ def test_strongly_prime_scan_memory_is_bounded():
         tracemalloc.stop()
     # one int64 product over the whole grid would be 784 MB
     assert peak < 4 * 2**20, peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 40), cells=st.integers(1, 30), budget=st.integers(1, 200),
+       seed=st.integers(0, 10**6), rate=st.sampled_from([0.0, 0.002, 0.05]))
+def test_first_row_finds_the_first_failure_in_row_major_order(rows, cells, budget, seed, rate):
+    """Over row blocks of any budget, each test seeing only its own block,
+    first_row names the first True of the whole row-major scan."""
+    bad = np.random.default_rng(seed).random((rows, cells)) < rate
+    seen = []
+
+    def test(block):
+        seen.append(len(block))
+        return bad[block]
+
+    hit = _kernels.first_row(np.arange(rows), cells, test, budget)
+    want = np.argwhere(bad)
+    assert hit == (tuple(map(int, want[0])) if len(want) else None)
+    assert all(k * cells <= budget or k == 1 for k in seen)
+    # the scan stops at the block that holds the first failure
+    assert sum(seen) == rows if hit is None else sum(seen) - seen[-1] <= hit[0] < sum(seen)

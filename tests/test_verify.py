@@ -747,7 +747,7 @@ def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
         if not p.structure.is_semiring():
             continue
         notes = CHECKS["CHAINS"](a)[3]
-        assert f"part iii over {len(very)} very improper" in notes, p.name
+        assert f"part iii over {len(very)} very improper pair(s)" in notes, p.name
         rng = np.random.default_rng(len(very))
         bad = {(x, y) for x in very for y in very if rng.random() < 0.2}
         if not bad:
@@ -1157,3 +1157,50 @@ def test_reverify_rejects_fields_of_the_wrong_type(pairs):
     assert not reverify_counterexample(p, "PRS1", {"part": "zz", "blocks": _DIAG_F3, "b": "1"})
     assert not reverify_counterexample(p, "EST", {"e": ["1"], "dagger": "2"})
     assert not reverify_counterexample(p, "RD1", {"blocks": [["0"], [["1"]], ["2"]]})
+
+
+def test_est_kind_and_hyprop_match_their_loops(pairs):
+    """EST with a random e and random daggers, KIND with a random A0 and the
+    flags its loop gives, and HYPROP on the named hyperstructures with
+    planted products, tangibles, e-sets and flags: each check gives what
+    its old loop gave."""
+    from pairspec.catalog import NAMED_HYPERSTRUCTURES
+
+    rng = np.random.default_rng(29)
+    failed = {"EST": 0, "KIND": 0, "HYPROP": 0}
+    for p in pairs.values():
+        ts = sorted(p.tangible)
+        for _ in range(6):
+            daggers = frozenset(rng.choice(ts, int(rng.integers(1, 4))).tolist())
+            a0 = p.a_zero | frozenset(rng.choice(p.n, int(rng.integers(3))).tolist())
+            q = replace(p, a_zero=a0,
+                        property_n=PropertyNWitness(min(daggers), int(rng.integers(p.n)), daggers))
+            want = oracle.est_loop(q)
+            assert CHECKS["EST"](SimpleNamespace(pair=q))[2] == want, p.name
+            failed["EST"] += want is not None
+            flags = oracle.classify_flags_loop(q)
+            cls = SimpleNamespace(kind=flags["kind"], cancellative=bool(rng.integers(2)))
+            want = oracle.kind_loop(q, cls)
+            assert CHECKS["KIND"](SimpleNamespace(pair=q, cls=cls)) == want, p.name
+            failed["KIND"] += want[1] is False
+    for build in NAMED_HYPERSTRUCTURES.values():
+        h = build()
+        nonzero = frozenset(range(h.n)) - {h.zero}
+        for _ in range(12):
+            mul = h.mul.copy()
+            if rng.integers(2):             # take away some a's right inverse
+                a, b = np.argwhere(mul == h.one)[int(rng.integers(len(nonzero)))]
+                mul[a, b] = rng.integers(h.n)
+            tangible = nonzero if rng.integers(3) else frozenset({h.one})
+            e_set = [frozenset(range(h.n)) - {h.one}, h.e_set, None][int(rng.integers(3))]
+            hyper = SimpleNamespace(n=h.n, zero=h.zero, one=h.one, mul=mul, tangible=tangible,
+                                    e_set=e_set, hypernegation=h.hypernegation)
+            cls = SimpleNamespace(e_type=[(2, 2), (1, 1), None][int(rng.integers(3))],
+                                  e_idempotent=bool(rng.integers(2)),
+                                  e_final=bool(rng.integers(2)))
+            ctx = SimpleNamespace(pair=SimpleNamespace(
+                origin={"builder": "power_set", "hyper": hyper}), cls=cls)
+            want = oracle.hyprop_loop(ctx)
+            assert CHECKS["HYPROP"](ctx) == want, h.name
+            failed["HYPROP"] += want[1] is False
+    assert all(failed.values()), failed
