@@ -48,7 +48,6 @@ from .constructions import (
 )
 from .spectrum import (
     CongruenceClassification,
-    SpectrumReport,
     classify_congruence,
     spectrum_report,
     sqrt_phi,

@@ -199,7 +199,7 @@ def spectrum(file, cap):
         report = spectrum_report(pair, cap)
     except CapExceeded as exc:
         _fail(exc, EXIT_CAP)
-    _echo(dsl.serialize(report.to_dict()), nl=False)
+    _echo(dsl.serialize(report), nl=False)
 
 
 @main.command()

@@ -180,7 +180,6 @@ class DoubledPair:
     diag: frozenset[int]
     pair: Optional[Pair] = field(repr=False)
     pair_error: Optional[str]
-    twist_associative: bool
     switch: NegationMap
     switch_valid: bool
 
@@ -255,7 +254,6 @@ def double(pair: Pair) -> DoubledPair:
         diag=diag,
         pair=validated,
         pair_error=pair_error,
-        twist_associative=st.mul_associative,
         switch=switch,
         switch_valid=switch_valid,
     )

@@ -372,24 +372,8 @@ class PairClassification:
     positive_e_type: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "proper": self.proper,
-            "shallow": self.shallow,
-            "cancellative": self.cancellative,
-            "metatangible": self.metatangible,
-            "a0_bipotent": self.a0_bipotent,
-            "admissible": self.admissible,
-            "characteristic": list(self.characteristic),
-            "a0_characteristic": self.a0_characteristic,
-            "has_property_n": self.has_property_n,
-            "e_distributive": self.e_distributive,
-            "e_central": self.e_central,
-            "e_idempotent": self.e_idempotent,
-            "e_final": self.e_final,
-            "e_type": list(self.e_type) if self.e_type else None,
-            "positive_e_type": self.positive_e_type,
-        }
+        return {**self.__dict__, "characteristic": list(self.characteristic),
+                "e_type": None if self.e_type is None else list(self.e_type)}
 
 
 def characteristic(structure: FiniteStructure) -> tuple[int, int]:
@@ -562,27 +546,22 @@ def classify_pair(pair: Pair) -> PairClassification:
     char = characteristic(pair.structure)
     a0_char = a0_characteristic(pair)
 
-    if pair.property_n is None:
-        return PairClassification(
-            kind=kind, proper=proper, shallow=shallow, cancellative=cancellative,
-            metatangible=metatangible, a0_bipotent=a0_bipotent, admissible=admissible,
-            characteristic=char, a0_characteristic=a0_char, has_property_n=False,
-            e_distributive=None, e_central=None, e_idempotent=None, e_final=None,
-            e_type=None, positive_e_type=None,
-        )
-
-    e = pair.property_n.e
-    et = e_type(pair)
-    e_dist = is_e_distributive(pair)
-    e_central = bool(e_dist and is_distributively_central(pair, e))
-    e_idem = int(add[e, e]) == e
-    e_final = et == (1, 1)
+    et = e_dist = e_central = e_idem = e_final = pos = None
+    if pair.property_n is not None:
+        e = pair.property_n.e
+        et = e_type(pair)
+        e_dist = is_e_distributive(pair)
+        e_central = bool(e_dist and is_distributively_central(pair, e))
+        e_idem = int(add[e, e]) == e
+        e_final = et == (1, 1)
+        pos = positive_e_type(pair)
     return PairClassification(
         kind=kind, proper=proper, shallow=shallow, cancellative=cancellative,
         metatangible=metatangible, a0_bipotent=a0_bipotent, admissible=admissible,
-        characteristic=char, a0_characteristic=a0_char, has_property_n=True,
-        e_distributive=e_dist, e_central=e_central, e_idempotent=e_idem,
-        e_final=e_final, e_type=et, positive_e_type=positive_e_type(pair),
+        characteristic=char, a0_characteristic=a0_char,
+        has_property_n=pair.property_n is not None, e_distributive=e_dist,
+        e_central=e_central, e_idempotent=e_idem, e_final=e_final, e_type=et,
+        positive_e_type=pos,
     )
 
 

@@ -10,7 +10,7 @@ by the least one~e congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Optional
@@ -208,55 +208,6 @@ class IsoVerdict:
         return {"applicable": self.applicable, "holds": self.holds, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Primes come in two strengths and the engine tracks both: ``hspec``
-    collects the lattice-quantified primes, ``strongly_prime_set`` the
-    elementwise ones.  The two need not agree even on commutative semiring
-    pairs of positive e-type (the engine finds counterexamples), so the
-    isomorphism verdicts are computed for the strongly prime spectra, with
-    the weak-prime verdicts reported alongside for comparison."""
-
-    pair_name: str
-    lattice: CongruenceLattice = field(repr=False)
-    flags: dict = field(repr=False)
-    hspec: tuple[int, ...]
-    spec_e: tuple[int, ...]
-    radical_set: tuple[int, ...]
-    strongly_prime_set: tuple[int, ...]
-    strong_spec_e: tuple[int, ...]
-    maximal_proper: tuple[int, ...]
-    maximal_weakly_proper: tuple[int, ...]
-    rd1: IsoVerdict
-    rd2: IsoVerdict
-    sp2i: IsoVerdict
-    rd2_weak: IsoVerdict
-    sp2i_weak: IsoVerdict
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair_name,
-            "lattice_size": len(self.lattice),
-            "congruences": [
-                {"blocks": c.block_labels(),
-                 **classification(self.flags, i, self.lattice.flags.row(i)).to_dict()}
-                for i, c in enumerate(self.lattice)
-            ],
-            "hspec": list(self.hspec),
-            "spec_e": list(self.spec_e),
-            "radical": list(self.radical_set),
-            "strongly_prime": list(self.strongly_prime_set),
-            "strong_spec_e": list(self.strong_spec_e),
-            "maximal_proper": list(self.maximal_proper),
-            "maximal_weakly_proper": list(self.maximal_weakly_proper),
-            "verdict_radical_contains_1e": self.rd1.to_dict(),
-            "verdict_spec_iso_ae": self.rd2.to_dict(),
-            "verdict_spec_e_iso_quotient": self.sp2i.to_dict(),
-            "verdict_spec_iso_ae_weak_primes": self.rd2_weak.to_dict(),
-            "verdict_spec_e_iso_quotient_weak_primes": self.sp2i_weak.to_dict(),
-        }
-
-
 def _maximal(lattice: CongruenceLattice, idxs: list[int]) -> tuple[int, ...]:
     """The members of ``idxs`` below no other member, in the order given."""
     idx = np.asarray(idxs, dtype=np.intp)
@@ -440,26 +391,41 @@ class Analysis:
                                   _QUOTIENT_WORDS) for flag, src in srcs.items())
 
 
-def spectrum_report(pair: Pair, cap: Optional[int] = None) -> SpectrumReport:
-    """Classify the whole lattice and assemble the spectrum verdicts."""
+def spectrum_report(pair: Pair, cap: Optional[int] = None) -> dict:
+    """The spectrum record: every congruence with its classification, the
+    prime spectra and the isomorphism verdicts, read off one analysis.
+
+    Primes come in two strengths and the engine tracks both: ``hspec``
+    collects the lattice-quantified primes, ``strongly_prime`` the
+    elementwise ones.  The two need not agree even on commutative semiring
+    pairs of positive e-type (the engine finds counterexamples), so the
+    isomorphism verdicts are computed for the strongly prime spectra, with
+    the weak-prime verdicts reported alongside for comparison."""
     a = Analysis(pair, cap)
-    lattice = a.lattice
+    lattice, flags = a.lattice, a.twist_flags
     if a.cls.positive_e_type is None:
         rd1 = IsoVerdict(applicable=False, detail="pair does not have positive e-type")
     else:
         bad = np.flatnonzero(a.column("radical") & ~a.column("contains_1e")).tolist()
         rd1 = IsoVerdict(applicable=True, holds=not bad,
                          detail="" if not bad else f"radical congruences missing (1,e): {bad}")
-    rd2, rd2_weak = a.rd2
-    sp2i, sp2i_weak = a.sp2i
-    return SpectrumReport(
-        pair_name=pair.name, lattice=lattice, flags=a.twist_flags,
-        hspec=tuple(a.having("prime")), spec_e=tuple(a.spec_e("prime")),
-        radical_set=tuple(a.having("radical")),
-        strongly_prime_set=tuple(a.having("strongly_prime")),
-        strong_spec_e=tuple(a.spec_e("strongly_prime")),
-        maximal_proper=_maximal(lattice, a.having("proper")),
-        maximal_weakly_proper=_maximal(lattice, a.having("weakly_proper")),
-        rd1=rd1, rd2=rd2, sp2i=sp2i, rd2_weak=rd2_weak, sp2i_weak=sp2i_weak,
-    )
-
+    (rd2, rd2_weak), (sp2i, sp2i_weak) = a.rd2, a.sp2i
+    return {
+        "pair": pair.name,
+        "lattice_size": len(lattice),
+        "congruences": [{"blocks": c.block_labels(),
+                         **{f: bool(col[i]) for f, col in flags.items()},
+                         **lattice.flags.row(i)} for i, c in enumerate(lattice)],
+        "hspec": a.having("prime"),
+        "spec_e": a.spec_e("prime"),
+        "radical": a.having("radical"),
+        "strongly_prime": a.having("strongly_prime"),
+        "strong_spec_e": a.spec_e("strongly_prime"),
+        "maximal_proper": list(_maximal(lattice, a.having("proper"))),
+        "maximal_weakly_proper": list(_maximal(lattice, a.having("weakly_proper"))),
+        "verdict_radical_contains_1e": rd1.to_dict(),
+        "verdict_spec_iso_ae": rd2.to_dict(),
+        "verdict_spec_e_iso_quotient": sp2i.to_dict(),
+        "verdict_spec_iso_ae_weak_primes": rd2_weak.to_dict(),
+        "verdict_spec_e_iso_quotient_weak_primes": sp2i_weak.to_dict(),
+    }

@@ -15,6 +15,7 @@ from pairspec.constructions import double, residue_hyperstructure
 from pairspec.core import classify_pair, positive_e_type
 from pairspec.errors import ValidationError
 from pairspec.spectrum import (
+    Analysis,
     classify_congruence,
     classify_congruence_elementwise,
     spectrum_report,
@@ -64,7 +65,7 @@ def test_criterion_03_twist_associativity(pairs):
     largest = 0
     for name in semiring_names:
         d = double(pairs[name])
-        results[name] = d.twist_associative
+        results[name] = d.structure.mul_associative
         largest = max(largest, d.n)
     # dual route on the largest double: the dense whole-cube scan must agree
     biggest = max(semiring_names, key=lambda n: pairs[n].n)
@@ -132,13 +133,18 @@ def test_criterion_07_spectrum_isomorphisms(pairs):
     rd2_app = sp2_app = 0
     for name, p in pairs.items():
         rep = spectrum_report(p)
-        if rep.rd2.applicable:
+        rd2, sp2i = rep["verdict_spec_iso_ae"], rep["verdict_spec_e_iso_quotient"]
+        if rd2["applicable"]:
             rd2_app += 1
-            assert rep.rd2.holds, (name, rep.rd2.detail)
-            assert rep.rd2.mapping is not None
-        if rep.sp2i.applicable:
+            assert rd2["holds"], (name, rd2["detail"])
+            # the explicit map: strongly prime members of A onto those of A*e
+            a = Analysis(p, None)
+            mapping = dict(a.rd2[0].mapping)
+            assert sorted(mapping) == rep["strongly_prime"], name
+            assert sorted(mapping.values()) == a.ae[0].having("strongly_prime"), name
+        if sp2i["applicable"]:
             sp2_app += 1
-            assert rep.sp2i.holds, (name, rep.sp2i.detail)
+            assert sp2i["holds"], (name, sp2i["detail"])
     ok = rd2_app >= 8 and sp2_app >= 8
     _verdict(7, ok, f"explicit order-isomorphisms verified: spec(A)=spec(A*e) "
                     f"on {rd2_app} pairs, spec_e(A)=spec(A/diag_e) on {sp2_app} "

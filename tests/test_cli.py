@@ -237,7 +237,12 @@ def _digest_pair(name):
     if name == "function_sb_c3":
         return constructions.function_pair(constructions.super_boolean(),
                                            monoids.cyclic_group(3), name=name)
-    return constructions.power_set_pair(catalog.massouros_hyperfield(3), name=name)
+    if name == "function_minbp_sat2":
+        return constructions.function_pair(catalog.build("minbp_c2_first"),
+                                           monoids.saturating_monoid(2), name=name)
+    if name == "power_massouros_c3":
+        return constructions.power_set_pair(catalog.massouros_hyperfield(3), name=name)
+    return catalog.build(name)
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRUM_DIGESTS))
@@ -247,6 +252,74 @@ def test_spectrum_stdout_digest(runner, tmp_path, name):
     res = runner.invoke(main, ["spectrum", str(path)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == SPECTRUM_DIGESTS[name]
+
+
+# sha256 of `classify`, `spectrum` and `validate` stdout on every catalog pair
+# and three constructed ones, recorded while the spectrum report was still a
+# dataclass and the pair classification named its fields again in `to_dict`
+STDOUT_DIGESTS = {
+    "classify": {
+        "field_f3": "641df164fbf5e3897b83afea12b8b7969821fa17314f6d76beffecf230c0414e",
+        "field_f5": "fd9f0268324ecf803d54185f2f30b1ab3d64e896ce10425aa81380483e6281de",
+        "function_sb_sat2": "0ccf523f3c858d5cae8af32c2e3df69dbe09bfc34ae4e181f75edd20c1633840",
+        "minbp_c2_first": "06644beac7c4eb235ce65d84e984905de3cbf67416a3ae09af7ecf600ba4c76d",
+        "minbp_c2_second": "0e1be93d3c17f99aa2b65f246e9fc5493422dda0824fc49781ebde033124115d",
+        "power_krasner": "06644beac7c4eb235ce65d84e984905de3cbf67416a3ae09af7ecf600ba4c76d",
+        "power_massouros_c2": "e8e3f45e6b3db3992a812bd161c174215a792d0befc424985e84b7497ded1436",
+        "power_residue_f5": "e8e3f45e6b3db3992a812bd161c174215a792d0befc424985e84b7497ded1436",
+        "power_signs": "578b78e29ee3b246dd34d600beb59db19a757c5d03c5064989c296cf6991c1bc",
+        "super_boolean": "06644beac7c4eb235ce65d84e984905de3cbf67416a3ae09af7ecf600ba4c76d",
+        "supertropical_c2": "06644beac7c4eb235ce65d84e984905de3cbf67416a3ae09af7ecf600ba4c76d",
+        "truncated_chain3": "89ec93beb6fb3f579f0e709c813849a8fd3ae6b87b5cdd816314a9cf979e62c5",
+        "function_minbp_sat2": "0ccf523f3c858d5cae8af32c2e3df69dbe09bfc34ae4e181f75edd20c1633840",
+        "function_sb_c3": "5dd159adc020a87f36a95c9cd32d2fa7d25ca55eede427feffccf625d17c3d60",
+        "power_massouros_c3": "d920df9fb7da0c5d2e81d410d1308b4bec0e1bbc29b5db6aaa71827f269c3d42",
+    },
+    "spectrum": {
+        **SPECTRUM_DIGESTS,
+        "field_f3": "5a31c63cef9779f1f68b1bf82cb9c18f1bf1f5cc90c5685845821ad3fde5c974",
+        "field_f5": "89faccaa4c449d5b15ec744ce0bee894021a0c767410c51ec5385243c89c05e3",
+        "function_sb_sat2": "d10fc0b1ff18b7032b92cec1bdf122f01955a47fc38897d6713b6d8af92927e2",
+        "minbp_c2_first": "630c26ae5730da2f56e0de67a354da4e10c7f3ab0e5ea1ca99f592185e097adb",
+        "minbp_c2_second": "15b32e96e9bfd8cafd1d7ebefd7e01d7b5b258cce28e53a93c84c0ada3cddef7",
+        "power_krasner": "ea633a2d2501e7e0bb9cf77d4f29a8e4bb37d43cfe6e605525b9902b94a877fe",
+        "power_massouros_c2": "b585606be2a1577d971556bf7c2fce6d151e4256b987ee49916edb0d62bfd24d",
+        "power_residue_f5": "9f6e74726cabce45a3e52634cd37b91d4c9cb0fc7d302236b718a42587bf89e2",
+        "power_signs": "e12122df3603da3a839c03b33a3f181bcd8e3041e589395938c64c8527a08c1b",
+        "super_boolean": "58cf2faf1455f3f42667d40c2c799daae409f74fa30a4c088f2b444c6fe3a1ad",
+        "supertropical_c2": "35b0490bd63c17bf3cbd10f1892755524b4b20ae9b13a2df27e9a73ecc0adfc0",
+        "truncated_chain3": "f938e274e2b5ac826921d2473ff4d9df8a138ecafa949740ddbbb05ae5200f70",
+        "function_minbp_sat2": "4a7f70b436820988f67099e1ca254bfd6c3d27e616bdf85882ecc2034ff1caea",
+    },
+    "validate": {
+        "field_f3": "958d493bb3f64dc11bbc6493171d0bf9ece159ac5159b34f07a65e21aa5f35a1",
+        "field_f5": "1b116338f2395d1aa3e451f8d2ab78a8d6e7dd64d2746e21dcc6b45684e97ba1",
+        "function_sb_sat2": "be2cb3b3e3cfe944409acba5dc4d049022bef98bc57cb95a67670f77ae8fc817",
+        "minbp_c2_first": "335abbc42d45b589a6b78152f7e77a61882fa16857906dc5206281c5e05fcab2",
+        "minbp_c2_second": "a4f43af7a99957096800875ce21c83e3e476de0be8d815b762d464fdd5b1bd25",
+        "power_krasner": "e75cec03cb8bd30eadfb582ca08f7678fcd0a4caae1f01d5abe2ac33a0160dc4",
+        "power_massouros_c2": "6809e0ed4df1b53ec08ea2a56036505ae86efae232c26aa78065f8e1ccdd1cc0",
+        "power_residue_f5": "decc179f521bcca0d7412c1239227c199f4fdaf88b9455d5b9a82768cbfa2f7d",
+        "power_signs": "b051ac73d99286c2f257561d632f6d7f8cb782ca0dcd4a3f4da75dcb074cd807",
+        "super_boolean": "0112a887ae7781a1e0818224fb55a658bc566301bbc6d2ab163db2634a07b953",
+        "supertropical_c2": "a25a3fa5cfa8ea84578a5ce264f838fdb9a2abb9d04db8de5c48009fda755595",
+        "truncated_chain3": "67407de48a8d7553fb1191be63494997ab76d15d872eadb62338c1e784ed7538",
+        "function_minbp_sat2": "416022a66a283e0fcda29892dbdc30fd8afd0b99464641a0a67cf55c22a232b6",
+        "function_sb_c3": "989d719fb6217189f626b846f5bf9d0e9d1d1673cc8aeaa4225dd614a01d24ae",
+        "power_massouros_c3": "16b5d27cc89902e899bdcff98f1b977c2bce46183bfe97666072986d662a317f",
+    },
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, d in sorted(STDOUT_DIGESTS.items())
+                                           for n in sorted(d)])
+def test_stdout_digest(runner, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(_digest_pair(name))))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == \
+        STDOUT_DIGESTS[command][name]
 
 
 # sha256 of `verify --all` stdout with each check's runtime masked, recorded

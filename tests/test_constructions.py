@@ -139,7 +139,7 @@ def test_minimal_bipotent_kinds(pairs):
 def test_double_super_boolean_basics(sb):
     d = double(sb)
     assert d.n == 9
-    assert d.twist_associative
+    assert d.structure.mul_associative
     assert d.pair is not None and d.switch_valid
     w = d.pair.property_n
     assert d.structure.names[w.e] == "(1,1)"
@@ -213,7 +213,7 @@ def test_double_of_relabeled_pair(sb):
     st = validate_structure(names, perm[sb.zero], perm[sb.one], add, mul)
     p = validate_pair(st, {perm[a] for a in sb.tangible}, {perm[x] for x in sb.a_zero})
     d = double(p)
-    assert d.pair is not None and d.twist_associative
+    assert d.pair is not None and d.structure.mul_associative
     z1, z2 = d.unpack(d.structure.zero)
     assert z1 == z2 == perm[sb.zero]
     o1, o2 = d.unpack(d.structure.one)
@@ -224,7 +224,7 @@ def test_double_nondistributive_base_reports_failure(pairs):
     d = double(pairs["supertropical_c2"])
     assert d.pair is None
     assert "associate" in d.pair_error
-    assert not d.twist_associative
+    assert not d.structure.mul_associative
     assert d.switch_valid  # the switch axioms do not need distributivity
 
 

@@ -179,11 +179,12 @@ def test_prime_but_not_strongly_prime_finding(pairs):
 
 def test_weak_and_strong_spectra_diverge_on_signs_power(pairs):
     rep = spectrum_report(pairs["power_signs"])
-    assert len(rep.hspec) == 4
-    assert len(rep.strongly_prime_set) == 2
-    assert set(rep.strongly_prime_set) <= set(rep.hspec)
-    assert rep.rd2.holds and rep.sp2i.holds
-    assert rep.rd2_weak.holds is False and rep.sp2i_weak.holds is False
+    assert len(rep["hspec"]) == 4
+    assert len(rep["strongly_prime"]) == 2
+    assert set(rep["strongly_prime"]) <= set(rep["hspec"])
+    assert rep["verdict_spec_iso_ae"]["holds"] and rep["verdict_spec_e_iso_quotient"]["holds"]
+    assert rep["verdict_spec_iso_ae_weak_primes"]["holds"] is False
+    assert rep["verdict_spec_e_iso_quotient_weak_primes"]["holds"] is False
 
 
 def test_strongly_prime_implies_prime(pairs):
@@ -354,15 +355,14 @@ def test_column_pass_memory_is_bounded(monkeypatch):
 
 def test_spectrum_report_super_boolean(sb):
     rep = spectrum_report(sb)
-    assert len(rep.lattice) == 3
-    assert len(rep.hspec) == 2
-    assert rep.hspec == rep.strongly_prime_set
-    assert rep.rd1.applicable and rep.rd1.holds
-    assert rep.rd2.applicable and rep.rd2.holds
-    assert rep.sp2i.applicable and rep.sp2i.holds
-    d = rep.to_dict()
-    assert d["lattice_size"] == 3
-    assert d["verdict_radical_contains_1e"]["holds"] is True
+    assert len(rep["congruences"]) == 3
+    assert len(rep["hspec"]) == 2
+    assert rep["hspec"] == rep["strongly_prime"]
+    for key in ("verdict_radical_contains_1e", "verdict_spec_iso_ae",
+                "verdict_spec_e_iso_quotient"):
+        assert rep[key]["applicable"] and rep[key]["holds"], key
+    assert rep["lattice_size"] == 3
+    assert rep["verdict_radical_contains_1e"]["holds"] is True
 
 
 def _record_lattice_work(monkeypatch):
@@ -417,19 +417,17 @@ def test_spectrum_report_single_element_pair():
     st = validate_structure(["0"], 0, 0, [[0]], [[0]])
     p = validate_pair(st, {0}, {0}, name="point")
     rep = spectrum_report(p)
-    assert len(rep.lattice) == 1
-    assert len(rep.hspec) == 1  # the unique congruence is vacuously prime
+    assert len(rep["congruences"]) == 1
+    assert len(rep["hspec"]) == 1  # the unique congruence is vacuously prime
 
 
 def test_spectrum_verdicts_on_applicable_catalog(pairs):
     for name, p in pairs.items():
         rep = spectrum_report(p)
-        if rep.rd1.applicable:
-            assert rep.rd1.holds, name
-        if rep.rd2.applicable:
-            assert rep.rd2.holds, (name, rep.rd2.detail)
-        if rep.sp2i.applicable:
-            assert rep.sp2i.holds, (name, rep.sp2i.detail)
+        for key in ("verdict_radical_contains_1e", "verdict_spec_iso_ae",
+                    "verdict_spec_e_iso_quotient"):
+            if rep[key]["applicable"]:
+                assert rep[key]["holds"], (name, key, rep[key]["detail"])
 
 
 # -- improper elements ------------------------------------------------------------------
@@ -479,9 +477,9 @@ def test_very_improper_products_on_semiring_catalog(pairs):
 
 def test_maximal_proper_report_super_boolean(sb):
     rep = spectrum_report(sb)
-    lat = rep.lattice
-    assert [lat[i].block_of for i in rep.maximal_proper] == [(0, 1, 2)]
-    assert [lat[i].block_of for i in rep.maximal_weakly_proper] == [(0, 1, 1)]
+    blocks = [c["blocks"] for c in rep["congruences"]]
+    assert [blocks[i] for i in rep["maximal_proper"]] == [[["0"], ["1"], ["e"]]]
+    assert [blocks[i] for i in rep["maximal_weakly_proper"]] == [[["0"], ["1", "e"]]]
     # CHAINS part iv: no twist product of very improper congruences lands
     # inside the maximal weakly proper one
     chains = run_check(sb, "CHAINS")
@@ -500,15 +498,16 @@ def test_full_pipeline_on_doubled_pair(sb):
     lat = enumerate_congruences(dp)
     assert len(lat) == 9
     rep = spectrum_report(dp)
-    assert len(rep.hspec) == 3 and len(rep.strongly_prime_set) == 2
-    assert rep.rd1.holds and rep.rd2.holds and rep.sp2i.holds
+    assert len(rep["hspec"]) == 3 and len(rep["strongly_prime"]) == 2
+    assert all(rep[key]["holds"] for key in ("verdict_radical_contains_1e",
+                                             "verdict_spec_iso_ae", "verdict_spec_e_iso_quotient"))
 
 
 def test_degenerate_pair_has_no_proper_congruence():
     from pairspec.core import validate_pair, validate_structure
     st = validate_structure(["0", "1"], 0, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]])
     p = validate_pair(st, {1}, {0, 1}, name="degenerate")
-    assert spectrum_report(p).maximal_proper == ()
+    assert spectrum_report(p)["maximal_proper"] == []
 
 
 def test_maximal_matches_pairwise_definition(pairs):

@@ -527,7 +527,7 @@ def _twass_by_double(pair):
     if not pair.structure.is_semiring():
         return False, None, None, "needs a semiring pair"
     d = double(pair)
-    if d.twist_associative:
+    if d.structure.mul_associative:
         return True, True, None, f"all {d.n}^3 triples associate"
     triple = d.structure.labels(first_nonassoc(d.structure.mul))
     return True, False, {"triple": list(triple)}, ""
