@@ -46,12 +46,7 @@ from .constructions import (
     truncated_supertropical,
     validate_hyperstructure,
 )
-from .spectrum import (
-    CongruenceClassification,
-    classify_congruence,
-    spectrum_report,
-    sqrt_phi,
-)
+from .spectrum import classify_congruence, spectrum_report, sqrt_phi
 from .verify import CheckReport, reverify_counterexample, run_all, run_check
 
 __version__ = "0.1.0"

@@ -324,45 +324,31 @@ def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[
     return True, cong if is_congruence(pair, cong)[0] else None
 
 
-@dataclass(frozen=True)
-class RelationFlags:
-    """The flags that read only which pairs a congruence relates, one entry
-    per root row.  ``t_a0[i]`` marks the pairs of T x A0 (row-major over
-    sorted T and sorted A0) that row i relates; ``e_type`` is 0 for a row
-    without one, and it and ``contains_1e`` are None without a witness."""
-
-    t_a0: np.ndarray
-    proper: np.ndarray
-    weakly_proper: np.ndarray
-    contains_1e: Optional[np.ndarray]
-    e_type: Optional[np.ndarray]
-
-    def row(self, i: int) -> dict:
-        """Row i's four flags, as a classification holds them."""
-        return {"proper": bool(self.proper[i]), "weakly_proper": bool(self.weakly_proper[i]),
-                "contains_1e": None if self.contains_1e is None else bool(self.contains_1e[i]),
-                "e_type": None if self.e_type is None else int(self.e_type[i]) or None}
-
-
-def relation_flags(pair: Pair, roots) -> RelationFlags:
-    """Whether each root row relates 1 and e, its e-type (the least k > 0
-    relating 1 + k*e and k*e), and whether it relates some (a, b) in T x A0
-    (improper) or some very improper one (``Pair.very_improper``), by
-    comparing columns."""
+def relates_t_a0(pair: Pair, roots) -> np.ndarray:
+    """Which pairs of T x A0 (row-major over sorted T and sorted A0) each
+    root row relates."""
     r = np.asarray(roots)
     a0 = np.flatnonzero(pair.a0_mask)
-    ts, zs = np.repeat(pair.t_sorted, len(a0)), np.tile(a0, len(pair.t_sorted))
-    t_a0 = r[:, ts] == r[:, zs]
+    return r[:, np.repeat(pair.t_sorted, len(a0))] == r[:, np.tile(a0, len(pair.t_sorted))]
+
+
+def relation_flags(pair: Pair, roots) -> dict[str, np.ndarray]:
+    """The member columns that read only which pairs each root row relates:
+    proper (it relates no pair of T x A0), weakly proper (no very improper
+    one, ``Pair.very_improper``), whether it relates 1 and e, and its e-type,
+    the least k > 0 relating 1 + k*e and k*e, or 0 for none.  Without a
+    Property-N witness the last two are false and 0 throughout."""
+    r = np.asarray(roots)
     vt, vz = pair.very_improper
-    contains_1e = e_type = None
+    contains_1e, e_type = np.zeros(len(r), dtype=bool), np.zeros(len(r), dtype=np.intp)
     if pair.property_n is not None:
         contains_1e = r[:, pair.one] == r[:, pair.property_n.e]
         ke = pair.e_multiples
         by_k = r[:, pair.add[pair.one, ke]] == r[:, ke]
         e_type = np.where(by_k.any(axis=1), by_k.argmax(axis=1) + 1, 0)
-    return RelationFlags(t_a0=t_a0, proper=~t_a0.any(axis=1),
-                         weakly_proper=~(r[:, vt] == r[:, vz]).any(axis=1),
-                         contains_1e=contains_1e, e_type=e_type)
+    return {"proper": ~relates_t_a0(pair, r).any(axis=1),
+            "weakly_proper": ~(r[:, vt] == r[:, vz]).any(axis=1),
+            "contains_1e": contains_1e, "e_type": e_type}
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,11 +406,6 @@ class CongruenceLattice:
         """covers[i]: the upper covers of congruence i, the members strictly
         above it with no member in between, in lattice order."""
         return _kernels.upper_covers(self.leq)
-
-    @cached_property
-    def flags(self) -> RelationFlags:
-        """The relation flags of every row."""
-        return relation_flags(self.pair, self.roots)
 
     @property
     def bottom(self) -> int:

@@ -281,8 +281,8 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     labels = structure.labels
     t = frozenset(int(x) for x in tangible)
     a0 = frozenset(int(x) for x in a_zero)
-    if not t or any(not 0 <= x < n for x in t | a0):
-        raise ValueError("tangible/a_zero must be nonempty index sets in range")
+    if any(not 0 <= x < n for x in t | a0):
+        raise ValueError("tangible/a_zero must be index sets in range")
     ts, zs = (np.array(sorted(x), dtype=np.int64) for x in (t, a0))
     in_t, in_a0 = np.zeros((2, n), dtype=bool)
     in_t[ts] = in_a0[zs] = True
@@ -579,8 +579,9 @@ def validate_negation_map(pair: Pair, perm) -> NegationMap:
     n, names = pair.n, pair.names
     add, mul, ts = pair.add, pair.mul, pair.t_sorted
     p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
-        raise ValueError("negation map must be a permutation of the carrier")
+    # a map into the carrier that squares to the identity is a bijection
+    if p.shape != (n,) or ((p < 0) | (p >= n)).any():
+        raise ValueError("negation map must map the carrier into itself")
     bad = np.argwhere(p[p] != np.arange(n))
     if len(bad):
         raise NotOrderTwo("negation map does not square to identity", witness=(names[int(bad[0][0])],))

@@ -3,9 +3,11 @@
 Each lattice is classified in one pass, as boolean columns over its root
 matrix (``twist_columns``): radical, strongly prime and T-cancellative read
 off each congruence, semiprime, prime and irreducible against its upper
-covers.  Reports assemble the prime spectrum, the positive e-type part, and
-the explicit order-isomorphisms onto the idempotent image and the quotient
-by the least one~e congruence.
+covers.  With the relation flags of ``relation_flags`` these are the member
+columns of ``Analysis.columns``, and ``member_record`` turns one row of them
+into the record ``spectrum`` prints.  Reports assemble the prime spectrum,
+the positive e-type part, and the order-isomorphism verdicts onto the
+idempotent image and the quotient by the least one~e congruence.
 """
 
 from __future__ import annotations
@@ -77,37 +79,36 @@ def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceClassification:
-    radical: bool
-    strongly_prime: bool
-    t_cancellative: bool
-    proper: bool
-    weakly_proper: bool
-    contains_1e: Optional[bool]
-    e_type: Optional[int]
-    prime: Optional[bool]
-    semiprime: Optional[bool]
-    irreducible: Optional[bool]
+def member_record(cong: Congruence, columns: dict[str, np.ndarray], i: int) -> dict:
+    """Row i of the member ``columns`` as ``spectrum`` prints the member
+    ``cong``: its blocks and its flags.  A flag without a column is None, as
+    the cover flags are for ``classify_congruence_elementwise``; so are an
+    e-type of 0 and, without a Property-N witness, ``contains_1e``."""
+    def flag(f):
+        return bool(columns[f][i]) if f in columns else None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
+    return {"blocks": cong.block_labels(), "radical": flag("radical"),
+            "strongly_prime": flag("strongly_prime"), "t_cancellative": flag("t_cancellative"),
+            "prime": flag("prime"), "semiprime": flag("semiprime"),
+            "irreducible": flag("irreducible"), "proper": flag("proper"),
+            "weakly_proper": flag("weakly_proper"),
+            "contains_1e": flag("contains_1e") if cong.pair.property_n else None,
+            "e_type": int(columns["e_type"][i]) or None}
 
 
-def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> CongruenceClassification:
-    """The flags read off ``cong`` alone.  The twist tests read a pair only
-    through the blocks its entries fall in, so each runs on the tables of
-    A/cong against its diagonal."""
+def classify_congruence_elementwise(pair: Pair, cong: Congruence) -> dict:
+    """The member record of ``cong`` with the flags read off it alone.  The
+    twist tests read a pair only through the blocks its entries fall in, so
+    each runs on the tables of A/cong against its diagonal."""
     reps, add, mul = cong.quotient_tables()
     diag = np.eye(len(reps), dtype=bool)
     nxs, nys = np.nonzero(~diag)
     t_blocks = np.unique(np.asarray(cong.block_of)[pair.t_sorted])
-    return CongruenceClassification(
-        radical=_kernels.radical_violation(add, mul, diag)[0] < 0,
-        strongly_prime=_kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0,
-        t_cancellative=_kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0,
-        **relation_flags(pair, [cong.roots]).row(0), prime=None, semiprime=None, irreducible=None,
-    )
+    return member_record(cong, {
+        "radical": [_kernels.radical_violation(add, mul, diag)[0] < 0],
+        "strongly_prime": [_kernels.strongly_prime_violation(add, mul, diag, nxs, nys)[0] < 0],
+        "t_cancellative": [_kernels.t_cancel_violation(mul, diag, t_blocks)[0] < 0],
+        **relation_flags(pair, [cong.roots])}, 0)
 
 
 def twist_columns(pair: Pair, roots: np.ndarray, covers, rows=None) -> dict[str, np.ndarray]:
@@ -140,17 +141,11 @@ def twist_columns(pair: Pair, roots: np.ndarray, covers, rows=None) -> dict[str,
             "irreducible": n_covers <= 1}
 
 
-def classification(columns: dict, k: int, relation: dict) -> CongruenceClassification:
-    """Row k of the twist ``columns`` with the relation flags ``relation``."""
-    return CongruenceClassification(**{f: bool(c[k]) for f, c in columns.items()}, **relation)
-
-
-def classify_congruence(pair: Pair, cong: Congruence,
-                        lattice: CongruenceLattice) -> CongruenceClassification:
-    """Full classification: ``twist_columns`` on the one row of ``cong``."""
+def classify_congruence(pair: Pair, cong: Congruence, lattice: CongruenceLattice) -> dict:
+    """The member record of ``cong``: ``twist_columns`` on its one row."""
     i = lattice.find(cong)
-    return classification(twist_columns(pair, lattice.roots, lattice.covers, [i]), 0,
-                          lattice.flags.row(i))
+    return member_record(cong, {**twist_columns(pair, lattice.roots, lattice.covers, [i]),
+                                **relation_flags(pair, [cong.roots])}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +192,9 @@ def push_congruence(cong: Congruence, proj: np.ndarray, target: Pair) -> Optiona
 # spectrum report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    applicable: bool
-    holds: Optional[bool] = None
-    detail: str = ""
-    mapping: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "holds": self.holds, "detail": self.detail}
+def _verdict(applicable: bool, holds: Optional[bool] = None, detail: str = "") -> dict:
+    """A verdict as ``spectrum`` prints it."""
+    return {"applicable": applicable, "holds": holds, "detail": detail}
 
 
 def _maximal(lattice: CongruenceLattice, idxs: list[int]) -> tuple[int, ...]:
@@ -216,19 +205,18 @@ def _maximal(lattice: CongruenceLattice, idxs: list[int]) -> tuple[int, ...]:
     return tuple(idx[~sub.any(axis=1)].tolist())
 
 
-def _order_iso(leq_a: np.ndarray, idx_a: list[int], leq_b: np.ndarray,
-               idx_b: list[int], mapping: dict[int, int]) -> bool:
-    if sorted(mapping.values()) != sorted(idx_b):
-        return False
-    a = np.asarray(idx_a, dtype=np.intp)
-    img = np.asarray([mapping[i] for i in idx_a], dtype=np.intp)
-    return np.array_equal(leq_a[np.ix_(a, a)], leq_b[np.ix_(img, img)])
+def _order_iso(leq_a: np.ndarray, src, leq_b: np.ndarray, img, onto) -> tuple[bool, bool]:
+    """Whether the map src[k] -> img[k] between index arrays is onto the
+    indices ``onto``, and whether it is an order-isomorphism onto them: onto,
+    with ``leq_a`` over src equal to ``leq_b`` over img.  A map that is not
+    one-to-one fails the second test, since leq_a is antisymmetric."""
+    src, img = (np.asarray(x, dtype=np.intp) for x in (src, img))
+    is_onto = np.array_equal(np.unique(img), np.unique(np.asarray(onto, dtype=np.intp)))
+    return is_onto, is_onto and np.array_equal(leq_a[np.ix_(src, src)], leq_b[np.ix_(img, img)])
 
 
-# the strong and the weak prime spectra, as classification flags
+# the strong and the weak prime spectra, as member columns
 _SPECTRA = ("strongly_prime", "prime")
-# the flags that read only which pairs a congruence relates
-_RELATION_FLAGS = ("proper", "weakly_proper", "contains_1e", "e_type")
 # how the verdict details name a target: itself, its lattice, the source
 # spectrum and the target spectrum
 _AE_WORDS = ("A*e", "the A*e lattice", "spec(A)", "spec(A*e)")
@@ -241,14 +229,14 @@ NOT_CONGRUENCE, MISSING = -1, -2
 
 
 def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", images: np.ndarray,
-                 flag: str, kernel: Optional[Congruence], words: tuple[str, ...]) -> IsoVerdict:
+                 flag: str, kernel: Optional[Congruence], words: tuple[str, ...]) -> dict:
     """Whether the projection with target-lattice ``images`` maps the source
     congruences ``src`` order-isomorphically onto the target congruences
     with ``flag`` set.  When ``kernel`` is given, each source congruence
     must contain it.  A failure names the first source congruence to fail
     and the first test it fails: kernel, congruence, member, flag."""
     where, where_lattice, src_name, spec_name = words
-    lattice, t_lat = source.lattice, target.lattice
+    lattice = source.lattice
     spec = target.having(flag)
     src = np.asarray(src, dtype=np.intp)
     img = images[src]
@@ -259,17 +247,13 @@ def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", images:
     if (fails >= 0).any():
         k = int((fails >= 0).argmax())
         i = int(src[k])
-        return IsoVerdict(applicable=True, holds=False, detail=(
+        return _verdict(True, False, (
             f"positive-e-type prime #{i} does not contain diag_e",
             f"image of prime #{i} is not a congruence of {where}",
             f"image of prime #{i} missing from {where_lattice}",
             f"image of prime #{i} is not prime in {where}")[fails[k]])
-    mapping = dict(zip(src.tolist(), img.tolist()))
-    return IsoVerdict(
-        applicable=True, holds=_order_iso(lattice.leq, src.tolist(), t_lat.leq, spec, mapping),
-        detail=f"|{src_name}|={len(src)}, |{spec_name}|={len(spec)}",
-        mapping=tuple(sorted(mapping.items())),
-    )
+    return _verdict(True, _order_iso(lattice.leq, src, target.lattice.leq, img, spec)[1],
+                    f"|{src_name}|={len(src)}, |{spec_name}|={len(spec)}")
 
 
 class _kept(cached_property):
@@ -313,9 +297,12 @@ class Analysis:
         return enumerate_congruences(self.pair, self.cap)
 
     @cached_property
-    def twist_flags(self) -> dict[str, np.ndarray]:
-        """The twist flags of every lattice member, as boolean columns."""
-        return twist_columns(self.pair, self.lattice.roots, self.lattice.covers)
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every member column, one entry per lattice row: the twist flags of
+        ``twist_columns`` and the relation flags of ``relation_flags``."""
+        lat = self.lattice
+        return {**twist_columns(self.pair, lat.roots, lat.covers),
+                **relation_flags(self.pair, lat.roots)}
 
     @_kept
     def ae(self) -> tuple["Analysis", np.ndarray]:
@@ -330,22 +317,13 @@ class Analysis:
         q = quotient_pair(self.pair, de, name=f"{self.pair.name}/diag_e")
         return Analysis(q, self.cap), np.asarray(de.block_of, dtype=np.int64)
 
-    def column(self, flag: str) -> np.ndarray:
-        """Whether each member has ``flag`` set: a relation flag (``e_type``:
-        has one) from the lattice's flags, false throughout without a
-        witness, a twist flag from ``twist_flags``."""
-        if flag in _RELATION_FLAGS:
-            col = getattr(self.lattice.flags, flag)
-            return np.zeros(len(self.lattice), dtype=bool) if col is None else col.astype(bool)
-        return self.twist_flags[flag]
-
     def having(self, flag: str) -> list[int]:
-        """Indices of the congruences with ``flag`` set."""
-        return np.flatnonzero(self.column(flag)).tolist()
+        """Indices of the congruences with ``flag`` set (``e_type``: one)."""
+        return np.flatnonzero(self.columns[flag]).tolist()
 
     def spec_e(self, flag: str) -> list[int]:
         """The part of ``having(flag)`` of positive e-type."""
-        return np.flatnonzero(self.column(flag) & self.column("e_type")).tolist()
+        return np.flatnonzero(self.columns[flag] & (self.columns["e_type"] > 0)).tolist()
 
     def images(self, sub: str) -> np.ndarray:
         """The index in the lattice of ``sub`` ("ae" or "quotient_e") of each
@@ -360,29 +338,39 @@ class Analysis:
             self.__dict__[key] = out
         return self.__dict__[key]
 
+    @property
+    def rd1(self) -> tuple[dict, list[int]]:
+        """Every radical congruence contains (1, e), on a pair of positive
+        e-type: the verdict, and the radical members that do not."""
+        if self.cls.positive_e_type is None:
+            return _verdict(False, detail="pair does not have positive e-type"), []
+        bad = np.flatnonzero(self.columns["radical"] & ~self.columns["contains_1e"]).tolist()
+        detail = f"radical congruences missing (1,e): {bad}" if bad else ""
+        return _verdict(True, not bad, detail), bad
+
     @cached_property
-    def rd2(self) -> tuple[IsoVerdict, IsoVerdict]:
+    def rd2(self) -> tuple[dict, dict]:
         """Spec(A) onto Spec(A*e), for the strongly prime and the prime spectra."""
         c = self.cls
         if not (c.has_property_n and c.e_central and c.positive_e_type):
-            v = IsoVerdict(applicable=False, detail="needs an e-central pair of positive e-type")
+            v = _verdict(False, detail="needs an e-central pair of positive e-type")
             return v, v
         srcs = {flag: self.having(flag) for flag in _SPECTRA}
         try:
             target = self.ae[0]
         except HypothesisFails as exc:
-            v = IsoVerdict(applicable=True, holds=False, detail=str(exc))
+            v = _verdict(True, False, str(exc))
             return v, v
         return tuple(_iso_verdict(self, src, target, self.images("ae"), flag, None, _AE_WORDS)
                      for flag, src in srcs.items())
 
     @cached_property
-    def sp2i(self) -> tuple[IsoVerdict, IsoVerdict]:
+    def sp2i(self) -> tuple[dict, dict]:
         """Spec_e(A) onto Spec(A/diag_e), for the strongly prime and the prime
         spectra; every source prime must contain diag_e."""
         c = self.cls
         if not (c.has_property_n and c.e_central):
-            v = IsoVerdict(applicable=False, detail="needs an e-central pair with a witness")
+            v = _verdict(False, detail="needs an e-central pair with a witness")
             return v, v
         srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}
         target, proj = self.quotient_e
@@ -402,20 +390,12 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> dict:
     isomorphism verdicts are computed for the strongly prime spectra, with
     the weak-prime verdicts reported alongside for comparison."""
     a = Analysis(pair, cap)
-    lattice, flags = a.lattice, a.twist_flags
-    if a.cls.positive_e_type is None:
-        rd1 = IsoVerdict(applicable=False, detail="pair does not have positive e-type")
-    else:
-        bad = np.flatnonzero(a.column("radical") & ~a.column("contains_1e")).tolist()
-        rd1 = IsoVerdict(applicable=True, holds=not bad,
-                         detail="" if not bad else f"radical congruences missing (1,e): {bad}")
-    (rd2, rd2_weak), (sp2i, sp2i_weak) = a.rd2, a.sp2i
+    lattice, columns = a.lattice, a.columns
+    (rd1, _), (rd2, rd2_weak), (sp2i, sp2i_weak) = a.rd1, a.rd2, a.sp2i
     return {
         "pair": pair.name,
         "lattice_size": len(lattice),
-        "congruences": [{"blocks": c.block_labels(),
-                         **{f: bool(col[i]) for f, col in flags.items()},
-                         **lattice.flags.row(i)} for i, c in enumerate(lattice)],
+        "congruences": [member_record(c, columns, i) for i, c in enumerate(lattice)],
         "hspec": a.having("prime"),
         "spec_e": a.spec_e("prime"),
         "radical": a.having("radical"),
@@ -423,9 +403,9 @@ def spectrum_report(pair: Pair, cap: Optional[int] = None) -> dict:
         "strong_spec_e": a.spec_e("strongly_prime"),
         "maximal_proper": list(_maximal(lattice, a.having("proper"))),
         "maximal_weakly_proper": list(_maximal(lattice, a.having("weakly_proper"))),
-        "verdict_radical_contains_1e": rd1.to_dict(),
-        "verdict_spec_iso_ae": rd2.to_dict(),
-        "verdict_spec_e_iso_quotient": sp2i.to_dict(),
-        "verdict_spec_iso_ae_weak_primes": rd2_weak.to_dict(),
-        "verdict_spec_e_iso_quotient_weak_primes": sp2i_weak.to_dict(),
+        "verdict_radical_contains_1e": rd1,
+        "verdict_spec_iso_ae": rd2,
+        "verdict_spec_e_iso_quotient": sp2i,
+        "verdict_spec_iso_ae_weak_primes": rd2_weak,
+        "verdict_spec_e_iso_quotient_weak_primes": sp2i_weak,
     }

@@ -8,8 +8,8 @@ labels.
 
 The checks over lattice members are column tests: BF, ID1, TR1, PRS1, PRS2,
 RD1, SP2 part ii, PRO3, PRO3C, CP, SHALLOW1K and CHAINS compare columns of
-the root matrix ``lattice.roots``, its order ``leq``, the flag columns of
-``Analysis.column`` and the A*e images of ``Analysis.images``, and GEN, EMUL
+the root matrix ``lattice.roots``, its order ``leq``, the member columns of
+``Analysis.columns`` and the A*e images of ``Analysis.images``, and GEN, EMUL
 and ESQ gather over the tables.  CONGB takes every distinct sum b1 + b2 at
 once (``cong_bs``).  Each reports the first counterexample of the loop over
 members and elements that it replaced, located with ``argmax``.  CHAINS
@@ -25,12 +25,12 @@ distinct covers of a semiprime member have their twist product inside it.
 
 ``reverify_counterexample`` recomputes the violated instance from the raw
 tables for EST, ESQ, EMUL, EFINAL_IDEM, KIND, ETYPE_SHALLOW, TWASS, GEN, ID1,
-CP, PRO3, SHALLOW1K and CHAINS part iii, for CONGB with the per-element
-``cong_b``, and for RD1, PRS1 and PRO3C with
-``classify_congruence_elementwise``, the code under test.  For TR1, BF,
-PRS2, RD2, SP2, HYPROP and CHAINS parts i, ii and iv it only tests that the
-reported blocks form a congruence, and a counterexample that names none
-confirms nothing.
+CP, PRO3, SHALLOW1K, CHAINS part iii and BF parts iii and iv, for CONGB with
+the per-element ``cong_b``, and for RD1, PRS1 and PRO3C with
+``classify_congruence_elementwise``, the code under test.  For TR1, PRS2,
+RD2, SP2, HYPROP, BF parts i, ii and v and CHAINS parts i, ii and iv it only
+tests that the reported blocks form a congruence, and a counterexample that
+names none confirms nothing.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ from .congruences import (
     cong_b,
     cong_bs,
     diagonal,
+    enumerate_congruences,
     is_congruence,
     meets,
+    relates_t_a0,
 )
 from .constructions import _block_label, doubled_names, quotient_pair, twist_table
 from .core import Pair, e_type, is_distributively_central, is_proper
@@ -61,6 +63,7 @@ from .spectrum import (
     NOT_CONGRUENCE,
     Analysis,
     _maximal,
+    _order_iso,
     classify_congruence_elementwise,
     sqrt_phi,
     twist,
@@ -228,7 +231,7 @@ def _check_id1(ctx):
     if pair.property_n is None:
         return False, None, None, "needs a Property-N witness"
     lat, n = ctx.lattice, pair.n
-    one_e = np.flatnonzero(lat.flags.contains_1e)
+    one_e = np.flatnonzero(ctx.columns["contains_1e"])
     zs = np.flatnonzero(pair.a0_mask)
     twice = pair.add.diagonal()
     # over the elements x: x's block misses A0, then x + x lies outside it.
@@ -284,11 +287,12 @@ def _check_tr1(ctx):
                                  "i": lat[bad[0][0]].block_labels()}, ""
         notes += "; e-image map is monotone"
         if ctx.cls.e_final:
-            src = np.flatnonzero(lat.flags.contains_1e)
-            if not np.array_equal(np.unique(img[src]), np.arange(len(ae_lat))):
+            src = np.flatnonzero(ctx.columns["contains_1e"])
+            onto, iso = _order_iso(lat.leq, src, ae_lat.leq, img[src], np.arange(len(ae_lat)))
+            if not onto:
                 return True, False, {"kind": "e_image_not_bijection",
                                      "one_e_count": len(src), "ae_count": len(ae_lat)}, ""
-            if not np.array_equal(lat.leq[np.ix_(src, src)], ae_lat.leq[np.ix_(img[src], img[src])]):
+            if not iso:
                 return True, False, {"kind": "e_image_not_order_iso"}, ""
             notes += f"; (1,e)-congruences biject onto {len(ae_lat)} congruences of A*e"
     return True, True, None, notes
@@ -330,20 +334,20 @@ def _check_bf(ctx):
     # construction, through two implications ``twist_columns`` relies on, so
     # test them: no strongly prime member has two covers, and any two
     # distinct covers of a semiprime member have their twist product inside it
-    strong, semi = ctx.column("strongly_prime"), ctx.column("semiprime")
+    strong, semi = ctx.columns["strongly_prime"], ctx.columns["semiprime"]
     two = np.fromiter(map(len, lat.covers), dtype=np.intp, count=len(lat)) >= 2
     for i in np.flatnonzero(two & (strong | semi)):
         cov = lat.covers[i]
         if strong[i] or not all(twist_subset(pair, lat[a], lat[b], lat[i].matrix)
                                 for a in cov for b in cov if a != b):
             return True, False, {"part": "ii", "blocks": lat[i].block_labels(),
-                                 "prime": bool(ctx.column("prime")[i]), "semiprime": bool(semi[i]),
-                                 "irreducible": bool(ctx.column("irreducible")[i])}, ""
+                                 "prime": bool(ctx.columns["prime"][i]), "semiprime": bool(semi[i]),
+                                 "irreducible": bool(ctx.columns["irreducible"][i])}, ""
     # (iii)/(iv): meets are symmetric, so the first (i, j) in row-major order
     # whose meet lacks the flag has j >= i
     sizes = []
     for part, flag in (("iii", "semiprime"), ("iv", "radical")):
-        has = ctx.column(flag)
+        has = ctx.columns[flag]
         idx = np.flatnonzero(has)
         sizes.append(len(idx))
         flagged = lat.roots[idx]
@@ -401,7 +405,7 @@ def _check_prs2(ctx):
     if _kernels.radical_violation(pair.add, pair.mul, np.eye(pair.n, dtype=bool))[0] < 0:
         roots, two_e = ctx.lattice.roots, pair.add[e, e]
         probe = roots[:, pair.add[pair.one, two_e]] == roots[:, two_e]
-        bad = np.flatnonzero(ctx.lattice.flags.contains_1e != probe)
+        bad = np.flatnonzero(ctx.columns["contains_1e"] != probe)
         if len(bad):
             return True, False, {"part": "i", "blocks": ctx.lattice[bad[0]].block_labels()}, ""
         notes.append("reduced: part (i) checked")
@@ -428,35 +432,34 @@ def _check_prs2(ctx):
 
 
 def _check_rd1(ctx):
-    if ctx.cls.positive_e_type is None:
+    v, bad = ctx.rd1
+    if not v["applicable"]:
         return False, None, None, "needs positive e-type"
-    rad = ctx.column("radical")
-    bad = np.flatnonzero(rad & ~ctx.column("contains_1e"))
-    if len(bad):
+    if bad:
         return True, False, {"blocks": ctx.lattice[bad[0]].block_labels()}, ""
-    return True, True, None, f"{rad.sum()} radical congruence(s) contain (1,e)"
+    return True, True, None, f"{ctx.columns['radical'].sum()} radical congruence(s) contain (1,e)"
 
 
 def _check_rd2(ctx):
     v, vw = ctx.rd2
-    if not v.applicable:
-        return False, None, None, v.detail
-    notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds} ({vw.detail})"
-    if not v.holds:
-        return True, False, {"detail": v.detail}, notes
+    if not v["applicable"]:
+        return False, None, None, v["detail"]
+    notes = f"strongly prime: {v['detail']}; weak primes: holds={vw['holds']} ({vw['detail']})"
+    if not v["holds"]:
+        return True, False, {"detail": v["detail"]}, notes
     return True, True, None, notes
 
 
 def _check_sp2(ctx):
     v, vw = ctx.sp2i
-    if not v.applicable:
-        return False, None, None, v.detail
-    notes = f"strongly prime: {v.detail}; weak primes: holds={vw.holds}"
-    if not v.holds:
-        return True, False, {"part": "i", "detail": v.detail}, notes
-    maximal_wo = np.array(_maximal(ctx.lattice, np.flatnonzero(~ctx.column("e_type"))),
+    if not v["applicable"]:
+        return False, None, None, v["detail"]
+    notes = f"strongly prime: {v['detail']}; weak primes: holds={vw['holds']}"
+    if not v["holds"]:
+        return True, False, {"part": "i", "detail": v["detail"]}, notes
+    maximal_wo = np.array(_maximal(ctx.lattice, np.flatnonzero(ctx.columns["e_type"] == 0)),
                           dtype=np.intp)
-    bad = maximal_wo[~ctx.column("prime")[maximal_wo]]
+    bad = maximal_wo[~ctx.columns["prime"][maximal_wo]]
     if len(bad):
         return True, False, {"part": "ii", "blocks": ctx.lattice[bad[0]].block_labels()}, notes
     notes += f"; {len(maximal_wo)} maximal congruence(s) without positive e-type are prime"
@@ -486,8 +489,8 @@ def _check_pro3(ctx):
 def _check_pro3c(ctx):
     if not (ctx.cls.e_central and ctx.cls.e_idempotent):
         return False, None, None, "needs an e-central, e-idempotent pair"
-    bad = np.flatnonzero(ctx.column("t_cancellative") & ~ctx.column("proper")
-                         & ~ctx.column("contains_1e"))
+    cols = ctx.columns
+    bad = np.flatnonzero(cols["t_cancellative"] & ~cols["proper"] & ~cols["contains_1e"])
     if len(bad):
         return True, False, {"blocks": ctx.lattice[bad[0]].block_labels()}, ""
     return True, True, None, ""
@@ -533,7 +536,7 @@ def _check_chains(ctx):
     proper_idx = ctx.having("proper")
     # the improper members of meet(i, j) are the common improper members of
     # i and j, so a row of related pairs in T x A0 per member decides part i
-    related = lat.flags.t_a0
+    related = relates_t_a0(pair, lat.roots)
     bad = related[proper_idx].any(axis=1)
     if bad.any():
         i = proper_idx[int(bad.argmax())]
@@ -571,7 +574,7 @@ def _check_chains(ctx):
     # A row relating none (planted flags) takes the witness (0, 0), whose
     # products are diagonal, so it clears nothing.
     max_weakly = np.asarray(_maximal(lat, ctx.having("weakly_proper")), dtype=np.intp)
-    has_very = np.flatnonzero(~ctx.column("weakly_proper"))
+    has_very = np.flatnonzero(~ctx.columns["weakly_proper"])
     very = lat.roots[has_very]
     first = np.c_[very[:, vt] == very[:, vz], np.ones(len(very), dtype=bool)].argmax(axis=1)
     u, w = np.unique(first, return_inverse=True)
@@ -701,6 +704,30 @@ def _cong_from_blocks(pair: Pair, block_labels) -> Optional[Congruence]:
     return Congruence.from_labels(pair, [block[x] for x in pair.names])
 
 
+def _meet_loses_flag(pair: Pair, part: str, i: Optional[Congruence],
+                     j: Optional[Congruence]) -> bool:
+    """BF part iii (semiprime) or iv (radical): whether the congruences i and
+    j have the flag and their meet lacks it, each tested by definition.  A
+    radical theta has no pair outside it whose twist square lies inside it;
+    a semiprime theta no congruence psi strictly above it with psi.psi
+    inside it."""
+    if i is None or j is None or not (is_congruence(pair, i)[0] and is_congruence(pair, j)[0]):
+        return False
+    meet = Congruence(pair=pair, roots=tuple(meets(i.roots, j.roots).tolist()))
+    if part == "iv":
+        def has(theta):
+            return _kernels.radical_violation(pair.add, pair.mul, theta.matrix)[0] < 0
+    else:
+        roots = enumerate_congruences(pair).roots
+
+        def has(theta):
+            r = np.asarray(theta.roots)
+            above = roots[(roots[:, r] == roots).all(axis=1) & (roots != r).any(axis=1)]
+            return not any(twist_subset(pair, psi, psi, theta.matrix)
+                           for psi in (Congruence(pair=pair, roots=tuple(x)) for x in above.tolist()))
+    return has(i) and has(j) and not has(meet)
+
+
 def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     """Recompute the violated instance directly from the tables (for the
     ids the module docstring lists; the others test only that the reported
@@ -766,13 +793,15 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if check_id == "CHAINS" and cx.get("part") == "iii":
             x, y = (tuple(ix[v] for v in cx[k]) for k in ("x", "y"))
             return twist(pair, x, y) not in zip(*pair.very_improper)
+        if check_id == "BF" and cx["part"] in ("iii", "iv"):
+            return _meet_loses_flag(pair, cx["part"], *(_cong_from_blocks(pair, cx[k])
+                                                         for k in ("i", "j")))
         if check_id == "RD1":
             ok, _ = is_congruence(pair, cong)
             cls = classify_congruence_elementwise(pair, cong)
-            return ok and cls.radical and not cls.contains_1e
+            return ok and cls["radical"] and not cls["contains_1e"]
         if check_id == "PRS1":
-            cls = classify_congruence_elementwise(pair, cong)
-            if not cls.radical:
+            if not classify_congruence_elementwise(pair, cong)["radical"]:
                 return False
             if cx["part"] == "i":
                 b1, b2 = (ix[x] for x in cx["b"])
@@ -794,7 +823,7 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
                     and not cong.related(a, int(mul[a, e])))
         if check_id == "PRO3C":
             cls = classify_congruence_elementwise(pair, cong)
-            return cls.t_cancellative and not cls.proper and not cls.contains_1e
+            return cls["t_cancellative"] and not cls["proper"] and not cls["contains_1e"]
         if check_id == "CP":
             return not is_proper(quotient_pair(pair, cong))
         if check_id == "ETYPE_SHALLOW":

@@ -408,8 +408,8 @@ def validate_pair_dense(structure, tangible, a_zero):
     zero, one = structure.zero, structure.one
     t = frozenset(int(x) for x in tangible)
     a0 = frozenset(int(x) for x in a_zero)
-    if not t or any(not 0 <= x < n for x in t | a0):
-        raise ValueError("tangible/a_zero must be nonempty index sets in range")
+    if any(not 0 <= x < n for x in t | a0):
+        raise ValueError("tangible/a_zero must be index sets in range")
 
     def label(*xs):
         return tuple(names[x] for x in xs)
@@ -532,8 +532,8 @@ def negation_map_loop(pair, perm):
 
     n, names, add, mul = pair.n, pair.names, pair.add.tolist(), pair.mul.tolist()
     p = [int(x) for x in perm]
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise ValueError("negation map must be a permutation of the carrier")
+    if len(p) != n or any(not 0 <= x < n for x in p):
+        raise ValueError("negation map must map the carrier into itself")
     for x in range(n):
         if p[p[x]] != x:
             raise NotOrderTwo("negation map does not square to identity", witness=(names[x],))
@@ -1001,7 +1001,7 @@ def id1_loop(pair, lattice, quotient_pair):
 
 def without_1e_loop(pair, lattice, classes, flagged):
     """RD1 and PRO3C as the loop over the lattice: the blocks of the first
-    member with ``flagged(classification)`` that does not relate 1 and e,
+    member with ``flagged(record)`` that does not relate 1 and e,
     or None."""
     e = pair.property_n.e
     for i, c in enumerate(classes):
@@ -1027,23 +1027,23 @@ def bf_part_ii_loop(pair, lattice, covers, classes):
     products."""
     for i, c in enumerate(classes):
         cov = covers[i]
-        if len(cov) < 2 or not (c.strongly_prime or c.semiprime):
+        if len(cov) < 2 or not (c["strongly_prime"] or c["semiprime"]):
             continue
         member = lattice[i].matrix
         rels = {j: _member_pairs(lattice[j].block_of) for j in cov}
-        if c.strongly_prime or not all(_twist_inside(pair.add, pair.mul, rels[a], rels[b], member)
+        if c["strongly_prime"] or not all(_twist_inside(pair.add, pair.mul, rels[a], rels[b], member)
                                        for a in cov for b in cov if a != b):
-            return {"part": "ii", "blocks": lattice[i].block_labels(), "prime": c.prime,
-                    "semiprime": c.semiprime, "irreducible": c.irreducible}
+            return {"part": "ii", "blocks": lattice[i].block_labels(), "prime": c["prime"],
+                    "semiprime": c["semiprime"], "irreducible": c["irreducible"]}
     return None
 
 
 def sp2_part_ii_loop(lattice, classes):
     """SP2 part ii: the first member without an e-type, below no other such
     member in ``lattice.leq``, that is not prime."""
-    without = [i for i, c in enumerate(classes) if c.e_type is None]
+    without = [i for i, c in enumerate(classes) if c["e_type"] is None]
     for i in without:
-        if not any(j != i and lattice.leq[i, j] for j in without) and not classes[i].prime:
+        if not any(j != i and lattice.leq[i, j] for j in without) and not classes[i]["prime"]:
             return {"part": "ii", "blocks": lattice[i].block_labels()}
     return None
 

@@ -116,6 +116,48 @@ def test_verify_exit_three_on_finding(runner, tmp_path, pairs):
     assert failed == ["PRO3C"]
 
 
+def test_verify_pins_etype_shallow_on_a_proper_pair(runner, tmp_path):
+    """A proper pair with 0 outside T and T, A0 disjoint on which
+    ETYPE_SHALLOW alone fails: the least k with 1 + k*e in A0 is 1, but
+    the e-type is (2, 2).  The reverifier confirms the counterexample."""
+    from pairspec.core import validate_pair, validate_structure
+    from pairspec.verify import reverify_counterexample
+    structure = validate_structure(
+        ["0", "1", "2", "3"], 0, 1,
+        [[0, 1, 2, 3], [1, 2, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]],
+        [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 3], [0, 3, 3, 3]])
+    pair = validate_pair(structure, {1}, {0, 2, 3}, name="etype_shallow4")
+    path = tmp_path / "etype_shallow4.json"
+    path.write_text(dsl.serialize(dsl.pair_to_file(pair)))
+    res = runner.invoke(main, ["verify", str(path), "--all"])
+    assert res.exit_code == 3
+    failed = [r for r in json.loads(res.output)["reports"] if r["passed"] is False]
+    assert [(r["check_id"], r["counterexample"]) for r in failed] == \
+        [("ETYPE_SHALLOW", {"k": 1, "e_type": [2, 2]})]
+    assert reverify_counterexample(pair, "ETYPE_SHALLOW", failed[0]["counterexample"])
+
+
+@pytest.mark.parametrize("field, value, kind, witness", [
+    ("negation", {"1": "e"}, "NotOrderTwo", ["1"]),
+    ("tangible", [], "TNotClosed", ["1"]),
+])
+def test_malformed_pair_files_give_json_errors(runner, tmp_path, sb, field, value, kind,
+                                               witness):
+    """A partial negation map and an empty tangible list: every command
+    exits 1 with a JSON error naming the first failing element, and no
+    traceback."""
+    obj = dsl.pair_to_file(sb).to_json_dict()
+    obj[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "classify", "congruences", "spectrum", "verify"):
+        res = runner.invoke(main, [command, str(path)])
+        assert isinstance(res.exception, SystemExit) and res.exit_code == 1, command
+        error = json.loads(res.stdout)["error"]
+        assert (error["kind"], error["witness"]) == (kind, witness), command
+        assert "Traceback" not in res.stderr, command
+
+
 def test_construct_builders(runner, tmp_path, sb_file):
     out_path = tmp_path / "out.json"
     cases = [

@@ -28,7 +28,7 @@ from pairspec.spectrum import (
     NOT_CONGRUENCE,
     Analysis,
     bare_pair,
-    classification,
+    member_record,
     twist,
     twist_subset,
 )
@@ -49,16 +49,20 @@ CHECK_IDS = (
 
 
 def _classes(a):
-    """Each member's classification, read off the analysis's columns."""
-    lat = a.lattice
-    return tuple(classification(a.twist_flags, i, lat.flags.row(i)) for i in range(len(lat)))
+    """Each member's record, read off the analysis's columns."""
+    return tuple(member_record(c, a.columns, i) for i, c in enumerate(a.lattice))
+
+
+def _plant(monkeypatch, a, **columns):
+    """The analysis's member columns with the given ones replaced."""
+    monkeypatch.setitem(a.__dict__, "columns", {**a.columns, **columns})
 
 
 def _plant_classes(monkeypatch, a, fake):
-    """The twist flags of the classifications ``fake``, planted as the
-    analysis's columns."""
-    monkeypatch.setattr(a, "twist_flags", {
-        f: np.array([getattr(c, f) for c in fake], dtype=bool) for f in a.twist_flags})
+    """The member records ``fake``, planted as the analysis's columns (an
+    e-type of None as 0)."""
+    _plant(monkeypatch, a, **{f: np.array([c[f] or 0 for c in fake], dtype=col.dtype)
+                              for f, col in a.columns.items()})
 
 
 def test_check_id_registry_is_stable():
@@ -200,11 +204,6 @@ def _chains_part_i(analysis):
     return cx if cx is not None and cx["part"] == "i" else None
 
 
-def _plant_flags(monkeypatch, lattice, **columns):
-    """The lattice's relation flags with the given columns replaced."""
-    monkeypatch.setitem(lattice.__dict__, "flags", replace(lattice.flags, **columns))
-
-
 def _called(column, rows, value=True):
     """A copy of a flag column with ``rows`` set to ``value``."""
     out = column.copy()
@@ -217,11 +216,11 @@ def test_chains_part_i_matches_meet_loop(pairs, monkeypatch):
     for p in pairs.values():
         a = Analysis(p, None)
         lat = a.lattice
-        proper = lat.flags.proper
+        proper = a.columns["proper"]
         improper = np.flatnonzero(~proper).tolist()
         for plant in ([], improper[:1], improper[-1:], improper[-2:]):
             # call the planted improper congruences proper
-            _plant_flags(monkeypatch, lat, proper=_called(proper, plant))
+            _plant(monkeypatch, a, proper=_called(proper, plant))
             hit = oracle.chains_part_i_loop(p, [c.block_of for c in lat], a.having("proper"))
             want = None if hit is None else {
                 "part": "i", "proper": lat[hit[0]].block_labels(),
@@ -245,14 +244,12 @@ def test_contains_1e_checks_match_old_loops(pairs, monkeypatch):
         # improper
         without = [i for i, c in enumerate(lat) if not c.related(p.one, p.property_n.e)]
         for check, fields, flagged in (
-                ("RD1", {"radical": True}, lambda c: c.radical),
+                ("RD1", {"radical": True}, lambda c: c["radical"]),
                 ("PRO3C", {"t_cancellative": True, "proper": False},
-                 lambda c: c.t_cancellative and not c.proper)):
+                 lambda c: c["t_cancellative"] and not c["proper"])):
             for chosen in ([], without[:1], without[-1:], without[1::2]):
-                fake = tuple(replace(c, **fields) if i in chosen else c for i, c in enumerate(cls))
+                fake = tuple({**c, **fields} if i in chosen else c for i, c in enumerate(cls))
                 _plant_classes(monkeypatch, a, fake)
-                if "proper" in fields:
-                    _plant_flags(monkeypatch, lat, proper=_called(lat.flags.proper, chosen, False))
                 held, _, cx, _ = CHECKS[check](a)
                 if held:
                     assert cx == oracle.without_1e_loop(p, lat, fake, flagged), (p.name, check)
@@ -299,10 +296,10 @@ def test_cp_matches_quotient_loop(pairs, monkeypatch):
         if not a.cls.proper:
             continue
         lat = a.lattice
-        proper = lat.flags.proper
+        proper = a.columns["proper"]
         improper = np.flatnonzero(~proper).tolist()
         for plant in ([], improper[:1], improper[-1:], improper[1::2], improper):
-            _plant_flags(monkeypatch, lat, proper=_called(proper, plant))
+            _plant(monkeypatch, a, proper=_called(proper, plant))
             want = oracle.cp_loop(p, lat, a.having("proper"), quotient_pair, is_proper)
             assert CHECKS["CP"](a)[2] == want, (p.name, plant)
             planted += want is not None
@@ -320,17 +317,15 @@ def test_bf_part_ii_and_sp2_part_ii_match_class_loops(pairs, monkeypatch):
         lat, cls, m = a.lattice, _classes(a), len(a.lattice)
         sp2_held = CHECKS["SP2"](a)[0]       # part i's verdict is cached first
         two = [i for i in range(m) if len(lat.covers[i]) >= 2]
-        offs = [[]] if lat.flags.e_type is None else [[], list(range(0, m, 2)), list(range(m // 2))]
+        offs = [[]] if p.property_n is None else [[], list(range(0, m, 2)), list(range(m // 2))]
         for off in offs:
-            wo = sorted(set(off) | {i for i, c in enumerate(cls) if c.e_type is None})
+            wo = sorted(set(off) | {i for i, c in enumerate(cls) if c["e_type"] is None})
             for chosen in ([], [0], [m - 1], wo[:1], wo[-1:], wo[-2:], wo[::2], two[:1], two[-1:]):
-                fake = tuple(replace(c, prime=c.prime != (i in chosen),
-                                     strongly_prime=c.strongly_prime != (i in chosen),
-                                     e_type=None if i in off else c.e_type)
+                fake = tuple({**c, "prime": c["prime"] != (i in chosen),
+                              "strongly_prime": c["strongly_prime"] != (i in chosen),
+                              "e_type": None if i in off else c["e_type"]}
                              for i, c in enumerate(cls))
                 _plant_classes(monkeypatch, a, fake)
-                if off:
-                    _plant_flags(monkeypatch, lat, e_type=_called(lat.flags.e_type, off, 0))
                 want = oracle.bf_part_ii_loop(p, lat, lat.covers, fake)
                 assert CHECKS["BF"](a)[2] == want, (p.name, chosen)
                 planted["BF"] += want is not None
@@ -743,7 +738,7 @@ def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
         a = Analysis(p, None)
         very = oracle.very_improper_over_lattice(p, a.lattice)
         quiet = [not any(c.related(*x) for x in very) for c in a.lattice]
-        assert a.lattice.flags.weakly_proper.tolist() == quiet, p.name
+        assert a.columns["weakly_proper"].tolist() == quiet, p.name
         if not p.structure.is_semiring():
             continue
         notes = CHECKS["CHAINS"](a)[3]
@@ -796,7 +791,7 @@ def test_bf_part_ii_scans_planted_covers(pairs, monkeypatch):
         a = Analysis(p, None)
         lat, cls, m = a.lattice, _classes(a), len(a.lattice)
         assert oracle.bf_part_ii_loop(p, lat, lat.covers, cls) is None, p.name
-        semi = [i for i, c in enumerate(cls) if c.semiprime and not c.strongly_prime]
+        semi = [i for i, c in enumerate(cls) if c["semiprime"] and not c["strongly_prime"]]
         for i in semi[:2] + semi[-2:]:
             for cov in ((0, m - 1), tuple(j for j in range(m) if j != i), (m - 1, i)):
                 fake = list(lat.covers)
@@ -817,7 +812,7 @@ def test_bf_part_i_matches_twist_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.twist_flags
+        lat, _ = a.lattice, a.columns
         rows = _roots_rows(lat)
         others = [r for r in _random_partitions(rng, p.n, 40)
                   if not is_congruence(p, Congruence(pair=p, roots=r))[0]]
@@ -836,11 +831,11 @@ def test_bf_part_i_matches_twist_loop(pairs, monkeypatch):
 
 
 def _with(c, flag, value):
-    """A classification with ``flag`` set to ``value``; for semiprime, prime
+    """A member record with ``flag`` set to ``value``; for semiprime, prime
     follows as semiprime and irreducible, so BF part ii still holds."""
     if flag == "semiprime":
-        return replace(c, semiprime=value, prime=value and c.irreducible)
-    return replace(c, **{flag: value})
+        return {**c, "semiprime": value, "prime": value and c["irreducible"]}
+    return {**c, flag: value}
 
 
 def test_bf_meets_match_meet_loops(pairs, monkeypatch):
@@ -852,13 +847,13 @@ def test_bf_meets_match_meet_loops(pairs, monkeypatch):
         lat, cls = a.lattice, _classes(a)
         rows = _roots_rows(lat)
         for part, flag in (("iii", "semiprime"), ("iv", "radical")):
-            on = [i for i, c in enumerate(cls) if getattr(c, flag)]
-            off = [i for i, c in enumerate(cls) if not getattr(c, flag)]
+            on = [i for i, c in enumerate(cls) if c[flag]]
+            off = [i for i, c in enumerate(cls) if not c[flag]]
             for value, chosen in ((True, []), (True, off[:1]), (True, off[-2:]),
                                   (True, off[1::2]), (False, on[-1:]), (False, on[1:2])):
                 fake = tuple(_with(c, flag, value) if i in chosen else c for i, c in enumerate(cls))
                 _plant_classes(monkeypatch, a, fake)
-                want = oracle.bf_meets_loop(lat, rows, [getattr(c, flag) for c in fake], part)
+                want = oracle.bf_meets_loop(lat, rows, [c[flag] for c in fake], part)
                 assert CHECKS["BF"](a)[2] == want, (p.name, part, value, chosen)
                 planted[part] += want is not None
     assert all(planted.values()), planted
@@ -871,7 +866,7 @@ def test_bf_part_v_matches_join_meet_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.twist_flags
+        lat, _ = a.lattice, a.columns
         rows, m = _roots_rows(lat), len(lat)
         for rate in (0.0, 0.05, 0.3):
             flip = rng.random((m, m)) < rate
@@ -892,7 +887,7 @@ def test_prs1_matches_member_loop(pairs, monkeypatch):
         a = Analysis(p, None)
         lat, cls = a.lattice, _classes(a)
         rows, m = _roots_rows(lat), len(lat)
-        others = [i for i, c in enumerate(cls) if not c.radical]
+        others = [i for i, c in enumerate(cls) if not c["radical"]]
         plants = [{}] * 4 + [dict(zip(rng.choice(m, size=min(m, 3), replace=False).tolist(),
                                       _random_partitions(rng, p.n, 3))) for _ in range(3)]
         # a row failing part ii alone, ahead of one failing part i
@@ -906,11 +901,11 @@ def test_prs1_matches_member_loop(pairs, monkeypatch):
         for chosen, plant in zip(chosen_sets, plants):
             fake_rows, fake = _planted_lattice(p, rows, plant)
             called = set(chosen) | set(plant)
-            fake_cls = tuple(replace(c, radical=True) if i in called else c
+            fake_cls = tuple({**c, "radical": True} if i in called else c
                              for i, c in enumerate(cls))
             monkeypatch.setattr(a, "lattice", fake)
             _plant_classes(monkeypatch, a, fake_cls)
-            radical = [i for i, c in enumerate(fake_cls) if c.radical]
+            radical = [i for i, c in enumerate(fake_cls) if c["radical"]]
             want = oracle.prs1_loop(p, fake, fake_rows, radical)
             assert CHECKS["PRS1"](a)[2] == want, (p.name, chosen, plant)
             planted += want is not None
@@ -958,14 +953,14 @@ def test_shallow1k_matches_member_loop(pairs, monkeypatch):
             monkeypatch.setattr(a, "cls", SimpleNamespace(shallow=True, kind="first"))
         elif not CHECKS["SHALLOW1K"](a)[0]:
             continue
-        lat = a.lattice
+        lat, proper = a.lattice, a.columns["proper"]
         rows, m = _roots_rows(lat), len(lat)
         for k in range(4):
             plant = dict(zip(rng.choice(m, size=min(m, k), replace=False).tolist(),
                              _random_partitions(rng, p.n, k)))
             fake_rows, fake = _planted_lattice(p, rows, plant)
-            called = _called(lat.flags.proper, plant)
-            _plant_flags(monkeypatch, fake, proper=called)
+            called = _called(proper, plant)
+            _plant(monkeypatch, a, proper=called)
             monkeypatch.setattr(a, "lattice", fake)
             want = oracle.shallow1k_loop(p, fake, fake_rows, np.flatnonzero(called).tolist())
             assert CHECKS["SHALLOW1K"](a)[2] == want, (p.name, plant)
@@ -996,7 +991,7 @@ def test_chains_part_iv_matches_triple_loop(pairs, monkeypatch):
             continue
         a = Analysis(p, None)
         lat = a.lattice
-        weakly = lat.flags.weakly_proper
+        weakly = a.columns["weakly_proper"]
         quiet = np.flatnonzero(weakly)
         plants = [{}, {lat.top: True}, {quiet[0]: False}, {quiet[-1]: False},
                   {lat.top: True, quiet[0]: False}]
@@ -1004,7 +999,7 @@ def test_chains_part_iv_matches_triple_loop(pairs, monkeypatch):
         for plant in plants:
             column = weakly.copy()
             column[list(plant)] = list(plant.values())
-            _plant_flags(monkeypatch, lat, weakly_proper=column)
+            _plant(monkeypatch, a, weakly_proper=column)
             want = oracle.chains_part_iv_loop(p, lat, column, twist_subset)
             assert CHECKS["CHAINS"](a)[2] == want, (p.name, plant)
             planted += want is not None
@@ -1020,7 +1015,7 @@ def test_chains_part_ii_matches_maximal_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        lat, _ = a.lattice, a.twist_flags
+        lat, _ = a.lattice, a.columns
         proper = a.having("proper")
         pairs_ij = [(i, j) for i in proper for j in proper if i != j and lat.leq[i, j]]
         fakes = [lat.leq.copy()]
@@ -1204,3 +1199,21 @@ def test_est_kind_and_hyprop_match_their_loops(pairs):
             assert CHECKS["HYPROP"](ctx) == want, h.name
             failed["HYPROP"] += want[1] is False
     assert all(failed.values()), failed
+
+
+def test_bf_meet_reverifier_recomputes_by_definition():
+    """BF part iii on function_pair(minbp_c2_second, chain2): two semiprime
+    congruences whose meet is not semiprime, confirmed by the definitions.
+    A fabricated counterexample with i = j, or one claiming the radical
+    part iv of the same pair, is refused."""
+    from pairspec.catalog import build
+    from pairspec.constructions import function_pair
+    from pairspec.monoids import chain_monoid
+    p = function_pair(build("minbp_c2_second"), chain_monoid(2))
+    r = run_check(p, "BF")
+    assert r.passed is False and r.counterexample["part"] == "iii"
+    assert reverify_counterexample(p, "BF", r.counterexample)
+    cx = r.counterexample
+    assert not reverify_counterexample(p, "BF", {**cx, "j": cx["i"]})
+    assert not reverify_counterexample(p, "BF", {**cx, "part": "iv"})
+    assert not reverify_counterexample(p, "BF", {**cx, "i": [["[0,0]"]]})
