@@ -126,25 +126,9 @@ CATALOG_BUILDERS: dict[str, Callable[[], Pair]] = {
     "field_f5": lambda: finite_field(5),
 }
 
-# The eight validation-gate entries; the rest extend coverage.
-VALIDATION_GATE = (
-    "super_boolean",
-    "minbp_c2_first",
-    "minbp_c2_second",
-    "supertropical_c2",
-    "truncated_chain3",
-    "power_krasner",
-    "power_signs",
-    "power_residue_f5",
-)
-
 
 def build(name: str) -> Pair:
     try:
         return CATALOG_BUILDERS[name]()
     except KeyError:
         raise ValueError(f"unknown catalog pair {name!r}; have {sorted(CATALOG_BUILDERS)}") from None
-
-
-def build_all() -> dict[str, Pair]:
-    return {name: builder() for name, builder in CATALOG_BUILDERS.items()}

@@ -49,10 +49,6 @@ class Congruence:
         ids: dict[int, int] = {}
         return tuple(ids.setdefault(r, len(ids)) for r in self.roots)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(set(self.roots))
-
     def blocks(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
         for x, r in enumerate(self.roots):
@@ -213,7 +209,6 @@ class CongBResult:
 
     b: tuple[int, int]
     relation: np.ndarray
-    is_equivalence: bool
     is_congruence: bool
     contains_b: bool
     congruence: Optional[Congruence]
@@ -250,11 +245,10 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     for col in add[:, zs].T:
         rel |= col[:, None] == col[None, :]
 
-    closed, cong = relation_to_congruence(pair, rel)
+    _, cong = relation_to_congruence(pair, rel)
     return CongBResult(
         b=(b1, b2),
         relation=rel,
-        is_equivalence=closed,
         is_congruence=cong is not None,
         contains_b=bool(rel[b1, b2]),
         congruence=cong,
@@ -406,14 +400,6 @@ class CongruenceLattice:
         """covers[i]: the upper covers of congruence i, the members strictly
         above it with no member in between, in lattice order."""
         return _kernels.upper_covers(self.leq)
-
-    @property
-    def bottom(self) -> int:
-        return self.find(diagonal(self.pair))
-
-    @property
-    def top(self) -> int:
-        return self.find(all_relation(self.pair))
 
 
 def enumerate_congruences(pair: Pair, cap: Optional[int] = None) -> CongruenceLattice:

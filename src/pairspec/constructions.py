@@ -183,16 +183,6 @@ class DoubledPair:
     switch: NegationMap
     switch_valid: bool
 
-    @property
-    def n(self) -> int:
-        return self.structure.n
-
-    def idx(self, b1: int, b2: int) -> int:
-        return b1 * self.base.n + b2
-
-    def unpack(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.base.n)
-
 
 def twist_table(base: FiniteStructure) -> np.ndarray:
     """The twist multiplication on index pairs a * n + b of A x A, filled
@@ -522,21 +512,19 @@ def _validate_s0(hyper: HyperStructure, s0) -> frozenset[int]:
     return s0
 
 
-def power_set_pair(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRIER_CAP,
-                   name: str = "") -> Pair:
+def power_set_pair(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
     """Pair on all nonempty subsets: extended hyperaddition as addition,
     elementwise set product as multiplication, tangibles the singleton
     tangibles, and A0 the subsets meeting S0."""
     size = (1 << hyper.n) - 1
-    if size > cap:
-        raise CarrierTooLarge(size, cap)
+    if size > DEFAULT_CARRIER_CAP:
+        raise CarrierTooLarge(size, DEFAULT_CARRIER_CAP)
     s0 = _validate_s0(hyper, s0)
     return _subset_pair(hyper, range(1, size + 1), s0, name or f"P({hyper.name or 'H'})",
                         "power_set")
 
 
-def hyperpair_generated(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRIER_CAP,
-                        name: str = "") -> Pair:
+def hyperpair_generated(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
     """Smallest sub-pair of the power-set pair containing every singleton,
     reached by closing under extended sums and set products."""
     s0 = _validate_s0(hyper, s0)
@@ -548,8 +536,8 @@ def hyperpair_generated(hyper: HyperStructure, s0=None, cap: int = DEFAULT_CARRI
             for new in (hyper.mask_add(m1, m2),
                         hyper.mask_mul(m1, m2), hyper.mask_mul(m2, m1)):
                 if new not in carrier:
-                    if len(carrier) >= cap:
-                        raise CarrierTooLarge(len(carrier) + 1, cap)
+                    if len(carrier) >= DEFAULT_CARRIER_CAP:
+                        raise CarrierTooLarge(len(carrier) + 1, DEFAULT_CARRIER_CAP)
                     carrier.add(new)
                     frontier.append(new)
     return _subset_pair(hyper, sorted(carrier), s0,
@@ -652,15 +640,14 @@ def _block_label(names, members) -> str:
 # function pairs
 # ---------------------------------------------------------------------------
 
-def function_pair(pair: Pair, s: Monoid, cap: int = DEFAULT_CARRIER_CAP,
-                  name: str = "") -> Pair:
+def function_pair(pair: Pair, s: Monoid, name: str = "") -> Pair:
     """All functions from a finite monoid into the carrier, with pointwise
     addition and convolution product; tangibles are the single-site tangible
     functions and A0 is pointwise."""
     n, k = pair.n, s.k
     size = n ** k
-    if size > cap:
-        raise CarrierTooLarge(size, cap)
+    if size > DEFAULT_CARRIER_CAP:
+        raise CarrierTooLarge(size, DEFAULT_CARRIER_CAP)
 
     weights = n ** np.arange(k)
     digits = np.arange(size)[:, None] // weights % n        # digits[i, w] = f_i(w)

@@ -68,9 +68,6 @@ class FiniteStructure:
     def index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
-    def label(self, i: int) -> str:
-        return self.names[i]
-
     def labels(self, idxs) -> tuple[str, ...]:
         return tuple(self.names[i] for i in idxs)
 
@@ -568,9 +565,6 @@ def classify_pair(pair: Pair) -> PairClassification:
 @dataclass(frozen=True)
 class NegationMap:
     perm: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.perm[x]
 
 
 def validate_negation_map(pair: Pair, perm) -> NegationMap:

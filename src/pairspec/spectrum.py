@@ -56,9 +56,7 @@ class SqrtResult:
 
     matrix: np.ndarray
     depth: int
-    is_equivalence: bool
     is_congruence: bool
-    congruence: Optional[Congruence]
 
     def contains(self, x: int, y: int) -> bool:
         return bool(self.matrix[x, y])
@@ -70,9 +68,8 @@ def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
     cur, depth = cong.matrix.copy(), 1
     while not ((nxt := _kernels.sqrt_step(pair.add, pair.mul, cur) | cur) == cur).all():
         cur, depth = nxt, depth + 1
-    is_eq, cong_out = relation_to_congruence(pair, cur)
-    return SqrtResult(matrix=cur, depth=depth, is_equivalence=is_eq,
-                      is_congruence=cong_out is not None, congruence=cong_out)
+    return SqrtResult(matrix=cur, depth=depth,
+                      is_congruence=relation_to_congruence(pair, cur)[1] is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pairspec import catalog
 
 @pytest.fixture(scope="session")
 def pairs():
-    return catalog.build_all()
+    return {name: build() for name, build in catalog.CATALOG_BUILDERS.items()}
 
 
 @pytest.fixture(scope="session")

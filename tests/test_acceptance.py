@@ -24,6 +24,18 @@ from pairspec.spectrum import (
 )
 from pairspec.verify import run_all
 
+# The eight validation-gate entries of the catalog; the rest extend coverage.
+VALIDATION_GATE = (
+    "super_boolean",
+    "minbp_c2_first",
+    "minbp_c2_second",
+    "supertropical_c2",
+    "truncated_chain3",
+    "power_krasner",
+    "power_signs",
+    "power_residue_f5",
+)
+
 
 def _verdict(num: int, ok: bool, detail: str):
     print(f"\nACCEPTANCE {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -34,7 +46,7 @@ def test_criterion_01_catalog_validates_fast():
     t0 = time.perf_counter()
     built = {}
     errors = {}
-    for name in catalog.VALIDATION_GATE:
+    for name in VALIDATION_GATE:
         try:
             built[name] = catalog.build(name)
         except ValidationError as exc:
@@ -66,7 +78,7 @@ def test_criterion_03_twist_associativity(pairs):
     for name in semiring_names:
         d = double(pairs[name])
         results[name] = d.structure.mul_associative
-        largest = max(largest, d.n)
+        largest = max(largest, d.structure.n)
     # dual route on the largest double: the dense whole-cube scan must agree
     biggest = max(semiring_names, key=lambda n: pairs[n].n)
     tables = double(pairs[biggest]).structure
@@ -203,7 +215,7 @@ def test_criterion_10_residue_oracle():
 
 
 def test_criterion_11_roundtrip_and_fault_injection(pairs):
-    for name in catalog.VALIDATION_GATE:
+    for name in VALIDATION_GATE:
         text = dsl.serialize(dsl.pair_to_file(pairs[name]))
         assert dsl.serialize(dsl.parse_pair_file(text)) == text, name
 
@@ -211,7 +223,7 @@ def test_criterion_11_roundtrip_and_fault_injection(pairs):
     validation_detected = 0
     check_detected = 0
     silent_valid = 0
-    for name in catalog.VALIDATION_GATE:
+    for name in VALIDATION_GATE:
         obj = dsl.pair_to_file(pairs[name]).to_json_dict()
         n = len(obj["elements"])
         cells = [(t, i, j) for t in ("add", "mul") for i in range(n) for j in range(n)]

@@ -29,7 +29,7 @@ from pairspec.congruences import (
 from pairspec.core import e_type, validate_pair, validate_structure
 from pairspec.errors import CapExceeded, NoPropertyN
 from pairspec.monoids import saturating_monoid
-from pairspec.spectrum import push_congruence, twist_subset
+from pairspec.spectrum import Analysis, push_congruence, twist_subset
 
 SMALL = ("super_boolean", "minbp_c2_first", "minbp_c2_second",
          "supertropical_c2", "power_krasner", "field_f3", "field_f5")
@@ -48,7 +48,7 @@ def degenerate_one_equals_e():
 def test_diagonal_super_boolean(sb):
     d = diagonal(sb)
     assert d.blocks() == [[0], [1], [2]]
-    assert d.roots == (0, 1, 2) and d.n_blocks == 3 and d != all_relation(sb)
+    assert d.roots == (0, 1, 2) and d != all_relation(sb)
 
 
 def test_generated_empty_is_diagonal(sb):
@@ -276,15 +276,15 @@ def test_enumerate_order_is_finest_first(pairs):
         # one read-only root matrix, whose rows the views hold
         assert lat.roots.dtype == np.uint8 and not lat.roots.flags.writeable
         assert [tuple(r) for r in lat.roots.tolist()] == [c.roots for c in lat], p.name
-        keys = [(-c.n_blocks, oracle.restricted_growth(c.roots)) for c in lat]
+        keys = [(-len(c.blocks()), oracle.restricted_growth(c.roots)) for c in lat]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), p.name
 
 
 def _by_roots_and_by_block_of(labelings):
-    """Congruences of the labelings sorted by (-n_blocks, roots), and the
+    """Congruences of the labelings sorted by (-blocks, roots), and the
     same labelings sorted by (-blocks, first-occurrence block ids)."""
     congs = {Congruence.from_labels(None, lab) for lab in labelings}
-    by_roots = [c.roots for c in sorted(congs, key=lambda c: (-c.n_blocks, c.roots))]
+    by_roots = [c.roots for c in sorted(congs, key=lambda c: (-len(c.blocks()), c.roots))]
     rg = sorted({oracle.restricted_growth(lab) for lab in labelings},
                 key=lambda b: (-len(set(b)), b))
     return by_roots, [oracle.roots_of(b) for b in rg]
@@ -412,12 +412,12 @@ def test_cap_env_override(sb, monkeypatch):
 def test_meet_join_basics(sb):
     lat = enumerate_congruences(sb)
     phi = lat[lat.find(generated_congruence(sb, [(1, 2)]))]
-    d = lat[lat.bottom]
+    d, last = lat[0], len(lat) - 1
     assert meet(phi, d).block_of == d.block_of
     assert join(phi, phi).block_of == phi.block_of
-    i, top = lat.find(phi), lat.roots[[lat.top]]
+    i, top = lat.find(phi), lat.roots[[last]]
     assert lat[lat.find_rows(meets(lat.roots[i], top))[0]].block_of == phi.block_of
-    assert lat.find(join(phi, lat[lat.top])) == lat.top
+    assert lat.find(join(phi, lat[last])) == last
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,11 +535,14 @@ def test_joins_memory_does_not_grow_with_rows(monkeypatch):
 
 
 def test_lattice_bounds(pairs):
-    for name in SMALL:
-        p = pairs[name]
-        lat = enumerate_congruences(p)
-        assert lat.bottom == 0 and lat[lat.bottom] == diagonal(p)
-        assert lat.top == len(lat) - 1 and lat[lat.top] == all_relation(p)
+    """Row 0 is the diagonal and row L-1 the all relation, on every catalog
+    lattice and on the A*e and A/diag_e lattices of each catalog pair."""
+    for name, p in pairs.items():
+        a = Analysis(p, None)
+        for sub in (a, a.ae[0], a.quotient_e[0]):
+            lat, q = sub.lattice, sub.pair
+            assert lat[0] == diagonal(q), (name, q.name)
+            assert lat[len(lat) - 1] == all_relation(q), (name, q.name)
 
 
 def test_meet_join_are_bounds(pairs):

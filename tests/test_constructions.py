@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pairspec import catalog, dsl
+from pairspec import catalog, constructions, dsl
 from pairspec.congruences import all_relation, diagonal, generated_congruence
 from pairspec.constructions import (
     DEFAULT_CARRIER_CAP,
@@ -138,12 +138,12 @@ def test_minimal_bipotent_kinds(pairs):
 
 def test_double_super_boolean_basics(sb):
     d = double(sb)
-    assert d.n == 9
+    assert d.structure.n == 9
     assert d.structure.mul_associative
     assert d.pair is not None and d.switch_valid
     w = d.pair.property_n
     assert d.structure.names[w.e] == "(1,1)"
-    i01 = d.idx(0, 1)
+    i01 = 0 * sb.n + 1                      # (b1, b2) sits at b1 * n + b2
     assert d.structure.names[int(d.structure.mul[i01, i01])] == "(1,0)"
 
 
@@ -155,8 +155,8 @@ def test_double_diagonal_absorbs(pairs):
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
-                    prod = int(d.structure.mul[d.idx(b1, b2), d.idx(z, z)])
-                    x, y = d.unpack(prod)
+                    prod = int(d.structure.mul[b1 * p.n + b2, z * p.n + z])
+                    x, y = divmod(prod, p.n)
                     assert x == y
 
 
@@ -167,7 +167,7 @@ def test_double_gen_identity_on_semirings(pairs):
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
-                    prod = d.unpack(int(d.structure.mul[d.idx(b1, b2), d.idx(z, z)]))
+                    prod = divmod(int(d.structure.mul[b1 * p.n + b2, z * p.n + z]), p.n)
                     want = int(p.mul[p.add[b1, b2], z])
                     assert prod == (want, want)
 
@@ -176,12 +176,13 @@ def test_double_twist_matches_bruteforce(sb):
     d = double(sb)
     add = [[int(v) for v in row] for row in sb.add]
     mul = [[int(v) for v in row] for row in sb.mul]
-    for i in range(d.n):
-        for j in range(d.n):
-            got = d.unpack(int(d.structure.mul[i, j]))
-            assert got == oracle.twist_bruteforce(add, mul, d.unpack(i), d.unpack(j))
-            (a1, a2), (c1, c2) = d.unpack(i), d.unpack(j)
-            assert d.unpack(int(d.structure.add[i, j])) == (add[a1][c1], add[a2][c2])
+    n = sb.n
+    for i in range(d.structure.n):
+        for j in range(d.structure.n):
+            got = divmod(int(d.structure.mul[i, j]), n)
+            assert got == oracle.twist_bruteforce(add, mul, divmod(i, n), divmod(j, n))
+            (a1, a2), (c1, c2) = divmod(i, n), divmod(j, n)
+            assert divmod(int(d.structure.add[i, j]), n) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_function_pair_table_matches_bruteforce(pairs):
@@ -190,12 +191,13 @@ def test_double_function_pair_table_matches_bruteforce(pairs):
     d = double(p)
     add = [[int(v) for v in row] for row in p.add]
     mul = [[int(v) for v in row] for row in p.mul]
-    for i in range(0, d.n, 7):
-        for j in range(d.n):
-            got = d.unpack(int(d.structure.mul[i, j]))
-            assert got == oracle.twist_bruteforce(add, mul, d.unpack(i), d.unpack(j))
-            (a1, a2), (c1, c2) = d.unpack(i), d.unpack(j)
-            assert d.unpack(int(d.structure.add[i, j])) == (add[a1][c1], add[a2][c2])
+    n = p.n
+    for i in range(0, d.structure.n, 7):
+        for j in range(d.structure.n):
+            got = divmod(int(d.structure.mul[i, j]), n)
+            assert got == oracle.twist_bruteforce(add, mul, divmod(i, n), divmod(j, n))
+            (a1, a2), (c1, c2) = divmod(i, n), divmod(j, n)
+            assert divmod(int(d.structure.add[i, j]), n) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_of_relabeled_pair(sb):
@@ -214,9 +216,9 @@ def test_double_of_relabeled_pair(sb):
     p = validate_pair(st, {perm[a] for a in sb.tangible}, {perm[x] for x in sb.a_zero})
     d = double(p)
     assert d.pair is not None and d.structure.mul_associative
-    z1, z2 = d.unpack(d.structure.zero)
+    z1, z2 = divmod(d.structure.zero, p.n)
     assert z1 == z2 == perm[sb.zero]
-    o1, o2 = d.unpack(d.structure.one)
+    o1, o2 = divmod(d.structure.one, p.n)
     assert (o1, o2) == (perm[sb.one], perm[sb.zero])
 
 
@@ -317,10 +319,11 @@ def test_power_set_s0_validation():
         power_set_pair(h, s0={1})          # missing zero
 
 
-def test_power_set_carrier_cap():
+def test_power_set_carrier_cap(monkeypatch):
     h = catalog.signs_hyperfield()
+    monkeypatch.setattr(constructions, "DEFAULT_CARRIER_CAP", 3)
     with pytest.raises(CarrierTooLarge):
-        power_set_pair(h, cap=3)
+        power_set_pair(h)
 
 
 def test_twist_tables_carrier_cap():
@@ -454,9 +457,10 @@ def test_function_pair_of_relabeled_base(sb):
     assert classify_pair(fp).e_type == (1, 1)
 
 
-def test_function_pair_cap():
+def test_function_pair_cap(monkeypatch):
+    monkeypatch.setattr(constructions, "DEFAULT_CARRIER_CAP", 8)
     with pytest.raises(CarrierTooLarge):
-        function_pair(super_boolean(), saturating_monoid(2), cap=8)
+        function_pair(super_boolean(), saturating_monoid(2))
 
 
 # -- construction outputs all validate --------------------------------------------------
@@ -497,7 +501,7 @@ def test_quotients_by_every_congruence_validate(pairs):
         p = pairs[name]
         for cong in enumerate_congruences(p):
             q = quotient_pair(p, cong)
-            assert q.n == cong.n_blocks, name
+            assert q.n == len(cong.blocks()), name
 
 
 # -- index-formula builders against their per-cell loops ----------------------
@@ -551,7 +555,7 @@ def test_minimal_bipotent_matches_loop():
                 _outcome(oracle.minimal_bipotent_loop, t, kind), (t.names, kind)
 
 
-def test_subset_pairs_match_loops():
+def test_subset_pairs_match_loops(monkeypatch):
     for name, make in catalog.NAMED_HYPERSTRUCTURES.items():
         h = make()
         nonzero = sorted(set(range(h.n)) - {h.zero})
@@ -560,16 +564,20 @@ def test_subset_pairs_match_loops():
                 _outcome(oracle.power_set_loop, h, s0), (name, s0)
             assert _outcome(hyperpair_generated, h, s0) == \
                 _outcome(oracle.hyperpair_loop, h, s0), (name, s0)
-        for build in (power_set_pair, hyperpair_generated):
-            assert _outcome(build, h, cap=2)[0] is CarrierTooLarge
+        with monkeypatch.context() as mp:
+            mp.setattr(constructions, "DEFAULT_CARRIER_CAP", 2)
+            for build in (power_set_pair, hyperpair_generated):
+                assert _outcome(build, h)[0] is CarrierTooLarge
 
 
-def test_function_pair_matches_loop(pairs):
+def test_function_pair_matches_loop(pairs, monkeypatch):
     for base in ("super_boolean", "minbp_c2_first", "truncated_chain3", "field_f3"):
         for s in (f() for f in NAMED_MONOIDS.values()):
             p = pairs[base]
             if p.n ** s.k > 81:
-                assert _outcome(function_pair, p, s, cap=80)[0] is CarrierTooLarge
+                with monkeypatch.context() as mp:
+                    mp.setattr(constructions, "DEFAULT_CARRIER_CAP", 80)
+                    assert _outcome(function_pair, p, s)[0] is CarrierTooLarge
                 continue
             assert _outcome(function_pair, p, s) == \
                 _outcome(oracle.function_pair_loop, p, s), (base, s.names)

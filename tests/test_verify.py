@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census
 import oracle
 from pairspec import _kernels, verify
 from pairspec._kernels import first_nonassoc
@@ -29,6 +30,7 @@ from pairspec.spectrum import (
     Analysis,
     bare_pair,
     member_record,
+    spectrum_report,
     twist,
     twist_subset,
 )
@@ -376,7 +378,7 @@ def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
             continue
         a = Analysis(p, None)
         lat, ae_lat, real = a.lattice, a.ae[0].lattice, a.images("ae")
-        for k, to in ((len(lat) // 2, ae_lat.bottom), (0, ae_lat.top), (len(lat) - 1, ae_lat.bottom)):
+        for k, to in ((len(lat) // 2, 0), (0, len(ae_lat) - 1), (len(lat) - 1, 0)):
             fake = real.copy()
             fake[k] = to
             monkeypatch.setitem(a.__dict__, "ae_images", fake)
@@ -422,9 +424,9 @@ def _tr1_plants(rng, a):
 
     for k in (0, last // 2, last):
         plants += [images_plant({k: NOT_CONGRUENCE}), images_plant({k: MISSING}),
-                   images_plant({k: ae_lat.bottom})]
+                   images_plant({k: 0})]
     plants += [images_plant({0: MISSING, last: NOT_CONGRUENCE}),
-               images_plant({k: ae_lat.top for k in range(last + 1)})]
+               images_plant({k: len(ae_lat) - 1 for k in range(last + 1)})]
     off = np.argwhere(~ae_lat.leq)
     if len(off):
         more = ae_lat.leq.copy()
@@ -523,7 +525,7 @@ def _twass_by_double(pair):
         return False, None, None, "needs a semiring pair"
     d = double(pair)
     if d.structure.mul_associative:
-        return True, True, None, f"all {d.n}^3 triples associate"
+        return True, True, None, f"all {d.structure.n}^3 triples associate"
     triple = d.structure.labels(first_nonassoc(d.structure.mul))
     return True, False, {"triple": list(triple)}, ""
 
@@ -991,11 +993,12 @@ def test_chains_part_iv_matches_triple_loop(pairs, monkeypatch):
             continue
         a = Analysis(p, None)
         lat = a.lattice
+        top = len(lat) - 1
         weakly = a.columns["weakly_proper"]
         quiet = np.flatnonzero(weakly)
-        plants = [{}, {lat.top: True}, {quiet[0]: False}, {quiet[-1]: False},
-                  {lat.top: True, quiet[0]: False}]
-        plants += [{m: True} for m in np.flatnonzero(~weakly) if m != lat.top]
+        plants = [{}, {top: True}, {quiet[0]: False}, {quiet[-1]: False},
+                  {top: True, quiet[0]: False}]
+        plants += [{m: True} for m in np.flatnonzero(~weakly) if m != top]
         for plant in plants:
             column = weakly.copy()
             column[list(plant)] = list(plant.values())
@@ -1202,18 +1205,71 @@ def test_est_kind_and_hyprop_match_their_loops(pairs):
 
 
 def test_bf_meet_reverifier_recomputes_by_definition():
-    """BF part iii on function_pair(minbp_c2_second, chain2): two semiprime
-    congruences whose meet is not semiprime, confirmed by the definitions.
-    A fabricated counterexample with i = j, or one claiming the radical
-    part iv of the same pair, is refused."""
+    """BF part iii on function_pair(minbp_c2_second, chain2 and sat2): two
+    semiprime congruences whose meet is not semiprime, confirmed by the
+    definitions.  A fabricated counterexample with i = j, or one claiming
+    the radical part iv of the same pair, is refused."""
     from pairspec.catalog import build
     from pairspec.constructions import function_pair
-    from pairspec.monoids import chain_monoid
-    p = function_pair(build("minbp_c2_second"), chain_monoid(2))
-    r = run_check(p, "BF")
-    assert r.passed is False and r.counterexample["part"] == "iii"
-    assert reverify_counterexample(p, "BF", r.counterexample)
-    cx = r.counterexample
-    assert not reverify_counterexample(p, "BF", {**cx, "j": cx["i"]})
-    assert not reverify_counterexample(p, "BF", {**cx, "part": "iv"})
-    assert not reverify_counterexample(p, "BF", {**cx, "i": [["[0,0]"]]})
+    from pairspec.monoids import chain_monoid, saturating_monoid
+    for s in (chain_monoid(2), saturating_monoid(2)):
+        p = function_pair(build("minbp_c2_second"), s)
+        r = run_check(p, "BF")
+        assert r.passed is False and r.counterexample["part"] == "iii", s.names
+        assert reverify_counterexample(p, "BF", r.counterexample), s.names
+        cx = r.counterexample
+        assert not reverify_counterexample(p, "BF", {**cx, "j": cx["i"]})
+        assert not reverify_counterexample(p, "BF", {**cx, "part": "iv"})
+        assert not reverify_counterexample(p, "BF", {**cx, "i": [["[0,0]"]]})
+
+
+# The census of every semiring pair with n <= 3 (tests/census.py): check id
+# -> (passed, failed, skipped), spectrum verdict -> (holds, fails, not
+# applicable), and each failing (pair, check).  Every failure has A0 = A or
+# 0 in T, and its reverifier confirms it.
+CENSUS_CHECKS = {
+    "BF": (79, 0, 0), "CHAINS": (79, 0, 0), "CONGB": (19, 1, 59), "CP": (37, 0, 42),
+    "EFINAL_IDEM": (19, 0, 60), "EMUL": (29, 0, 50), "ESQ": (30, 0, 49), "EST": (23, 7, 49),
+    "ETYPE_SHALLOW": (19, 3, 57), "GEN": (79, 0, 0), "HYPROP": (0, 0, 79), "ID1": (30, 0, 49),
+    "KIND": (79, 0, 0), "PRO3": (30, 0, 49), "PRO3C": (26, 3, 50), "PRS1": (79, 0, 0),
+    "PRS2": (30, 0, 49), "RD1": (19, 0, 60), "RD2": (19, 0, 60), "SHALLOW1K": (37, 0, 42),
+    "SP2": (30, 0, 49), "TR1": (30, 0, 49), "TWASS": (79, 0, 0),
+}
+CENSUS_VERDICTS = {
+    "verdict_radical_contains_1e": (19, 0, 60),
+    "verdict_spec_iso_ae": (19, 0, 60),
+    "verdict_spec_e_iso_quotient": (30, 0, 49),
+    "verdict_spec_iso_ae_weak_primes": (19, 0, 60),
+    "verdict_spec_e_iso_quotient_weak_primes": (30, 0, 49),
+}
+CENSUS_FAILURES = [
+    ("s2.0.T1.A01", "ETYPE_SHALLOW"), ("s2.0.T1.A01", "PRO3C"), ("s2.1.T01.A01", "EST"),
+    ("s3.0.T01.A012", "EST"), ("s3.0.T012.A012", "EST"), ("s3.1.T01.A012", "EST"),
+    ("s3.1.T12.A012", "EST"), ("s3.1.T012.A012", "EST"), ("s3.2.T01.A012", "EST"),
+    ("s3.3.T1.A012", "CONGB"), ("s3.3.T1.A012", "ETYPE_SHALLOW"),
+    ("s3.4.T1.A012", "ETYPE_SHALLOW"), ("s3.4.T1.A012", "PRO3C"), ("s3.5.T1.A012", "PRO3C"),
+]
+# failures that no reverifier confirms, each with a FOUND line in CHANGES.md
+CENSUS_UNCONFIRMED = []
+
+
+def test_census_tally_and_every_failure_reverifies():
+    assert [len(census.semirings(n)) for n in (2, 3)] == [2, 6]
+    pairs = census.pairs(2) + census.pairs(3)
+    assert len(pairs) == 8 + 71
+    checks, verdicts, failures, unconfirmed = {}, {}, [], []
+    outcome = {True: 0, False: 1, None: 2}
+    for p in pairs:
+        for key, v in spectrum_report(p).items():
+            if key.startswith("verdict_"):
+                verdicts.setdefault(key, [0, 0, 0])[outcome[v["holds"]]] += 1
+        for r in run_all(p):
+            checks.setdefault(r.check_id, [0, 0, 0])[outcome[r.passed]] += 1
+            if r.passed is False:
+                failures.append((p.name, r.check_id))
+                if not reverify_counterexample(p, r.check_id, r.counterexample):
+                    unconfirmed.append((p.name, r.check_id))
+    assert {k: tuple(v) for k, v in checks.items()} == CENSUS_CHECKS
+    assert {k: tuple(v) for k, v in verdicts.items()} == CENSUS_VERDICTS
+    assert failures == CENSUS_FAILURES
+    assert unconfirmed == CENSUS_UNCONFIRMED
