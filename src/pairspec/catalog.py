@@ -34,8 +34,7 @@ def finite_field(p: int) -> Pair:
     add = (idx[:, None] + idx[None, :]) % p
     mul = (idx[:, None] * idx[None, :]) % p
     st = validate_structure(names, zero=0, one=1, add=add, mul=mul)
-    return validate_pair(st, tangible=set(range(1, p)), a_zero={0}, name=f"F{p}",
-                         origin={"builder": "finite_field", "p": p})
+    return validate_pair(st, tangible=set(range(1, p)), a_zero={0}, name=f"F{p}")
 
 
 def krasner_hyperfield() -> HyperStructure:

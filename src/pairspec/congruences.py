@@ -207,14 +207,11 @@ class CongBResult:
     is reported; nothing is assumed to be a congruence.
     """
 
-    b: tuple[int, int]
     relation: np.ndarray
     is_congruence: bool
     contains_b: bool
-    congruence: Optional[Congruence]
     hypothesis_semiring: bool
     hypothesis_s_central: bool
-    z_set: frozenset[int]
 
 
 def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
@@ -245,16 +242,12 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     for col in add[:, zs].T:
         rel |= col[:, None] == col[None, :]
 
-    _, cong = relation_to_congruence(pair, rel)
     return CongBResult(
-        b=(b1, b2),
         relation=rel,
-        is_congruence=cong is not None,
+        is_congruence=relation_to_congruence(pair, rel) is not None,
         contains_b=bool(rel[b1, b2]),
-        congruence=cong,
         hypothesis_semiring=pair.structure.is_semiring(),
         hypothesis_s_central=is_distributively_central(pair, s),
-        z_set=frozenset(zs.tolist()),
     )
 
 
@@ -308,14 +301,14 @@ def _closed(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, (rel == same).all(axis=(-2, -1))
 
 
-def relation_to_congruence(pair: Pair, rel: np.ndarray) -> tuple[bool, Optional[Congruence]]:
-    """Whether a symmetric pair-set is transitive, and if so the congruence
-    it is (None when its blocks are not a congruence)."""
+def relation_to_congruence(pair: Pair, rel: np.ndarray) -> Optional[Congruence]:
+    """The congruence a symmetric pair-set is, or None when it is not
+    transitive or its blocks are not a congruence."""
     roots, closed = _closed(rel)
     if not closed:
-        return False, None
+        return None
     cong = Congruence(pair=pair, roots=tuple(roots.tolist()))
-    return True, cong if is_congruence(pair, cong)[0] else None
+    return cong if is_congruence(pair, cong)[0] else None
 
 
 def relates_t_a0(pair: Pair, roots) -> np.ndarray:

@@ -13,8 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import (_SCAN_CELLS, _first, _tiles, _twist_chunks, first_nonassoc, first_noncomm,
-                       first_row, row_blocks)
+from ._kernels import (_SCAN_CELLS, _first, _tiles, _twist_chunks, first_nonassoc, first_row,
+                       row_blocks)
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
@@ -54,8 +54,7 @@ def super_boolean() -> Pair:
         add=[[0, 1, 2], [1, 2, 2], [2, 2, 2]],
         mul=[[0, 0, 0], [0, 1, 2], [0, 2, 2]],
     )
-    return validate_pair(st, tangible={1}, a_zero={0, 2}, name="super_boolean",
-                         origin={"builder": "super_boolean"})
+    return validate_pair(st, tangible={1}, a_zero={0, 2}, name="super_boolean")
 
 
 def supertropical(t: Monoid, g: Monoid, nu: Sequence[int], name: str = "") -> Pair:
@@ -94,7 +93,6 @@ def supertropical(t: Monoid, g: Monoid, nu: Sequence[int], name: str = "") -> Pa
         tangible=set(range(1, t.k + 1)),
         a_zero={0} | set(range(t.k + 1, n)),
         name=name or "supertropical",
-        origin={"builder": "supertropical"},
     )
 
 
@@ -156,7 +154,6 @@ def minimal_bipotent(t: Monoid, kind: str, name: str = "") -> Pair:
         tangible=set(range(1, k + 1)),
         a_zero={0, inf},
         name=name or f"minimal_bipotent_{kind}",
-        origin={"builder": "minimal_bipotent", "kind": kind},
     )
 
 
@@ -174,7 +171,6 @@ class DoubledPair:
     distribute enough for the split tangibles to be central.
     """
 
-    base: Pair = field(repr=False)
     structure: FiniteStructure = field(repr=False)
     tangible: frozenset[int]
     diag: frozenset[int]
@@ -221,8 +217,7 @@ def double(pair: Pair) -> DoubledPair:
     validated: Optional[Pair] = None
     pair_error: Optional[str] = None
     try:
-        validated = validate_pair(st, that, diag, name=f"double({pair.name})",
-                                  origin={"builder": "double", "base": pair})
+        validated = validate_pair(st, that, diag, name=f"double({pair.name})")
     except ValidationError as exc:
         pair_error = str(exc)
 
@@ -238,7 +233,6 @@ def double(pair: Pair) -> DoubledPair:
         switch_valid = False
 
     return DoubledPair(
-        base=pair,
         structure=st,
         tangible=that,
         diag=diag,
@@ -266,8 +260,7 @@ def quotient_pair(pair: Pair, cong: Congruence, name: str = "") -> Pair:
     st = validate_structure(names, zero=bo[pair.zero], one=bo[pair.one], add=add, mul=mul)
     t_bar = {bo[a] for a in pair.tangible}
     a0_bar = {i for i, blk in enumerate(blocks) if any(x in pair.a_zero for x in blk)}
-    return validate_pair(st, t_bar, a0_bar, name=name or f"{pair.name}/~",
-                         origin={"builder": "quotient", "base": pair})
+    return validate_pair(st, t_bar, a0_bar, name=name or f"{pair.name}/~")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +302,6 @@ class HyperStructure:
     tangible: frozenset[int]
     hypernegation: Optional[tuple[int, ...]]
     negation_unique: Optional[bool]
-    mul_commutative: bool
     name: str = ""
 
     @property
@@ -483,8 +475,7 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
     H.setflags(write=False)
     mul.setflags(write=False)
     return HyperStructure(names=names, zero=zero, one=one, mul=mul, H=H, tangible=tang,
-                          hypernegation=neg, negation_unique=neg_unique,
-                          mul_commutative=first_noncomm(mul)[0] < 0, name=name)
+                          hypernegation=neg, negation_unique=neg_unique, name=name)
 
 
 def _subset_label(names, mask: int) -> str:
@@ -520,8 +511,7 @@ def power_set_pair(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
     if size > DEFAULT_CARRIER_CAP:
         raise CarrierTooLarge(size, DEFAULT_CARRIER_CAP)
     s0 = _validate_s0(hyper, s0)
-    return _subset_pair(hyper, range(1, size + 1), s0, name or f"P({hyper.name or 'H'})",
-                        "power_set")
+    return _subset_pair(hyper, range(1, size + 1), s0, name or f"P({hyper.name or 'H'})")
 
 
 def hyperpair_generated(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
@@ -540,12 +530,10 @@ def hyperpair_generated(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
                         raise CarrierTooLarge(len(carrier) + 1, DEFAULT_CARRIER_CAP)
                     carrier.add(new)
                     frontier.append(new)
-    return _subset_pair(hyper, sorted(carrier), s0,
-                        name or f"hyperpair({hyper.name or 'H'})", "hyperpair")
+    return _subset_pair(hyper, sorted(carrier), s0, name or f"hyperpair({hyper.name or 'H'})")
 
 
-def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int],
-                 name: str, builder: str) -> Pair:
+def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int], name: str) -> Pair:
     """The pair on a sorted list of subset masks closed under extended sums
     and set products; A0 is the subsets meeting S0.
 
@@ -580,8 +568,7 @@ def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int]
                             add=add, mul=mul)
     tang = {pos[1 << a] for a in hyper.tangible}
     a0 = set(np.flatnonzero(members[:, sorted(s0)].any(axis=1)).tolist())
-    return validate_pair(st, tang, a0, name=name,
-                         origin={"builder": builder, "hyper": hyper, "s0": s0})
+    return validate_pair(st, tang, a0, name=name, hyper=hyper)
 
 
 def residue_hyperstructure(pair: Pair, subgroup: Iterable[int], name: str = "") -> HyperStructure:
@@ -670,5 +657,4 @@ def function_pair(pair: Pair, s: Monoid, name: str = "") -> Pair:
                             add=add, mul=mul)
     tang = {zero + (a - pair.zero) * int(wt) for wt in weights for a in pair.tangible}
     a0 = set(np.flatnonzero(pair.a0_mask[digits].all(axis=1)).tolist())
-    return validate_pair(st, tang, a0, name=name or f"{pair.name}^S",
-                         origin={"builder": "function_pair", "base": pair, "monoid": s})
+    return validate_pair(st, tang, a0, name=name or f"{pair.name}^S")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .errors import (
     ZeroNotAbsorbing,
     ZeroNotNeutral,
 )
+
+if TYPE_CHECKING:
+    from .constructions import HyperStructure
 
 _ETYPE_HARD_CAP = 4096
 
@@ -70,13 +73,6 @@ class FiniteStructure:
 
     def labels(self, idxs) -> tuple[str, ...]:
         return tuple(self.names[i] for i in idxs)
-
-    def iterated_sum(self, x: int, k: int) -> int:
-        """k-fold sum x + ... + x, k >= 1."""
-        acc = x
-        for _ in range(k - 1):
-            acc = int(self.add[acc, x])
-        return acc
 
     def is_semiring(self) -> bool:
         return self.mul_associative and self.distributive
@@ -151,8 +147,8 @@ class PropertyNWitness:
 
 @dataclass(frozen=True)
 class Pair:
-    """A structure together with a central tangible monoid T and a
-    T-submodule A0 standing in for zero."""
+    """A structure with a central tangible monoid T and a T-submodule A0
+    standing in for zero; ``hyper`` is a power-set or hyperpair pair's hyperstructure."""
 
     structure: FiniteStructure
     tangible: frozenset[int]
@@ -161,7 +157,7 @@ class Pair:
     property_n_error: Optional[str] = None
     t_distributive: bool = True
     name: str = ""
-    origin: Optional[dict] = field(default=None, compare=False)
+    hyper: Optional[HyperStructure] = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -259,7 +255,7 @@ def find_property_n(structure: FiniteStructure, tangible, a_zero) -> Optional[Pr
 
 
 def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
-                  origin: Optional[dict] = None) -> Pair:
+                  hyper: Optional[HyperStructure] = None) -> Pair:
     """Verify centrality of T and the submodule property of A0.
 
     Centrality is multiplicative: every tangible commutes and associates with
@@ -345,7 +341,7 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
         property_n_error=pn_error,
         t_distributive=t_distributive,
         name=name,
-        origin=origin,
+        hyper=hyper,
     )
 
 

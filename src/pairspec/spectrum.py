@@ -27,10 +27,9 @@ from .congruences import (
     enumerate_congruences,
     pushes,
     relation_flags,
-    relation_to_congruence,
 )
 from .constructions import quotient_pair
-from .core import FiniteStructure, Pair, PairClassification, classify_pair, validate_structure
+from .core import Pair, PairClassification, classify_pair, validate_structure
 from .errors import CapExceeded, HypothesisFails
 
 
@@ -56,10 +55,6 @@ class SqrtResult:
 
     matrix: np.ndarray
     depth: int
-    is_congruence: bool
-
-    def contains(self, x: int, y: int) -> bool:
-        return bool(self.matrix[x, y])
 
 
 def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
@@ -68,8 +63,7 @@ def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
     cur, depth = cong.matrix.copy(), 1
     while not ((nxt := _kernels.sqrt_step(pair.add, pair.mul, cur) | cur) == cur).all():
         cur, depth = nxt, depth + 1
-    return SqrtResult(matrix=cur, depth=depth,
-                      is_congruence=relation_to_congruence(pair, cur)[1] is not None)
+    return SqrtResult(matrix=cur, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +143,6 @@ def classify_congruence(pair: Pair, cong: Congruence, lattice: CongruenceLattice
 # the idempotent image A*e
 # ---------------------------------------------------------------------------
 
-def bare_pair(structure: FiniteStructure, tangible, a_zero, name: str = "") -> Pair:
-    """Pair object without pair-level validation; congruence machinery only
-    needs the tables, so images like A*e can be analyzed even when the
-    designated one is not a unit."""
-    return Pair(structure=structure, tangible=frozenset(tangible),
-                a_zero=frozenset(a_zero), property_n=None, name=name)
-
-
 def ae_pair(pair: Pair) -> tuple[Pair, np.ndarray]:
     """The multiplicative image A*e with inherited operations, plus the
     projection b -> b*e from carrier indices to A*e indices."""
@@ -175,7 +161,9 @@ def ae_pair(pair: Pair) -> tuple[Pair, np.ndarray]:
     st = validate_structure(names, zero=pos[pair.zero], one=pos[img[pair.one]],
                             add=add, mul=mul)
     a0 = pos[elems[pair.a0_mask[elems]]].tolist() + [int(pos[pair.zero])]
-    return bare_pair(st, {int(pos[e])}, a0, name=f"{pair.name}*e"), pos[img]
+    # unvalidated: congruences read only the tables, and A*e's one need be no unit
+    return Pair(structure=st, tangible=frozenset({int(pos[e])}), a_zero=frozenset(a0),
+                property_n=None, name=f"{pair.name}*e"), pos[img]
 
 
 def push_congruence(cong: Congruence, proj: np.ndarray, target: Pair) -> Optional[Congruence]:

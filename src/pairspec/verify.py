@@ -57,7 +57,7 @@ from .congruences import (
 )
 from .constructions import _block_label, doubled_names, quotient_pair, twist_table
 from .core import Pair, e_type, is_distributively_central, is_proper
-from .errors import CapExceeded, CarrierTooLarge, UnknownCheckId
+from .errors import CapExceeded, CarrierTooLarge, NoPropertyN, UnknownCheckId
 from .spectrum import (
     MISSING,
     NOT_CONGRUENCE,
@@ -82,10 +82,6 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {**self.__dict__, "runtime": round(self.runtime, 6)}
-
-
-def _names(pair: Pair, *idxs) -> tuple[str, ...]:
-    return tuple(pair.names[i] for i in idxs)
 
 
 # each check: Analysis -> (hypotheses_held, passed|None, counterexample|None, notes)
@@ -163,7 +159,7 @@ def _check_efinal_idem(ctx):
 
 def _check_kind(ctx):
     pair = ctx.pair
-    two = pair.structure.iterated_sum(pair.one, 2)
+    two = int(pair.add[pair.one, pair.one])
     two_in = two in pair.a_zero
     if two_in and ctx.cls.kind != "first":
         a = pair.t_sorted[first_row(pair.t_sorted, 1, lambda a: ~pair.a0_mask[pair.add[a, a]])[0]]
@@ -219,9 +215,10 @@ def _check_gen(ctx):
     if hit:
         (b1, b2), z = divmod(hit[0], n), hit[1]
         want = int(mul[add[b1, b2], z])
+        labels = pair.structure.labels
         return True, False, {
-            "b": _names(pair, b1, b2), "z": pair.names[z],
-            "product": _names(pair, *twist(pair, (b1, b2), (z, z))), "expected": pair.names[want],
+            "b": labels((b1, b2)), "z": pair.names[z],
+            "product": labels(twist(pair, (b1, b2), (z, z))), "expected": pair.names[want],
         }, ""
     return True, True, None, ""
 
@@ -315,8 +312,8 @@ def _check_congb(ctx):
     bad = held & ~(ok[at] & contains_b)
     if bad.any():
         k = int(bad.argmax())
-        return True, False, {"b": _names(pair, b1[k], b2[k]), "is_congruence": bool(ok[at[k]]),
-                             "contains_b": bool(contains_b[k])}, ""
+        return True, False, {"b": pair.structure.labels((b1[k], b2[k])),
+                             "is_congruence": bool(ok[at[k]]), "contains_b": bool(contains_b[k])}, ""
     return True, True, None, f"{int(held.sum())} elements checked"
 
 
@@ -390,7 +387,7 @@ def _check_prs1(ctx):
         blocks = lat[rad[row]].block_labels()
         if cell < n * n:
             return True, False, {"part": "i", "blocks": blocks,
-                                 "b": _names(pair, *divmod(cell, n))}, ""
+                                 "b": pair.structure.labels(divmod(cell, n))}, ""
         return True, False, {"part": "ii", "blocks": blocks, "b": pair.names[cell - n * n]}, ""
     return True, True, None, f"{len(rad)} radical congruence(s)"
 
@@ -413,7 +410,7 @@ def _check_prs2(ctx):
         notes.append("pair not reduced: part (i) vacuous")
     if ctx.cls.positive_e_type is not None:
         r = sqrt_phi(pair, diagonal(pair))
-        if not (r.contains(pair.one, e) and r.contains(e, pair.one)):
+        if not (r.matrix[pair.one, e] and r.matrix[e, pair.one]):
             return True, False, {"part": "iii", "sqrt_depth": r.depth}, ""
         notes.append(f"(1,e),(e,1) in sqrt(diag) at depth {r.depth}")
         # empirical twist-squares of (1+k'e, k'e); the printed closed form
@@ -562,8 +559,9 @@ def _check_chains(ctx):
         _kernels.twist(add, mul, vt[x, None], vz[x, None], vt, vz), (n, n)), code))
     if hit:
         x, y = (vt[hit[0]], vz[hit[0]]), (vt[hit[1]], vz[hit[1]])
-        return True, False, {"part": "iii", "x": _names(pair, *x), "y": _names(pair, *y),
-                             "product": _names(pair, *twist(pair, x, y))}, ""
+        labels = pair.structure.labels
+        return True, False, {"part": "iii", "x": labels(x), "y": labels(y),
+                             "product": labels(twist(pair, x, y))}, ""
     notes.append(f"part iii over {len(vt)} very improper pair(s)")
 
     # iv: no j.k, for j, k relating a very improper pair, lies inside a
@@ -597,10 +595,8 @@ def _check_chains(ctx):
 
 
 def _check_hyprop(ctx):
-    pair = ctx.pair
-    origin = pair.origin or {}
-    hyper = origin.get("hyper")
-    if hyper is None or origin.get("builder") not in ("power_set", "hyperpair"):
+    hyper = ctx.pair.hyper
+    if hyper is None:
         return False, None, None, "needs a pair built from a hyperstructure"
     e_set = hyper.e_set
     if e_set is None:
@@ -695,13 +691,14 @@ def summarize(reports: list[CheckReport]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cong_from_blocks(pair: Pair, block_labels) -> Optional[Congruence]:
-    """The partition named by lists of labels, or None unless they are
-    nonempty blocks that partition the carrier."""
+    """The congruence named by lists of labels, or None unless they are
+    nonempty blocks that partition the carrier and form a congruence."""
     labels = [x for blk in block_labels for x in blk]
     if sorted(labels) != sorted(pair.names) or not all(block_labels):
         return None
     block = {x: b for b, blk in enumerate(block_labels) for x in blk}
-    return Congruence.from_labels(pair, [block[x] for x in pair.names])
+    cong = Congruence.from_labels(pair, [block[x] for x in pair.names])
+    return cong if is_congruence(pair, cong)[0] else None
 
 
 def _meet_loses_flag(pair: Pair, part: str, i: Optional[Congruence],
@@ -711,7 +708,7 @@ def _meet_loses_flag(pair: Pair, part: str, i: Optional[Congruence],
     radical theta has no pair outside it whose twist square lies inside it;
     a semiprime theta no congruence psi strictly above it with psi.psi
     inside it."""
-    if i is None or j is None or not (is_congruence(pair, i)[0] and is_congruence(pair, j)[0]):
+    if i is None or j is None:
         return False
     meet = Congruence(pair=pair, roots=tuple(meets(i.roots, j.roots).tolist()))
     if part == "iv":
@@ -734,25 +731,27 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     blocks form a congruence).
 
     Returns True when the counterexample indeed violates the named law, and
-    False for an id that names no check, blocks that do not partition the
-    carrier, an unknown label, a field that is missing, too short or of the
-    wrong type (a PRS1 ``part`` other than "i" or "ii", or an ETYPE_SHALLOW
-    ``k`` that is no integer, among them), or nothing to recompute.
+    False for an id that names no check, blocks that are no congruence, an
+    e the pair has no witness for, an unknown label, a field that is
+    missing, too short or wrong (a PRS1 ``part`` other than "i" or "ii", or
+    an ETYPE_SHALLOW ``k`` that is not the least k, among them), or nothing
+    to recompute.
     """
     if check_id not in CHECKS:
         return False
     cx = cx or {}
-    try:      # an unknown label, a missing or short field, or a wrong type raises
-        cong = _cong_from_blocks(pair, cx["blocks"]) if "blocks" in cx else None
-        if cong is None and ("blocks" in cx or check_id in (
-                "SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP")):
-            return False    # these recompute the instance on the blocks
+    try:      # an unknown label, a missing or short field, a wrong type, or no e raises
+        # the reported blocks must form a congruence; these ids recompute on them
+        if "blocks" in cx or check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
+            cong = _cong_from_blocks(pair, cx["blocks"])
+            if cong is None:
+                return False
         ix = pair.structure.index
         add, mul = pair.add, pair.mul
         if check_id == "EST":
             return int(mul[ix[cx["e"]], ix[cx["dagger"]]]) != ix[cx["e"]]
         if check_id == "ESQ":
-            e = pair.property_n.e
+            e = pair.require_property_n().e
             if "e_squared" in cx:
                 return int(mul[e, e]) != int(add[e, e])
             b1, b2 = ix[cx["b1"]], ix[cx["b2"]]
@@ -787,9 +786,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             want = int(mul[add[b1, b2], z])
             return got != (want, want)
         if check_id == "SHALLOW1K":
-            ok, _ = is_congruence(pair, cong)
             a1, a2 = ix[cx["a1"]], ix[cx["a2"]]
-            return ok and cong.related(a1, a2) and int(add[a1, a2]) not in pair.a_zero
+            return cong.related(a1, a2) and int(add[a1, a2]) not in pair.a_zero
         if check_id == "CHAINS" and cx.get("part") == "iii":
             x, y = (tuple(ix[v] for v in cx[k]) for k in ("x", "y"))
             return twist(pair, x, y) not in zip(*pair.very_improper)
@@ -797,9 +795,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             return _meet_loses_flag(pair, cx["part"], *(_cong_from_blocks(pair, cx[k])
                                                          for k in ("i", "j")))
         if check_id == "RD1":
-            ok, _ = is_congruence(pair, cong)
             cls = classify_congruence_elementwise(pair, cong)
-            return ok and cls["radical"] and not cls["contains_1e"]
+            return cls["radical"] and not cls["contains_1e"]
         if check_id == "PRS1":
             if not classify_congruence_elementwise(pair, cong)["radical"]:
                 return False
@@ -818,7 +815,7 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             return any(int(q.add[x, x]) != x for x in range(q.n))
         if check_id == "PRO3":
             a, c = ix[cx["a"]], ix[cx["c"]]
-            e = pair.property_n.e
+            e = pair.require_property_n().e
             return (cong.related(e, int(mul[e, e])) and cong.related(a, c)
                     and not cong.related(a, int(mul[a, e])))
         if check_id == "PRO3C":
@@ -827,10 +824,15 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         if check_id == "CP":
             return not is_proper(quotient_pair(pair, cong))
         if check_id == "ETYPE_SHALLOW":
-            k = cx["k"]
-            return type(k) is int and e_type(pair) not in ((k, k), (k, 1))
+            ke = [pair.require_property_n().e]      # k*e at index k - 1, k = 1..n
+            while len(ke) < pair.n:
+                ke.append(int(add[ke[-1], ke[0]]))
+            k = next((k for k, x in enumerate(ke, 1) if int(add[pair.one, x]) in pair.a_zero), None)
+            et = e_type(pair)
+            return (type(cx["k"]) is int and cx["k"] == k and et not in ((k, k), (k, 1))
+                    and cx["e_type"] == (list(et) if et else None))
         if check_id == "EMUL":
-            e, x, kind = pair.property_n.e, ix[cx["x"]], cx["kind"]
+            e, x, kind = pair.require_property_n().e, ix[cx["x"]], cx["kind"]
             if kind in ("not_additive", "not_multiplicative"):
                 y = ix[cx["y"]]
                 op = add if kind == "not_additive" else mul
@@ -843,8 +845,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             got = (res.is_congruence, res.contains_b)
             return ((res.hypothesis_semiring or res.hypothesis_s_central) and not all(got)
                     and got == (cx["is_congruence"], cx["contains_b"]))
-        # the remaining checks: the reported blocks must form a congruence,
-        # and a counterexample that names none confirms nothing
-        return cong is not None and is_congruence(pair, cong)[0]
-    except (KeyError, ValueError, TypeError):
+        # the remaining checks: the reported blocks form a congruence (tested
+        # above), and a counterexample that names none confirms nothing
+        return "blocks" in cx
+    except (KeyError, ValueError, TypeError, NoPropertyN):
         return False

@@ -679,7 +679,7 @@ def supertropical_loop(t, g, nu, name=""):
     st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
     return validate_pair(st, tangible=set(range(1, t.k + 1)),
                          a_zero={0} | set(range(t.k + 1, n)),
-                         name=name or "supertropical", origin={"builder": "supertropical"})
+                         name=name or "supertropical")
 
 
 def truncated_loop(values, m, name=""):
@@ -727,7 +727,7 @@ def truncated_loop(values, m, name=""):
 
     st = validate_structure(names, zero=0, one=1 + pos[1], add=add, mul=mul)
     return validate_pair(st, tangible=set(range(1, k + 1)), a_zero={0} | set(range(k + 1, n)),
-                         name=name or f"truncated_{m}", origin={"builder": "truncated"})
+                         name=name or f"truncated_{m}")
 
 
 def minimal_bipotent_loop(t, kind, name=""):
@@ -760,8 +760,7 @@ def minimal_bipotent_loop(t, kind, name=""):
 
     st = validate_structure(names, zero=0, one=1 + t.unit, add=add, mul=mul)
     return validate_pair(st, tangible=set(range(1, k + 1)), a_zero={0, inf},
-                         name=name or f"minimal_bipotent_{kind}",
-                         origin={"builder": "minimal_bipotent", "kind": kind})
+                         name=name or f"minimal_bipotent_{kind}")
 
 
 def power_set_loop(hyper, s0=None, cap=4096, name=""):
@@ -785,8 +784,7 @@ def power_set_loop(hyper, s0=None, cap=4096, name=""):
                             add=add, mul=mul)
     tang = {(1 << a) - 1 for a in hyper.tangible}
     a0 = {m - 1 for m in range(1, size + 1) if m & s0mask}
-    return validate_pair(st, tang, a0, name=name or f"P({hyper.name or 'H'})",
-                         origin={"builder": "power_set", "hyper": hyper, "s0": s0})
+    return validate_pair(st, tang, a0, name=name or f"P({hyper.name or 'H'})", hyper=hyper)
 
 
 def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
@@ -823,7 +821,7 @@ def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
     tang = {pos[1 << a] for a in hyper.tangible}
     a0 = {i for i, m in enumerate(masks) if m & s0mask}
     return validate_pair(st, tang, a0, name=name or f"hyperpair({hyper.name or 'H'})",
-                         origin={"builder": "hyperpair", "hyper": hyper, "s0": s0})
+                         hyper=hyper)
 
 
 def function_pair_loop(pair, s, cap=4096, name=""):
@@ -879,14 +877,21 @@ def function_pair_loop(pair, s, cap=4096, name=""):
             vals[site] = a
             tang.add(encode(vals))
     a0 = {i for i, vals in enumerate(all_vals) if all(pair.a0_mask[v] for v in vals)}
-    return validate_pair(st, tang, a0, name=name or f"{pair.name}^S",
-                         origin={"builder": "function_pair", "base": pair, "monoid": s})
+    return validate_pair(st, tang, a0, name=name or f"{pair.name}^S")
+
+
+def bare_pair(structure, tangible, a_zero, name: str = ""):
+    """A pair on ``structure`` without pair-level validation or a Property-N
+    witness, as ``spectrum.ae_pair`` builds A*e."""
+    from pairspec.core import Pair
+
+    return Pair(structure=structure, tangible=frozenset(tangible), a_zero=frozenset(a_zero),
+                property_n=None, name=name)
 
 
 def ae_pair_loop(pair):
     from pairspec.core import validate_structure
     from pairspec.errors import HypothesisFails
-    from pairspec.spectrum import bare_pair
 
     e = pair.require_property_n().e
     img = pair.mul[:, e]
@@ -1423,7 +1428,7 @@ def kind_loop(pair, cls):
     """KIND as the check it was, with the classification ``cls`` (its kind
     and cancellative flag): the first tangible a, in sorted order, with
     a + a outside A0 is the witness."""
-    two = pair.structure.iterated_sum(pair.one, 2)
+    two = int(iterated_sum(pair.add, pair.one, 2))
     two_in = two in pair.a_zero
     if two_in and cls.kind != "first":
         a = next(a for a in sorted(pair.tangible) if int(pair.add[a, a]) not in pair.a_zero)
@@ -1438,11 +1443,10 @@ def kind_loop(pair, cls):
 
 
 def hyprop_loop(ctx):
-    """HYPROP as the check it was, reading ``ctx.pair.origin`` and
+    """HYPROP as the check it was, reading ``ctx.pair.hyper`` and
     ``ctx.cls``; its group test loops over the nonzero elements."""
-    origin = ctx.pair.origin or {}
-    hyper = origin.get("hyper")
-    if hyper is None or origin.get("builder") not in ("power_set", "hyperpair"):
+    hyper = ctx.pair.hyper
+    if hyper is None:
         return False, None, None, "needs a pair built from a hyperstructure"
     e_set = hyper.e_set
     if e_set is None:
@@ -1629,8 +1633,7 @@ def validate_hyperstructure_loop(names, zero, one, mul, hyperadd_sets, tangible=
     e_set = None if neg is None else sums[one][neg[one]]
     return SimpleNamespace(
         names=names, zero=zero, one=one, mul=mul, sums=sums, tangible=tang,
-        hypernegation=neg, negation_unique=neg_unique, e_set=e_set,
-        mul_commutative=bool((mul == mul.T).all()), name=name,
+        hypernegation=neg, negation_unique=neg_unique, e_set=e_set, name=name,
     )
 
 

@@ -169,7 +169,7 @@ def test_criterion_08_sqrt_diag_reaches_1e(pairs):
             continue
         r = sqrt_phi(p, diagonal(p))
         e = p.property_n.e
-        assert r.contains(p.one, e) and r.contains(e, p.one), name
+        assert r.matrix[p.one, e] and r.matrix[e, p.one], name
         depths[name] = r.depth
     ok = len(depths) >= 9
     _verdict(8, ok, f"(1,e) and (e,1) land in sqrt(diag) with iteration depths {depths}")

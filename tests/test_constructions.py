@@ -619,7 +619,7 @@ def _hyper_outcome(build, *args, **kwargs):
     sums = getattr(h, "sums", None) or [[h.hyperadd_set(i, j) for j in range(n)]
                                         for i in range(n)]
     return (h.names, h.zero, h.one, h.mul.tolist(), sums, h.tangible, h.hypernegation,
-            h.negation_unique, h.e_set, h.mul_commutative, h.name)
+            h.negation_unique, h.e_set, h.name)
 
 
 def _message(outcome) -> str:

@@ -229,7 +229,7 @@ def test_e_type_against_bruteforce(pairs):
 
 def test_first_kind_iff_two_in_a0_on_catalog(pairs):
     for name, p in pairs.items():
-        two = p.structure.iterated_sum(p.one, 2)
+        two = int(oracle.iterated_sum(p.add, p.one, 2))
         c = classify_pair(p)
         if two in p.a_zero:
             assert c.kind == "first", name
