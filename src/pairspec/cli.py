@@ -76,7 +76,7 @@ def _write_text(text: str, path) -> None:
 
 def _load_pair(path: str):
     try:
-        return dsl.build_pair(dsl.parse_pair_file(_read_text(path)))
+        return dsl.build_pair(dsl.parse_pair_file(_read_text(path)))[0]
     except ValidationError as exc:
         _fail(exc, EXIT_INVALID)
 
@@ -167,7 +167,7 @@ def validate(file):
 @click.argument("file", type=click.Path(exists=True))
 def classify(file):
     """Full pair classification as JSON."""
-    pair, _ = _load_pair(file)
+    pair = _load_pair(file)
     _echo(dsl.serialize(classify_pair(pair).to_dict()), nl=False)
 
 
@@ -176,7 +176,7 @@ def classify(file):
 @click.option("--max", "cap", type=int, default=None, help="congruence cap")
 def congruences(file, cap):
     """List every congruence as canonical blocks."""
-    pair, _ = _load_pair(file)
+    pair = _load_pair(file)
     try:
         lattice = enumerate_congruences(pair, cap)
     except CapExceeded as exc:
@@ -194,7 +194,7 @@ def congruences(file, cap):
 @click.option("--max", "cap", type=int, default=None, help="congruence cap")
 def spectrum(file, cap):
     """Prime spectrum report with the isomorphism verdicts."""
-    pair, _ = _load_pair(file)
+    pair = _load_pair(file)
     try:
         report = spectrum_report(pair, cap)
     except CapExceeded as exc:
@@ -209,7 +209,7 @@ def spectrum(file, cap):
 @click.option("--all", "run_every", is_flag=True, help="run every check")
 def verify(file, check_ids, run_every):
     """Law checks; exits 3 when any check finds a counterexample."""
-    pair, _ = _load_pair(file)
+    pair = _load_pair(file)
     if not check_ids and not run_every:
         run_every = True
     try:
@@ -299,7 +299,7 @@ def _construct(builder, params, base_file):
     if builder == "double":
         if base_file is None:
             raise ValueError("double needs --base FILE")
-        pair, _ = _load_pair(base_file)
+        pair = _load_pair(base_file)
         d = double(pair)
         if d.pair is None:
             raise ValueError(f"doubled tangibles are not central: {d.pair_error}")
@@ -314,7 +314,7 @@ def _construct(builder, params, base_file):
         return dsl.pair_to_file(build(hyper, s0=s0))
     if builder == "residue":
         if base_file is not None:
-            pair, _ = _load_pair(base_file)
+            pair = _load_pair(base_file)
         elif "field" in params:
             pair = catalog.finite_field(int(params["field"].lstrip("fF")))
         else:
@@ -326,7 +326,7 @@ def _construct(builder, params, base_file):
     if builder == "function_pair":
         if base_file is None:
             raise ValueError("function_pair needs --base FILE")
-        pair, _ = _load_pair(base_file)
+        pair = _load_pair(base_file)
         s = named_monoid(params.get("monoid", "sat2"))
         return dsl.pair_to_file(function_pair(pair, s))
     raise ValueError(f"unhandled builder {builder}")  # pragma: no cover
@@ -339,7 +339,7 @@ def _construct(builder, params, base_file):
 @click.option("-o", "out_file", type=click.Path(), default=None, help="output file")
 def quotient(file, gen_spec, out_file):
     """Quotient by the congruence generated by the given element pairs."""
-    pair, _ = _load_pair(file)
+    pair = _load_pair(file)
     try:
         gens = _indices(gen_spec, pair.structure.index, pairs=True)
     except ValueError as exc:

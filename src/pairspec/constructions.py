@@ -164,7 +164,7 @@ def minimal_bipotent(t: Monoid, kind: str, name: str = "") -> Pair:
 @dataclass(frozen=True)
 class DoubledPair:
     """The doubled carrier A x A under componentwise addition and the twist
-    product, with switch map and diagonal.
+    product, with its switch map.
 
     ``pair`` is the validated pair over the split tangibles with the diagonal
     as A0; it is None (with the failure recorded) when the base does not
@@ -172,8 +172,6 @@ class DoubledPair:
     """
 
     structure: FiniteStructure = field(repr=False)
-    tangible: frozenset[int]
-    diag: frozenset[int]
     pair: Optional[Pair] = field(repr=False)
     pair_error: Optional[str]
     switch: NegationMap
@@ -234,8 +232,6 @@ def double(pair: Pair) -> DoubledPair:
 
     return DoubledPair(
         structure=st,
-        tangible=that,
-        diag=diag,
         pair=validated,
         pair_error=pair_error,
         switch=switch,
@@ -271,21 +267,10 @@ def quotient_pair(pair: Pair, cong: Congruence, name: str = "") -> Pair:
 # b, and every law is an array operation on it.  H takes n^3 bytes, so it has
 # at most HYPER_CAP = 512 elements (2^27 cells), and the laws take it in the
 # n^3 scans' runs of first indices, of at most _SCAN_CELLS cells or one n x n
-# slice.  Subsets are bitmasks only where they are keys: power-set carriers,
-# the hyperpair closure and labels.
+# slice.  A subset is a boolean membership row over the carrier; power-set
+# and hyperpair carriers are closed and tabled on those rows by _subset_pair.
 
 HYPER_CAP = 512
-
-
-def _mask(bits: Iterable[int]) -> int:
-    m = 0
-    for b in bits:
-        m |= 1 << int(b)
-    return m
-
-
-def _bits(mask: int) -> list[int]:
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 @dataclass(frozen=True)
@@ -317,12 +302,6 @@ class HyperStructure:
         if self.hypernegation is None:
             return None
         return self.hyperadd_set(self.one, self.hypernegation[self.one])
-
-    def mask_add(self, m1: int, m2: int) -> int:
-        return _mask(np.flatnonzero(self.H[np.ix_(_bits(m1), _bits(m2))].any(axis=(0, 1))))
-
-    def mask_mul(self, m1: int, m2: int) -> int:
-        return _mask(self.mul[np.ix_(_bits(m1), _bits(m2))].ravel())
 
 
 def _tensor(n: int) -> np.ndarray:
@@ -478,8 +457,8 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
                           hypernegation=neg, negation_unique=neg_unique, name=name)
 
 
-def _subset_label(names, mask: int) -> str:
-    return "{" + ",".join(names[i] for i in _bits(mask)) + "}"
+def _subset_label(names, row: np.ndarray) -> str:
+    return "{" + ",".join(names[i] for i in np.flatnonzero(row)) + "}"
 
 
 def _validate_s0(hyper: HyperStructure, s0) -> frozenset[int]:
@@ -511,62 +490,59 @@ def power_set_pair(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
     if size > DEFAULT_CARRIER_CAP:
         raise CarrierTooLarge(size, DEFAULT_CARRIER_CAP)
     s0 = _validate_s0(hyper, s0)
-    return _subset_pair(hyper, range(1, size + 1), s0, name or f"P({hyper.name or 'H'})")
+    members = (np.arange(1, size + 1)[:, None] >> np.arange(hyper.n) & 1).astype(bool)
+    return _subset_pair(hyper, members, s0, name or f"P({hyper.name or 'H'})")
 
 
 def hyperpair_generated(hyper: HyperStructure, s0=None, name: str = "") -> Pair:
     """Smallest sub-pair of the power-set pair containing every singleton,
     reached by closing under extended sums and set products."""
-    s0 = _validate_s0(hyper, s0)
-    carrier = {1 << i for i in range(hyper.n)}
-    frontier = list(carrier)
-    while frontier:
-        m1 = frontier.pop()
-        for m2 in list(carrier):
-            for new in (hyper.mask_add(m1, m2),
-                        hyper.mask_mul(m1, m2), hyper.mask_mul(m2, m1)):
-                if new not in carrier:
-                    if len(carrier) >= DEFAULT_CARRIER_CAP:
-                        raise CarrierTooLarge(len(carrier) + 1, DEFAULT_CARRIER_CAP)
-                    carrier.add(new)
-                    frontier.append(new)
-    return _subset_pair(hyper, sorted(carrier), s0, name or f"hyperpair({hyper.name or 'H'})")
+    return _subset_pair(hyper, np.eye(hyper.n, dtype=bool), _validate_s0(hyper, s0),
+                        name or f"hyperpair({hyper.name or 'H'})")
 
 
-def _subset_pair(hyper: HyperStructure, masks: Sequence[int], s0: frozenset[int], name: str) -> Pair:
-    """The pair on a sorted list of subset masks closed under extended sums
-    and set products; A0 is the subsets meeting S0.
+def _subset_pair(hyper: HyperStructure, members, s0: frozenset[int], name: str) -> Pair:
+    """The pair on the closure of the k x n membership rows ``members`` under
+    extended sums and set products; A0 is the subsets meeting S0.
 
-    Row S1 of either table is one product of the k x n membership matrix
-    with the n x n relation "z is in x + j (or xj) for some x in S1".  A
-    subset's key is its mask as big-endian bytes, so the keys of the masks
-    are sorted and a row of sets finds its positions by binary search."""
-    n, k = hyper.n, len(masks)
+    Each round fills both tables over the subsets known so far: row S1 of
+    either table is one product of the membership matrix with the n x n
+    relation "z is in x + j (or xj) for some x in S1".  A subset's key is its
+    row as big-endian packed bytes, so keys sort as the subsets' bitmasks do
+    and a row of sets finds its positions by binary search.  Results not yet
+    known join the next round; a round that finds none is the last."""
+    n = hyper.n
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                           dtype=np.uint8).reshape(k, width)
-    members = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
     def keys(rows):
         return np.packbits(rows[:, ::-1], axis=1).view(f"V{width}")[:, 0]
 
-    carrier = keys(members)
-    weights = members.astype(np.float32)
-    add = np.empty((k, k), dtype=np.int64)
-    mul = np.empty_like(add)
-    cols = np.arange(n)
-    for i, row in enumerate(members):
-        xs = np.flatnonzero(row)
-        prods = np.zeros((n, n), dtype=bool)
-        prods[cols, hyper.mul[xs]] = True
-        for table, rel in ((add, hyper.H[xs].any(axis=0)), (mul, prods)):
-            table[i] = np.searchsorted(carrier, keys(weights @ rel.astype(np.float32) > 0))
+    cols, k = np.arange(n), 0
+    while k < len(members):
+        members = members[np.argsort(keys(members))]
+        carrier, k = keys(members), len(members)
+        weights = members.astype(np.float32)
+        add, mul = np.empty((2, k, k), dtype=np.int64)
+        new = {}
+        for i, row in enumerate(members):
+            xs = np.flatnonzero(row)
+            prods = np.zeros((n, n), dtype=bool)
+            prods[cols, hyper.mul[xs]] = True
+            for table, rel in ((add, hyper.H[xs].any(axis=0)), (mul, prods)):
+                rows = weights @ rel.astype(np.float32) > 0
+                found = keys(rows)
+                table[i] = np.searchsorted(carrier, found)
+                for j in np.flatnonzero(carrier[np.minimum(table[i], k - 1)] != found):
+                    new.setdefault(found[j].tobytes(), rows[j])
+                    if k + len(new) > DEFAULT_CARRIER_CAP:
+                        raise CarrierTooLarge(k + len(new), DEFAULT_CARRIER_CAP)
+        members = np.vstack([members, *new.values()])
 
-    pos = {m: i for i, m in enumerate(masks)}
-    names = [_subset_label(hyper.names, m) for m in masks]
-    st = validate_structure(names, zero=pos[1 << hyper.zero], one=pos[1 << hyper.one],
+    single = np.searchsorted(carrier, keys(np.eye(n, dtype=bool))).tolist()
+    names = [_subset_label(hyper.names, row) for row in members]
+    st = validate_structure(names, zero=single[hyper.zero], one=single[hyper.one],
                             add=add, mul=mul)
-    tang = {pos[1 << a] for a in hyper.tangible}
+    tang = {single[a] for a in hyper.tangible}
     a0 = set(np.flatnonzero(members[:, sorted(s0)].any(axis=1)).tolist())
     return validate_pair(st, tang, a0, name=name, hyper=hyper)
 

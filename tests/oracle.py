@@ -763,8 +763,33 @@ def minimal_bipotent_loop(t, kind, name=""):
                          name=name or f"minimal_bipotent_{kind}")
 
 
+def _mask(bits) -> int:
+    m = 0
+    for b in bits:
+        m |= 1 << int(b)
+    return m
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def mask_add(hyper, m1: int, m2: int) -> int:
+    """The extended sum of two subsets given as int bitmasks."""
+    return _mask(np.flatnonzero(hyper.H[np.ix_(_bits(m1), _bits(m2))].any(axis=(0, 1))))
+
+
+def mask_mul(hyper, m1: int, m2: int) -> int:
+    """The set product {xy : x in S1, y in S2} of two int bitmasks."""
+    return _mask(hyper.mul[np.ix_(_bits(m1), _bits(m2))].ravel())
+
+
+def mask_label(names, mask: int) -> str:
+    return "{" + ",".join(names[i] for i in _bits(mask)) + "}"
+
+
 def power_set_loop(hyper, s0=None, cap=4096, name=""):
-    from pairspec.constructions import _subset_label, _validate_s0
+    from pairspec.constructions import _validate_s0
     from pairspec.core import validate_pair, validate_structure
     from pairspec.errors import CarrierTooLarge
 
@@ -773,13 +798,13 @@ def power_set_loop(hyper, s0=None, cap=4096, name=""):
         raise CarrierTooLarge(size, cap)
     s0 = _validate_s0(hyper, s0)
     s0mask = sum(1 << x for x in s0)
-    names = [_subset_label(hyper.names, m) for m in range(1, size + 1)]
+    names = [mask_label(hyper.names, m) for m in range(1, size + 1)]
     add = np.zeros((size, size), dtype=np.int64)
     mul = np.zeros((size, size), dtype=np.int64)
     for m1 in range(1, size + 1):
         for m2 in range(1, size + 1):
-            add[m1 - 1, m2 - 1] = hyper.mask_add(m1, m2) - 1
-            mul[m1 - 1, m2 - 1] = hyper.mask_mul(m1, m2) - 1
+            add[m1 - 1, m2 - 1] = mask_add(hyper, m1, m2) - 1
+            mul[m1 - 1, m2 - 1] = mask_mul(hyper, m1, m2) - 1
     st = validate_structure(names, zero=(1 << hyper.zero) - 1, one=(1 << hyper.one) - 1,
                             add=add, mul=mul)
     tang = {(1 << a) - 1 for a in hyper.tangible}
@@ -788,7 +813,7 @@ def power_set_loop(hyper, s0=None, cap=4096, name=""):
 
 
 def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
-    from pairspec.constructions import _subset_label, _validate_s0
+    from pairspec.constructions import _validate_s0
     from pairspec.core import validate_pair, validate_structure
     from pairspec.errors import CarrierTooLarge
 
@@ -799,8 +824,8 @@ def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
     while frontier:
         m1 = frontier.pop()
         for m2 in list(carrier):
-            for new in (hyper.mask_add(m1, m2),
-                        hyper.mask_mul(m1, m2), hyper.mask_mul(m2, m1)):
+            for new in (mask_add(hyper, m1, m2),
+                        mask_mul(hyper, m1, m2), mask_mul(hyper, m2, m1)):
                 if new not in carrier:
                     if len(carrier) >= cap:
                         raise CarrierTooLarge(len(carrier) + 1, cap)
@@ -809,13 +834,13 @@ def hyperpair_loop(hyper, s0=None, cap=4096, name=""):
     masks = sorted(carrier)
     pos = {m: i for i, m in enumerate(masks)}
     k = len(masks)
-    names = [_subset_label(hyper.names, m) for m in masks]
+    names = [mask_label(hyper.names, m) for m in masks]
     add = np.zeros((k, k), dtype=np.int64)
     mul = np.zeros((k, k), dtype=np.int64)
     for i, m1 in enumerate(masks):
         for j, m2 in enumerate(masks):
-            add[i, j] = pos[hyper.mask_add(m1, m2)]
-            mul[i, j] = pos[hyper.mask_mul(m1, m2)]
+            add[i, j] = pos[mask_add(hyper, m1, m2)]
+            mul[i, j] = pos[mask_mul(hyper, m1, m2)]
     st = validate_structure(names, zero=pos[1 << hyper.zero], one=pos[1 << hyper.one],
                             add=add, mul=mul)
     tang = {pos[1 << a] for a in hyper.tangible}

@@ -1,5 +1,6 @@
 """Builders: every construction validates and reproduces its known values."""
 
+import hashlib
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -556,8 +557,10 @@ def test_minimal_bipotent_matches_loop():
 
 
 def test_subset_pairs_match_loops(monkeypatch):
-    for name, make in catalog.NAMED_HYPERSTRUCTURES.items():
-        h = make()
+    hypers = [(name, make()) for name, make in catalog.NAMED_HYPERSTRUCTURES.items()]
+    for p, g in ((13, {1, 3, 9}), (19, {1, 7, 11})):
+        hypers.append((f"F{p}/{sorted(g)}", residue_hyperstructure(catalog.finite_field(p), g)))
+    for name, h in hypers:
         nonzero = sorted(set(range(h.n)) - {h.zero})
         for s0 in (None, {h.zero}, {h.zero, nonzero[0]}):
             assert _outcome(power_set_pair, h, s0) == \
@@ -566,8 +569,21 @@ def test_subset_pairs_match_loops(monkeypatch):
                 _outcome(oracle.hyperpair_loop, h, s0), (name, s0)
         with monkeypatch.context() as mp:
             mp.setattr(constructions, "DEFAULT_CARRIER_CAP", 2)
-            for build in (power_set_pair, hyperpair_generated):
-                assert _outcome(build, h)[0] is CarrierTooLarge
+            for build, loop in ((power_set_pair, oracle.power_set_loop),
+                                (hyperpair_generated, oracle.hyperpair_loop)):
+                got = _outcome(build, h)
+                assert got[0] is CarrierTooLarge and got == _outcome(loop, h, cap=2), name
+
+
+def test_hyperpair_with_two_key_bytes():
+    """F31/{1,5,25} has 11 elements, so each subset key takes two bytes; its
+    580-element hyperpair is pinned by the digest of its serialized file."""
+    h = residue_hyperstructure(catalog.finite_field(31), {1, 5, 25})
+    p = hyperpair_generated(h)
+    assert (h.n, p.n, p.name) == (11, 580, "hyperpair(F31/G)")
+    text = dsl.serialize(dsl.pair_to_file(p))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "571f885794661e2440083a6be66e0b4e3b4d3bc4d4358858e502bd3924295c45"
 
 
 def test_function_pair_matches_loop(pairs, monkeypatch):
@@ -593,7 +609,10 @@ def test_hyperstructure_masks_past_64_bits():
     sums = [[{y} if x == 0 else {x} if y == 0 else {x, y} for y in range(n)] for x in range(n)]
     h = validate_hyperstructure([str(i) for i in range(n)], 0, 1, mul, sums, name="wide")
     assert h.hyperadd_set(63, 62) == frozenset({62, 63})
-    assert h.mask_add(1 << 63, 1 << 1) == (1 << 63) | (1 << 1)
+    assert oracle.mask_add(h, 1 << 63, 1 << 1) == (1 << 63) | (1 << 1)
+    with pytest.raises(CarrierTooLarge) as err:
+        hyperpair_generated(h)
+    assert (err.value.size, err.value.cap) == (4097, 4096)
     assert h.tangible == frozenset(range(1, n)) and h.hypernegation is None
     written = dsl.parse_hyper_file(dsl.serialize(dsl.hyper_to_file(h)))
     assert written.hyperadd[63][62] == ("62", "63")

@@ -163,7 +163,7 @@ def test_non_unique_e_on_doubled_field(pairs):
     assert d.pair.property_n is None
     assert "different e" in d.pair.property_n_error
     with pytest.raises(NonUniqueE):
-        find_property_n(d.structure, d.tangible, d.diag)
+        find_property_n(d.structure, d.pair.tangible, d.pair.a_zero)
 
 
 # -- classification ------------------------------------------------------------
@@ -470,6 +470,12 @@ def _centrality_verdict(structure, tangible, a_zero):
     return None
 
 
+def _split_tangibles(p):
+    """T x {0} and {0} x T, the tangibles of the double, as a * n + b."""
+    n, z = p.n, p.zero
+    return {a * n + z for a in p.tangible} | {z * n + a for a in p.tangible}
+
+
 def _same_error(got, want):
     assert (got is None) == (want is None), (got, want)
     if want is not None:
@@ -484,8 +490,8 @@ def test_tangible_centrality_witness_matches_the_argwhere_loop(pairs, seed, cell
     validate_pair names the old loop's first witness."""
     rng = np.random.default_rng(seed)
     p = pairs[sorted(pairs)[int(rng.integers(len(pairs)))]]
-    base = double(p) if doubled else p
-    s, tangible = base.structure, base.tangible
+    s = double(p).structure if doubled else p.structure
+    tangible = _split_tangibles(p) if doubled else p.tangible
     fixed = {s.zero, s.one}
     free = [(x, y) for x in range(s.n) for y in range(s.n)
             if x not in fixed and y not in fixed and not (x in tangible and y in tangible)]
@@ -504,10 +510,12 @@ def test_non_associative_double_matches_the_argwhere_loop(pairs):
     not associative, so every tangible is scanned for all three laws."""
     from pairspec.catalog import NAMED_HYPERSTRUCTURES
     from pairspec.constructions import power_set_pair
-    d = double(power_set_pair(NAMED_HYPERSTRUCTURES["massouros_c3"]()))
+    base = power_set_pair(NAMED_HYPERSTRUCTURES["massouros_c3"]())
+    d = double(base)
     assert d.structure.n == 225 and not d.structure.mul_associative
-    want = oracle.tangible_centrality_argwhere(d.structure, d.tangible)
-    _same_error(_centrality_verdict(d.structure, d.tangible, d.diag), want)
+    tangible, diag = _split_tangibles(base), {b * base.n + b for b in range(base.n)}
+    want = oracle.tangible_centrality_argwhere(d.structure, tangible)
+    _same_error(_centrality_verdict(d.structure, tangible, diag), want)
 
 
 # -- 1-daggers, negation maps and the classification flags against their loops ----
