@@ -8,9 +8,7 @@ harness that reports concrete counterexamples.
 
 from .core import (
     FiniteStructure,
-    NegationMap,
     Pair,
-    PairClassification,
     PropertyNWitness,
     classify_pair,
     find_property_n,
@@ -47,6 +45,6 @@ from .constructions import (
     validate_hyperstructure,
 )
 from .spectrum import classify_congruence, spectrum_report, sqrt_phi
-from .verify import CheckReport, reverify_counterexample, run_all, run_check
+from .verify import reverify_counterexample, run_all, run_check
 
 __version__ = "0.1.0"

@@ -139,7 +139,6 @@ def validate(file):
             if hyper.e_set is not None else None,
         }), nl=False)
         return
-    cls = classify_pair(pair)
     w = pair.property_n
     report = {
         "name": pair.name,
@@ -158,7 +157,7 @@ def validate(file):
         } if w is not None else None,
         "property_n_error": pair.property_n_error,
         "has_valid_negation": negation is not None,
-        "classification": cls.to_dict(),
+        "classification": classify_pair(pair),
     }
     _echo(dsl.serialize(report), nl=False)
 
@@ -168,7 +167,7 @@ def validate(file):
 def classify(file):
     """Full pair classification as JSON."""
     pair = _load_pair(file)
-    _echo(dsl.serialize(classify_pair(pair).to_dict()), nl=False)
+    _echo(dsl.serialize(classify_pair(pair)), nl=False)
 
 
 @main.command()
@@ -222,11 +221,11 @@ def verify(file, check_ids, run_every):
         _fail(exc, EXIT_CAP)
     payload = {
         "name": pair.name,
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
         "summary": summarize(reports),
     }
     _echo(dsl.serialize(payload), nl=False)
-    if any(r.passed is False for r in reports):
+    if any(r["passed"] is False for r in reports):
         sys.exit(EXIT_CHECK_FAILED)
 
 
@@ -303,8 +302,7 @@ def _construct(builder, params, base_file):
         d = double(pair)
         if d.pair is None:
             raise ValueError(f"doubled tangibles are not central: {d.pair_error}")
-        negation = d.switch if d.switch_valid else None
-        return dsl.pair_to_file(d.pair, negation)
+        return dsl.pair_to_file(d.pair, d.switch)
     if builder in ("power_set", "hyperpair"):
         hyper = _load_hyper_arg(params, base_file)
         s0 = None

@@ -18,7 +18,6 @@ from ._kernels import (_SCAN_CELLS, _first, _tiles, _twist_chunks, first_nonasso
 from .congruences import Congruence, is_congruence
 from .core import (
     FiniteStructure,
-    NegationMap,
     Pair,
     validate_negation_map,
     validate_pair,
@@ -168,14 +167,15 @@ class DoubledPair:
 
     ``pair`` is the validated pair over the split tangibles with the diagonal
     as A0; it is None (with the failure recorded) when the base does not
-    distribute enough for the split tangibles to be central.
+    distribute enough for the split tangibles to be central.  ``switch`` is
+    the switch map (a, b) -> (b, a) as a tuple of indices, or None when it
+    fails the negation-map axioms.
     """
 
     structure: FiniteStructure = field(repr=False)
     pair: Optional[Pair] = field(repr=False)
     pair_error: Optional[str]
-    switch: NegationMap
-    switch_valid: bool
+    switch: Optional[tuple[int, ...]]
 
 
 def twist_table(base: FiniteStructure) -> np.ndarray:
@@ -225,18 +225,10 @@ def double(pair: Pair) -> DoubledPair:
     )
     try:
         switch = validate_negation_map(probe, switch_perm)
-        switch_valid = True
     except ValidationError:
-        switch = NegationMap(perm=switch_perm)
-        switch_valid = False
+        switch = None
 
-    return DoubledPair(
-        structure=st,
-        pair=validated,
-        pair_error=pair_error,
-        switch=switch,
-        switch_valid=switch_valid,
-    )
+    return DoubledPair(structure=st, pair=validated, pair_error=pair_error, switch=switch)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,7 @@ def _sum_tensor(names, cells) -> np.ndarray:
 
 
 def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
-                            tangible: Optional[Iterable[int]] = None,
+                            tangible: Iterable[int],
                             hypernegation: Optional[Sequence[int]] = None,
                             name: str = "") -> HyperStructure:
     """Exhaustively verify the hypersemiring axioms by set extension.
@@ -404,13 +396,7 @@ def validate_hyperstructure(names: Sequence[str], zero, one, mul, hyperadd_sets,
             raise ValidationError("monoid action does not distribute over hyperaddition",
                                   witness=tuple(names[x] for x in (c, *hit)))
 
-    if tangible is None:
-        # the nonzero elements when they are closed, else {one} (one is a unit)
-        nz = np.flatnonzero(idx != zero)
-        closed = len(nz) and first_row(nz, len(nz), lambda a: mul[a[:, None], nz] == zero) is None
-        tang = frozenset(range(n)) - {zero} if closed else frozenset({one})
-    else:
-        tang = frozenset(int(x) for x in tangible)
+    tang = frozenset(int(x) for x in tangible)
     if one not in tang or (zero in tang and zero != one):
         raise ValidationError("tangible submonoid must contain one and exclude zero",
                               witness=(names[one],))

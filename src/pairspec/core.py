@@ -345,30 +345,6 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     )
 
 
-@dataclass(frozen=True)
-class PairClassification:
-    kind: str
-    proper: bool
-    shallow: bool
-    cancellative: bool
-    metatangible: bool
-    a0_bipotent: bool
-    admissible: bool
-    characteristic: tuple[int, int]
-    a0_characteristic: int
-    has_property_n: bool
-    e_distributive: Optional[bool]
-    e_central: Optional[bool]
-    e_idempotent: Optional[bool]
-    e_final: Optional[bool]
-    e_type: Optional[tuple[int, int]]
-    positive_e_type: Optional[int]
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "characteristic": list(self.characteristic),
-                "e_type": None if self.e_type is None else list(self.e_type)}
-
-
 def characteristic(structure: FiniteStructure) -> tuple[int, int]:
     """(p, k) with the k-th and (k+p)-th iterated sums of one equal, p then k
     minimal; k is searched from 1 (an empty sum is left undefined)."""
@@ -515,8 +491,9 @@ def is_proper(pair: Pair) -> bool:
     return (pair.a_zero & (pair.tangible | {pair.zero})) == {pair.zero}
 
 
-def classify_pair(pair: Pair) -> PairClassification:
-    """All classification flags by exhaustive check.
+def classify_pair(pair: Pair) -> dict:
+    """All classification flags by exhaustive check, as ``classify`` prints
+    them.
 
     Flags that need the distinguished e are None when the pair has no
     Property-N witness.
@@ -526,46 +503,38 @@ def classify_pair(pair: Pair) -> PairClassification:
     t_or_a0 = in_a0.copy()
     t_or_a0[ts] = True
 
-    kind = "first" if first_row(ts, 1, lambda a: ~in_a0[add[a, a]]) is None else "second"
-    proper = is_proper(pair)
-    shallow = (pair.tangible | a0) == set(range(n))
-    # x -> ax is one-to-one and keeps everything outside A0 outside it
-    cancellative = first_row(ts, n, lambda a: (in_a0[mul[a]] & ~in_a0)
-                             | (np.sort(mul[a], axis=1) != np.arange(n))) is None
-    metatangible = first_row(ts, len(ts), lambda a: ~t_or_a0[add[a[:, None], ts]]) is None
-    a0_bipotent = first_row(ts, len(ts), lambda a: ~in_a0[add[a[:, None], ts]] & (
-        add[a[:, None], ts] != a[:, None]) & (add[a[:, None], ts] != ts)) is None
-    admissible = all(v is not None for v in heights(pair))
-    char = characteristic(pair.structure)
-    a0_char = a0_characteristic(pair)
-
-    et = e_dist = e_central = e_idem = e_final = pos = None
+    cls = {
+        "kind": "first" if first_row(ts, 1, lambda a: ~in_a0[add[a, a]]) is None else "second",
+        "proper": is_proper(pair),
+        "shallow": (pair.tangible | a0) == set(range(n)),
+        # x -> ax is one-to-one and keeps everything outside A0 outside it
+        "cancellative": first_row(ts, n, lambda a: (in_a0[mul[a]] & ~in_a0)
+                                  | (np.sort(mul[a], axis=1) != np.arange(n))) is None,
+        "metatangible": first_row(ts, len(ts), lambda a: ~t_or_a0[add[a[:, None], ts]]) is None,
+        "a0_bipotent": first_row(ts, len(ts), lambda a: ~in_a0[add[a[:, None], ts]] & (
+            add[a[:, None], ts] != a[:, None]) & (add[a[:, None], ts] != ts)) is None,
+        "admissible": all(v is not None for v in heights(pair)),
+        "characteristic": list(characteristic(pair.structure)),
+        "a0_characteristic": a0_characteristic(pair),
+        "has_property_n": pair.property_n is not None,
+        "e_distributive": None, "e_central": None, "e_idempotent": None, "e_final": None,
+        "e_type": None, "positive_e_type": None,
+    }
     if pair.property_n is not None:
         e = pair.property_n.e
         et = e_type(pair)
         e_dist = is_e_distributive(pair)
-        e_central = bool(e_dist and is_distributively_central(pair, e))
-        e_idem = int(add[e, e]) == e
-        e_final = et == (1, 1)
-        pos = positive_e_type(pair)
-    return PairClassification(
-        kind=kind, proper=proper, shallow=shallow, cancellative=cancellative,
-        metatangible=metatangible, a0_bipotent=a0_bipotent, admissible=admissible,
-        characteristic=char, a0_characteristic=a0_char,
-        has_property_n=pair.property_n is not None, e_distributive=e_dist,
-        e_central=e_central, e_idempotent=e_idem, e_final=e_final, e_type=et,
-        positive_e_type=pos,
-    )
+        cls.update(e_distributive=e_dist,
+                   e_central=bool(e_dist and is_distributively_central(pair, e)),
+                   e_idempotent=int(add[e, e]) == e, e_final=et == (1, 1),
+                   e_type=None if et is None else list(et), positive_e_type=positive_e_type(pair))
+    return cls
 
 
-@dataclass(frozen=True)
-class NegationMap:
-    perm: tuple[int, ...]
-
-
-def validate_negation_map(pair: Pair, perm) -> NegationMap:
+def validate_negation_map(pair: Pair, perm) -> tuple[int, ...]:
     """Check the negation-map axioms: order <= 2, additive, compatible with
-    the tangible action, preserves T and A0, and b + (-b) lands in A0."""
+    the tangible action, preserves T and A0, and b + (-b) lands in A0; the
+    map is returned as a tuple of indices."""
     n, names = pair.n, pair.names
     add, mul, ts = pair.add, pair.mul, pair.t_sorted
     p = np.asarray(perm, dtype=np.int64)
@@ -596,4 +565,4 @@ def validate_negation_map(pair: Pair, perm) -> NegationMap:
     if len(bad):
         b = int(bad[0][0])
         raise QuasiNegationFails("b + (-b) escapes A0", witness=(names[b], names[int(quasi[b])]))
-    return NegationMap(perm=tuple(int(x) for x in p))
+    return tuple(int(x) for x in p)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constructions import HyperStructure, validate_hyperstructure
-from .core import NegationMap, Pair, validate_negation_map, validate_pair, validate_structure
+from .core import Pair, validate_negation_map, validate_pair, validate_structure
 from .errors import DimensionMismatch, DslSyntaxError, DuplicateLabel, UnknownLabel
 
 
@@ -333,15 +333,13 @@ def serialize(obj) -> str:
     """
     if isinstance(obj, _TableFile):
         obj = obj.to_json_dict(_encoded_rows(obj.elements))
-    elif hasattr(obj, "to_dict"):
-        obj = obj.to_dict()
     out = []
     _dump(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
 
-def build_pair(pf: PairFile) -> tuple[Pair, Optional[NegationMap]]:
+def build_pair(pf: PairFile) -> tuple[Pair, Optional[tuple[int, ...]]]:
     """Semantic validation of a parsed pair file."""
     index = {x: i for i, x in enumerate(pf.elements)}
     st = validate_structure(pf.elements, index[pf.zero], index[pf.one], pf.add, pf.mul)
@@ -367,7 +365,7 @@ def build_hyper(hf: HyperFile) -> HyperStructure:
     )
 
 
-def pair_to_file(pair: Pair, negation: Optional[NegationMap] = None) -> PairFile:
+def pair_to_file(pair: Pair, negation: Optional[tuple[int, ...]] = None) -> PairFile:
     names = pair.names
     return PairFile(
         name=pair.name,
@@ -378,7 +376,7 @@ def pair_to_file(pair: Pair, negation: Optional[NegationMap] = None) -> PairFile
         mul=pair.mul,
         tangible=tuple(names[i] for i in sorted(pair.tangible)),
         a0=tuple(names[i] for i in sorted(pair.a_zero)),
-        negation={names[i]: names[negation.perm[i]] for i in range(pair.n)}
+        negation={names[i]: names[negation[i]] for i in range(pair.n)}
         if negation is not None else None,
     )
 

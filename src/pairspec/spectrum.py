@@ -29,7 +29,7 @@ from .congruences import (
     relation_flags,
 )
 from .constructions import quotient_pair
-from .core import Pair, PairClassification, classify_pair, validate_structure
+from .core import Pair, classify_pair, validate_structure
 from .errors import CapExceeded, HypothesisFails
 
 
@@ -274,7 +274,7 @@ class Analysis:
         self.cap = cap
 
     @cached_property
-    def cls(self) -> PairClassification:
+    def cls(self) -> dict:
         return classify_pair(self.pair)
 
     @_kept
@@ -327,7 +327,7 @@ class Analysis:
     def rd1(self) -> tuple[dict, list[int]]:
         """Every radical congruence contains (1, e), on a pair of positive
         e-type: the verdict, and the radical members that do not."""
-        if self.cls.positive_e_type is None:
+        if self.cls["positive_e_type"] is None:
             return _verdict(False, detail="pair does not have positive e-type"), []
         bad = np.flatnonzero(self.columns["radical"] & ~self.columns["contains_1e"]).tolist()
         detail = f"radical congruences missing (1,e): {bad}" if bad else ""
@@ -337,7 +337,7 @@ class Analysis:
     def rd2(self) -> tuple[dict, dict]:
         """Spec(A) onto Spec(A*e), for the strongly prime and the prime spectra."""
         c = self.cls
-        if not (c.has_property_n and c.e_central and c.positive_e_type):
+        if not (c["has_property_n"] and c["e_central"] and c["positive_e_type"]):
             v = _verdict(False, detail="needs an e-central pair of positive e-type")
             return v, v
         srcs = {flag: self.having(flag) for flag in _SPECTRA}
@@ -354,7 +354,7 @@ class Analysis:
         """Spec_e(A) onto Spec(A/diag_e), for the strongly prime and the prime
         spectra; every source prime must contain diag_e."""
         c = self.cls
-        if not (c.has_property_n and c.e_central):
+        if not (c["has_property_n"] and c["e_central"]):
             v = _verdict(False, detail="needs an e-central pair with a witness")
             return v, v
         srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}

@@ -26,17 +26,18 @@ distinct covers of a semiprime member have their twist product inside it.
 ``reverify_counterexample`` recomputes the violated instance from the raw
 tables for EST, ESQ, EMUL, EFINAL_IDEM, KIND, ETYPE_SHALLOW, TWASS, GEN, ID1,
 CP, PRO3, SHALLOW1K, CHAINS part iii and BF parts iii and iv, for CONGB with
-the per-element ``cong_b``, and for RD1, PRS1 and PRO3C with
-``classify_congruence_elementwise``, the code under test.  For TR1, PRS2,
-RD2, SP2, HYPROP, BF parts i, ii and v and CHAINS parts i, ii and iv it only
-tests that the reported blocks form a congruence, and a counterexample that
-names none confirms nothing.
+the per-element ``cong_b``, and for RD1, PRS1 and PRO3C with each flag taken
+by its definition on the reported congruence: radical and T-cancellative by
+the kernels' violation scans over its matrix, proper as no related pair of
+T x A0, and (1, e) as one related pair.  For TR1, PRS2, RD2, SP2, HYPROP, BF
+parts i, ii and v and CHAINS parts i, ii and iv it only tests that the
+reported blocks form a congruence, and a counterexample that names none
+confirms nothing.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,24 +65,10 @@ from .spectrum import (
     Analysis,
     _maximal,
     _order_iso,
-    classify_congruence_elementwise,
     sqrt_phi,
     twist,
     twist_subset,
 )
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    check_id: str
-    hypotheses_held: bool
-    passed: Optional[bool]
-    counterexample: Optional[dict]
-    runtime: float
-    notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {**self.__dict__, "runtime": round(self.runtime, 6)}
 
 
 # each check: Analysis -> (hypotheses_held, passed|None, counterexample|None, notes)
@@ -102,7 +89,7 @@ def _check_est(ctx):
 
 def _check_esq(ctx):
     pair = ctx.pair
-    if not ctx.cls.e_distributive:
+    if not ctx.cls["e_distributive"]:
         return False, None, None, "needs an e-distributive pair"
     e = pair.property_n.e
     esq = int(pair.mul[e, e])
@@ -125,7 +112,7 @@ def _check_esq(ctx):
 
 def _check_emul(ctx):
     pair = ctx.pair
-    if not (ctx.cls.e_central and ctx.cls.e_idempotent):
+    if not (ctx.cls["e_central"] and ctx.cls["e_idempotent"]):
         return False, None, None, "needs an e-central, e-idempotent pair"
     add, mul = pair.add, pair.mul
     e = pair.property_n.e
@@ -149,7 +136,7 @@ def _check_emul(ctx):
 
 def _check_efinal_idem(ctx):
     pair = ctx.pair
-    if not ctx.cls.e_final:
+    if not ctx.cls["e_final"]:
         return False, None, None, "needs an e-final pair"
     e = pair.property_n.e
     if int(pair.add[e, e]) != e:
@@ -161,30 +148,30 @@ def _check_kind(ctx):
     pair = ctx.pair
     two = int(pair.add[pair.one, pair.one])
     two_in = two in pair.a_zero
-    if two_in and ctx.cls.kind != "first":
+    if two_in and ctx.cls["kind"] != "first":
         a = pair.t_sorted[first_row(pair.t_sorted, 1, lambda a: ~pair.a0_mask[pair.add[a, a]])[0]]
         return True, False, {"two": pair.names[two], "tangible": pair.names[a],
                              "a_plus_a": pair.names[int(pair.add[a, a])]}, ""
     notes = f"two={pair.names[two]}, in A0: {two_in}"
-    if ctx.cls.cancellative:
-        if (ctx.cls.kind == "second") != (not two_in):
-            return True, False, {"kind": ctx.cls.kind, "two_in_a0": two_in}, ""
+    if ctx.cls["cancellative"]:
+        if (ctx.cls["kind"] == "second") != (not two_in):
+            return True, False, {"kind": ctx.cls["kind"], "two_in_a0": two_in}, ""
         notes += "; cancellative equivalence checked"
     return True, True, None, notes
 
 
 def _check_etype_shallow(ctx):
     pair = ctx.pair
-    if not (ctx.cls.e_distributive and ctx.cls.shallow):
+    if not (ctx.cls["e_distributive"] and ctx.cls["shallow"]):
         return False, None, None, "needs an e-distributive shallow pair"
     hit = np.flatnonzero(pair.a0_mask[pair.add[pair.one, pair.e_multiples]])
     if not len(hit):
         return False, None, None, "no k with 1 + k*e in A0"
     k_min = int(hit[0]) + 1
-    et = ctx.cls.e_type
-    if et in ((k_min, k_min), (k_min, 1)):
-        return True, True, None, f"k={k_min}, e-type {et}"
-    return True, False, {"k": k_min, "e_type": list(et) if et else None}, ""
+    et = ctx.cls["e_type"]
+    if et in ([k_min, k_min], [k_min, 1]):
+        return True, True, None, f"k={k_min}, e-type {tuple(et)}"
+    return True, False, {"k": k_min, "e_type": et}, ""
 
 
 def _check_twass(ctx):
@@ -270,7 +257,7 @@ def _check_tr1(ctx):
                              "i": q_lat[i].block_labels(), "j": q_lat[j].block_labels()}, ""
     notes = f"injected {len(q_lat)} congruences"
 
-    if ctx.cls.e_central:
+    if ctx.cls["e_central"]:
         img, lat = ctx.images("ae"), ctx.lattice
         ae_lat = ctx.ae[0].lattice
         for marker, kind in ((NOT_CONGRUENCE, "e_image_not_congruence"),
@@ -283,7 +270,7 @@ def _check_tr1(ctx):
             return True, False, {"kind": "e_image_not_monotone",
                                  "i": lat[bad[0][0]].block_labels()}, ""
         notes += "; e-image map is monotone"
-        if ctx.cls.e_final:
+        if ctx.cls["e_final"]:
             src = np.flatnonzero(ctx.columns["contains_1e"])
             onto, iso = _order_iso(lat.leq, src, ae_lat.leq, img[src], np.arange(len(ae_lat)))
             if not onto:
@@ -297,7 +284,7 @@ def _check_tr1(ctx):
 
 def _check_congb(ctx):
     pair = ctx.pair
-    if ctx.cls.e_type is None:
+    if ctx.cls["e_type"] is None:
         return False, None, None, "needs a pair with an e-type"
     # cong_b(b) depends on b only through s = b1 + b2, apart from contains_b,
     # so each distinct sum is taken once, and the first failing b of the
@@ -394,7 +381,7 @@ def _check_prs1(ctx):
 
 def _check_prs2(ctx):
     pair = ctx.pair
-    if not ctx.cls.e_distributive:
+    if not ctx.cls["e_distributive"]:
         return False, None, None, "needs an e-distributive pair"
     e = pair.property_n.e
     notes = []
@@ -408,7 +395,7 @@ def _check_prs2(ctx):
         notes.append("reduced: part (i) checked")
     else:
         notes.append("pair not reduced: part (i) vacuous")
-    if ctx.cls.positive_e_type is not None:
+    if ctx.cls["positive_e_type"] is not None:
         r = sqrt_phi(pair, diagonal(pair))
         if not (r.matrix[pair.one, e] and r.matrix[e, pair.one]):
             return True, False, {"part": "iii", "sqrt_depth": r.depth}, ""
@@ -465,7 +452,7 @@ def _check_sp2(ctx):
 
 def _check_pro3(ctx):
     pair = ctx.pair
-    if not ctx.cls.e_central:
+    if not ctx.cls["e_central"]:
         return False, None, None, "needs an e-central pair"
     lat = ctx.lattice
     e = pair.property_n.e
@@ -484,7 +471,7 @@ def _check_pro3(ctx):
 
 
 def _check_pro3c(ctx):
-    if not (ctx.cls.e_central and ctx.cls.e_idempotent):
+    if not (ctx.cls["e_central"] and ctx.cls["e_idempotent"]):
         return False, None, None, "needs an e-central, e-idempotent pair"
     cols = ctx.columns
     bad = np.flatnonzero(cols["t_cancellative"] & ~cols["proper"] & ~cols["contains_1e"])
@@ -495,7 +482,7 @@ def _check_pro3c(ctx):
 
 def _check_cp(ctx):
     pair = ctx.pair
-    if not ctx.cls.proper:
+    if not ctx.cls["proper"]:
         return False, None, None, "needs a proper pair"
     lat = ctx.lattice
     proper = ctx.having("proper")
@@ -510,7 +497,7 @@ def _check_cp(ctx):
 
 def _check_shallow1k(ctx):
     pair = ctx.pair
-    if not (ctx.cls.shallow and ctx.cls.kind == "first" and pair.structure.is_semiring()):
+    if not (ctx.cls["shallow"] and ctx.cls["kind"] == "first" and pair.structure.is_semiring()):
         return False, None, None, "needs a shallow semiring pair of the first kind"
     lat = ctx.lattice
     proper = ctx.having("proper")
@@ -607,18 +594,17 @@ def _check_hyprop(ctx):
         nonzero, len(nonzero), lambda a: ~(hyper.mul[a[:, None], nonzero] == hyper.one).any(axis=1)
     ) is None
     if group_like and e_set == frozenset(range(hyper.n)) - {hyper.one} and hyper.n > 2:
-        if ctx.cls.e_type != (2, 2):
-            return True, False, {"case": "group_complement",
-                                 "e_type": list(ctx.cls.e_type) if ctx.cls.e_type else None}, ""
+        if ctx.cls["e_type"] != [2, 2]:
+            return True, False, {"case": "group_complement", "e_type": ctx.cls["e_type"]}, ""
         return True, True, None, "group hyperfield with e the complement of one: e-type 2"
     neg = hyper.hypernegation
     if neg is not None and neg[hyper.one] != hyper.one and e_set == frozenset(
         {hyper.zero, hyper.one, neg[hyper.one]}
     ):
-        if not (ctx.cls.e_idempotent and ctx.cls.e_final):
+        if not (ctx.cls["e_idempotent"] and ctx.cls["e_final"]):
             return True, False, {"case": "zero_one_minus_one",
-                                 "e_idempotent": ctx.cls.e_idempotent,
-                                 "e_final": ctx.cls.e_final}, ""
+                                 "e_idempotent": ctx.cls["e_idempotent"],
+                                 "e_final": ctx.cls["e_final"]}, ""
         return True, True, None, "e = {0, 1, -1}: e-idempotent and e-final"
     return False, None, None, "hyperstructure matches no covered shape"
 
@@ -650,22 +636,21 @@ CHECKS: dict[str, Callable] = {
 }
 
 
-def run_check(pair: Pair, check_id: str, cap: Optional[int] = None,
-              analysis: Optional[Analysis] = None) -> CheckReport:
+def run_check(pair: Pair, check_id: str, analysis: Optional[Analysis] = None) -> dict:
     """Run one named check; hypotheses are tested first.  Checks that share
     an ``analysis`` of the pair share its lattices; without one, a fresh
-    analysis with ``cap`` is made."""
+    uncapped analysis is made."""
     if check_id not in CHECKS:
         raise UnknownCheckId(f"unknown check id {check_id!r}; have {sorted(CHECKS)}")
     if analysis is None:
-        analysis = Analysis(pair, cap)
+        analysis = Analysis(pair, None)
     t0 = time.perf_counter()
     held, passed, cx, notes = CHECKS[check_id](analysis)
-    return CheckReport(check_id=check_id, hypotheses_held=held, passed=passed if held else None,
-                       counterexample=cx, runtime=time.perf_counter() - t0, notes=notes)
+    return {"check_id": check_id, "hypotheses_held": held, "passed": passed if held else None,
+            "counterexample": cx, "runtime": round(time.perf_counter() - t0, 6), "notes": notes}
 
 
-def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
+def run_all(pair: Pair, cap: Optional[int] = None) -> list[dict]:
     """Every check in id order; CapExceeded and CarrierTooLarge are recorded
     per check."""
     analysis = Analysis(pair, cap)
@@ -674,14 +659,13 @@ def run_all(pair: Pair, cap: Optional[int] = None) -> list[CheckReport]:
         try:
             out.append(run_check(pair, cid, analysis=analysis))
         except (CapExceeded, CarrierTooLarge) as exc:
-            out.append(CheckReport(check_id=cid, hypotheses_held=True, passed=None,
-                                   counterexample=None, runtime=0.0,
-                                   notes=f"cap exceeded: {exc}"))
+            out.append({"check_id": cid, "hypotheses_held": True, "passed": None,
+                        "counterexample": None, "runtime": 0.0, "notes": f"cap exceeded: {exc}"})
     return out
 
 
-def summarize(reports: list[CheckReport]) -> dict:
-    verdicts = [r.passed for r in reports]
+def summarize(reports: list[dict]) -> dict:
+    verdicts = [r["passed"] for r in reports]
     return {"passed": verdicts.count(True), "failed": verdicts.count(False),
             "skipped": verdicts.count(None)}
 
@@ -795,10 +779,10 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             return _meet_loses_flag(pair, cx["part"], *(_cong_from_blocks(pair, cx[k])
                                                          for k in ("i", "j")))
         if check_id == "RD1":
-            cls = classify_congruence_elementwise(pair, cong)
-            return cls["radical"] and not cls["contains_1e"]
+            return (_kernels.radical_violation(add, mul, cong.matrix)[0] < 0
+                    and not cong.related(pair.one, pair.require_property_n().e))
         if check_id == "PRS1":
-            if not classify_congruence_elementwise(pair, cong)["radical"]:
+            if _kernels.radical_violation(add, mul, cong.matrix)[0] >= 0:
                 return False
             if cx["part"] == "i":
                 b1, b2 = (ix[x] for x in cx["b"])
@@ -819,8 +803,9 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             return (cong.related(e, int(mul[e, e])) and cong.related(a, c)
                     and not cong.related(a, int(mul[a, e])))
         if check_id == "PRO3C":
-            cls = classify_congruence_elementwise(pair, cong)
-            return cls["t_cancellative"] and not cls["proper"] and not cls["contains_1e"]
+            return (_kernels.t_cancel_violation(mul, cong.matrix, pair.t_sorted)[0] < 0
+                    and any(cong.related(t, z) for t in pair.tangible for z in pair.a_zero)
+                    and not cong.related(pair.one, pair.require_property_n().e))
         if check_id == "CP":
             return not is_proper(quotient_pair(pair, cong))
         if check_id == "ETYPE_SHALLOW":

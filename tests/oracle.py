@@ -1455,14 +1455,14 @@ def kind_loop(pair, cls):
     a + a outside A0 is the witness."""
     two = int(iterated_sum(pair.add, pair.one, 2))
     two_in = two in pair.a_zero
-    if two_in and cls.kind != "first":
+    if two_in and cls["kind"] != "first":
         a = next(a for a in sorted(pair.tangible) if int(pair.add[a, a]) not in pair.a_zero)
         return True, False, {"two": pair.names[two], "tangible": pair.names[a],
                              "a_plus_a": pair.names[int(pair.add[a, a])]}, ""
     notes = f"two={pair.names[two]}, in A0: {two_in}"
-    if cls.cancellative:
-        if (cls.kind == "second") != (not two_in):
-            return True, False, {"kind": cls.kind, "two_in_a0": two_in}, ""
+    if cls["cancellative"]:
+        if (cls["kind"] == "second") != (not two_in):
+            return True, False, {"kind": cls["kind"], "two_in_a0": two_in}, ""
         notes += "; cancellative equivalence checked"
     return True, True, None, notes
 
@@ -1480,17 +1480,17 @@ def hyprop_loop(ctx):
     group_like = hyper.tangible == nonzero and all(
         any(int(hyper.mul[a, b]) == hyper.one for b in nonzero) for a in nonzero)
     if group_like and e_set == frozenset(range(hyper.n)) - {hyper.one} and hyper.n > 2:
-        if ctx.cls.e_type != (2, 2):
+        if ctx.cls["e_type"] != [2, 2]:
             return True, False, {"case": "group_complement",
-                                 "e_type": list(ctx.cls.e_type) if ctx.cls.e_type else None}, ""
+                                 "e_type": ctx.cls["e_type"]}, ""
         return True, True, None, "group hyperfield with e the complement of one: e-type 2"
     neg = hyper.hypernegation
     if neg is not None and neg[hyper.one] != hyper.one and e_set == frozenset(
             {hyper.zero, hyper.one, neg[hyper.one]}):
-        if not (ctx.cls.e_idempotent and ctx.cls.e_final):
+        if not (ctx.cls["e_idempotent"] and ctx.cls["e_final"]):
             return True, False, {"case": "zero_one_minus_one",
-                                 "e_idempotent": ctx.cls.e_idempotent,
-                                 "e_final": ctx.cls.e_final}, ""
+                                 "e_idempotent": ctx.cls["e_idempotent"],
+                                 "e_final": ctx.cls["e_final"]}, ""
         return True, True, None, "e = {0, 1, -1}: e-idempotent and e-final"
     return False, None, None, "hyperstructure matches no covered shape"
 
@@ -1540,7 +1540,7 @@ def find_hypernegation_loop(mul, hyperadd, zero: int):
     return tuple(perm), unique
 
 
-def validate_hyperstructure_loop(names, zero, one, mul, hyperadd_sets, tangible=None,
+def validate_hyperstructure_loop(names, zero, one, mul, hyperadd_sets, tangible,
                                  hypernegation=None, name=""):
     from types import SimpleNamespace
 
@@ -1605,25 +1605,7 @@ def validate_hyperstructure_loop(names, zero, one, mul, hyperadd_sets, tangible=
                     raise ValidationError("monoid action does not distribute over hyperaddition",
                                           witness=(names[a], names[s1], names[s2]))
 
-    if tangible is None:
-        nonzero = frozenset(range(n)) - {zero}
-        if nonzero and all(int(mul[a, b]) in nonzero for a in nonzero for b in nonzero):
-            tang = nonzero
-        elif not nonzero:
-            tang = frozenset({one})
-        else:
-            tang = {one}
-            grew = True
-            while grew:
-                grew = False
-                for a in list(tang):
-                    for b in list(tang):
-                        if int(mul[a, b]) not in tang:
-                            tang.add(int(mul[a, b]))
-                            grew = True
-            tang = frozenset(tang)
-    else:
-        tang = frozenset(int(x) for x in tangible)
+    tang = frozenset(int(x) for x in tangible)
     if one not in tang or (zero in tang and zero != one):
         raise ValidationError("tangible submonoid must contain one and exclude zero",
                               witness=(names[one],))

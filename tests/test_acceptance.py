@@ -59,11 +59,11 @@ def test_criterion_01_catalog_validates_fast():
 
 def test_criterion_02_reported_classifications_exact(pairs):
     st = classify_pair(pairs["supertropical_c2"])
-    st_ok = (st.proper and st.kind == "first" and st.shallow and st.e_final
-             and st.characteristic == (1, 2) and st.a0_characteristic == 2)
-    signs_ok = classify_pair(pairs["power_signs"]).e_final
+    st_ok = (st["proper"] and st["kind"] == "first" and st["shallow"] and st["e_final"]
+             and st["characteristic"] == [1, 2] and st["a0_characteristic"] == 2)
+    signs_ok = classify_pair(pairs["power_signs"])["e_final"]
     mass = classify_pair(pairs["power_massouros_c2"])
-    mass_ok = mass.e_type == (2, 2)
+    mass_ok = mass["e_type"] == [2, 2]
     ok = st_ok and signs_ok and mass_ok
     _verdict(2, ok, "supertropical: proper/first/shallow/e-final, char (1,2), "
                     f"A0-char 2 [{st_ok}]; signs power e-final [{signs_ok}]; "
@@ -239,9 +239,9 @@ def test_criterion_11_roundtrip_and_fault_injection(pairs):
                 validation_detected += 1
                 continue
             baseline_fails = {
-                r.check_id for r in run_all(pairs[name]) if r.passed is False
+                r["check_id"] for r in run_all(pairs[name]) if r["passed"] is False
             }
-            mutant_fails = {r.check_id for r in run_all(pair) if r.passed is False}
+            mutant_fails = {r["check_id"] for r in run_all(pair) if r["passed"] is False}
             if mutant_fails - baseline_fails:
                 check_detected += 1
             else:

@@ -364,14 +364,29 @@ def test_stdout_digest(runner, tmp_path, command, name):
         STDOUT_DIGESTS[command][name]
 
 
-# sha256 of `verify --all` stdout with each check's runtime masked, recorded
-# while the library still had its own maximal proper congruence report; the
-# CHAINS check now carries that check alone, and its note counts very
-# improper pairs, not elements
+# exit code and sha256 of `verify --all` stdout with each check's runtime
+# masked, on every pair of STDOUT_DIGESTS.  super_boolean and
+# power_massouros_c3 were recorded while the library still had its own
+# maximal proper congruence report (the CHAINS check now carries that check
+# alone, and its note counts very improper pairs, not elements); the others
+# while the pair classification and each check report were still dataclasses
 RUNTIME_FIELD = re.compile(r'"runtime": [0-9.e+-]+')
 VERIFY_DIGESTS = {
-    "super_boolean": "23ca193a1be3e3b663573fd38bccb08ffc67689bef8c6b148946a94390460669",
-    "power_massouros_c3": "c83c2efc7011fd40523d5861ab1ba95b0efad8a61f0139e3932812aef0e5e247",
+    "field_f3": (0, "5abec80fa0ca9b8248517d5c90f21d306905109c076101d78984f677b6534d9f"),
+    "field_f5": (0, "2c43d49a898cd560731b6fdb2e75fb2f28a3ffd3ba0a357d40b21efca6b8986a"),
+    "function_minbp_sat2": (0, "42e9e2746b1a119bc58bdf162c6d9ee041ea760d744141cfba998ca33251a9a9"),
+    "function_sb_c3": (0, "6696e7f1bc7e1861bb7d1b602d46263754dc29df3b04ad0691921ecd478bdf09"),
+    "function_sb_sat2": (0, "da8b391e3953c313b5f435bdd7867a6346cce7ee59381668601b5ce06b539452"),
+    "minbp_c2_first": (0, "84193aa35ef9cf8da5c82b086498f84e9e68fb9a871f5c20a04f343f8b5bc41d"),
+    "minbp_c2_second": (0, "8029a861e2d4c9697fc64148f6b2652e2cc4c16861886a072460de50021ac881"),
+    "power_krasner": (0, "46d9abbc366d5e9b0a01e03325f635a81e871453c5b50e2b589b4e314e2701a2"),
+    "power_massouros_c2": (0, "1eac388cbc3fc1e869399c053b6f5de7cbe58fe2bd5a6e20c0df714f322e026f"),
+    "power_massouros_c3": (0, "c83c2efc7011fd40523d5861ab1ba95b0efad8a61f0139e3932812aef0e5e247"),
+    "power_residue_f5": (0, "0ab17ebe0ff21d9f5200ec9a7c3dad0dcf33c0010ec514358703fc82713de5db"),
+    "power_signs": (3, "6d1901a51039ba0fd905a7add531c5aee714c79e6fe299050c8fd7bccc3482f1"),
+    "super_boolean": (0, "23ca193a1be3e3b663573fd38bccb08ffc67689bef8c6b148946a94390460669"),
+    "supertropical_c2": (0, "d7e88040132663dc5aa0a1ce7fd5ff7dcf5ce7f26dba9881ecf87549536d6c04"),
+    "truncated_chain3": (0, "0628c7a9c1afcbe2519818519b04b8b37e6d927cb9b4883d3cfdf221b6ca1b82"),
 }
 
 
@@ -382,9 +397,9 @@ def test_verify_all_stdout_digest(runner, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(dsl.serialize(dsl.pair_to_file(pair)))
     res = runner.invoke(main, ["verify", "--all", str(path)])
-    assert res.exit_code == 0
     masked = RUNTIME_FIELD.sub('"runtime": 0.000000', res.output)
-    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[name]
+    assert (res.exit_code, hashlib.sha256(masked.encode("utf-8")).hexdigest()) == \
+        VERIFY_DIGESTS[name]
 
 
 # sha256 of the file `construct double` writes for each base of the `scan`

@@ -74,18 +74,18 @@ def test_supertropical_singleton_tangible_matches_super_boolean(sb):
     # relabel through the canonical order: 0, 1, ghost
     assert (p.add == sb.add).all()
     assert (p.mul == sb.mul).all()
-    assert classify_pair(p).e_final
+    assert classify_pair(p)["e_final"]
 
 
 def test_constant_supertropical_over_c2():
     p = constant_supertropical(cyclic_group(2))
     c = classify_pair(p)
     assert p.n == 4
-    assert c.kind == "first"
-    assert c.characteristic == (1, 2)
-    assert c.a0_characteristic == 2
+    assert c["kind"] == "first"
+    assert c["characteristic"] == [1, 2]
+    assert c["a0_characteristic"] == 2
     # with A0 the whole ghost layer, collapsed sums stay inside T union A0
-    assert c.metatangible
+    assert c["metatangible"]
 
 
 def test_supertropical_rejects_non_homomorphism():
@@ -105,13 +105,13 @@ def test_truncated_chain3_examples(pairs):
     ghost3 = p.structure.index["3*"]
     assert int(p.mul[two, ghost3]) == ghost3
     c = classify_pair(p)
-    assert c.proper and c.shallow and c.e_final and c.a0_bipotent
+    assert c["proper"] and c["shallow"] and c["e_final"] and c["a0_bipotent"]
 
 
 def test_truncated_m1_is_two_layer_singleton():
     p = truncated_supertropical([1], 1)
     assert p.n == 3
-    assert classify_pair(p).e_final
+    assert classify_pair(p)["e_final"]
 
 
 def test_truncated_bad_bounds():
@@ -131,8 +131,8 @@ def test_minimal_bipotent_kinds(pairs):
     assert int(first.add[1, 1]) == inf_f
     assert int(second.add[1, 1]) == 1
     assert int(second.add[1, g]) == second.structure.index["inf"]
-    assert classify_pair(first).kind == "first"
-    assert classify_pair(second).kind == "second"
+    assert classify_pair(first)["kind"] == "first"
+    assert classify_pair(second)["kind"] == "second"
 
 
 # -- doubling ---------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_double_super_boolean_basics(sb):
     d = double(sb)
     assert d.structure.n == 9
     assert d.structure.mul_associative
-    assert d.pair is not None and d.switch_valid
+    assert d.pair is not None and d.switch is not None
     w = d.pair.property_n
     assert d.structure.names[w.e] == "(1,1)"
     i01 = 0 * sb.n + 1                      # (b1, b2) sits at b1 * n + b2
@@ -228,7 +228,7 @@ def test_double_nondistributive_base_reports_failure(pairs):
     assert d.pair is None
     assert "associate" in d.pair_error
     assert not d.structure.mul_associative
-    assert d.switch_valid  # the switch axioms do not need distributivity
+    assert d.switch is not None  # the switch axioms do not need distributivity
 
 
 # -- quotients ---------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_zero_law_rejected():
     with pytest.raises(ZeroLaw):
         validate_hyperstructure(
             ["0", "1"], 0, 1, [[0, 0], [0, 1]],
-            [[{0}, {0}], [{0}, {0, 1}]],
+            [[{0}, {0}], [{0}, {0, 1}]], tangible={1},
         )
 
 
@@ -280,13 +280,13 @@ def test_power_set_krasner(pairs):
     assert p.n == 3
     e = p.property_n.e
     assert p.names[e] == "{0,1}"
-    assert classify_pair(p).e_final
+    assert classify_pair(p)["e_final"]
 
 
 def test_power_set_signs(pairs):
     p = pairs["power_signs"]
     assert p.n == 7
-    assert classify_pair(p).e_final
+    assert classify_pair(p)["e_final"]
 
 
 def test_power_set_multiplication_elementwise_associative(pairs):
@@ -363,7 +363,7 @@ def test_hyperpair_signs_closure():
 
 
 def test_hyperpair_single_element():
-    h = validate_hyperstructure(["0"], 0, 0, [[0]], [[{0}]], tangible=None)
+    h = validate_hyperstructure(["0"], 0, 0, [[0]], [[{0}]], tangible={0})
     # a single absorbing element: the only subset is {0}
     p = hyperpair_generated(h, s0={0})
     assert p.n == 1
@@ -432,8 +432,8 @@ def test_function_pair_super_boolean_sat2(pairs):
     p = pairs["function_sb_sat2"]
     assert p.n == 9
     c = classify_pair(p)
-    assert c.e_type == (1, 1)
-    assert c.e_central  # centrality carries over elementwise
+    assert c["e_type"] == [1, 1]
+    assert c["e_central"]  # centrality carries over elementwise
 
 
 def test_function_pair_convolution_unit(pairs):
@@ -455,7 +455,7 @@ def test_function_pair_of_relabeled_base(sb):
     st = validate_structure(names, perm[sb.zero], perm[sb.one], add, mul)
     p = validate_pair(st, {perm[a] for a in sb.tangible}, {perm[x] for x in sb.a_zero})
     fp = function_pair(p, saturating_monoid(2))
-    assert classify_pair(fp).e_type == (1, 1)
+    assert classify_pair(fp)["e_type"] == [1, 1]
 
 
 def test_function_pair_cap(monkeypatch):
@@ -478,14 +478,14 @@ def test_double_validates_for_distributive_bases(pairs):
             continue
         d = double(p)
         assert d.pair is not None, name
-        assert d.switch_valid, name
+        assert d.switch is not None, name
 
 
 def test_group_hyperfield_e_type_two_scales():
     # second instance of the complement-of-one law, on the 4-element carrier
     p = power_set_pair(catalog.massouros_hyperfield(3))
     assert p.n == 15
-    assert classify_pair(p).e_type == (2, 2)
+    assert classify_pair(p)["e_type"] == [2, 2]
 
 
 def test_hyperpair_can_be_proper_subpair():
@@ -607,7 +607,8 @@ def test_hyperstructure_masks_past_64_bits():
     mul = np.zeros((n, n), dtype=np.int64)
     mul[1:, 1:] = g.table + 1
     sums = [[{y} if x == 0 else {x} if y == 0 else {x, y} for y in range(n)] for x in range(n)]
-    h = validate_hyperstructure([str(i) for i in range(n)], 0, 1, mul, sums, name="wide")
+    h = validate_hyperstructure([str(i) for i in range(n)], 0, 1, mul, sums,
+                                tangible=range(1, n), name="wide")
     assert h.hyperadd_set(63, 62) == frozenset({62, 63})
     assert oracle.mask_add(h, 1 << 63, 1 << 1) == (1 << 63) | (1 << 1)
     with pytest.raises(CarrierTooLarge) as err:
@@ -657,7 +658,8 @@ def _same_validation(**kw):
 def _hyper_args(h):
     n = h.n
     return dict(names=h.names, zero=h.zero, one=h.one, mul=h.mul.tolist(),
-                hyperadd_sets=[[set(h.hyperadd_set(i, j)) for j in range(n)] for i in range(n)])
+                hyperadd_sets=[[set(h.hyperadd_set(i, j)) for j in range(n)] for i in range(n)],
+                tangible=h.tangible)
 
 
 def _planted(h):
@@ -691,7 +693,8 @@ def _planted(h):
 def test_negative_hyper_entry_is_unknown():
     # the bitmask loops failed on it with "negative shift count"
     with pytest.raises(ValueError, match="references unknown elements"):
-        validate_hyperstructure(["0", "1"], 0, 1, [[0, 0], [0, 1]], [[{0}, {1}], [{1}, {-1}]])
+        validate_hyperstructure(["0", "1"], 0, 1, [[0, 0], [0, 1]], [[{0}, {1}], [{1}, {-1}]],
+                                {1})
 
 
 LAW_MESSAGES = {
@@ -713,7 +716,7 @@ def test_hyper_laws_match_loops_on_planted_corpus():
              # negatives are not unique, and swapping 1 and t does not reverse t + t
              validate_hyperstructure(["0", "1", "t"], 0, 1, [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
                                      [[{0}, {1}, {2}], [{1}, {0, 1, 2}, {0, 1, 2}],
-                                      [{2}, {0, 1, 2}, {0, 2}]])]
+                                      [{2}, {0, 1, 2}, {0, 2}]], tangible={1, 2})]
     seen = set()
     for h in bases:
         for kw in _planted(h):
@@ -724,9 +727,9 @@ def test_hyper_laws_match_loops_on_planted_corpus():
 
 
 def test_tangible_closure_matches_loop():
-    """Every tangible set with one and without zero, given or derived, on
-    the named hyperstructures and with a planted product: the first pair of
-    the set's own iteration order whose product leaves it is the witness."""
+    """Every tangible set with one and without zero, on the named
+    hyperstructures and with a planted product: the first pair of the set's
+    own iteration order whose product leaves it is the witness."""
     seen = set()
     for h in (catalog.krasner_hyperfield(), catalog.signs_hyperfield(),
               catalog.massouros_hyperfield(2), catalog.massouros_hyperfield(3),
@@ -740,7 +743,6 @@ def test_tangible_closure_matches_loop():
             for bits in product((False, True), repeat=len(others)):
                 tangible = {h.one, *(x for x, b in zip(others, bits) if b)}
                 seen.add(_message(_same_validation(**{**kw, "mul": mul, "tangible": tangible})))
-            _same_validation(**{**kw, "mul": mul})
     assert "tangible set is not multiplicatively closed" in seen
     # {1, 2, 8} iterates as 8, 1, 2, so (8, 8) fails before the sorted (2, 2)
     f11 = residue_hyperstructure(catalog.finite_field(11), {1})
@@ -752,7 +754,7 @@ def test_s0_checks_match_loops():
     # tangible {1} leaves elements outside T, so S0 can meet them
     seen = set()
     for h in (catalog.signs_hyperfield(), catalog.massouros_hyperfield(3)):
-        for tangible in (None, {h.one}):
+        for tangible in (h.tangible, {h.one}):
             kw = {**_hyper_args(h), "tangible": tangible}
             new, loop = validate_hyperstructure(**kw), oracle.validate_hyperstructure_loop(**kw)
             for bits in product((False, True), repeat=h.n):
@@ -826,7 +828,7 @@ def _hyper_cases(draw):
                 cell = {b} if a == 0 else set(draw(st.sets(st.integers(0, n - 1), min_size=1)))
                 sums[a][b] = sums[b][a] = cell
         kw = dict(names=[str(i) for i in range(n)], zero=0, one=1 % n, mul=mul.tolist(),
-                  hyperadd_sets=sums)
+                  hyperadd_sets=sums, tangible={1 % n, *range(1, n)})
     n = len(kw["names"])
     sums = [[set(s) for s in row] for row in kw["hyperadd_sets"]]
     for _ in range(draw(st.integers(0, 2))):

@@ -90,7 +90,7 @@ def test_negation_round_trip(sb):
     text = dsl.serialize(pf)
     parsed = dsl.parse_pair_file(text)
     pair, negation = dsl.build_pair(parsed)
-    assert negation is not None and negation.perm == (0, 1, 2)
+    assert negation == (0, 1, 2)
 
 
 def test_semantic_errors_surface_at_build(sb):
@@ -143,7 +143,7 @@ def test_serialize_matches_json_dumps_on_nesting_and_empties():
 
 def _doubled(base):
     d = constructions.double(base)
-    return dsl.pair_to_file(d.pair, d.switch if d.switch_valid else None)
+    return dsl.pair_to_file(d.pair, d.switch)
 
 
 @pytest.mark.parametrize("n", [225, 256])

@@ -443,7 +443,7 @@ def improper_members(pair, cong):
 
 def test_improper_scan_diag_empty_on_proper_pairs(pairs):
     for name, p in pairs.items():
-        if classify_pair(p).proper:
+        if classify_pair(p)["proper"]:
             assert improper_members(p, diagonal(p)) == [], name
 
 
@@ -484,7 +484,7 @@ def test_maximal_proper_report_super_boolean(sb):
     # CHAINS part iv: no twist product of very improper congruences lands
     # inside the maximal weakly proper one
     chains = run_check(sb, "CHAINS")
-    assert chains.passed and "1 maximal weakly proper checked" in chains.notes
+    assert chains["passed"] and "1 maximal weakly proper checked" in chains["notes"]
 
 
 def test_full_pipeline_on_doubled_pair(sb):
@@ -493,9 +493,9 @@ def test_full_pipeline_on_doubled_pair(sb):
     from pairspec.constructions import double
     dp = double(sb).pair
     c = classify_pair(dp)
-    assert c.kind == "second"
-    assert c.e_type == (2, 2)
-    assert c.e_central and c.proper
+    assert c["kind"] == "second"
+    assert c["e_type"] == [2, 2]
+    assert c["e_central"] and c["proper"]
     lat = enumerate_congruences(dp)
     assert len(lat) == 9
     rep = spectrum_report(dp)

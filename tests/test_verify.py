@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import census
 import oracle
-from pairspec import _kernels, verify
+from pairspec import _kernels, spectrum, verify
 from pairspec._kernels import first_nonassoc
 from pairspec.congruences import Congruence, CongruenceLattice, cong_b, cong_bs, is_congruence
 from pairspec.constructions import double, minimal_bipotent, quotient_pair
@@ -77,37 +77,37 @@ def test_unknown_check_id(sb):
 
 def test_est_passes_on_super_boolean(sb):
     r = run_check(sb, "EST")
-    assert r.hypotheses_held and r.passed and r.counterexample is None
+    assert r["hypotheses_held"] and r["passed"] and r["counterexample"] is None
 
 
 def test_rd1_passes_on_super_boolean(sb):
     r = run_check(sb, "RD1")
-    assert r.passed
+    assert r["passed"]
 
 
 def test_est_hypotheses_fail_without_witness():
     p = minimal_bipotent(trivial_monoid(), "second")
     r = run_check(p, "EST")
-    assert not r.hypotheses_held
-    assert r.passed is None
+    assert not r["hypotheses_held"]
+    assert r["passed"] is None
 
 
 def test_twass_skipped_on_nondistributive(pairs):
     r = run_check(pairs["supertropical_c2"], "TWASS")
-    assert not r.hypotheses_held
+    assert not r["hypotheses_held"]
 
 
 def test_twass_passes_on_semirings(pairs):
     for name in ("super_boolean", "minbp_c2_first", "field_f5", "function_sb_sat2"):
         r = run_check(pairs[name], "TWASS")
-        assert r.passed, name
+        assert r["passed"], name
 
 
 def test_prs2_reports_depth(sb):
     r = run_check(sb, "PRS2")
-    assert r.passed
-    assert "depth" in r.notes
-    assert "square exponents" in r.notes
+    assert r["passed"]
+    assert "depth" in r["notes"]
+    assert "square exponents" in r["notes"]
 
 
 def test_run_all_super_boolean_all_green(sb):
@@ -115,12 +115,12 @@ def test_run_all_super_boolean_all_green(sb):
     s = summarize(reports)
     assert s["failed"] == 0
     assert s["passed"] >= 20
-    assert [r.check_id for r in reports] == sorted(CHECKS)
+    assert [r["check_id"] for r in reports] == sorted(CHECKS)
 
 
 def test_run_all_deterministic(sb):
-    a = [(r.check_id, r.hypotheses_held, r.passed) for r in run_all(sb)]
-    b = [(r.check_id, r.hypotheses_held, r.passed) for r in run_all(sb)]
+    a = [(r["check_id"], r["hypotheses_held"], r["passed"]) for r in run_all(sb)]
+    b = [(r["check_id"], r["hypotheses_held"], r["passed"]) for r in run_all(sb)]
     assert a == b
 
 
@@ -130,9 +130,9 @@ def test_known_finding_pro3c_on_signs_power(pairs):
     A0 is strictly larger than the image A*e there."""
     p = pairs["power_signs"]
     r = run_check(p, "PRO3C")
-    assert r.hypotheses_held
-    assert r.passed is False
-    assert reverify_counterexample(p, "PRO3C", r.counterexample)
+    assert r["hypotheses_held"]
+    assert r["passed"] is False
+    assert reverify_counterexample(p, "PRO3C", r["counterexample"])
 
 
 def test_catalog_findings_are_exactly_the_known_ones(pairs):
@@ -140,8 +140,8 @@ def test_catalog_findings_are_exactly_the_known_ones(pairs):
     found = set()
     for name, p in pairs.items():
         for r in run_all(p):
-            if r.passed is False:
-                found.add((name, r.check_id))
+            if r["passed"] is False:
+                found.add((name, r["check_id"]))
     assert found == known
 
 
@@ -149,7 +149,7 @@ def test_shared_analysis_matches_fresh_runs(pairs):
     # run_all shares one analysis between the checks; no check may change
     # what a later one reads from it
     def key(r):
-        return r.check_id, r.hypotheses_held, r.passed, r.counterexample, r.notes
+        return r["check_id"], r["hypotheses_held"], r["passed"], r["counterexample"], r["notes"]
 
     for name, p in pairs.items():
         shared = [key(r) for r in run_all(p)]
@@ -160,9 +160,9 @@ def test_shared_analysis_matches_fresh_runs(pairs):
 def test_every_failure_reverifies(pairs):
     for name, p in pairs.items():
         for r in run_all(p):
-            if r.passed is False:
-                assert reverify_counterexample(p, r.check_id, r.counterexample), (
-                    name, r.check_id)
+            if r["passed"] is False:
+                assert reverify_counterexample(p, r["check_id"], r["counterexample"]), (
+                    name, r["check_id"])
 
 
 def test_reverify_rejects_fabricated_counterexample(sb):
@@ -203,17 +203,17 @@ def test_kind_cancellative_counterexample_is_recomputed():
     # first kind (a + a = 0 in A0) although 1 + 1 is outside A0: a finding
     p = _kind_pair(a_plus_a=0)
     r = run_check(p, "KIND")
-    assert r.passed is False and r.counterexample == {"kind": "first", "two_in_a0": False}
-    assert reverify_counterexample(p, "KIND", r.counterexample)
+    assert r["passed"] is False and r["counterexample"] == {"kind": "first", "two_in_a0": False}
+    assert reverify_counterexample(p, "KIND", r["counterexample"])
     # the same claim misreported, or made of a pair where the law holds
     assert not reverify_counterexample(p, "KIND", {"kind": "second", "two_in_a0": False})
     assert not reverify_counterexample(p, "KIND", {"kind": "first", "two_in_a0": True})
     q = _kind_pair(a_plus_a=2)
-    assert run_check(q, "KIND").passed
+    assert run_check(q, "KIND")["passed"]
     assert not reverify_counterexample(q, "KIND", {"kind": "second", "two_in_a0": False})
     # not cancellative (a * a = a), so the equivalence is not claimed
     r = _kind_pair(a_plus_a=0, a_times_a=2)
-    assert run_check(r, "KIND").passed
+    assert run_check(r, "KIND")["passed"]
     assert not reverify_counterexample(r, "KIND", {"kind": "first", "two_in_a0": False})
 
 
@@ -311,7 +311,7 @@ def test_cp_matches_quotient_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        if not a.cls.proper:
+        if not a.cls["proper"]:
             continue
         lat = a.lattice
         proper = a.columns["proper"]
@@ -374,12 +374,12 @@ def test_e_multiples_match_old_walks(pairs):
         assert p.e_multiples.tolist() == [oracle.iterated_sum(p.add, e, k) for k in range(1, n + 1)]
         a = Analysis(p, None)
         held, _, _, notes = CHECKS["ETYPE_SHALLOW"](a)
-        if a.cls.e_distributive and a.cls.shallow:
+        if a.cls["e_distributive"] and a.cls["shallow"]:
             k = oracle.etype_shallow_k_loop(p)
             assert held == (k is not None), p.name
             assert notes.startswith(f"k={k}, ") if held else notes == "no k with 1 + k*e in A0"
             seen["ETYPE_SHALLOW"] += held
-        if a.cls.e_distributive and a.cls.positive_e_type is not None:
+        if a.cls["e_distributive"] and a.cls["positive_e_type"] is not None:
             notes = CHECKS["PRS2"](a)[3]
             assert notes.endswith(f"; square exponents {oracle.square_exponents_loop(p, twist)}")
             seen["PRS2"] += 1
@@ -390,7 +390,7 @@ def test_tr1_monotone_matches_refines_loop(pairs, monkeypatch):
     # send one congruence's A*e image to the bottom or the top of A*e
     planted = 0
     for p in pairs.values():
-        if not (p.property_n is not None and classify_pair(p).e_central):
+        if not (p.property_n is not None and classify_pair(p)["e_central"]):
             continue
         a = Analysis(p, None)
         lat, ae_lat, real = a.lattice, a.ae[0].lattice, a.images("ae")
@@ -429,7 +429,7 @@ def _tr1_plants(rng, a):
         flip[m - 1, 0] = not flip[m - 1, 0]
         plants += [q_rows_plant({m - 1: q_rows[0]}),
                    lambda mp: mp.setitem(q.lattice.__dict__, "leq", flip)]
-    if not a.cls.e_central:
+    if not a.cls["e_central"]:
         return plants
     ae_lat, real, last = a.ae[0].lattice, a.images("ae"), len(a.lattice) - 1
 
@@ -465,7 +465,7 @@ def test_tr1_matches_member_loop(pairs, monkeypatch):
         for plant in _tr1_plants(rng, a):
             plant(monkeypatch)
             (q, q_proj), lat = a.quotient_e, a.lattice
-            ae_lat = a.ae[0].lattice if a.cls.e_central else None
+            ae_lat = a.ae[0].lattice if a.cls["e_central"] else None
 
             def push(cong):     # the planted image, one member at a time
                 k = a.images("ae")[lat.find(cong)]
@@ -473,7 +473,7 @@ def test_tr1_matches_member_loop(pairs, monkeypatch):
                         SimpleNamespace(roots=None) if k == MISSING else ae_lat[k])
 
             want = oracle.tr1_loop(p, q.lattice, q_proj, lat, ae_lat, push,
-                                   a.cls.e_central, a.cls.e_final, is_congruence)
+                                   a.cls["e_central"], a.cls["e_final"], is_congruence)
             held, passed, cx, _ = CHECKS["TR1"](a)
             assert (held, passed, cx) == (True, *want), p.name
             kinds.add(cx and cx["kind"])
@@ -511,14 +511,14 @@ def test_reverify_recomputes_emul_and_congb(monkeypatch):
             p = _with_witness(rng, _random_pair(rng, n))
             a = Analysis(p, None)
             r = run_check(p, "CONGB")
-            if r.passed is False:
-                cx = r.counterexample
+            if r["passed"] is False:
+                cx = r["counterexample"]
                 assert reverify_counterexample(p, "CONGB", cx), cx
                 turned = {**cx, "contains_b": not cx["contains_b"],
                           "is_congruence": not cx["is_congruence"]}
                 assert not reverify_counterexample(p, "CONGB", turned), cx
                 confirmed["CONGB"] += 1
-            monkeypatch.setattr(a, "cls", SimpleNamespace(e_central=True, e_idempotent=True))
+            monkeypatch.setattr(a, "cls", {"e_central": True, "e_idempotent": True})
             _, passed, cx, _ = CHECKS["EMUL"](a)
             monkeypatch.undo()
             if passed is False:
@@ -548,7 +548,7 @@ def _twass_by_double(pair):
 
 def _twass(pair):
     r = run_check(pair, "TWASS")
-    return r.hypotheses_held, r.passed, r.counterexample, r.notes
+    return r["hypotheses_held"], r["passed"], r["counterexample"], r["notes"]
 
 
 def _zero_triple(pair):
@@ -582,23 +582,23 @@ def test_twass_matches_doubled_pair_on_random_tables(seed, n):
 def test_reports_serialize(sb):
     from pairspec.dsl import serialize
     reports = run_all(sb)
-    text = serialize({"reports": [r.to_dict() for r in reports]})
-    assert text == serialize({"reports": [r.to_dict() for r in reports]})
+    text = serialize({"reports": reports})
+    assert text == serialize({"reports": reports})
 
 
 def test_hyprop_on_power_pairs(pairs):
     r = run_check(pairs["power_massouros_c2"], "HYPROP")
-    assert r.passed and "e-type 2" in r.notes
+    assert r["passed"] and "e-type 2" in r["notes"]
     r = run_check(pairs["power_signs"], "HYPROP")
-    assert r.passed and "e-idempotent" in r.notes
+    assert r["passed"] and "e-idempotent" in r["notes"]
     r = run_check(pairs["super_boolean"], "HYPROP")
-    assert not r.hypotheses_held
+    assert not r["hypotheses_held"]
 
 
 def test_congb_passes_on_etype_catalog(pairs):
     for name in ("super_boolean", "minbp_c2_first", "supertropical_c2"):
         r = run_check(pairs[name], "CONGB")
-        assert r.passed, name
+        assert r["passed"], name
 
 
 def test_cong_b_depends_only_on_the_sum(pairs):
@@ -649,7 +649,7 @@ def test_congb_matches_per_element_loop(pairs, monkeypatch):
     randoms = [_with_witness(rng, _random_pair(rng, n)) for n in range(2, 7) for _ in range(12)]
     verdicts = {True: 0, False: 0}
     for p in [*pairs.values(), *randoms]:
-        if classify_pair(p).e_type is None:
+        if classify_pair(p)["e_type"] is None:
             continue
         sums = p.add.ravel().tolist()
         s0 = sums[len(sums) // 2]
@@ -659,29 +659,28 @@ def test_congb_matches_per_element_loop(pairs, monkeypatch):
             monkeypatch.setattr(verify, "cong_bs", _planted_cong_bs(plant, s0, cell))
             r = run_check(p, "CONGB")
             want = oracle.check_congb_loop(p, _planted_cong_b(plant, s0, cell))
-            assert (r.passed, r.counterexample, r.notes) == want, (p.name, plant)
+            assert (r["passed"], r["counterexample"], r["notes"]) == want, (p.name, plant)
             verdicts[want[0]] += 1
             if want[0] is False and plant == "none":
-                assert reverify_counterexample(p, "CONGB", r.counterexample), p.name
+                assert reverify_counterexample(p, "CONGB", r["counterexample"]), p.name
     assert all(verdicts.values()), verdicts
 
 
 def test_tr1_reports_injection(sb):
     r = run_check(sb, "TR1")
-    assert r.passed
-    assert "injected" in r.notes
-    assert "biject" in r.notes  # super-Boolean is e-final
+    assert r["passed"]
+    assert "injected" in r["notes"]
+    assert "biject" in r["notes"]  # super-Boolean is e-final
 
 
 def test_cap_is_recorded_not_raised(sb):
     reports = run_all(sb, cap=1)
     # lattice-dependent checks record the cap, table-level checks still run
-    assert any("cap exceeded" in r.notes for r in reports)
-    assert any(r.passed is True for r in reports)
+    assert any("cap exceeded" in r["notes"] for r in reports)
+    assert any(r["passed"] is True for r in reports)
 
 
 def test_capped_run_all_enumerates_each_lattice_once(monkeypatch):
-    import pairspec.spectrum as spectrum
     from pairspec.constructions import function_pair, super_boolean
     from pairspec.errors import CapExceeded
     from pairspec.monoids import cyclic_group
@@ -699,20 +698,20 @@ def test_capped_run_all_enumerates_each_lattice_once(monkeypatch):
         seen.clear()
         reports = run_all(pair, cap=cap)
         assert len(seen) == len(set(seen)), (cap, seen)
-    capped = [r for r in reports if r.notes.startswith("cap exceeded")]
+    capped = [r for r in reports if r["notes"].startswith("cap exceeded")]
     assert len(capped) == 11
     # each note is the one a fresh analysis of that check alone raises
     for r in capped:
         with pytest.raises(CapExceeded) as info:
-            run_check(pair, r.check_id, cap=20)
-        assert r.notes == f"cap exceeded: {info.value}"
-        assert (r.hypotheses_held, r.passed, r.counterexample) == (True, None, None)
+            run_check(pair, r["check_id"], analysis=Analysis(pair, 20))
+        assert r["notes"] == f"cap exceeded: {info.value}"
+        assert (r["hypotheses_held"], r["passed"], r["counterexample"]) == (True, None, None)
 
 
 def test_cp_reads_properness_alone(pairs):
     from pairspec.core import is_proper
     for p in pairs.values():
-        assert is_proper(p) == classify_pair(p).proper == (
+        assert is_proper(p) == classify_pair(p)["proper"] == (
             p.a_zero & (p.tangible | {p.zero}) == {p.zero}), p.name
 
 
@@ -721,7 +720,7 @@ def test_carrier_cap_is_recorded_not_raised(sb, monkeypatch):
         raise CarrierTooLarge(structure.n ** 2, 4)
 
     def verdicts(reports):
-        return {r.check_id: (r.hypotheses_held, r.passed, r.notes) for r in reports}
+        return {r["check_id"]: (r["hypotheses_held"], r["passed"], r["notes"]) for r in reports}
 
     before = verdicts(run_all(sb))
     monkeypatch.setattr(verify, "twist_table", too_large)
@@ -937,7 +936,7 @@ def test_pro3_matches_member_loop(pairs, monkeypatch):
     planted = 0
     for p in pairs.values():
         a = Analysis(p, None)
-        if not a.cls.e_central:
+        if not a.cls["e_central"]:
             continue
         e = p.property_n.e
         rows, m = _roots_rows(a.lattice), len(a.lattice)
@@ -968,7 +967,7 @@ def test_shallow1k_matches_member_loop(pairs, monkeypatch):
     for forced, p in [(False, p) for p in pairs.values()] + [(True, p) for p in randoms]:
         a = Analysis(p, None)
         if forced:
-            monkeypatch.setattr(a, "cls", SimpleNamespace(shallow=True, kind="first"))
+            monkeypatch.setattr(a, "cls", {"shallow": True, "kind": "first"})
         elif not CHECKS["SHALLOW1K"](a)[0]:
             continue
         lat, proper = a.lattice, a.columns["proper"]
@@ -1091,8 +1090,8 @@ def test_emul_and_esq_match_element_loops(pairs, monkeypatch):
         if p.property_n is None:
             continue
         a = Analysis(p, None)
-        monkeypatch.setattr(a, "cls", SimpleNamespace(e_central=True, e_idempotent=True,
-                                                      e_distributive=True))
+        monkeypatch.setattr(a, "cls", {"e_central": True, "e_idempotent": True,
+                                       "e_distributive": True})
         for check, loop in (("EMUL", oracle.emul_loop), ("ESQ", oracle.esq_loop)):
             want = loop(p)
             assert CHECKS[check](a)[2] == want, (p.name, check)
@@ -1193,7 +1192,7 @@ def test_est_kind_and_hyprop_match_their_loops(pairs):
             assert CHECKS["EST"](SimpleNamespace(pair=q))[2] == want, p.name
             failed["EST"] += want is not None
             flags = oracle.classify_flags_loop(q)
-            cls = SimpleNamespace(kind=flags["kind"], cancellative=bool(rng.integers(2)))
+            cls = {"kind": flags["kind"], "cancellative": bool(rng.integers(2))}
             want = oracle.kind_loop(q, cls)
             assert CHECKS["KIND"](SimpleNamespace(pair=q, cls=cls)) == want, p.name
             failed["KIND"] += want[1] is False
@@ -1209,9 +1208,8 @@ def test_est_kind_and_hyprop_match_their_loops(pairs):
             e_set = [frozenset(range(h.n)) - {h.one}, h.e_set, None][int(rng.integers(3))]
             hyper = SimpleNamespace(n=h.n, zero=h.zero, one=h.one, mul=mul, tangible=tangible,
                                     e_set=e_set, hypernegation=h.hypernegation)
-            cls = SimpleNamespace(e_type=[(2, 2), (1, 1), None][int(rng.integers(3))],
-                                  e_idempotent=bool(rng.integers(2)),
-                                  e_final=bool(rng.integers(2)))
+            cls = {"e_type": [[2, 2], [1, 1], None][int(rng.integers(3))],
+                   "e_idempotent": bool(rng.integers(2)), "e_final": bool(rng.integers(2))}
             ctx = SimpleNamespace(pair=SimpleNamespace(hyper=hyper), cls=cls)
             want = oracle.hyprop_loop(ctx)
             assert CHECKS["HYPROP"](ctx) == want, h.name
@@ -1230,9 +1228,9 @@ def test_bf_meet_reverifier_recomputes_by_definition():
     for s in (chain_monoid(2), saturating_monoid(2)):
         p = function_pair(build("minbp_c2_second"), s)
         r = run_check(p, "BF")
-        assert r.passed is False and r.counterexample["part"] == "iii", s.names
-        assert reverify_counterexample(p, "BF", r.counterexample), s.names
-        cx = r.counterexample
+        assert r["passed"] is False and r["counterexample"]["part"] == "iii", s.names
+        assert reverify_counterexample(p, "BF", r["counterexample"]), s.names
+        cx = r["counterexample"]
         assert not reverify_counterexample(p, "BF", {**cx, "j": cx["i"]})
         assert not reverify_counterexample(p, "BF", {**cx, "part": "iv"})
         assert not reverify_counterexample(p, "BF", {**cx, "i": [["[0,0]"]]})
@@ -1280,12 +1278,43 @@ def test_census_tally_and_every_failure_reverifies():
             if key.startswith("verdict_"):
                 verdicts.setdefault(key, [0, 0, 0])[outcome[v["holds"]]] += 1
         for r in run_all(p):
-            checks.setdefault(r.check_id, [0, 0, 0])[outcome[r.passed]] += 1
-            if r.passed is False:
-                failures.append((p.name, r.check_id))
-                if not reverify_counterexample(p, r.check_id, r.counterexample):
-                    unconfirmed.append((p.name, r.check_id))
+            checks.setdefault(r["check_id"], [0, 0, 0])[outcome[r["passed"]]] += 1
+            if r["passed"] is False:
+                failures.append((p.name, r["check_id"]))
+                if not reverify_counterexample(p, r["check_id"], r["counterexample"]):
+                    unconfirmed.append((p.name, r["check_id"]))
     assert {k: tuple(v) for k, v in checks.items()} == CENSUS_CHECKS
     assert {k: tuple(v) for k, v in verdicts.items()} == CENSUS_VERDICTS
     assert [f for f in failures if not f[0].startswith("s4.")] == CENSUS_FAILURES
     assert unconfirmed == CENSUS_UNCONFIRMED
+
+
+def test_flag_reverifiers_do_not_call_the_member_classifier(pairs, monkeypatch):
+    """RD1, PRS1 and PRO3C take each flag by its definition on the reported
+    congruence: with ``classify_congruence_elementwise`` raising wherever a
+    module holds it, the census failures of these checks and the signs
+    PRO3C counterexample still confirm, and fabricated ones are refused."""
+    def boom(*args):
+        raise AssertionError("a reverifier called classify_congruence_elementwise")
+
+    for module in (spectrum, verify):
+        monkeypatch.setattr(module, "classify_congruence_elementwise", boom, raising=False)
+    failed = {cid: 0 for cid in ("RD1", "PRS1", "PRO3C")}
+    for p in census.pairs(2) + census.pairs(3) + census.pairs(4):
+        a = Analysis(p, None)
+        for cid in failed:
+            r = run_check(p, cid, analysis=a)
+            if r["passed"] is False:
+                assert reverify_counterexample(p, cid, r["counterexample"]), (p.name, cid)
+                failed[cid] += 1
+    assert failed == {cid: CENSUS_CHECKS[cid][1] for cid in failed}
+    p = pairs["power_signs"]
+    cx = run_check(p, "PRO3C")["counterexample"]
+    assert reverify_counterexample(p, "PRO3C", cx)
+    lat = Analysis(p, None).lattice
+    # member 1 is proper, member 3 relates 1 and e, member 0 is not radical
+    for cid, i in (("PRO3C", 1), ("PRO3C", 3), ("RD1", 0), ("PRS1", 0)):
+        fake = {**cx, "blocks": lat[i].block_labels(), "part": "ii", "b": "{1}"}
+        assert not reverify_counterexample(p, cid, fake), (cid, i)
+    assert not reverify_counterexample(pairs["super_boolean"], "RD1",
+                                       {"blocks": [["0"], ["1", "e"]]})
