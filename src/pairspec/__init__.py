@@ -29,7 +29,6 @@ from .congruences import (
     is_congruence,
 )
 from .constructions import (
-    DoubledPair,
     HyperStructure,
     double,
     function_pair,

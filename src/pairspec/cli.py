@@ -298,11 +298,7 @@ def _construct(builder, params, base_file):
     if builder == "double":
         if base_file is None:
             raise ValueError("double needs --base FILE")
-        pair = _load_pair(base_file)
-        d = double(pair)
-        if d.pair is None:
-            raise ValueError(f"doubled tangibles are not central: {d.pair_error}")
-        return dsl.pair_to_file(d.pair, d.switch)
+        return dsl.pair_to_file(*double(_load_pair(base_file)))
     if builder in ("power_set", "hyperpair"):
         hyper = _load_hyper_arg(params, base_file)
         s0 = None

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .core import Pair, is_distributively_central
+from .core import Pair
 from .errors import CapExceeded
 
 DEFAULT_CAP = 100_000
@@ -198,25 +198,9 @@ def meets(r1, r2) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CongBResult:
-    """Explicit principal-candidate relation for a doubled element b.
-
-    The relation {(x, y) : (x, y) + d in Diag for some d in the additive
-    closure of the two-sided twist multiples of (b1+b2, b1+b2)}.  Everything
-    is reported; nothing is assumed to be a congruence.
-    """
-
-    relation: np.ndarray
-    is_congruence: bool
-    contains_b: bool
-    hypothesis_semiring: bool
-    hypothesis_s_central: bool
-
-
-def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
+def cong_b(pair: Pair, b: tuple[int, int]) -> tuple[np.ndarray, bool]:
     """Relation of pairs whose difference is absorbed by a diagonal multiple
-    of b (-) b.
+    of b (-) b, and whether it is a congruence; nothing is assumed.
 
     Every two-sided twist multiple of (s, s), s = b1+b2, is diagonal, so the
     defining sums reduce to a set Z of absorbing values: x ~ y iff
@@ -242,13 +226,7 @@ def cong_b(pair: Pair, b: tuple[int, int]) -> CongBResult:
     for col in add[:, zs].T:
         rel |= col[:, None] == col[None, :]
 
-    return CongBResult(
-        relation=rel,
-        is_congruence=relation_to_congruence(pair, rel) is not None,
-        contains_b=bool(rel[b1, b2]),
-        hypothesis_semiring=pair.structure.is_semiring(),
-        hypothesis_s_central=is_distributively_central(pair, s),
-    )
+    return rel, relation_to_congruence(pair, rel) is not None
 
 
 def cong_bs(pair: Pair, sums) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,6 @@ idempotent image and the quotient by the least one~e congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Optional
@@ -49,21 +48,14 @@ def twist_subset(pair: Pair, rel1: Congruence, rel2: Congruence, target: np.ndar
                                            target)[0] < 0
 
 
-@dataclass(frozen=True)
-class SqrtResult:
-    """Union of the twist-square preimage chain; need not be a congruence."""
-
-    matrix: np.ndarray
-    depth: int
-
-
-def sqrt_phi(pair: Pair, cong: Congruence) -> SqrtResult:
+def sqrt_phi(pair: Pair, cong: Congruence) -> tuple[np.ndarray, int]:
     """Iterate S1 = Phi, S_{i+1} = preimage of S_i under twist squaring,
-    until stable; the chain ascends so the fixpoint is the union."""
+    until stable; the chain ascends so the fixpoint is the union, returned
+    as a matrix (it need not be a congruence) with the chain's depth."""
     cur, depth = cong.matrix.copy(), 1
     while not ((nxt := _kernels.sqrt_step(pair.add, pair.mul, cur) | cur) == cur).all():
         cur, depth = nxt, depth + 1
-    return SqrtResult(matrix=cur, depth=depth)
+    return cur, depth
 
 
 # ---------------------------------------------------------------------------

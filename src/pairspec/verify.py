@@ -29,10 +29,9 @@ CP, PRO3, SHALLOW1K, CHAINS part iii and BF parts iii and iv, for CONGB with
 the per-element ``cong_b``, and for RD1, PRS1 and PRO3C with each flag taken
 by its definition on the reported congruence: radical and T-cancellative by
 the kernels' violation scans over its matrix, proper as no related pair of
-T x A0, and (1, e) as one related pair.  For TR1, PRS2, RD2, SP2, HYPROP, BF
-parts i, ii and v and CHAINS parts i, ii and iv it only tests that the
-reported blocks form a congruence, and a counterexample that names none
-confirms nothing.
+T x A0, and (1, e) as one related pair.  TR1, PRS2, RD2, SP2, HYPROP, BF
+parts i, ii and v and CHAINS parts i, ii and iv have no recompute yet, so
+no counterexample of theirs is confirmed.
 """
 
 from __future__ import annotations
@@ -286,9 +285,9 @@ def _check_congb(ctx):
     pair = ctx.pair
     if ctx.cls["e_type"] is None:
         return False, None, None, "needs a pair with an e-type"
-    # cong_b(b) depends on b only through s = b1 + b2, apart from contains_b,
-    # so each distinct sum is taken once, and the first failing b of the
-    # loop over b in row-major order is found with argmax
+    # cong_b(b) depends on b only through s = b1 + b2, so each distinct sum
+    # is taken once, and the first failing b of the loop over b in
+    # row-major order is found with argmax
     n = pair.n
     sums, at = np.unique(pair.add.ravel(), return_inverse=True)
     rel, ok = cong_bs(pair, sums)
@@ -396,10 +395,10 @@ def _check_prs2(ctx):
     else:
         notes.append("pair not reduced: part (i) vacuous")
     if ctx.cls["positive_e_type"] is not None:
-        r = sqrt_phi(pair, diagonal(pair))
-        if not (r.matrix[pair.one, e] and r.matrix[e, pair.one]):
-            return True, False, {"part": "iii", "sqrt_depth": r.depth}, ""
-        notes.append(f"(1,e),(e,1) in sqrt(diag) at depth {r.depth}")
+        root, depth = sqrt_phi(pair, diagonal(pair))
+        if not (root[pair.one, e] and root[e, pair.one]):
+            return True, False, {"part": "iii", "sqrt_depth": depth}, ""
+        notes.append(f"(1,e),(e,1) in sqrt(diag) at depth {depth}")
         # empirical twist-squares of (1+k'e, k'e); the printed closed form
         # is treated as data, not as an assertion
         ke = pair.e_multiples
@@ -711,8 +710,7 @@ def _meet_loses_flag(pair: Pair, part: str, i: Optional[Congruence],
 
 def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     """Recompute the violated instance directly from the tables (for the
-    ids the module docstring lists; the others test only that the reported
-    blocks form a congruence).
+    ids the module docstring lists; any other counterexample is refused).
 
     Returns True when the counterexample indeed violates the named law, and
     False for an id that names no check, blocks that are no congruence, an
@@ -725,8 +723,8 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
         return False
     cx = cx or {}
     try:      # an unknown label, a missing or short field, a wrong type, or no e raises
-        # the reported blocks must form a congruence; these ids recompute on them
-        if "blocks" in cx or check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
+        # these ids recompute on the reported blocks, which must form a congruence
+        if check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
             cong = _cong_from_blocks(pair, cx["blocks"])
             if cong is None:
                 return False
@@ -826,12 +824,13 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
                      "e_not_unit": int(mul[x, e]) != x or int(mul[e, x]) != x}[kind]
             return bool((mul[:, e] == x).any()) and fails
         if check_id == "CONGB":
-            res = cong_b(pair, tuple(ix[x] for x in cx["b"]))
-            got = (res.is_congruence, res.contains_b)
-            return ((res.hypothesis_semiring or res.hypothesis_s_central) and not all(got)
-                    and got == (cx["is_congruence"], cx["contains_b"]))
-        # the remaining checks: the reported blocks form a congruence (tested
-        # above), and a counterexample that names none confirms nothing
-        return "blocks" in cx
+            b1, b2 = (ix[x] for x in cx["b"])
+            rel, ok = cong_b(pair, (b1, b2))
+            got = (ok, bool(rel[b1, b2]))
+            held = pair.structure.is_semiring() or is_distributively_central(pair, add[b1, b2])
+            return held and not all(got) and got == (cx["is_congruence"], cx["contains_b"])
+        # TR1, PRS2, RD2, SP2, HYPROP, BF parts i, ii and v and CHAINS parts
+        # i, ii and iv have no recompute yet, so they confirm nothing
+        return False
     except (KeyError, ValueError, TypeError, NoPropertyN):
         return False

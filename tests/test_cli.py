@@ -436,6 +436,18 @@ def test_doubled_carrier_cap_exits_two(runner, tmp_path):
         assert json.loads(res.output)["error"]["kind"] == "CarrierTooLarge", argv
 
 
+def test_construct_double_refuses_non_central_tangibles(runner, tmp_path, pairs):
+    # supertropical_c2 is no semiring: the split tangibles of its double do
+    # not associate, so no pair is written and the reason goes to stderr
+    base, out = tmp_path / "supertropical_c2.json", tmp_path / "double.json"
+    base.write_text(dsl.serialize(dsl.pair_to_file(pairs["supertropical_c2"])))
+    res = runner.invoke(main, ["construct", "double", "--base", str(base), "-o", str(out)])
+    assert isinstance(res.exception, SystemExit) and res.exit_code == 1
+    assert res.stdout == "" and not out.exists()
+    assert res.stderr == ("doubled tangibles are not central: tangible does not associate; "
+                          "witness=('(0,g)', '(1,1)', '(1,g)')\n")
+
+
 def _run_dev_mode(*argv):
     """The CLI in a fresh ``python -X dev`` process, which reports files
     left open as ResourceWarnings on stderr."""

@@ -30,7 +30,7 @@ from pairspec.constructions import (
     twist_table,
     validate_hyperstructure,
 )
-from pairspec.core import classify_pair
+from pairspec.core import classify_pair, validate_negation_map
 from pairspec.errors import (
     BadBound,
     CarrierTooLarge,
@@ -138,21 +138,21 @@ def test_minimal_bipotent_kinds(pairs):
 # -- doubling ---------------------------------------------------------------------
 
 def test_double_super_boolean_basics(sb):
-    d = double(sb)
-    assert d.structure.n == 9
+    d, switch = double(sb)
+    assert d.n == 9
     assert d.structure.mul_associative
-    assert d.pair is not None and d.switch is not None
-    w = d.pair.property_n
-    assert d.structure.names[w.e] == "(1,1)"
+    assert switch is not None
+    w = d.property_n
+    assert d.names[w.e] == "(1,1)"
     i01 = 0 * sb.n + 1                      # (b1, b2) sits at b1 * n + b2
-    assert d.structure.names[int(d.structure.mul[i01, i01])] == "(1,0)"
+    assert d.names[int(d.mul[i01, i01])] == "(1,0)"
 
 
 def test_double_diagonal_absorbs(pairs):
     # b twist (z,z) always lands on the diagonal
     for name in ("super_boolean", "minbp_c2_second", "field_f3"):
         p = pairs[name]
-        d = double(p)
+        d, _ = double(p)
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
@@ -164,7 +164,7 @@ def test_double_diagonal_absorbs(pairs):
 def test_double_gen_identity_on_semirings(pairs):
     for name in ("super_boolean", "minbp_c2_first", "field_f5"):
         p = pairs[name]
-        d = double(p)
+        d, _ = double(p)
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
@@ -174,7 +174,7 @@ def test_double_gen_identity_on_semirings(pairs):
 
 
 def test_double_twist_matches_bruteforce(sb):
-    d = double(sb)
+    d, _ = double(sb)
     add = [[int(v) for v in row] for row in sb.add]
     mul = [[int(v) for v in row] for row in sb.mul]
     n = sb.n
@@ -189,7 +189,7 @@ def test_double_twist_matches_bruteforce(sb):
 def test_double_function_pair_table_matches_bruteforce(pairs):
     # the 81x81 vectorized tables against the scalar recomputation
     p = pairs["function_sb_sat2"]
-    d = double(p)
+    d, _ = double(p)
     add = [[int(v) for v in row] for row in p.add]
     mul = [[int(v) for v in row] for row in p.mul]
     n = p.n
@@ -215,8 +215,8 @@ def test_double_of_relabeled_pair(sb):
     from pairspec.core import validate_pair, validate_structure
     st = validate_structure(names, perm[sb.zero], perm[sb.one], add, mul)
     p = validate_pair(st, {perm[a] for a in sb.tangible}, {perm[x] for x in sb.a_zero})
-    d = double(p)
-    assert d.pair is not None and d.structure.mul_associative
+    d, _ = double(p)
+    assert d.structure.mul_associative
     z1, z2 = divmod(d.structure.zero, p.n)
     assert z1 == z2 == perm[sb.zero]
     o1, o2 = divmod(d.structure.one, p.n)
@@ -224,11 +224,16 @@ def test_double_of_relabeled_pair(sb):
 
 
 def test_double_nondistributive_base_reports_failure(pairs):
-    d = double(pairs["supertropical_c2"])
-    assert d.pair is None
-    assert "associate" in d.pair_error
-    assert not d.structure.mul_associative
-    assert d.switch is not None  # the switch axioms do not need distributivity
+    p = pairs["supertropical_c2"]
+    with pytest.raises(ValueError, match="associate"):
+        double(p)
+    d = oracle.doubled_structure(p)
+    assert not d.mul_associative
+    # the switch axioms do not need distributivity
+    n, z = p.n, p.zero
+    split = oracle.bare_pair(d, {a * n + z for a in p.tangible} | {z * n + a for a in p.tangible},
+                             {b * n + b for b in range(n)})
+    validate_negation_map(split, [(i % n) * n + i // n for i in range(n * n)])
 
 
 # -- quotients ---------------------------------------------------------------------
@@ -476,9 +481,8 @@ def test_double_validates_for_distributive_bases(pairs):
     for name, p in pairs.items():
         if not p.structure.distributive:
             continue
-        d = double(p)
-        assert d.pair is not None, name
-        assert d.switch is not None, name
+        _, switch = double(p)
+        assert switch is not None, name
 
 
 def test_group_hyperfield_e_type_two_scales():

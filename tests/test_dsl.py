@@ -142,8 +142,7 @@ def test_serialize_matches_json_dumps_on_nesting_and_empties():
 
 
 def _doubled(base):
-    d = constructions.double(base)
-    return dsl.pair_to_file(d.pair, d.switch)
+    return dsl.pair_to_file(*constructions.double(base))
 
 
 @pytest.mark.parametrize("n", [225, 256])

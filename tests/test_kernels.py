@@ -434,7 +434,7 @@ def test_validate_structure_runs_light_over_semiring_generators(pairs, monkeypat
     test of the product runs over those 4."""
     from pairspec.constructions import double, function_pair
     from pairspec.monoids import saturating_monoid
-    s = double(function_pair(pairs["minbp_c2_first"], saturating_monoid(2))).structure
+    s = double(function_pair(pairs["minbp_c2_first"], saturating_monoid(2)))[0].structure
     assert s.n == 256 and s.distributive and s.mul_associative
     assert len(_kernels.generators(s.mul)) == 43
     assert _kernels.generators(s.mul, s.add).tolist() == [0, 1, 2, 4]

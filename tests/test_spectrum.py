@@ -77,32 +77,32 @@ def test_twist_subset_early_exit(sb):
 def test_sqrt_of_radical_congruence_is_itself(sb):
     lat = enumerate_congruences(sb)
     for i, cong in enumerate(lat):
-        r = sqrt_phi(sb, cong)
+        root, _ = sqrt_phi(sb, cong)
         if classify_congruence_elementwise(sb, cong)["radical"]:
-            assert (r.matrix == cong.matrix).all()
+            assert (root == cong.matrix).all()
         else:
-            assert (r.matrix & ~cong.matrix).any()
+            assert (root & ~cong.matrix).any()
 
 
 def test_sqrt_diag_contains_1e_for_positive_e_type(pairs):
     for name, p in pairs.items():
         if p.property_n is None or positive_e_type(p) is None:
             continue
-        r = sqrt_phi(p, diagonal(p))
+        root, depth = sqrt_phi(p, diagonal(p))
         e = p.property_n.e
-        assert r.matrix[p.one, e] and r.matrix[e, p.one], name
-        assert r.depth >= 2
+        assert root[p.one, e] and root[e, p.one], name
+        assert depth >= 2
 
 
 def test_sqrt_all_relation_is_all(sb):
-    r = sqrt_phi(sb, all_relation(sb))
-    assert r.matrix.all()
-    assert relation_to_congruence(sb, r.matrix) is not None
+    root, _ = sqrt_phi(sb, all_relation(sb))
+    assert root.all()
+    assert relation_to_congruence(sb, root) is not None
 
 
 def test_sqrt_need_not_be_congruence(pairs):
     p = pairs["minbp_c2_second"]
-    assert relation_to_congruence(p, sqrt_phi(p, diagonal(p)).matrix) is None
+    assert relation_to_congruence(p, sqrt_phi(p, diagonal(p))[0]) is None
 
 
 # -- classification -------------------------------------------------------------------
@@ -491,7 +491,7 @@ def test_full_pipeline_on_doubled_pair(sb):
     """The doubled pair feeds straight back into the congruence and spectrum
     machinery: a second-kind, e-central pair of positive e-type 2."""
     from pairspec.constructions import double
-    dp = double(sb).pair
+    dp, _ = double(sb)
     c = classify_pair(dp)
     assert c["kind"] == "second"
     assert c["e_type"] == [2, 2]
@@ -623,6 +623,28 @@ def test_strongly_prime_is_joo_mincheva_prime(pairs):
                 assert strongly_prime == oracle.jm_prime(add, mul, list(cong.block_of),
                                                              sub.zero), (sub.name, cong.roots)
     assert (images, members) == (54, 300)
+
+
+def test_joo_mincheva_primes_from_points(pairs):
+    """Where the product of A*e distributes over +, the kernels of
+    x -> [x not <= m] over the points m are the non-top members that
+    ``oracle.jm_prime`` accepts, and the non-top strongly prime members.
+    The two images whose product does not distribute are excluded."""
+    checked, excluded = 0, []
+    for image in _jm_images(pairs):
+        sub = image.pair
+        if not sub.structure.distributive:
+            excluded.append(sub.name)
+            continue
+        add, mul = sub.add.tolist(), sub.mul.tolist()
+        non_top = [(tuple(c.block_of), bool(strong))
+                   for c, strong in zip(image.lattice, image.columns["strongly_prime"])
+                   if len(set(c.block_of)) > 1]
+        points = oracle.jm_points(add, mul, sub.zero, sub.one)
+        assert points == {b for b, _ in non_top if oracle.jm_prime(add, mul, list(b), sub.zero)}
+        assert points == {b for b, strong in non_top if strong}, sub.name
+        checked += 1
+    assert (checked, excluded) == (52, ["supertropical_c2*e", "supertropical_c2^S*e"])
 
 
 def test_iso_verdicts_match_member_loop(pairs):

@@ -13,7 +13,7 @@ import oracle
 from pairspec import _kernels, spectrum, verify
 from pairspec._kernels import first_nonassoc
 from pairspec.congruences import Congruence, CongruenceLattice, cong_b, cong_bs, is_congruence
-from pairspec.constructions import double, minimal_bipotent, quotient_pair
+from pairspec.constructions import minimal_bipotent, quotient_pair
 from pairspec.core import (
     FiniteStructure,
     PropertyNWitness,
@@ -535,14 +535,14 @@ def test_reverify_recomputes_emul_and_congb(monkeypatch):
 
 
 def _twass_by_double(pair):
-    """TWASS read off the full doubled pair (table validation, switch map and
-    all): the reference for the check, which scans the twist product alone."""
+    """TWASS read off the validated doubled structure: the reference for the
+    check, which scans the twist product alone."""
     if not pair.structure.is_semiring():
         return False, None, None, "needs a semiring pair"
-    d = double(pair)
-    if d.structure.mul_associative:
-        return True, True, None, f"all {d.structure.n}^3 triples associate"
-    triple = d.structure.labels(first_nonassoc(d.structure.mul))
+    d = oracle.doubled_structure(pair)
+    if d.mul_associative:
+        return True, True, None, f"all {d.n}^3 triples associate"
+    triple = d.labels(first_nonassoc(d.mul))
     return True, False, {"triple": list(triple)}, ""
 
 
@@ -606,24 +606,22 @@ def test_cong_b_depends_only_on_the_sum(pairs):
         by_sum = {}
         for b1 in range(p.n):
             for b2 in range(p.n):
-                res = cong_b(p, (b1, b2))
-                key = (res.relation.tobytes(), res.is_congruence,
-                       res.hypothesis_semiring, res.hypothesis_s_central)
+                rel, ok = cong_b(p, (b1, b2))
+                key = (rel.tobytes(), ok)
                 assert by_sum.setdefault(int(p.add[b1, b2]), key) == key, (p.name, b1, b2)
-                assert res.contains_b == res.relation[b1, b2]
 
 
 def _planted_cong_b(plant, s0, cell):
     """cong_b with a fault planted at the sum s0; still a function of the sum."""
     def fake(pair, b):
-        res = cong_b(pair, b)
+        rel, ok = cong_b(pair, b)
         if plant == "none" or int(pair.add[b[0], b[1]]) != s0:
-            return res
+            return rel, ok
         if plant == "not_congruence":
-            return replace(res, is_congruence=False)
-        rel = res.relation.copy()
+            return rel, False
+        rel = rel.copy()
         rel[cell] = False
-        return replace(res, relation=rel, contains_b=bool(rel[b]))
+        return rel, ok
     return fake
 
 
@@ -1158,6 +1156,34 @@ def test_reverify_rejects_unknown_labels_and_missing_fields(pairs, cid):
         if f not in ("part", "k"):                 # a list where a label goes
             wrong = [cx[f]] if isinstance(cx[f], str) else [[x] for x in cx[f]]
             assert not reverify_counterexample(p, cid, {**cx, f: wrong}), f
+
+
+# one well-formed counterexample per id or part that has no recompute, on a
+# pair where the check passes; the diagonal's blocks form a congruence
+_DIAG_SB = [["0"], ["1"], ["e"]]
+_UNRECOMPUTED = {
+    "TR1": ("super_boolean", {"kind": "e_image_not_congruence", "blocks": _DIAG_SB}),
+    "PRS2": ("super_boolean", {"part": "i", "blocks": _DIAG_SB}),
+    "RD2": ("super_boolean", {"detail": "|spec(A)|=2, |spec(A*e)|=3"}),
+    "SP2": ("super_boolean", {"part": "ii", "blocks": _DIAG_SB}),
+    "HYPROP": ("power_massouros_c2", {"case": "group_complement", "e_type": [1, 1]}),
+    "BF-i": ("super_boolean", {"part": "i", "blocks": _DIAG_SB}),
+    "BF-ii": ("super_boolean", {"part": "ii", "blocks": _DIAG_SB, "prime": False,
+                                "semiprime": True, "irreducible": True}),
+    "BF-v": ("super_boolean", {"part": "v", "join_mismatch": True}),
+    "CHAINS-i": ("super_boolean", {"part": "i", "proper": _DIAG_SB, "other": _DIAG_SB}),
+    "CHAINS-ii": ("super_boolean", {"part": "ii", "blocks": _DIAG_SB}),
+    "CHAINS-iv": ("super_boolean", {"part": "iv", "blocks": _DIAG_SB,
+                                    "factors": [_DIAG_SB, _DIAG_SB]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNRECOMPUTED))
+def test_reverify_refuses_ids_without_a_recompute(pairs, case):
+    name, cx = _UNRECOMPUTED[case]
+    cid = case.split("-")[0]
+    assert run_check(pairs[name], cid)["passed"] is True
+    assert reverify_counterexample(pairs[name], cid, cx) is False
 
 
 def test_reverify_rejects_fields_of_the_wrong_type(pairs):
