@@ -145,9 +145,9 @@ def validate(file):
         "valid": True,
         "n": pair.n,
         "flags": {
-            "mul_associative": pair.structure.mul_associative,
-            "distributive": pair.structure.distributive,
-            "commutative_mul": pair.structure.commutative_mul,
+            "mul_associative": pair.mul_associative,
+            "distributive": pair.distributive,
+            "commutative_mul": pair.commutative_mul,
             "tangibles_distribute": pair.t_distributive,
         },
         "property_n": {
@@ -315,7 +315,7 @@ def _construct(builder, params, base_file):
             raise ValueError("residue needs --base FILE or --param field=P")
         if "subgroup" not in params:
             raise ValueError("residue needs --param subgroup=a,b,...")
-        sub = set(_indices(params["subgroup"], pair.structure.index))
+        sub = set(_indices(params["subgroup"], pair.index))
         return dsl.hyper_to_file(residue_hyperstructure(pair, sub))
     if builder == "function_pair":
         if base_file is None:
@@ -335,7 +335,7 @@ def quotient(file, gen_spec, out_file):
     """Quotient by the congruence generated by the given element pairs."""
     pair = _load_pair(file)
     try:
-        gens = _indices(gen_spec, pair.structure.index, pairs=True)
+        gens = _indices(gen_spec, pair.index, pairs=True)
     except ValueError as exc:
         _echo(str(exc), err=True)
         sys.exit(EXIT_INVALID)

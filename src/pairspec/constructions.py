@@ -17,7 +17,6 @@ from ._kernels import (_SCAN_CELLS, _first, _tiles, _twist_chunks, first_nonasso
                        row_blocks)
 from .congruences import Congruence, is_congruence
 from .core import (
-    FiniteStructure,
     Pair,
     validate_negation_map,
     validate_pair,
@@ -169,15 +168,15 @@ class DoubledPair(NamedTuple):
     switch: Optional[tuple[int, ...]]
 
 
-def twist_table(base: FiniteStructure) -> np.ndarray:
+def twist_table(pair: Pair) -> np.ndarray:
     """The twist multiplication on index pairs a * n + b of A x A, filled
     one tile of the kernels' twist loop at a time."""
-    n = base.n
+    n = pair.n
     if n * n > DEFAULT_CARRIER_CAP:
         raise CarrierTooLarge(n * n, DEFAULT_CARRIER_CAP)
     b1, b2 = np.divmod(np.arange(n * n), n)
     mul_hat = np.empty((n * n, n * n), dtype=np.int64)
-    for i, j, p, q in _twist_chunks(base.add, base.mul, b1, b2, b1, b2):
+    for i, j, p, q in _twist_chunks(pair.add, pair.mul, b1, b2, b1, b2):
         mul_hat[i, j] = p * n + q
     return mul_hat
 
@@ -193,15 +192,14 @@ def double(pair: Pair) -> DoubledPair:
     (a, b) -> (b, a) as a tuple of indices, or None when that fails the
     negation-map axioms.  Raises ValueError when the base does not
     distribute enough for the split tangibles to be central."""
-    base = pair.structure
-    n = base.n
-    mul_hat = twist_table(base)
+    n, zero = pair.n, pair.zero
+    mul_hat = twist_table(pair)
     # componentwise: (a1, a2) + (c1, c2) = (a1 + c1, a2 + c2)
-    add_hat = ((base.add * n)[:, None, :, None] + base.add[None, :, None, :]).reshape(n * n, n * n)
-    names = doubled_names(base.names)
-    st = validate_structure(names, zero=base.zero * n + base.zero,
-                            one=base.one * n + base.zero, add=add_hat, mul=mul_hat)
-    that = {a * n + base.zero for a in pair.tangible} | {base.zero * n + a for a in pair.tangible}
+    add_hat = ((pair.add * n)[:, None, :, None] + pair.add[None, :, None, :]).reshape(n * n, n * n)
+    names = doubled_names(pair.names)
+    st = validate_structure(names, zero=zero * n + zero,
+                            one=pair.one * n + zero, add=add_hat, mul=mul_hat)
+    that = {a * n + zero for a in pair.tangible} | {zero * n + a for a in pair.tangible}
     try:
         doubled = validate_pair(st, that, {b * n + b for b in range(n)},
                                 name=f"double({pair.name})")

@@ -9,7 +9,7 @@ operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -146,11 +146,10 @@ class PropertyNWitness:
 
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(FiniteStructure):
     """A structure with a central tangible monoid T and a T-submodule A0
     standing in for zero; ``hyper`` is a power-set or hyperpair pair's hyperstructure."""
 
-    structure: FiniteStructure
     tangible: frozenset[int]
     a_zero: frozenset[int]
     property_n: Optional[PropertyNWitness]
@@ -158,30 +157,6 @@ class Pair:
     t_distributive: bool = True
     name: str = ""
     hyper: Optional[HyperStructure] = field(default=None, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.structure.n
-
-    @property
-    def add(self) -> np.ndarray:
-        return self.structure.add
-
-    @property
-    def mul(self) -> np.ndarray:
-        return self.structure.mul
-
-    @property
-    def zero(self) -> int:
-        return self.structure.zero
-
-    @property
-    def one(self) -> int:
-        return self.structure.one
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.structure.names
 
     @cached_property
     def t_sorted(self) -> np.ndarray:
@@ -334,7 +309,7 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     except NonUniqueE as exc:
         pn_error = str(exc)
     return Pair(
-        structure=structure,
+        **{f.name: getattr(structure, f.name) for f in fields(FiniteStructure)},
         tangible=t,
         a_zero=a0,
         property_n=witness,
@@ -345,15 +320,15 @@ def validate_pair(structure: FiniteStructure, tangible, a_zero, name: str = "",
     )
 
 
-def characteristic(structure: FiniteStructure) -> tuple[int, int]:
+def characteristic(pair: Pair) -> tuple[int, int]:
     """(p, k) with the k-th and (k+p)-th iterated sums of one equal, p then k
     minimal; k is searched from 1 (an empty sum is left undefined)."""
     seen: dict[int, int] = {}
-    val = structure.one
+    val = pair.one
     k = 1
     while val not in seen:
         seen[val] = k
-        val = int(structure.add[val, structure.one])
+        val = int(pair.add[val, pair.one])
         k += 1
     first = seen[val]
     return (k - first, first)
@@ -514,7 +489,7 @@ def classify_pair(pair: Pair) -> dict:
         "a0_bipotent": first_row(ts, len(ts), lambda a: ~in_a0[add[a[:, None], ts]] & (
             add[a[:, None], ts] != a[:, None]) & (add[a[:, None], ts] != ts)) is None,
         "admissible": all(v is not None for v in heights(pair)),
-        "characteristic": list(characteristic(pair.structure)),
+        "characteristic": list(characteristic(pair)),
         "a0_characteristic": a0_characteristic(pair),
         "has_property_n": pair.property_n is not None,
         "e_distributive": None, "e_central": None, "e_idempotent": None, "e_final": None,
@@ -546,7 +521,7 @@ def validate_negation_map(pair: Pair, perm) -> tuple[int, ...]:
         raise NotOrderTwo("negation map does not square to identity", witness=(names[int(bad[0][0])],))
     hit = first_row(np.arange(n), n, lambda x: p[add[x]] != add[p[x, None], p])
     if hit:
-        raise NotAdditive("negation map is not additive", witness=pair.structure.labels(hit))
+        raise NotAdditive("negation map is not additive", witness=pair.labels(hit))
     # per tangible a: -(ab) against a(-b), then against (-a)b, over b
     hit = first_row(ts, 2 * n, lambda a: np.hstack(
         (p[mul[a]] != mul[a[:, None], p], p[mul[a]] != mul[p[a]])))

@@ -12,6 +12,7 @@ idempotent image and the quotient by the least one~e congruence.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import cached_property
 from itertools import chain
 from typing import Optional
@@ -28,7 +29,7 @@ from .congruences import (
     relation_flags,
 )
 from .constructions import quotient_pair
-from .core import Pair, classify_pair, validate_structure
+from .core import FiniteStructure, Pair, classify_pair, validate_structure
 from .errors import CapExceeded, HypothesisFails
 
 
@@ -154,7 +155,8 @@ def ae_pair(pair: Pair) -> tuple[Pair, np.ndarray]:
                             add=add, mul=mul)
     a0 = pos[elems[pair.a0_mask[elems]]].tolist() + [int(pos[pair.zero])]
     # unvalidated: congruences read only the tables, and A*e's one need be no unit
-    return Pair(structure=st, tangible=frozenset({int(pos[e])}), a_zero=frozenset(a0),
+    return Pair(**{f.name: getattr(st, f.name) for f in fields(FiniteStructure)},
+                tangible=frozenset({int(pos[e])}), a_zero=frozenset(a0),
                 property_n=None, name=f"{pair.name}*e"), pos[img]
 
 
@@ -206,19 +208,19 @@ NOT_CONGRUENCE, MISSING = -1, -2
 
 
 def _iso_verdict(source: "Analysis", src: list[int], target: "Analysis", images: np.ndarray,
-                 flag: str, kernel: Optional[Congruence], words: tuple[str, ...]) -> dict:
+                 flag: str, kernel: bool, words: tuple[str, ...]) -> dict:
     """Whether the projection with target-lattice ``images`` maps the source
     congruences ``src`` order-isomorphically onto the target congruences
-    with ``flag`` set.  When ``kernel`` is given, each source congruence
-    must contain it.  A failure names the first source congruence to fail
-    and the first test it fails: kernel, congruence, member, flag."""
+    with ``flag`` set.  With ``kernel``, each source congruence must contain
+    diag_e, the least congruence relating 1 and e, so it must relate 1 and
+    e.  A failure names the first source congruence to fail and the first
+    test it fails: kernel, congruence, member, flag."""
     where, where_lattice, src_name, spec_name = words
     lattice = source.lattice
     spec = target.having(flag)
     src = np.asarray(src, dtype=np.intp)
     img = images[src]
-    no_kernel = np.zeros(len(src), dtype=bool) if kernel is None else \
-        ~lattice.leq[lattice.find(kernel), src]
+    no_kernel = ~source.columns["contains_1e"][src] if kernel else np.zeros(len(src), dtype=bool)
     fails = np.select([no_kernel, img == NOT_CONGRUENCE, img == MISSING, ~np.isin(img, spec)],
                       [0, 1, 2, 3], -1)
     if (fails >= 0).any():
@@ -338,7 +340,7 @@ class Analysis:
         except HypothesisFails as exc:
             v = _verdict(True, False, str(exc))
             return v, v
-        return tuple(_iso_verdict(self, src, target, self.images("ae"), flag, None, _AE_WORDS)
+        return tuple(_iso_verdict(self, src, target, self.images("ae"), flag, False, _AE_WORDS)
                      for flag, src in srcs.items())
 
     @cached_property
@@ -350,9 +352,8 @@ class Analysis:
             v = _verdict(False, detail="needs an e-central pair with a witness")
             return v, v
         srcs = {flag: self.spec_e(flag) for flag in _SPECTRA}
-        target, proj = self.quotient_e
-        de = Congruence.from_labels(self.pair, proj.tolist())   # the kernel of proj
-        return tuple(_iso_verdict(self, src, target, self.images("quotient_e"), flag, de,
+        target = self.quotient_e[0]
+        return tuple(_iso_verdict(self, src, target, self.images("quotient_e"), flag, True,
                                   _QUOTIENT_WORDS) for flag, src in srcs.items())
 
 

@@ -29,9 +29,12 @@ CP, PRO3, SHALLOW1K, CHAINS part iii and BF parts iii and iv, for CONGB with
 the per-element ``cong_b``, and for RD1, PRS1 and PRO3C with each flag taken
 by its definition on the reported congruence: radical and T-cancellative by
 the kernels' violation scans over its matrix, proper as no related pair of
-T x A0, and (1, e) as one related pair.  TR1, PRS2, RD2, SP2, HYPROP, BF
-parts i, ii and v and CHAINS parts i, ii and iv have no recompute yet, so
-no counterexample of theirs is confirmed.
+T x A0, and (1, e) as one related pair.  TR1's ``e_image_not_congruence``
+recomputes the image of the reported congruence along x -> xe pair by pair
+and confirms it when the image is not transitive or no congruence of A*e.
+TR1's other kinds, PRS2, RD2, SP2, HYPROP, BF parts i, ii and v and CHAINS
+parts i, ii and iv have no recompute yet, so no counterexample of theirs is
+confirmed.
 """
 
 from __future__ import annotations
@@ -57,13 +60,14 @@ from .congruences import (
 )
 from .constructions import _block_label, doubled_names, quotient_pair, twist_table
 from .core import Pair, e_type, is_distributively_central, is_proper
-from .errors import CapExceeded, CarrierTooLarge, NoPropertyN, UnknownCheckId
+from .errors import CapExceeded, CarrierTooLarge, HypothesisFails, NoPropertyN, UnknownCheckId
 from .spectrum import (
     MISSING,
     NOT_CONGRUENCE,
     Analysis,
     _maximal,
     _order_iso,
+    ae_pair,
     sqrt_phi,
     twist,
     twist_subset,
@@ -175,9 +179,9 @@ def _check_etype_shallow(ctx):
 
 def _check_twass(ctx):
     pair = ctx.pair
-    if not pair.structure.is_semiring():
+    if not pair.is_semiring():
         return False, None, None, "needs a semiring pair"
-    i, j, k = first_nonassoc(twist_table(pair.structure))
+    i, j, k = first_nonassoc(twist_table(pair))
     if i < 0:
         return True, True, None, f"all {pair.n * pair.n}^3 triples associate"
     names = doubled_names(pair.names)
@@ -186,7 +190,7 @@ def _check_twass(ctx):
 
 def _check_gen(ctx):
     pair = ctx.pair
-    if not pair.structure.distributive:
+    if not pair.distributive:
         return False, None, None, "needs a distributive pair"
     add, mul, n = pair.add, pair.mul, pair.n
     z = np.arange(n)
@@ -201,7 +205,7 @@ def _check_gen(ctx):
     if hit:
         (b1, b2), z = divmod(hit[0], n), hit[1]
         want = int(mul[add[b1, b2], z])
-        labels = pair.structure.labels
+        labels = pair.labels
         return True, False, {
             "b": labels((b1, b2)), "z": pair.names[z],
             "product": labels(twist(pair, (b1, b2), (z, z))), "expected": pair.names[want],
@@ -237,10 +241,9 @@ def _check_tr1(ctx):
         return False, None, None, "needs a Property-N witness"
     q, q_proj = ctx.quotient_e
     q_lat = q.lattice
-    # x and y are related in the pullback of psi iff psi relates their images
-    labels = q_lat.roots[:, q_proj]
-    pulled = np.concatenate([meets(labels[s], labels[s])
-                             for s in _kernels.row_blocks(len(labels), pair.n)])
+    # x and y are related in the pullback of psi iff psi relates their images;
+    # diag_e numbers its blocks by least member, so roots pull back to roots
+    pulled = np.unique(q_proj, return_index=True)[1][q_lat.roots[:, q_proj]]
     ok = are_congruences(pair, pulled)
     if not ok.all():
         k = int(ok.argmin())
@@ -291,14 +294,14 @@ def _check_congb(ctx):
     n = pair.n
     sums, at = np.unique(pair.add.ravel(), return_inverse=True)
     rel, ok = cong_bs(pair, sums)
-    held = (np.ones(len(sums), dtype=bool) if pair.structure.is_semiring()
+    held = (np.ones(len(sums), dtype=bool) if pair.is_semiring()
             else np.array([is_distributively_central(pair, s) for s in sums], dtype=bool))[at]
     b1, b2 = np.divmod(np.arange(n * n), n)
     contains_b = rel[at, b1, b2]
     bad = held & ~(ok[at] & contains_b)
     if bad.any():
         k = int(bad.argmax())
-        return True, False, {"b": pair.structure.labels((b1[k], b2[k])),
+        return True, False, {"b": pair.labels((b1[k], b2[k])),
                              "is_congruence": bool(ok[at[k]]), "contains_b": bool(contains_b[k])}, ""
     return True, True, None, f"{int(held.sum())} elements checked"
 
@@ -373,7 +376,7 @@ def _check_prs1(ctx):
         blocks = lat[rad[row]].block_labels()
         if cell < n * n:
             return True, False, {"part": "i", "blocks": blocks,
-                                 "b": pair.structure.labels(divmod(cell, n))}, ""
+                                 "b": pair.labels(divmod(cell, n))}, ""
         return True, False, {"part": "ii", "blocks": blocks, "b": pair.names[cell - n * n]}, ""
     return True, True, None, f"{len(rad)} radical congruence(s)"
 
@@ -496,7 +499,7 @@ def _check_cp(ctx):
 
 def _check_shallow1k(ctx):
     pair = ctx.pair
-    if not (ctx.cls["shallow"] and ctx.cls["kind"] == "first" and pair.structure.is_semiring()):
+    if not (ctx.cls["shallow"] and ctx.cls["kind"] == "first" and pair.is_semiring()):
         return False, None, None, "needs a shallow semiring pair of the first kind"
     lat = ctx.lattice
     proper = ctx.having("proper")
@@ -532,7 +535,7 @@ def _check_chains(ctx):
         return True, False, {"part": "ii",
                              "blocks": lat[proper_idx[int(below.argmin())]].block_labels()}, ""
     notes = [f"{len(proper_idx)} proper, {len(maximal_proper)} maximal proper"]
-    if not pair.structure.is_semiring():
+    if not pair.is_semiring():
         notes += [f"part {part} needs a semiring pair: skipped" for part in ("iii", "iv")]
         return True, True, None, "; ".join(notes)
 
@@ -545,7 +548,7 @@ def _check_chains(ctx):
         _kernels.twist(add, mul, vt[x, None], vz[x, None], vt, vz), (n, n)), code))
     if hit:
         x, y = (vt[hit[0]], vz[hit[0]]), (vt[hit[1]], vz[hit[1]])
-        labels = pair.structure.labels
+        labels = pair.labels
         return True, False, {"part": "iii", "x": labels(x), "y": labels(y),
                              "product": labels(twist(pair, x, y))}, ""
     notes.append(f"part iii over {len(vt)} very improper pair(s)")
@@ -724,11 +727,11 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
     cx = cx or {}
     try:      # an unknown label, a missing or short field, a wrong type, or no e raises
         # these ids recompute on the reported blocks, which must form a congruence
-        if check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP"):
+        if check_id in ("SHALLOW1K", "RD1", "PRS1", "ID1", "PRO3", "PRO3C", "CP", "TR1"):
             cong = _cong_from_blocks(pair, cx["blocks"])
             if cong is None:
                 return False
-        ix = pair.structure.index
+        ix = pair.index
         add, mul = pair.add, pair.mul
         if check_id == "EST":
             return int(mul[ix[cx["e"]], ix[cx["dagger"]]]) != ix[cx["e"]]
@@ -827,10 +830,18 @@ def reverify_counterexample(pair: Pair, check_id: str, cx: dict) -> bool:
             b1, b2 = (ix[x] for x in cx["b"])
             rel, ok = cong_b(pair, (b1, b2))
             got = (ok, bool(rel[b1, b2]))
-            held = pair.structure.is_semiring() or is_distributively_central(pair, add[b1, b2])
+            held = pair.is_semiring() or is_distributively_central(pair, add[b1, b2])
             return held and not all(got) and got == (cx["is_congruence"], cx["contains_b"])
-        # TR1, PRS2, RD2, SP2, HYPROP, BF parts i, ii and v and CHAINS parts
-        # i, ii and iv have no recompute yet, so they confirm nothing
+        if check_id == "TR1" and cx["kind"] == "e_image_not_congruence":
+            ae, proj = ae_pair(pair)
+            rel = np.zeros((ae.n, ae.n), dtype=bool)      # {(xe, ye) : x ~ y}, pair by pair
+            for x in range(pair.n):
+                for y in range(pair.n):
+                    rel[proj[x], proj[y]] |= cong.related(x, y)
+            intransitive = (rel[:, :, None] & rel[None] & ~rel[:, None]).any()
+            return bool(intransitive) or not is_congruence(ae, rel.argmax(axis=1).tolist())[0]
+        # TR1's other kinds, PRS2, RD2, SP2, HYPROP, BF parts i, ii and v and
+        # CHAINS parts i, ii and iv have no recompute yet, so they confirm nothing
         return False
-    except (KeyError, ValueError, TypeError, NoPropertyN):
+    except (KeyError, ValueError, TypeError, NoPropertyN, HypothesisFails):
         return False

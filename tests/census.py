@@ -95,3 +95,24 @@ def pairs(n: int) -> list:
                 except ValidationError:
                     pass
     return out
+
+
+# Three semirings of the n = 5 census, numbered as a pruned search that
+# dedupes as ``semirings`` does numbers them, as (add, mul).  Each carries a
+# pair that is the smallest known witness of some failing check.
+SEMIRINGS_5 = {
+    87: ([[0, 1, 2, 3, 4], [1, 1, 1, 3, 3], [2, 1, 2, 3, 4], [3, 3, 3, 3, 3], [4, 3, 4, 3, 4]],
+         [[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 2, 2, 2], [0, 3, 4, 3, 4], [0, 4, 4, 4, 4]]),
+    177: ([[0, 1, 2, 3, 4], [1, 2, 1, 4, 3], [2, 1, 2, 3, 4], [3, 4, 3, 3, 4], [4, 3, 4, 4, 3]],
+          [[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 2, 3, 3], [0, 3, 3, 3, 3], [0, 4, 3, 3, 4]]),
+    293: ([[0, 1, 2, 3, 4], [1, 2, 3, 4, 3], [2, 3, 4, 3, 4], [3, 4, 3, 4, 3], [4, 3, 4, 3, 4]],
+          [[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 4, 4, 4], [0, 3, 4, 3, 4], [0, 4, 4, 4, 4]]),
+}
+
+
+def witness(name: str):
+    """The pair ``s5.<semiring>.T<tangibles>.A<a0>`` on a semiring of ``SEMIRINGS_5``."""
+    _, k, t, a0 = name.split(".")
+    add, mul = SEMIRINGS_5[int(k)]
+    st = validate_structure([str(i) for i in range(5)], 0, 1, add, mul)
+    return validate_pair(st, map(int, t[1:]), map(int, a0[1:]), name=name)

@@ -370,7 +370,7 @@ def check_congb_loop(pair, cong_b):
     checked = 0
     for b1 in range(pair.n):
         for b2 in range(pair.n):
-            if not (pair.structure.is_semiring()
+            if not (pair.is_semiring()
                     or is_distributively_central(pair, int(pair.add[b1, b2]))):
                 continue
             relation, is_congruence = cong_b(pair, (b1, b2))
@@ -912,10 +912,12 @@ def function_pair_loop(pair, s, cap=4096, name=""):
 def bare_pair(structure, tangible, a_zero, name: str = ""):
     """A pair on ``structure`` without pair-level validation or a Property-N
     witness, as ``spectrum.ae_pair`` builds A*e."""
-    from pairspec.core import Pair
+    from dataclasses import fields
 
-    return Pair(structure=structure, tangible=frozenset(tangible), a_zero=frozenset(a_zero),
-                property_n=None, name=name)
+    from pairspec.core import FiniteStructure, Pair
+
+    return Pair(**{f.name: getattr(structure, f.name) for f in fields(FiniteStructure)},
+                tangible=frozenset(tangible), a_zero=frozenset(a_zero), property_n=None, name=name)
 
 
 def doubled_structure(pair):
@@ -929,7 +931,7 @@ def doubled_structure(pair):
     add = [[int(pair.add[i // n, j // n]) * n + int(pair.add[i % n, j % n]) for j in range(n * n)]
            for i in range(n * n)]
     return validate_structure(doubled_names(pair.names), pair.zero * n + pair.zero,
-                              pair.one * n + pair.zero, add, twist_table(pair.structure))
+                              pair.one * n + pair.zero, add, twist_table(pair))
 
 
 def ae_pair_loop(pair):

@@ -72,16 +72,16 @@ def test_criterion_02_reported_classifications_exact(pairs):
 
 def test_criterion_03_twist_associativity(pairs):
     t0 = time.perf_counter()
-    semiring_names = [n for n, p in pairs.items() if p.structure.is_semiring()]
+    semiring_names = [n for n, p in pairs.items() if p.is_semiring()]
     results = {}
     largest = 0
     for name in semiring_names:
         d, _ = double(pairs[name])
-        results[name] = d.structure.mul_associative
+        results[name] = d.mul_associative
         largest = max(largest, d.n)
     # dual route on the largest double: the dense whole-cube scan must agree
     biggest = max(semiring_names, key=lambda n: pairs[n].n)
-    tables = double(pairs[biggest])[0].structure
+    tables = double(pairs[biggest])[0]
     agree = (_kernels.first_nonassoc(tables.mul)
              == oracle.first_nonassoc_dense(tables.mul) == (-1, -1, -1))
     elapsed = time.perf_counter() - t0
@@ -179,7 +179,7 @@ def test_criterion_09_very_improper_products(pairs):
     pairs_checked = 0
     elements_checked = 0
     for name, p in pairs.items():
-        if not p.structure.is_semiring():
+        if not p.is_semiring():
             continue  # the law is stated for semiring pairs
         pairs_checked += 1
         lat = enumerate_congruences(p)

@@ -426,7 +426,7 @@ def test_doubled_carrier_cap_exits_two(runner, tmp_path):
     # 81 elements double to 6561 > 4096: both commands stop before tabulating
     from pairspec import constructions, monoids
     pair = constructions.function_pair(constructions.super_boolean(), monoids.cyclic_group(4))
-    assert pair.n == 81 and pair.structure.is_semiring()
+    assert pair.n == 81 and pair.is_semiring()
     path = tmp_path / "function_sb_c4.json"
     path.write_text(dsl.serialize(dsl.pair_to_file(pair)))
     for argv in (["verify", str(path), "--check", "TWASS"],

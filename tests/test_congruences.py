@@ -223,7 +223,7 @@ def test_cong_b_contains_b_iff_e_type_on_catalog(pairs):
             continue
         for b1 in range(p.n):
             for b2 in range(p.n):
-                if p.structure.is_semiring() or is_distributively_central(p, p.add[b1, b2]):
+                if p.is_semiring() or is_distributively_central(p, p.add[b1, b2]):
                     rel, ok = cong_b(p, (b1, b2))
                     assert ok and rel[b1, b2], (name, b1, b2)
 

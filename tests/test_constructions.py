@@ -63,9 +63,9 @@ def test_super_boolean_tables(sb):
 def test_supertropical_c2_is_not_distributive_but_valid(pairs):
     p = pairs["supertropical_c2"]
     assert p.n == 5
-    assert not p.structure.distributive
+    assert not p.distributive
     assert not p.t_distributive
-    assert p.structure.mul_associative and p.structure.commutative_mul
+    assert p.mul_associative and p.commutative_mul
 
 
 def test_supertropical_singleton_tangible_matches_super_boolean(sb):
@@ -99,10 +99,10 @@ def test_supertropical_rejects_non_homomorphism():
 def test_truncated_chain3_examples(pairs):
     p = pairs["truncated_chain3"]
     assert p.n == 7
-    two = p.structure.index["2"]
-    three = p.structure.index["3"]
+    two = p.index["2"]
+    three = p.index["3"]
     assert int(p.mul[two, two]) == three  # 2*2 saturates to the tangible top
-    ghost3 = p.structure.index["3*"]
+    ghost3 = p.index["3*"]
     assert int(p.mul[two, ghost3]) == ghost3
     c = classify_pair(p)
     assert c["proper"] and c["shallow"] and c["e_final"] and c["a0_bipotent"]
@@ -126,11 +126,11 @@ def test_truncated_bad_bounds():
 def test_minimal_bipotent_kinds(pairs):
     first = pairs["minbp_c2_first"]
     second = pairs["minbp_c2_second"]
-    inf_f = first.structure.index["inf"]
-    g = first.structure.index["g"]
+    inf_f = first.index["inf"]
+    g = first.index["g"]
     assert int(first.add[1, 1]) == inf_f
     assert int(second.add[1, 1]) == 1
-    assert int(second.add[1, g]) == second.structure.index["inf"]
+    assert int(second.add[1, g]) == second.index["inf"]
     assert classify_pair(first)["kind"] == "first"
     assert classify_pair(second)["kind"] == "second"
 
@@ -140,7 +140,7 @@ def test_minimal_bipotent_kinds(pairs):
 def test_double_super_boolean_basics(sb):
     d, switch = double(sb)
     assert d.n == 9
-    assert d.structure.mul_associative
+    assert d.mul_associative
     assert switch is not None
     w = d.property_n
     assert d.names[w.e] == "(1,1)"
@@ -156,7 +156,7 @@ def test_double_diagonal_absorbs(pairs):
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
-                    prod = int(d.structure.mul[b1 * p.n + b2, z * p.n + z])
+                    prod = int(d.mul[b1 * p.n + b2, z * p.n + z])
                     x, y = divmod(prod, p.n)
                     assert x == y
 
@@ -168,7 +168,7 @@ def test_double_gen_identity_on_semirings(pairs):
         for b1 in range(p.n):
             for b2 in range(p.n):
                 for z in range(p.n):
-                    prod = divmod(int(d.structure.mul[b1 * p.n + b2, z * p.n + z]), p.n)
+                    prod = divmod(int(d.mul[b1 * p.n + b2, z * p.n + z]), p.n)
                     want = int(p.mul[p.add[b1, b2], z])
                     assert prod == (want, want)
 
@@ -178,12 +178,12 @@ def test_double_twist_matches_bruteforce(sb):
     add = [[int(v) for v in row] for row in sb.add]
     mul = [[int(v) for v in row] for row in sb.mul]
     n = sb.n
-    for i in range(d.structure.n):
-        for j in range(d.structure.n):
-            got = divmod(int(d.structure.mul[i, j]), n)
+    for i in range(d.n):
+        for j in range(d.n):
+            got = divmod(int(d.mul[i, j]), n)
             assert got == oracle.twist_bruteforce(add, mul, divmod(i, n), divmod(j, n))
             (a1, a2), (c1, c2) = divmod(i, n), divmod(j, n)
-            assert divmod(int(d.structure.add[i, j]), n) == (add[a1][c1], add[a2][c2])
+            assert divmod(int(d.add[i, j]), n) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_function_pair_table_matches_bruteforce(pairs):
@@ -193,12 +193,12 @@ def test_double_function_pair_table_matches_bruteforce(pairs):
     add = [[int(v) for v in row] for row in p.add]
     mul = [[int(v) for v in row] for row in p.mul]
     n = p.n
-    for i in range(0, d.structure.n, 7):
-        for j in range(d.structure.n):
-            got = divmod(int(d.structure.mul[i, j]), n)
+    for i in range(0, d.n, 7):
+        for j in range(d.n):
+            got = divmod(int(d.mul[i, j]), n)
             assert got == oracle.twist_bruteforce(add, mul, divmod(i, n), divmod(j, n))
             (a1, a2), (c1, c2) = divmod(i, n), divmod(j, n)
-            assert divmod(int(d.structure.add[i, j]), n) == (add[a1][c1], add[a2][c2])
+            assert divmod(int(d.add[i, j]), n) == (add[a1][c1], add[a2][c2])
 
 
 def test_double_of_relabeled_pair(sb):
@@ -216,10 +216,10 @@ def test_double_of_relabeled_pair(sb):
     st = validate_structure(names, perm[sb.zero], perm[sb.one], add, mul)
     p = validate_pair(st, {perm[a] for a in sb.tangible}, {perm[x] for x in sb.a_zero})
     d, _ = double(p)
-    assert d.structure.mul_associative
-    z1, z2 = divmod(d.structure.zero, p.n)
+    assert d.mul_associative
+    z1, z2 = divmod(d.zero, p.n)
     assert z1 == z2 == perm[sb.zero]
-    o1, o2 = divmod(d.structure.one, p.n)
+    o1, o2 = divmod(d.one, p.n)
     assert (o1, o2) == (perm[sb.one], perm[sb.zero])
 
 
@@ -296,7 +296,7 @@ def test_power_set_signs(pairs):
 
 def test_power_set_multiplication_elementwise_associative(pairs):
     for name in ("power_krasner", "power_signs", "power_massouros_c2"):
-        assert pairs[name].structure.mul_associative, name
+        assert pairs[name].mul_associative, name
 
 
 def test_power_set_product_inclusion(pairs):
@@ -306,7 +306,7 @@ def test_power_set_product_inclusion(pairs):
         for s in range(p.n):
             for s1 in range(p.n):
                 for s2 in range(p.n):
-                    lhs = p.structure.index[p.names[int(p.mul[s, p.add[s1, s2]])]]
+                    lhs = p.index[p.names[int(p.mul[s, p.add[s1, s2]])]]
                     rhs = int(p.add[p.mul[s, s1], p.mul[s, s2]])
                     lhs_mask = _mask_of_label(p.names[lhs])
                     rhs_mask = _mask_of_label(p.names[rhs])
@@ -347,7 +347,7 @@ def test_twist_tables_admit_benchmark_inputs(pairs):
               function_pair(pairs["minbp_c2_first"], saturating_monoid(2))]
     for p in inputs:
         assert p.n <= 16
-        assert twist_table(p.structure).shape == (p.n * p.n, p.n * p.n)
+        assert twist_table(p).shape == (p.n * p.n, p.n * p.n)
 
 
 def test_hyperpair_krasner_is_full_power_set(pairs):
@@ -474,12 +474,12 @@ def test_function_pair_cap(monkeypatch):
 def test_every_catalog_entry_validates(pairs):
     for name, p in pairs.items():
         assert p.property_n is not None or p.property_n_error is None, name
-        assert p.structure.n == len(p.names)
+        assert p.n == len(p.names)
 
 
 def test_double_validates_for_distributive_bases(pairs):
     for name, p in pairs.items():
-        if not p.structure.distributive:
+        if not p.distributive:
             continue
         _, switch = double(p)
         assert switch is not None, name

@@ -1,7 +1,7 @@
 """Carrier validation, the 1-dagger witness, and pair classification."""
 
 import contextlib
-from dataclasses import replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,10 +86,10 @@ def test_pair_missing_zero_in_a0():
 
 def test_pair_t_not_closed(pairs):
     p = pairs["supertropical_c2"]
-    ghost_one = p.structure.index["1*"]
+    ghost_one = p.index["1*"]
     with pytest.raises(TNotClosed):
         # g * 1-ghost is the g-ghost, outside the attempted tangible set
-        validate_pair(p.structure, p.tangible | {ghost_one}, {p.zero})
+        validate_pair(p, p.tangible | {ghost_one}, {p.zero})
     st = validate_structure(["0", "1", "e"], 0, 1, SB_ADD, SB_MUL)
     with pytest.raises(TNotClosed):
         validate_pair(st, {2}, {0, 2})  # one must be tangible
@@ -162,7 +162,7 @@ def test_non_unique_e_on_doubled_field(pairs):
     assert d.property_n is None
     assert "different e" in d.property_n_error
     with pytest.raises(NonUniqueE):
-        find_property_n(d.structure, d.tangible, d.a_zero)
+        find_property_n(d, d.tangible, d.a_zero)
 
 
 # -- classification ------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_heights_super_boolean(sb):
 
 def test_height_inf_minimal_bipotent(pairs):
     p = pairs["minbp_c2_first"]
-    inf = p.structure.index["inf"]
+    inf = p.index["inf"]
     assert heights(p)[inf] == 2
 
 
@@ -442,7 +442,7 @@ def test_validate_pair_matches_dense_on_catalog_quotients_and_doubles(pairs, mon
 
     monkeypatch.setattr(constructions, "validate_pair", spy)
     for p in pairs.values():
-        seen.append((p.structure, p.tangible, p.a_zero))
+        seen.append((p, p.tangible, p.a_zero))
         with contextlib.suppress(ValueError):     # tangibles that are not central
             double(p)
         for cong in enumerate_congruences(p, None):
@@ -489,7 +489,7 @@ def test_tangible_centrality_witness_matches_the_argwhere_loop(pairs, seed, cell
     validate_pair names the old loop's first witness."""
     rng = np.random.default_rng(seed)
     p = pairs[sorted(pairs)[int(rng.integers(len(pairs)))]]
-    s = oracle.doubled_structure(p) if doubled else p.structure
+    s = oracle.doubled_structure(p) if doubled else p
     tangible = _split_tangibles(p) if doubled else p.tangible
     fixed = {s.zero, s.one}
     free = [(x, y) for x in range(s.n) for y in range(s.n)
@@ -548,9 +548,8 @@ def _switch(m):
 
 
 def _assert_scans_match_loops(pair, perms):
-    s = pair.structure
-    assert _outcome(find_property_n, s, pair.tangible, pair.a_zero) == \
-        _outcome(oracle.find_property_n_loop, s, pair.tangible, pair.a_zero), pair.name
+    assert _outcome(find_property_n, pair, pair.tangible, pair.a_zero) == \
+        _outcome(oracle.find_property_n_loop, pair, pair.tangible, pair.a_zero), pair.name
     got = classify_pair(pair)
     assert {f: got[f] for f in _FLAGS} == oracle.classify_flags_loop(pair), pair.name
     for perm in perms:
@@ -577,8 +576,9 @@ def test_daggers_negations_and_flags_match_the_loops_on_planted_tables(pairs, se
     tangible = set(rng.choice(n, int(rng.integers(1, 4))).tolist()) | {base.one} \
         if rng.integers(4) else set(base.tangible)
     a_zero = set(rng.choice(n, int(rng.integers(0, 4))).tolist()) | set(base.a_zero)
-    pair = Pair(structure=replace(base.structure, mul=mul), tangible=frozenset(tangible),
-                a_zero=frozenset(a_zero), property_n=None, name=base.name)
+    pair = Pair(**{f.name: getattr(base, f.name) for f in fields(FiniteStructure)} | {"mul": mul},
+                tangible=frozenset(tangible), a_zero=frozenset(a_zero), property_n=None,
+                name=base.name)
     swaps = np.arange(n)
     for x, y in rng.integers(n, size=(2, 2)):
         if swaps[x] == x and swaps[y] == y:

@@ -1,5 +1,6 @@
 """Twist-product classification, radicals, spectra, and the isomorphisms."""
 
+import contextlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import census
 import oracle
 from pairspec import constructions, monoids
 from pairspec.congruences import (
@@ -167,14 +169,14 @@ def test_prime_but_not_strongly_prime_finding(pairs):
     """The diagonal of the second-kind minimal pair separates the two prime
     notions on a commutative semiring pair of positive e-type."""
     p = pairs["minbp_c2_second"]
-    assert p.structure.is_semiring()
+    assert p.is_semiring()
     assert positive_e_type(p) == 1
     lat = enumerate_congruences(p)
     d = classify_congruence(p, diagonal(p), lat)
     assert d["prime"]
     assert not d["strongly_prime"]
     # the witnessing square: (1, inf) twists to a diagonal element
-    inf = p.structure.index["inf"]
+    inf = p.index["inf"]
     assert twist(p, (1, inf), (1, inf)) == (inf, inf)
 
 
@@ -254,7 +256,7 @@ def test_columns_match_definition_with_planted_flips(seed, n, flip):
         assume(p is not None)
     # more tangibles than the unit, so that T-cancellation is tested
     more = [x for x in range(n) if x != p.zero and rng.integers(2)]
-    p = oracle.bare_pair(p.structure, {p.one, *more}, p.a_zero, name=p.name)
+    p = oracle.bare_pair(p, {p.one, *more}, p.a_zero, name=p.name)
     lat = enumerate_congruences(p)
     rows = [c.block_of for c in lat]
     cols = twist_columns(p, lat.roots, lat.covers)
@@ -463,7 +465,7 @@ def test_very_improper_in_fields(pairs):
 
 def test_very_improper_products_on_semiring_catalog(pairs):
     for name, p in pairs.items():
-        if not p.structure.is_semiring():
+        if not p.is_semiring():
             continue
         very = oracle.very_improper_over_lattice(p, enumerate_congruences(p))
         for a1, b1 in very:
@@ -633,7 +635,7 @@ def test_joo_mincheva_primes_from_points(pairs):
     checked, excluded = 0, []
     for image in _jm_images(pairs):
         sub = image.pair
-        if not sub.structure.distributive:
+        if not sub.distributive:
             excluded.append(sub.name)
             continue
         add, mul = sub.add.tolist(), sub.mul.tolist()
@@ -645,6 +647,52 @@ def test_joo_mincheva_primes_from_points(pairs):
         assert points == {b for b, strong in non_top if strong}, sub.name
         checked += 1
     assert (checked, excluded) == (52, ["supertropical_c2*e", "supertropical_c2^S*e"])
+
+
+def _pulled_back_points(pairs):
+    """(images, onto checks) for the main theorem (Joo and Mincheva, Selecta
+    Math. 24, 2018) over the pairs with a witness whose A*e is commutative,
+    additively idempotent and distributive: each point's kernel of A*e,
+    pulled back along x -> xe, is a strongly prime member of A, and where the
+    pair is e-central of positive e-type these are all the strongly prime
+    members but the top."""
+    images = onto = 0
+    for p in pairs:
+        if p.property_n is None:
+            continue
+        a = Analysis(p, None)
+        try:
+            image, proj = a.ae
+        except PairspecError:
+            continue
+        sub = image.pair
+        if not (sub.commutative_mul and sub.distributive
+                and (np.diag(sub.add) == np.arange(sub.n)).all()):
+            continue
+        images += 1
+        strong = {tuple(c.block_of): bool(s) for c, s in zip(a.lattice, a.columns["strongly_prime"])}
+        pulled = {oracle.restricted_growth([pt[proj[x]] for x in range(p.n)])
+                  for pt in oracle.jm_points(sub.add.tolist(), sub.mul.tolist(), sub.zero, sub.one)}
+        assert all(strong.get(b) for b in pulled), (p.name, pulled)
+        if a.cls["e_central"] and a.cls["positive_e_type"] is not None:
+            onto += 1
+            assert pulled == {b for b, s in strong.items() if s and len(set(b)) > 1}, p.name
+    return images, onto
+
+
+def test_joo_mincheva_points_pull_back_to_the_strongly_prime_spectrum(pairs):
+    """On the catalog and its function pairs of at most 16 elements, and on
+    the census up to n = 4.  (The 27-element function pairs hold too, but
+    take about 15 s.)"""
+    sources = list(pairs.values())
+    for p in pairs.values():
+        for make in monoids.NAMED_MONOIDS.values():
+            s = make()
+            if p.n ** s.k <= 16:
+                with contextlib.suppress(PairspecError):
+                    sources.append(constructions.function_pair(p, s))
+    assert _pulled_back_points(sources) == (33, 26)
+    assert _pulled_back_points(census.pairs(2) + census.pairs(3) + census.pairs(4)) == (368, 252)
 
 
 def test_iso_verdicts_match_member_loop(pairs):
@@ -681,7 +729,7 @@ def test_iso_verdicts_match_member_loop(pairs):
                             return (None if k == NOT_CONGRUENCE else
                                     SimpleNamespace(roots=None) if k == MISSING else t_lat[k])
 
-                        got = _iso_verdict(a, s, target, fake, flag, kernel, words)
+                        got = _iso_verdict(a, s, target, fake, flag, kernel is not None, words)
                         want = oracle.iso_verdict_loop(lat, s, t_lat, spec, push,
                                                        kernel and kernel.roots, words)
                         assert (got["holds"], got["detail"]) == want, (p.name, sub, flag, plant)

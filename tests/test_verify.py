@@ -18,6 +18,7 @@ from pairspec.core import (
     FiniteStructure,
     PropertyNWitness,
     classify_pair,
+    is_proper,
     positive_e_type,
     validate_pair,
     validate_structure,
@@ -527,7 +528,7 @@ def test_reverify_recomputes_emul_and_congb(monkeypatch):
                 if "y" in cx:
                     kinds = ("not_additive", "not_multiplicative")
                     swapped = kinds[1 - kinds.index(cx["kind"])]
-                    x, y = (p.structure.index[cx[k]] for k in ("x", "y"))
+                    x, y = (p.index[cx[k]] for k in ("x", "y"))
                     op, e = (p.add if swapped == kinds[0] else p.mul), p.property_n.e
                     holds = int(p.mul[op[x, y], e]) == int(op[p.mul[x, e], p.mul[y, e]])
                     assert reverify_counterexample(p, "EMUL", {**cx, "kind": swapped}) != holds
@@ -537,7 +538,7 @@ def test_reverify_recomputes_emul_and_congb(monkeypatch):
 def _twass_by_double(pair):
     """TWASS read off the validated doubled structure: the reference for the
     check, which scans the twist product alone."""
-    if not pair.structure.is_semiring():
+    if not pair.is_semiring():
         return False, None, None, "needs a semiring pair"
     d = oracle.doubled_structure(pair)
     if d.mul_associative:
@@ -754,7 +755,7 @@ def test_chains_part_iii_reads_the_tables(pairs, monkeypatch):
         very = oracle.very_improper_over_lattice(p, a.lattice)
         quiet = [not any(c.related(*x) for x in very) for c in a.lattice]
         assert a.columns["weakly_proper"].tolist() == quiet, p.name
-        if not p.structure.is_semiring():
+        if not p.is_semiring():
             continue
         notes = CHECKS["CHAINS"](a)[3]
         assert f"part iii over {len(very)} very improper pair(s)" in notes, p.name
@@ -1002,7 +1003,7 @@ def test_chains_part_iv_matches_triple_loop(pairs, monkeypatch):
     monkeypatch.setattr(verify, "twist_subset", scan)
     planted = 0
     for p in [*pairs.values(), function_pair(super_boolean(), cyclic_group(3))]:
-        if not p.structure.is_semiring():
+        if not p.is_semiring():
             continue
         a = Analysis(p, None)
         lat = a.lattice
@@ -1058,7 +1059,7 @@ def test_gen_matches_element_loop(pairs, monkeypatch):
     rng = np.random.default_rng(13)
     planted = 0
     for p in pairs.values():
-        if not p.structure.distributive:
+        if not p.distributive:
             continue
         a = Analysis(p, None)
         cells = [((b1, b2), (z, z)) for b1 in range(p.n) for b2 in range(p.n) for z in range(p.n)]
@@ -1162,7 +1163,7 @@ def test_reverify_rejects_unknown_labels_and_missing_fields(pairs, cid):
 # pair where the check passes; the diagonal's blocks form a congruence
 _DIAG_SB = [["0"], ["1"], ["e"]]
 _UNRECOMPUTED = {
-    "TR1": ("super_boolean", {"kind": "e_image_not_congruence", "blocks": _DIAG_SB}),
+    "TR1": ("super_boolean", {"kind": "e_image_missing", "blocks": _DIAG_SB}),
     "PRS2": ("super_boolean", {"part": "i", "blocks": _DIAG_SB}),
     "RD2": ("super_boolean", {"detail": "|spec(A)|=2, |spec(A*e)|=3"}),
     "SP2": ("super_boolean", {"part": "ii", "blocks": _DIAG_SB}),
@@ -1184,6 +1185,23 @@ def test_reverify_refuses_ids_without_a_recompute(pairs, case):
     cid = case.split("-")[0]
     assert run_check(pairs[name], cid)["passed"] is True
     assert reverify_counterexample(pairs[name], cid, cx) is False
+
+
+def test_tr1_recompute_pushes_the_blocks_through_x_times_e(sb):
+    """TR1's ``e_image_not_congruence`` pushes the reported congruence
+    through x -> xe pair by pair: on the census pair s5.293.T1.A024 the
+    image of {0,2,4},{1,3} on the 3-element A*e (e = 2) is not transitive,
+    so it is confirmed.  On super_boolean every congruence's image is a
+    congruence (the diagonal's is the diagonal), so none is confirmed, and
+    the other kinds confirm nothing."""
+    p = census.witness("s5.293.T1.A024")
+    cx = run_check(p, "TR1")["counterexample"]
+    assert cx == {"kind": "e_image_not_congruence", "blocks": [["0", "2", "4"], ["1", "3"]]}
+    assert p.property_n.e == 2 and len(np.unique(p.mul[:, 2])) == 3
+    assert reverify_counterexample(p, "TR1", cx) is True
+    assert reverify_counterexample(p, "TR1", {**cx, "kind": "e_image_missing"}) is False
+    for blocks in (_DIAG_SB, [["0"], ["1", "e"]], [["0", "1", "e"]]):
+        assert reverify_counterexample(sb, "TR1", {**cx, "blocks": blocks}) is False, blocks
 
 
 def test_reverify_rejects_fields_of_the_wrong_type(pairs):
@@ -1313,6 +1331,35 @@ def test_census_tally_and_every_failure_reverifies():
     assert {k: tuple(v) for k, v in verdicts.items()} == CENSUS_VERDICTS
     assert [f for f in failures if not f[0].startswith("s4.")] == CENSUS_FAILURES
     assert unconfirmed == CENSUS_UNCONFIRMED
+
+
+# the three 5-element census witnesses: each failing check id -> whether its
+# reverifier confirms the counterexample
+WITNESS_FAILURES = {
+    "s5.87.T1.A0": {"BF": True},
+    "s5.293.T1.A024": {"TR1": True},
+    "s5.177.T13.A034": {"BF": True, "CONGB": True, "ESQ": True, "EST": True, "ID1": True,
+                        "SP2": False},
+}
+
+
+def test_five_element_census_witnesses():
+    """s5.87.T1.A0 is a proper pair that fails only BF part iii, the smallest
+    known BF part iii failure, and s5.293.T1.A024 a proper pair that fails
+    only TR1.  s5.177.T13.A034 (T meets A0 in 3) fails six checks; SP2 part i
+    is the one failure no reverifier confirms, since SP2 has no recompute."""
+    for k, (add, mul) in census.SEMIRINGS_5.items():
+        assert census._canonical(add, mul) == tuple(x for t in (add, mul) for r in t for x in r)
+        assert validate_structure(list("01234"), 0, 1, add, mul).is_semiring(), k
+    for name, want in WITNESS_FAILURES.items():
+        p = census.witness(name)
+        failed = [r for r in run_all(p) if r["passed"] is False]
+        assert {r["check_id"]: reverify_counterexample(p, r["check_id"], r["counterexample"])
+                for r in failed} == want, name
+        parts = {r["check_id"]: r["counterexample"].get("part") for r in failed}
+        assert parts.get("BF", "iii") == "iii" and parts.get("SP2", "i") == "i", name
+        proper = is_proper(p) and p.a_zero != set(range(p.n))
+        assert proper == (name != "s5.177.T13.A034"), name
 
 
 def test_flag_reverifiers_do_not_call_the_member_classifier(pairs, monkeypatch):
